@@ -45,10 +45,11 @@
 #     hierarchical miter below its 10x floor,
 #   * docs/ARCHITECTURE.md is missing or no longer mentions every src/*
 #     subdirectory.
-# Finally reruns the verification + store test suites under
-# AddressSanitizer (QSYN_SANITIZE=address) — the block engine is all raw
-# word indexing and the store parses untrusted on-disk bytes — the
-# verification + robustness + scheduler + store suites under
+# Finally reruns the verification + store + LUT-map + synth test suites
+# under AddressSanitizer (QSYN_SANITIZE=address) — the block engine is all
+# raw word indexing, the store parses untrusted on-disk bytes, and the cut
+# and ISOP kernels index fixed-capacity arrays — the same plus the
+# robustness + scheduler suites under
 # UndefinedBehaviorSanitizer, and the robustness + scheduler + daemon
 # suites under ThreadSanitizer (the daemon coalesces concurrent requests
 # on a shared pool).  Both sanitizer builds of test_verify compile with
@@ -640,13 +641,17 @@ echo "docs check OK (docs/ARCHITECTURE.md covers every src/* subdirectory)"
 ASAN_DIR="$REPO_ROOT/build-asan-verify"
 cmake -B "$ASAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE=address \
   -DQSYN_SIMD=native
-cmake --build "$ASAN_DIR" -j "$(nproc)" --target test_verify test_store
+cmake --build "$ASAN_DIR" -j "$(nproc)" --target test_verify test_store test_lut_xmg test_synth
 "$ASAN_DIR/tests/test_verify"
 # The artifact store is raw byte-level (de)serialization of attacker-ish
 # input (any on-disk file): run its suite instrumented too.
 "$ASAN_DIR/tests/test_store"
+# The cut and ISOP kernels index fixed-capacity leaf arrays and word
+# tables: an off-by-one there is an out-of-bounds access.
+"$ASAN_DIR/tests/test_lut_xmg"
+"$ASAN_DIR/tests/test_synth"
 echo
-echo "test_verify + test_store OK under AddressSanitizer"
+echo "test_verify + test_store + test_lut_xmg + test_synth OK under AddressSanitizer"
 
 # --- robustness + scheduler tests under UBSan and TSan -----------------------
 # The budget/cancellation/fault-injection paths are counter arithmetic,
@@ -658,7 +663,7 @@ UBSAN_DIR="$REPO_ROOT/build-ubsan-robustness"
 cmake -B "$UBSAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE=undefined \
   -DQSYN_SIMD=native
 cmake --build "$UBSAN_DIR" -j "$(nproc)" \
-  --target test_robustness test_scheduler test_store test_verify
+  --target test_robustness test_scheduler test_store test_verify test_lut_xmg test_synth
 "$UBSAN_DIR/tests/test_robustness"
 "$UBSAN_DIR/tests/test_scheduler"
 # The store headers round-trip enums and fixed-width counters from
@@ -668,9 +673,13 @@ cmake --build "$UBSAN_DIR" -j "$(nproc)" \
 # 64-bit words: run the verification suite (including every differential
 # wide-vs-64-bit property) under UBSan with the native kernels too.
 "$UBSAN_DIR/tests/test_verify"
+# The cut and ISOP kernels build variable masks and moves with shifts on
+# 64-bit words, where a shift by 64 would hide.
+"$UBSAN_DIR/tests/test_lut_xmg"
+"$UBSAN_DIR/tests/test_synth"
 echo
-echo "test_robustness + test_scheduler + test_store + test_verify OK" \
-     "under UndefinedBehaviorSanitizer"
+echo "test_robustness + test_scheduler + test_store + test_verify + test_lut_xmg +" \
+     "test_synth OK under UndefinedBehaviorSanitizer"
 
 TSAN_DIR="$REPO_ROOT/build-tsan-robustness"
 cmake -B "$TSAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE=thread

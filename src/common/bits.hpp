@@ -33,6 +33,20 @@ inline constexpr std::uint64_t projections[6] = {
     0xaaaaaaaaaaaaaaaaull, 0xccccccccccccccccull, 0xf0f0f0f0f0f0f0f0ull,
     0xff00ff00ff00ff00ull, 0xffff0000ffff0000ull, 0xffffffff00000000ull };
 
+/// Cofactor of a six-variable table word with respect to `var` < 6: the
+/// half where x_var == `polarity`, copied over the other half.
+inline constexpr std::uint64_t cofactor_word( std::uint64_t w, unsigned var, bool polarity )
+{
+  const unsigned shift = 1u << var;
+  if ( polarity )
+  {
+    const auto kept = w & projections[var];
+    return kept | ( kept >> shift );
+  }
+  const auto kept = w & ~projections[var];
+  return kept | ( kept << shift );
+}
+
 /// Population count over a 64-bit word.
 inline int popcount64( std::uint64_t w )
 {

@@ -125,7 +125,7 @@ struct flow_params
   unsigned cut_size = 4;            ///< hierarchical flow: LUT cut size k fed
                                     ///< to the mapper before XMG resynthesis
                                     ///< (the paper's `xmglut -k`; a DSE axis;
-                                    ///< must be >= 2 — the mapper throws
+                                    ///< must be in [2, 6] — the mapper throws
                                     ///< std::invalid_argument otherwise)
   bool bidirectional_tbs = true;    ///< functional flow
   bool verify = true;               ///< master toggle (false == verify_mode::none)

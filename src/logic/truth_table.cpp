@@ -214,14 +214,9 @@ truth_table truth_table::cofactor( unsigned var, bool polarity ) const
   truth_table result( num_vars_ );
   if ( var < 6u )
   {
-    const auto proj = projections[var];
-    const auto keep = polarity ? proj : ~proj;
-    const unsigned shift = 1u << var;
     for ( std::size_t i = 0; i < blocks_.size(); ++i )
     {
-      const auto selected = blocks_[i] & keep;
-      result.blocks_[i] = polarity ? ( selected | ( selected >> shift ) )
-                                   : ( selected | ( selected << shift ) );
+      result.blocks_[i] = cofactor_word( blocks_[i], var, polarity );
     }
   }
   else
@@ -441,6 +436,63 @@ void truth_table::mask_off_unused()
   {
     blocks_[0] &= block_mask( num_vars_ );
   }
+}
+
+small_truth_table small_truth_table::projection( unsigned var )
+{
+  assert( var < max_vars );
+  if ( var < 6u )
+  {
+    return { projections[var], projections[var], projections[var], projections[var] };
+  }
+  // x6 selects odd words, x7 the upper two.
+  return var == 6u ? small_truth_table{ 0u, ~std::uint64_t{ 0 }, 0u, ~std::uint64_t{ 0 } }
+                   : small_truth_table{ 0u, 0u, ~std::uint64_t{ 0 }, ~std::uint64_t{ 0 } };
+}
+
+small_truth_table small_truth_table::from( const truth_table& tt )
+{
+  const auto n = tt.num_vars();
+  if ( n > max_vars )
+  {
+    throw std::invalid_argument( "small_truth_table: more than 8 variables" );
+  }
+  const auto& b = tt.blocks();
+  if ( n == 8u )
+  {
+    return { b[0], b[1], b[2], b[3] };
+  }
+  if ( n == 7u )
+  {
+    return { b[0], b[1], b[0], b[1] };
+  }
+  auto w = b[0];
+  for ( unsigned v = n; v < 6u; ++v )
+  {
+    w |= w << ( 1u << v );
+  }
+  return { w, w, w, w };
+}
+
+small_truth_table small_truth_table::cofactor( unsigned var, bool polarity ) const
+{
+  assert( var < max_vars );
+  small_truth_table result;
+  if ( var < 6u )
+  {
+    for ( std::size_t i = 0; i < words.size(); ++i )
+    {
+      result.words[i] = cofactor_word( words[i], var, polarity );
+    }
+    return result;
+  }
+  // Word i has x_var = 1 iff bit (var - 6) of i is set.
+  const std::size_t stride = std::size_t{ 1 } << ( var - 6u );
+  for ( std::size_t i = 0; i < words.size(); ++i )
+  {
+    result.words[i] = words[polarity ? ( i | stride ) : ( i & ~stride )];
+  }
+  return result;
 }
 
 } // namespace qsyn

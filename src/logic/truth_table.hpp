@@ -11,6 +11,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -131,6 +132,45 @@ private:
 struct truth_table_hash
 {
   std::size_t operator()( const truth_table& tt ) const { return tt.hash(); }
+};
+
+/// A function of at most `max_vars` = 8 variables in four fixed 64-bit words
+/// (bit i = f(i)), for the small-cone kernels (ISOP, refactoring) that must
+/// not allocate.  A function of fewer variables is stored replicated: as the
+/// same function of eight variables that ignores the unused ones, so every
+/// operation is plain word logic and constants are all-zero / all-one.
+struct small_truth_table
+{
+  static constexpr unsigned max_vars = 8;
+
+  std::array<std::uint64_t, 4> words{};
+
+  /// The projection x_var (var < max_vars).
+  static small_truth_table projection( unsigned var );
+  /// The replicated form of `tt`; throws std::invalid_argument when `tt`
+  /// has more than max_vars variables.
+  static small_truth_table from( const truth_table& tt );
+
+  /// Cofactor with respect to `var`; like truth_table::cofactor, the result
+  /// keeps all variables (it no longer depends on `var`).
+  small_truth_table cofactor( unsigned var, bool polarity ) const;
+  bool depends_on( unsigned var ) const { return cofactor( var, false ) != cofactor( var, true ); }
+
+  small_truth_table operator~() const
+  {
+    return { ~words[0], ~words[1], ~words[2], ~words[3] };
+  }
+  small_truth_table operator&( const small_truth_table& o ) const
+  {
+    return { words[0] & o.words[0], words[1] & o.words[1], words[2] & o.words[2],
+             words[3] & o.words[3] };
+  }
+  small_truth_table operator|( const small_truth_table& o ) const
+  {
+    return { words[0] | o.words[0], words[1] | o.words[1], words[2] | o.words[2],
+             words[3] | o.words[3] };
+  }
+  bool operator==( const small_truth_table& ) const = default;
 };
 
 } // namespace qsyn

@@ -15,6 +15,7 @@
 #include "../common/timer.hpp"
 #include "../core/dse.hpp" // dse_label
 #include "../core/task_graph.hpp"
+#include "../synth/lut_map.hpp"
 #include "../verilog/elaborator.hpp"
 #include "serialize.hpp"
 
@@ -370,6 +371,11 @@ flow_params params_from_fields( const std::map<std::string, std::string>& fields
   params.esop_p = uint_field( fields, "esop_p", params.esop_p );
   params.run_exorcism = uint_field( fields, "exorcism", params.run_exorcism ? 1u : 0u ) != 0u;
   params.cut_size = uint_field( fields, "cut_size", params.cut_size );
+  if ( params.cut_size < 2u || params.cut_size > lut_map_params::max_cut_size )
+  {
+    throw std::runtime_error( "field 'cut_size' must be in [2, " +
+                              std::to_string( lut_map_params::max_cut_size ) + "]" );
+  }
   const auto cleanup = field_or( fields, "cleanup", "keep_garbage" );
   if ( cleanup == "keep_garbage" )
   {

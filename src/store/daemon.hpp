@@ -47,7 +47,8 @@
 ///    "sat_conflicts":0,"sat_propagations":0,"exorcism_pairs":0}
 ///
 /// (`deadline` in seconds, the three budget fields as counts; 0 =
-/// unlimited, matching `qsyn::budget`.)
+/// unlimited, matching `qsyn::budget`.  `cut_size` outside [2, 6] is
+/// answered with an error before the design is elaborated.)
 ///
 /// Every response carries `"ok":true|false`; a synthesize response adds
 /// the cost report, the flow/verification status, `"from_cache"` (served

@@ -131,12 +131,16 @@ aig_network aig_balance( const aig_network& aig )
 namespace
 {
 
+/// Cone inputs of one refactoring candidate: the width of the fixed cone
+/// tables.
+constexpr unsigned max_leaves = small_truth_table::max_vars;
+
 class refactorer
 {
 public:
-  refactorer( const aig_network& aig, unsigned max_leaves )
-      : aig_( aig ), max_leaves_( max_leaves ), fanouts_( aig.fanout_counts() ),
-        dest_( aig.num_pis() ), map_( aig.num_nodes(), 0xffffffffu )
+  explicit refactorer( const aig_network& aig )
+      : aig_( aig ), fanouts_( aig.fanout_counts() ), dest_( aig.num_pis() ),
+        map_( aig.num_nodes(), 0xffffffffu )
   {
     map_[0] = aig_network::const0;
     for ( unsigned i = 0; i < aig_.num_pis(); ++i )
@@ -179,8 +183,8 @@ private:
   {
     // Grow the cut: start from the fanins, expand internal nodes that do
     // not increase the leaf count beyond the bound.
-    std::vector<std::uint32_t> leaves{ lit_node( aig_.fanin0( root ) ),
-                                       lit_node( aig_.fanin1( root ) ) };
+    auto& leaves = leaves_;
+    leaves.assign( { lit_node( aig_.fanin0( root ) ), lit_node( aig_.fanin1( root ) ) } );
     std::sort( leaves.begin(), leaves.end() );
     leaves.erase( std::unique( leaves.begin(), leaves.end() ), leaves.end() );
     bool grew = true;
@@ -194,7 +198,8 @@ private:
         {
           continue;
         }
-        std::vector<std::uint32_t> expanded = leaves;
+        auto& expanded = expanded_;
+        expanded.assign( leaves.begin(), leaves.end() );
         expanded.erase( expanded.begin() + static_cast<std::ptrdiff_t>( i ) );
         expanded.push_back( lit_node( aig_.fanin0( leaf ) ) );
         expanded.push_back( lit_node( aig_.fanin1( leaf ) ) );
@@ -202,28 +207,21 @@ private:
         expanded.erase( std::unique( expanded.begin(), expanded.end() ), expanded.end() );
         // Never keep the constant node as a leaf.
         expanded.erase( std::remove( expanded.begin(), expanded.end(), 0u ), expanded.end() );
-        if ( expanded.size() <= std::min<std::size_t>( max_leaves_, leaves.size() ) ||
-             ( expanded.size() <= max_leaves_ && fanouts_[leaf] == 1u ) )
+        if ( expanded.size() <= std::min<std::size_t>( max_leaves, leaves.size() ) ||
+             ( expanded.size() <= max_leaves && fanouts_[leaf] == 1u ) )
         {
-          leaves = std::move( expanded );
+          leaves.swap( expanded );
           grew = true;
           break;
         }
       }
     }
     leaves.erase( std::remove( leaves.begin(), leaves.end(), 0u ), leaves.end() );
-    if ( leaves.empty() || leaves.size() > max_leaves_ )
+    if ( leaves.empty() || leaves.size() > max_leaves )
     {
       return;
     }
-    // Compute the cone truth table over the leaves.
-    std::unordered_map<std::uint32_t, truth_table> local;
-    const auto num_vars = static_cast<unsigned>( leaves.size() );
-    for ( unsigned i = 0; i < num_vars; ++i )
-    {
-      local.emplace( leaves[i], truth_table::projection( num_vars, i ) );
-    }
-    const auto tt = cone_tt( root, local, num_vars );
+    const auto tt = cone_tt( root, leaves );
     if ( !tt )
     {
       return;
@@ -232,10 +230,10 @@ private:
     // (approximated by the node count of the cone restricted to
     // single-fanout internals plus the root).
     const auto old_cost = mffc_size( root, leaves );
-    const auto sop = isop( *tt );
-    const auto sop_compl = isop( ~*tt );
-    const bool use_compl = estimate_cost( sop_compl ) < estimate_cost( sop );
-    const auto& chosen = use_compl ? sop_compl : sop;
+    isop( *tt, sop_ );
+    isop( ~*tt, sop_compl_ );
+    const bool use_compl = estimate_cost( sop_compl_ ) < estimate_cost( sop_ );
+    const auto& chosen = use_compl ? sop_compl_ : sop_;
     if ( estimate_cost( chosen ) >= old_cost )
     {
       return;
@@ -256,11 +254,13 @@ private:
 
   /// Number of cone nodes used exclusively inside the cone (counting the
   /// root).  A lower bound on the nodes freed by replacing the cone.
-  std::size_t mffc_size( std::uint32_t root, const std::vector<std::uint32_t>& leaves ) const
+  std::size_t mffc_size( std::uint32_t root, const std::vector<std::uint32_t>& leaves )
   {
     std::size_t count = 0;
-    std::vector<std::uint32_t> stack{ root };
-    std::vector<std::uint32_t> visited;
+    auto& stack = stack_;
+    auto& visited = cone_; // the MFFC's nodes
+    stack.assign( 1u, root );
+    visited.clear();
     while ( !stack.empty() )
     {
       const auto n = stack.back();
@@ -284,37 +284,54 @@ private:
     return count;
   }
 
-  /// Truth table of `root` over the given leaf projections; fails (nullopt)
-  /// if the cone reaches outside the leaf set.
-  std::optional<truth_table> cone_tt( std::uint32_t node,
-                                      std::unordered_map<std::uint32_t, truth_table>& local,
-                                      unsigned num_vars ) const
+  /// Truth table of `root` over the projections of the sorted `leaves`;
+  /// fails (nullopt) if the cone reaches a PI outside the leaf set.
+  std::optional<small_truth_table> cone_tt( std::uint32_t root,
+                                            const std::vector<std::uint32_t>& leaves )
   {
-    if ( const auto it = local.find( node ); it != local.end() )
+    // Collect the cone's AND nodes; node ids are topological, so evaluating
+    // them in ascending order visits every fanin first, and the root last.
+    cone_.clear();
+    stack_.assign( 1u, root );
+    while ( !stack_.empty() )
     {
-      return it->second;
+      const auto n = stack_.back();
+      stack_.pop_back();
+      if ( n == 0u || std::binary_search( leaves.begin(), leaves.end(), n ) ||
+           std::find( cone_.begin(), cone_.end(), n ) != cone_.end() )
+      {
+        continue;
+      }
+      if ( !aig_.is_and( n ) )
+      {
+        return std::nullopt;
+      }
+      cone_.push_back( n );
+      stack_.push_back( lit_node( aig_.fanin0( n ) ) );
+      stack_.push_back( lit_node( aig_.fanin1( n ) ) );
     }
-    if ( !aig_.is_and( node ) )
+    std::sort( cone_.begin(), cone_.end() );
+    cone_values_.resize( cone_.size() );
+    const auto value = [&]( aig_lit f ) {
+      const auto m = lit_node( f );
+      small_truth_table v; // constant 0 for node 0
+      if ( const auto leaf = std::lower_bound( leaves.begin(), leaves.end(), m );
+           leaf != leaves.end() && *leaf == m )
+      {
+        v = small_truth_table::projection( static_cast<unsigned>( leaf - leaves.begin() ) );
+      }
+      else if ( m != 0u )
+      {
+        v = cone_values_[static_cast<std::size_t>(
+            std::lower_bound( cone_.begin(), cone_.end(), m ) - cone_.begin() )];
+      }
+      return lit_complemented( f ) ? ~v : v;
+    };
+    for ( std::size_t i = 0; i < cone_.size(); ++i )
     {
-      return std::nullopt;
+      cone_values_[i] = value( aig_.fanin0( cone_[i] ) ) & value( aig_.fanin1( cone_[i] ) );
     }
-    const auto f0 = aig_.fanin0( node );
-    const auto f1 = aig_.fanin1( node );
-    auto t0 = lit_node( f0 ) == 0u
-                  ? std::optional<truth_table>( truth_table( num_vars ) )
-                  : cone_tt( lit_node( f0 ), local, num_vars );
-    auto t1 = lit_node( f1 ) == 0u
-                  ? std::optional<truth_table>( truth_table( num_vars ) )
-                  : cone_tt( lit_node( f1 ), local, num_vars );
-    if ( !t0 || !t1 )
-    {
-      return std::nullopt;
-    }
-    auto a = lit_complemented( f0 ) ? ~*t0 : *t0;
-    const auto b = lit_complemented( f1 ) ? ~*t1 : *t1;
-    a &= b;
-    local.emplace( node, a );
-    return a;
+    return cone_values_.back();
   }
 
   aig_lit map_lit( aig_lit old )
@@ -361,18 +378,25 @@ private:
   }
 
   const aig_network& aig_;
-  unsigned max_leaves_;
   std::vector<std::uint32_t> fanouts_;
   aig_network dest_;
   std::vector<aig_lit> map_;
   std::vector<plan> plans_;
+  // Scratch reused by every try_plan call.
+  std::vector<std::uint32_t> leaves_;
+  std::vector<std::uint32_t> expanded_;
+  std::vector<std::uint32_t> stack_;
+  std::vector<std::uint32_t> cone_;
+  std::vector<small_truth_table> cone_values_;
+  std::vector<cube> sop_;
+  std::vector<cube> sop_compl_;
 };
 
 } // namespace
 
-aig_network aig_refactor( const aig_network& aig, unsigned max_leaves )
+aig_network aig_refactor( const aig_network& aig )
 {
-  refactorer r( aig, max_leaves );
+  refactorer r( aig );
   return r.run();
 }
 

@@ -26,8 +26,9 @@ namespace qsyn
 /// Balances AND trees; function-preserving, typically reduces depth.
 aig_network aig_balance( const aig_network& aig );
 
-/// ISOP-based refactoring of cones up to `max_leaves` inputs.
-aig_network aig_refactor( const aig_network& aig, unsigned max_leaves = 8 );
+/// ISOP-based refactoring of cones up to 8 inputs (the width of the
+/// fixed-size cone tables, small_truth_table::max_vars).
+aig_network aig_refactor( const aig_network& aig );
 
 /// Fraig-style SAT sweeping; merges proven-equivalent nodes (up to
 /// complement).  `conflict_budget` bounds the per-candidate SAT effort.

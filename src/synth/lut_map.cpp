@@ -1,10 +1,11 @@
 #include "lut_map.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <limits>
 #include <stdexcept>
-#include <unordered_map>
+#include <utility>
 
 namespace qsyn
 {
@@ -41,44 +42,84 @@ std::vector<bool> lut_network::evaluate( const std::vector<bool>& inputs ) const
 namespace
 {
 
-/// A cut: sorted leaf nodes plus the cut function over those leaves.
+constexpr unsigned max_k = lut_map_params::max_cut_size;
+
+/// A cut: sorted leaf nodes plus the cut function over those leaves.  The
+/// function is a six-variable word stored replicated (it ignores variables
+/// size..5), so complement and AND are single word operations.
 struct cut
 {
-  std::vector<std::uint32_t> leaves;
-  truth_table function;
+  std::array<std::uint32_t, max_k> leaves{};
+  std::uint32_t size = 0;
+  std::uint64_t function = 0;
   std::uint32_t depth = 0;
   double area_flow = 0.0;
 };
 
-/// Re-expresses `tt` (over `from` leaves) on the union leaf set `to`.
-truth_table expand_tt( const truth_table& tt, const std::vector<std::uint32_t>& from,
-                       const std::vector<std::uint32_t>& to )
+/// Position of each leaf of a fanin cut within the merged cut.
+using leaf_positions = std::array<std::uint8_t, max_k>;
+
+/// Sorted union of the leaves of `a` and `b` into `out`; false when it has
+/// more than `k` leaves.
+bool merge_leaves( const cut& a, const cut& b, unsigned k, cut& out, leaf_positions& pos_a,
+                   leaf_positions& pos_b )
 {
-  truth_table result( static_cast<unsigned>( to.size() ) );
-  // Build a map from `from` position to `to` position.
-  std::vector<unsigned> pos( from.size() );
-  for ( std::size_t i = 0; i < from.size(); ++i )
+  unsigned i = 0;
+  unsigned j = 0;
+  unsigned n = 0;
+  while ( i < a.size || j < b.size )
   {
-    const auto it = std::lower_bound( to.begin(), to.end(), from[i] );
-    assert( it != to.end() && *it == from[i] );
-    pos[i] = static_cast<unsigned>( it - to.begin() );
+    if ( n == k )
+    {
+      return false;
+    }
+    const bool take_a = j == b.size || ( i < a.size && a.leaves[i] <= b.leaves[j] );
+    const bool take_b = i == a.size || ( j < b.size && b.leaves[j] <= a.leaves[i] );
+    out.leaves[n] = take_a ? a.leaves[i] : b.leaves[j];
+    if ( take_a )
+    {
+      pos_a[i++] = static_cast<std::uint8_t>( n );
+    }
+    if ( take_b )
+    {
+      pos_b[j++] = static_cast<std::uint8_t>( n );
+    }
+    ++n;
   }
-  for ( std::uint64_t m = 0; m < result.num_bits(); ++m )
+  out.size = n;
+  return true;
+}
+
+/// Re-expresses `function` (over `size` leaves) on a superset of its leaves
+/// where leaf i sits at position pos[i] (strictly increasing).  Moving the
+/// leaves from the highest down, each target position is one the function
+/// ignores, so every move is a swap of two variables.
+std::uint64_t expand_tt( std::uint64_t function, const leaf_positions& pos, std::uint32_t size )
+{
+  for ( auto i = size; i-- > 0u; )
   {
-    std::uint64_t src = 0;
-    for ( std::size_t i = 0; i < from.size(); ++i )
+    const unsigned to = pos[i];
+    if ( to == i )
     {
-      if ( ( m >> pos[i] ) & 1u )
-      {
-        src |= std::uint64_t{ 1 } << i;
-      }
+      continue;
     }
-    if ( tt.get_bit( src ) )
-    {
-      result.set_bit( m, true );
-    }
+    const auto up = projections[i] & ~projections[to];   // x_i = 1, x_to = 0
+    const auto down = ~projections[i] & projections[to]; // x_i = 0, x_to = 1
+    const unsigned shift = ( 1u << to ) - ( 1u << i );
+    function = ( function & ~( up | down ) ) | ( ( function & up ) << shift ) |
+               ( ( function & down ) >> shift );
   }
-  return result;
+  return function;
+}
+
+/// The cut {n} with the function x0.
+cut trivial_cut( std::uint32_t n )
+{
+  cut c;
+  c.leaves[0] = n;
+  c.size = 1;
+  c.function = projections[0];
+  return c;
 }
 
 } // namespace
@@ -86,11 +127,13 @@ truth_table expand_tt( const truth_table& tt, const std::vector<std::uint32_t>& 
 lut_network lut_map( const aig_network& aig, const lut_map_params& params )
 {
   const auto k = params.cut_size;
-  if ( k < 2u )
+  if ( k < 2u || k > lut_map_params::max_cut_size )
   {
     // Every merged cut of an AND node has >= 2 leaves; k < 2 would leave
     // nodes without any candidate cut (and crash the cover extraction).
-    throw std::invalid_argument( "lut_map: cut_size must be at least 2" );
+    // A cut function is one 64-bit word, so k <= 6.
+    throw std::invalid_argument( "lut_map: cut_size must be in [2, " +
+                                 std::to_string( lut_map_params::max_cut_size ) + "]" );
   }
   const auto fanouts = aig.fanout_counts();
 
@@ -106,77 +149,46 @@ lut_network lut_map( const aig_network& aig, const lut_map_params& params )
   std::vector<std::uint32_t> node_depth( aig.num_nodes(), 0u );
   std::vector<double> node_area_flow( aig.num_nodes(), 0.0 );
 
-  // Trivial cut for constant: none (handled by constant folding in the
-  // consumer; a LUT network keeps constants inside LUT functions).
   for ( std::uint32_t n = 1; n <= aig.num_pis(); ++n )
   {
-    cut c;
-    c.leaves = { n };
-    c.function = truth_table::projection( 1, 0 );
-    c.depth = 0;
-    c.area_flow = 0.0;
-    cuts[n].push_back( std::move( c ) );
+    cuts[n].push_back( trivial_cut( n ) );
   }
+  // A constant fanin contributes one empty cut with the constant-0 function.
+  const std::vector<cut> constant_cuts( 1u );
 
+  std::vector<cut> candidates;
+  leaf_positions pos0{};
+  leaf_positions pos1{};
   for ( std::uint32_t n = aig.num_pis() + 1u; n < aig.num_nodes(); ++n )
   {
     const auto f0 = aig.fanin0( n );
     const auto f1 = aig.fanin1( n );
     const auto n0 = lit_node( f0 );
     const auto n1 = lit_node( f1 );
-    std::vector<cut> candidates;
-
-    const auto fanin_cuts = [&]( std::uint32_t m ) -> std::vector<cut> {
-      if ( m == 0u )
-      {
-        // Constant fanin: empty cut with constant function.
-        cut c;
-        c.function = truth_table( 0 );
-        return { c };
-      }
-      return cuts[m];
-    };
-
-    for ( const auto& c0 : fanin_cuts( n0 ) )
+    const auto compl0 = lit_complemented( f0 ) ? ~std::uint64_t{ 0 } : 0u;
+    const auto compl1 = lit_complemented( f1 ) ? ~std::uint64_t{ 0 } : 0u;
+    candidates.clear();
+    for ( const auto& c0 : n0 == 0u ? constant_cuts : cuts[n0] )
     {
-      for ( const auto& c1 : fanin_cuts( n1 ) )
+      for ( const auto& c1 : n1 == 0u ? constant_cuts : cuts[n1] )
       {
-        std::vector<std::uint32_t> merged;
-        std::set_union( c0.leaves.begin(), c0.leaves.end(), c1.leaves.begin(), c1.leaves.end(),
-                        std::back_inserter( merged ) );
-        if ( merged.size() > k )
+        cut c;
+        if ( !merge_leaves( c0, c1, k, c, pos0, pos1 ) )
         {
           continue;
         }
-        cut c;
-        c.leaves = std::move( merged );
-        auto t0 = expand_tt( c0.function, c0.leaves, c.leaves );
-        if ( lit_complemented( f0 ) )
-        {
-          t0 = ~t0;
-        }
-        auto t1 = expand_tt( c1.function, c1.leaves, c.leaves );
-        if ( lit_complemented( f1 ) )
-        {
-          t1 = ~t1;
-        }
-        c.function = t0 & t1;
-        c.depth = 0;
+        c.function = ( expand_tt( c0.function, pos0, c0.size ) ^ compl0 ) &
+                     ( expand_tt( c1.function, pos1, c1.size ) ^ compl1 );
         c.area_flow = 1.0;
-        for ( const auto leaf : c.leaves )
+        for ( std::uint32_t i = 0; i < c.size; ++i )
         {
+          const auto leaf = c.leaves[i];
           c.depth = std::max( c.depth, node_depth[leaf] + 1u );
           c.area_flow += node_area_flow[leaf] / std::max( 1u, fanouts[leaf] );
         }
-        candidates.push_back( std::move( c ) );
+        candidates.push_back( c );
       }
     }
-    // The trivial cut (the node itself) is always available for fanouts.
-    cut trivial;
-    trivial.leaves = { n };
-    trivial.function = truth_table::projection( 1, 0 );
-    // Depth of the trivial cut is the node's mapped depth = best cut depth;
-    // fill in after sorting the real candidates.
     std::sort( candidates.begin(), candidates.end(), []( const cut& a, const cut& b ) {
       if ( a.depth != b.depth )
       {
@@ -186,22 +198,25 @@ lut_network lut_map( const aig_network& aig, const lut_map_params& params )
       {
         return a.area_flow < b.area_flow;
       }
-      return a.leaves.size() < b.leaves.size();
+      return a.size < b.size;
     } );
-    if ( candidates.size() > params.cuts_per_node )
+    if ( candidates.size() > lut_map_params::cuts_per_node )
     {
-      candidates.resize( params.cuts_per_node );
+      candidates.resize( lut_map_params::cuts_per_node );
     }
     assert( !candidates.empty() );
-    trivial.depth = candidates.front().depth;
-    trivial.area_flow = candidates.front().area_flow;
-    best_cuts[n] = candidates.front();
-    node_depth[n] = candidates.front().depth;
-    node_area_flow[n] = candidates.front().area_flow;
-    candidates.push_back( std::move( trivial ) );
-    // Keep the best non-trivial cut first; the trivial cut participates in
-    // fanout merging only.
-    cuts[n] = std::move( candidates );
+    const auto& best = candidates.front();
+    best_cuts[n] = best;
+    node_depth[n] = best.depth;
+    node_area_flow[n] = best.area_flow;
+    // The trivial cut (the node itself, at the node's mapped depth and area
+    // flow) follows the real candidates; it participates in fanout merging
+    // only.
+    auto trivial = trivial_cut( n );
+    trivial.depth = best.depth;
+    trivial.area_flow = best.area_flow;
+    candidates.push_back( trivial );
+    cuts[n].assign( candidates.begin(), candidates.end() );
     // Release fanin cut lists that are no longer needed.
     for ( const auto m : { n0, n1 } )
     {
@@ -213,32 +228,50 @@ lut_network lut_map( const aig_network& aig, const lut_map_params& params )
     }
   }
 
-  // Cover extraction from the POs using each required node's best cut.
+  // Cover extraction from the POs using each required node's best cut: an
+  // iterative post-order walk (deep AIGs would overflow a recursive one)
+  // that emits each LUT after the LUTs of its leaves, in leaf order.
   lut_network net;
   net.num_pis = aig.num_pis();
-  std::unordered_map<std::uint32_t, std::uint32_t> node_to_signal; // AIG node -> LUT signal
+  constexpr auto unmapped = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> node_to_signal( aig.num_nodes(), unmapped ); // AIG node -> LUT signal
   for ( std::uint32_t n = 1; n <= aig.num_pis(); ++n )
   {
     node_to_signal[n] = n - 1u;
   }
-
-  const auto build = [&]( std::uint32_t n, const auto& self ) -> std::uint32_t {
-    if ( const auto it = node_to_signal.find( n ); it != node_to_signal.end() )
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> stack; // node, next leaf index
+  const auto build = [&]( std::uint32_t root ) {
+    if ( node_to_signal[root] == unmapped )
     {
-      return it->second;
+      stack.emplace_back( root, 0u );
     }
-    assert( aig.is_and( n ) );
-    const auto& best = best_cuts[n];
-    lut_network::lut l;
-    l.function = best.function;
-    for ( const auto leaf : best.leaves )
+    while ( !stack.empty() )
     {
-      l.fanins.push_back( self( leaf, self ) );
+      const auto [n, next] = stack.back();
+      const auto& best = best_cuts[n];
+      if ( next < best.size )
+      {
+        ++stack.back().second;
+        if ( node_to_signal[best.leaves[next]] == unmapped )
+        {
+          stack.emplace_back( best.leaves[next], 0u );
+        }
+        continue;
+      }
+      stack.pop_back();
+      assert( aig.is_and( n ) );
+      lut_network::lut l;
+      l.fanins.reserve( best.size );
+      for ( std::uint32_t i = 0; i < best.size; ++i )
+      {
+        l.fanins.push_back( node_to_signal[best.leaves[i]] );
+      }
+      l.function = truth_table( best.size );
+      l.function.blocks()[0] = best.function & block_mask( best.size );
+      node_to_signal[n] = net.signal_of_lut( net.luts.size() );
+      net.luts.push_back( std::move( l ) );
     }
-    const auto signal = net.num_pis + static_cast<std::uint32_t>( net.luts.size() );
-    net.luts.push_back( std::move( l ) );
-    node_to_signal[n] = signal;
-    return signal;
+    return node_to_signal[root];
   };
 
   for ( const auto po : aig.pos() )
@@ -254,7 +287,7 @@ lut_network lut_map( const aig_network& aig, const lut_map_params& params )
       net.outputs.push_back( { signal, lit_complemented( po ) } );
       continue;
     }
-    net.outputs.push_back( { build( n, build ), lit_complemented( po ) } );
+    net.outputs.push_back( { build( n ), lit_complemented( po ) } );
   }
   return net;
 }

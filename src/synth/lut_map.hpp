@@ -52,11 +52,18 @@ struct lut_network
 /// Parameters of the mapper.
 struct lut_map_params
 {
-  unsigned cut_size = 4;     ///< k
-  unsigned cuts_per_node = 8; ///< priority cut list length
+  /// Largest supported k: a cut function is one 64-bit word.
+  static constexpr unsigned max_cut_size = 6;
+  /// Priority cuts kept per node, besides the node's trivial cut.
+  static constexpr unsigned cuts_per_node = 8;
+
+  unsigned cut_size = 4; ///< k, in [2, max_cut_size]
 };
 
-/// Maps an AIG into a k-LUT network.
+/// Maps an AIG into a k-LUT network.  Cuts live in fixed-capacity leaf
+/// arrays with one-word functions, so enumeration allocates only the
+/// per-node priority lists.  Throws std::invalid_argument when `cut_size`
+/// is outside [2, max_cut_size].
 lut_network lut_map( const aig_network& aig, const lut_map_params& params = {} );
 
 } // namespace qsyn

@@ -143,6 +143,24 @@ TEST( daemon, ping_stats_and_errors )
   EXPECT_TRUE( contains( stats, "\"errors\":5" ) );
 }
 
+TEST( daemon, out_of_range_cut_size_is_rejected_before_elaboration )
+{
+  synthesis_daemon daemon( {} );
+  // An unknown design would fail in elaboration; the cut_size error proves
+  // the parameters are checked first.
+  for ( const auto* request :
+        { R"({"cmd":"synthesize","design":"pentium","bitwidth":4,"cut_size":20})",
+          R"({"cmd":"synthesize","design":"intdiv","bitwidth":4,"cut_size":7})",
+          R"({"cmd":"synthesize","design":"intdiv","bitwidth":4,"cut_size":1})" } )
+  {
+    const auto response = daemon.handle_request( request );
+    EXPECT_TRUE( contains( response, "\"ok\":false" ) ) << response;
+    EXPECT_TRUE( contains( response, "cut_size" ) ) << response;
+  }
+  EXPECT_EQ( daemon.stats().errors, 3u );
+  EXPECT_EQ( daemon.stats().synthesized, 0u );
+}
+
 TEST( daemon, repeat_query_is_served_from_the_result_cache )
 {
   synthesis_daemon daemon( {} );

@@ -357,10 +357,14 @@ TEST( flows, cut_size_below_two_is_rejected )
 {
   const auto mod =
       verilog::elaborate_verilog( reciprocal_verilog( reciprocal_design::intdiv, 4 ) );
-  flow_params params;
-  params.kind = flow_kind::hierarchical;
-  params.cut_size = 1;
-  EXPECT_THROW( run_flow_on_aig( mod.aig, params ), std::invalid_argument );
+  // Also above the largest supported cut (one 64-bit cut function).
+  for ( const unsigned k : { 1u, 7u } )
+  {
+    flow_params params;
+    params.kind = flow_kind::hierarchical;
+    params.cut_size = k;
+    EXPECT_THROW( run_flow_on_aig( mod.aig, params ), std::invalid_argument ) << "k = " << k;
+  }
 }
 
 TEST( flows, cache_rejects_same_size_different_function_design )

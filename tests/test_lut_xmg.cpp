@@ -2,6 +2,8 @@
 
 #include <random>
 
+#include "common/content_hash.hpp"
+#include "synth/aig_optimize.hpp"
 #include "synth/lut_map.hpp"
 #include "synth/xmg_resynth.hpp"
 #include "verilog/elaborator.hpp"
@@ -55,6 +57,33 @@ bool networks_equal_by_simulation( const aig_network& aig, const lut_network& lu
   return true;
 }
 
+/// Order-sensitive fingerprint of a LUT network: every LUT's fanins and
+/// function blocks, then the outputs.
+std::uint64_t fingerprint( const lut_network& net )
+{
+  content_hasher h;
+  h.update( net.num_pis );
+  for ( const auto& lut : net.luts )
+  {
+    h.update( lut.fanins.size() );
+    for ( const auto f : lut.fanins )
+    {
+      h.update_u32( f );
+    }
+    h.update( lut.function.num_vars() );
+    for ( const auto b : lut.function.blocks() )
+    {
+      h.update( b );
+    }
+  }
+  for ( const auto& out : net.outputs )
+  {
+    h.update_u32( out.signal );
+    h.update( out.complemented ? 1u : 0u );
+  }
+  return h.digest();
+}
+
 bool xmg_equals_aig( const aig_network& aig, const xmg_network& xmg )
 {
   for ( std::uint64_t i = 0; i < ( std::uint64_t{ 1 } << aig.num_pis() ); ++i )
@@ -89,7 +118,7 @@ TEST( lut_map, covers_simple_network )
 TEST( lut_map, cut_size_limits_fanins )
 {
   const auto aig = random_aig( 8, 40, 5 );
-  for ( const unsigned k : { 3u, 4u, 6u } )
+  for ( const unsigned k : { 2u, 3u, 4u, 5u, 6u } )
   {
     lut_map_params params;
     params.cut_size = k;
@@ -125,6 +154,50 @@ TEST_P( lut_map_random, equivalence_on_random_networks )
 }
 
 INSTANTIATE_TEST_SUITE_P( seeds, lut_map_random, ::testing::Range( 1u, 9u ) );
+
+TEST( lut_map, newton8_mapping_is_pinned )
+{
+  // Fingerprints recorded before the cut kernels moved to fixed-width words:
+  // the enumeration order, the sort comparator and the cover extraction
+  // must keep producing this exact LUT network.
+  const auto aig = optimize( verilog::elaborate_verilog( verilog::generate_newton( 8 ) ).aig, 2 );
+  const std::pair<unsigned, std::uint64_t> pins[] = {
+      { 3u, 0x67577bcb60a6a5c7ull }, { 4u, 0xe36ea6d0e49d8069ull }, { 6u, 0x89a98e9a74bcbc68ull } };
+  for ( const auto& [k, pin] : pins )
+  {
+    lut_map_params params;
+    params.cut_size = k;
+    const auto fp = fingerprint( lut_map( aig, params ) );
+    EXPECT_EQ( fp, pin ) << "k = " << k << ": 0x" << std::hex << fp;
+  }
+}
+
+TEST( lut_map, million_and_chain_maps_without_recursion )
+{
+  // A chain this deep overflowed the stack of a recursive cover walk.
+  constexpr unsigned num_pis = 8;
+  aig_network aig( num_pis );
+  auto chain = aig.pi( 0 );
+  for ( unsigned i = 1; i <= 1000000u; ++i )
+  {
+    const auto x = aig.pi( i % num_pis );
+    chain = ( i & 1u ) ? aig.create_and( chain, x ) : aig.create_or( chain, x );
+  }
+  aig.add_po( chain );
+  ASSERT_GE( aig.num_ands(), 1000000u );
+  const auto net = lut_map( aig );
+  ASSERT_EQ( net.outputs.size(), 1u );
+  std::mt19937_64 rng( 7 );
+  for ( int trial = 0; trial < 8; ++trial )
+  {
+    std::vector<bool> inputs( num_pis );
+    for ( unsigned b = 0; b < num_pis; ++b )
+    {
+      inputs[b] = rng() & 1u;
+    }
+    EXPECT_EQ( aig.evaluate( inputs ), net.evaluate( inputs ) );
+  }
+}
 
 TEST( xmg_resynth, detects_parity_luts )
 {

@@ -2,6 +2,7 @@
 
 #include <random>
 
+#include "common/content_hash.hpp"
 #include "sat/cnf.hpp"
 #include "synth/aig_optimize.hpp"
 #include "synth/esop_extract.hpp"
@@ -58,6 +59,40 @@ TEST( isop, constants )
   const auto ones = isop( truth_table::constant( 3, true ) );
   ASSERT_EQ( ones.size(), 1u );
   EXPECT_EQ( ones[0].num_literals(), 0 );
+}
+
+TEST( isop, cube_lists_are_pinned )
+{
+  // Every variable count the fixed-width kernel covers, dense and sparse
+  // on-sets, with and without don't cares.  The fingerprint was recorded
+  // before the kernel moved to fixed-width words: cube order must not move.
+  content_hasher h;
+  for ( unsigned n = 0; n <= 8u; ++n )
+  {
+    for ( std::uint64_t seed = 1; seed <= 40; ++seed )
+    {
+      const auto dense = random_tt( n, 1000u * n + seed );
+      const auto sparse = dense & random_tt( n, 2000u * n + seed ) & random_tt( n, 3000u * n + seed );
+      const auto dc = random_tt( n, 4000u * n + seed ) & ~sparse;
+      for ( const auto& f : { dense, sparse } )
+      {
+        const auto cubes = isop( f );
+        ASSERT_EQ( sop_cover( cubes, n ), f ) << "n = " << n << ", seed " << seed;
+        h.update( cubes.size() );
+        for ( const auto& c : cubes )
+        {
+          h.update( c.mask );
+          h.update( c.polarity );
+        }
+      }
+      for ( const auto& c : isop( sparse, dc ) )
+      {
+        h.update( c.mask );
+        h.update( c.polarity );
+      }
+    }
+  }
+  EXPECT_EQ( h.digest(), 0xb92eceec76ff5f76ull ) << "0x" << std::hex << h.digest();
 }
 
 TEST( isop, single_cube_functions_stay_single )
@@ -318,6 +353,14 @@ TEST( aig_optimize, optimize_with_sat_sweep )
   const auto aig = medium_test_network();
   const auto optimized = optimize( aig, 1, true );
   EXPECT_TRUE( sat::check_equivalence( aig, optimized ).equivalent );
+}
+
+TEST( aig_optimize, newton10_result_is_pinned )
+{
+  // Recorded before refactoring moved to fixed-width cone tables.
+  const auto mod = verilog::elaborate_verilog( verilog::generate_newton( 10 ) );
+  const auto hash = optimize( mod.aig, 2 ).content_hash();
+  EXPECT_EQ( hash, 0xda93d389ba323456ull ) << "0x" << std::hex << hash;
 }
 
 TEST( aig_optimize, newton_design_roundtrip )
