@@ -641,7 +641,8 @@ echo "docs check OK (docs/ARCHITECTURE.md covers every src/* subdirectory)"
 ASAN_DIR="$REPO_ROOT/build-asan-verify"
 cmake -B "$ASAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE=address \
   -DQSYN_SIMD=native
-cmake --build "$ASAN_DIR" -j "$(nproc)" --target test_verify test_store test_lut_xmg test_synth
+cmake --build "$ASAN_DIR" -j "$(nproc)" \
+  --target test_verify test_store test_lut_xmg test_synth test_sat test_aig
 "$ASAN_DIR/tests/test_verify"
 # The artifact store is raw byte-level (de)serialization of attacker-ish
 # input (any on-disk file): run its suite instrumented too.
@@ -650,8 +651,14 @@ cmake --build "$ASAN_DIR" -j "$(nproc)" --target test_verify test_store test_lut
 # tables: an off-by-one there is an out-of-bounds access.
 "$ASAN_DIR/tests/test_lut_xmg"
 "$ASAN_DIR/tests/test_synth"
+# The flat strash table probes with mask arithmetic over a power-of-two
+# slot array, and the SAT engine indexes its solver mirror by a watermark
+# into the node store: both are out-of-bounds accesses waiting to happen.
+"$ASAN_DIR/tests/test_sat"
+"$ASAN_DIR/tests/test_aig"
 echo
-echo "test_verify + test_store + test_lut_xmg + test_synth OK under AddressSanitizer"
+echo "test_verify + test_store + test_lut_xmg + test_synth + test_sat + test_aig OK under" \
+     "AddressSanitizer"
 
 # --- robustness + scheduler tests under UBSan and TSan -----------------------
 # The budget/cancellation/fault-injection paths are counter arithmetic,
@@ -663,7 +670,8 @@ UBSAN_DIR="$REPO_ROOT/build-ubsan-robustness"
 cmake -B "$UBSAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE=undefined \
   -DQSYN_SIMD=native
 cmake --build "$UBSAN_DIR" -j "$(nproc)" \
-  --target test_robustness test_scheduler test_store test_verify test_lut_xmg test_synth
+  --target test_robustness test_scheduler test_store test_verify test_lut_xmg test_synth \
+  test_sat test_aig
 "$UBSAN_DIR/tests/test_robustness"
 "$UBSAN_DIR/tests/test_scheduler"
 # The store headers round-trip enums and fixed-width counters from
@@ -677,9 +685,13 @@ cmake --build "$UBSAN_DIR" -j "$(nproc)" \
 # 64-bit words, where a shift by 64 would hide.
 "$UBSAN_DIR/tests/test_lut_xmg"
 "$UBSAN_DIR/tests/test_synth"
+# Strash probing and the SAT engine's literal packing are shift-and-mask
+# arithmetic on 32- and 64-bit words.
+"$UBSAN_DIR/tests/test_sat"
+"$UBSAN_DIR/tests/test_aig"
 echo
 echo "test_robustness + test_scheduler + test_store + test_verify + test_lut_xmg +" \
-     "test_synth OK under UndefinedBehaviorSanitizer"
+     "test_synth + test_sat + test_aig OK under UndefinedBehaviorSanitizer"
 
 TSAN_DIR="$REPO_ROOT/build-tsan-robustness"
 cmake -B "$TSAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE=thread

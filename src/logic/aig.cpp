@@ -61,14 +61,12 @@ aig_lit aig_network::create_and( aig_lit a, aig_lit b )
   {
     std::swap( a, b );
   }
-  const auto key = std::make_pair( a, b );
-  if ( const auto it = strash_.find( key ); it != strash_.end() )
+  const auto [node, inserted] =
+      strash_.insert( strash_key( a, b ), static_cast<std::uint32_t>( nodes_.size() ) );
+  if ( inserted )
   {
-    return make_lit( it->second );
+    nodes_.push_back( { a, b } );
   }
-  const auto node = static_cast<std::uint32_t>( nodes_.size() );
-  nodes_.push_back( { a, b } );
-  strash_.emplace( key, node );
   return make_lit( node );
 }
 
@@ -360,9 +358,9 @@ aig_lit aig_network::append_raw_and( aig_lit fanin0, aig_lit fanin1 )
   }
   const auto node = static_cast<std::uint32_t>( nodes_.size() );
   nodes_.push_back( { fanin0, fanin1 } );
-  const auto key = fanin0 <= fanin1 ? std::make_pair( fanin0, fanin1 )
-                                    : std::make_pair( fanin1, fanin0 );
-  strash_.emplace( key, node ); // keeps the first node of a duplicate pair
+  // insert keeps the first node of a duplicate pair
+  strash_.insert( fanin0 <= fanin1 ? strash_key( fanin0, fanin1 ) : strash_key( fanin1, fanin0 ),
+                  node );
   return make_lit( node );
 }
 

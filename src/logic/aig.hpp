@@ -15,9 +15,9 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "../common/strash_table.hpp"
 #include "truth_table.hpp"
 
 namespace qsyn
@@ -142,18 +142,16 @@ private:
     aig_lit fanin1 = 0;
   };
 
-  struct fanin_pair_hash
+  /// Strash key of an AND node: the ordered fanin pair packed into one word.
+  static strash_table<1>::key_type strash_key( aig_lit a, aig_lit b )
   {
-    std::size_t operator()( const std::pair<aig_lit, aig_lit>& p ) const
-    {
-      return hash_combine( p.first, p.second );
-    }
-  };
+    return { ( static_cast<std::uint64_t>( a ) << 32 ) | b };
+  }
 
   unsigned num_pis_ = 0;
   std::vector<node_data> nodes_; ///< node 0 = constant false
   std::vector<aig_lit> pos_;
-  std::unordered_map<std::pair<aig_lit, aig_lit>, std::uint32_t, fanin_pair_hash> strash_;
+  strash_table<1> strash_; ///< (fanin0, fanin1) with fanin0 <= fanin1 -> node
 };
 
 } // namespace qsyn

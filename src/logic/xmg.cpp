@@ -113,15 +113,7 @@ xmg_lit xmg_network::create_maj( xmg_lit a, xmg_lit b, xmg_lit c )
       std::swap( a, b );
     }
   }
-  const std::array<xmg_lit, 4> key = { a, b, c, 0u };
-  if ( const auto it = strash_.find( key ); it != strash_.end() )
-  {
-    return ( ( it->second << 1 ) | ( output_compl ? 1u : 0u ) );
-  }
-  const auto node = static_cast<std::uint32_t>( nodes_.size() );
-  nodes_.push_back( { node_kind::maj, { a, b, c } } );
-  strash_.emplace( key, node );
-  return ( node << 1 ) | ( output_compl ? 1u : 0u );
+  return ( find_or_add( node_kind::maj, a, b, c ) << 1 ) | ( output_compl ? 1u : 0u );
 }
 
 xmg_lit xmg_network::create_xor( xmg_lit a, xmg_lit b )
@@ -142,15 +134,18 @@ xmg_lit xmg_network::create_xor( xmg_lit a, xmg_lit b )
   {
     return b ^ ( output_compl ? 1u : 0u );
   }
-  const std::array<xmg_lit, 4> key = { a, b, 0u, 1u };
-  if ( const auto it = strash_.find( key ); it != strash_.end() )
+  return ( find_or_add( node_kind::xor2, a, b, const0 ) << 1 ) | ( output_compl ? 1u : 0u );
+}
+
+std::uint32_t xmg_network::find_or_add( node_kind kind, xmg_lit a, xmg_lit b, xmg_lit c )
+{
+  const auto [node, inserted] =
+      strash_.insert( strash_key( kind, a, b, c ), static_cast<std::uint32_t>( nodes_.size() ) );
+  if ( inserted )
   {
-    return ( it->second << 1 ) | ( output_compl ? 1u : 0u );
+    nodes_.push_back( { kind, { a, b, c } } );
   }
-  const auto node = static_cast<std::uint32_t>( nodes_.size() );
-  nodes_.push_back( { node_kind::xor2, { a, b, const0 } } );
-  strash_.emplace( key, node );
-  return ( node << 1 ) | ( output_compl ? 1u : 0u );
+  return node;
 }
 
 xmg_lit xmg_network::create_mux( xmg_lit sel, xmg_lit t, xmg_lit e )
@@ -359,10 +354,8 @@ xmg_lit xmg_network::append_raw_node( node_kind kind, const std::array<xmg_lit, 
   nodes_.push_back( { kind, fanin } );
   // Mirror the strash key layout of create_maj / create_xor so hash-consed
   // construction keeps working after a raw append.
-  const std::array<xmg_lit, 4> key = kind == node_kind::maj
-                                         ? std::array<xmg_lit, 4>{ fanin[0], fanin[1], fanin[2], 0u }
-                                         : std::array<xmg_lit, 4>{ fanin[0], fanin[1], 0u, 1u };
-  strash_.emplace( key, node );
+  strash_.insert( strash_key( kind, fanin[0], fanin[1], kind == node_kind::maj ? fanin[2] : 0u ),
+                  node );
   return node << 1;
 }
 

@@ -12,9 +12,9 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "../common/strash_table.hpp"
 #include "truth_table.hpp"
 
 namespace qsyn
@@ -107,16 +107,17 @@ private:
     std::array<xmg_lit, 3> fanin = { 0, 0, 0 };
   };
 
-  struct key_hash
+  /// Strash key of a logic node: the sorted fanins and the kind, packed
+  /// into two words (an XOR's third fanin is 0).
+  static strash_table<2>::key_type strash_key( node_kind kind, xmg_lit a, xmg_lit b, xmg_lit c )
   {
-    std::size_t operator()( const std::array<xmg_lit, 4>& key ) const
-    {
-      std::size_t seed = key[0];
-      seed = hash_combine( seed, key[1] );
-      seed = hash_combine( seed, key[2] );
-      return hash_combine( seed, key[3] );
-    }
-  };
+    return { ( static_cast<std::uint64_t>( a ) << 32 ) | b,
+             ( static_cast<std::uint64_t>( c ) << 1 ) | ( kind == node_kind::xor2 ? 1u : 0u ) };
+  }
+
+  /// Hash-consed construction of a canonical node: the existing node with
+  /// this kind and these fanins, or a new one.
+  std::uint32_t find_or_add( node_kind kind, xmg_lit a, xmg_lit b, xmg_lit c );
 
   std::uint64_t pattern_of( xmg_lit lit, const std::vector<std::uint64_t>& values ) const
   {
@@ -126,7 +127,7 @@ private:
   unsigned num_pis_ = 0;
   std::vector<node_data> nodes_;
   std::vector<xmg_lit> pos_;
-  std::unordered_map<std::array<xmg_lit, 4>, std::uint32_t, key_hash> strash_;
+  strash_table<2> strash_;
 };
 
 } // namespace qsyn

@@ -42,17 +42,11 @@ incremental_cec::incremental_cec( cec_options options )
   options_.num_sig_words = std::max( options_.num_sig_words, 1u );
   solver_.set_clause_deletion( options_.clause_deletion );
   solver_.set_reduce_base( options_.reduce_base );
-  // Node 0: constant false (a solver variable forced to 0 at level 0).
+  // Node 0: constant false (a solver variable forced to 0 at level 0) is
+  // the one node mirrored into the solver from the start.
   nodes_.push_back( {} );
-  const auto const_var = solver_.new_var();
-  solver_.add_clause( { neg_lit( const_var ) } );
-  node_sat_.push_back( pos_lit( const_var ) );
   rep_.push_back( 0 );
-  if ( options_.fraiging )
-  {
-    sigs_.resize( options_.num_sig_words, 0u );
-    register_signature( 0 );
-  }
+  sync_solver();
 }
 
 incremental_cec::ilit incremental_cec::find( ilit l ) const
@@ -70,6 +64,7 @@ incremental_cec::ilit incremental_cec::find( ilit l ) const
 
 literal incremental_cec::to_sat( ilit l ) const
 {
+  assert( ( l >> 1 ) < encoded_ );
   const auto base = node_sat_[l >> 1];
   return ( l & 1u ) ? lit_negate( base ) : base;
 }
@@ -80,18 +75,96 @@ void incremental_cec::ensure_pis( unsigned count )
   {
     const auto node = static_cast<std::uint32_t>( nodes_.size() );
     nodes_.push_back( {} );
-    node_sat_.push_back( pos_lit( solver_.new_var() ) );
     rep_.push_back( node << 1 );
     pi_nodes_.push_back( node );
+  }
+}
+
+void incremental_cec::encode_node( std::uint32_t node )
+{
+  const auto var = solver_.new_var();
+  const auto out = pos_lit( var );
+  node_sat_.push_back( out );
+  const auto w = options_.num_sig_words;
+  const auto f0 = nodes_[node].fanin0;
+  const auto f1 = nodes_[node].fanin1;
+  if ( node == 0u )
+  {
+    solver_.add_clause( { neg_lit( var ) } );
     if ( options_.fraiging )
     {
-      for ( unsigned w = 0; w < options_.num_sig_words; ++w )
+      sigs_.resize( w, 0u );
+    }
+  }
+  else if ( f0 < 2u )
+  {
+    // PI: fresh patterns from the stream, drawn in node order.
+    if ( options_.fraiging )
+    {
+      for ( unsigned i = 0; i < w; ++i )
       {
         sigs_.push_back( next_pattern( sig_rng_state_ ) );
       }
-      register_signature( node );
     }
   }
+  else
+  {
+    if ( options_.decide_inputs_only )
+    {
+      // AND outputs are fully determined by the PIs through unit
+      // propagation (the Tseitin clauses below are propagation-complete in
+      // both directions), so the solver never *needs* to branch on them.
+      solver_.set_branchable( var, false );
+    }
+    // Tseitin: out <-> fa & fb.
+    const auto fa = to_sat( f0 );
+    const auto fb = to_sat( f1 );
+    solver_.add_clause( { lit_negate( out ), fa } );
+    solver_.add_clause( { lit_negate( out ), fb } );
+    solver_.add_clause( { out, lit_negate( fa ), lit_negate( fb ) } );
+    // Signature: word-parallel AND over the fanin signatures.  (Signature
+    // bookkeeping exists solely to feed fraig candidates; a fraiging-free
+    // engine skips it entirely.)
+    if ( options_.fraiging )
+    {
+      const std::uint64_t ca = ( f0 & 1u ) ? ~std::uint64_t{ 0 } : 0u;
+      const std::uint64_t cb = ( f1 & 1u ) ? ~std::uint64_t{ 0 } : 0u;
+      const std::size_t base_a = static_cast<std::size_t>( f0 >> 1 ) * w;
+      const std::size_t base_b = static_cast<std::size_t>( f1 >> 1 ) * w;
+      for ( unsigned i = 0; i < w; ++i )
+      {
+        sigs_.push_back( ( sigs_[base_a + i] ^ ca ) & ( sigs_[base_b + i] ^ cb ) );
+      }
+    }
+  }
+  if ( options_.fraiging )
+  {
+    register_signature( node );
+  }
+}
+
+void incremental_cec::sync_solver()
+{
+  // Encode the unmirrored suffix of the store in node order, replaying each
+  // deferred equality at the node count it was proven at: the solver ends
+  // up with exactly the variables and clauses, in exactly the order, that
+  // eager encoding would have produced.
+  auto next = deferred_.begin();
+  for ( ;; )
+  {
+    for ( ; next != deferred_.end() && next->num_nodes == encoded_; ++next )
+    {
+      add_equality( next->a, next->b );
+    }
+    if ( encoded_ == nodes_.size() )
+    {
+      break;
+    }
+    encode_node( static_cast<std::uint32_t>( encoded_++ ) );
+  }
+  assert( next == deferred_.end() );
+  deferred_.clear();
+  stats_.encoded_nodes = encoded_;
 }
 
 void incremental_cec::register_signature( std::uint32_t node )
@@ -167,49 +240,18 @@ incremental_cec::ilit incremental_cec::create_and( ilit a, ilit b )
   {
     std::swap( a, b );
   }
-  const auto key = ( static_cast<std::uint64_t>( a ) << 32 ) | b;
-  const auto it = strash_.find( key );
-  if ( it != strash_.end() )
+  const auto [node, inserted] = strash_.insert(
+      { ( static_cast<std::uint64_t>( a ) << 32 ) | b }, static_cast<std::uint32_t>( nodes_.size() ) );
+  if ( !inserted )
   {
     ++stats_.strash_hits;
-    return it->second << 1;
+    return node << 1;
   }
-  const auto node = static_cast<std::uint32_t>( nodes_.size() );
+  // The solver variable, Tseitin clauses and signature follow in
+  // sync_solver(), once a check needs the solver.
   nodes_.push_back( { a, b } );
   rep_.push_back( node << 1 );
-  const auto out = pos_lit( solver_.new_var() );
-  if ( options_.decide_inputs_only )
-  {
-    // AND outputs are fully determined by the PIs through unit propagation
-    // (the Tseitin clauses below are propagation-complete in both
-    // directions), so the solver never *needs* to branch on them.
-    solver_.set_branchable( lit_var( out ), false );
-  }
-  node_sat_.push_back( out );
   ++stats_.nodes;
-  // Tseitin: out <-> fa & fb.
-  const auto fa = to_sat( a );
-  const auto fb = to_sat( b );
-  solver_.add_clause( { lit_negate( out ), fa } );
-  solver_.add_clause( { lit_negate( out ), fb } );
-  solver_.add_clause( { out, lit_negate( fa ), lit_negate( fb ) } );
-  // Signature: word-parallel AND over the fanin signatures.  (Signature
-  // bookkeeping exists solely to feed fraig candidates; a fraiging-free
-  // engine skips it entirely.)
-  if ( options_.fraiging )
-  {
-    const auto w = options_.num_sig_words;
-    const std::uint64_t ca = ( a & 1u ) ? ~std::uint64_t{ 0 } : 0u;
-    const std::uint64_t cb = ( b & 1u ) ? ~std::uint64_t{ 0 } : 0u;
-    const std::size_t base_a = static_cast<std::size_t>( a >> 1 ) * w;
-    const std::size_t base_b = static_cast<std::size_t>( b >> 1 ) * w;
-    for ( unsigned i = 0; i < w; ++i )
-    {
-      sigs_.push_back( ( sigs_[base_a + i] ^ ca ) & ( sigs_[base_b + i] ^ cb ) );
-    }
-    register_signature( node );
-  }
-  strash_.emplace( key, node );
   return node << 1;
 }
 
@@ -421,6 +463,16 @@ bool incremental_cec::try_structural_merge( ilit a, ilit b )
 }
 
 void incremental_cec::assert_equal( ilit a, ilit b )
+{
+  if ( encoded_ < nodes_.size() )
+  {
+    deferred_.push_back( { a, b, nodes_.size() } );
+    return;
+  }
+  add_equality( a, b );
+}
+
+void incremental_cec::add_equality( ilit a, ilit b )
 {
   const auto la = to_sat( a );
   const auto lb = to_sat( b );
@@ -738,15 +790,20 @@ cec_outcome incremental_cec::check( const aig_network& a, const aig_network& b,
   const auto outputs_b = encode( b );
   const auto fresh_nodes = nodes_.size() - nodes_before;
   // Narrow designs are decided wholesale by the bit-parallel simulation
-  // pass below; fraig hints only pay off when the solver will run.  The
-  // 14-PI clamp is the capacity of `try_full_simulation`'s SIMD-wide
-  // blocks — values above it in the option must not widen the gate (the
-  // sim pass would bail and the check would fall through undecided).
+  // pass below and never touch the solver; fraig hints only pay off when
+  // the solver will run.  The 14-PI clamp is the capacity of
+  // `try_full_simulation`'s SIMD-wide blocks — values above it in the
+  // option must not widen the gate (the sim pass would bail and the check
+  // would fall through undecided).
   const bool narrow =
       a.num_pis() <= std::min( options_.output_window_max_pis, 14u );
-  if ( options_.fraiging && !narrow )
+  if ( !narrow )
   {
-    run_fraig();
+    sync_solver();
+    if ( options_.fraiging )
+    {
+      run_fraig();
+    }
   }
 
   cec_outcome out;

@@ -7,12 +7,22 @@
 /// every `check()` call encodes its two AIGs *into the union store* through
 /// hash-consing:
 ///
-///  * **Shared structural hashing.**  AND nodes are hash-consed across both
-///    sides of a miter AND across successive calls, so identical
-///    substructure — the spec cone shared by every configuration of a DSE
-///    sweep, or logic shared between an implementation and its spec — is
-///    encoded into CNF exactly once.  Outputs whose cones collapse to the
-///    same internal literal are proven equivalent with zero solver work.
+///  * **Shared structural hashing.**  AND nodes are hash-consed (flat
+///    `strash_table`) across both sides of a miter AND across successive
+///    calls, so identical substructure — the spec cone shared by every
+///    configuration of a DSE sweep, or logic shared between an
+///    implementation and its spec — is stored exactly once.  Outputs whose
+///    cones collapse to the same internal literal are proven equivalent
+///    with zero solver work.
+///  * **Lazy solver mirror.**  Checks of designs with at most
+///    `output_window_max_pis` inputs are decided by one exhaustive
+///    bit-parallel simulation pass over the store and never touch the
+///    solver.  Solver variables, Tseitin clauses and fraig signatures are
+///    built for a store prefix only, by one linear pass at the first check
+///    that needs the solver; equalities proven by simulation meanwhile are
+///    queued and replayed in that pass at the node count they were proven
+///    at, so the solver sees the same variables and clauses, in the same
+///    order, as if every node had been encoded on creation.
 ///  * **Per-output miters under assumptions.**  Instead of one global OR
 ///    over all output XORs, each output pair gets its own miter activated by
 ///    a fresh assumption literal on the persistent solver.  UNSAT retires
@@ -20,10 +30,10 @@
 ///    (sound: the trigger occurs nowhere else, so UNSAT under the
 ///    assumption proves the equality from the encoding alone), which
 ///    accelerates every later call that reaches the same cone.
-///  * **Simulation-guided fraiging.**  Every internal node carries a 64-way
-///    bit-parallel signature (the block-simulation idiom of
-///    `evaluate_circuit_block`: one 64-bit pattern word per signature
-///    column, word-AND/word-NOT over fanins).  Signature-equal node pairs
+///  * **Simulation-guided fraiging.**  Every node mirrored into the solver
+///    carries a signature of `num_sig_words` 64-bit pattern words (one
+///    random simulation pattern per bit, word-AND/word-NOT over the fanin
+///    signatures).  Signature-equal node pairs
 ///    become candidate equivalences that are proven or refuted — free
 ///    structural/window proofs first, then a budgeted SAT attempt on the
 ///    persistent solver — *before* the output miters run; proven pairs are
@@ -64,6 +74,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "../common/strash_table.hpp"
 #include "../logic/aig.hpp"
 #include "solver.hpp"
 
@@ -169,6 +180,9 @@ struct cec_stats
 {
   std::size_t checks = 0;
   std::size_t nodes = 0;            ///< union AND nodes created
+  /// Store nodes (constant, PIs, ANDs) mirrored into the solver: 1 (the
+  /// constant) until a check first leaves the narrow simulation path.
+  std::size_t encoded_nodes = 0;
   std::size_t strash_hits = 0;      ///< AND lookups served by hash-consing
   std::size_t structural_outputs = 0; ///< output pairs equal by structure alone
   std::size_t sat_proven_outputs = 0; ///< output pairs proven by a miter solve
@@ -215,7 +229,14 @@ private:
   ilit find( ilit l ) const;
   literal to_sat( ilit l ) const;
   void ensure_pis( unsigned count );
+  /// Hash-conses one AND into the union store (no solver contact).
   ilit create_and( ilit a, ilit b );
+  /// Mirrors store node `node` (== encoded_) into the solver: variable,
+  /// Tseitin clauses or constant unit, signature and class registration.
+  void encode_node( std::uint32_t node );
+  /// Mirrors the store suffix [encoded_, nodes_.size()) into the solver,
+  /// interleaving the deferred equalities at their recorded node counts.
+  void sync_solver();
   std::vector<ilit> encode( const aig_network& aig );
   void register_signature( std::uint32_t node );
   void run_fraig();
@@ -227,7 +248,11 @@ private:
   /// (and the candidate queue) from the refined signatures.
   void refine_signatures();
   void merge( ilit keep, ilit drop );
+  /// Asserts a == b in the solver; deferred to the next sync_solver() while
+  /// the mirror lags the store.
   void assert_equal( ilit a, ilit b );
+  /// Adds the two equality clauses (both nodes must be mirrored).
+  void add_equality( ilit a, ilit b );
   /// Two-directional implication check under assumptions: (a & !b) then
   /// (!a & b).  UNSAT twice proves a == b; a satisfiable direction leaves
   /// its model (a counterexample to the equality) in the solver.
@@ -254,14 +279,25 @@ private:
   bool try_full_simulation( unsigned num_pis, const std::vector<ilit>& outputs_a,
                             const std::vector<ilit>& outputs_b, cec_outcome& out );
 
+  /// An equality proven while the solver mirror lagged the store.
+  struct deferred_equality
+  {
+    ilit a;
+    ilit b;
+    std::size_t num_nodes; ///< store size when it was proven
+  };
+
   cec_options options_;
   solver solver_;
   std::vector<inode> nodes_;       ///< [0] = constant false; PIs and ANDs follow
-  std::vector<literal> node_sat_;  ///< positive solver literal per node
   std::vector<ilit> rep_;          ///< equivalence-class representative per node
   std::vector<std::uint32_t> pi_nodes_; ///< PI index -> node id
+  strash_table<1> strash_;         ///< exact (fanin0, fanin1) key -> node
+  // Solver mirror: everything below covers nodes [0, encoded_) only.
+  std::size_t encoded_ = 0;
+  std::vector<literal> node_sat_;  ///< positive solver literal per node
+  std::vector<deferred_equality> deferred_; ///< in proof order
   std::vector<std::uint64_t> sigs_; ///< num_sig_words words per node
-  std::unordered_map<std::uint64_t, std::uint32_t> strash_; ///< exact (fanin0, fanin1) key
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> sig_classes_;
   std::vector<std::pair<std::uint32_t, ilit>> fraig_pending_; ///< (node, candidate)
   std::size_t fraig_cursor_ = 0; ///< next fraig_pending_ entry to process

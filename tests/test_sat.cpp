@@ -769,3 +769,156 @@ TEST( incremental_signatures, widened_simulation_pass_decides_13_and_14_pi_desig
     EXPECT_EQ( engine.stats().sat_proven_outputs, 0u ) << num_pis;
   }
 }
+
+// --- lazy solver mirror -------------------------------------------------------
+//
+// Narrow checks are decided by the exhaustive simulation pass and never
+// touch the solver; the CNF, signatures and the equalities those checks
+// proved are built by one pass at the first check that needs the solver.
+
+namespace
+{
+
+/// Copies `narrow` into a network with `num_pis` >= narrow.num_pis() inputs
+/// (PI i maps to PI i, POs kept in order), then appends `extra_pos` outputs
+/// over random logic across all inputs.  The extra logic depends only on
+/// `seed`, so two widened networks share it structurally.
+aig_network widen( const aig_network& narrow, unsigned num_pis, unsigned extra_pos,
+                   std::uint64_t seed )
+{
+  aig_network wide( num_pis );
+  std::vector<aig_lit> map( narrow.num_nodes() );
+  map[0] = aig_network::const0;
+  for ( unsigned i = 0; i < narrow.num_pis(); ++i )
+  {
+    map[i + 1u] = wide.pi( i );
+  }
+  const auto conv = [&]( aig_lit l ) { return lit_not_cond( map[lit_node( l )], lit_complemented( l ) ); };
+  for ( std::uint32_t n = narrow.num_pis() + 1u; n < narrow.num_nodes(); ++n )
+  {
+    map[n] = wide.create_and( conv( narrow.fanin0( n ) ), conv( narrow.fanin1( n ) ) );
+  }
+  for ( unsigned o = 0; o < narrow.num_pos(); ++o )
+  {
+    wide.add_po( conv( narrow.po( o ) ) );
+  }
+  std::mt19937_64 gen( seed );
+  std::vector<aig_lit> pool;
+  for ( unsigned i = 0; i < num_pis; ++i )
+  {
+    pool.push_back( wide.pi( i ) );
+  }
+  for ( int k = 0; k < 24; ++k )
+  {
+    const auto a = pool[gen() % pool.size()] ^ ( gen() & 1u );
+    const auto b = pool[gen() % pool.size()] ^ ( gen() & 1u );
+    pool.push_back( gen() & 1u ? wide.create_xor( a, b ) : wide.create_and( a, b ) );
+  }
+  for ( unsigned o = 0; o < extra_pos; ++o )
+  {
+    wide.add_po( pool[pool.size() - 1u - o] );
+  }
+  return wide;
+}
+
+/// Two structurally different, equivalent 5-PI networks: majority as an
+/// AND/OR tree vs. as a multiplexer, each XORed with x3 & x4.
+std::pair<aig_network, aig_network> majority_pair()
+{
+  aig_network a( 5 );
+  const auto pa = a.create_and( a.pi( 3 ), a.pi( 4 ) );
+  a.add_po( a.create_xor( a.create_maj( a.pi( 0 ), a.pi( 1 ), a.pi( 2 ) ), pa ) );
+  aig_network b( 5 );
+  const auto t_or_e = b.create_or( b.pi( 1 ), b.pi( 2 ) );
+  const auto t_and_e = b.create_and( b.pi( 1 ), b.pi( 2 ) );
+  const auto pb = b.create_and( b.pi( 4 ), b.pi( 3 ) );
+  b.add_po( b.create_xor( b.create_mux( b.pi( 0 ), t_or_e, t_and_e ), pb ) );
+  return { std::move( a ), std::move( b ) };
+}
+
+} // namespace
+
+TEST( incremental_lazy, narrow_checks_never_touch_the_solver )
+{
+  sat::incremental_cec engine;
+  std::mt19937_64 rng( 5 );
+  for ( int instance = 0; instance < 12; ++instance )
+  {
+    const unsigned num_pis = 3u + rng() % 7u; // 3..9, all on the sim path
+    const unsigned num_pos = 1u + rng() % 3u;
+    const auto a = random_test_aig( rng(), num_pis, num_pos, 24 );
+    auto b = ( instance % 3 == 0 ) ? random_test_aig( rng(), num_pis, num_pos, 24 ) : a;
+    if ( instance % 3 == 1 )
+    {
+      b.set_po( 0, b.po( 0 ) ^ 1u );
+    }
+    expect_matches_brute_force( engine.check( a, b ), a, b, "narrow" );
+  }
+  const auto [ma, mb] = majority_pair();
+  EXPECT_TRUE( engine.check( ma, mb ).equivalent );
+  const auto stats = engine.stats();
+  EXPECT_GT( stats.nodes, 0u );
+  EXPECT_EQ( stats.encoded_nodes, 1u ); // only the constant
+  EXPECT_EQ( stats.solver_conflicts, 0u );
+  EXPECT_EQ( stats.fraig_candidates, 0u );
+}
+
+TEST( incremental_lazy, narrow_then_wide_matches_fresh_engine )
+{
+  // output_window_max_pis = 6: the 5-PI check takes the simulation path
+  // and proves the majority pair without the solver; the 9-PI check then
+  // builds the whole CNF, replays that proof, and runs the solver path.
+  const auto [a5, b5] = majority_pair();
+  for ( const bool fraiging : { true, false } )
+  {
+    for ( const bool corrupt : { false, true } )
+    {
+      const auto context = std::string( fraiging ? "fraiging" : "no fraiging" ) +
+                           ( corrupt ? ", corrupted" : ", equivalent" );
+      sat::cec_options options;
+      options.output_window_max_pis = 6;
+      options.fraiging = fraiging;
+      const auto a9 = widen( a5, 9, 3, 17 );
+      auto b9 = widen( b5, 9, 3, 17 );
+      if ( corrupt )
+      {
+        b9.set_po( 2, lit_not( b9.po( 2 ) ) );
+      }
+      sat::incremental_cec engine( options );
+      EXPECT_TRUE( engine.check( a5, b5 ).equivalent ) << context;
+      const auto after_narrow = engine.stats();
+      EXPECT_EQ( after_narrow.encoded_nodes, 1u ) << context;
+
+      const auto wide = engine.check( a9, b9 );
+      sat::incremental_cec fresh( options );
+      const auto baseline = fresh.check( a9, b9 );
+      EXPECT_EQ( wide.equivalent, !corrupt ) << context;
+      EXPECT_EQ( wide.equivalent, baseline.equivalent ) << context;
+      EXPECT_EQ( wide.failing_output, baseline.failing_output ) << context;
+      expect_matches_brute_force( wide, a9, b9, context.c_str() );
+      expect_matches_brute_force( baseline, a9, b9, context.c_str() );
+
+      // The whole store is mirrored now: constant + 9 PIs + every AND.
+      const auto after_wide = engine.stats();
+      EXPECT_EQ( after_wide.encoded_nodes, 1u + 9u + after_wide.nodes ) << context;
+      if ( !fraiging )
+      {
+        // Output 0 is the pair the narrow pass proved, and outputs 1-3
+        // share their structure: every equal output resolves by class
+        // representative, without a window proof or a miter.  A fresh
+        // engine has to prove output 0 itself.
+        EXPECT_EQ( after_wide.structural_outputs - after_narrow.structural_outputs,
+                   corrupt ? 3u : 4u )
+            << context;
+        EXPECT_EQ( after_wide.fraig_window_proofs, 0u ) << context;
+        EXPECT_EQ( after_wide.sat_proven_outputs, 0u ) << context;
+        const auto fresh_stats = fresh.stats();
+        EXPECT_GT( fresh_stats.fraig_window_proofs + fresh_stats.sat_proven_outputs, 0u )
+            << context;
+      }
+
+      // A later narrow check on the synced engine still agrees with brute force.
+      expect_matches_brute_force( engine.check( a5, b5 ), a5, b5, context.c_str() );
+    }
+  }
+}
