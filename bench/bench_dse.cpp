@@ -14,11 +14,9 @@
 /// Schema v3 additionally reports the task-graph scheduler: per case the
 /// tasks run, steals, coalesced artifact requests, and the critical path
 /// of the dependency DAG (the wall clock an ideal scheduler would need),
-/// and a multi-design sweep section comparing the serial one-design-at-a-
-/// time batch driver (`schedule_mode::tail_only`) against the whole-batch
-/// task graph on a work-stealing pool (`--sweep-threads` workers, default
-/// max(4, hardware)) — bit-identical costs required, wall clocks and
-/// scheduler counters reported.
+/// and a multi-design sweep section running the whole batch as one task
+/// graph on a work-stealing pool (`--sweep-threads` workers, default
+/// max(4, hardware)) — wall clock and scheduler counters reported.
 ///
 /// Schema v4 adds the persistent-store sections.  `store_sweep` runs the
 /// batch sweep twice against one on-disk artifact store root — cold
@@ -35,6 +33,10 @@
 /// coalesce into exactly one synthesis and every client must receive the
 /// same payload (`coalesced_ok`), now that requests run on the daemon's
 /// shared task-graph pool instead of their connection threads.
+///
+/// Schema v6 drops the sweep's comparison against the retired
+/// one-design-at-a-time driver (its wall clock, the ratio and `identical`):
+/// the batch sweep has one engine.
 ///
 /// Usage: bench_dse [--out FILE] [--quick] [--max N] [--threads N]
 ///                  [--sweep-threads N] [--no-verify]
@@ -61,6 +63,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -113,6 +116,34 @@ bool points_identical( const std::vector<dse_point>& a, const std::vector<dse_po
   return true;
 }
 
+/// The sequential baseline: `run_flow_on_aig` per configuration, with
+/// budget expiries and stage failures recorded like the engine records them.
+std::vector<dse_point> run_sequential( const aig_network& aig,
+                                       const std::vector<flow_params>& configs )
+{
+  std::vector<dse_point> points;
+  for ( const auto& config : configs )
+  {
+    dse_point point{ dse_label( config ), config, {} };
+    try
+    {
+      point.result = run_flow_on_aig( aig, config );
+    }
+    catch ( const budget_exhausted& e )
+    {
+      point.result.status = flow_status::timed_out;
+      point.result.status_detail = e.what();
+    }
+    catch ( const std::exception& e )
+    {
+      point.result.status = flow_status::failed;
+      point.result.status_detail = e.what();
+    }
+    points.push_back( std::move( point ) );
+  }
+  return points;
+}
+
 case_result run_case( reciprocal_design design, unsigned n, bool include_functional,
                       bool verify, verify_mode mode, unsigned num_threads,
                       const budget& limits )
@@ -132,13 +163,9 @@ case_result run_case( reciprocal_design design, unsigned n, bool include_functio
   r.num_configs = configs.size();
 
   // Sequential seed path: no artifact sharing, one full pipeline per
-  // configuration, inline execution, the pre-graph engine.
-  explore_options seq;
-  seq.scheduler = schedule_mode::tail_only;
-  seq.num_threads = 1;
-  seq.use_cache = false;
+  // configuration (a fresh cache each), inline.
   stopwatch watch;
-  const auto seq_points = explore( mod.aig, configs, seq );
+  const auto seq_points = run_sequential( mod.aig, configs );
   r.seq_wall_s = watch.elapsed_seconds();
 
   // Cached task-graph engine: coalesced stage-artifact tasks feeding the
@@ -191,17 +218,13 @@ case_result run_case( reciprocal_design design, unsigned n, bool include_functio
   return r;
 }
 
-/// The multi-design sweep comparison: the serial one-design-at-a-time batch
-/// driver against the whole-batch task graph, same configurations, same
-/// worker count, bit-identical costs required.
+/// The multi-design sweep: the whole batch as one task graph.
 struct sweep_result
 {
   unsigned min_n = 0;
   unsigned max_n = 0;
   unsigned threads = 0;
-  double tail_only_wall_s = 0.0;
   double task_graph_wall_s = 0.0;
-  bool identical = true;
   bool all_ok = true;
   task_graph_stats sched;
 };
@@ -232,36 +255,22 @@ sweep_result run_sweep( unsigned min_n, unsigned max_n, unsigned threads, bool v
   r.max_n = max_n;
   r.threads = threads;
 
-  explore_options common;
-  common.num_threads = threads;
-  common.functional_max_bitwidth = 6; // same ceiling as the per-case sweep
-  common.verification = verify ? mode : verify_mode::none;
-  common.limits = limits;
-  const std::vector<reciprocal_design> designs = { reciprocal_design::intdiv,
-                                                   reciprocal_design::newton };
-
-  auto serial_options = common;
-  serial_options.scheduler = schedule_mode::tail_only;
+  explore_options options;
+  options.num_threads = threads;
+  options.functional_max_bitwidth = 6; // same ceiling as the per-case sweep
+  options.verification = verify ? mode : verify_mode::none;
+  options.limits = limits;
   stopwatch watch;
-  const auto serial = explore_designs( designs, min_n, max_n, serial_options );
-  r.tail_only_wall_s = watch.elapsed_seconds();
-
-  auto graph_options = common;
-  graph_options.scheduler = schedule_mode::task_graph;
-  watch.restart();
-  const auto graphed = explore_designs( designs, min_n, max_n, graph_options, r.sched );
+  const auto graphed = explore_designs( { reciprocal_design::intdiv, reciprocal_design::newton },
+                                        min_n, max_n, options, r.sched );
   r.task_graph_wall_s = watch.elapsed_seconds();
-
-  r.identical = sweeps_identical( serial, graphed );
   for ( const auto& entry : graphed )
   {
     r.all_ok = r.all_ok && entry.status == flow_status::ok;
   }
 
-  std::printf( "\nsweep n=%u..%u on %u threads | tail-only %8.3f s | task-graph %8.3f s (%.2fx) | %s\n",
-               min_n, max_n, threads, r.tail_only_wall_s, r.task_graph_wall_s,
-               r.tail_only_wall_s / ( r.task_graph_wall_s > 0 ? r.task_graph_wall_s : 1e-9 ),
-               r.identical ? "identical" : "COSTS DIVERGED" );
+  std::printf( "\nsweep n=%u..%u on %u threads | task-graph %8.3f s\n", min_n, max_n, threads,
+               r.task_graph_wall_s );
   std::printf( "  scheduler: %zu tasks, %zu coalesced, %llu steals, peak concurrency %zu, critical path %6.3f s vs wall %6.3f s\n",
                r.sched.tasks_run, r.sched.coalesced,
                static_cast<unsigned long long>( r.sched.steals ),
@@ -497,7 +506,7 @@ void write_json( const char* path, const std::vector<case_result>& cases,
     std::fprintf( stderr, "cannot open %s for writing\n", path );
     std::exit( 1 );
   }
-  std::fprintf( f, "{\n  \"bench\": \"dse\",\n  \"schema_version\": 5,\n" );
+  std::fprintf( f, "{\n  \"bench\": \"dse\",\n  \"schema_version\": 6,\n" );
   std::fprintf( f, "  \"verify\": %s,\n", verify ? "true" : "false" );
   std::fprintf( f, "  \"verify_mode\": \"%s\",\n",
                 verify_mode_name( mode ).c_str() );
@@ -513,12 +522,7 @@ void write_json( const char* path, const std::vector<case_result>& cases,
   std::fprintf( f, "    \"min_bitwidth\": %u,\n", sweep.min_n );
   std::fprintf( f, "    \"max_bitwidth\": %u,\n", sweep.max_n );
   std::fprintf( f, "    \"threads\": %u,\n", sweep.threads );
-  std::fprintf( f, "    \"tail_only_wall_s\": %.4f,\n", sweep.tail_only_wall_s );
   std::fprintf( f, "    \"task_graph_wall_s\": %.4f,\n", sweep.task_graph_wall_s );
-  std::fprintf( f, "    \"speedup\": %.3f,\n",
-                sweep.tail_only_wall_s /
-                    ( sweep.task_graph_wall_s > 0 ? sweep.task_graph_wall_s : 1e-9 ) );
-  std::fprintf( f, "    \"identical\": %s,\n", sweep.identical ? "true" : "false" );
   std::fprintf( f, "    \"all_ok\": %s,\n", sweep.all_ok ? "true" : "false" );
   std::fprintf( f, "    \"tasks_run\": %zu,\n", sweep.sched.tasks_run );
   std::fprintf( f, "    \"coalesced\": %zu,\n", sweep.sched.coalesced );
@@ -676,7 +680,7 @@ int main( int argc, char** argv )
   write_json( out_path, cases, sweep, store_sweep, daemon, verify, mode, num_threads );
   std::printf( "\nwrote %s\n", out_path );
 
-  bool ok = sweep.identical && sweep.all_ok && store_sweep.identical &&
+  bool ok = sweep.all_ok && store_sweep.identical &&
             store_sweep.recompute_free && daemon.ok;
   for ( const auto& c : cases )
   {

@@ -18,20 +18,20 @@
 /// the scalar and block counterexamples must be bit-identical.
 ///
 /// Schema v3 adds the SIMD-wide engine: per case it times the wide
-/// single-candidate pass (`wide_ms`, informational) and the frontier batch
-/// — K same-shape sweep candidates verified sequentially by the 64-bit
-/// oracle vs one `verify_batch_against_aig_exhaustive_budgeted` pass that
-/// walks the spec AIG once per lane group for the whole frontier
-/// (`frontier_speedup`, the ≥4x metric scripts/run_bench.sh gates on).
-/// Every case also replays a mixed pass/fail frontier at widths
+/// single-candidate pass (`wide_ms`, informational) and the sustained
+/// per-word throughput of the w512 lane group vs the 64-bit oracle
+/// (`width_speedup`, the >=4x metric scripts/run_bench.sh gates on).
+/// Every case also checks a mixed pass/fail candidate set at widths
 /// 64/256/512 and requires reports bit-identical to the per-candidate
 /// 64-bit oracle (`widths_agree`), and records the corrupted-circuit
 /// counterexample as a bit string (`cex`) so run_bench.sh can diff
-/// verdicts between the AVX and portable builds.
+/// verdicts between the AVX and portable builds.  Schema v4 drops the
+/// cross-circuit frontier batch (`frontier_*`, `min_frontier_speedup`,
+/// `frontier_k`) together with the batched API it measured.
 ///
 /// It writes BENCH_verify.json (see docs/ARCHITECTURE.md) with per-case
 /// wall clocks and the block-vs-scalar / incremental-vs-monolithic /
-/// frontier-batch speedups so every future PR can extend the perf
+/// wide-vs-64-bit speedups so every future PR can extend the perf
 /// trajectory (scripts/run_bench.sh gates on it).
 ///
 /// Usage: bench_verify [--out FILE] [--quick] [--sim-only]
@@ -43,6 +43,7 @@
 #include <limits>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <vector>
@@ -101,10 +102,6 @@ double time_ms( Fn&& fn )
   return elapsed * 1000.0 / reps;
 }
 
-/// Number of same-shape candidates in the timed frontier batch — the
-/// size of a typical DSE sweep frontier sharing one spec AIG.
-constexpr std::size_t frontier_k = 8;
-
 struct case_result
 {
   std::string name;
@@ -119,9 +116,6 @@ struct case_result
   double block64_word_us = 0.0; ///< sustained 64-bit oracle cost per 64-assignment word
   double wide_word_us = 0.0;    ///< sustained w512 engine cost per word
   double width_speedup = 0.0;   ///< per-word throughput, wide vs 64-bit (the >=4x gate)
-  double frontier_block64_ms = 0.0; ///< K sequential 64-bit oracle passes
-  double frontier_wide_ms = 0.0;    ///< one batched wide pass over the K candidates
-  double frontier_speedup = 0.0;    ///< the gated wide-vs-64-bit metric
   std::string simd_backend;  ///< kernel backend active at the case's width
   std::string cex;           ///< corrupted-circuit counterexample, bit i = input i
   double sat_mono_ms = 0.0;  ///< monolithic reference (sat::check_equivalence)
@@ -131,8 +125,8 @@ struct case_result
   bool tiers_agree = true;      ///< all tiers accept the correct circuit,
                                 ///< scalar == block bit-for-bit
   bool corrupt_rejected = true; ///< all tiers reject the corrupted circuit
-  bool widths_agree = true;     ///< batch reports at w64/w256/w512 bit-identical
-                                ///< to the per-candidate 64-bit oracle
+  bool widths_agree = true;     ///< reports at w64/w256/w512 bit-identical to
+                                ///< the 64-bit oracle, per candidate
 };
 
 std::string cex_string( const std::optional<std::vector<bool>>& cex )
@@ -210,7 +204,7 @@ case_result run_case( reciprocal_design design, unsigned n, flow_kind kind, bool
       time_ms( [&] { (void)verify_against_aig_exhaustive_block64( circuit, spec, deadline{} ); } );
   r.speedup = r.block_ms > 0.0 ? r.scalar_ms / r.block_ms : 0.0;
 
-  // --- the SIMD-wide engine and the frontier batch ---------------------------
+  // --- the SIMD-wide engine ---------------------------------------------------
   // Width as the DSE exhaustive tier picks it for this input space; w64
   // always runs the portable scalar kernels, so n <= 6 cases would measure
   // engine layout, not SIMD width.
@@ -227,7 +221,7 @@ case_result run_case( reciprocal_design design, unsigned n, flow_kind kind, bool
   // (block_simulator + aig_network::simulate_patterns per word); the wide
   // side runs the w512 lane group.  Per-word is the width-scaling measure:
   // at n=7 a 512-lane group wraps the 128-assignment space, so whole-case
-  // wall clocks (wide_ms, frontier_wide_ms) can gain at most 2x there —
+  // wall clocks (wide_ms) can gain at most 2x there —
   // the full-width gain materializes whenever a group is filled (n >= 9
   // spaces, sampled tiers, fraig signatures).
   {
@@ -262,21 +256,6 @@ case_result run_case( reciprocal_design design, unsigned n, flow_kind kind, bool
     r.width_speedup = r.wide_word_us > 0.0 ? r.block64_word_us / r.wide_word_us : 0.0;
   }
 
-  // Frontier batch: K same-shape candidates against one spec — the serial
-  // sweep pays K full oracle passes (each re-simulating the spec AIG per
-  // 64-block), the batch walks the spec once per lane group.
-  const std::vector<const reversible_circuit*> frontier( frontier_k, &circuit );
-  r.frontier_block64_ms = time_ms( [&] {
-    for ( const auto* candidate : frontier )
-    {
-      (void)verify_against_aig_exhaustive_block64( *candidate, spec, deadline{} );
-    }
-  } );
-  r.frontier_wide_ms = time_ms(
-      [&] { (void)verify_batch_against_aig_exhaustive_budgeted( frontier, spec, deadline{}, width ); } );
-  r.frontier_speedup =
-      r.frontier_wide_ms > 0.0 ? r.frontier_block64_ms / r.frontier_wide_ms : 0.0;
-
   // --- corrupted circuit: every tier must reject, scalar == block ------------
   const auto corrupted = corrupt_circuit( circuit, spec );
   const auto scalar_bad = scalar_exhaustive( corrupted, spec );
@@ -304,11 +283,11 @@ case_result run_case( reciprocal_design design, unsigned n, flow_kind kind, bool
     }
   }
 
-  // --- per-width bit-identity on a mixed pass/fail frontier ------------------
+  // --- per-width bit-identity on mixed pass/fail candidates -------------------
   // Candidates failing at different columns (the NOT flips every column,
   // the 3-control MCT only fires from column 7 on) pin the
-  // first-counterexample contract, the early-retire bookkeeping and the
-  // per-assignment accounting against the 64-bit oracle at every width.
+  // first-counterexample contract and the per-assignment accounting
+  // against the 64-bit oracle at every width.
   auto flip_first = circuit;
   flip_first.add_not( output_lines_of( circuit ).front() );
   auto flip_late = circuit;
@@ -326,31 +305,26 @@ case_result run_case( reciprocal_design design, unsigned n, flow_kind kind, bool
     }
     flip_late.add_mct( controls, target );
   }
-  const std::vector<const reversible_circuit*> mixed = { &circuit, &flip_first, &flip_late,
-                                                         &corrupted };
-  std::vector<partial_verify_report> oracle;
-  oracle.reserve( mixed.size() );
-  for ( const auto* candidate : mixed )
+  for ( const reversible_circuit* candidate :
+        std::initializer_list<const reversible_circuit*>{ &circuit, &flip_first, &flip_late,
+                                                          &corrupted } )
   {
-    oracle.push_back( verify_against_aig_exhaustive_block64( *candidate, spec, deadline{} ) );
-  }
-  for ( const auto w : { sim_width::w64, sim_width::w256, sim_width::w512 } )
-  {
-    const auto wide = verify_batch_against_aig_exhaustive_budgeted( mixed, spec, deadline{}, w );
-    for ( std::size_t c = 0; c < mixed.size(); ++c )
+    const auto oracle = verify_against_aig_exhaustive_block64( *candidate, spec, deadline{} );
+    for ( const auto w : { sim_width::w64, sim_width::w256, sim_width::w512 } )
     {
-      r.widths_agree = r.widths_agree && reports_equal( wide[c], oracle[c] );
+      r.widths_agree = r.widths_agree &&
+                       reports_equal( verify_against_aig_exhaustive_budgeted( *candidate, spec,
+                                                                              deadline{}, w ),
+                                      oracle );
     }
   }
 
   std::printf( "%-16s pis %2u  gates %6zu | scalar %9.3f ms | block %8.4f ms (%6.1fx) | "
                "word %8.3f -> %7.3f us (%4.1fx, %s) | wide %8.4f ms (%4.1fx) | "
-               "frontier x%zu %8.4f -> %8.4f ms (%4.1fx) | "
                "sat mono %8.2f ms  inc %7.2f ms (%5.1fx)  warm %7.3f ms | %s%s%s\n",
                r.name.c_str(), r.pis, r.gates, r.scalar_ms, r.block_ms, r.speedup,
                r.block64_word_us, r.wide_word_us, r.width_speedup, r.simd_backend.c_str(),
-               r.wide_ms, r.wide_speedup, frontier_k, r.frontier_block64_ms, r.frontier_wide_ms,
-               r.frontier_speedup, r.sat_mono_ms, r.sat_ms, r.sat_speedup, r.sat_warm_ms,
+               r.wide_ms, r.wide_speedup, r.sat_mono_ms, r.sat_ms, r.sat_speedup, r.sat_warm_ms,
                r.tiers_agree ? "agree" : "TIERS DIVERGED",
                r.corrupt_rejected ? "" : ", CORRUPTION MISSED",
                r.widths_agree ? "" : ", WIDTHS DIVERGED" );
@@ -364,7 +338,6 @@ void write_json( const char* path, const std::vector<case_result>& cases, bool s
   double min_speedup = 0.0;
   double min_sat_speedup = 0.0;
   double min_wide_speedup = 0.0;
-  double min_frontier_speedup = 0.0;
   double min_width_speedup = 0.0;
   for ( const auto& c : cases )
   {
@@ -375,9 +348,6 @@ void write_json( const char* path, const std::vector<case_result>& cases, bool s
         min_sat_speedup == 0.0 ? c.sat_speedup : std::min( min_sat_speedup, c.sat_speedup );
     min_wide_speedup =
         min_wide_speedup == 0.0 ? c.wide_speedup : std::min( min_wide_speedup, c.wide_speedup );
-    min_frontier_speedup = min_frontier_speedup == 0.0
-                               ? c.frontier_speedup
-                               : std::min( min_frontier_speedup, c.frontier_speedup );
     min_width_speedup =
         min_width_speedup == 0.0 ? c.width_speedup : std::min( min_width_speedup, c.width_speedup );
   }
@@ -387,7 +357,7 @@ void write_json( const char* path, const std::vector<case_result>& cases, bool s
     std::fprintf( stderr, "cannot open %s for writing\n", path );
     std::exit( 1 );
   }
-  std::fprintf( f, "{\n  \"bench\": \"verify\",\n  \"schema_version\": 3,\n" );
+  std::fprintf( f, "{\n  \"bench\": \"verify\",\n  \"schema_version\": 4,\n" );
   std::fprintf( f, "  \"sim_only\": %s,\n", sim_only ? "true" : "false" );
   std::fprintf( f, "  \"simd_backend\": \"%s\",\n",
                 simd_backend_name( active_simd_backend( sim_width::w512 ) ) );
@@ -396,11 +366,9 @@ void write_json( const char* path, const std::vector<case_result>& cases, bool s
   std::fprintf( f, "  \"min_speedup\": %.1f,\n", min_speedup );
   std::fprintf( f, "  \"min_sat_speedup\": %.1f,\n", min_sat_speedup );
   std::fprintf( f, "  \"min_wide_speedup\": %.1f,\n", min_wide_speedup );
-  std::fprintf( f, "  \"min_frontier_speedup\": %.1f,\n", min_frontier_speedup );
   // Two decimals: the run_bench.sh floors compare these values, and one
   // decimal would round a failing 3.46 into a passing 3.5.
   std::fprintf( f, "  \"min_width_speedup\": %.2f,\n", min_width_speedup );
-  std::fprintf( f, "  \"frontier_k\": %zu,\n", frontier_k );
   std::fprintf( f, "  \"cases\": [\n" );
   for ( std::size_t i = 0; i < cases.size(); ++i )
   {
@@ -418,9 +386,6 @@ void write_json( const char* path, const std::vector<case_result>& cases, bool s
     std::fprintf( f, "      \"block64_word_us\": %.4f,\n", c.block64_word_us );
     std::fprintf( f, "      \"wide_word_us\": %.4f,\n", c.wide_word_us );
     std::fprintf( f, "      \"width_speedup\": %.2f,\n", c.width_speedup );
-    std::fprintf( f, "      \"frontier_block64_ms\": %.4f,\n", c.frontier_block64_ms );
-    std::fprintf( f, "      \"frontier_wide_ms\": %.4f,\n", c.frontier_wide_ms );
-    std::fprintf( f, "      \"frontier_speedup\": %.1f,\n", c.frontier_speedup );
     std::fprintf( f, "      \"simd_backend\": \"%s\",\n", c.simd_backend.c_str() );
     std::fprintf( f, "      \"cex\": \"%s\",\n", c.cex.c_str() );
     std::fprintf( f, "      \"sat_mono_ms\": %.2f,\n", c.sat_mono_ms );

@@ -8,15 +8,11 @@
 #     (machine-dependent band: the cached half is a sub-second wall
 #     clock, and losing the memoization collapses the ratio to ~1x), or
 #     its costs diverge from the sequential path,
-#   * the task-graph batch sweep regresses: costs diverge from the serial
-#     one-design-at-a-time driver, its tail-only-vs-task-graph speedup
-#     drops more than 25% against the committed baseline (both halves are
-#     ~0.1 s wall clocks, so it gets the machine-dependent band), or no
-#     two tasks
-#     of a multi-worker sweep ever overlapped in time (max_concurrent <= 1,
-#     the dead-parallelism canary: a scheduler that silently serialized
-#     would still produce identical results; zero steals alone only warns —
-#     idle workers can drain whole designs from the injection queue without
+#   * the task-graph batch sweep regresses: no two tasks of a multi-worker
+#     sweep ever overlapped in time (max_concurrent <= 1, the
+#     dead-parallelism canary: a scheduler that silently serialized would
+#     still produce identical results; zero steals alone only warns — idle
+#     workers can drain whole designs from the injection queue without
 #     stealing),
 #   * the persistent artifact store regresses: the warm pass of the batch
 #     sweep against a freshly re-opened store recomputes any stage artifact
@@ -31,7 +27,7 @@
 #     drops more than 10% against the committed baseline,
 #   * the SIMD-wide engine regresses (schema v3): any sim width (w64 /
 #     w256 / w512) produces a different verdict or counterexample than the
-#     64-bit oracle on the mixed pass/fail frontier (widths_agree), or the
+#     64-bit oracle on the mixed pass/fail candidates (widths_agree), or the
 #     sustained per-word verification throughput of the w512 lane group
 #     vs the retained 64-bit engine (width_speedup, persistent engines,
 #     spec walk included on both sides) falls below 4x in aggregate or
@@ -50,9 +46,10 @@
 # raw word indexing, the store parses untrusted on-disk bytes, and the cut
 # and ISOP kernels index fixed-capacity arrays — the same plus the
 # robustness + scheduler suites under
-# UndefinedBehaviorSanitizer, and the robustness + scheduler + daemon
-# suites under ThreadSanitizer (the daemon coalesces concurrent requests
-# on a shared pool).  Both sanitizer builds of test_verify compile with
+# UndefinedBehaviorSanitizer, and the robustness + scheduler + daemon +
+# flows suites under ThreadSanitizer (the daemon coalesces concurrent
+# requests on a shared pool, and the artifact cache's per-key slots are
+# locked from many threads).  Both sanitizer builds of test_verify compile with
 # QSYN_SIMD=native so the AVX2/AVX-512 kernels themselves run
 # instrumented, not just the portable fallback.
 #
@@ -180,14 +177,11 @@ if not fresh.get("all_identical", False):
 if fresh.get("verify", False) and not fresh.get("all_verified", False):
     failures.append("a swept configuration failed verification")
 
-# --- task-graph batch-sweep gates (schema v3) --------------------------------
+# --- task-graph batch-sweep gates (schema v3, v6) ----------------------------
 sweep = fresh.get("sweep", {})
-base_sweep = baseline.get("sweep", {})
 if not sweep:
     failures.append("fresh run has no batch-sweep section (schema < 3?)")
 else:
-    if not sweep.get("identical", False):
-        failures.append("task-graph batch sweep costs diverged from the serial driver")
     # Dead-parallelism canary: on a multi-worker pool some of the batch
     # graph's tasks MUST overlap in time (max_concurrent is the peak
     # overlap of measured task start/end intervals); a scheduler that
@@ -210,12 +204,10 @@ else:
             )
         )
     print(
-        "sweep: tail-only {:.3f} s vs task-graph {:.3f} s ({:.2f}x) on {} threads, "
+        "sweep: task-graph {:.3f} s on {} threads, "
         "{} tasks / {} coalesced / {} steals / {} peak concurrent, "
         "critical path {:.3f} s".format(
-            sweep.get("tail_only_wall_s", 0.0),
             sweep.get("task_graph_wall_s", 0.0),
-            sweep.get("speedup", 0.0),
             sweep.get("threads", 0),
             sweep.get("tasks_run", 0),
             sweep.get("coalesced", 0),
@@ -224,21 +216,6 @@ else:
             sweep.get("critical_path_s", 0.0),
         )
     )
-    # Tail-only-vs-task-graph speedup ratio, both halves measured in the
-    # same fresh run.  On a single hardware thread the ratio sits near
-    # 1.0x (the graph engine must merely not be slower); on real
-    # multicore hardware the committed baseline carries the parallel win
-    # and this catches losing it.  Both halves are ~0.1 s wall clocks, so
-    # scheduler jitter moves the ratio by ~20% run-to-run (0.81-0.98x
-    # measured on identical binaries) — this gets the wide wall-clock
-    # band, not the 10% ratio band.
-    base_ratio = base_sweep.get("speedup", 0.0)
-    fresh_ratio = sweep.get("speedup", 0.0)
-    if base_ratio > 0 and fresh_ratio < base_ratio * (1.0 - WALL_ABS_REGRESSION_LIMIT):
-        failures.append(
-            f"batch-sweep tail-only-vs-task-graph speedup {fresh_ratio:.2f}x vs "
-            f"baseline {base_ratio:.2f}x (> {WALL_ABS_REGRESSION_LIMIT:.0%} regression)"
-        )
 
 # --- persistent-store gates (schema v4) --------------------------------------
 DAEMON_SPEEDUP_FLOOR = 10.0
@@ -405,7 +382,7 @@ SAT_NEWTON8_FLOOR = 10.0          # incremental-vs-monolithic on the flagship mi
 # Schema v3 (SIMD-wide engine): sustained per-word verification throughput
 # of the w512 lane group vs the retained 64-bit engine, persistent engines,
 # spec walk included on both sides (best-of-5 interleaved in the bench).
-# Whole-case wall clocks (wide_ms / frontier) are informational: at n=7/8 a
+# Whole-case wall clocks (wide_ms) are informational: at n=7/8 a
 # 512-lane group wraps the whole input space.  Measured regimes on this
 # container: 4.3-7.7x with the AVX-512 kernels dispatched, 0.6-1.6x if the
 # dispatch silently pins the portable fallback — the per-case floor sits
@@ -432,7 +409,7 @@ if fresh_doc.get("schema_version", 0) < 3:
 if not fresh_doc.get("widths_agree", False):
     failures.append(
         "a sim width (w64/w256/w512) diverged from the 64-bit oracle's "
-        "verdicts or counterexamples on the mixed frontier"
+        "verdicts or counterexamples on the mixed pass/fail candidates"
     )
 
 base_scalar = base_block = fresh_scalar = fresh_block = 0.0
@@ -480,7 +457,6 @@ for name, base in sorted(baseline.items()):
         f"  (speedup {new['speedup']:.1f}x vs baseline {base['speedup']:.1f}x)"
         f"  word {new.get('block64_word_us', 0.0):.2f} -> "
         f"{new.get('wide_word_us', 0.0):.2f} us ({new.get('width_speedup', 0.0):.1f}x)"
-        f"  frontier {new.get('frontier_speedup', 0.0):.1f}x"
         f"  sat {base.get('sat_ms', 0.0):.2f} -> {new.get('sat_ms', 0.0):.2f} ms"
         f" ({new.get('sat_speedup', 0.0):.1f}x vs mono)"
     )
@@ -695,7 +671,8 @@ echo "test_robustness + test_scheduler + test_store + test_verify + test_lut_xmg
 
 TSAN_DIR="$REPO_ROOT/build-tsan-robustness"
 cmake -B "$TSAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE=thread
-cmake --build "$TSAN_DIR" -j "$(nproc)" --target test_robustness test_scheduler test_daemon
+cmake --build "$TSAN_DIR" -j "$(nproc)" --target test_robustness test_scheduler test_daemon \
+  test_flows
 "$TSAN_DIR/tests/test_robustness"
 # The scheduler suite under TSan runs at the pool widths the ctest fixtures
 # pin: stealing races only exist with >= 2 workers.
@@ -706,5 +683,8 @@ QSYN_THREADS=2 "$TSAN_DIR/tests/test_scheduler"
 # classes: its suite exercises those interleavings with real client
 # threads, so it runs instrumented for data races too.
 "$TSAN_DIR/tests/test_daemon"
+# The artifact cache locks one slot per key: its suite races first requests
+# of one key, and a memory hit against another key's computation.
+"$TSAN_DIR/tests/test_flows"
 echo
-echo "test_robustness + test_scheduler + test_daemon OK under ThreadSanitizer"
+echo "test_robustness + test_scheduler + test_daemon + test_flows OK under ThreadSanitizer"

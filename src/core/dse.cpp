@@ -1,18 +1,13 @@
 #include "dse.hpp"
 
 #include <algorithm>
-#include <cstdint>
-#include <exception>
 #include <iomanip>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <utility>
 
 #include "../common/fault_injection.hpp"
 #include "../common/thread_pool.hpp"
-#include "../common/timer.hpp"
-#include "../reversible/verify.hpp"
 #include "../verilog/elaborator.hpp"
 
 namespace qsyn
@@ -84,436 +79,6 @@ unsigned resolve_num_threads( const explore_options& options )
   return options.num_threads == 0u ? thread_pool::default_num_threads() : options.num_threads;
 }
 
-std::string error_what( const std::exception_ptr& error )
-{
-  if ( !error )
-  {
-    return "unknown error";
-  }
-  try
-  {
-    std::rethrow_exception( error );
-  }
-  catch ( const std::exception& e )
-  {
-    return e.what();
-  }
-  catch ( ... )
-  {
-    return "unknown error";
-  }
-}
-
-bool is_budget_error( const std::exception_ptr& error )
-{
-  if ( !error )
-  {
-    return false;
-  }
-  try
-  {
-    std::rethrow_exception( error );
-  }
-  catch ( const budget_exhausted& )
-  {
-    return true;
-  }
-  catch ( ... )
-  {
-    return false;
-  }
-}
-
-/// Maps a tail task's terminal state back onto its point's status record
-/// (see `fill_flow_status_from_graph`, shared with the synthesis daemon).
-void fill_point_status( const task_graph& graph, task_id tail, dse_point& point )
-{
-  fill_flow_status_from_graph( graph, tail, point.result );
-}
-
-// --- frontier batch verification ---------------------------------------------
-
-/// Default sampling parameters of the inline ladder
-/// (`verify_against_aig_sampled_budgeted`'s defaults) — the batch pass must
-/// draw the same patterns to stay bit-identical to per-configuration calls.
-constexpr unsigned batch_verify_samples = 256;
-constexpr std::uint64_t batch_verify_seed = 1;
-
-/// True for configurations whose simulation-tier check the task-graph
-/// engines take over (`flow_params::defer_sim_verify`): the sampled and
-/// exhaustive tiers miter against the spec AIG and batch across the
-/// frontier; the functional flow's truth-table check and the SAT tier stay
-/// inline.
-bool defer_eligible( const flow_params& config )
-{
-  return config.verify && config.kind != flow_kind::functional &&
-         ( config.verification == verify_mode::sampled ||
-           config.verification == verify_mode::exhaustive );
-}
-
-/// One synthesized point whose inline check was deferred to the frontier
-/// batch pass.
-struct deferred_verify_slot
-{
-  flow_result* result = nullptr;
-  verify_mode tier = verify_mode::none;
-  unsigned rounds = 0;            ///< optimization rounds → spec artifact key
-  const deadline* stop = nullptr; ///< the point's per-configuration deadline
-};
-
-/// The frontier batch-verification pass: groups the deferred points by
-/// (spec artifact, tier) and checks each group in ONE SIMD-wide
-/// cross-circuit sweep — the spec AIG is walked once per lane group for the
-/// whole frontier instead of once per candidate.  Widths, sample counts,
-/// and seeds match the inline defaults exactly, so every patched report is
-/// bit-identical to the per-configuration call the tail skipped; only the
-/// wall clock changes (attributed evenly across the group's
-/// `verify_seconds`).
-void batch_verify_deferred( const aig_network& aig, flow_artifact_cache& cache,
-                            const std::vector<deferred_verify_slot>& slots )
-{
-  std::map<std::pair<unsigned, verify_mode>, std::vector<const deferred_verify_slot*>> groups;
-  for ( const auto& slot : slots )
-  {
-    groups[{ slot.rounds, slot.tier }].push_back( &slot );
-  }
-  for ( auto& [key, group] : groups )
-  {
-    const auto tier = key.second;
-    // Always a cache hit: every member's synthesis tail computed (or
-    // coalesced onto) this artifact before it could synthesize at all.
-    const auto& spec = cache.optimized( aig, key.first );
-    std::vector<const reversible_circuit*> circuits;
-    circuits.reserve( group.size() );
-    for ( const auto* slot : group )
-    {
-      circuits.push_back( &slot->result->circuit );
-    }
-    // The widths the inline default overloads pick, so lane layout — and
-    // with it every verdict, counterexample, and coverage count — matches
-    // per-configuration verification bit for bit.
-    const auto width =
-        tier == verify_mode::exhaustive
-            ? ( spec.num_pis() > 24u
-                    ? sim_width::w512
-                    : auto_sim_width( std::uint64_t{ 1 } << spec.num_pis() ) )
-            : auto_sim_width( std::uint64_t{ batch_verify_samples } + 2u );
-    // Every member of a group was armed with the same per-configuration
-    // budget at the same instant (the sweep drivers assign uniform
-    // limits), so the first member's deadline serves the whole batch.
-    const auto& stop = *group.front()->stop;
-    stopwatch watch;
-    std::vector<partial_verify_report> reports;
-    try
-    {
-      reports = tier == verify_mode::exhaustive
-                    ? verify_batch_against_aig_exhaustive_budgeted( circuits, spec, stop, width )
-                    : verify_batch_against_aig_sampled_budgeted(
-                          circuits, spec, stop, batch_verify_samples, batch_verify_seed, width );
-    }
-    catch ( const std::exception& e )
-    {
-      // Interface mismatch or a too-wide exhaustive space throws the same
-      // std::invalid_argument the inline call would have thrown inside
-      // each tail — keep the per-point failure isolation it had there.
-      for ( const auto* slot : group )
-      {
-        slot->result->status = flow_status::failed;
-        slot->result->status_detail = e.what();
-      }
-      continue;
-    }
-    const auto share = watch.elapsed_seconds() / static_cast<double>( group.size() );
-    for ( std::size_t i = 0; i < group.size(); ++i )
-    {
-      auto& result = *group[i]->result;
-      result.verified_with = tier;
-      record_sim_verify_report( result, reports[i] );
-      result.verify_seconds += share;
-      finalize_verify_status( result );
-    }
-  }
-}
-
-/// Collects the deferred-and-synthesized points of one exploration after
-/// its graph ran: a point joins the batch only when its tail completed (a
-/// poisoned/failed/cancelled tail keeps its status record — there is no
-/// circuit to check) and its inline ladder really did skip
-/// (`verified_with` still `none`).
-std::vector<deferred_verify_slot> collect_deferred_slots(
-    const task_graph& graph, const std::vector<flow_params>& configs,
-    const std::vector<task_id>& tails, const std::vector<deadline>& stops,
-    std::vector<dse_point>& points )
-{
-  std::vector<deferred_verify_slot> deferred;
-  for ( std::size_t i = 0; i < configs.size(); ++i )
-  {
-    if ( configs[i].defer_sim_verify && graph.state( tails[i] ) == task_state::done &&
-         points[i].result.verified_with == verify_mode::none )
-    {
-      deferred.push_back( { &points[i].result, configs[i].verification,
-                            configs[i].optimization_rounds, &stops[i] } );
-    }
-  }
-  return deferred;
-}
-
-/// The PR 2 engine (`schedule_mode::tail_only`): stage artifacts are
-/// prefetched sequentially, only the per-configuration synthesis tails run
-/// on the pool.  Kept verbatim as the benchmark baseline and the
-/// bit-identity oracle for the task-graph engine.
-///
-/// Fault tolerance: a configuration that throws — in its prefetched stage
-/// or in its tail — is isolated into its own point's `result.status`
-/// (`timed_out` for budget expiry, `failed` otherwise); the other
-/// configurations are unaffected and the full ordered point list is always
-/// returned.
-std::vector<dse_point> explore_tail_only( const aig_network& aig,
-                                          const std::vector<flow_params>& configs,
-                                          const explore_options& options,
-                                          flow_artifact_cache* cache, const deadline& stop )
-{
-  std::vector<dse_point> points( configs.size() );
-  // One deadline per configuration, armed up front so it covers both the
-  // prefetched stage and the synthesis tail of that configuration.
-  std::vector<deadline> stops;
-  stops.reserve( configs.size() );
-  for ( const auto& params : configs )
-  {
-    stops.push_back( stop.tightened( params.limits.deadline_seconds ) );
-  }
-  // A stage failure during prefetch belongs to the configurations that
-  // depend on that stage: record it per slot — together with the artifact
-  // key and stage name it struck, so the status detail can attribute it —
-  // and rethrow it from the slot's job below.  (Recomputing in the job
-  // instead would let a one-shot injected fault pass on retry and hide the
-  // failure.)
-  struct stage_error_record
-  {
-    std::exception_ptr error;
-    std::string key;   ///< artifact key, e.g. "xmg[r=2,k=4]"
-    std::string stage; ///< stage name, e.g. "xmg"
-  };
-  std::vector<stage_error_record> stage_errors( configs.size() );
-  if ( cache )
-  {
-    // Fill the shared stages up front so the concurrent tails only hit.
-    for ( std::size_t i = 0; i < configs.size(); ++i )
-    {
-      try
-      {
-        cache->prefetch( aig, configs[i], stops[i] );
-      }
-      catch ( ... )
-      {
-        stage_errors[i] = { std::current_exception(), flow_artifact_key( configs[i] ),
-                            flow_stage_name( configs[i].kind ) };
-      }
-    }
-  }
-
-  // Never start more workers than there are tails to run.
-  thread_pool pool( static_cast<unsigned>(
-      std::min<std::size_t>( resolve_num_threads( options ), configs.size() ) ) );
-  for ( std::size_t i = 0; i < configs.size(); ++i )
-  {
-    pool.submit( [&, i] {
-      auto& point = points[i];
-      point.label = dse_label( configs[i] );
-      point.params = configs[i];
-      const auto detail_prefix =
-          stage_errors[i].error ? "stage '" + stage_errors[i].key + "' (" +
-                                      stage_errors[i].stage + ") failed: "
-                                : std::string{};
-      try
-      {
-        if ( stage_errors[i].error )
-        {
-          std::rethrow_exception( stage_errors[i].error );
-        }
-        if ( stops[i].expired() )
-        {
-          throw budget_exhausted( "deadline expired before the configuration started" );
-        }
-        if ( cache )
-        {
-          point.result = run_flow_staged( aig, configs[i], *cache, stops[i] );
-        }
-        else
-        {
-          flow_artifact_cache local;
-          point.result = run_flow_staged( aig, configs[i], local, stops[i] );
-        }
-      }
-      catch ( const budget_exhausted& e )
-      {
-        point.result.status = flow_status::timed_out;
-        point.result.status_detail = detail_prefix + e.what();
-      }
-      catch ( const std::exception& e )
-      {
-        point.result.status = flow_status::failed;
-        point.result.status_detail = detail_prefix + e.what();
-      }
-    } );
-  }
-  // Jobs convert every expected failure into a status record; anything
-  // still surfacing here is a programming error and worth a loud rethrow.
-  const auto errors = pool.wait_all();
-  if ( !errors.empty() )
-  {
-    std::rethrow_exception( errors.front() );
-  }
-  return points;
-}
-
-/// The task-graph engine (`schedule_mode::task_graph`): one dependency DAG
-/// per exploration — coalesced stage-artifact tasks feeding unique
-/// per-configuration tails — dispatched onto the work-stealing pool, so
-/// distinct artifacts compute concurrently with each other and with every
-/// tail that is already unblocked.  Results are written into
-/// caller-indexed slots and every task is deterministic, so the point list
-/// is bit-identical to `explore_tail_only`.
-std::vector<dse_point> explore_graph( const aig_network& aig,
-                                      const std::vector<flow_params>& configs,
-                                      const explore_options& options,
-                                      flow_artifact_cache* cache, const deadline& stop,
-                                      task_graph_stats* sched )
-{
-  std::vector<dse_point> points( configs.size() );
-  std::vector<deadline> stops;
-  stops.reserve( configs.size() );
-  for ( const auto& params : configs )
-  {
-    stops.push_back( stop.tightened( params.limits.deadline_seconds ) );
-  }
-
-  // The graph engine owns the simulation-tier checks of its frontier: the
-  // tails run with `defer_sim_verify` set (on a local copy — the recorded
-  // `points[i].params` keep the caller's configuration, matching the
-  // tail-only oracle) and the batch pass after the run verifies the whole
-  // frontier in one cross-circuit sweep.  Uncached exploration keeps
-  // inline verification: without the shared cache the spec artifact the
-  // batch miters against is private to each tail.
-  auto cfgs = configs;
-  if ( cache )
-  {
-    for ( auto& config : cfgs )
-    {
-      config.defer_sim_verify = defer_eligible( config );
-    }
-  }
-
-  task_graph graph;
-  std::vector<task_id> tails( configs.size() );
-  for ( std::size_t i = 0; i < cfgs.size(); ++i )
-  {
-    points[i].label = dse_label( cfgs[i] );
-    points[i].params = configs[i];
-    if ( cache )
-    {
-      tails[i] =
-          add_flow_tasks( graph, aig, cfgs[i], *cache, stops[i], points[i].result ).tail;
-    }
-    else
-    {
-      // Uncached exploration: no shared artifacts, so each configuration is
-      // a single independent task running the full staged flow privately —
-      // the exact work the sequential uncached baseline does per slot.
-      tails[i] = graph.add(
-          "tail:" + points[i].label + "#" + std::to_string( graph.size() ),
-          [&aig, &points, &cfgs, &stops, i] {
-            if ( stops[i].expired() )
-            {
-              throw budget_exhausted( "deadline expired before the configuration started" );
-            }
-            flow_artifact_cache local;
-            points[i].result = run_flow_staged( aig, cfgs[i], local, stops[i] );
-          } );
-    }
-  }
-
-  // Never start more workers than there are tasks to run.
-  thread_pool pool( static_cast<unsigned>( std::min<std::size_t>(
-      resolve_num_threads( options ), std::max<std::size_t>( graph.size(), 1 ) ) ) );
-  graph.run( pool, stop );
-  for ( std::size_t i = 0; i < cfgs.size(); ++i )
-  {
-    fill_point_status( graph, tails[i], points[i] );
-  }
-  if ( cache )
-  {
-    batch_verify_deferred( aig, *cache,
-                           collect_deferred_slots( graph, cfgs, tails, stops, points ) );
-  }
-  if ( sched )
-  {
-    *sched = graph.stats();
-  }
-  return points;
-}
-
-std::vector<dse_point> explore_impl( const aig_network& aig,
-                                     const std::vector<flow_params>& configs,
-                                     const explore_options& options,
-                                     flow_artifact_cache* cache, const deadline& stop,
-                                     task_graph_stats* sched = nullptr )
-{
-  if ( options.scheduler == schedule_mode::task_graph )
-  {
-    return explore_graph( aig, configs, options, cache, stop, sched );
-  }
-  if ( sched )
-  {
-    *sched = {};
-  }
-  return explore_tail_only( aig, configs, options, cache, stop );
-}
-
-} // namespace
-
-std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_params>& configs )
-{
-  return explore( aig, configs, explore_options{} );
-}
-
-std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_params>& configs,
-                                const explore_options& options )
-{
-  const auto stop = deadline::in( options.sweep_deadline_seconds );
-  if ( !options.use_cache )
-  {
-    return explore_impl( aig, configs, options, nullptr, stop );
-  }
-  flow_artifact_cache cache;
-  cache.attach_store( options.store );
-  return explore_impl( aig, configs, options, &cache, stop );
-}
-
-std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_params>& configs,
-                                const explore_options& options, flow_artifact_cache& cache )
-{
-  return explore_impl( aig, configs, options, &cache,
-                       deadline::in( options.sweep_deadline_seconds ) );
-}
-
-std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_params>& configs,
-                                const explore_options& options, flow_artifact_cache& cache,
-                                const deadline& stop )
-{
-  return explore_impl( aig, configs, options, &cache, stop );
-}
-
-std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_params>& configs,
-                                const explore_options& options, flow_artifact_cache& cache,
-                                const deadline& stop, task_graph_stats& sched_stats )
-{
-  return explore_impl( aig, configs, options, &cache, stop, &sched_stats );
-}
-
-namespace
-{
-
 /// Severity order of the status taxonomy (worst wins when aggregating the
 /// points of one design).
 int status_severity( flow_status status )
@@ -552,95 +117,26 @@ std::string design_name( reciprocal_design design, unsigned n )
          std::to_string( n ) + ")";
 }
 
-/// The PR 6 batch driver (`schedule_mode::tail_only`): designs strictly one
-/// at a time, each through the tail-only exploration core.  Kept as the
-/// benchmark baseline and the bit-identity oracle for the batch graph.
-std::vector<design_exploration> explore_designs_serial(
-    const std::vector<reciprocal_design>& designs, unsigned min_bitwidth,
-    unsigned max_bitwidth, const explore_options& options )
-{
-  const auto sweep_stop = deadline::in( options.sweep_deadline_seconds );
-  std::vector<design_exploration> explorations;
-  for ( unsigned n = min_bitwidth; n <= max_bitwidth; ++n )
-  {
-    for ( const auto design : designs )
-    {
-      design_exploration entry;
-      entry.design = design;
-      entry.bitwidth = n;
-      entry.name = design_name( design, n );
-      stopwatch watch;
-      // Per-design failure isolation: elaboration errors and sweep-budget
-      // expiry become this design's status record; the sweep continues
-      // with the next design either way.
-      try
-      {
-        if ( sweep_stop.expired() )
-        {
-          throw budget_exhausted( "sweep deadline expired before the design started" );
-        }
-        fault_injection::poll( "dse.elaborate" );
-        const auto mod =
-            verilog::elaborate_verilog( reciprocal_verilog( design, n ), entry.name );
-        auto configs =
-            default_dse_configurations( n <= options.functional_max_bitwidth );
-        for ( auto& config : configs )
-        {
-          config.verify = options.verification != verify_mode::none;
-          config.verification = options.verification;
-          config.limits = options.limits;
-        }
-        if ( options.use_cache )
-        {
-          flow_artifact_cache cache;
-          cache.attach_store( options.store );
-          entry.points = explore( mod.aig, configs, options, cache, sweep_stop );
-          entry.cache = cache.stats();
-        }
-        else
-        {
-          entry.points = explore_impl( mod.aig, configs, options, nullptr, sweep_stop );
-        }
-        aggregate_design_status( entry );
-      }
-      catch ( const budget_exhausted& e )
-      {
-        entry.status = flow_status::timed_out;
-        entry.status_detail = e.what();
-      }
-      catch ( const std::exception& e )
-      {
-        entry.status = flow_status::failed;
-        entry.status_detail = e.what();
-      }
-      entry.wall_seconds = watch.elapsed_seconds();
-      explorations.push_back( std::move( entry ) );
-    }
-  }
-  return explorations;
-}
-
 /// One design's slot in the batch graph.  Heap-pinned (the task lambdas
 /// keep pointers into it) and written strictly by the design's own tasks:
 /// the elaborate task fills `aig`, the stage/tail tasks go through
 /// `cache`/`points`.  Task keys are prefixed with the design name, so
 /// coalescing never crosses designs — each design keeps its own artifact
-/// cache exactly like the serial sweep.
+/// cache.
 struct design_build
 {
   design_exploration entry;
-  std::vector<flow_params> configs;
-  std::vector<dse_point> points;
-  /// Per-configuration deadlines, armed by the elaborate task (the
-  /// design's start) — NOT at graph-build time, where a nonzero
+  std::vector<dse_point> points; ///< labels and stamped configurations up front
+  /// The per-configuration deadline (every configuration of the sweep
+  /// carries the same `options.limits`), armed by the elaborate task — the
+  /// design's start — NOT at graph-build time, where a nonzero
   /// `limits.deadline_seconds` would start ticking for every design at
   /// once and late-scheduled designs would begin with their per-flow
-  /// clock already consumed by earlier ones (the serial driver arms them
-  /// on entry to `explore`, i.e. per design).  The flow tasks read these
-  /// slots by reference at run time, always after the elaborate task they
-  /// depend on wrote them.
-  std::vector<deadline> stops;
-  std::unique_ptr<flow_artifact_cache> cache;
+  /// clock already consumed by earlier ones.  The flow tasks read it by
+  /// reference at run time, always after the elaborate task they depend on
+  /// wrote it.
+  deadline stop;
+  flow_artifact_cache cache;
   aig_network aig;
   task_id elaborate = 0;
   std::vector<task_id> tails;
@@ -648,16 +144,92 @@ struct design_build
   task_id last_task = 0;
 };
 
-/// The batch graph (`schedule_mode::task_graph`): the whole sweep is ONE
-/// task graph — per-design elaboration tasks feeding that design's stage
-/// artifacts and synthesis tails — so different designs overlap on the
-/// pool instead of running strictly one at a time.  Failure isolation now
-/// falls out of poisoning: a failed elaboration poisons exactly that
-/// design's tasks, a failed shared stage poisons exactly its dependent
-/// tails.
-std::vector<design_exploration> explore_designs_graph(
-    const std::vector<reciprocal_design>& designs, unsigned min_bitwidth,
-    unsigned max_bitwidth, const explore_options& options, task_graph_stats* sched )
+} // namespace
+
+std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_params>& configs )
+{
+  return explore( aig, configs, explore_options{} );
+}
+
+std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_params>& configs,
+                                const explore_options& options )
+{
+  flow_artifact_cache cache;
+  cache.attach_store( options.store );
+  return explore( aig, configs, options, cache );
+}
+
+std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_params>& configs,
+                                const explore_options& options, flow_artifact_cache& cache )
+{
+  return explore( aig, configs, options, cache, deadline::in( options.sweep_deadline_seconds ) );
+}
+
+std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_params>& configs,
+                                const explore_options& options, flow_artifact_cache& cache,
+                                const deadline& stop )
+{
+  task_graph_stats unused;
+  return explore( aig, configs, options, cache, stop, unused );
+}
+
+/// One dependency DAG per exploration — coalesced stage-artifact tasks
+/// feeding unique per-configuration tails (synthesis + verification) —
+/// dispatched onto the work-stealing pool, so distinct artifacts compute
+/// concurrently with each other and with every tail that is already
+/// unblocked.  Results are written into caller-indexed slots and every task
+/// is deterministic, so the point list is bit-identical to running
+/// `run_flow_on_aig` over the configurations one by one.
+std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_params>& configs,
+                                const explore_options& options, flow_artifact_cache& cache,
+                                const deadline& stop, task_graph_stats& sched_stats )
+{
+  std::vector<dse_point> points( configs.size() );
+  std::vector<deadline> stops;
+  stops.reserve( configs.size() );
+  for ( const auto& params : configs )
+  {
+    stops.push_back( stop.tightened( params.limits.deadline_seconds ) );
+  }
+
+  task_graph graph;
+  std::vector<task_id> tails( configs.size() );
+  for ( std::size_t i = 0; i < configs.size(); ++i )
+  {
+    points[i].label = dse_label( configs[i] );
+    points[i].params = configs[i];
+    tails[i] = add_flow_tasks( graph, aig, configs[i], cache, stops[i], points[i].result ).tail;
+  }
+
+  // Never start more workers than there are tasks to run.
+  thread_pool pool( static_cast<unsigned>( std::min<std::size_t>(
+      resolve_num_threads( options ), std::max<std::size_t>( graph.size(), 1 ) ) ) );
+  graph.run( pool, stop );
+  for ( std::size_t i = 0; i < configs.size(); ++i )
+  {
+    fill_flow_status_from_graph( graph, tails[i], points[i].result );
+  }
+  sched_stats = graph.stats();
+  return points;
+}
+
+std::vector<design_exploration> explore_designs( const std::vector<reciprocal_design>& designs,
+                                                 unsigned min_bitwidth, unsigned max_bitwidth,
+                                                 const explore_options& options )
+{
+  task_graph_stats unused;
+  return explore_designs( designs, min_bitwidth, max_bitwidth, options, unused );
+}
+
+/// The whole sweep is ONE task graph — per-design elaboration tasks feeding
+/// that design's stage artifacts and synthesis tails — so different designs
+/// overlap on the pool.  Failure isolation falls out of poisoning: a failed
+/// elaboration poisons exactly that design's tasks, a failed shared stage
+/// poisons exactly its dependent tails.
+std::vector<design_exploration> explore_designs( const std::vector<reciprocal_design>& designs,
+                                                 unsigned min_bitwidth, unsigned max_bitwidth,
+                                                 const explore_options& options,
+                                                 task_graph_stats& sched_stats )
 {
   const auto sweep_stop = deadline::in( options.sweep_deadline_seconds );
   task_graph graph;
@@ -671,81 +243,38 @@ std::vector<design_exploration> explore_designs_graph(
       slot->entry.design = design;
       slot->entry.bitwidth = n;
       slot->entry.name = design_name( design, n );
-      slot->configs = default_dse_configurations( n <= options.functional_max_bitwidth );
-      for ( auto& config : slot->configs )
+      for ( auto& config : default_dse_configurations( n <= options.functional_max_bitwidth ) )
       {
         config.verify = options.verification != verify_mode::none;
         config.verification = options.verification;
         config.limits = options.limits;
+        slot->points.push_back( { dse_label( config ), config, {} } );
       }
-      slot->points.resize( slot->configs.size() );
-      // Pre-fill with the sweep deadline; the elaborate task below
-      // tightens each slot by its per-config budget when the design
-      // actually starts.  Sized up front so the references the flow tasks
-      // capture stay stable.
-      slot->stops.assign( slot->configs.size(), sweep_stop );
-      if ( options.use_cache )
-      {
-        slot->cache = std::make_unique<flow_artifact_cache>();
-        slot->cache->attach_store( options.store );
-        // The per-design batch pass after the run takes over this design's
-        // simulation-tier checks (see `batch_verify_deferred`).
-        for ( auto& config : slot->configs )
-        {
-          config.defer_sim_verify = defer_eligible( config );
-        }
-      }
+      slot->cache.attach_store( options.store );
       slot->first_task = graph.size();
       const auto prefix = slot->entry.name + "/";
-      slot->elaborate = graph.add( prefix + "elaborate", [slot, design, n, sweep_stop] {
-        if ( sweep_stop.expired() )
-        {
-          throw budget_exhausted( "sweep deadline expired before the design started" );
-        }
-        fault_injection::poll( "dse.elaborate" );
-        slot->aig =
-            verilog::elaborate_verilog( reciprocal_verilog( design, n ), slot->entry.name )
-                .aig;
-        // Arm the per-configuration deadlines NOW — the design's start —
-        // matching the serial driver's per-design arming point.  Every
-        // flow task depends on this task, so the writes are ordered
-        // before any read.
-        for ( std::size_t i = 0; i < slot->configs.size(); ++i )
-        {
-          slot->stops[i] =
-              sweep_stop.tightened( slot->configs[i].limits.deadline_seconds );
-        }
-      } );
-      for ( std::size_t i = 0; i < slot->configs.size(); ++i )
+      slot->elaborate = graph.add(
+          prefix + "elaborate",
+          [slot, design, n, sweep_stop, per_flow = options.limits.deadline_seconds] {
+            if ( sweep_stop.expired() )
+            {
+              throw budget_exhausted( "sweep deadline expired before the design started" );
+            }
+            fault_injection::poll( "dse.elaborate" );
+            slot->aig =
+                verilog::elaborate_verilog( reciprocal_verilog( design, n ), slot->entry.name )
+                    .aig;
+            // Arm the per-configuration deadline NOW — the design's start.
+            // Every flow task depends on this task, so the write is ordered
+            // before any read.
+            slot->stop = sweep_stop.tightened( per_flow );
+          } );
+      for ( auto& point : slot->points )
       {
-        slot->points[i].label = dse_label( slot->configs[i] );
-        slot->points[i].params = slot->configs[i];
-        // Recorded params match the serial oracle: the defer flag is the
-        // engine's internal routing, not part of the configuration.
-        slot->points[i].params.defer_sim_verify = false;
-        if ( slot->cache )
-        {
-          slot->tails.push_back( add_flow_tasks( graph, slot->aig, slot->configs[i],
-                                                 *slot->cache, slot->stops[i],
-                                                 slot->points[i].result, prefix,
-                                                 { slot->elaborate } )
-                                     .tail );
-        }
-        else
-        {
-          slot->tails.push_back( graph.add(
-              prefix + "tail:" + slot->points[i].label + "#" + std::to_string( graph.size() ),
-              [slot, i] {
-                if ( slot->stops[i].expired() )
-                {
-                  throw budget_exhausted( "deadline expired before the configuration started" );
-                }
-                flow_artifact_cache local;
-                slot->points[i].result =
-                    run_flow_staged( slot->aig, slot->configs[i], local, slot->stops[i] );
-              },
-              { slot->elaborate } ) );
-        }
+        slot->tails.push_back( add_flow_tasks( graph, slot->aig, point.params, slot->cache,
+                                               slot->stop, point.result, prefix,
+                                               { slot->elaborate } )
+                                   .tail );
       }
       slot->last_task = graph.size();
       builds.push_back( std::move( build ) );
@@ -766,28 +295,20 @@ std::vector<design_exploration> explore_designs_graph(
       entry.points = std::move( build->points );
       for ( std::size_t i = 0; i < build->tails.size(); ++i )
       {
-        fill_point_status( graph, build->tails[i], entry.points[i] );
-      }
-      if ( build->cache )
-      {
-        batch_verify_deferred( build->aig, *build->cache,
-                               collect_deferred_slots( graph, build->configs, build->tails,
-                                                       build->stops, entry.points ) );
+        fill_flow_status_from_graph( graph, build->tails[i], entry.points[i].result );
       }
       aggregate_design_status( entry );
-      if ( build->cache )
-      {
-        entry.cache = build->cache->stats();
-      }
+      entry.cache = build->cache.stats();
     }
     else
     {
       // Elaboration failed, timed out, or was cancelled by the sweep
-      // deadline: the design keeps the serial contract — empty point list,
-      // design-level status record.
-      const auto error = graph.error( build->elaborate );
-      entry.status = is_budget_error( error ) ? flow_status::timed_out : flow_status::failed;
-      entry.status_detail = error_what( error );
+      // deadline: empty point list, design-level status record (mapped
+      // like a flow tail's: `timed_out` for budget expiry, else `failed`).
+      flow_result elaboration;
+      fill_flow_status_from_graph( graph, build->elaborate, elaboration );
+      entry.status = elaboration.status;
+      entry.status_detail = std::move( elaboration.status_detail );
     }
     // Wall clock of this design = span of its own tasks inside the batch
     // run (0 when nothing of it ever started).
@@ -808,37 +329,8 @@ std::vector<design_exploration> explore_designs_graph(
     entry.wall_seconds = ran ? last - first : 0.0;
     explorations.push_back( std::move( entry ) );
   }
-  if ( sched )
-  {
-    *sched = graph.stats();
-  }
+  sched_stats = graph.stats();
   return explorations;
-}
-
-} // namespace
-
-std::vector<design_exploration> explore_designs( const std::vector<reciprocal_design>& designs,
-                                                 unsigned min_bitwidth, unsigned max_bitwidth,
-                                                 const explore_options& options )
-{
-  if ( options.scheduler == schedule_mode::task_graph )
-  {
-    return explore_designs_graph( designs, min_bitwidth, max_bitwidth, options, nullptr );
-  }
-  return explore_designs_serial( designs, min_bitwidth, max_bitwidth, options );
-}
-
-std::vector<design_exploration> explore_designs( const std::vector<reciprocal_design>& designs,
-                                                 unsigned min_bitwidth, unsigned max_bitwidth,
-                                                 const explore_options& options,
-                                                 task_graph_stats& sched_stats )
-{
-  if ( options.scheduler == schedule_mode::task_graph )
-  {
-    return explore_designs_graph( designs, min_bitwidth, max_bitwidth, options, &sched_stats );
-  }
-  sched_stats = {};
-  return explore_designs_serial( designs, min_bitwidth, max_bitwidth, options );
 }
 
 std::vector<std::size_t> pareto_front( const std::vector<dse_point>& points )

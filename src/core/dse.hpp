@@ -7,12 +7,16 @@
 /// designs) and reports the full result list plus the Pareto frontier in
 /// the (qubits, T-count) plane, the two cost metrics the paper trades off.
 ///
-/// The exploration engine is cached and concurrent: shared stage artifacts
-/// (optimized AIG, minimized ESOP cube list, resynthesized XMG) are
-/// computed once per design through a `flow_artifact_cache`, and the
-/// per-configuration synthesis tails run on a thread pool.  Result
-/// ordering — and every cost number — is identical to the sequential
-/// uncached path; only the wall clock changes.
+/// The exploration engine is cached and concurrent: the whole pipeline is
+/// one dependency DAG (`core/task_graph.hpp`) on the work-stealing pool.
+/// Shared stage artifacts (optimized AIG, minimized ESOP cube list,
+/// resynthesized XMG) are computed once per design through a
+/// `flow_artifact_cache` — duplicate requests coalesce onto one in-flight
+/// task — and each per-configuration tail synthesizes and verifies its
+/// circuit; in `explore_designs` whole designs overlap too.  A failing task
+/// poisons only its dependents.  Result ordering — and every cost number
+/// and verdict — is identical to running `run_flow_on_aig` over the
+/// configurations one by one; only the wall clock changes.
 
 #pragma once
 
@@ -32,37 +36,14 @@ struct dse_point
   flow_result result;
 };
 
-/// How an exploration is scheduled onto the thread pool.
-enum class schedule_mode
-{
-  /// The PR 2 engine, kept as the comparison baseline: stage artifacts
-  /// are prefilled sequentially per design, only the per-configuration
-  /// synthesis tails run on the pool, and `explore_designs` sweeps
-  /// designs strictly one at a time.
-  tail_only,
-  /// The whole pipeline as a dependency DAG (`core/task_graph.hpp`) on
-  /// the work-stealing pool: stage artifacts, synthesis tails, and — in
-  /// `explore_designs` — entire designs run concurrently, duplicate
-  /// artifact requests coalesce onto one in-flight task, and a failing
-  /// task poisons only its dependents.  Bit-identical results to
-  /// `tail_only`; only the wall clock (and failure *attribution* detail,
-  /// which now names the shared artifact task) changes.
-  task_graph
-};
-
 /// Tuning knobs of the exploration engine.
 struct explore_options
 {
-  /// Worker threads for the per-configuration synthesis tails.
+  /// Worker threads of the task-graph pool.
   /// 0 = `thread_pool::default_num_threads()` (hardware concurrency,
-  /// overridable via QSYN_THREADS), 1 = run inline (fully sequential).
+  /// overridable via QSYN_THREADS), 1 = run inline (fully sequential, in
+  /// deterministic order).
   unsigned num_threads = 0;
-  /// Execution engine (see `schedule_mode`); `task_graph` by default.
-  schedule_mode scheduler = schedule_mode::task_graph;
-  /// Share stage artifacts across configurations.  Disabling this (with
-  /// num_threads = 1) reproduces the original one-shot-per-configuration
-  /// sequential path exactly, which the benchmark uses as its baseline.
-  bool use_cache = true;
   /// Largest bitwidth at which batch exploration includes the functional
   /// flow (explicit synthesis range; `explore_designs` only).
   unsigned functional_max_bitwidth = 9;
@@ -113,8 +94,7 @@ std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_p
                                 const explore_options& options, flow_artifact_cache& cache,
                                 const deadline& stop );
 /// As above, additionally reporting the scheduler statistics of the run
-/// (tasks run/coalesced, steals, wall vs critical path).  Under
-/// `schedule_mode::tail_only` the statistics are zeroed — there is no graph.
+/// (tasks run/coalesced, steals, wall vs critical path).
 std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_params>& configs,
                                 const explore_options& options, flow_artifact_cache& cache,
                                 const deadline& stop, task_graph_stats& sched_stats );
@@ -146,10 +126,8 @@ std::vector<design_exploration> explore_designs( const std::vector<reciprocal_de
                                                  unsigned min_bitwidth, unsigned max_bitwidth,
                                                  const explore_options& options = {} );
 /// As above, additionally reporting the scheduler statistics of the whole
-/// batch.  Under `schedule_mode::task_graph` the batch is ONE graph — every
-/// design's elaboration, stage artifacts, and synthesis tails — so designs
-/// overlap on the pool; under `tail_only` designs run strictly one at a
-/// time and the statistics are zeroed.
+/// batch.  The batch is ONE graph — every design's elaboration, stage
+/// artifacts, and synthesis tails — so designs overlap on the pool.
 std::vector<design_exploration> explore_designs( const std::vector<reciprocal_design>& designs,
                                                  unsigned min_bitwidth, unsigned max_bitwidth,
                                                  const explore_options& options,

@@ -1,6 +1,8 @@
 #include "flows.hpp"
 
+#include <functional>
 #include <stdexcept>
+#include <utility>
 
 #include "../common/fault_injection.hpp"
 #include "../common/timer.hpp"
@@ -116,26 +118,35 @@ flow_result functional_tail( const flow_artifact_cache::functional_artifact& art
   return result;
 }
 
-/// Store payload of an ESOP artifact: budget flag byte + cube list.
-std::vector<std::uint8_t> encode_esop_payload( const flow_artifact_cache::esop_artifact& art )
+std::string esop_artifact_key( unsigned rounds, bool run_exorcism )
 {
-  store::byte_writer w;
-  w.u8( art.budget_exhausted ? 1u : 0u );
-  store::write_esop( w, art.expression );
-  return w.take();
+  return "esop[r=" + std::to_string( rounds ) + ",exo=" + ( run_exorcism ? "1" : "0" ) + "]";
 }
 
-/// Store payload of an XMG artifact: graph + resynthesis statistics.
-std::vector<std::uint8_t> encode_xmg_payload( const flow_artifact_cache::xmg_artifact& art )
+std::string xmg_artifact_key( unsigned rounds, unsigned cut_size )
 {
-  store::byte_writer w;
-  store::write_xmg( w, art.graph );
-  w.u64( art.stats.luts );
-  w.u64( art.stats.direct_forms );
-  w.u64( art.stats.pprm_forms );
-  w.u64( art.stats.isop_forms );
-  return w.take();
+  return "xmg[r=" + std::to_string( rounds ) + ",k=" + std::to_string( cut_size ) + "]";
 }
+
+/// What `flow_artifact_cache::fetch` needs to know about one artifact kind.
+template<typename T>
+struct artifact_spec
+{
+  const char* site = nullptr;         ///< fault-injection site polled before computing
+  std::optional<unsigned> upstream{}; ///< compute from optimized(aig, *upstream), else from the design
+  std::function<T( const aig_network& )> compute{};
+  /// Store tier (none when `store_name` is empty): payload kind, key and codec.
+  store::payload_kind kind = store::payload_kind::aig;
+  std::string store_name{};
+  std::function<void( store::byte_writer&, const T& )> encode{};
+  std::function<T( store::byte_reader& )> decode{};
+  /// Runs under the slot lock on every memory or store hit; returns true
+  /// when it replaced the slot's artifact (the ESOP budget upgrade), which
+  /// is then written back to the store.
+  std::function<bool( std::shared_ptr<T>& )> refresh{};
+  /// Honour the `cache.hit` trip on memory hits (the optimized AIG only).
+  bool trip_on_hit = false;
+};
 
 } // namespace
 
@@ -186,38 +197,80 @@ std::uint64_t flow_artifact_cache::design_hash() const
   return bound_ ? bound_hash_ : 0u;
 }
 
-const aig_network& flow_artifact_cache::optimized_locked( const aig_network& aig,
-                                                          unsigned rounds )
+void flow_artifact_cache::count( std::size_t cache_stats::*counter )
 {
-  check_same_design( aig );
-  const auto it = optimized_.find( rounds );
-  if ( it != optimized_.end() )
+  std::lock_guard<std::mutex> lock( mutex_ );
+  ++( stats_.*counter );
+}
+
+template<typename Key, typename T, typename Spec>
+const T& flow_artifact_cache::fetch( slot_map<Key, T>& slots, const aig_network& aig,
+                                     const Key& key, const Spec& spec )
+{
+  slot<T>* s = nullptr;
+  std::shared_ptr<store::artifact_store> disk;
+  store::store_key skey;
+  {
+    std::lock_guard<std::mutex> lock( mutex_ );
+    check_same_design( aig ); // binds the design hash before any store key is built
+    auto& entry = slots[key];
+    if ( !entry )
+    {
+      entry = std::make_unique<slot<T>>();
+    }
+    s = entry.get();
+    if ( !spec.store_name.empty() )
+    {
+      disk = store_;
+      skey = { bound_hash_, spec.kind, spec.store_name };
+    }
+  }
+  // Lock order: artifact slot → optimize slot (a derived artifact computes
+  // its upstream optimized AIG while holding its own slot), never the
+  // reverse.  The cache mutex is only taken briefly, never while waiting
+  // on a slot.
+  std::lock_guard<std::mutex> lock( s->mutex );
+  const auto save = [&] {
+    if ( disk )
+    {
+      store::byte_writer w;
+      spec.encode( w, *s->value );
+      disk->save( skey, w.take() );
+    }
+  };
+  const auto serve = [&]( std::size_t cache_stats::*counter ) -> const T& {
+    count( counter );
+    if ( spec.refresh && spec.refresh( s->value ) )
+    {
+      save();
+    }
+    return *s->value;
+  };
+  if ( s->value )
   {
     // An injected "cache.hit" trip forces this hit to behave like a miss:
     // the stage recomputes (and the recomputation is discarded — the
     // cached artifact is never replaced, so concurrent readers holding
     // references stay safe) and the miss is counted.
-    if ( fault_injection::poll( "cache.hit" ) )
+    if ( spec.trip_on_hit && fault_injection::poll( "cache.hit" ) )
     {
-      ++stats_.misses;
-      const auto discarded = optimize( aig, rounds );
-      (void)discarded;
-      return it->second;
+      count( &cache_stats::misses );
+      (void)spec.compute( aig );
+      return *s->value;
     }
-    ++stats_.hits;
-    return it->second;
+    return serve( &cache_stats::hits );
   }
-  const store::store_key skey{ bound_hash_, store::payload_kind::aig,
-                               optimize_artifact_key( rounds ) };
-  if ( store_ )
+  if ( disk )
   {
-    if ( const auto payload = store_->load( skey ) )
+    if ( const auto payload = disk->load( skey ) )
     {
       try
       {
-        auto restored = store::deserialize_aig( *payload );
-        ++stats_.store_hits;
-        return optimized_.emplace( rounds, std::move( restored ) ).first->second;
+        store::byte_reader r( *payload );
+        auto value = spec.decode( r );
+        r.expect_end();
+        s->value = std::make_shared<T>( std::move( value ) );
+        return serve( &cache_stats::store_hits );
       }
       catch ( const store::deserialize_error& )
       {
@@ -225,43 +278,45 @@ const aig_network& flow_artifact_cache::optimized_locked( const aig_network& aig
       }
     }
   }
-  ++stats_.misses;
-  fault_injection::poll( "flow.optimize" );
-  const auto& art = optimized_.emplace( rounds, optimize( aig, rounds ) ).first->second;
-  if ( store_ )
-  {
-    store_->save( skey, store::serialize_aig( art ) );
-  }
-  return art;
+  const auto& source = spec.upstream ? optimized( aig, *spec.upstream ) : aig;
+  count( &cache_stats::misses );
+  fault_injection::poll( spec.site );
+  s->value = std::make_shared<T>( spec.compute( source ) );
+  save();
+  return *s->value;
 }
 
 const aig_network& flow_artifact_cache::optimized( const aig_network& aig, unsigned rounds )
 {
-  std::lock_guard<std::mutex> lock( mutex_ );
-  return optimized_locked( aig, rounds );
+  return fetch( optimized_, aig, rounds,
+                artifact_spec<aig_network>{
+                    .site = "flow.optimize",
+                    .compute = [rounds]( const aig_network& design ) {
+                      return optimize( design, rounds );
+                    },
+                    .kind = store::payload_kind::aig,
+                    .store_name = optimize_artifact_key( rounds ),
+                    .encode = store::write_aig,
+                    .decode = store::read_aig,
+                    .trip_on_hit = true } );
 }
 
 const flow_artifact_cache::functional_artifact&
 flow_artifact_cache::functional_intermediate( const aig_network& aig, unsigned rounds )
 {
-  std::lock_guard<std::mutex> lock( mutex_ );
-  check_same_design( aig );
   // The functional intermediate (truth tables + embedding) has no disk
   // tier: it is exponential in the input count by construction, so it is
   // only ever built for small designs where recomputing is cheap.
-  const auto it = functional_.find( rounds );
-  if ( it != functional_.end() )
-  {
-    ++stats_.hits;
-    return it->second;
-  }
-  const auto& opt = optimized_locked( aig, rounds );
-  ++stats_.misses;
-  fault_injection::poll( "flow.collapse" );
-  functional_artifact art;
-  art.outputs = collapse_to_truth_tables( opt );
-  art.embed = embed_optimum( art.outputs );
-  return functional_.emplace( rounds, std::move( art ) ).first->second;
+  return fetch( functional_, aig, rounds,
+                artifact_spec<functional_artifact>{
+                    .site = "flow.collapse",
+                    .upstream = rounds,
+                    .compute = []( const aig_network& opt ) {
+                      functional_artifact art;
+                      art.outputs = collapse_to_truth_tables( opt );
+                      art.embed = embed_optimum( art.outputs );
+                      return art;
+                    } } );
 }
 
 const flow_artifact_cache::esop_artifact&
@@ -269,134 +324,94 @@ flow_artifact_cache::esop_intermediate( const aig_network& aig, unsigned rounds,
                                         bool run_exorcism,
                                         const exorcism_params& minimize_limits )
 {
-  std::lock_guard<std::mutex> lock( mutex_ );
-  check_same_design( aig ); // binds the design hash before any store key is built
-  const auto key = std::make_pair( rounds, run_exorcism );
   // A requester with an unexpired deadline carries budget: it may upgrade
   // a cached artifact whose minimization stopped at an earlier caller's
   // budget instead of reusing the half-minimized cube list as-is.
   const bool requester_has_budget = run_exorcism && !minimize_limits.stop.expired();
-  const auto upgrade = [&]( std::shared_ptr<esop_artifact>& slot ) {
-    auto upgraded = std::make_shared<esop_artifact>( *slot );
-    const auto mstats = exorcism( upgraded->expression, minimize_limits );
-    upgraded->budget_exhausted = mstats.budget_exhausted;
-    upgraded->terms = upgraded->expression.num_terms();
-    retired_esops_.push_back( slot ); // references handed out earlier stay valid
-    slot = std::move( upgraded );
-  };
-  const store::store_key skey{ bound_hash_, store::payload_kind::esop,
-                               "esop[r=" + std::to_string( rounds ) +
-                                   ",exo=" + ( run_exorcism ? "1" : "0" ) + "]" };
-  const auto it = esops_.find( key );
-  if ( it != esops_.end() )
-  {
-    ++stats_.hits;
-    if ( it->second->budget_exhausted && requester_has_budget )
-    {
-      upgrade( it->second );
-      if ( store_ )
-      {
-        store_->save( skey, encode_esop_payload( *it->second ) );
-      }
-    }
-    return *it->second;
-  }
-  if ( store_ )
-  {
-    if ( const auto payload = store_->load( skey ) )
-    {
-      try
-      {
-        store::byte_reader r( *payload );
-        auto art = std::make_shared<esop_artifact>();
-        art->budget_exhausted = r.u8() != 0u;
-        art->expression = store::read_esop( r );
-        r.expect_end();
-        art->terms = art->expression.num_terms();
-        ++stats_.store_hits;
-        auto& slot = esops_.emplace( key, std::move( art ) ).first->second;
-        if ( slot->budget_exhausted && requester_has_budget )
-        {
-          upgrade( slot );
-          store_->save( skey, encode_esop_payload( *slot ) );
-        }
-        return *slot;
-      }
-      catch ( const store::deserialize_error& )
-      {
-        // malformed payload behind a valid header: recompute below
-      }
-    }
-  }
-  const auto& opt = optimized_locked( aig, rounds );
-  ++stats_.misses;
-  fault_injection::poll( "flow.esop" );
-  auto art = std::make_shared<esop_artifact>();
-  art->expression = esop_from_aig( opt );
-  if ( run_exorcism )
-  {
-    const auto mstats = exorcism( art->expression, minimize_limits );
-    art->budget_exhausted = mstats.budget_exhausted;
-  }
-  art->terms = art->expression.num_terms();
-  const auto& slot = esops_.emplace( key, std::move( art ) ).first->second;
-  if ( store_ )
-  {
-    store_->save( skey, encode_esop_payload( *slot ) );
-  }
-  return *slot;
+  return fetch(
+      esops_, aig, std::make_pair( rounds, run_exorcism ),
+      artifact_spec<esop_artifact>{
+          .site = "flow.esop",
+          .upstream = rounds,
+          .compute =
+              [&]( const aig_network& opt ) {
+                esop_artifact art;
+                art.expression = esop_from_aig( opt );
+                if ( run_exorcism )
+                {
+                  art.budget_exhausted = exorcism( art.expression, minimize_limits ).budget_exhausted;
+                }
+                art.terms = art.expression.num_terms();
+                return art;
+              },
+          .kind = store::payload_kind::esop,
+          .store_name = esop_artifact_key( rounds, run_exorcism ),
+          // Store payload: budget flag byte + cube list.
+          .encode =
+              []( store::byte_writer& w, const esop_artifact& art ) {
+                w.u8( art.budget_exhausted ? 1u : 0u );
+                store::write_esop( w, art.expression );
+              },
+          .decode =
+              []( store::byte_reader& r ) {
+                esop_artifact art;
+                art.budget_exhausted = r.u8() != 0u;
+                art.expression = store::read_esop( r );
+                art.terms = art.expression.num_terms();
+                return art;
+              },
+          .refresh =
+              [&]( std::shared_ptr<esop_artifact>& value ) {
+                if ( !value->budget_exhausted || !requester_has_budget )
+                {
+                  return false;
+                }
+                auto upgraded = std::make_shared<esop_artifact>( *value );
+                upgraded->budget_exhausted =
+                    exorcism( upgraded->expression, minimize_limits ).budget_exhausted;
+                upgraded->terms = upgraded->expression.num_terms();
+                std::lock_guard<std::mutex> lock( mutex_ );
+                // References handed out earlier stay valid.
+                retired_esops_.push_back( std::exchange( value, std::move( upgraded ) ) );
+                return true;
+              } } );
 }
 
 const flow_artifact_cache::xmg_artifact&
 flow_artifact_cache::xmg_intermediate( const aig_network& aig, unsigned rounds,
                                        unsigned cut_size )
 {
-  std::lock_guard<std::mutex> lock( mutex_ );
-  check_same_design( aig );
-  const auto key = std::make_pair( rounds, cut_size );
-  const auto it = xmgs_.find( key );
-  if ( it != xmgs_.end() )
-  {
-    ++stats_.hits;
-    return it->second;
-  }
-  const store::store_key skey{ bound_hash_, store::payload_kind::xmg,
-                               "xmg[r=" + std::to_string( rounds ) +
-                                   ",k=" + std::to_string( cut_size ) + "]" };
-  if ( store_ )
-  {
-    if ( const auto payload = store_->load( skey ) )
-    {
-      try
-      {
-        store::byte_reader r( *payload );
-        xmg_artifact art;
-        art.graph = store::read_xmg( r );
-        art.stats.luts = r.u64();
-        art.stats.direct_forms = r.u64();
-        art.stats.pprm_forms = r.u64();
-        art.stats.isop_forms = r.u64();
-        r.expect_end();
-        ++stats_.store_hits;
-        return xmgs_.emplace( key, std::move( art ) ).first->second;
-      }
-      catch ( const store::deserialize_error& )
-      {
-        // malformed payload behind a valid header: recompute below
-      }
-    }
-  }
-  const auto& opt = optimized_locked( aig, rounds );
-  ++stats_.misses;
-  fault_injection::poll( "flow.xmg" );
-  xmg_artifact art;
-  art.graph = xmg_from_aig( opt, cut_size, &art.stats );
-  const auto& slot = xmgs_.emplace( key, std::move( art ) ).first->second;
-  if ( store_ )
-  {
-    store_->save( skey, encode_xmg_payload( slot ) );
-  }
-  return slot;
+  return fetch( xmgs_, aig, std::make_pair( rounds, cut_size ),
+                artifact_spec<xmg_artifact>{
+                    .site = "flow.xmg",
+                    .upstream = rounds,
+                    .compute =
+                        [cut_size]( const aig_network& opt ) {
+                          xmg_artifact art;
+                          art.graph = xmg_from_aig( opt, cut_size, &art.stats );
+                          return art;
+                        },
+                    .kind = store::payload_kind::xmg,
+                    .store_name = xmg_artifact_key( rounds, cut_size ),
+                    // Store payload: graph + resynthesis statistics.
+                    .encode =
+                        []( store::byte_writer& w, const xmg_artifact& art ) {
+                          store::write_xmg( w, art.graph );
+                          w.u64( art.stats.luts );
+                          w.u64( art.stats.direct_forms );
+                          w.u64( art.stats.pprm_forms );
+                          w.u64( art.stats.isop_forms );
+                        },
+                    .decode =
+                        []( store::byte_reader& r ) {
+                          xmg_artifact art;
+                          art.graph = store::read_xmg( r );
+                          art.stats.luts = r.u64();
+                          art.stats.direct_forms = r.u64();
+                          art.stats.pprm_forms = r.u64();
+                          art.stats.isop_forms = r.u64();
+                          return art;
+                        } } );
 }
 
 sat::incremental_cec& flow_artifact_cache::sat_engine()
@@ -407,30 +422,6 @@ sat::incremental_cec& flow_artifact_cache::sat_engine()
     sat_engine_ = std::make_unique<sat::incremental_cec>();
   }
   return *sat_engine_;
-}
-
-void flow_artifact_cache::prefetch( const aig_network& aig, const flow_params& params,
-                                    const deadline& stop )
-{
-  // Each stage intermediate computes the optimized AIG itself on a miss,
-  // so no separate optimized() access (it would only skew the counters).
-  switch ( params.kind )
-  {
-  case flow_kind::functional:
-    functional_intermediate( aig, params.optimization_rounds );
-    break;
-  case flow_kind::esop_based:
-  {
-    exorcism_params mlimits;
-    mlimits.pair_budget = params.limits.exorcism_pair_budget;
-    mlimits.stop = stop;
-    esop_intermediate( aig, params.optimization_rounds, params.run_exorcism, mlimits );
-    break;
-  }
-  case flow_kind::hierarchical:
-    xmg_intermediate( aig, params.optimization_rounds, params.cut_size );
-    break;
-  }
 }
 
 cache_stats flow_artifact_cache::stats() const
@@ -462,15 +453,14 @@ std::string optimize_artifact_key( unsigned rounds )
 
 std::string flow_artifact_key( const flow_params& params )
 {
-  const auto r = std::to_string( params.optimization_rounds );
   switch ( params.kind )
   {
   case flow_kind::functional:
-    return "collapse[r=" + r + "]";
+    return "collapse[r=" + std::to_string( params.optimization_rounds ) + "]";
   case flow_kind::esop_based:
-    return "esop[r=" + r + ",exo=" + ( params.run_exorcism ? "1" : "0" ) + "]";
+    return esop_artifact_key( params.optimization_rounds, params.run_exorcism );
   case flow_kind::hierarchical:
-    return "xmg[r=" + r + ",k=" + std::to_string( params.cut_size ) + "]";
+    return xmg_artifact_key( params.optimization_rounds, params.cut_size );
   }
   return "unknown";
 }
@@ -523,8 +513,8 @@ flow_task_ids add_flow_tasks( task_graph& graph, const aig_network& aig,
 
   // Unique (unkeyed) per-configuration tail: every stage lookup inside
   // run_flow_staged hits the cache the artifact tasks just filled, so the
-  // tail is pure synthesis + verification.  The pre-start deadline check
-  // keeps the tail-only engine's timed_out contract.  `stop` is read when
+  // tail is pure synthesis + verification.  A configuration whose deadline
+  // expired before it started is `timed_out`.  `stop` is read when
   // the task runs (not copied at build time), so batch drivers can arm the
   // per-configuration clock lazily from an upstream task.
   ids.tail = graph.add(
@@ -607,6 +597,13 @@ void fill_flow_status_from_graph( const task_graph& graph, task_id tail, flow_re
 
 // --- staged flow driver ------------------------------------------------------
 
+namespace
+{
+
+/// Copies a simulation-tier verification report into a flow result —
+/// verdict, counterexample, and the coverage accounting fields.  The
+/// caller sets `result.verified_with` to the tier that produced the
+/// report.
 void record_sim_verify_report( flow_result& result, const partial_verify_report& report )
 {
   result.counterexample = report.counterexample;
@@ -616,6 +613,11 @@ void record_sim_verify_report( flow_result& result, const partial_verify_report&
   result.verified = report.complete && !report.counterexample.has_value();
 }
 
+/// Applies the verification-phase status taxonomy to a result whose
+/// verify fields are final: a counterexample is a definitive verdict
+/// regardless of coverage; without one, partial coverage degrades the
+/// result (or times it out when nothing ran), and a downgrade to a
+/// weaker-than-requested tier degrades even at full coverage.
 void finalize_verify_status( flow_result& result )
 {
   if ( result.counterexample.has_value() )
@@ -644,6 +646,8 @@ void finalize_verify_status( flow_result& result )
     result.status_detail = "sat verify budget exhausted; downgraded to sampled";
   }
 }
+
+} // namespace
 
 flow_result run_flow_staged( const aig_network& aig, const flow_params& params,
                              flow_artifact_cache& cache )
@@ -712,35 +716,25 @@ flow_result run_flow_staged( const aig_network& aig, const flow_params& params,
     stopwatch verify_watch;
     // `verified_with` is assigned by the branch that actually produces the
     // verdict, so a downgraded SAT tier reports the fallback tier.
-    const auto record_report = [&result]( const partial_verify_report& report ) {
-      record_sim_verify_report( result, report );
-    };
     switch ( mode )
     {
     case verify_mode::none:
       break;
     case verify_mode::sampled:
     case verify_mode::exhaustive:
+      result.verified_with = mode;
       if ( verify_outputs )
       {
         // The functional flow checks against its collapsed truth tables —
         // block-driven full enumeration, so sampled == exhaustive here.
-        result.verified_with = mode;
         result.verified = verify_against_truth_tables( result.circuit, *verify_outputs );
-      }
-      else if ( params.defer_sim_verify )
-      {
-        // The sweep engine owns this check: one wide cross-circuit batched
-        // pass over the whole frontier replaces the per-configuration pass
-        // (`verified_with` stays `none` until the batch report lands).
       }
       else
       {
-        result.verified_with = mode;
-        record_report( mode == verify_mode::sampled
-                           ? verify_against_aig_sampled_budgeted( result.circuit, optimized, stop )
-                           : verify_against_aig_exhaustive_budgeted( result.circuit, optimized,
-                                                                     stop ) );
+        record_sim_verify_report(
+            result, mode == verify_mode::sampled
+                        ? verify_against_aig_sampled_budgeted( result.circuit, optimized, stop )
+                        : verify_against_aig_exhaustive_budgeted( result.circuit, optimized, stop ) );
       }
       break;
     case verify_mode::sat:
@@ -780,12 +774,14 @@ flow_result run_flow_staged( const aig_network& aig, const flow_params& params,
         if ( exhaustive_fits && !stop.expired() )
         {
           result.verified_with = verify_mode::exhaustive;
-          record_report( verify_against_aig_exhaustive_budgeted( result.circuit, optimized, stop ) );
+          record_sim_verify_report(
+              result, verify_against_aig_exhaustive_budgeted( result.circuit, optimized, stop ) );
         }
         else
         {
           result.verified_with = verify_mode::sampled;
-          record_report( verify_against_aig_sampled_budgeted( result.circuit, optimized, stop ) );
+          record_sim_verify_report(
+              result, verify_against_aig_sampled_budgeted( result.circuit, optimized, stop ) );
         }
       }
       break;
@@ -795,12 +791,7 @@ flow_result run_flow_staged( const aig_network& aig, const flow_params& params,
 
     // Status accounting of the verification phase (an exhaustive fallback
     // proof is as strong as the requested SAT proof, so it stays `ok`).
-    // A deferred check skips this too — the fields are all defaults — and
-    // the sweep engine finalizes after its batch pass.
-    if ( !( params.defer_sim_verify && result.verified_with == verify_mode::none ) )
-    {
-      finalize_verify_status( result );
-    }
+    finalize_verify_status( result );
   }
   return result;
 }

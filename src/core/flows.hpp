@@ -25,12 +25,12 @@
 /// private cache.
 ///
 /// Every flow closes with a verification tier selected by
-/// `flow_params::verification` (`verify_mode`): 64-way batched random
-/// sampling, 64-way exhaustive enumeration, or the incremental SAT
-/// equivalence engine (`sat::incremental_cec`) — the ladder mirrors the
-/// paper's closing ABC `cec` call.  The cache owns the sweep's persistent
-/// engine (`sat_engine()`), so every `sat`-tier check of a sweep shares
-/// one encoding and its learned lemmas.
+/// `flow_params::verification` (`verify_mode`): SIMD-wide random sampling,
+/// SIMD-wide exhaustive enumeration, or the incremental SAT equivalence
+/// engine (`sat::incremental_cec`) — the ladder mirrors the paper's closing
+/// ABC `cec` call.  The cache owns the sweep's persistent engine
+/// (`sat_engine()`), so every `sat`-tier check of a sweep shares one
+/// encoding and its learned lemmas.
 /// The flow result carries the reversible circuit, the cost report, the
 /// synthesis runtime (verification is timed separately in
 /// `verify_seconds`, with the tier recorded in `verified_with`), and
@@ -88,9 +88,9 @@ enum class flow_kind
 enum class verify_mode
 {
   none,       ///< skip verification entirely
-  sampled,    ///< 64-way batched random simulation (probabilistic; silently
+  sampled,    ///< SIMD-wide random simulation (probabilistic; silently
               ///< exhaustive when 2^inputs fits the sample budget)
-  exhaustive, ///< 64-way batched enumeration of all 2^inputs assignments
+  exhaustive, ///< SIMD-wide enumeration of all 2^inputs assignments
               ///< (a proof; inputs <= 24)
   sat         ///< SAT miter against the extracted circuit AIG (a proof at
               ///< any width; src/sat/)
@@ -130,17 +130,6 @@ struct flow_params
   bool bidirectional_tbs = true;    ///< functional flow
   bool verify = true;               ///< master toggle (false == verify_mode::none)
   verify_mode verification = verify_mode::sampled; ///< tier used when verify is on
-  /// Internal to the DSE frontier batch-verification path: when true and
-  /// the tier is `sampled`/`exhaustive` against the spec AIG (not the
-  /// functional flow's truth-table check, which has no AIG miter),
-  /// `run_flow_staged` skips verification and leaves `verified_with ==
-  /// none`; the sweep engine then checks the whole frontier in one
-  /// SIMD-wide cross-circuit batched pass
-  /// (`verify_batch_against_aig_*_budgeted`) and applies each report via
-  /// `record_sim_verify_report` + `finalize_verify_status`.  Verdicts,
-  /// counterexamples, and coverage accounting are bit-identical to inline
-  /// verification; only the wall clock changes.
-  bool defer_sim_verify = false;
   /// Resource limits (deadline, SAT conflict/propagation caps, EXORCISM
   /// pair cap, degradation threshold).  The default is unlimited and
   /// bit-identical to the unbudgeted engine.
@@ -151,9 +140,9 @@ struct flow_result
 {
   reversible_circuit circuit;
   cost_report costs;
-  double runtime_seconds = 0.0; ///< synthesis only; prefetched cache hits
-                                ///< cost ~0 (a hit racing the computing
-                                ///< thread blocks, and that wait counts)
+  double runtime_seconds = 0.0; ///< synthesis only; cache hits cost ~0 (a
+                                ///< hit racing the thread computing that
+                                ///< key blocks, and that wait counts)
   double verify_seconds = 0.0;  ///< verification time of the tier that ran
                                 ///< (0 if verification is off)
   bool verified = false;
@@ -188,23 +177,6 @@ struct flow_result
   std::uint64_t max_collisions = 0;  ///< functional flow (mu)
 };
 
-struct partial_verify_report;
-
-/// Copies a simulation-tier verification report into a flow result —
-/// verdict, counterexample, and the coverage accounting fields.  The
-/// caller sets `result.verified_with` to the tier that produced the
-/// report.  Shared by the inline verify ladder of `run_flow_staged` and
-/// the DSE frontier batch-verification path.
-void record_sim_verify_report( flow_result& result, const partial_verify_report& report );
-
-/// Applies the verification-phase status taxonomy to a result whose
-/// verify fields are final: a counterexample is a definitive verdict
-/// regardless of coverage; without one, partial coverage degrades the
-/// result (or times it out when nothing ran), and a downgrade to a
-/// weaker-than-requested tier degrades even at full coverage.  Idempotent;
-/// shared like `record_sim_verify_report`.
-void finalize_verify_status( flow_result& result );
-
 namespace store
 {
 class artifact_store;
@@ -236,13 +208,15 @@ struct cache_stats
 /// lookups go memory → disk → compute, computed artifacts are written
 /// back to disk, and a fresh process warm-starts from what earlier
 /// processes computed (same design hash × same parameter key — the store
-/// validates both).  All accessors are thread-safe (one mutex; an
-/// artifact is computed under the lock, so concurrent first accesses of
-/// the same key compute it once, and concurrent lookups of a key being
-/// computed block until it is ready).  References returned remain valid
-/// for the cache's lifetime (map nodes are stable; an ESOP artifact
-/// replaced by a budget upgrade retires — but keeps alive — the old
-/// object).
+/// validates both).  All accessors are thread-safe.  Each artifact key has
+/// its own slot whose lock is held while that key loads or computes:
+/// concurrent first accesses of one key compute it once (later ones block
+/// until it is ready), while other keys — including memory hits on them —
+/// go ahead.  The cache-wide mutex only guards the slot maps, the design
+/// binding, the counters, the store pointer and SAT engine creation.
+/// References returned remain valid for the cache's lifetime (slots are
+/// never removed; an ESOP artifact replaced by a budget upgrade retires —
+/// but keeps alive — the old object).
 class flow_artifact_cache
 {
 public:
@@ -309,13 +283,6 @@ public:
   /// engine per call — reuse only changes the wall clock.
   sat::incremental_cec& sat_engine();
 
-  /// Computes every artifact the given configuration will look up, so a
-  /// subsequent `run_flow_staged` only runs the synthesis tail.  `stop`
-  /// bounds budget-aware stage kernels (EXORCISM) on a miss; fault
-  /// injection sites inside the stages fire here exactly as they would in
-  /// the flow itself.
-  void prefetch( const aig_network& aig, const flow_params& params, const deadline& stop = {} );
-
   /// Attaches (or detaches, with nullptr) the persistent disk tier.  The
   /// store is consulted between memory lookup and computation and written
   /// back to on every computation (and ESOP upgrade); several caches —
@@ -330,18 +297,35 @@ public:
   cache_stats stats() const;
 
 private:
-  const aig_network& optimized_locked( const aig_network& aig, unsigned rounds );
+  /// One artifact key's once-slot: `mutex` is held while the key loads or
+  /// computes, and `value` stays null until a load or computation succeeds.
+  template<typename T>
+  struct slot
+  {
+    std::mutex mutex;
+    std::shared_ptr<T> value;
+  };
+  template<typename Key, typename T>
+  using slot_map = std::map<Key, std::unique_ptr<slot<T>>>;
+
+  /// The one memory → store → compute → save path behind every accessor
+  /// (flows.cpp); `Spec` says how the artifact kind is computed, encoded
+  /// and refreshed.
+  template<typename Key, typename T, typename Spec>
+  const T& fetch( slot_map<Key, T>& slots, const aig_network& aig, const Key& key,
+                  const Spec& spec );
   void check_same_design( const aig_network& aig );
+  void count( std::size_t cache_stats::*counter );
 
   mutable std::mutex mutex_;
-  std::map<unsigned, aig_network> optimized_;
-  std::map<unsigned, functional_artifact> functional_;
-  /// shared_ptr values: a budget upgrade publishes a NEW artifact object
-  /// and moves the superseded one to `retired_esops_`, keeping references
-  /// handed out earlier alive without mutating them under readers.
-  std::map<std::pair<unsigned, bool>, std::shared_ptr<esop_artifact>> esops_;
+  slot_map<unsigned, aig_network> optimized_;
+  slot_map<unsigned, functional_artifact> functional_;
+  /// A budget upgrade publishes a NEW artifact object into the slot and
+  /// moves the superseded one here, keeping references handed out earlier
+  /// alive without mutating them under readers.
+  slot_map<std::pair<unsigned, bool>, esop_artifact> esops_;
   std::vector<std::shared_ptr<esop_artifact>> retired_esops_;
-  std::map<std::pair<unsigned, unsigned>, xmg_artifact> xmgs_;
+  slot_map<std::pair<unsigned, unsigned>, xmg_artifact> xmgs_;
   std::unique_ptr<sat::incremental_cec> sat_engine_; ///< lazily created
   std::shared_ptr<store::artifact_store> store_; ///< optional disk tier
   cache_stats stats_;
@@ -404,7 +388,7 @@ flow_task_ids add_flow_tasks( task_graph& graph, const aig_network& aig,
 /// (when the underlying error is `budget_exhausted`) or `failed`, and a
 /// poisoned tail's detail names the failing stage task — artifact key and
 /// stage name — so a shared-stage failure stays attributable per
-/// requester.  Shared by the DSE sweep engines and the synthesis daemon.
+/// requester.  Shared by the DSE sweep engine and the synthesis daemon.
 void fill_flow_status_from_graph( const task_graph& graph, task_id tail, flow_result& out );
 
 /// Runs a flow on an already-elaborated AIG, reading shared stage

@@ -175,32 +175,6 @@ partial_verify_report verify_against_aig_sampled_block64( const reversible_circu
                                                           unsigned num_samples = 256,
                                                           std::uint64_t seed = 1 );
 
-/// Cross-circuit batched verification of one sweep frontier: checks every
-/// candidate circuit against the same specification AIG in a single
-/// counter-order sweep, walking the spec once per lane group instead of
-/// once per candidate (`wide_aig_simulator` persists its node values
-/// across the whole frontier).  Candidates that already failed drop out of
-/// the remaining passes.  Each returned report is bit-identical to the
-/// corresponding individual `verify_against_aig_exhaustive_budgeted` call
-/// at the same width (deadline expiry aside: the batch polls one shared
-/// deadline and marks every still-running candidate partial).  Null
-/// pointers are not allowed; every circuit must match the AIG's interface.
-std::vector<partial_verify_report>
-verify_batch_against_aig_exhaustive_budgeted( const std::vector<const reversible_circuit*>& circuits,
-                                              const aig_network& aig, const deadline& stop,
-                                              sim_width width );
-
-/// Batched counterpart of `verify_against_aig_sampled_budgeted`: one
-/// random-pattern stream drives the whole frontier (the per-candidate
-/// reports are bit-identical to individual sampled calls with the same
-/// seed and width).  The small-design exhaustive delegation applies to the
-/// whole batch at once.
-std::vector<partial_verify_report>
-verify_batch_against_aig_sampled_budgeted( const std::vector<const reversible_circuit*>& circuits,
-                                           const aig_network& aig, const deadline& stop,
-                                           unsigned num_samples, std::uint64_t seed,
-                                           sim_width width );
-
 /// Extracts the function computed by the circuit as an AIG: one PI per
 /// primary-input line (in input order), one PO per output index.  Constant
 /// ancillae become AIG constants; each Toffoli gate contributes the AND of

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <optional>
+#include <thread>
 #include <vector>
 
+#include "common/fault_injection.hpp"
 #include "core/dse.hpp"
 #include "core/flows.hpp"
 #include "sat/incremental.hpp"
@@ -395,4 +399,84 @@ TEST( flows, cache_rejects_same_size_different_function_design )
   EXPECT_EQ( again.costs.t_count, first.costs.t_count );
   EXPECT_GT( cache.stats().hits, 0u ); // the copy reused the first run's artifacts
   EXPECT_EQ( cache.design_hash(), and_ab.content_hash() );
+}
+
+// --- per-key cache slots -------------------------------------------------------
+
+TEST( flow_cache, memory_hit_does_not_wait_for_another_keys_computation )
+{
+  // Head-of-line regression: a cold artifact computing on one thread must
+  // not stall a memory hit on a different key of the same design (the
+  // daemon serves every request of a design from one cache).  NEWTON(10)'s
+  // XMG takes tens of milliseconds in Release, far longer than a hit.
+  struct disarm_guard
+  {
+    ~disarm_guard() { fault_injection::disarm_all(); }
+  } guard;
+  const auto mod =
+      verilog::elaborate_verilog( reciprocal_verilog( reciprocal_design::newton, 10 ) );
+  flow_artifact_cache cache;
+  const auto& prewarmed = cache.optimized( mod.aig, 2 );
+  // An `after_hits` that is never reached: the site only counts polls, and
+  // its one poll marks the start of the XMG computation.
+  fault_injection::arm( "flow.xmg", fault_injection::kind::trip, 1u << 30 );
+
+  std::atomic<bool> done{ false };
+  std::chrono::steady_clock::time_point done_at;
+  std::thread worker( [&] {
+    cache.xmg_intermediate( mod.aig, 2, 4 );
+    done_at = std::chrono::steady_clock::now();
+    done = true;
+  } );
+  while ( fault_injection::hits( "flow.xmg" ) == 0u )
+  {
+    std::this_thread::yield();
+  }
+  const auto& hit = cache.optimized( mod.aig, 2 );
+  const auto hit_at = std::chrono::steady_clock::now();
+  const bool hit_returned_first = !done;
+  worker.join();
+
+  // A hit queued behind the computation returns within microseconds of
+  // the computing thread; a free one returns while the XMG still computes.
+  EXPECT_TRUE( hit_returned_first ) << "the optimize hit waited for the xmg computation";
+  EXPECT_GT( done_at - hit_at, std::chrono::milliseconds( 5 ) )
+      << "the optimize hit waited for the xmg computation";
+  EXPECT_EQ( &hit, &prewarmed );
+  EXPECT_EQ( cache.stats().misses, 2u ); // optimize (prewarm) + xmg
+}
+
+TEST( flow_cache, concurrent_first_requests_of_one_key_compute_it_once )
+{
+  const auto mod =
+      verilog::elaborate_verilog( reciprocal_verilog( reciprocal_design::intdiv, 8 ) );
+  flow_artifact_cache cache;
+  constexpr std::size_t num_threads = 8;
+  std::vector<const flow_artifact_cache::esop_artifact*> got( num_threads, nullptr );
+  std::atomic<bool> go{ false };
+  std::vector<std::thread> threads;
+  for ( std::size_t i = 0; i < num_threads; ++i )
+  {
+    threads.emplace_back( [&, i] {
+      while ( !go )
+      {
+        std::this_thread::yield();
+      }
+      got[i] = &cache.esop_intermediate( mod.aig, 2, true );
+    } );
+  }
+  go = true;
+  for ( auto& thread : threads )
+  {
+    thread.join();
+  }
+
+  for ( std::size_t i = 0; i < num_threads; ++i )
+  {
+    EXPECT_EQ( got[i], got[0] ) << i;
+  }
+  // Exactly the esop artifact and the optimized AIG it derives from were
+  // computed; every other request waited on the slot and hit.
+  EXPECT_EQ( cache.stats().misses, 2u );
+  EXPECT_EQ( cache.stats().hits, num_threads - 1u );
 }

@@ -6,8 +6,10 @@
 ///   * a task graph respects every dependency edge, coalesces shared keys
 ///     onto one in-flight task, and isolates failure to the failing task's
 ///     transitive dependents — with the original task's key as blame,
-///   * graph-scheduled explorations are bit-identical to the tail-only
-///     engine on every flow kind, for single designs and whole batches,
+///   * graph-scheduled explorations are bit-identical to a plain loop of
+///     `run_flow_on_aig` on every flow kind — costs, statuses, verdicts,
+///     counterexamples and verification coverage — for single designs and
+///     whole batches, at 1 worker and at the default worker count,
 ///   * stage failures stay attributable per point: the status detail names
 ///     the artifact key and stage that failed, shared task or not.
 
@@ -68,13 +70,31 @@ struct fault_guard
   ~fault_guard() { fault_injection::disarm_all(); }
 };
 
-bool same_costs( const dse_point& a, const dse_point& b )
+/// Everything the engine must reproduce of the one-by-one oracle: costs,
+/// status, and the full verification record.
+void expect_same_point( const dse_point& point, const flow_params& config,
+                        const flow_result& want, const std::string& context )
 {
-  return a.label == b.label && a.result.costs.qubits == b.result.costs.qubits &&
-         a.result.costs.t_count == b.result.costs.t_count &&
-         a.result.costs.gates == b.result.costs.gates &&
-         a.result.esop_terms == b.result.esop_terms;
+  const auto& got = point.result;
+  EXPECT_EQ( point.label, dse_label( config ) ) << context;
+  EXPECT_EQ( got.costs.qubits, want.costs.qubits ) << context;
+  EXPECT_EQ( got.costs.t_count, want.costs.t_count ) << context;
+  EXPECT_EQ( got.costs.gates, want.costs.gates ) << context;
+  EXPECT_EQ( got.esop_terms, want.esop_terms ) << context;
+  EXPECT_EQ( got.status, want.status ) << context;
+  EXPECT_EQ( got.verified, want.verified ) << context;
+  EXPECT_EQ( got.verified_with, want.verified_with ) << context;
+  EXPECT_EQ( got.counterexample, want.counterexample ) << context;
+  EXPECT_EQ( got.verify_complete, want.verify_complete ) << context;
+  EXPECT_EQ( got.verify_samples_requested, want.verify_samples_requested ) << context;
+  EXPECT_EQ( got.verify_samples_completed, want.verify_samples_completed ) << context;
 }
+
+/// The simulation tiers, whose verification runs inside each flow tail.
+constexpr verify_mode simulation_tiers[] = { verify_mode::sampled, verify_mode::exhaustive };
+
+/// Default worker count (0) and the inline single-worker pool.
+constexpr unsigned worker_counts[] = { 0u, 1u };
 
 std::string what_of( const std::exception_ptr& error )
 {
@@ -489,41 +509,52 @@ TEST( scheduler_graph, flow_tasks_read_their_deadline_when_they_run )
 
 // --- graph-scheduled DSE -----------------------------------------------------
 
-TEST( scheduler_dse, task_graph_matches_tail_only_bit_for_bit )
+TEST( scheduler_dse, task_graph_matches_run_flow_loop_bit_for_bit )
 {
   const auto mod =
       verilog::elaborate_verilog( reciprocal_verilog( reciprocal_design::intdiv, 5 ) );
-  const auto configs = default_dse_configurations( true );
-
-  // The seed sequential path: uncached, inline, tail-only.
-  explore_options sequential;
-  sequential.scheduler = schedule_mode::tail_only;
-  sequential.num_threads = 1;
-  sequential.use_cache = false;
-  const auto seq = explore( mod.aig, configs, sequential );
-
-  // The graph engine at the fixture-pinned default worker count.
-  explore_options graphed; // scheduler = task_graph, num_threads = default
-  flow_artifact_cache cache;
-  task_graph_stats stats;
-  const auto par = explore( mod.aig, configs, graphed, cache, deadline{}, stats );
-
-  ASSERT_EQ( seq.size(), par.size() );
-  for ( std::size_t i = 0; i < seq.size(); ++i )
+  for ( const auto tier : simulation_tiers )
   {
-    EXPECT_TRUE( same_costs( seq[i], par[i] ) ) << seq[i].label;
-    EXPECT_TRUE( par[i].result.verified ) << par[i].label;
+    auto configs = default_dse_configurations( true );
+    for ( auto& config : configs )
+    {
+      config.verification = tier;
+    }
+    // The oracle: one full pipeline per configuration, fresh cache each.
+    std::vector<flow_result> expect;
+    for ( const auto& config : configs )
+    {
+      expect.push_back( run_flow_on_aig( mod.aig, config ) );
+    }
+
+    for ( const auto workers : worker_counts )
+    {
+      explore_options graphed;
+      graphed.num_threads = workers;
+      flow_artifact_cache cache;
+      task_graph_stats stats;
+      const auto got = explore( mod.aig, configs, graphed, cache, deadline{}, stats );
+
+      const auto context = verify_mode_name( tier ) + " workers=" + std::to_string( workers );
+      ASSERT_EQ( got.size(), expect.size() ) << context;
+      for ( std::size_t i = 0; i < got.size(); ++i )
+      {
+        expect_same_point( got[i], configs[i], expect[i], context + " " + got[i].label );
+        EXPECT_TRUE( got[i].result.verified ) << context << " " << got[i].label;
+      }
+      // 7 configurations share 4 artifact tasks (optimize, collapse, esop,
+      // xmg): 11 tasks, all run, and the 10 duplicate artifact requests
+      // (6 optimize + 2 esop + 2 xmg) coalesce instead of recomputing.
+      EXPECT_EQ( cache.stats().misses, 4u ) << context;
+      EXPECT_EQ( stats.tasks_added, configs.size() + 4u ) << context;
+      EXPECT_EQ( stats.tasks_run, stats.tasks_added ) << context;
+      EXPECT_EQ( stats.coalesced, 10u ) << context;
+      EXPECT_EQ( stats.tasks_failed + stats.tasks_poisoned + stats.tasks_cancelled, 0u )
+          << context;
+      // The critical path is the lower bound of any schedule of this graph.
+      EXPECT_LE( stats.critical_path_seconds, stats.wall_seconds + 0.05 ) << context;
+    }
   }
-  // 7 configurations share 4 artifact tasks (optimize, collapse, esop,
-  // xmg): 11 tasks, all run, and the 10 duplicate artifact requests
-  // (6 optimize + 2 esop + 2 xmg) coalesce instead of recomputing.
-  EXPECT_EQ( cache.stats().misses, 4u );
-  EXPECT_EQ( stats.tasks_added, configs.size() + 4u );
-  EXPECT_EQ( stats.tasks_run, stats.tasks_added );
-  EXPECT_EQ( stats.coalesced, 10u );
-  EXPECT_EQ( stats.tasks_failed + stats.tasks_poisoned + stats.tasks_cancelled, 0u );
-  // The critical path is the lower bound of any schedule of this graph.
-  EXPECT_LE( stats.critical_path_seconds, stats.wall_seconds + 0.05 );
 }
 
 TEST( scheduler_dse, poisoned_points_name_the_failing_stage_task )
@@ -561,70 +592,54 @@ TEST( scheduler_dse, poisoned_points_name_the_failing_stage_task )
   }
 }
 
-TEST( scheduler_dse, tail_only_stage_errors_carry_key_and_stage )
+TEST( scheduler_dse, batch_graph_matches_run_flow_loop_bit_for_bit )
 {
-  fault_guard guard;
-  const auto mod =
-      verilog::elaborate_verilog( reciprocal_verilog( reciprocal_design::intdiv, 5 ) );
-  const auto configs = default_dse_configurations( true );
-  explore_options options;
-  options.scheduler = schedule_mode::tail_only;
-  options.num_threads = 1;
-  // Tail-only prefetches the failing stage once per hierarchical config.
-  fault_injection::arm( "flow.xmg", fault_injection::kind::fail, 0, 3 );
-  flow_artifact_cache cache;
-  const auto points = explore( mod.aig, configs, options, cache );
-  fault_injection::disarm_all();
-
-  for ( const auto& point : points )
+  const std::vector<reciprocal_design> designs = { reciprocal_design::intdiv,
+                                                   reciprocal_design::newton };
+  for ( const auto tier : simulation_tiers )
   {
-    if ( point.params.kind == flow_kind::hierarchical )
+    explore_options options;
+    options.verification = tier;
+    // The oracle: every design elaborated, then its default configurations
+    // run one by one through `run_flow_on_aig`, in the batch's order.
+    std::vector<std::vector<flow_params>> configs;
+    std::vector<std::vector<flow_result>> expect;
+    for ( const auto design : designs )
     {
-      EXPECT_EQ( point.result.status, flow_status::failed ) << point.label;
-      EXPECT_NE( point.result.status_detail.find( "xmg[" ), std::string::npos )
-          << point.result.status_detail;
-      EXPECT_NE( point.result.status_detail.find( "(xmg)" ), std::string::npos )
-          << point.result.status_detail;
-      EXPECT_NE( point.result.status_detail.find( "flow.xmg" ), std::string::npos )
-          << point.result.status_detail;
+      const auto aig = verilog::elaborate_verilog( reciprocal_verilog( design, 5 ) ).aig;
+      configs.push_back( default_dse_configurations( 5u <= options.functional_max_bitwidth ) );
+      expect.emplace_back();
+      for ( auto& config : configs.back() )
+      {
+        config.verification = tier;
+        expect.back().push_back( run_flow_on_aig( aig, config ) );
+      }
     }
-    else
+
+    for ( const auto workers : worker_counts )
     {
-      EXPECT_EQ( point.result.status, flow_status::ok ) << point.label;
+      options.num_threads = workers;
+      task_graph_stats stats;
+      const auto got = explore_designs( designs, 5, 5, options, stats );
+
+      const auto context = verify_mode_name( tier ) + " workers=" + std::to_string( workers );
+      ASSERT_EQ( got.size(), expect.size() ) << context;
+      for ( std::size_t d = 0; d < got.size(); ++d )
+      {
+        EXPECT_EQ( got[d].status, flow_status::ok ) << context << " " << got[d].name;
+        ASSERT_EQ( got[d].points.size(), expect[d].size() ) << context << " " << got[d].name;
+        for ( std::size_t i = 0; i < expect[d].size(); ++i )
+        {
+          expect_same_point( got[d].points[i], configs[d][i], expect[d][i],
+                             context + " " + got[d].name + " " + got[d].points[i].label );
+        }
+        // One miss per distinct artifact: optimize, collapse, esop, xmg.
+        EXPECT_EQ( got[d].cache.misses, 4u ) << context << " " << got[d].name;
+      }
+      // Per design: 1 elaborate + 4 artifacts + 7 tails; two designs, one graph.
+      EXPECT_EQ( stats.tasks_added, 24u ) << context;
+      EXPECT_EQ( stats.tasks_run, 24u ) << context;
+      EXPECT_EQ( stats.coalesced, 20u ) << context;
     }
   }
-}
-
-TEST( scheduler_dse, batch_graph_matches_serial_sweep_bit_for_bit )
-{
-  explore_options serial;
-  serial.scheduler = schedule_mode::tail_only;
-  serial.num_threads = 1;
-  const auto expect = explore_designs( { reciprocal_design::intdiv,
-                                         reciprocal_design::newton },
-                                       5, 5, serial );
-
-  explore_options graphed; // one graph for the whole batch, default workers
-  task_graph_stats stats;
-  const auto got = explore_designs( { reciprocal_design::intdiv,
-                                      reciprocal_design::newton },
-                                    5, 5, graphed, stats );
-
-  ASSERT_EQ( expect.size(), got.size() );
-  for ( std::size_t d = 0; d < expect.size(); ++d )
-  {
-    EXPECT_EQ( expect[d].name, got[d].name );
-    EXPECT_EQ( expect[d].status, got[d].status ) << got[d].name;
-    ASSERT_EQ( expect[d].points.size(), got[d].points.size() ) << got[d].name;
-    for ( std::size_t i = 0; i < expect[d].points.size(); ++i )
-    {
-      EXPECT_TRUE( same_costs( expect[d].points[i], got[d].points[i] ) )
-          << got[d].name << " " << got[d].points[i].label;
-    }
-    EXPECT_EQ( expect[d].cache.misses, got[d].cache.misses ) << got[d].name;
-  }
-  // Per design: 1 elaborate + 4 artifacts + 7 tails; two designs, one graph.
-  EXPECT_EQ( stats.tasks_added, 24u );
-  EXPECT_EQ( stats.tasks_run, 24u );
-  EXPECT_EQ( stats.coalesced, 20u );
 }

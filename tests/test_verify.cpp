@@ -447,6 +447,26 @@ reversible_circuit corrupt_first_output( const reversible_circuit& circuit )
   return corrupted;
 }
 
+/// Corrupts a circuit late in counter order: a Toffoli onto the lowest
+/// output line, controlled by input lines 0..2 (or the input lines other
+/// than the target), fires only when all its controls are one, so the
+/// candidate survives several wide passes before it can fail.
+reversible_circuit corrupt_late( const reversible_circuit& circuit )
+{
+  auto corrupted = circuit;
+  const auto target = output_lines_of( circuit ).front();
+  std::vector<control> controls;
+  for ( const auto line : input_lines_of( circuit ) )
+  {
+    if ( line != target && controls.size() < 3u )
+    {
+      controls.push_back( { line, true } );
+    }
+  }
+  corrupted.add_mct( controls, target );
+  return corrupted;
+}
+
 } // namespace
 
 TEST( verify_wide, wide_simulator_matches_block_simulator_at_every_width )
@@ -505,12 +525,14 @@ TEST( verify_wide, exhaustive_reports_match_oracle_at_every_width )
     const auto circuit = random_circuit( rng, num_inputs + 3u, 30u, num_inputs );
     const auto spec = circuit_to_aig( circuit );
     const auto corrupted = corrupt_first_output( circuit );
+    const auto late = corrupt_late( circuit );
 
     const auto pass_oracle = verify_against_aig_exhaustive_block64( circuit, spec, deadline{} );
     EXPECT_FALSE( pass_oracle.counterexample.has_value() ) << num_inputs;
     EXPECT_EQ( pass_oracle.assignments_completed, std::uint64_t{ 1 } << num_inputs );
     const auto fail_oracle = verify_against_aig_exhaustive_block64( corrupted, spec, deadline{} );
     ASSERT_TRUE( fail_oracle.counterexample.has_value() ) << num_inputs;
+    const auto late_oracle = verify_against_aig_exhaustive_block64( late, spec, deadline{} );
 
     for ( const auto width : all_widths )
     {
@@ -521,6 +543,8 @@ TEST( verify_wide, exhaustive_reports_match_oracle_at_every_width )
       expect_report_equal(
           verify_against_aig_exhaustive_budgeted( corrupted, spec, deadline{}, width ),
           fail_oracle, "fail " + context );
+      expect_report_equal( verify_against_aig_exhaustive_budgeted( late, spec, deadline{}, width ),
+                           late_oracle, "late " + context );
     }
   }
 }
@@ -579,6 +603,7 @@ TEST( verify_wide, sampled_reports_match_oracle_at_every_width )
   const auto circuit = random_circuit( rng, num_inputs + 3u, 35u, num_inputs );
   const auto spec = circuit_to_aig( circuit );
   const auto corrupted = corrupt_first_output( circuit );
+  const auto late = corrupt_late( circuit );
 
   for ( const unsigned num_samples : { 5u, 70u, 250u, 512u } )
   {
@@ -589,6 +614,8 @@ TEST( verify_wide, sampled_reports_match_oracle_at_every_width )
       const auto fail_oracle =
           verify_against_aig_sampled_block64( corrupted, spec, deadline{}, num_samples, seed );
       ASSERT_TRUE( fail_oracle.counterexample.has_value() ) << num_samples;
+      const auto late_oracle =
+          verify_against_aig_sampled_block64( late, spec, deadline{}, num_samples, seed );
       for ( const auto width : all_widths )
       {
         const auto context = "samples=" + std::to_string( num_samples ) +
@@ -600,6 +627,9 @@ TEST( verify_wide, sampled_reports_match_oracle_at_every_width )
         expect_report_equal( verify_against_aig_sampled_budgeted( corrupted, spec, deadline{},
                                                                   num_samples, seed, width ),
                              fail_oracle, "fail " + context );
+        expect_report_equal( verify_against_aig_sampled_budgeted( late, spec, deadline{},
+                                                                  num_samples, seed, width ),
+                             late_oracle, "late " + context );
       }
     }
   }
@@ -630,52 +660,6 @@ TEST( verify_wide, sampled_accounting_is_exact_for_non_lane_aligned_requests )
       EXPECT_TRUE( report.complete ) << context;
       EXPECT_EQ( report.assignments_requested, total ) << context;
       EXPECT_EQ( report.assignments_completed, total ) << context;
-    }
-  }
-}
-
-TEST( verify_wide, batch_reports_are_identical_to_individual_calls )
-{
-  std::mt19937_64 rng( 251 );
-  const unsigned num_inputs = 8;
-  const auto circuit = random_circuit( rng, num_inputs + 2u, 30u, num_inputs );
-  const auto spec = circuit_to_aig( circuit );
-  const auto bad_first = corrupt_first_output( circuit );
-  auto bad_later = circuit;
-  // Controlled corruption: fires only when inputs 0..2 are all one, so this
-  // candidate survives several wide passes before failing.
-  bad_later.add_mct( { { 0, true }, { 1, true }, { 2, true } },
-                     output_lines_of( circuit ).front() );
-
-  const std::vector<const reversible_circuit*> frontier = { &circuit, &bad_first, &circuit,
-                                                            &bad_later };
-  for ( const auto width : all_widths )
-  {
-    const auto batch =
-        verify_batch_against_aig_exhaustive_budgeted( frontier, spec, deadline{}, width );
-    ASSERT_EQ( batch.size(), frontier.size() );
-    for ( std::size_t c = 0; c < frontier.size(); ++c )
-    {
-      const auto individual =
-          verify_against_aig_exhaustive_budgeted( *frontier[c], spec, deadline{}, width );
-      expect_report_equal( batch[c], individual,
-                           "exhaustive candidate " + std::to_string( c ) + " width " +
-                               std::to_string( lanes_of( width ) ) );
-    }
-    EXPECT_FALSE( batch[0].counterexample.has_value() );
-    EXPECT_TRUE( batch[1].counterexample.has_value() );
-    EXPECT_TRUE( batch[3].counterexample.has_value() );
-
-    const auto sampled_batch =
-        verify_batch_against_aig_sampled_budgeted( frontier, spec, deadline{}, 100u, 7u, width );
-    ASSERT_EQ( sampled_batch.size(), frontier.size() );
-    for ( std::size_t c = 0; c < frontier.size(); ++c )
-    {
-      const auto individual = verify_against_aig_sampled_budgeted( *frontier[c], spec, deadline{},
-                                                                   100u, 7u, width );
-      expect_report_equal( sampled_batch[c], individual,
-                           "sampled candidate " + std::to_string( c ) + " width " +
-                               std::to_string( lanes_of( width ) ) );
     }
   }
 }
