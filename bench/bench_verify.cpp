@@ -1,38 +1,22 @@
 /// \file bench_verify.cpp
-/// \brief Benchmark of the verification engine: the scalar seed path (one
-/// `std::vector<bool>` assignment at a time) against the 64-way
-/// bit-parallel block engine, plus the SAT tier, on exhaustive
-/// verification of the INTDIV/NEWTON designs.
+/// \brief Benchmark of the verification engine on exhaustive
+/// circuit-vs-AIG verification of the INTDIV/NEWTON designs.
 ///
-/// For every (design, bitwidth, flow) case the benchmark runs exhaustive
-/// circuit-vs-AIG verification three ways — scalar enumeration, block
-/// enumeration (`verify_against_aig_exhaustive_block64`, the retained
-/// 64-bit oracle), and the SAT tier — and times the SAT tier itself three
-/// ways: the monolithic one-miter-per-call reference engine
-/// (`sat::check_equivalence`, the PR 3 path), the incremental
-/// structurally-hashed engine on a fresh instance (`sat::incremental_cec`,
-/// what a cold `verify_against_aig_sat` costs), and a warm re-check on a
-/// persistent engine (what every further configuration of a sweep costs).
-/// All tiers and both SAT engines must accept the correct circuit and
-/// reject a deliberately corrupted copy with a *real* counterexample, and
-/// the scalar and block counterexamples must be bit-identical.
-///
-/// Schema v3 adds the SIMD-wide engine: per case it times the wide
-/// single-candidate pass (`wide_ms`, informational) and the sustained
-/// per-word throughput of the w512 lane group vs the 64-bit oracle
-/// (`width_speedup`, the >=4x metric scripts/run_bench.sh gates on).
-/// Every case also checks a mixed pass/fail candidate set at widths
-/// 64/256/512 and requires reports bit-identical to the per-candidate
-/// 64-bit oracle (`widths_agree`), and records the corrupted-circuit
-/// counterexample as a bit string (`cex`) so run_bench.sh can diff
-/// verdicts between the AVX and portable builds.  Schema v4 drops the
-/// cross-circuit frontier batch (`frontier_*`, `min_frontier_speedup`,
-/// `frontier_k`) together with the batched API it measured.
-///
-/// It writes BENCH_verify.json (see docs/ARCHITECTURE.md) with per-case
-/// wall clocks and the block-vs-scalar / incremental-vs-monolithic /
-/// wide-vs-64-bit speedups so every future PR can extend the perf
-/// trajectory (scripts/run_bench.sh gates on it).
+/// Per (design, bitwidth, flow) case it times the scalar seed path (one
+/// `std::vector<bool>` assignment at a time) against the wide engine
+/// (`speedup`), the w512 lane group's sustained per-word throughput against
+/// the w64 width (`width_speedup`), and the SAT tier three ways: the
+/// monolithic reference miter (`sat::check_equivalence`, the PR 3 path),
+/// the incremental engine on a fresh instance (what a cold
+/// `verify_against_aig_sat` costs), and a warm re-check on a persistent
+/// engine (what every further configuration of a sweep costs).  Every tier
+/// must accept the correct circuit and reject a corrupted copy with a
+/// *real* counterexample; the reports of widths 64/256/512 on mixed
+/// pass/fail candidates must equal the scalar enumeration's
+/// (`widths_agree`), and the corrupted circuit's counterexample is
+/// recorded as a bit string (`cex`) so the AVX and portable builds can be
+/// diffed.  It writes BENCH_verify.json (schema 5, see
+/// docs/ARCHITECTURE.md), which scripts/run_bench.sh gates on.
 ///
 /// Usage: bench_verify [--out FILE] [--quick] [--sim-only]
 ///   --sim-only skips the SAT tier entirely (timings and verdicts); it is
@@ -61,14 +45,18 @@ namespace
 
 using namespace qsyn;
 
-/// The seed's scalar exhaustive check: one heap-allocated assignment and
-/// one full AIG + circuit evaluation per input vector.  Kept here as the
-/// reference the block engine is measured (and bit-compared) against.
-std::optional<std::vector<bool>> scalar_exhaustive( const reversible_circuit& circuit,
-                                                    const aig_network& aig )
+/// The seed's scalar exhaustive check as a coverage report: one
+/// heap-allocated assignment and one full AIG + circuit evaluation per
+/// input vector, stopping at the first failing `x` in counter order
+/// (`x + 1` assignments completed).  Kept here as the reference the wide
+/// engine is measured (and bit-compared) against.
+partial_verify_report scalar_exhaustive( const reversible_circuit& circuit,
+                                         const aig_network& aig )
 {
   const auto num_pis = aig.num_pis();
-  for ( std::uint64_t x = 0; x < ( std::uint64_t{ 1 } << num_pis ); ++x )
+  partial_verify_report report;
+  report.assignments_requested = std::uint64_t{ 1 } << num_pis;
+  for ( std::uint64_t x = 0; x < report.assignments_requested; ++x )
   {
     std::vector<bool> inputs( num_pis );
     for ( unsigned i = 0; i < num_pis; ++i )
@@ -77,15 +65,18 @@ std::optional<std::vector<bool>> scalar_exhaustive( const reversible_circuit& ci
     }
     if ( aig.evaluate( inputs ) != evaluate_circuit( circuit, inputs ) )
     {
-      return inputs;
+      report.counterexample = inputs;
+      report.assignments_completed = x + 1u;
+      return report;
     }
   }
-  return std::nullopt;
+  report.assignments_completed = report.assignments_requested;
+  return report;
 }
 
 /// Runs `fn` repeatedly until ~0.5 s of wall clock accumulates (at least
 /// once) and returns the average milliseconds per run.  The accumulation
-/// window keeps the sub-millisecond block timings stable enough for the
+/// window keeps the sub-millisecond wide timings stable enough for the
 /// regression gate in scripts/run_bench.sh.
 template<typename Fn>
 double time_ms( Fn&& fn )
@@ -109,13 +100,11 @@ struct case_result
   unsigned lines = 0;
   std::size_t gates = 0;
   double scalar_ms = 0.0;
-  double block_ms = 0.0;
-  double speedup = 0.0;      ///< block vs scalar
-  double wide_ms = 0.0;      ///< wide single-candidate pass at the DSE default width
-  double wide_speedup = 0.0; ///< block64 vs wide, single candidate
-  double block64_word_us = 0.0; ///< sustained 64-bit oracle cost per 64-assignment word
-  double wide_word_us = 0.0;    ///< sustained w512 engine cost per word
-  double width_speedup = 0.0;   ///< per-word throughput, wide vs 64-bit (the >=4x gate)
+  double wide_ms = 0.0;       ///< wide single-candidate pass at the DSE default width
+  double speedup = 0.0;       ///< wide vs scalar
+  double w64_word_us = 0.0;   ///< sustained w64 engine cost per 64-assignment word
+  double wide_word_us = 0.0;  ///< sustained w512 engine cost per word
+  double width_speedup = 0.0; ///< per-word throughput, w512 vs w64 (the >=4x gate)
   std::string simd_backend;  ///< kernel backend active at the case's width
   std::string cex;           ///< corrupted-circuit counterexample, bit i = input i
   double sat_mono_ms = 0.0;  ///< monolithic reference (sat::check_equivalence)
@@ -123,10 +112,10 @@ struct case_result
   double sat_warm_ms = 0.0;  ///< incremental engine, warm re-check (sweep reuse)
   double sat_speedup = 0.0;  ///< monolithic vs cold incremental
   bool tiers_agree = true;      ///< all tiers accept the correct circuit,
-                                ///< scalar == block bit-for-bit
+                                ///< scalar == wide bit-for-bit
   bool corrupt_rejected = true; ///< all tiers reject the corrupted circuit
   bool widths_agree = true;     ///< reports at w64/w256/w512 bit-identical to
-                                ///< the 64-bit oracle, per candidate
+                                ///< the scalar enumeration's, per candidate
 };
 
 std::string cex_string( const std::optional<std::vector<bool>>& cex )
@@ -169,8 +158,8 @@ case_result run_case( reciprocal_design design, unsigned n, flow_kind kind, bool
   r.gates = circuit.num_gates();
 
   // --- correct circuit: every tier must accept -------------------------------
-  const auto scalar_cex = scalar_exhaustive( circuit, spec );
-  const auto block_cex = verify_against_aig_exhaustive( circuit, spec );
+  const auto scalar_cex = scalar_exhaustive( circuit, spec ).counterexample;
+  const auto wide_cex = verify_against_aig_exhaustive( circuit, spec );
 
   // SAT tier, three ways, all timed on the same precomputed impl AIG so
   // the gated speedup compares the engines alone (circuit_to_aig
@@ -197,12 +186,9 @@ case_result run_case( reciprocal_design design, unsigned n, flow_kind kind, bool
     r.sat_warm_ms = time_ms( [&] { warm_ok = warm_engine.check( spec, impl ).equivalent; } );
     r.sat_speedup = r.sat_ms > 0.0 ? r.sat_mono_ms / r.sat_ms : 0.0;
   }
-  r.tiers_agree = !scalar_cex && !block_cex && cold_ok && mono_ok && warm_ok;
+  r.tiers_agree = !scalar_cex && !wide_cex && cold_ok && mono_ok && warm_ok;
 
   r.scalar_ms = time_ms( [&] { (void)scalar_exhaustive( circuit, spec ); } );
-  r.block_ms =
-      time_ms( [&] { (void)verify_against_aig_exhaustive_block64( circuit, spec, deadline{} ); } );
-  r.speedup = r.block_ms > 0.0 ? r.scalar_ms / r.block_ms : 0.0;
 
   // --- the SIMD-wide engine ---------------------------------------------------
   // Width as the DSE exhaustive tier picks it for this input space; w64
@@ -212,27 +198,34 @@ case_result run_case( reciprocal_design design, unsigned n, flow_kind kind, bool
   r.simd_backend = simd_backend_name( active_simd_backend( width ) );
   r.wide_ms = time_ms(
       [&] { (void)verify_against_aig_exhaustive_budgeted( circuit, spec, deadline{}, width ); } );
-  r.wide_speedup = r.wide_ms > 0.0 ? r.block_ms / r.wide_ms : 0.0;
+  r.speedup = r.wide_ms > 0.0 ? r.scalar_ms / r.wide_ms : 0.0;
 
-  // Sustained per-word verification throughput, the gated wide-vs-64-bit
+  // Sustained per-word verification throughput, the gated w512-vs-w64
   // metric: persistent engines (construction amortized away, as in a long
   // sweep), spec walk included on both sides, cost divided by the words a
-  // pass settles.  The 64-bit side is the retained oracle's inner loop
-  // (block_simulator + aig_network::simulate_patterns per word); the wide
-  // side runs the w512 lane group.  Per-word is the width-scaling measure:
-  // at n=7 a 512-lane group wraps the 128-assignment space, so whole-case
-  // wall clocks (wide_ms) can gain at most 2x there —
-  // the full-width gain materializes whenever a group is filled (n >= 9
-  // spaces, sampled tiers, fraig signatures).
+  // pass settles.  Per-word is the width-scaling measure: at n=7 a
+  // 512-lane group wraps the 128-assignment space, so whole-case wall
+  // clocks (wide_ms) can gain at most 2x there — the full-width gain
+  // materializes whenever a group is filled (n >= 9 spaces, sampled tiers,
+  // fraig signatures).
   {
-    block_simulator narrow( circuit );
-    std::vector<std::uint64_t> narrow_words( r.pis, 0u );
-    volatile std::uint64_t sink = 0;
+    wide_simulator narrow( circuit, sim_width::w64 );
+    wide_aig_simulator narrow_spec( spec, sim_width::w64 );
+    const std::vector<std::uint64_t> narrow_words( r.pis, 0u );
     const auto wide_width = sim_width::w512;
-    const auto wide_words_per_group = words_of( wide_width );
     wide_simulator wide( circuit, wide_width );
     wide_aig_simulator wide_spec( spec, wide_width );
-    std::vector<std::uint64_t> group_words( std::size_t{ r.pis } * wide_words_per_group, 0u );
+    const std::vector<std::uint64_t> group_words( std::size_t{ r.pis } * words_of( wide_width ),
+                                                  0u );
+    volatile std::uint64_t sink = 0;
+    const auto pass_ms = [&sink]( wide_simulator& sim, wide_aig_simulator& sim_spec,
+                                  const std::vector<std::uint64_t>& words ) {
+      return time_ms( [&] {
+        const auto& spec_out = sim_spec.evaluate( words );
+        const auto& out = sim.evaluate( words );
+        sink = sink + out.front() + spec_out.front();
+      } );
+    };
     // Interleaved best-of-5: a transient load spike during one side's
     // window would otherwise skew the ratio; the min of alternating
     // rounds is each engine's unperturbed cost.
@@ -240,30 +233,22 @@ case_result run_case( reciprocal_design design, unsigned n, flow_kind kind, bool
     auto group_ms = std::numeric_limits<double>::infinity();
     for ( int round = 0; round < 5; ++round )
     {
-      narrow_ms = std::min( narrow_ms, time_ms( [&] {
-                    const auto& spec_out = spec.simulate_patterns( narrow_words );
-                    const auto& out = narrow.evaluate( narrow_words );
-                    sink = sink + out.front() + spec_out.front();
-                  } ) );
-      group_ms = std::min( group_ms, time_ms( [&] {
-                   const auto& spec_out = wide_spec.evaluate( group_words );
-                   const auto& out = wide.evaluate( group_words );
-                   sink = sink + out.front() + spec_out.front();
-                 } ) );
+      narrow_ms = std::min( narrow_ms, pass_ms( narrow, narrow_spec, narrow_words ) );
+      group_ms = std::min( group_ms, pass_ms( wide, wide_spec, group_words ) );
     }
-    r.block64_word_us = narrow_ms * 1000.0;
-    r.wide_word_us = group_ms * 1000.0 / static_cast<double>( wide_words_per_group );
-    r.width_speedup = r.wide_word_us > 0.0 ? r.block64_word_us / r.wide_word_us : 0.0;
+    r.w64_word_us = narrow_ms * 1000.0;
+    r.wide_word_us = group_ms * 1000.0 / static_cast<double>( words_of( wide_width ) );
+    r.width_speedup = r.wide_word_us > 0.0 ? r.w64_word_us / r.wide_word_us : 0.0;
   }
 
-  // --- corrupted circuit: every tier must reject, scalar == block ------------
+  // --- corrupted circuit: every tier must reject, scalar == wide -------------
   const auto corrupted = corrupt_circuit( circuit, spec );
-  const auto scalar_bad = scalar_exhaustive( corrupted, spec );
-  const auto block_bad = verify_against_aig_exhaustive( corrupted, spec );
-  r.corrupt_rejected = scalar_bad.has_value() && block_bad.has_value();
-  // Scalar and block enumerate in the same order: identical counterexample.
-  r.tiers_agree = r.tiers_agree && scalar_bad == block_bad;
-  r.cex = cex_string( block_bad );
+  const auto scalar_bad = scalar_exhaustive( corrupted, spec ).counterexample;
+  const auto wide_bad = verify_against_aig_exhaustive( corrupted, spec );
+  r.corrupt_rejected = scalar_bad.has_value() && wide_bad.has_value();
+  // Scalar and wide enumerate in the same order: identical counterexample.
+  r.tiers_agree = r.tiers_agree && scalar_bad == wide_bad;
+  r.cex = cex_string( wide_bad );
   if ( !sim_only )
   {
     const auto sat_bad = verify_against_aig_sat( corrupted, spec );
@@ -287,7 +272,7 @@ case_result run_case( reciprocal_design design, unsigned n, flow_kind kind, bool
   // Candidates failing at different columns (the NOT flips every column,
   // the 3-control MCT only fires from column 7 on) pin the
   // first-counterexample contract and the per-assignment accounting
-  // against the 64-bit oracle at every width.
+  // against the scalar enumeration at every width.
   auto flip_first = circuit;
   flip_first.add_not( output_lines_of( circuit ).front() );
   auto flip_late = circuit;
@@ -309,7 +294,7 @@ case_result run_case( reciprocal_design design, unsigned n, flow_kind kind, bool
         std::initializer_list<const reversible_circuit*>{ &circuit, &flip_first, &flip_late,
                                                           &corrupted } )
   {
-    const auto oracle = verify_against_aig_exhaustive_block64( *candidate, spec, deadline{} );
+    const auto oracle = scalar_exhaustive( *candidate, spec );
     for ( const auto w : { sim_width::w64, sim_width::w256, sim_width::w512 } )
     {
       r.widths_agree = r.widths_agree &&
@@ -319,12 +304,12 @@ case_result run_case( reciprocal_design design, unsigned n, flow_kind kind, bool
     }
   }
 
-  std::printf( "%-16s pis %2u  gates %6zu | scalar %9.3f ms | block %8.4f ms (%6.1fx) | "
-               "word %8.3f -> %7.3f us (%4.1fx, %s) | wide %8.4f ms (%4.1fx) | "
+  std::printf( "%-16s pis %2u  gates %6zu | scalar %9.3f ms | wide %8.4f ms (%6.1fx, %s) | "
+               "word %8.3f -> %7.3f us (%4.1fx) | "
                "sat mono %8.2f ms  inc %7.2f ms (%5.1fx)  warm %7.3f ms | %s%s%s\n",
-               r.name.c_str(), r.pis, r.gates, r.scalar_ms, r.block_ms, r.speedup,
-               r.block64_word_us, r.wide_word_us, r.width_speedup, r.simd_backend.c_str(),
-               r.wide_ms, r.wide_speedup, r.sat_mono_ms, r.sat_ms, r.sat_speedup, r.sat_warm_ms,
+               r.name.c_str(), r.pis, r.gates, r.scalar_ms, r.wide_ms, r.speedup,
+               r.simd_backend.c_str(), r.w64_word_us, r.wide_word_us, r.width_speedup,
+               r.sat_mono_ms, r.sat_ms, r.sat_speedup, r.sat_warm_ms,
                r.tiers_agree ? "agree" : "TIERS DIVERGED",
                r.corrupt_rejected ? "" : ", CORRUPTION MISSED",
                r.widths_agree ? "" : ", WIDTHS DIVERGED" );
@@ -337,7 +322,6 @@ void write_json( const char* path, const std::vector<case_result>& cases, bool s
   bool widths_agree = true;
   double min_speedup = 0.0;
   double min_sat_speedup = 0.0;
-  double min_wide_speedup = 0.0;
   double min_width_speedup = 0.0;
   for ( const auto& c : cases )
   {
@@ -346,8 +330,6 @@ void write_json( const char* path, const std::vector<case_result>& cases, bool s
     min_speedup = min_speedup == 0.0 ? c.speedup : std::min( min_speedup, c.speedup );
     min_sat_speedup =
         min_sat_speedup == 0.0 ? c.sat_speedup : std::min( min_sat_speedup, c.sat_speedup );
-    min_wide_speedup =
-        min_wide_speedup == 0.0 ? c.wide_speedup : std::min( min_wide_speedup, c.wide_speedup );
     min_width_speedup =
         min_width_speedup == 0.0 ? c.width_speedup : std::min( min_width_speedup, c.width_speedup );
   }
@@ -357,7 +339,7 @@ void write_json( const char* path, const std::vector<case_result>& cases, bool s
     std::fprintf( stderr, "cannot open %s for writing\n", path );
     std::exit( 1 );
   }
-  std::fprintf( f, "{\n  \"bench\": \"verify\",\n  \"schema_version\": 4,\n" );
+  std::fprintf( f, "{\n  \"bench\": \"verify\",\n  \"schema_version\": 5,\n" );
   std::fprintf( f, "  \"sim_only\": %s,\n", sim_only ? "true" : "false" );
   std::fprintf( f, "  \"simd_backend\": \"%s\",\n",
                 simd_backend_name( active_simd_backend( sim_width::w512 ) ) );
@@ -365,7 +347,6 @@ void write_json( const char* path, const std::vector<case_result>& cases, bool s
   std::fprintf( f, "  \"widths_agree\": %s,\n", widths_agree ? "true" : "false" );
   std::fprintf( f, "  \"min_speedup\": %.1f,\n", min_speedup );
   std::fprintf( f, "  \"min_sat_speedup\": %.1f,\n", min_sat_speedup );
-  std::fprintf( f, "  \"min_wide_speedup\": %.1f,\n", min_wide_speedup );
   // Two decimals: the run_bench.sh floors compare these values, and one
   // decimal would round a failing 3.46 into a passing 3.5.
   std::fprintf( f, "  \"min_width_speedup\": %.2f,\n", min_width_speedup );
@@ -379,11 +360,9 @@ void write_json( const char* path, const std::vector<case_result>& cases, bool s
     std::fprintf( f, "      \"lines\": %u,\n", c.lines );
     std::fprintf( f, "      \"gates\": %zu,\n", c.gates );
     std::fprintf( f, "      \"scalar_ms\": %.4f,\n", c.scalar_ms );
-    std::fprintf( f, "      \"block_ms\": %.4f,\n", c.block_ms );
-    std::fprintf( f, "      \"speedup\": %.1f,\n", c.speedup );
     std::fprintf( f, "      \"wide_ms\": %.4f,\n", c.wide_ms );
-    std::fprintf( f, "      \"wide_speedup\": %.1f,\n", c.wide_speedup );
-    std::fprintf( f, "      \"block64_word_us\": %.4f,\n", c.block64_word_us );
+    std::fprintf( f, "      \"speedup\": %.1f,\n", c.speedup );
+    std::fprintf( f, "      \"w64_word_us\": %.4f,\n", c.w64_word_us );
     std::fprintf( f, "      \"wide_word_us\": %.4f,\n", c.wide_word_us );
     std::fprintf( f, "      \"width_speedup\": %.2f,\n", c.width_speedup );
     std::fprintf( f, "      \"simd_backend\": \"%s\",\n", c.simd_backend.c_str() );

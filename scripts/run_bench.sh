@@ -22,16 +22,16 @@
 #     instance on the same store root fails to answer from disk, or N
 #     identical in-flight daemon queries fail to coalesce into exactly one
 #     synthesis with bit-identical answers (coalesced_ok, schema v5),
-#   * the verification tiers diverge (scalar vs block vs SAT accept/reject),
-#     a corrupted circuit slips through, or the block-vs-scalar speedup
-#     drops more than 10% against the committed baseline,
-#   * the SIMD-wide engine regresses (schema v3): any sim width (w64 /
+#   * the verification tiers diverge (scalar vs wide vs SAT accept/reject),
+#     a corrupted circuit slips through, or the wide-vs-scalar speedup
+#     drops more than 25% against the committed baseline,
+#   * the SIMD-wide engine regresses (schema v5): any sim width (w64 /
 #     w256 / w512) produces a different verdict or counterexample than the
-#     64-bit oracle on the mixed pass/fail candidates (widths_agree), or the
-#     sustained per-word verification throughput of the w512 lane group
-#     vs the retained 64-bit engine (width_speedup, persistent engines,
-#     spec walk included on both sides) falls below 4x in aggregate or
-#     3.5x on any exhaustive case,
+#     scalar enumeration on the mixed pass/fail candidates (widths_agree),
+#     or the sustained per-word verification throughput of the w512 lane
+#     group vs the w64 width (width_speedup, persistent engines, spec walk
+#     included on both sides) falls below 4x in aggregate or 3.5x on any
+#     exhaustive case,
 #   * the AVX build (QSYN_SIMD=native) and the portable build (QSYN_SIMD
 #     default off) disagree on any verdict, counterexample bit string, or
 #     cross-width identity in a fresh --sim-only run of bench_verify,
@@ -41,17 +41,17 @@
 #     hierarchical miter below its 10x floor,
 #   * docs/ARCHITECTURE.md is missing or no longer mentions every src/*
 #     subdirectory.
-# Finally reruns the verification + store + LUT-map + synth test suites
-# under AddressSanitizer (QSYN_SANITIZE=address) — the block engine is all
-# raw word indexing, the store parses untrusted on-disk bytes, and the cut
-# and ISOP kernels index fixed-capacity arrays — the same plus the
-# robustness + scheduler suites under
+# Finally reruns the verification + store + LUT-map + synth + daemon test
+# suites under AddressSanitizer (QSYN_SANITIZE=address) — the wide engine
+# is all raw word indexing, the store and the daemon decode untrusted
+# on-disk bytes, and the cut and ISOP kernels index fixed-capacity arrays
+# — the same plus the robustness + scheduler suites under
 # UndefinedBehaviorSanitizer, and the robustness + scheduler + daemon +
 # flows suites under ThreadSanitizer (the daemon coalesces concurrent
-# requests on a shared pool, and the artifact cache's per-key slots are
-# locked from many threads).  Both sanitizer builds of test_verify compile with
-# QSYN_SIMD=native so the AVX2/AVX-512 kernels themselves run
-# instrumented, not just the portable fallback.
+# requests on per-key slots over a shared pool, and the artifact cache's
+# per-key slots are locked from many threads).  Both sanitizer builds of
+# test_verify compile with QSYN_SIMD=native so the AVX2/AVX-512 kernels
+# themselves run instrumented, not just the portable fallback.
 #
 # Every benchmark invocation runs inside a hard `timeout` ceiling
 # (BENCH_TIMEOUT seconds, default 1200): a hung benchmark is exactly the
@@ -372,16 +372,16 @@ import sys
 # machine-independent hard criterion is the 20x per-case floor — losing
 # the bit-parallelism would show up as a ~60x drop, far outside both.
 SPEEDUP_REGRESSION_LIMIT = 0.25
-SPEEDUP_FLOOR = 20.0  # every case must keep a >= 20x block-vs-scalar win
+SPEEDUP_FLOOR = 20.0  # every case must keep a >= 20x wide-vs-scalar win
 
 SAT_REGRESSION_LIMIT = 0.15       # incremental-vs-monolithic speedup band
 SAT_WALL_REGRESSION_LIMIT = 0.25  # absolute SAT wall clock: same run-to-run
-                                  # noise allowance as the block gate
+                                  # noise allowance as the wide gate
 SAT_NEWTON8_FLOOR = 10.0          # incremental-vs-monolithic on the flagship miter
 
-# Schema v3 (SIMD-wide engine): sustained per-word verification throughput
-# of the w512 lane group vs the retained 64-bit engine, persistent engines,
-# spec walk included on both sides (best-of-5 interleaved in the bench).
+# SIMD-wide engine (schema v5): sustained per-word verification throughput
+# of the w512 lane group vs the w64 width, persistent engines, spec walk
+# included on both sides (best-of-5 interleaved in the bench).
 # Whole-case wall clocks (wide_ms) are informational: at n=7/8 a
 # 512-lane group wraps the whole input space.  Measured regimes on this
 # container: 4.3-7.7x with the AVX-512 kernels dispatched, 0.6-1.6x if the
@@ -401,31 +401,31 @@ fresh = {c["name"]: c for c in fresh_doc["cases"]}
 failures = []
 if not fresh_doc.get("all_agree", False):
     failures.append("verification tiers diverged or a corrupted circuit slipped through")
-if fresh_doc.get("schema_version", 0) < 3:
+if fresh_doc.get("schema_version", 0) < 5:
     failures.append(
         "fresh BENCH_verify.json has schema_version "
-        f"{fresh_doc.get('schema_version', 0)} (< 3): no SIMD-wide metrics"
+        f"{fresh_doc.get('schema_version', 0)} (< 5): no wide-vs-scalar metrics"
     )
 if not fresh_doc.get("widths_agree", False):
     failures.append(
-        "a sim width (w64/w256/w512) diverged from the 64-bit oracle's "
+        "a sim width (w64/w256/w512) diverged from the scalar enumeration's "
         "verdicts or counterexamples on the mixed pass/fail candidates"
     )
 
-base_scalar = base_block = fresh_scalar = fresh_block = 0.0
+base_scalar = base_wide = fresh_scalar = fresh_wide = 0.0
 base_sat = base_mono = fresh_sat = fresh_mono = 0.0
-fresh_block64_word = fresh_wide_word = 0.0
+fresh_w64_word = fresh_wide_word = 0.0
 for name, base in sorted(baseline.items()):
     new = fresh.get(name)
     if new is None:
         continue  # quick runs omit the larger cases
     if not new.get("tiers_agree", False):
-        failures.append(f"{name}: scalar/block/SAT accept-reject divergence")
+        failures.append(f"{name}: scalar/wide/SAT accept-reject divergence")
     if not new.get("corrupt_rejected", False):
         failures.append(f"{name}: corrupted circuit not rejected by every tier")
     if new["speedup"] < SPEEDUP_FLOOR:
         failures.append(
-            f"{name}: block-vs-scalar speedup {new['speedup']:.1f}x below the "
+            f"{name}: wide-vs-scalar speedup {new['speedup']:.1f}x below the "
             f"{SPEEDUP_FLOOR:.0f}x floor"
         )
     if name == "newton-n8-hier" and new.get("sat_speedup", 0.0) < SAT_NEWTON8_FLOOR:
@@ -438,48 +438,48 @@ for name, base in sorted(baseline.items()):
     if new.get("width_speedup", 0.0) < WIDTH_SPEEDUP_FLOOR:
         failures.append(
             f"{name}: w512 per-word throughput only {new.get('width_speedup', 0.0):.1f}x "
-            f"the 64-bit engine (< {WIDTH_SPEEDUP_FLOOR:.1f}x floor; "
-            f"{new.get('block64_word_us', 0.0):.2f} -> {new.get('wide_word_us', 0.0):.2f} "
+            f"the w64 width (< {WIDTH_SPEEDUP_FLOOR:.1f}x floor; "
+            f"{new.get('w64_word_us', 0.0):.2f} -> {new.get('wide_word_us', 0.0):.2f} "
             f"us/word, backend {fresh_doc.get('simd_backend', '?')})"
         )
-    fresh_block64_word += new.get("block64_word_us", 0.0)
+    fresh_w64_word += new.get("w64_word_us", 0.0)
     fresh_wide_word += new.get("wide_word_us", 0.0)
     base_scalar += base["scalar_ms"]
-    base_block += base["block_ms"]
+    base_wide += base["wide_ms"]
     fresh_scalar += new["scalar_ms"]
-    fresh_block += new["block_ms"]
+    fresh_wide += new["wide_ms"]
     base_sat += base.get("sat_ms", 0.0)
     base_mono += base.get("sat_mono_ms", 0.0)
     fresh_sat += new.get("sat_ms", 0.0)
     fresh_mono += new.get("sat_mono_ms", 0.0)
     print(
-        f"{name}: block {base['block_ms']:.4f} -> {new['block_ms']:.4f} ms"
+        f"{name}: wide {base['wide_ms']:.4f} -> {new['wide_ms']:.4f} ms"
         f"  (speedup {new['speedup']:.1f}x vs baseline {base['speedup']:.1f}x)"
-        f"  word {new.get('block64_word_us', 0.0):.2f} -> "
+        f"  word {new.get('w64_word_us', 0.0):.2f} -> "
         f"{new.get('wide_word_us', 0.0):.2f} us ({new.get('width_speedup', 0.0):.1f}x)"
         f"  sat {base.get('sat_ms', 0.0):.2f} -> {new.get('sat_ms', 0.0):.2f} ms"
         f" ({new.get('sat_speedup', 0.0):.1f}x vs mono)"
     )
 
-# The >= 4x wide-vs-64-bit claim, gated on the aggregate per-word costs
+# The >= 4x w512-vs-w64 claim, gated on the aggregate per-word costs
 # (same-run, machine-independent; dominated by the larger, stabler cases).
-agg_width_speedup = (fresh_block64_word / fresh_wide_word) if fresh_wide_word > 0 else 0.0
+agg_width_speedup = (fresh_w64_word / fresh_wide_word) if fresh_wide_word > 0 else 0.0
 if agg_width_speedup < WIDTH_SPEEDUP_AGG_FLOOR:
     failures.append(
-        f"aggregate w512 per-word throughput {agg_width_speedup:.2f}x the 64-bit "
-        f"engine (< {WIDTH_SPEEDUP_AGG_FLOOR:.0f}x floor; backend "
+        f"aggregate w512 per-word throughput {agg_width_speedup:.2f}x the w64 "
+        f"width (< {WIDTH_SPEEDUP_AGG_FLOOR:.0f}x floor; backend "
         f"{fresh_doc.get('simd_backend', '?')})"
     )
 
 # Machine-independent gate on the AGGREGATE speedup (both halves measured
-# in the same fresh run): per-case sub-millisecond block timings are too
+# in the same fresh run): per-case sub-millisecond wide timings are too
 # noisy to gate individually at 10%, the aggregate is dominated by the
 # larger, stabler cases.
-base_speedup = (base_scalar / base_block) if base_block > 0 else 0.0
-fresh_speedup = (fresh_scalar / fresh_block) if fresh_block > 0 else 0.0
+base_speedup = (base_scalar / base_wide) if base_wide > 0 else 0.0
+fresh_speedup = (fresh_scalar / fresh_wide) if fresh_wide > 0 else 0.0
 if base_speedup > 0 and fresh_speedup < base_speedup * (1.0 - SPEEDUP_REGRESSION_LIMIT):
     failures.append(
-        f"aggregate block-vs-scalar speedup {fresh_speedup:.1f}x vs baseline "
+        f"aggregate wide-vs-scalar speedup {fresh_speedup:.1f}x vs baseline "
         f"{base_speedup:.1f}x (> {SPEEDUP_REGRESSION_LIMIT:.0%} regression)"
     )
 
@@ -608,8 +608,7 @@ fi
 echo "docs check OK (docs/ARCHITECTURE.md covers every src/* subdirectory)"
 
 # --- verification tests under AddressSanitizer -------------------------------
-# The block and wide engines are raw uint64_t indexing over packed state
-# words; run the suite instrumented on every bench invocation, with
+# The wide engine is raw uint64_t indexing over packed state words; run the suite instrumented on every bench invocation, with
 # QSYN_SIMD=native so the AVX2/AVX-512 kernels themselves are exercised
 # under instrumentation (lane-group loads/stores are the exact place an
 # off-by-one-word bug would live).
@@ -618,7 +617,7 @@ ASAN_DIR="$REPO_ROOT/build-asan-verify"
 cmake -B "$ASAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE=address \
   -DQSYN_SIMD=native
 cmake --build "$ASAN_DIR" -j "$(nproc)" \
-  --target test_verify test_store test_lut_xmg test_synth test_sat test_aig
+  --target test_verify test_store test_lut_xmg test_synth test_sat test_aig test_daemon
 "$ASAN_DIR/tests/test_verify"
 # The artifact store is raw byte-level (de)serialization of attacker-ish
 # input (any on-disk file): run its suite instrumented too.
@@ -632,9 +631,12 @@ cmake --build "$ASAN_DIR" -j "$(nproc)" \
 # into the node store: both are out-of-bounds accesses waiting to happen.
 "$ASAN_DIR/tests/test_sat"
 "$ASAN_DIR/tests/test_aig"
+# The daemon hands slots and exception_ptrs across request threads and
+# decodes cached outcomes from on-disk bytes.
+"$ASAN_DIR/tests/test_daemon"
 echo
-echo "test_verify + test_store + test_lut_xmg + test_synth + test_sat + test_aig OK under" \
-     "AddressSanitizer"
+echo "test_verify + test_store + test_lut_xmg + test_synth + test_sat + test_aig +" \
+     "test_daemon OK under AddressSanitizer"
 
 # --- robustness + scheduler tests under UBSan and TSan -----------------------
 # The budget/cancellation/fault-injection paths are counter arithmetic,
@@ -647,7 +649,7 @@ cmake -B "$UBSAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE
   -DQSYN_SIMD=native
 cmake --build "$UBSAN_DIR" -j "$(nproc)" \
   --target test_robustness test_scheduler test_store test_verify test_lut_xmg test_synth \
-  test_sat test_aig
+  test_sat test_aig test_daemon
 "$UBSAN_DIR/tests/test_robustness"
 "$UBSAN_DIR/tests/test_scheduler"
 # The store headers round-trip enums and fixed-width counters from
@@ -655,7 +657,7 @@ cmake --build "$UBSAN_DIR" -j "$(nproc)" \
 "$UBSAN_DIR/tests/test_store"
 # The wide kernels build polarity masks with shifts and ~0 arithmetic on
 # 64-bit words: run the verification suite (including every differential
-# wide-vs-64-bit property) under UBSan with the native kernels too.
+# wide-vs-scalar property) under UBSan with the native kernels too.
 "$UBSAN_DIR/tests/test_verify"
 # The cut and ISOP kernels build variable masks and moves with shifts on
 # 64-bit words, where a shift by 64 would hide.
@@ -665,9 +667,11 @@ cmake --build "$UBSAN_DIR" -j "$(nproc)" \
 # arithmetic on 32- and 64-bit words.
 "$UBSAN_DIR/tests/test_sat"
 "$UBSAN_DIR/tests/test_aig"
+# Outcome decoding turns on-disk bytes back into enums and counters.
+"$UBSAN_DIR/tests/test_daemon"
 echo
 echo "test_robustness + test_scheduler + test_store + test_verify + test_lut_xmg +" \
-     "test_synth + test_sat + test_aig OK under UndefinedBehaviorSanitizer"
+     "test_synth + test_sat + test_aig + test_daemon OK under UndefinedBehaviorSanitizer"
 
 TSAN_DIR="$REPO_ROOT/build-tsan-robustness"
 cmake -B "$TSAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE=thread
@@ -679,8 +683,8 @@ cmake --build "$TSAN_DIR" -j "$(nproc)" --target test_robustness test_scheduler 
 QSYN_THREADS=2 "$TSAN_DIR/tests/test_scheduler"
 "$TSAN_DIR/tests/test_scheduler"
 # The daemon coalesces concurrent identical requests into one synthesis on
-# a shared task-graph pool and upgrades cached results across budget
-# classes: its suite exercises those interleavings with real client
+# per-key slots over a shared task-graph pool and upgrades cached results
+# across budget classes: its suite exercises those interleavings with real client
 # threads, so it runs instrumented for data races too.
 "$TSAN_DIR/tests/test_daemon"
 # The artifact cache locks one slot per key: its suite races first requests

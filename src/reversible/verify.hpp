@@ -12,15 +12,14 @@
 ///     engine (`qsyn::sat::incremental_cec`: shared structural hashing,
 ///     per-output miters under assumptions, simulation-guided fraiging); a
 ///     proof at any width, and reusable across a sweep's configurations.
-/// The simulation tiers share one engine family (wide_sim.hpp): a lane
-/// group of 1, 4, or 8 `std::uint64_t` words per circuit line packs 64–512
-/// input assignments, and every gate sweeps whole groups — the Toffoli
-/// control conjunction is a group AND, the target update a group XOR — so
-/// one pass over the gate list settles up to 512 assignments at once
-/// (portable unrolled lanes by default, AVX2/AVX-512 words when compiled
-/// in and the CPU agrees).  The original 64-bit `block_simulator` is
-/// retained as the differential oracle (`*_block64` tiers below); every
-/// width is bit-identical to it by contract.
+/// The simulation tiers share one engine (wide_sim.hpp): a lane group of
+/// 1, 4, or 8 `std::uint64_t` words per circuit line packs 64–512 input
+/// assignments, and every gate sweeps whole groups — the Toffoli control
+/// conjunction is a group AND, the target update a group XOR — so one pass
+/// over the gate list settles up to 512 assignments at once (portable
+/// unrolled lanes by default, AVX2/AVX-512 words when compiled in and the
+/// CPU agrees).  The w64 width is the 64-bit path; every width is
+/// bit-identical to the scalar `evaluate_circuit` by contract.
 ///
 /// Conventions: input variable i lives on the i-th line flagged
 /// `is_primary_input` (in line order); constant ancillae carry
@@ -56,41 +55,10 @@ std::vector<std::uint32_t> output_lines_of( const reversible_circuit& circuit );
 
 /// Simulates the circuit on one input assignment (constants filled in) and
 /// returns the output values.  This is the scalar reference evaluator; the
-/// verifiers below run on the 64-way block engine and are cross-checked
-/// against this one in tests/test_verify.cpp.
+/// verifiers below run on the wide engine and are cross-checked against
+/// this one, lane by lane, in tests/test_verify.cpp.
 std::vector<bool> evaluate_circuit( const reversible_circuit& circuit,
                                     const std::vector<bool>& inputs );
-
-/// Reusable 64-way bit-parallel simulator.  Line roles are resolved once at
-/// construction; every `evaluate` call then runs allocation-free over an
-/// internal state buffer.  The referenced circuit must outlive the
-/// simulator.
-class block_simulator
-{
-public:
-  explicit block_simulator( const reversible_circuit& circuit );
-
-  /// Simulates 64 packed input assignments.  `input_words[i]` carries input
-  /// variable i: bit j is its value in assignment j.  Returns one word per
-  /// output (same packing); the reference stays valid until the next call.
-  const std::vector<std::uint64_t>& evaluate( const std::vector<std::uint64_t>& input_words );
-
-  const std::vector<std::uint32_t>& input_lines() const { return in_lines_; }
-  const std::vector<std::uint32_t>& output_lines() const { return out_lines_; }
-
-private:
-  const reversible_circuit& circuit_;
-  std::vector<std::uint32_t> in_lines_;
-  std::vector<std::uint32_t> out_lines_;
-  std::vector<std::uint64_t> init_state_; ///< constants broadcast to words
-  std::vector<std::uint64_t> state_;
-  std::vector<std::uint64_t> outputs_;
-};
-
-/// One-shot convenience wrapper around `block_simulator`: simulates 64
-/// packed input assignments and returns one word per output.
-std::vector<std::uint64_t> evaluate_circuit_block( const reversible_circuit& circuit,
-                                                   const std::vector<std::uint64_t>& input_words );
 
 /// Exhaustively checks the circuit against output truth tables, 64
 /// assignments per simulated word (2^inputs/64 sweeps; inputs <= 24).
@@ -160,20 +128,6 @@ partial_verify_report verify_against_aig_sampled_budgeted( const reversible_circ
                                                            const deadline& stop,
                                                            unsigned num_samples,
                                                            std::uint64_t seed, sim_width width );
-
-/// The retained 64-bit scalar engines (`block_simulator` +
-/// `aig_network::simulate_patterns`, one 64-assignment block per pass) —
-/// the differential oracle every wide path is pinned against in
-/// tests/test_verify.cpp and the baseline `bench_verify` measures wide
-/// speedups over.  Same contract as the corresponding `_budgeted` tiers.
-partial_verify_report verify_against_aig_exhaustive_block64( const reversible_circuit& circuit,
-                                                             const aig_network& aig,
-                                                             const deadline& stop );
-partial_verify_report verify_against_aig_sampled_block64( const reversible_circuit& circuit,
-                                                          const aig_network& aig,
-                                                          const deadline& stop,
-                                                          unsigned num_samples = 256,
-                                                          std::uint64_t seed = 1 );
 
 /// Extracts the function computed by the circuit as an AIG: one PI per
 /// primary-input line (in input order), one PO per output index.  Constant

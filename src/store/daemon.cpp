@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -289,23 +288,6 @@ std::string field_or( const std::map<std::string, std::string>& fields, const st
   return it == fields.end() ? fallback : it->second;
 }
 
-unsigned uint_field( const std::map<std::string, std::string>& fields, const std::string& key,
-                     unsigned fallback )
-{
-  const auto it = fields.find( key );
-  if ( it == fields.end() )
-  {
-    return fallback;
-  }
-  std::size_t pos = 0;
-  const auto value = std::stoul( it->second, &pos );
-  if ( pos != it->second.size() || value > 0xffffffffull )
-  {
-    throw std::runtime_error( "field '" + key + "' is not an unsigned integer" );
-  }
-  return static_cast<unsigned>( value );
-}
-
 std::uint64_t u64_field( const std::map<std::string, std::string>& fields, const std::string& key,
                          std::uint64_t fallback )
 {
@@ -314,13 +296,28 @@ std::uint64_t u64_field( const std::map<std::string, std::string>& fields, const
   {
     return fallback;
   }
+  // Digits only: std::stoull skips leading whitespace and accepts a sign,
+  // so "-1" would silently wrap to 2^64 - 1.
+  const auto& text = it->second;
+  const bool digit_first = !text.empty() && text[0] >= '0' && text[0] <= '9';
   std::size_t pos = 0;
-  const auto value = std::stoull( it->second, &pos );
-  if ( pos != it->second.size() )
+  const auto value = digit_first ? std::stoull( text, &pos ) : 0u;
+  if ( !digit_first || pos != text.size() )
   {
     throw std::runtime_error( "field '" + key + "' is not an unsigned integer" );
   }
   return value;
+}
+
+unsigned uint_field( const std::map<std::string, std::string>& fields, const std::string& key,
+                     unsigned fallback )
+{
+  const auto value = u64_field( fields, key, fallback );
+  if ( value > 0xffffffffull )
+  {
+    throw std::runtime_error( "field '" + key + "' is not an unsigned integer" );
+  }
+  return static_cast<unsigned>( value );
 }
 
 double double_field( const std::map<std::string, std::string>& fields, const std::string& key,
@@ -552,6 +549,20 @@ std::string synthesize_response( const flow_params& params, const flow_result& r
   return out;
 }
 
+/// The slot of `key`, created on first use; `mutex` guards only the map.
+template<typename Slot>
+Slot& slot_of( std::mutex& mutex, std::map<std::string, std::unique_ptr<Slot>>& slots,
+               const std::string& key )
+{
+  std::lock_guard<std::mutex> lock( mutex );
+  auto& entry = slots[key];
+  if ( !entry )
+  {
+    entry = std::make_unique<Slot>();
+  }
+  return *entry;
+}
+
 std::string error_response( const std::string& message, const std::string& code = {} )
 {
   std::string out = "{\"ok\":false,\"error\":\"" + json_escape( message ) + "\"";
@@ -569,38 +580,46 @@ std::string error_response( const std::string& message, const std::string& code 
 
 /// Everything the daemon keeps alive for one (design, bitwidth): the
 /// elaborated AIG, its content hash, the stage-artifact cache (which owns
-/// the persistent SAT engine and is attached to the shared store), the
-/// in-memory result cache (each entry remembering the budget it was
-/// produced under), and the in-flight table duplicate requests coalesce
-/// on.
+/// the persistent SAT engine and is attached to the shared store), and one
+/// outcome slot per result-cache key.
 struct synthesis_daemon::design_context
 {
-  /// A memoized flow outcome plus the budget that produced it — the
-  /// budget decides whether a later, better-funded requester triggers a
-  /// recompute (see `upgrade_worthwhile`).
-  struct cached_outcome
+  /// One result-cache key's slot.  `mutex` is held while the key is
+  /// served — from memory, from the store, or by synthesizing it — so
+  /// identical concurrent requests queue on the slot instead of
+  /// recomputing.
+  struct outcome_slot
   {
-    flow_result result;
-    budget produced_with;
-  };
-
-  /// One in-flight synthesis: the owner publishes `result`/`error`, sets
-  /// `done`, and wakes every coalesced waiter through `results_cv`.
-  struct inflight_request
-  {
-    bool done = false;
-    flow_result result;
-    budget produced_with;
-    std::exception_ptr error;
+    std::mutex mutex;
+    /// The cached `ok`/`degraded` outcome (null until there is one) and
+    /// the budget it was produced under (see `upgrade_worthwhile`).
+    std::shared_ptr<const flow_result> cached;
+    budget cached_with;
+    /// The latest synthesis's outcome or exception, and its budget: what a
+    /// request that waited on that synthesis is served.
+    std::shared_ptr<const flow_result> latest;
+    budget latest_with;
+    std::exception_ptr latest_error;
+    /// Finished syntheses; read before waiting on `mutex`, so a waiter can
+    /// tell whether the holder synthesized.
+    std::atomic<std::size_t> syntheses{ 0 };
   };
 
   aig_network aig{ 0 };
   std::uint64_t design_hash = 0;
   flow_artifact_cache cache;
-  std::mutex results_mutex; ///< guards results, inflight
-  std::condition_variable results_cv;
-  std::map<std::string, cached_outcome> results;
-  std::map<std::string, std::shared_ptr<inflight_request>> inflight;
+  std::mutex results_mutex; ///< guards the `results` map, not the slots
+  std::map<std::string, std::unique_ptr<outcome_slot>> results;
+};
+
+/// One (design, bitwidth)'s slot: `mutex` is held while the design
+/// elaborates, and `ready` publishes `context` once elaboration succeeded
+/// (a failed elaboration leaves the slot empty for the next request).
+struct synthesis_daemon::design_slot
+{
+  std::mutex mutex;
+  std::unique_ptr<design_context> context;
+  std::atomic<bool> ready{ false };
 };
 
 synthesis_daemon::synthesis_daemon( daemon_options options ) : options_( std::move( options ) )
@@ -622,16 +641,15 @@ synthesis_daemon::~synthesis_daemon()
   stop();
 }
 
+void synthesis_daemon::count( std::size_t daemon_stats::*counter )
+{
+  std::lock_guard<std::mutex> lock( mutex_ );
+  ++( stats_.*counter );
+}
+
 synthesis_daemon::design_context& synthesis_daemon::context_for( const std::string& design,
                                                                  unsigned bitwidth )
 {
-  const auto key = design + ":" + std::to_string( bitwidth );
-  std::lock_guard<std::mutex> lock( mutex_ );
-  auto it = designs_.find( key );
-  if ( it != designs_.end() )
-  {
-    return *it->second;
-  }
   reciprocal_design kind;
   if ( design == "intdiv" )
   {
@@ -645,11 +663,23 @@ synthesis_daemon::design_context& synthesis_daemon::context_for( const std::stri
   {
     throw std::runtime_error( "unknown design '" + design + "' (intdiv|newton)" );
   }
-  auto ctx = std::make_unique<design_context>();
-  ctx->aig = verilog::elaborate_verilog( reciprocal_verilog( kind, bitwidth ) ).aig;
-  ctx->design_hash = ctx->aig.content_hash();
-  ctx->cache.attach_store( store_ );
-  return *designs_.emplace( key, std::move( ctx ) ).first->second;
+  auto& slot = slot_of( mutex_, designs_, design + ":" + std::to_string( bitwidth ) );
+  if ( !slot.ready.load() )
+  {
+    // Elaboration holds only this design's slot: requests for other
+    // designs, memory hits included, go ahead.
+    std::lock_guard<std::mutex> lock( slot.mutex );
+    if ( !slot.context )
+    {
+      auto ctx = std::make_unique<design_context>();
+      ctx->aig = verilog::elaborate_verilog( reciprocal_verilog( kind, bitwidth ) ).aig;
+      ctx->design_hash = ctx->aig.content_hash();
+      ctx->cache.attach_store( store_ );
+      slot.context = std::move( ctx );
+      slot.ready.store( true );
+    }
+  }
+  return *slot.context;
 }
 
 std::string synthesis_daemon::handle_synthesize( const std::map<std::string, std::string>& fields )
@@ -668,192 +698,152 @@ std::string synthesis_daemon::handle_synthesize( const std::map<std::string, std
   const auto params = params_from_fields( fields );
   auto& ctx = context_for( design, bitwidth );
   const auto rkey = outcome_key( params );
-  const store_key skey{ ctx.design_hash, payload_kind::flow_outcome, rkey };
-
-  // Decision loop under the context lock: memory tier, then the in-flight
-  // table (coalesce onto an identical running synthesis), then claim
-  // ownership subject to admission control.  A coalesced waiter that
-  // wakes with a larger budget than the owner's re-runs the loop — it may
-  // now be the one that upgrades the freshly cached degraded outcome.
-  using inflight_request = design_context::inflight_request;
-  std::shared_ptr<inflight_request> entry;
-  bool upgrading = false;
+  auto& slot = slot_of( ctx.results_mutex, ctx.results, rkey );
+  // 1. Take the slot (lock order: see `mutex_`); a request that finds it
+  // busy waits for the holder and counts as coalesced.
+  const auto seen = slot.syntheses.load();
+  std::unique_lock<std::mutex> lock( slot.mutex, std::try_to_lock );
+  const bool waited = !lock.owns_lock();
+  if ( waited )
   {
-    std::unique_lock<std::mutex> lock( ctx.results_mutex );
-    while ( true )
+    count( &daemon_stats::coalesced );
+    lock.lock();
+  }
+  // Every answer not synthesized by this request leaves through here.  A
+  // request that waited was counted as coalesced, never as a result hit.
+  const auto serve = [&]( std::shared_ptr<const flow_result> result, bool hit ) {
+    lock.unlock();
+    if ( hit && !waited )
     {
-      // Memory tier: a full hit skips synthesis AND verification — the
-      // cached entry carries the verdict — unless this requester's larger
-      // budget justifies recomputing an imperfect one.
-      const auto it = ctx.results.find( rkey );
-      if ( it != ctx.results.end() &&
-           !upgrade_worthwhile( it->second.result, it->second.produced_with, params.limits ) )
-      {
-        const auto result = it->second.result;
-        lock.unlock();
-        {
-          std::lock_guard<std::mutex> slock( mutex_ );
-          ++stats_.result_hits;
-        }
-        return synthesize_response( params, result, true, watch.elapsed_seconds() );
-      }
-      const bool memory_upgrade = it != ctx.results.end();
+      count( &daemon_stats::result_hits );
+    }
+    return synthesize_response( params, *result, true, watch.elapsed_seconds() );
+  };
 
-      // In-flight tier: identical concurrent queries fold onto the one
-      // owner's synthesis instead of recomputing.
-      const auto fit = ctx.inflight.find( rkey );
-      if ( fit != ctx.inflight.end() )
-      {
-        const auto shared = fit->second;
-        {
-          std::lock_guard<std::mutex> slock( mutex_ );
-          ++stats_.coalesced;
-        }
-        ctx.results_cv.wait( lock, [&shared] { return shared->done; } );
-        if ( shared->error )
-        {
-          std::rethrow_exception( shared->error );
-        }
-        if ( !upgrade_worthwhile( shared->result, shared->produced_with, params.limits ) )
-        {
-          const auto result = shared->result;
-          lock.unlock();
-          return synthesize_response( params, result, true, watch.elapsed_seconds() );
-        }
-        continue;
-      }
-
-      // Miss (or upgrade): claim ownership, subject to the admission cap —
-      // beyond max_inflight_ owners the request is rejected immediately so
-      // one huge design cannot absorb every connection thread.
-      if ( inflight_.fetch_add( 1 ) >= max_inflight_ )
-      {
-        inflight_.fetch_sub( 1 );
-        lock.unlock();
-        {
-          std::lock_guard<std::mutex> slock( mutex_ );
-          ++stats_.rejected;
-        }
-        return error_response(
-            "synthesis queue full (" + std::to_string( max_inflight_ ) + " in flight)", "busy" );
-      }
-      upgrading = memory_upgrade;
-      entry = std::make_shared<inflight_request>();
-      entry->produced_with = params.limits;
-      ctx.inflight.emplace( rkey, entry );
-      break;
+  // 2. The holder synthesized: serve its answer — timed_out, failed, or
+  // its exception included — unless this requester brings the budget to
+  // improve an imperfect one.
+  if ( waited && slot.syntheses.load() != seen )
+  {
+    if ( slot.latest_error )
+    {
+      std::rethrow_exception( slot.latest_error );
+    }
+    if ( !upgrade_worthwhile( *slot.latest, slot.latest_with, params.limits ) )
+    {
+      return serve( slot.latest, false );
     }
   }
 
-  // Owner path.  Whatever happens, the in-flight entry must be published
-  // and erased and the waiters woken — an exception reaches them as
-  // `entry->error`.
+  // 3. Memory tier: a full hit skips synthesis AND verification — the
+  // cached entry carries the verdict — unless this requester's larger
+  // budget justifies recomputing an imperfect one.
+  bool upgrading = false;
+  if ( slot.cached )
+  {
+    if ( !upgrade_worthwhile( *slot.cached, slot.cached_with, params.limits ) )
+    {
+      return serve( slot.cached, true );
+    }
+    upgrading = true;
+  }
+
+  // 4. Store tier (pointless when already upgrading the memory entry).  A
+  // store hit is subject to the same budget-honesty rule; a corrupt or
+  // budget-blind legacy entry counts as a miss and is rewritten below.
+  const store_key skey{ ctx.design_hash, payload_kind::flow_outcome, rkey };
+  if ( !upgrading && store_ )
+  {
+    if ( const auto payload = store_->load( skey ) )
+    {
+      try
+      {
+        budget produced_with;
+        const auto result =
+            std::make_shared<const flow_result>( decode_outcome( *payload, produced_with ) );
+        if ( !upgrade_worthwhile( *result, produced_with, params.limits ) )
+        {
+          slot.cached = result;
+          slot.cached_with = produced_with;
+          return serve( result, true );
+        }
+        upgrading = true; // the store has it, but this requester can do better
+      }
+      catch ( const deserialize_error& )
+      {
+        // corrupt outcome entry: recompute below
+      }
+    }
+  }
+
+  // 5. Admission: beyond max_inflight_ admitted syntheses the request is
+  // rejected immediately, so one huge design cannot absorb every
+  // connection thread.
+  if ( inflight_.fetch_add( 1 ) >= max_inflight_ )
+  {
+    inflight_.fetch_sub( 1 );
+    lock.unlock();
+    count( &daemon_stats::rejected );
+    return error_response(
+        "synthesis queue full (" + std::to_string( max_inflight_ ) + " in flight)", "busy" );
+  }
+
+  // 6. Synthesize on the shared pool: the staged flow becomes a little
+  // dependency graph (optimize → artifact → tail) that runs alongside
+  // every other in-flight request's graph; stage work still coalesces per
+  // design through the artifact-cache keys.  The deadline is armed here —
+  // at admission — so time spent queued behind other requests' tasks
+  // consumes this request's budget, and a tail that cannot start before
+  // expiry reports `timed_out` instead of running late.
+  const auto out = std::make_shared<flow_result>();
+  std::exception_ptr error;
   try
   {
-    // Disk tier (pointless when we already decided to upgrade a memory
-    // slot).  A disk hit is subject to the same budget-honesty rule; a
-    // corrupt or budget-blind legacy entry counts as a miss and is
-    // recomputed and rewritten below.
-    if ( !upgrading && store_ )
-    {
-      if ( const auto payload = store_->load( skey ) )
-      {
-        try
-        {
-          budget produced_with;
-          const auto result = decode_outcome( *payload, produced_with );
-          if ( !upgrade_worthwhile( result, produced_with, params.limits ) )
-          {
-            {
-              std::lock_guard<std::mutex> lock( ctx.results_mutex );
-              ctx.results[rkey] = { result, produced_with };
-              entry->result = result;
-              entry->produced_with = produced_with;
-              entry->done = true;
-              ctx.inflight.erase( rkey );
-              ctx.results_cv.notify_all();
-            }
-            inflight_.fetch_sub( 1 );
-            {
-              std::lock_guard<std::mutex> slock( mutex_ );
-              ++stats_.result_hits;
-            }
-            return synthesize_response( params, result, true, watch.elapsed_seconds() );
-          }
-          upgrading = true; // the store has it, but this requester can do better
-        }
-        catch ( const deserialize_error& )
-        {
-          // corrupt outcome entry: recompute below
-        }
-      }
-    }
-
-    // Synthesize on the shared pool: the staged flow becomes a little
-    // dependency graph (optimize → artifact → tail) that runs alongside
-    // every other in-flight request's graph; stage work still coalesces
-    // per design through the artifact-cache keys.  The deadline is armed
-    // here — at admission — so time spent queued behind other requests'
-    // tasks consumes this request's budget, and a tail that cannot start
-    // before expiry reports `timed_out` instead of running late.
     const auto stop = deadline::in( params.limits.deadline_seconds );
-    flow_result out;
     task_graph graph;
-    const auto ids = add_flow_tasks( graph, ctx.aig, params, ctx.cache, stop, out );
+    const auto ids = add_flow_tasks( graph, ctx.aig, params, ctx.cache, stop, *out );
     graph.run( *pool_, stop );
-    fill_flow_status_from_graph( graph, ids.tail, out );
-
-    {
-      std::lock_guard<std::mutex> slock( mutex_ );
-      ++stats_.synthesized;
-      if ( upgrading )
-      {
-        ++stats_.upgraded;
-      }
-    }
-    // Only completed results are worth remembering: a timed-out or failed
-    // attempt must not pin the failure for every later (possibly
-    // better-budgeted) requester.  An upgrade overwrites both tiers.
-    const bool cacheable =
-        out.status == flow_status::ok || out.status == flow_status::degraded;
-    {
-      std::lock_guard<std::mutex> lock( ctx.results_mutex );
-      if ( cacheable )
-      {
-        ctx.results[rkey] = { out, params.limits };
-      }
-      entry->result = out;
-      entry->done = true;
-      ctx.inflight.erase( rkey );
-      ctx.results_cv.notify_all();
-    }
-    inflight_.fetch_sub( 1 );
-    if ( cacheable && store_ )
-    {
-      store_->save( skey, encode_outcome( out, params.limits ) );
-    }
-    return synthesize_response( params, out, false, watch.elapsed_seconds() );
+    fill_flow_status_from_graph( graph, ids.tail, *out );
   }
   catch ( ... )
   {
-    {
-      std::lock_guard<std::mutex> lock( ctx.results_mutex );
-      entry->error = std::current_exception();
-      entry->done = true;
-      ctx.inflight.erase( rkey );
-      ctx.results_cv.notify_all();
-    }
-    inflight_.fetch_sub( 1 );
-    throw;
+    error = std::current_exception();
   }
+  inflight_.fetch_sub( 1 );
+
+  // 7. Publish, still holding the slot.  Only completed results are worth
+  // remembering: a timed-out or failed attempt must not pin the failure
+  // for every later (possibly better-budgeted) requester.  An upgrade
+  // overwrites both tiers.
+  if ( !error && ( out->status == flow_status::ok || out->status == flow_status::degraded ) )
+  {
+    slot.cached = out;
+    slot.cached_with = params.limits;
+    if ( store_ )
+    {
+      store_->save( skey, encode_outcome( *out, params.limits ) );
+    }
+  }
+  slot.latest = out;
+  slot.latest_with = params.limits;
+  slot.latest_error = error;
+  slot.syntheses.fetch_add( 1 );
+  lock.unlock();
+  if ( error )
+  {
+    std::rethrow_exception( error );
+  }
+  count( &daemon_stats::synthesized );
+  if ( upgrading )
+  {
+    count( &daemon_stats::upgraded );
+  }
+  return synthesize_response( params, *out, false, watch.elapsed_seconds() );
 }
 
 std::string synthesis_daemon::handle_request( const std::string& line )
 {
-  {
-    std::lock_guard<std::mutex> lock( mutex_ );
-    ++stats_.requests;
-  }
+  count( &daemon_stats::requests );
   try
   {
     const auto fields = parse_flat_json( line );
@@ -875,10 +865,14 @@ std::string synthesis_daemon::handle_request( const std::string& line )
       {
         std::lock_guard<std::mutex> lock( mutex_ );
         d = stats_;
-        num_designs = designs_.size();
-        for ( const auto& [name, ctx] : designs_ )
+        for ( const auto& [name, slot] : designs_ )
         {
-          const auto s = ctx->cache.stats();
+          if ( !slot->ready.load() )
+          {
+            continue; // still elaborating, or its elaboration failed
+          }
+          ++num_designs;
+          const auto s = slot->context->cache.stats();
           artifacts.hits += s.hits;
           artifacts.misses += s.misses;
           artifacts.store_hits += s.store_hits;
@@ -893,9 +887,7 @@ std::string synthesis_daemon::handle_request( const std::string& line )
       out += ",\"rejected\":" + std::to_string( d.rejected );
       out += ",\"upgraded\":" + std::to_string( d.upgraded );
       out += ",\"inflight\":" + std::to_string( inflight_.load() );
-      out += ",\"threads\":" + std::to_string( pool_->num_workers() == 0u
-                                                   ? 1u
-                                                   : pool_->num_workers() );
+      out += ",\"threads\":" + std::to_string( num_threads() );
       out += ",\"designs\":" + std::to_string( num_designs );
       out += ",\"artifact_hits\":" + std::to_string( artifacts.hits );
       out += ",\"artifact_store_hits\":" + std::to_string( artifacts.store_hits );
@@ -919,8 +911,7 @@ std::string synthesis_daemon::handle_request( const std::string& line )
   }
   catch ( const std::exception& e )
   {
-    std::lock_guard<std::mutex> lock( mutex_ );
-    ++stats_.errors;
+    count( &daemon_stats::errors );
     return error_response( e.what() );
   }
 }
@@ -1024,10 +1015,7 @@ void synthesis_daemon::accept_loop()
     }
     if ( !admitted )
     {
-      {
-        std::lock_guard<std::mutex> lock( mutex_ );
-        ++stats_.rejected;
-      }
+      count( &daemon_stats::rejected );
       send_all( fd, error_response( "too many connections (" +
                                         std::to_string( options_.max_connections ) + " open)",
                                     "busy" ) +
@@ -1094,10 +1082,7 @@ void synthesis_daemon::handle_connection( int fd )
     // `buffer` until the daemon OOMs; answer once and drop the connection.
     if ( buffer.size() > options_.max_line_bytes )
     {
-      {
-        std::lock_guard<std::mutex> lock( mutex_ );
-        ++stats_.errors;
-      }
+      count( &daemon_stats::errors );
       send_all( fd, error_response( "request line exceeds " +
                                         std::to_string( options_.max_line_bytes ) + " bytes",
                                     "line_too_long" ) +

@@ -15,11 +15,14 @@
 /// long-lived work-stealing pool shared by all in-flight requests, so a
 /// big design's stages parallelize across workers and concurrent requests
 /// interleave at task granularity instead of fighting over cores
-/// thread-per-request.  Identical concurrent queries coalesce: an
-/// in-flight table keyed on the result-cache key (`outcome_key`) makes
-/// every duplicate wait for the one owner's synthesis and share its
-/// result — N identical in-flight queries run `run_flow_staged` exactly
-/// once (stats `synthesized == 1`, the rest counted `coalesced`).
+/// thread-per-request.  Identical concurrent queries coalesce: every
+/// result-cache key (`outcome_key`) has its own slot, held while the key
+/// is served from memory, loaded from the store, or synthesized, so every
+/// duplicate waits on the slot and shares the holder's result — N
+/// identical in-flight queries run `run_flow_staged` exactly once (stats
+/// `synthesized == 1`, the rest counted `coalesced`).  Designs get
+/// per-key slots too: a new design elaborates holding only its own slot,
+/// never the daemon-wide lock, so requests for other designs go ahead.
 ///
 /// Admission control: at most `max_inflight` syntheses may be in flight;
 /// requests beyond that are rejected immediately with
@@ -154,8 +157,10 @@ public:
 
 private:
   struct design_context;
+  struct design_slot;
 
   design_context& context_for( const std::string& design, unsigned bitwidth );
+  void count( std::size_t daemon_stats::*counter );
   std::string handle_synthesize( const std::map<std::string, std::string>& fields );
   void accept_loop();
   void handle_connection( int fd );
@@ -166,8 +171,12 @@ private:
   std::unique_ptr<thread_pool> pool_;     ///< shared by all in-flight requests
   std::size_t max_inflight_ = 0;          ///< resolved admission cap
 
-  mutable std::mutex mutex_; ///< guards designs_, stats_
-  std::map<std::string, std::unique_ptr<design_context>> designs_;
+  /// Guards the designs_ map (not the slots) and stats_; held only briefly.
+  /// Lock order: a request takes its design slot, releases it, then holds
+  /// its outcome slot while the flow's pool tasks take artifact-cache
+  /// slots; cache code never takes an outcome slot, so there is no cycle.
+  mutable std::mutex mutex_;
+  std::map<std::string, std::unique_ptr<design_slot>> designs_;
   daemon_stats stats_;
   std::atomic<std::size_t> inflight_{ 0 }; ///< admitted owner syntheses
 

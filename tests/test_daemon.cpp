@@ -14,6 +14,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "common/fault_injection.hpp"
 #include "store/daemon.hpp"
 
 using namespace qsyn;
@@ -158,6 +159,26 @@ TEST( daemon, out_of_range_cut_size_is_rejected_before_elaboration )
     EXPECT_TRUE( contains( response, "cut_size" ) ) << response;
   }
   EXPECT_EQ( daemon.stats().errors, 3u );
+  EXPECT_EQ( daemon.stats().synthesized, 0u );
+}
+
+TEST( daemon, negative_integer_fields_are_rejected )
+{
+  synthesis_daemon daemon( {} );
+  // std::stoull("-1") wraps to 2^64-1 instead of failing: a negative budget
+  // must be an error, not an effectively unlimited one.
+  for ( const auto* field : { "sat_conflicts", "sat_propagations", "exorcism_pairs", "rounds",
+                              "bitwidth" } )
+  {
+    const auto response = daemon.handle_request(
+        std::string( R"({"cmd":"synthesize","design":"intdiv","bitwidth":4,"flow":"esop",")" ) +
+        field + R"(":-1})" );
+    EXPECT_TRUE( contains( response, "\"ok\":false" ) ) << response;
+    EXPECT_TRUE( contains( response, std::string( "field '" ) + field +
+                                         "' is not an unsigned integer" ) )
+        << response;
+  }
+  EXPECT_EQ( daemon.stats().errors, 5u );
   EXPECT_EQ( daemon.stats().synthesized, 0u );
 }
 
@@ -401,6 +422,77 @@ TEST( daemon, admission_cap_rejects_with_busy )
   const auto after = daemon.handle_request(
       R"({"cmd":"synthesize","design":"intdiv","bitwidth":4,"flow":"esop","esop_p":1})" );
   EXPECT_TRUE( contains( after, "\"ok\":true" ) ) << after;
+}
+
+TEST( daemon, elaborating_a_new_design_does_not_block_memory_hits )
+{
+  synthesis_daemon daemon( {} );
+  const auto hit = R"({"cmd":"synthesize","design":"intdiv","bitwidth":4,"flow":"esop","esop_p":1})";
+  const auto warm = daemon.handle_request( hit );
+  ASSERT_TRUE( contains( warm, "\"from_cache\":false" ) ) << warm;
+
+  // NEWTON(64) takes ~0.3 s to elaborate.  Its 1 us deadline, armed at
+  // admission, has expired by the time the flow's first task would start,
+  // so the request ends `timed_out` right after elaboration.
+  std::string slow;
+  std::thread elaborating( [&daemon, &slow] {
+    slow = daemon.handle_request(
+        R"({"cmd":"synthesize","design":"newton","bitwidth":64,"flow":"hierarchical","deadline":0.000001})" );
+  } );
+  std::this_thread::sleep_for( std::chrono::milliseconds( 30 ) );
+
+  // A memory hit on another design must not queue behind that elaboration.
+  const auto start = std::chrono::steady_clock::now();
+  const auto served = daemon.handle_request( hit );
+  const auto waited = std::chrono::steady_clock::now() - start;
+  elaborating.join();
+  EXPECT_TRUE( contains( served, "\"from_cache\":true" ) ) << served;
+  EXPECT_LT( waited, std::chrono::milliseconds( 50 ) );
+  EXPECT_TRUE( contains( slow, "\"status\":\"timed_out\"" ) ) << slow;
+}
+
+TEST( daemon, requests_waiting_on_a_timed_out_synthesis_share_its_answer )
+{
+  synthesis_daemon daemon( {} );
+  // Prewarm the optimized AIG (shared with the ESOP flow) so that the
+  // hierarchical request below spends its 20 ms deadline inside the XMG
+  // stage, and its synthesis tail can no longer start.
+  const auto prewarm = daemon.handle_request(
+      R"({"cmd":"synthesize","design":"newton","bitwidth":10,"flow":"esop"})" );
+  ASSERT_TRUE( contains( prewarm, "\"status\":\"ok\"" ) ) << prewarm;
+  const auto synthesized_before = daemon.stats().synthesized;
+
+  fault_injection::disarm_all();
+  // Armed only to count polls: the XMG stage never fails.
+  fault_injection::arm( "flow.xmg", fault_injection::kind::fail, 1000000u );
+  const auto request =
+      R"({"cmd":"synthesize","design":"newton","bitwidth":10,"flow":"hierarchical","deadline":0.02})";
+  std::vector<std::string> responses( 4 );
+  std::vector<std::thread> clients;
+  for ( unsigned t = 0; t < responses.size(); ++t )
+  {
+    clients.emplace_back(
+        [&daemon, &responses, t, request] { responses[t] = daemon.handle_request( request ); } );
+    // Once the first request is inside the XMG stage, the identical ones
+    // must wait on its synthesis and get its `timed_out` answer, not start
+    // their own.
+    for ( int i = 0; t == 0u && i < 100000 && fault_injection::hits( "flow.xmg" ) == 0u; ++i )
+    {
+      std::this_thread::sleep_for( std::chrono::microseconds( 100 ) );
+    }
+  }
+  for ( auto& c : clients )
+  {
+    c.join();
+  }
+  EXPECT_EQ( fault_injection::hits( "flow.xmg" ), 1u );
+  fault_injection::disarm_all();
+  for ( const auto& r : responses )
+  {
+    EXPECT_TRUE( contains( r, "\"status\":\"timed_out\"" ) ) << r;
+  }
+  EXPECT_EQ( daemon.stats().synthesized - synthesized_before, 1u );
+  EXPECT_EQ( daemon.stats().coalesced, 3u );
 }
 
 // --- socket transport --------------------------------------------------------

@@ -1,4 +1,4 @@
-/// Word-level (64-way bit-parallel) verification engine vs. the scalar
+/// The bit-parallel simulation engine (every lane width) vs. the scalar
 /// `evaluate_circuit` oracle, plus the exhaustive / sampled / SAT tiers
 /// built on top of it.
 
@@ -7,9 +7,9 @@
 #include <optional>
 #include <random>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
-#include "common/bits.hpp"
 #include "logic/aig.hpp"
 #include "reversible/circuit.hpp"
 #include "reversible/verify.hpp"
@@ -78,24 +78,6 @@ std::vector<bool> random_assignment( std::mt19937_64& rng, unsigned num_inputs )
   return assignment;
 }
 
-/// Packs `assignments[j]` into bit j of one word per input variable.
-std::vector<std::uint64_t> pack( const std::vector<std::vector<bool>>& assignments,
-                                 unsigned num_inputs )
-{
-  std::vector<std::uint64_t> words( num_inputs, 0u );
-  for ( std::size_t j = 0; j < assignments.size(); ++j )
-  {
-    for ( unsigned i = 0; i < num_inputs; ++i )
-    {
-      if ( assignments[j][i] )
-      {
-        words[i] |= std::uint64_t{ 1 } << j;
-      }
-    }
-  }
-  return words;
-}
-
 std::vector<bool> counter_assignment( std::uint64_t x, unsigned num_inputs )
 {
   std::vector<bool> assignment( num_inputs );
@@ -106,93 +88,164 @@ std::vector<bool> counter_assignment( std::uint64_t x, unsigned num_inputs )
   return assignment;
 }
 
+/// Spec = AND of all `n` inputs; circuit = constant 0 on an ancilla
+/// output line.  They differ only on the all-one assignment.
+std::pair<aig_network, reversible_circuit> and_vs_constant_zero( unsigned n )
+{
+  aig_network aig( n );
+  std::vector<aig_lit> pis;
+  for ( unsigned i = 0; i < n; ++i )
+  {
+    pis.push_back( aig.pi( i ) );
+  }
+  aig.add_po( aig.create_nary_and( pis ) );
+  reversible_circuit circuit( n + 1u );
+  for ( unsigned l = 0; l < n; ++l )
+  {
+    circuit.line( l ).is_primary_input = true;
+  }
+  circuit.line( n ).is_constant_input = true;
+  circuit.line( n ).output_index = 0;
+  circuit.line( n ).is_garbage = false;
+  return { std::move( aig ), std::move( circuit ) };
+}
+
+/// A simulation tier's contract, one assignment at a time: evaluates
+/// `assignment_of( 0 .. requested - 1 )` in order and reports the first
+/// failing `x` with `x + 1` assignments completed, or all of them.
+template<typename AssignmentOf>
+partial_verify_report scalar_report( const reversible_circuit& circuit, const aig_network& spec,
+                                     std::uint64_t requested, AssignmentOf&& assignment_of )
+{
+  partial_verify_report report;
+  report.assignments_requested = requested;
+  for ( std::uint64_t x = 0; x < requested; ++x )
+  {
+    const auto assignment = assignment_of( x );
+    if ( evaluate_circuit( circuit, assignment ) != spec.evaluate( assignment ) )
+    {
+      report.counterexample = assignment;
+      report.assignments_completed = x + 1u;
+      return report;
+    }
+  }
+  report.assignments_completed = requested;
+  return report;
+}
+
+/// The exhaustive tier's reference: counter order over all 2^n inputs.
+partial_verify_report scalar_exhaustive_report( const reversible_circuit& circuit,
+                                                const aig_network& spec )
+{
+  const auto n = spec.num_pis();
+  return scalar_report( circuit, spec, std::uint64_t{ 1 } << n,
+                        [n]( std::uint64_t x ) { return counter_assignment( x, n ); } );
+}
+
+/// The sampled tier's reference for spaces larger than the budget: the
+/// `mt19937_64` stream replayed as one word per input per 64-lane block,
+/// lanes 0 and 1 of block 0 pinned to all-zero and all-one, evaluated lane
+/// by lane up to the request (which masks the last block).
+partial_verify_report scalar_sampled_report( const reversible_circuit& circuit,
+                                             const aig_network& spec, unsigned num_samples,
+                                             std::uint64_t seed )
+{
+  const auto n = spec.num_pis();
+  const std::uint64_t requested = std::uint64_t{ num_samples } + 2u;
+  std::mt19937_64 rng( seed );
+  std::vector<std::uint64_t> words( ( requested + 63u ) / 64u * n );
+  for ( std::size_t w = 0; w < words.size(); ++w )
+  {
+    words[w] = w < n ? ( rng() & ~std::uint64_t{ 3 } ) | 2u : rng();
+  }
+  return scalar_report( circuit, spec, requested, [&words, n]( std::uint64_t x ) {
+    std::vector<bool> assignment( n );
+    for ( unsigned i = 0; i < n; ++i )
+    {
+      assignment[i] = ( words[x / 64u * n + i] >> ( x % 64u ) ) & 1u;
+    }
+    return assignment;
+  } );
+}
+
+constexpr sim_width all_widths[] = { sim_width::w64, sim_width::w256, sim_width::w512 };
+
+/// Packs `batch` (at most one lane group) into lane j = word j / 64, bit
+/// j % 64 of each input's group, simulates it at `width`, and checks every
+/// lane's outputs against `evaluate_circuit`.
+void expect_lanes_match_scalar( const reversible_circuit& circuit, sim_width width,
+                                const std::vector<std::vector<bool>>& batch,
+                                const std::string& context )
+{
+  const auto W = words_of( width );
+  wide_simulator sim( circuit, width );
+  ASSERT_EQ( sim.width(), width );
+  std::vector<std::uint64_t> inputs( sim.input_lines().size() * W, 0u );
+  for ( std::size_t j = 0; j < batch.size(); ++j )
+  {
+    for ( std::size_t i = 0; i < batch[j].size(); ++i )
+    {
+      inputs[i * W + j / 64u] |= std::uint64_t{ batch[j][i] } << ( j % 64u );
+    }
+  }
+  const auto& words = sim.evaluate( inputs );
+  for ( std::size_t j = 0; j < batch.size(); ++j )
+  {
+    const auto expected = evaluate_circuit( circuit, batch[j] );
+    ASSERT_EQ( words.size(), expected.size() * W ) << context;
+    for ( std::size_t o = 0; o < expected.size(); ++o )
+    {
+      EXPECT_EQ( ( words[o * W + j / 64u] >> ( j % 64u ) ) & 1u,
+                 static_cast<std::uint64_t>( expected[o] ) )
+          << context << " width " << lanes_of( width ) << " lane " << j << " output " << o;
+    }
+  }
+  // One group too many: the input arity is checked.
+  EXPECT_THROW( sim.evaluate( std::vector<std::uint64_t>( inputs.size() + W ) ),
+                std::invalid_argument );
+}
+
+/// Full report equality: verdict, counterexample, and the per-assignment
+/// coverage accounting must match the oracle exactly.
+void expect_report_equal( const partial_verify_report& got, const partial_verify_report& want,
+                          const std::string& context )
+{
+  EXPECT_EQ( got.counterexample, want.counterexample ) << context;
+  EXPECT_EQ( got.assignments_requested, want.assignments_requested ) << context;
+  EXPECT_EQ( got.assignments_completed, want.assignments_completed ) << context;
+  EXPECT_EQ( got.complete, want.complete ) << context;
+}
+
+/// Corrupts a circuit behind its extracted specification: an extra NOT on
+/// the lowest output line flips that output for every assignment.
+reversible_circuit corrupt_first_output( const reversible_circuit& circuit )
+{
+  auto corrupted = circuit;
+  corrupted.add_not( output_lines_of( circuit ).front() );
+  return corrupted;
+}
+
+/// Corrupts a circuit late in counter order: a Toffoli onto the lowest
+/// output line, controlled by input lines 0..2 (or the input lines other
+/// than the target), fires only when all its controls are one, so the
+/// candidate survives several wide passes before it can fail.
+reversible_circuit corrupt_late( const reversible_circuit& circuit )
+{
+  auto corrupted = circuit;
+  const auto target = output_lines_of( circuit ).front();
+  std::vector<control> controls;
+  for ( const auto line : input_lines_of( circuit ) )
+  {
+    if ( line != target && controls.size() < 3u )
+    {
+      controls.push_back( { line, true } );
+    }
+  }
+  corrupted.add_mct( controls, target );
+  return corrupted;
+}
+
 } // namespace
-
-// --- block evaluator vs. scalar oracle ---------------------------------------
-
-TEST( verify_block, matches_scalar_on_random_circuits )
-{
-  std::mt19937_64 rng( 11 );
-  for ( int instance = 0; instance < 40; ++instance )
-  {
-    const unsigned num_lines = 2u + rng() % 9u;
-    const unsigned num_inputs = 1u + rng() % num_lines;
-    const auto circuit = random_circuit( rng, num_lines, 1u + rng() % 40u, num_inputs );
-
-    std::vector<std::vector<bool>> batch;
-    for ( unsigned j = 0; j < 64u; ++j )
-    {
-      batch.push_back( random_assignment( rng, num_inputs ) );
-    }
-    const auto words = evaluate_circuit_block( circuit, pack( batch, num_inputs ) );
-    for ( unsigned j = 0; j < 64u; ++j )
-    {
-      const auto expected = evaluate_circuit( circuit, batch[j] );
-      ASSERT_EQ( words.size(), expected.size() );
-      for ( std::size_t o = 0; o < expected.size(); ++o )
-      {
-        EXPECT_EQ( ( words[o] >> j ) & 1u, static_cast<std::uint64_t>( expected[o] ) )
-            << "instance " << instance << " lane " << j << " output " << o;
-      }
-    }
-  }
-}
-
-TEST( verify_block, matches_scalar_exhaustively_up_to_ten_inputs )
-{
-  std::mt19937_64 rng( 23 );
-  for ( const unsigned num_inputs : { 1u, 2u, 5u, 6u, 7u, 10u } )
-  {
-    const unsigned num_lines = num_inputs + 1u + rng() % 3u;
-    const auto circuit = random_circuit( rng, num_lines, 25u, num_inputs );
-    block_simulator sim( circuit );
-    const std::uint64_t space = std::uint64_t{ 1 } << num_inputs;
-    for ( std::uint64_t base = 0; base < space; base += 64u )
-    {
-      const auto lanes = std::min<std::uint64_t>( 64u, space - base );
-      std::vector<std::vector<bool>> batch;
-      for ( std::uint64_t j = 0; j < lanes; ++j )
-      {
-        batch.push_back( counter_assignment( base + j, num_inputs ) );
-      }
-      const auto words = sim.evaluate( pack( batch, num_inputs ) );
-      for ( std::uint64_t j = 0; j < lanes; ++j )
-      {
-        const auto expected = evaluate_circuit( circuit, batch[j] );
-        for ( std::size_t o = 0; o < expected.size(); ++o )
-        {
-          EXPECT_EQ( ( words[o] >> j ) & 1u, static_cast<std::uint64_t>( expected[o] ) )
-              << "n=" << num_inputs << " x=" << base + j << " output " << o;
-        }
-      }
-    }
-  }
-}
-
-TEST( verify_block, constant_ancilla_values_are_broadcast )
-{
-  // out = (1 AND x0) XOR x1 realized with a constant-1 ancilla as control.
-  reversible_circuit circuit( 3 );
-  circuit.line( 0 ).is_primary_input = true;
-  circuit.line( 1 ).is_primary_input = true;
-  circuit.line( 2 ).is_constant_input = true;
-  circuit.line( 2 ).constant_value = true;
-  circuit.line( 1 ).output_index = 0;
-  circuit.line( 1 ).is_garbage = false;
-  circuit.add_toffoli( 0, 2, 1 ); // fires iff x0 (ancilla is constant 1)
-  const auto words =
-      evaluate_circuit_block( circuit, { projections[0], projections[1] } );
-  ASSERT_EQ( words.size(), 1u );
-  EXPECT_EQ( words[0], projections[0] ^ projections[1] );
-}
-
-TEST( verify_block, input_arity_mismatch_throws )
-{
-  reversible_circuit circuit( 2 );
-  circuit.line( 0 ).is_primary_input = true;
-  circuit.line( 1 ).is_primary_input = true;
-  EXPECT_THROW( evaluate_circuit_block( circuit, { 0u } ), std::invalid_argument );
-}
 
 // --- truth-table tier --------------------------------------------------------
 
@@ -255,17 +308,7 @@ TEST( verify_exhaustive, certifies_extraction_and_finds_first_counterexample )
     const auto cex = verify_against_aig_exhaustive( circuit, corrupted );
     ASSERT_TRUE( cex.has_value() ) << num_inputs;
     EXPECT_NE( evaluate_circuit( circuit, *cex ), corrupted.evaluate( *cex ) );
-    std::uint64_t first_failing = 0;
-    for ( std::uint64_t x = 0;; ++x )
-    {
-      const auto assignment = counter_assignment( x, num_inputs );
-      if ( evaluate_circuit( circuit, assignment ) != corrupted.evaluate( assignment ) )
-      {
-        first_failing = x;
-        break;
-      }
-    }
-    EXPECT_EQ( *cex, counter_assignment( first_failing, num_inputs ) ) << num_inputs;
+    EXPECT_EQ( cex, scalar_exhaustive_report( circuit, corrupted ).counterexample ) << num_inputs;
   }
 }
 
@@ -306,8 +349,8 @@ TEST( verify_sampled, small_spaces_are_enumerated_exhaustively )
   // f = x0 AND x1, circuit computes OR: wrong exactly on the two one-hot
   // patterns.  Sampling could miss them; the exhaustive branch cannot, and
   // must return the first failing assignment x = 1, i.e. (1, 0).  This is
-  // the regression contract for the counterexample format of the scalar
-  // enumeration the block engine replaced.
+  // the regression contract for the counterexample format of a scalar
+  // counter-order enumeration.
   aig_network aig( 2 );
   aig.add_po( aig.create_and( aig.pi( 0 ), aig.pi( 1 ) ) );
 
@@ -331,23 +374,7 @@ TEST( verify_sampled, ragged_budget_below_one_word_still_covers_extremes )
   // ragged 7-lane batch.  A circuit wrong only on the all-one pattern must
   // still be caught (lane 1 pins all-one).
   const unsigned n = 7;
-  aig_network aig( n );
-  std::vector<aig_lit> pis;
-  for ( unsigned i = 0; i < n; ++i )
-  {
-    pis.push_back( aig.pi( i ) );
-  }
-  aig.add_po( aig.create_nary_and( pis ) );
-
-  reversible_circuit circuit( n + 1u );
-  for ( unsigned l = 0; l < n; ++l )
-  {
-    circuit.line( l ).is_primary_input = true;
-  }
-  circuit.line( n ).is_constant_input = true;
-  circuit.line( n ).output_index = 0;
-  circuit.line( n ).is_garbage = false;
-  // Constant-0 output: differs from the spec only on the all-one input.
+  const auto [aig, circuit] = and_vs_constant_zero( n );
   const auto cex = verify_against_aig_sampled( circuit, aig, 5, 99 );
   ASSERT_TRUE( cex.has_value() );
   EXPECT_EQ( *cex, std::vector<bool>( n, true ) );
@@ -414,103 +441,83 @@ TEST( verify_sat, interface_mismatch_throws )
   EXPECT_THROW( verify_against_aig_sat( circuit, aig ), std::invalid_argument );
 }
 
-// --- SIMD-wide engine vs. the 64-bit scalar oracle ---------------------------
+// --- the wide engine vs. the scalar oracle ----------------------------------
 //
-// The differential harness of the wide simulation engine: every wide path
-// (all three lane widths, whichever SIMD backend the build dispatches to)
-// is pinned against the retained 64-bit scalar engine — bit-identical
-// verdicts, counterexamples, and coverage accounting, ragged tails and
-// constant ancillae included.
+// The differential harness of the simulation engine: every lane width
+// (whichever SIMD backend the build dispatches to) is pinned against the
+// scalar `evaluate_circuit` lane by lane, and every verification report
+// against a scalar replay of the tier's contract — bit-identical verdicts,
+// counterexamples, and coverage accounting, ragged tails and constant
+// ancillae included.
 
-namespace
+TEST( verify_wide, wide_simulator_matches_scalar_on_random_circuits )
 {
-
-constexpr sim_width all_widths[] = { sim_width::w64, sim_width::w256, sim_width::w512 };
-
-/// Full report equality: verdict, counterexample, and the per-assignment
-/// coverage accounting must match the oracle exactly.
-void expect_report_equal( const partial_verify_report& got, const partial_verify_report& want,
-                          const std::string& context )
-{
-  EXPECT_EQ( got.counterexample, want.counterexample ) << context;
-  EXPECT_EQ( got.assignments_requested, want.assignments_requested ) << context;
-  EXPECT_EQ( got.assignments_completed, want.assignments_completed ) << context;
-  EXPECT_EQ( got.complete, want.complete ) << context;
-}
-
-/// Corrupts a circuit behind its extracted specification: an extra NOT on
-/// the lowest output line flips that output for every assignment.
-reversible_circuit corrupt_first_output( const reversible_circuit& circuit )
-{
-  auto corrupted = circuit;
-  corrupted.add_not( output_lines_of( circuit ).front() );
-  return corrupted;
-}
-
-/// Corrupts a circuit late in counter order: a Toffoli onto the lowest
-/// output line, controlled by input lines 0..2 (or the input lines other
-/// than the target), fires only when all its controls are one, so the
-/// candidate survives several wide passes before it can fail.
-reversible_circuit corrupt_late( const reversible_circuit& circuit )
-{
-  auto corrupted = circuit;
-  const auto target = output_lines_of( circuit ).front();
-  std::vector<control> controls;
-  for ( const auto line : input_lines_of( circuit ) )
+  std::mt19937_64 rng( 11 );
+  for ( int instance = 0; instance < 40; ++instance )
   {
-    if ( line != target && controls.size() < 3u )
-    {
-      controls.push_back( { line, true } );
-    }
-  }
-  corrupted.add_mct( controls, target );
-  return corrupted;
-}
-
-} // namespace
-
-TEST( verify_wide, wide_simulator_matches_block_simulator_at_every_width )
-{
-  std::mt19937_64 rng( 211 );
-  for ( int instance = 0; instance < 12; ++instance )
-  {
-    const unsigned num_lines = 3u + rng() % 8u;
+    const unsigned num_lines = 2u + rng() % 9u;
     const unsigned num_inputs = 1u + rng() % num_lines;
-    const auto circuit = random_circuit( rng, num_lines, 1u + rng() % 35u, num_inputs );
-    block_simulator oracle( circuit );
-
+    const auto circuit = random_circuit( rng, num_lines, 1u + rng() % 40u, num_inputs );
     for ( const auto width : all_widths )
     {
-      const auto W = words_of( width );
-      wide_simulator sim( circuit, width );
-      ASSERT_EQ( sim.width(), width );
-
-      // One lane group of random assignments, laid out input-major.
-      std::vector<std::vector<std::uint64_t>> blocks( W );
-      std::vector<std::uint64_t> wide_words( std::size_t{ num_inputs } * W );
-      for ( unsigned k = 0; k < W; ++k )
+      std::vector<std::vector<bool>> batch;
+      for ( unsigned j = 0; j < lanes_of( width ); ++j )
       {
-        blocks[k].resize( num_inputs );
-        for ( unsigned i = 0; i < num_inputs; ++i )
-        {
-          blocks[k][i] = rng();
-          wide_words[std::size_t{ i } * W + k] = blocks[k][i];
-        }
+        batch.push_back( random_assignment( rng, num_inputs ) );
       }
-      const auto& wide = sim.evaluate( wide_words );
-      const auto num_outputs = sim.output_lines().size();
-      for ( unsigned k = 0; k < W; ++k )
+      expect_lanes_match_scalar( circuit, width, batch, "instance " + std::to_string( instance ) );
+    }
+  }
+}
+
+TEST( verify_wide, wide_simulator_matches_scalar_exhaustively_up_to_ten_inputs )
+{
+  // Ragged tails on purpose: below 6 inputs the whole space is part of one
+  // word, and 2^7 fills two of a w512 group's eight words.
+  std::mt19937_64 rng( 23 );
+  for ( const unsigned num_inputs : { 1u, 2u, 5u, 6u, 7u, 10u } )
+  {
+    const unsigned num_lines = num_inputs + 1u + rng() % 3u;
+    const auto circuit = random_circuit( rng, num_lines, 25u, num_inputs );
+    const std::uint64_t space = std::uint64_t{ 1 } << num_inputs;
+    for ( const auto width : all_widths )
+    {
+      for ( std::uint64_t base = 0; base < space; base += lanes_of( width ) )
       {
-        const auto expected = oracle.evaluate( blocks[k] );
-        ASSERT_EQ( wide.size(), expected.size() * W );
-        for ( std::size_t o = 0; o < num_outputs; ++o )
+        std::vector<std::vector<bool>> batch;
+        const auto end = std::min<std::uint64_t>( space, base + lanes_of( width ) );
+        for ( std::uint64_t x = base; x < end; ++x )
         {
-          EXPECT_EQ( wide[o * W + k], expected[o] )
-              << "instance " << instance << " width " << lanes_of( width ) << " word " << k
-              << " output " << o;
+          batch.push_back( counter_assignment( x, num_inputs ) );
         }
+        expect_lanes_match_scalar( circuit, width, batch,
+                                   "n=" + std::to_string( num_inputs ) + " base " +
+                                       std::to_string( base ) );
       }
     }
+  }
+}
+
+TEST( verify_wide, wide_simulator_matches_scalar_on_constant_ancillae )
+{
+  // out = (1 AND x0) XOR x1 realized with a constant-1 ancilla as control:
+  // the constant must be broadcast to every lane of every word.
+  reversible_circuit circuit( 3 );
+  circuit.line( 0 ).is_primary_input = true;
+  circuit.line( 1 ).is_primary_input = true;
+  circuit.line( 2 ).is_constant_input = true;
+  circuit.line( 2 ).constant_value = true;
+  circuit.line( 1 ).output_index = 0;
+  circuit.line( 1 ).is_garbage = false;
+  circuit.add_toffoli( 0, 2, 1 ); // fires iff x0 (ancilla is constant 1)
+  for ( const auto width : all_widths )
+  {
+    std::vector<std::vector<bool>> batch;
+    for ( std::uint64_t x = 0; x < lanes_of( width ); ++x )
+    {
+      batch.push_back( counter_assignment( x % 4u, 2u ) );
+    }
+    expect_lanes_match_scalar( circuit, width, batch, "ancilla" );
   }
 }
 
@@ -527,12 +534,12 @@ TEST( verify_wide, exhaustive_reports_match_oracle_at_every_width )
     const auto corrupted = corrupt_first_output( circuit );
     const auto late = corrupt_late( circuit );
 
-    const auto pass_oracle = verify_against_aig_exhaustive_block64( circuit, spec, deadline{} );
+    const auto pass_oracle = scalar_exhaustive_report( circuit, spec );
     EXPECT_FALSE( pass_oracle.counterexample.has_value() ) << num_inputs;
     EXPECT_EQ( pass_oracle.assignments_completed, std::uint64_t{ 1 } << num_inputs );
-    const auto fail_oracle = verify_against_aig_exhaustive_block64( corrupted, spec, deadline{} );
+    const auto fail_oracle = scalar_exhaustive_report( corrupted, spec );
     ASSERT_TRUE( fail_oracle.counterexample.has_value() ) << num_inputs;
-    const auto late_oracle = verify_against_aig_exhaustive_block64( late, spec, deadline{} );
+    const auto late_oracle = scalar_exhaustive_report( late, spec );
 
     for ( const auto width : all_widths )
     {
@@ -556,23 +563,7 @@ TEST( verify_wide, first_counterexample_is_lowest_column_at_every_width )
   // must report exactly it (not an earlier lane of the same wide group)
   // and count all 128 assignments as covered.
   const unsigned n = 7;
-  aig_network aig( n );
-  std::vector<aig_lit> pis;
-  for ( unsigned i = 0; i < n; ++i )
-  {
-    pis.push_back( aig.pi( i ) );
-  }
-  aig.add_po( aig.create_nary_and( pis ) );
-
-  reversible_circuit circuit( n + 1u );
-  for ( unsigned l = 0; l < n; ++l )
-  {
-    circuit.line( l ).is_primary_input = true;
-  }
-  circuit.line( n ).is_constant_input = true;
-  circuit.line( n ).output_index = 0;
-  circuit.line( n ).is_garbage = false;
-
+  const auto [aig, circuit] = and_vs_constant_zero( n );
   for ( const auto width : all_widths )
   {
     const auto report = verify_against_aig_exhaustive_budgeted( circuit, aig, deadline{}, width );
@@ -609,13 +600,10 @@ TEST( verify_wide, sampled_reports_match_oracle_at_every_width )
   {
     for ( const std::uint64_t seed : { 1u, 42u } )
     {
-      const auto pass_oracle =
-          verify_against_aig_sampled_block64( circuit, spec, deadline{}, num_samples, seed );
-      const auto fail_oracle =
-          verify_against_aig_sampled_block64( corrupted, spec, deadline{}, num_samples, seed );
+      const auto pass_oracle = scalar_sampled_report( circuit, spec, num_samples, seed );
+      const auto fail_oracle = scalar_sampled_report( corrupted, spec, num_samples, seed );
       ASSERT_TRUE( fail_oracle.counterexample.has_value() ) << num_samples;
-      const auto late_oracle =
-          verify_against_aig_sampled_block64( late, spec, deadline{}, num_samples, seed );
+      const auto late_oracle = scalar_sampled_report( late, spec, num_samples, seed );
       for ( const auto width : all_widths )
       {
         const auto context = "samples=" + std::to_string( num_samples ) +
