@@ -11,8 +11,9 @@
 /// ~10-30%.  The 2n qubit column is exact by construction; T-counts track
 /// the paper's growth with implementation-dependent constants.
 ///
-/// Default sweep n = 5..10; --max-n extends (collapse + PSDKRO extraction
-/// grow exponentially in n — n = 12..14 are minutes).
+/// Default sweep n = 5..10; --max-n extends up to the flow's 20-input limit
+/// (collapse + PSDKRO extraction grow exponentially in n: --max-n 18 takes
+/// ~3 s and --max-n 20 ~11 s in total on a 4-vCPU Xeon, Release).
 
 #include <cstdio>
 #include <cstring>

@@ -39,6 +39,9 @@
 #     (or the incremental-vs-monolithic speedup, measured in the same run)
 #     more than 15% worse than the committed baseline, or the NEWTON(8)
 #     hierarchical miter below its 10x floor,
+#   * `table3_esop --max-n 18` (Table III up to n = 18, ~3 s) does not
+#     finish within 60 seconds: the ESOP front half has regressed
+#     exponentially,
 #   * docs/ARCHITECTURE.md is missing or no longer mentions every src/*
 #     subdirectory.
 # Finally reruns the verification + store + LUT-map + synth + daemon test
@@ -92,7 +95,7 @@ run_bench() {
 # The bench build enables every SIMD backend the host toolchain supports;
 # runtime cpuid dispatch keeps the binary correct on any machine.
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SIMD=native
-cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_esop bench_dse bench_verify
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_esop bench_dse bench_verify table3_esop
 
 # --- ESOP term-count gate ----------------------------------------------------
 
@@ -141,6 +144,15 @@ if failures:
     sys.exit(1)
 print("\nesop benchmark OK (term counts within {:.0%} of baseline)".format(TERM_REGRESSION_LIMIT))
 EOF
+
+# --- ESOP front-half scaling gate --------------------------------------------
+# Table III up to n = 18 takes ~3 s (4-vCPU Xeon, Release).  A front half
+# that again held a 2^n-bit table per AIG node or per PSDKRO subfunction
+# needs minutes and gigabytes at n = 18, so the ceiling turns such an
+# exponential regression into a gate failure instead of a slow benchmark.
+BENCH_TIMEOUT=60 run_bench table3_esop \
+  "$BUILD_DIR/bench/table3_esop" --max-n 18 >/dev/null
+echo "table3_esop --max-n 18 OK (within the 60 s ceiling)"
 
 # --- DSE wall-clock gate -----------------------------------------------------
 

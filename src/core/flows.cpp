@@ -446,6 +446,17 @@ std::string flow_stage_name( flow_kind kind )
   return "unknown";
 }
 
+std::string flow_input_limit_error( unsigned num_inputs, const flow_params& params )
+{
+  const auto limit = aig_network::max_simulation_inputs;
+  if ( params.kind == flow_kind::hierarchical || num_inputs <= limit )
+  {
+    return {};
+  }
+  return "stage '" + flow_stage_name( params.kind ) + "' builds explicit output tables: " +
+         std::to_string( num_inputs ) + " inputs exceed the " + std::to_string( limit ) + "-input limit";
+}
+
 std::string optimize_artifact_key( unsigned rounds )
 {
   return "optimize[r=" + std::to_string( rounds ) + "]";
@@ -658,10 +669,16 @@ flow_result run_flow_staged( const aig_network& aig, const flow_params& params,
 flow_result run_flow_staged( const aig_network& aig, const flow_params& params,
                              flow_artifact_cache& cache, const deadline& stop )
 {
+  flow_result result;
+  if ( auto limit = flow_input_limit_error( aig.num_pis(), params ); !limit.empty() )
+  {
+    result.status = flow_status::failed;
+    result.status_detail = std::move( limit );
+    return result;
+  }
   stopwatch watch;
   const auto& optimized = cache.optimized( aig, params.optimization_rounds );
 
-  flow_result result;
   const std::vector<truth_table>* verify_outputs = nullptr;
   switch ( params.kind )
   {

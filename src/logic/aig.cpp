@@ -195,44 +195,63 @@ std::uint32_t aig_network::depth() const
   return d;
 }
 
-std::vector<truth_table> aig_network::simulate_nodes() const
-{
-  if ( num_pis_ > 20u )
-  {
-    throw std::invalid_argument( "aig_network::simulate_nodes: too many inputs for explicit simulation" );
-  }
-  std::vector<truth_table> tts( nodes_.size(), truth_table( num_pis_ ) );
-  for ( unsigned i = 0; i < num_pis_; ++i )
-  {
-    tts[i + 1u] = truth_table::projection( num_pis_, i );
-  }
-  for ( std::uint32_t n = num_pis_ + 1u; n < nodes_.size(); ++n )
-  {
-    const auto f0 = nodes_[n].fanin0;
-    const auto f1 = nodes_[n].fanin1;
-    auto t0 = lit_complemented( f0 ) ? ~tts[lit_node( f0 )] : tts[lit_node( f0 )];
-    const auto& t1n = tts[lit_node( f1 )];
-    if ( lit_complemented( f1 ) )
-    {
-      t0 &= ~t1n;
-    }
-    else
-    {
-      t0 &= t1n;
-    }
-    tts[n] = std::move( t0 );
-  }
-  return tts;
-}
-
 std::vector<truth_table> aig_network::simulate_outputs() const
 {
-  const auto tts = simulate_nodes();
-  std::vector<truth_table> result;
-  result.reserve( pos_.size() );
-  for ( const auto po : pos_ )
+  if ( num_pis_ > max_simulation_inputs )
   {
-    result.push_back( lit_complemented( po ) ? ~tts[lit_node( po )] : tts[lit_node( po )] );
+    throw std::invalid_argument( "aig_network::simulate_outputs: " + std::to_string( num_pis_ ) +
+                                 " inputs exceed the " + std::to_string( max_simulation_inputs ) +
+                                 "-input limit of explicit simulation" );
+  }
+  // The input space is swept in blocks of `width` consecutive table words:
+  // one reused buffer holds every node's words of the current block, so
+  // memory is num_nodes * width words however wide the tables are.  Every
+  // block is simulated at full width (a fixed trip count the compiler
+  // unrolls); only the words that exist are copied out.
+  constexpr std::size_t width = 8;
+  const auto num_words = num_blocks_for( num_pis_ );
+  std::vector<std::uint64_t> values( nodes_.size() * width, 0u );
+  for ( unsigned i = 0; i < std::min( num_pis_, 6u ); ++i )
+  {
+    std::fill_n( &values[( i + 1u ) * width], width, projections[i] );
+  }
+  std::vector<truth_table> result( pos_.size(), truth_table( num_pis_ ) );
+  for ( std::size_t base = 0; base < num_words; base += width )
+  {
+    // Word w of the table has x_i = bit (i - 6) of w for every i >= 6.
+    for ( unsigned i = 6; i < num_pis_; ++i )
+    {
+      auto* v = &values[( i + 1u ) * width];
+      for ( std::size_t k = 0; k < width; ++k )
+      {
+        v[k] = ( ( base + k ) >> ( i - 6u ) ) & 1u ? ~std::uint64_t{ 0 } : 0u;
+      }
+    }
+    for ( std::uint32_t n = num_pis_ + 1u; n < nodes_.size(); ++n )
+    {
+      const auto f0 = nodes_[n].fanin0;
+      const auto f1 = nodes_[n].fanin1;
+      const auto* a = &values[lit_node( f0 ) * width];
+      const auto* b = &values[lit_node( f1 ) * width];
+      const std::uint64_t m0 = lit_complemented( f0 ) ? ~std::uint64_t{ 0 } : 0u;
+      const std::uint64_t m1 = lit_complemented( f1 ) ? ~std::uint64_t{ 0 } : 0u;
+      auto* out = &values[n * width];
+      for ( std::size_t k = 0; k < width; ++k )
+      {
+        out[k] = ( a[k] ^ m0 ) & ( b[k] ^ m1 );
+      }
+    }
+    const auto count = std::min( width, num_words - base );
+    for ( std::size_t o = 0; o < pos_.size(); ++o )
+    {
+      const auto* v = &values[lit_node( pos_[o] ) * width];
+      const std::uint64_t m = lit_complemented( pos_[o] ) ? ~std::uint64_t{ 0 } : 0u;
+      auto& blocks = result[o].blocks();
+      for ( std::size_t k = 0; k < count; ++k )
+      {
+        blocks[base + k] = ( v[k] ^ m ) & block_mask( num_pis_ );
+      }
+    }
   }
   return result;
 }

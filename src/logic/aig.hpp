@@ -99,11 +99,14 @@ public:
   /// Depth of the network (max PO level).
   std::uint32_t depth() const;
 
+  /// Largest input count `simulate_outputs` accepts (2^20-bit tables).
+  static constexpr unsigned max_simulation_inputs = 20;
+
   /// Truth-table simulation of every primary output over all num_pis()
-  /// input assignments; requires num_pis() <= 20.
+  /// input assignments, a block of table words at a time (memory is the
+  /// output tables plus a fixed number of words per node); throws
+  /// std::invalid_argument above max_simulation_inputs.
   std::vector<truth_table> simulate_outputs() const;
-  /// Truth tables of every node (index = node id); requires num_pis() <= 20.
-  std::vector<truth_table> simulate_nodes() const;
 
   /// 64-way parallel pattern simulation; `pi_patterns` holds one 64-bit
   /// pattern word per PI, the result one word per PO.

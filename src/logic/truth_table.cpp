@@ -420,16 +420,6 @@ std::string truth_table::to_binary() const
   return s;
 }
 
-std::size_t truth_table::hash() const
-{
-  std::size_t seed = num_vars_;
-  for ( auto b : blocks_ )
-  {
-    seed = hash_combine( seed, static_cast<std::size_t>( b ) );
-  }
-  return seed;
-}
-
 void truth_table::mask_off_unused()
 {
   if ( num_vars_ < 6u )

@@ -118,20 +118,11 @@ public:
   /// Binary string, index 2^n-1 leftmost.
   std::string to_binary() const;
 
-  /// FNV-style hash for use in unordered containers / memo tables.
-  std::size_t hash() const;
-
 private:
   void mask_off_unused();
 
   unsigned num_vars_;
   std::vector<std::uint64_t> blocks_;
-};
-
-/// Hash functor for truth tables.
-struct truth_table_hash
-{
-  std::size_t operator()( const truth_table& tt ) const { return tt.hash(); }
 };
 
 /// A function of at most `max_vars` = 8 variables in four fixed 64-bit words

@@ -696,6 +696,11 @@ std::string synthesis_daemon::handle_synthesize( const std::map<std::string, std
     throw std::runtime_error( "synthesize needs a nonzero 'bitwidth' field" );
   }
   const auto params = params_from_fields( fields );
+  // INTDIV(n) and NEWTON(n) have n inputs.
+  if ( const auto limit = flow_input_limit_error( bitwidth, params ); !limit.empty() )
+  {
+    throw std::runtime_error( "field 'bitwidth' is out of range: " + limit );
+  }
   auto& ctx = context_for( design, bitwidth );
   const auto rkey = outcome_key( params );
   auto& slot = slot_of( ctx.results_mutex, ctx.results, rkey );

@@ -1,6 +1,7 @@
 #include "esop_extract.hpp"
 
-#include <cassert>
+#include <algorithm>
+#include <span>
 #include <unordered_map>
 
 namespace qsyn
@@ -9,99 +10,186 @@ namespace qsyn
 namespace
 {
 
+/// A run of cubes in the extractor's arena.
+struct cube_range
+{
+  std::size_t begin = 0;
+  std::size_t count = 0;
+};
+
+/// Hash and equality of memo keys (runs of table words), transparent so a
+/// lookup by span does not allocate.
+struct words_hash
+{
+  using is_transparent = void;
+  std::size_t operator()( std::span<const std::uint64_t> words ) const
+  {
+    std::uint64_t h = words.size();
+    for ( const auto w : words )
+    {
+      h = ( h ^ w ) * 0x9e3779b97f4a7c15ull;
+      h ^= h >> 29;
+    }
+    return static_cast<std::size_t>( h );
+  }
+};
+
+struct words_equal
+{
+  using is_transparent = void;
+  bool operator()( std::span<const std::uint64_t> a, std::span<const std::uint64_t> b ) const
+  {
+    return std::ranges::equal( a, b );
+  }
+};
+
+/// PSDKRO on shrinking tables.  A subfunction of top support variable x is
+/// held in 2^(x+1) bits: for x >= 6 as 2^(x-5) words whose two halves are
+/// its cofactors on x, for x < 6 as one word replicated like
+/// `small_truth_table`.  The shrunk form is canonical, so the memo, keyed on
+/// its words (their count fixes x from six up; one word is the whole
+/// function below), hits exactly when a memo of full-width tables would.
+/// Results are runs of one cube arena, so a memo entry is two indices.
 class psdkro_extractor
 {
 public:
-  std::vector<cube> run( const truth_table& tt, unsigned top_var )
+  psdkro_extractor() { cubes_.push_back( cube{} ); } // cubes_[0]: constant 1
+
+  /// ESOP of `tt`.
+  cube_range run( const truth_table& tt )
   {
-    return extract( tt, top_var );
+    const auto n = tt.num_vars();
+    if ( n <= 6u )
+    {
+      return extract_word( small_truth_table::from( tt ).words[0], n );
+    }
+    scratch_.resize( n );
+    return extract( tt.blocks().data(), n );
   }
 
+  std::span<const cube> cubes( cube_range r ) const { return { cubes_.data() + r.begin, r.count }; }
+
 private:
-  std::vector<cube> extract( const truth_table& tt, unsigned var )
+  /// `words` holds a function of `vars` >= 6 variables.
+  cube_range extract( const std::uint64_t* words, unsigned vars )
   {
-    if ( tt.is_const0() )
+    // Drop top variables outside the support: their cofactors are equal.
+    for ( ; vars > 6u; --vars )
     {
-      return {};
+      const auto half = std::size_t{ 1 } << ( vars - 7u );
+      if ( !std::equal( words, words + half, words + half ) )
+      {
+        break;
+      }
     }
-    if ( tt.is_const1() )
+    if ( vars == 6u )
     {
-      return { cube{} };
+      return extract_word( words[0], 6u );
     }
-    if ( const auto it = memo_.find( tt ); it != memo_.end() )
+    const std::span<const std::uint64_t> key( words, std::size_t{ 1 } << ( vars - 6u ) );
+    if ( const auto it = memo_.find( key ); it != memo_.end() )
     {
       return it->second;
     }
-    // Find the top-most support variable at or below `var`.
-    unsigned v = var;
-    while ( v > 0 && !tt.depends_on( v - 1u ) )
+    const unsigned x = vars - 1u;
+    const auto half = key.size() / 2u;
+    const auto* f0 = words;
+    const auto* f1 = words + half;
+    // One live frame per top variable, so level x owns scratch_[x].
+    auto& f2 = scratch_[x];
+    f2.resize( half );
+    for ( std::size_t i = 0; i < half; ++i )
     {
-      --v;
+      f2[i] = f0[i] ^ f1[i];
     }
-    assert( v > 0 );
-    const unsigned x = v - 1u;
-
-    const auto f0 = tt.cofactor( x, false );
-    const auto f1 = tt.cofactor( x, true );
-    const auto f2 = f0 ^ f1;
-
-    auto c0 = extract( f0, x );
-    auto c1 = extract( f1, x );
-    auto c2 = extract( f2, x );
-
-    const auto cost_shannon = c0.size() + c1.size();
-    const auto cost_pdavio = c0.size() + c2.size();
-    const auto cost_ndavio = c1.size() + c2.size();
-
-    std::vector<cube> result;
-    if ( cost_shannon <= cost_pdavio && cost_shannon <= cost_ndavio )
-    {
-      // f = !x f0 ^ x f1
-      result.reserve( c0.size() + c1.size() );
-      for ( auto c : c0 )
-      {
-        c.add_literal( x, false );
-        result.push_back( c );
-      }
-      for ( auto c : c1 )
-      {
-        c.add_literal( x, true );
-        result.push_back( c );
-      }
-    }
-    else if ( cost_pdavio <= cost_ndavio )
-    {
-      // f = f0 ^ x f2
-      result.reserve( c0.size() + c2.size() );
-      for ( const auto& c : c0 )
-      {
-        result.push_back( c );
-      }
-      for ( auto c : c2 )
-      {
-        c.add_literal( x, true );
-        result.push_back( c );
-      }
-    }
-    else
-    {
-      // f = f1 ^ !x f2
-      result.reserve( c1.size() + c2.size() );
-      for ( const auto& c : c1 )
-      {
-        result.push_back( c );
-      }
-      for ( auto c : c2 )
-      {
-        c.add_literal( x, false );
-        result.push_back( c );
-      }
-    }
-    memo_.emplace( tt, result );
+    const auto c0 = extract( f0, x );
+    const auto c1 = extract( f1, x );
+    const auto c2 = extract( f2.data(), x );
+    const auto result = combine( x, c0, c1, c2 );
+    memo_.emplace( std::vector<std::uint64_t>( key.begin(), key.end() ), result );
     return result;
   }
 
-  std::unordered_map<truth_table, std::vector<cube>, truth_table_hash> memo_;
+  /// `w` holds a function of `vars` <= 6 variables, replicated.
+  cube_range extract_word( std::uint64_t w, unsigned vars )
+  {
+    if ( w == 0u )
+    {
+      return {};
+    }
+    if ( w == ~std::uint64_t{ 0 } )
+    {
+      return { 0u, 1u };
+    }
+    const std::span<const std::uint64_t> key( &w, 1u );
+    if ( const auto it = memo_.find( key ); it != memo_.end() )
+    {
+      return it->second;
+    }
+    unsigned x = vars - 1u;
+    while ( cofactor_word( w, x, false ) == cofactor_word( w, x, true ) )
+    {
+      --x;
+    }
+    const auto f0 = cofactor_word( w, x, false );
+    const auto f1 = cofactor_word( w, x, true );
+    const auto c0 = extract_word( f0, x );
+    const auto c1 = extract_word( f1, x );
+    const auto c2 = extract_word( f0 ^ f1, x );
+    const auto result = combine( x, c0, c1, c2 );
+    memo_.emplace( std::vector<std::uint64_t>( key.begin(), key.end() ), result );
+    return result;
+  }
+
+  /// The cheapest of f = !x f0 ^ x f1 (Shannon), f = f0 ^ x f2 (positive
+  /// Davio) and f = f1 ^ !x f2 (negative Davio), ties in that order.
+  cube_range combine( unsigned x, cube_range c0, cube_range c1, cube_range c2 )
+  {
+    const auto cost_shannon = c0.count + c1.count;
+    const auto cost_pdavio = c0.count + c2.count;
+    const auto cost_ndavio = c1.count + c2.count;
+    const auto begin = cubes_.size();
+    if ( cost_shannon <= cost_pdavio && cost_shannon <= cost_ndavio )
+    {
+      append( c0, x, literal::negative );
+      append( c1, x, literal::positive );
+    }
+    else if ( cost_pdavio <= cost_ndavio )
+    {
+      append( c0, x, literal::none );
+      append( c2, x, literal::positive );
+    }
+    else
+    {
+      append( c1, x, literal::none );
+      append( c2, x, literal::negative );
+    }
+    return { begin, cubes_.size() - begin };
+  }
+
+  enum class literal
+  {
+    none,
+    negative,
+    positive
+  };
+
+  void append( cube_range r, unsigned x, literal lit )
+  {
+    for ( std::size_t i = r.begin; i < r.begin + r.count; ++i )
+    {
+      auto c = cubes_[i];
+      if ( lit != literal::none )
+      {
+        c.add_literal( x, lit == literal::positive );
+      }
+      cubes_.push_back( c );
+    }
+  }
+
+  std::vector<cube> cubes_;
+  std::unordered_map<std::vector<std::uint64_t>, cube_range, words_hash, words_equal> memo_;
+  std::vector<std::vector<std::uint64_t>> scratch_;
 };
 
 } // namespace
@@ -109,7 +197,8 @@ private:
 std::vector<cube> esop_from_truth_table( const truth_table& tt )
 {
   psdkro_extractor extractor;
-  return extractor.run( tt, tt.num_vars() );
+  const auto cubes = extractor.cubes( extractor.run( tt ) );
+  return { cubes.begin(), cubes.end() };
 }
 
 esop esop_from_aig( const aig_network& aig )
@@ -121,8 +210,7 @@ esop esop_from_aig( const aig_network& aig )
   psdkro_extractor extractor; // shared memo across outputs encourages sharing
   for ( unsigned o = 0; o < aig.num_pos(); ++o )
   {
-    const auto cubes = extractor.run( tts[o], tts[o].num_vars() );
-    for ( const auto& c : cubes )
+    for ( const auto& c : extractor.cubes( extractor.run( tts[o] ) ) )
     {
       result.terms.push_back( { c, std::uint64_t{ 1 } << o } );
     }

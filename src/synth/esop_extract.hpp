@@ -23,9 +23,11 @@ namespace qsyn
 /// ESOP cubes of a single-output function.
 std::vector<cube> esop_from_truth_table( const truth_table& tt );
 
-/// Multi-output ESOP for all outputs of an AIG (requires num_pis() <= 20,
-/// practical well below that).  Identical cubes across outputs are merged
-/// into shared terms.
+/// Multi-output ESOP for all outputs of an AIG.  Requires num_pis() <=
+/// aig_network::max_simulation_inputs (20); time and memory are those of
+/// the output tables (2^n bits per output) and the PSDKRO memo — NEWTON(20)
+/// takes ~2 s and INTDIV(20) ~0.4 s on a 4-vCPU Xeon.  Identical cubes
+/// across outputs are merged into shared terms.
 esop esop_from_aig( const aig_network& aig );
 
 /// PPRM (positive-polarity Reed-Muller) expansion: the unique ESOP with

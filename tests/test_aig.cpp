@@ -104,6 +104,67 @@ TEST( aig, pattern_simulation_matches_tt )
   }
 }
 
+/// A seeded random AIG: `ands` AND nodes over random earlier literals, and
+/// outputs on random literals plus both constants and a complemented PI.
+static aig_network random_aig( unsigned num_pis, unsigned ands, std::uint64_t seed )
+{
+  std::mt19937_64 rng( seed );
+  aig_network aig( num_pis );
+  std::vector<aig_lit> lits{ aig_network::const1 };
+  for ( unsigned i = 0; i < num_pis; ++i )
+  {
+    lits.push_back( aig.pi( i ) );
+  }
+  const auto pick = [&] { return lit_not_cond( lits[rng() % lits.size()], rng() & 1u ); };
+  for ( unsigned g = 0; g < ands; ++g )
+  {
+    lits.push_back( aig.create_and( pick(), pick() ) );
+  }
+  for ( unsigned o = 0; o < 6; ++o )
+  {
+    aig.add_po( pick() );
+  }
+  aig.add_po( aig_network::const0 );
+  aig.add_po( aig_network::const1 );
+  if ( num_pis > 0u )
+  {
+    aig.add_po( lit_not( aig.pi( num_pis - 1u ) ) );
+  }
+  return aig;
+}
+
+TEST( aig, simulate_outputs_matches_pattern_simulation_word_by_word )
+{
+  // n = 0 and n < 6 mask the single word; n = 7 is a block shorter than
+  // the simulator's block of words; 9 and 13 sweep several blocks.
+  for ( const unsigned n : { 0u, 1u, 5u, 6u, 7u, 9u, 13u } )
+  {
+    for ( std::uint64_t seed = 1; seed <= 3; ++seed )
+    {
+      const auto aig = random_aig( n, 40u * n + 10u, 100u * n + seed );
+      const auto tts = aig.simulate_outputs();
+      ASSERT_EQ( tts.size(), aig.num_pos() );
+      const auto num_words = num_blocks_for( n );
+      std::vector<std::uint64_t> patterns( n );
+      for ( std::uint64_t w = 0; w < num_words; ++w )
+      {
+        // Word w: projections below x6, x_i = bit (i - 6) of w from x6 up.
+        for ( unsigned i = 0; i < n; ++i )
+        {
+          patterns[i] = i < 6u ? projections[i] : ( ( w >> ( i - 6u ) ) & 1u ? ~std::uint64_t{ 0 } : 0u );
+        }
+        const auto words = aig.simulate_patterns( patterns );
+        for ( unsigned o = 0; o < aig.num_pos(); ++o )
+        {
+          ASSERT_EQ( tts[o].num_vars(), n );
+          ASSERT_EQ( tts[o].blocks()[w], words[o] & block_mask( n ) )
+              << "n = " << n << ", seed " << seed << ", word " << w << ", output " << o;
+        }
+      }
+    }
+  }
+}
+
 TEST( aig, evaluate_single_assignment )
 {
   aig_network aig( 2 );

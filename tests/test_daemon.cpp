@@ -162,6 +162,25 @@ TEST( daemon, out_of_range_cut_size_is_rejected_before_elaboration )
   EXPECT_EQ( daemon.stats().synthesized, 0u );
 }
 
+TEST( daemon, explicit_table_flow_over_the_input_limit_is_rejected_before_elaboration )
+{
+  synthesis_daemon daemon( {} );
+  // An unknown design would fail in elaboration; the bitwidth error proves
+  // the limit is checked first.
+  for ( const auto* request :
+        { R"({"cmd":"synthesize","design":"pentium","bitwidth":21,"flow":"esop"})",
+          R"({"cmd":"synthesize","design":"newton","bitwidth":64,"flow":"esop"})",
+          R"({"cmd":"synthesize","design":"intdiv","bitwidth":24,"flow":"functional"})" } )
+  {
+    const auto response = daemon.handle_request( request );
+    EXPECT_TRUE( contains( response, "\"ok\":false" ) ) << response;
+    EXPECT_TRUE( contains( response, "bitwidth" ) ) << response;
+    EXPECT_TRUE( contains( response, "20-input limit" ) ) << response;
+  }
+  EXPECT_EQ( daemon.stats().errors, 3u );
+  EXPECT_EQ( daemon.stats().synthesized, 0u );
+}
+
 TEST( daemon, negative_integer_fields_are_rejected )
 {
   synthesis_daemon daemon( {} );

@@ -371,6 +371,35 @@ TEST( flows, cut_size_below_two_is_rejected )
   }
 }
 
+TEST( flows, explicit_table_flows_fail_at_entry_over_the_input_limit )
+{
+  // One input past the 20-input limit of the explicit output tables.
+  aig_network wide( aig_network::max_simulation_inputs + 1u );
+  wide.add_po( wide.create_and( wide.pi( 0 ), wide.pi( 20 ) ) );
+  for ( const auto kind : { flow_kind::esop_based, flow_kind::functional } )
+  {
+    flow_params params;
+    params.kind = kind;
+    const auto direct = run_flow_on_aig( wide, params );
+    EXPECT_EQ( direct.status, flow_status::failed );
+    EXPECT_NE( direct.status_detail.find( "21 inputs exceed the 20-input limit" ), std::string::npos )
+        << direct.status_detail;
+    // A sweep's stage task hits the same limit.
+    const auto swept = explore( wide, { params } );
+    ASSERT_EQ( swept.size(), 1u );
+    EXPECT_EQ( swept[0].result.status, flow_status::failed );
+    EXPECT_NE( swept[0].result.status_detail.find( "21 inputs exceed the 20-input limit" ),
+               std::string::npos )
+        << swept[0].result.status_detail;
+  }
+  // The hierarchical flow builds no explicit tables.
+  flow_params params;
+  params.kind = flow_kind::hierarchical;
+  const auto result = run_flow_on_aig( wide, params );
+  EXPECT_EQ( result.status, flow_status::ok ) << result.status_detail;
+  EXPECT_TRUE( result.verified );
+}
+
 TEST( flows, cache_rejects_same_size_different_function_design )
 {
   // Regression for the size-only design fingerprint: `a AND b` and

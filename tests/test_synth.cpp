@@ -3,6 +3,7 @@
 #include <random>
 
 #include "common/content_hash.hpp"
+#include "core/flows.hpp"
 #include "sat/cnf.hpp"
 #include "synth/aig_optimize.hpp"
 #include "synth/esop_extract.hpp"
@@ -144,7 +145,9 @@ TEST_P( esop_property, pprm_is_exact_and_positive )
   }
 }
 
-INSTANTIATE_TEST_SUITE_P( sizes, esop_property, ::testing::Values( 2u, 3u, 4u, 5u, 6u ) );
+// 0..12 crosses the one-word boundary of the shrinking tables at six
+// variables.
+INSTANTIATE_TEST_SUITE_P( sizes, esop_property, ::testing::Range( 0u, 13u ) );
 
 TEST( esop_extract, parity_needs_linear_terms )
 {
@@ -179,6 +182,58 @@ TEST( esop_extract, from_aig_multi_output )
       EXPECT_TRUE( t.output_mask & 0b100u );
     }
   }
+}
+
+TEST( esop_extract, front_half_is_pinned )
+{
+  // INTDIV/NEWTON(3..16): the optimized AIG's output tables, its ESOP cube
+  // list before EXORCISM, and the ESOP flow's costs at p = 0 and 1.  The
+  // fingerprints were recorded while simulation and PSDKRO still held one
+  // full 2^n-bit table per node and per subfunction; the word-sliced
+  // simulator and the shrinking-table PSDKRO must not move them.
+  content_hasher tables;
+  content_hasher cubes;
+  content_hasher costs;
+  for ( const auto design : { reciprocal_design::intdiv, reciprocal_design::newton } )
+  {
+    for ( unsigned n = 3; n <= 16u; ++n )
+    {
+      const auto mod = verilog::elaborate_verilog( reciprocal_verilog( design, n ) );
+      const auto opt = optimize( mod.aig, 2 );
+      for ( const auto& tt : opt.simulate_outputs() )
+      {
+        tables.update( tt.num_vars() );
+        for ( const auto b : tt.blocks() )
+        {
+          tables.update( b );
+        }
+      }
+      const auto e = esop_from_aig( opt );
+      cubes.update( e.terms.size() );
+      for ( const auto& t : e.terms )
+      {
+        cubes.update( t.product.mask );
+        cubes.update( t.product.polarity );
+        cubes.update( t.output_mask );
+      }
+      for ( const unsigned p : { 0u, 1u } )
+      {
+        flow_params params;
+        params.kind = flow_kind::esop_based;
+        params.esop_p = p;
+        params.verify = false;
+        const auto r = run_flow_on_aig( mod.aig, params );
+        ASSERT_EQ( r.status, flow_status::ok ) << r.status_detail;
+        costs.update( r.esop_terms );
+        costs.update( r.costs.qubits );
+        costs.update( r.costs.t_count );
+        costs.update( r.costs.gates );
+      }
+    }
+  }
+  EXPECT_EQ( tables.digest(), 0xe74c6045dd099e3dull ) << "tables 0x" << std::hex << tables.digest();
+  EXPECT_EQ( cubes.digest(), 0xb428879137d40325ull ) << "cubes 0x" << std::hex << cubes.digest();
+  EXPECT_EQ( costs.digest(), 0x4af3614458be2dd1ull ) << "costs 0x" << std::hex << costs.digest();
 }
 
 /// --- exorcism ---------------------------------------------------------------
