@@ -35,8 +35,8 @@
 #   * the AVX build (QSYN_SIMD=native) and the portable build (QSYN_SIMD
 #     default off) disagree on any verdict, counterexample bit string, or
 #     cross-width identity in a fresh --sim-only run of bench_verify,
-#   * the incremental SAT engine regresses: aggregate SAT-tier wall clock
-#     (or the incremental-vs-monolithic speedup, measured in the same run)
+#   * the SAT tier regresses: aggregate SAT-tier wall clock
+#     (or the SAT-tier-vs-monolithic speedup, measured in the same run)
 #     more than 15% worse than the committed baseline, or the NEWTON(8)
 #     hierarchical miter below its 10x floor,
 #   * `table3_esop --max-n 18` (Table III up to n = 18, ~3 s) does not
@@ -44,12 +44,13 @@
 #     exponentially,
 #   * docs/ARCHITECTURE.md is missing or no longer mentions every src/*
 #     subdirectory.
-# Finally reruns the verification + store + LUT-map + synth + daemon test
-# suites under AddressSanitizer (QSYN_SANITIZE=address) — the wide engine
-# is all raw word indexing, the store and the daemon decode untrusted
-# on-disk bytes, and the cut and ISOP kernels index fixed-capacity arrays
-# — the same plus the robustness + scheduler suites under
-# UndefinedBehaviorSanitizer, and the robustness + scheduler + daemon +
+# Finally reruns the verification + store + LUT-map + synth + daemon +
+# robustness + flows test suites under AddressSanitizer
+# (QSYN_SANITIZE=address) — the wide engine is all raw word indexing, the
+# store and the daemon decode untrusted on-disk bytes, the cut and ISOP
+# kernels index fixed-capacity arrays, and the robustness and flows suites
+# drive the SAT tier's dispatch and degradation ladder — the same plus
+# the robustness + scheduler suites under UndefinedBehaviorSanitizer, and the robustness + scheduler + daemon +
 # flows suites under ThreadSanitizer (the daemon coalesces concurrent
 # requests on per-key slots over a shared pool, and the artifact cache's
 # per-key slots are locked from many threads).  Both sanitizer builds of
@@ -386,10 +387,10 @@ import sys
 SPEEDUP_REGRESSION_LIMIT = 0.25
 SPEEDUP_FLOOR = 20.0  # every case must keep a >= 20x wide-vs-scalar win
 
-SAT_REGRESSION_LIMIT = 0.15       # incremental-vs-monolithic speedup band
+SAT_REGRESSION_LIMIT = 0.15       # SAT-tier-vs-monolithic speedup band
 SAT_WALL_REGRESSION_LIMIT = 0.25  # absolute SAT wall clock: same run-to-run
                                   # noise allowance as the wide gate
-SAT_NEWTON8_FLOOR = 10.0          # incremental-vs-monolithic on the flagship miter
+SAT_NEWTON8_FLOOR = 10.0          # SAT-tier-vs-monolithic on the flagship case
 
 # SIMD-wide engine (schema v5): sustained per-word verification throughput
 # of the w512 lane group vs the w64 width, persistent engines, spec walk
@@ -442,7 +443,7 @@ for name, base in sorted(baseline.items()):
         )
     if name == "newton-n8-hier" and new.get("sat_speedup", 0.0) < SAT_NEWTON8_FLOOR:
         failures.append(
-            f"{name}: incremental-vs-monolithic SAT speedup "
+            f"{name}: SAT-tier-vs-monolithic speedup "
             f"{new.get('sat_speedup', 0.0):.1f}x below the {SAT_NEWTON8_FLOOR:.0f}x floor"
         )
     if not new.get("widths_agree", False):
@@ -496,14 +497,14 @@ if base_speedup > 0 and fresh_speedup < base_speedup * (1.0 - SPEEDUP_REGRESSION
     )
 
 # SAT-tier gates.  Machine-independent primary: the aggregate
-# incremental-vs-monolithic speedup, both engines timed in the same fresh
+# SAT-tier-vs-monolithic speedup, both timed in the same fresh
 # run.  Machine-dependent secondary: absolute aggregate SAT wall clock vs
 # the committed baseline (re-baseline on hardware changes, see README).
 base_sat_speedup = (base_mono / base_sat) if base_sat > 0 else 0.0
 fresh_sat_speedup = (fresh_mono / fresh_sat) if fresh_sat > 0 else 0.0
 if base_sat_speedup > 0 and fresh_sat_speedup < base_sat_speedup * (1.0 - SAT_REGRESSION_LIMIT):
     failures.append(
-        f"aggregate incremental-vs-monolithic SAT speedup {fresh_sat_speedup:.1f}x vs "
+        f"aggregate SAT-tier-vs-monolithic speedup {fresh_sat_speedup:.1f}x vs "
         f"baseline {base_sat_speedup:.1f}x (> {SAT_REGRESSION_LIMIT:.0%} regression)"
     )
 if base_sat > 0 and fresh_sat > base_sat * (1.0 + SAT_WALL_REGRESSION_LIMIT):
@@ -629,7 +630,8 @@ ASAN_DIR="$REPO_ROOT/build-asan-verify"
 cmake -B "$ASAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE=address \
   -DQSYN_SIMD=native
 cmake --build "$ASAN_DIR" -j "$(nproc)" \
-  --target test_verify test_store test_lut_xmg test_synth test_sat test_aig test_daemon
+  --target test_verify test_store test_lut_xmg test_synth test_sat test_aig test_daemon \
+  test_robustness test_flows
 "$ASAN_DIR/tests/test_verify"
 # The artifact store is raw byte-level (de)serialization of attacker-ish
 # input (any on-disk file): run its suite instrumented too.
@@ -639,16 +641,20 @@ cmake --build "$ASAN_DIR" -j "$(nproc)" \
 "$ASAN_DIR/tests/test_lut_xmg"
 "$ASAN_DIR/tests/test_synth"
 # The flat strash table probes with mask arithmetic over a power-of-two
-# slot array, and the SAT engine indexes its solver mirror by a watermark
-# into the node store: both are out-of-bounds accesses waiting to happen.
+# slot array, and the SAT engine indexes solver literals and signature
+# words by node id: both are out-of-bounds accesses waiting to happen.
 "$ASAN_DIR/tests/test_sat"
 "$ASAN_DIR/tests/test_aig"
 # The daemon hands slots and exception_ptrs across request threads and
 # decodes cached outcomes from on-disk bytes.
 "$ASAN_DIR/tests/test_daemon"
+# The SAT tier's dispatch (enumeration up to 16 inputs, the engine above),
+# the verify-tier degradation ladder and the parser's nesting limit.
+"$ASAN_DIR/tests/test_robustness"
+"$ASAN_DIR/tests/test_flows"
 echo
 echo "test_verify + test_store + test_lut_xmg + test_synth + test_sat + test_aig +" \
-     "test_daemon OK under AddressSanitizer"
+     "test_daemon + test_robustness + test_flows OK under AddressSanitizer"
 
 # --- robustness + scheduler tests under UBSan and TSan -----------------------
 # The budget/cancellation/fault-injection paths are counter arithmetic,

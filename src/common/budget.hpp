@@ -171,9 +171,6 @@ struct budget
   std::uint64_t sat_propagation_budget = 0;
   /// Cube-pair merge attempts EXORCISM may spend (0 = unlimited).
   std::uint64_t exorcism_pair_budget = 0;
-  /// When the SAT tier gives up, fall back to exhaustive simulation if the
-  /// design has at most this many primary inputs; otherwise to sampling.
-  unsigned exhaustive_fallback_max_pis = 16;
 
   [[nodiscard]] bool unlimited() const noexcept
   {

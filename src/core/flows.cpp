@@ -781,33 +781,20 @@ flow_result run_flow_staged( const aig_network& aig, const flow_params& params,
       }
       else
       {
-        // Verify-tier degradation ladder: the SAT tier ran out of budget.
-        // Fall back to an exhaustive proof when the design is narrow
-        // enough and wall-clock remains, else to budgeted sampling —
-        // recording the downgrade instead of hanging or reporting failure.
+        // Verify-tier degradation ladder: the SAT tier ran out of budget,
+        // so fall back to budgeted sampling and record the downgrade
+        // instead of hanging or reporting failure.
         result.verify_downgraded = true;
-        const bool exhaustive_fits = optimized.num_pis() <= params.limits.exhaustive_fallback_max_pis &&
-                                     optimized.num_pis() <= 24u;
-        if ( exhaustive_fits && !stop.expired() )
-        {
-          result.verified_with = verify_mode::exhaustive;
-          record_sim_verify_report(
-              result, verify_against_aig_exhaustive_budgeted( result.circuit, optimized, stop ) );
-        }
-        else
-        {
-          result.verified_with = verify_mode::sampled;
-          record_sim_verify_report(
-              result, verify_against_aig_sampled_budgeted( result.circuit, optimized, stop ) );
-        }
+        result.verified_with = verify_mode::sampled;
+        record_sim_verify_report(
+            result, verify_against_aig_sampled_budgeted( result.circuit, optimized, stop ) );
       }
       break;
     }
     }
     result.verify_seconds = verify_watch.elapsed_seconds();
 
-    // Status accounting of the verification phase (an exhaustive fallback
-    // proof is as strong as the requested SAT proof, so it stays `ok`).
+    // Status accounting of the verification phase.
     finalize_verify_status( result );
   }
   return result;

@@ -26,11 +26,12 @@
 ///
 /// Every flow closes with a verification tier selected by
 /// `flow_params::verification` (`verify_mode`): SIMD-wide random sampling,
-/// SIMD-wide exhaustive enumeration, or the incremental SAT equivalence
-/// engine (`sat::incremental_cec`) — the ladder mirrors the paper's closing
-/// ABC `cec` call.  The cache owns the sweep's persistent engine
-/// (`sat_engine()`), so every `sat`-tier check of a sweep shares one
-/// encoding and its learned lemmas.
+/// SIMD-wide exhaustive enumeration, or the SAT tier — the ladder mirrors
+/// the paper's closing ABC `cec` call.  The SAT tier proves designs with at
+/// most 16 inputs by enumeration and wider ones on the incremental SAT
+/// equivalence engine (`sat::incremental_cec`).  The cache owns the
+/// sweep's persistent engine (`sat_engine()`), so every engine check of a
+/// sweep shares one encoding and its learned lemmas.
 /// The flow result carries the reversible circuit, the cost report, the
 /// synthesis runtime (verification is timed separately in
 /// `verify_seconds`, with the tier recorded in `verified_with`), and
@@ -92,8 +93,8 @@ enum class verify_mode
               ///< exhaustive when 2^inputs fits the sample budget)
   exhaustive, ///< SIMD-wide enumeration of all 2^inputs assignments
               ///< (a proof; inputs <= 24)
-  sat         ///< SAT miter against the extracted circuit AIG (a proof at
-              ///< any width; src/sat/)
+  sat         ///< a proof at any width: exhaustive up to 16 inputs, else a
+              ///< SAT miter against the extracted circuit AIG (src/sat/)
 };
 
 /// Short name of a tier ("none", "sampled", "exhaustive", "sat").
@@ -275,7 +276,8 @@ public:
 
   /// The cache's persistent incremental SAT equivalence engine
   /// (`sat::incremental_cec`), created on first use.  Every `sat`-tier
-  /// verification of a `run_flow_staged` call on this cache goes through it,
+  /// verification of a design with more than 16 inputs by a
+  /// `run_flow_staged` call on this cache goes through it,
   /// so a sweep's configurations share the spec encoding, fraig merges, and
   /// learned lemmas instead of re-encoding the miter from scratch per
   /// configuration.  Thread-safe (the engine serializes internally; creation

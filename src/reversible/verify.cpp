@@ -395,24 +395,8 @@ std::optional<std::vector<bool>> verify_against_aig_sat( const reversible_circui
                                                          const aig_network& aig )
 {
   sat::incremental_cec engine;
-  return verify_against_aig_sat( circuit, aig, engine );
-}
-
-std::optional<std::vector<bool>> verify_against_aig_sat( const reversible_circuit& circuit,
-                                                         const aig_network& aig,
-                                                         sat::incremental_cec& engine,
-                                                         unsigned* failing_output )
-{
-  const auto outcome = verify_against_aig_sat_budgeted( circuit, aig, engine, sat::check_limits{} );
-  if ( outcome.equivalent )
-  {
-    return std::nullopt;
-  }
-  if ( failing_output && outcome.failing_output )
-  {
-    *failing_output = *outcome.failing_output;
-  }
-  return outcome.counterexample;
+  return verify_against_aig_sat_budgeted( circuit, aig, engine, sat::check_limits{} )
+      .counterexample;
 }
 
 sat_verify_outcome verify_against_aig_sat_budgeted( const reversible_circuit& circuit,
@@ -420,17 +404,24 @@ sat_verify_outcome verify_against_aig_sat_budgeted( const reversible_circuit& ci
                                                     sat::incremental_cec& engine,
                                                     const sat::check_limits& limits )
 {
-  const auto impl = circuit_to_aig( circuit );
-  if ( impl.num_pis() != aig.num_pis() || impl.num_pos() != aig.num_pos() )
+  if ( input_lines_of( circuit ).size() != aig.num_pis() ||
+       output_lines_of( circuit ).size() != aig.num_pos() )
   {
     throw std::invalid_argument( "verify_against_aig_sat: interface mismatch" );
   }
-  const auto checked = engine.check( aig, impl, limits );
   sat_verify_outcome outcome;
+  if ( aig.num_pis() <= sat_tier_max_enumerated_pis )
+  {
+    auto report = verify_against_aig_exhaustive_budgeted( circuit, aig, limits.stop );
+    outcome.resolved = report.complete || report.counterexample.has_value();
+    outcome.equivalent = outcome.resolved && !report.counterexample.has_value();
+    outcome.counterexample = std::move( report.counterexample );
+    return outcome;
+  }
+  const auto checked = engine.check( aig, circuit_to_aig( circuit ), limits );
   outcome.resolved = checked.resolved;
   outcome.equivalent = checked.resolved && checked.equivalent;
   outcome.counterexample = checked.counterexample;
-  outcome.failing_output = checked.failing_output;
   return outcome;
 }
 

@@ -7,11 +7,13 @@
 ///     (probabilistic; silently exhaustive when 2^inputs fits the budget),
 ///   * **exhaustive** — all 2^inputs assignments, 64 per word (a proof for
 ///     bounded input counts),
-///   * **SAT** — the circuit's function is extracted into an AIG and
-///     checked against the specification by the incremental equivalence
-///     engine (`qsyn::sat::incremental_cec`: shared structural hashing,
-///     per-output miters under assumptions, simulation-guided fraiging); a
-///     proof at any width, and reusable across a sweep's configurations.
+///   * **SAT** — a proof at any width.  Designs with at most
+///     `sat_tier_max_enumerated_pis` inputs are proven by the exhaustive
+///     tier; wider ones have the circuit's function extracted into an AIG
+///     and checked against the specification by the incremental
+///     equivalence engine (`qsyn::sat::incremental_cec`: shared structural
+///     hashing, per-output miters under assumptions, simulation-guided
+///     fraiging), reusable across a sweep's configurations.
 /// The simulation tiers share one engine (wide_sim.hpp): a lane group of
 /// 1, 4, or 8 `std::uint64_t` words per circuit line packs 64–512 input
 /// assignments, and every gate sweeps whole groups — the Toffoli control
@@ -135,30 +137,11 @@ partial_verify_report verify_against_aig_sampled_budgeted( const reversible_circ
 /// its (polarity-adjusted) control literals XORed onto its target.
 aig_network circuit_to_aig( const reversible_circuit& circuit );
 
-/// Proves or refutes circuit-vs-AIG equivalence through the incremental
-/// SAT equivalence engine (`qsyn::sat::incremental_cec` on the extracted
-/// circuit AIG: shared structural hashing, per-output miters under
-/// assumptions, simulation-guided fraiging).  Width-independent, unlike
-/// the exhaustive tier.
-///
-/// **First-counterexample contract:** on inequivalence the returned
-/// assignment distinguishes circuit and spec at the *lowest-indexed*
-/// differing output (reported through `failing_output` when non-null); the
-/// assignment itself is solver-dependent but always real.  `nullopt` is a
-/// proof of equivalence.  This one-shot overload builds a private engine;
-/// prefer the engine overload inside sweeps.
-std::optional<std::vector<bool>> verify_against_aig_sat( const reversible_circuit& circuit,
-                                                         const aig_network& aig );
-
-/// As above, but on a caller-owned persistent engine, so successive checks
-/// of one design sweep share the spec encoding, fraig merges, and learned
-/// lemmas.  Thread-safe: the engine serializes concurrent calls
-/// internally.  `failing_output`, if non-null, receives the index of the
-/// lowest differing output when a counterexample is returned.
-std::optional<std::vector<bool>> verify_against_aig_sat( const reversible_circuit& circuit,
-                                                         const aig_network& aig,
-                                                         sat::incremental_cec& engine,
-                                                         unsigned* failing_output = nullptr );
+/// Widest design the SAT tier proves by enumeration instead of the engine.
+/// Up to 2^16 assignments the wide exhaustive tier is far cheaper than
+/// extracting, encoding and solving a miter, and it leaves no structure
+/// behind in a long-lived engine (measurements in docs/ARCHITECTURE.md).
+inline constexpr unsigned sat_tier_max_enumerated_pis = 16;
 
 /// Outcome of a budgeted SAT-tier check.  `resolved == false` means the
 /// limits ran out before a verdict; `equivalent` is then meaningless and
@@ -168,16 +151,29 @@ struct sat_verify_outcome
   bool resolved = true;
   bool equivalent = false;
   std::optional<std::vector<bool>> counterexample;
-  std::optional<unsigned> failing_output;
 };
 
-/// SAT tier under explicit limits (wall-clock deadline + conflict /
-/// propagation budgets, forwarded to `incremental_cec::check`).  With
-/// unlimited limits the verdict matches `verify_against_aig_sat` exactly.
+/// The SAT tier under explicit limits.  Designs with at most
+/// `sat_tier_max_enumerated_pis` inputs run
+/// `verify_against_aig_exhaustive_budgeted` under `limits.stop` (resolved
+/// when it completes or finds a counterexample, which is then the first
+/// failing assignment in counter order) and never touch `engine`.  Wider
+/// designs are extracted with `circuit_to_aig` and checked by `engine`
+/// under the deadline and the conflict / propagation budgets; its
+/// counterexample distinguishes circuit and spec at the lowest-indexed
+/// differing output, is solver-dependent, and always real.  Successive
+/// checks on one engine share the spec encoding, fraig merges and learned
+/// lemmas; the engine serializes concurrent calls internally.  Throws
+/// std::invalid_argument on an interface mismatch.
 sat_verify_outcome verify_against_aig_sat_budgeted( const reversible_circuit& circuit,
                                                     const aig_network& aig,
                                                     sat::incremental_cec& engine,
                                                     const sat::check_limits& limits );
+
+/// One-shot, unlimited SAT tier on a private engine.  Returns a
+/// counterexample, or nullopt as a proof of equivalence.
+std::optional<std::vector<bool>> verify_against_aig_sat( const reversible_circuit& circuit,
+                                                         const aig_network& aig );
 
 /// Checks that the circuit realizes exactly the given permutation over all
 /// its lines (num_lines() <= 20).

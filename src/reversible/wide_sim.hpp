@@ -86,8 +86,8 @@ simd_backend active_simd_backend( sim_width width );
 
 /// dst[j] = (a[j] ^ invert_a) & (b[j] ^ invert_b) for j < num_words,
 /// dispatched to the widest available backend.  The inner operation of the
-/// AIG node walk; exported for the incremental CEC engine's exhaustive
-/// simulation pass, whose per-node pattern arrays use the same layout.
+/// AIG node walk; exported for the incremental CEC engine's 64-way window
+/// proofs, whose per-node pattern arrays use the same layout.
 void simd_and2_masked( std::uint64_t* dst, const std::uint64_t* a, std::uint64_t invert_a,
                        const std::uint64_t* b, std::uint64_t invert_b, std::size_t num_words );
 

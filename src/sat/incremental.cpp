@@ -1,7 +1,6 @@
 #include "incremental.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <stdexcept>
 
@@ -34,19 +33,33 @@ std::uint64_t pair_key( std::uint32_t a, std::uint32_t b )
   return ( static_cast<std::uint64_t>( a ) << 32 ) | b;
 }
 
+/// Signature words per node (64 random simulation patterns each).
+constexpr unsigned num_sig_words = 4;
+/// Seed of the signature pattern stream (fixed => deterministic candidates).
+constexpr std::uint64_t sim_seed = 0x9e3779b97f4a7c15ull;
+/// Expansion depth and node cap of one 64-way window proof.
+constexpr unsigned window_depth = 8;
+constexpr std::size_t window_nodes = 96;
+/// Fraig candidates examined per check; surplus candidates stay queued.
+constexpr std::size_t max_fraig_candidates = 2048;
+/// A check whose encoding added at least this many fresh AND nodes tries
+/// budgeted per-output miters before the batched fallback (large unions
+/// tend to be propagation-easy per output, and the batch would search one
+/// huge instance); smaller checks go straight to the batch.
+constexpr std::size_t per_output_node_threshold = 30000;
+/// Conflict / decision budgets of that per-output attempt.
+constexpr std::uint64_t output_conflict_budget = 100;
+constexpr std::uint64_t output_decision_budget = 100000;
+
 } // namespace
 
-incremental_cec::incremental_cec( cec_options options )
-    : options_( options ), sig_rng_state_( options.sim_seed )
+incremental_cec::incremental_cec()
+    : sig_rng_state_( sim_seed )
 {
-  options_.num_sig_words = std::max( options_.num_sig_words, 1u );
-  solver_.set_clause_deletion( options_.clause_deletion );
-  solver_.set_reduce_base( options_.reduce_base );
-  // Node 0: constant false (a solver variable forced to 0 at level 0) is
-  // the one node mirrored into the solver from the start.
+  // Node 0: constant false, a solver variable forced to 0 at level 0.
   nodes_.push_back( {} );
   rep_.push_back( 0 );
-  sync_solver();
+  encode_node( 0 );
 }
 
 incremental_cec::ilit incremental_cec::find( ilit l ) const
@@ -64,7 +77,7 @@ incremental_cec::ilit incremental_cec::find( ilit l ) const
 
 literal incremental_cec::to_sat( ilit l ) const
 {
-  assert( ( l >> 1 ) < encoded_ );
+  assert( ( l >> 1 ) < node_sat_.size() );
   const auto base = node_sat_[l >> 1];
   return ( l & 1u ) ? lit_negate( base ) : base;
 }
@@ -77,6 +90,7 @@ void incremental_cec::ensure_pis( unsigned count )
     nodes_.push_back( {} );
     rep_.push_back( node << 1 );
     pi_nodes_.push_back( node );
+    encode_node( node );
   }
 }
 
@@ -85,91 +99,46 @@ void incremental_cec::encode_node( std::uint32_t node )
   const auto var = solver_.new_var();
   const auto out = pos_lit( var );
   node_sat_.push_back( out );
-  const auto w = options_.num_sig_words;
+  constexpr auto w = num_sig_words;
   const auto f0 = nodes_[node].fanin0;
   const auto f1 = nodes_[node].fanin1;
   if ( node == 0u )
   {
     solver_.add_clause( { neg_lit( var ) } );
-    if ( options_.fraiging )
-    {
-      sigs_.resize( w, 0u );
-    }
+    sigs_.resize( w, 0u );
   }
   else if ( f0 < 2u )
   {
     // PI: fresh patterns from the stream, drawn in node order.
-    if ( options_.fraiging )
+    for ( unsigned i = 0; i < w; ++i )
     {
-      for ( unsigned i = 0; i < w; ++i )
-      {
-        sigs_.push_back( next_pattern( sig_rng_state_ ) );
-      }
+      sigs_.push_back( next_pattern( sig_rng_state_ ) );
     }
   }
   else
   {
-    if ( options_.decide_inputs_only )
-    {
-      // AND outputs are fully determined by the PIs through unit
-      // propagation (the Tseitin clauses below are propagation-complete in
-      // both directions), so the solver never *needs* to branch on them.
-      solver_.set_branchable( var, false );
-    }
     // Tseitin: out <-> fa & fb.
     const auto fa = to_sat( f0 );
     const auto fb = to_sat( f1 );
     solver_.add_clause( { lit_negate( out ), fa } );
     solver_.add_clause( { lit_negate( out ), fb } );
     solver_.add_clause( { out, lit_negate( fa ), lit_negate( fb ) } );
-    // Signature: word-parallel AND over the fanin signatures.  (Signature
-    // bookkeeping exists solely to feed fraig candidates; a fraiging-free
-    // engine skips it entirely.)
-    if ( options_.fraiging )
+    // Signature: word-parallel AND over the fanin signatures.
+    const std::uint64_t ca = ( f0 & 1u ) ? ~std::uint64_t{ 0 } : 0u;
+    const std::uint64_t cb = ( f1 & 1u ) ? ~std::uint64_t{ 0 } : 0u;
+    const std::size_t base_a = static_cast<std::size_t>( f0 >> 1 ) * w;
+    const std::size_t base_b = static_cast<std::size_t>( f1 >> 1 ) * w;
+    for ( unsigned i = 0; i < w; ++i )
     {
-      const std::uint64_t ca = ( f0 & 1u ) ? ~std::uint64_t{ 0 } : 0u;
-      const std::uint64_t cb = ( f1 & 1u ) ? ~std::uint64_t{ 0 } : 0u;
-      const std::size_t base_a = static_cast<std::size_t>( f0 >> 1 ) * w;
-      const std::size_t base_b = static_cast<std::size_t>( f1 >> 1 ) * w;
-      for ( unsigned i = 0; i < w; ++i )
-      {
-        sigs_.push_back( ( sigs_[base_a + i] ^ ca ) & ( sigs_[base_b + i] ^ cb ) );
-      }
+      sigs_.push_back( ( sigs_[base_a + i] ^ ca ) & ( sigs_[base_b + i] ^ cb ) );
     }
   }
-  if ( options_.fraiging )
-  {
-    register_signature( node );
-  }
-}
-
-void incremental_cec::sync_solver()
-{
-  // Encode the unmirrored suffix of the store in node order, replaying each
-  // deferred equality at the node count it was proven at: the solver ends
-  // up with exactly the variables and clauses, in exactly the order, that
-  // eager encoding would have produced.
-  auto next = deferred_.begin();
-  for ( ;; )
-  {
-    for ( ; next != deferred_.end() && next->num_nodes == encoded_; ++next )
-    {
-      add_equality( next->a, next->b );
-    }
-    if ( encoded_ == nodes_.size() )
-    {
-      break;
-    }
-    encode_node( static_cast<std::uint32_t>( encoded_++ ) );
-  }
-  assert( next == deferred_.end() );
-  deferred_.clear();
-  stats_.encoded_nodes = encoded_;
+  register_signature( node );
 }
 
 void incremental_cec::register_signature( std::uint32_t node )
 {
-  const auto w = options_.num_sig_words;
+  constexpr auto w = num_sig_words;
   const auto* sig = sigs_.data() + static_cast<std::size_t>( node ) * w;
   // Canonicalize under complementation so that f and !f land in one class.
   const std::uint64_t flip_mask = ( sig[0] & 1u ) ? ~std::uint64_t{ 0 } : 0u;
@@ -247,10 +216,9 @@ incremental_cec::ilit incremental_cec::create_and( ilit a, ilit b )
     ++stats_.strash_hits;
     return node << 1;
   }
-  // The solver variable, Tseitin clauses and signature follow in
-  // sync_solver(), once a check needs the solver.
   nodes_.push_back( { a, b } );
   rep_.push_back( node << 1 );
+  encode_node( node );
   ++stats_.nodes;
   return node << 1;
 }
@@ -278,150 +246,6 @@ std::vector<incremental_cec::ilit> incremental_cec::encode( const aig_network& a
     outputs.push_back( conv( aig.po( o ) ) );
   }
   return outputs;
-}
-
-bool incremental_cec::try_full_simulation( unsigned num_pis,
-                                           const std::vector<ilit>& outputs_a,
-                                           const std::vector<ilit>& outputs_b,
-                                           cec_outcome& out )
-{
-  // Raw structural simulation (no class lookups): nodes_ is topologically
-  // ordered by construction, so one linear pass over the marked cone
-  // computes every node's word block.  Column c of the block carries
-  // input assignment x_i = (c >> i) & 1 — for i < 6 that is the canonical
-  // projection pattern within each word, for i >= 6 bit (i - 6) of the
-  // word index — so 2^pis columns cover all assignments exhaustively, and
-  // a differing column IS a real counterexample.  The block is sized to
-  // the cone (one word up to 6 PIs, 256 words at the 14-PI ceiling) and
-  // each node evaluates through the SIMD-wide AND kernel
-  // (`simd_and2_masked`), which is what lifts the historical 12-PI clamp:
-  // the wider blocks cost the same wall clock per word as the scalar loop
-  // did at 64 words.
-  if ( num_pis > 14u )
-  {
-    return false;
-  }
-  const unsigned words_per_node = num_blocks_for( num_pis );
-
-  // Mark the union cone of all output pairs, assigning each marked node a
-  // compact arena slot — the persistent store grows across a sweep's
-  // checks, so the arena must be sized by the cone, not the store.
-  constexpr auto unmarked = ~std::uint32_t{ 0 };
-  std::vector<std::uint32_t> slot( nodes_.size(), unmarked );
-  std::vector<std::uint32_t> stack;
-  std::uint32_t num_marked = 0;
-  const auto mark = [&]( ilit l ) {
-    if ( slot[l >> 1] == unmarked )
-    {
-      stack.push_back( l >> 1 );
-      slot[l >> 1] = num_marked++;
-    }
-  };
-  for ( const auto l : outputs_a )
-  {
-    mark( l );
-  }
-  for ( const auto l : outputs_b )
-  {
-    mark( l );
-  }
-  while ( !stack.empty() )
-  {
-    const auto n = stack.back();
-    stack.pop_back();
-    if ( nodes_[n].fanin0 >= 2u )
-    {
-      mark( nodes_[n].fanin0 );
-      mark( nodes_[n].fanin1 );
-    }
-  }
-
-  std::vector<std::uint64_t> blocks(
-      static_cast<std::size_t>( num_marked ) * words_per_node, 0u );
-  const auto block_of = [&]( std::uint32_t n ) {
-    return blocks.data() + static_cast<std::size_t>( slot[n] ) * words_per_node;
-  };
-  for ( std::size_t i = 0; i < pi_nodes_.size() && i < 14u; ++i )
-  {
-    if ( slot[pi_nodes_[i]] == unmarked )
-    {
-      continue; // PI outside the cone (e.g. of another check's design)
-    }
-    auto* block = block_of( pi_nodes_[i] );
-    for ( unsigned j = 0; j < words_per_node; ++j )
-    {
-      block[j] = i < 6u ? projections[i]
-                        : ( ( ( j >> ( i - 6u ) ) & 1u ) ? ~std::uint64_t{ 0 } : 0u );
-    }
-  }
-  for ( std::uint32_t n = 1; n < nodes_.size(); ++n )
-  {
-    if ( slot[n] == unmarked || nodes_[n].fanin0 < 2u )
-    {
-      continue; // unmarked, PI, or constant
-    }
-    const auto f0 = nodes_[n].fanin0;
-    const auto f1 = nodes_[n].fanin1;
-    const auto* b0 = block_of( f0 >> 1 );
-    const auto* b1 = block_of( f1 >> 1 );
-    auto* bn = block_of( n );
-    const std::uint64_t m0 = ( f0 & 1u ) ? ~std::uint64_t{ 0 } : 0u;
-    const std::uint64_t m1 = ( f1 & 1u ) ? ~std::uint64_t{ 0 } : 0u;
-    simd_and2_masked( bn, b0, m0, b1, m1, words_per_node );
-  }
-
-  out.equivalent = true;
-  for ( unsigned o = 0; o < outputs_a.size(); ++o )
-  {
-    const auto la = outputs_a[o];
-    const auto lb = outputs_b[o];
-    const auto* ba = block_of( la >> 1 );
-    const auto* bb = block_of( lb >> 1 );
-    const std::uint64_t ma = ( la & 1u ) ? ~std::uint64_t{ 0 } : 0u;
-    const std::uint64_t mb = ( lb & 1u ) ? ~std::uint64_t{ 0 } : 0u;
-    std::optional<unsigned> diff_word;
-    for ( unsigned j = 0; j < words_per_node; ++j )
-    {
-      if ( ( ba[j] ^ ma ) != ( bb[j] ^ mb ) )
-      {
-        diff_word = j;
-        break;
-      }
-    }
-    if ( !diff_word )
-    {
-      // Exhaustively proven equal: keep as a permanent equality so later
-      // checks resolve this pair structurally.
-      const auto ea = find( la );
-      const auto eb = find( lb );
-      if ( ea != eb )
-      {
-        assert_equal( ea, eb );
-        if ( ( ea >> 1 ) != ( eb >> 1 ) )
-        {
-          merge( ea, eb );
-        }
-      }
-      ++stats_.structural_outputs;
-      continue;
-    }
-    // Lowest differing column of the lowest differing output: a real,
-    // deterministic counterexample.
-    const auto j = *diff_word;
-    const auto diff_bits = ( ba[j] ^ ma ) ^ ( bb[j] ^ mb );
-    const auto bit = static_cast<unsigned>( std::countr_zero( diff_bits ) );
-    const auto column = j * 64u + bit;
-    out.equivalent = false;
-    out.failing_output = o;
-    std::vector<bool> cex( num_pis );
-    for ( unsigned i = 0; i < num_pis; ++i )
-    {
-      cex[i] = ( column >> i ) & 1u;
-    }
-    out.counterexample = std::move( cex );
-    return true;
-  }
-  return true;
 }
 
 result incremental_cec::prove_equal( ilit a, ilit b, std::uint64_t conflict_budget,
@@ -464,16 +288,6 @@ bool incremental_cec::try_structural_merge( ilit a, ilit b )
 
 void incremental_cec::assert_equal( ilit a, ilit b )
 {
-  if ( encoded_ < nodes_.size() )
-  {
-    deferred_.push_back( { a, b, nodes_.size() } );
-    return;
-  }
-  add_equality( a, b );
-}
-
-void incremental_cec::add_equality( ilit a, ilit b )
-{
   const auto la = to_sat( a );
   const auto lb = to_sat( b );
   solver_.add_clause( { lit_negate( la ), lb } );
@@ -491,8 +305,7 @@ void incremental_cec::merge( ilit keep, ilit drop )
   rep_[drop >> 1] = keep ^ ( drop & 1u );
 }
 
-bool incremental_cec::window_proves_equal( ilit a, ilit b, unsigned depth_cap,
-                                           std::size_t node_cap )
+bool incremental_cec::window_proves_equal( ilit a, ilit b )
 {
   // Both cones are evaluated word-parallel over the free values of their
   // frontier equivalence classes, counter-block style: frontier class i < 6
@@ -502,10 +315,7 @@ bool incremental_cec::window_proves_equal( ilit a, ilit b, unsigned depth_cap,
   // Equal output blocks are an exhaustive proof *within the window*, and
   // the frontier being free makes that proof sound globally.  Cheap (no
   // solver contact) and never refuting: an unequal block only means the
-  // window was too coarse.  With uncapped expansion and <= 12 PIs the
-  // frontier IS the input cube and the window is a complete equivalence
-  // proof of the pair — that is how the output miters of narrow designs
-  // are discharged without the solver (see `check()`).
+  // window was too coarse.
   //
   // Iterative post-order walk: output cones can be tens of thousands of
   // nodes deep (XOR chains of a reversible target line), so recursion is
@@ -544,7 +354,7 @@ bool incremental_cec::window_proves_equal( ilit a, ilit b, unsigned depth_cap,
         continue;
       }
       const bool expandable =
-          n != 0u && top.depth > 0u && nodes_[n].fanin0 >= 2u && expanded < node_cap;
+          n != 0u && top.depth > 0u && nodes_[n].fanin0 >= 2u && expanded < window_nodes;
       if ( expandable && !top.visited )
       {
         top.visited = true;
@@ -593,7 +403,7 @@ bool incremental_cec::window_proves_equal( ilit a, ilit b, unsigned depth_cap,
     return true;
   };
 
-  if ( !eval_cone( a, depth_cap ) || !eval_cone( b, depth_cap ) )
+  if ( !eval_cone( a, window_depth ) || !eval_cone( b, window_depth ) )
   {
     return false;
   }
@@ -613,72 +423,10 @@ bool incremental_cec::window_proves_equal( ilit a, ilit b, unsigned depth_cap,
   return true;
 }
 
-void incremental_cec::collect_cex_pattern()
-{
-  cex_patterns_.resize( pi_nodes_.size(), 0u );
-  const auto bit = std::uint64_t{ 1 } << cex_count_;
-  for ( std::size_t i = 0; i < pi_nodes_.size(); ++i )
-  {
-    if ( solver_.model_value( lit_var( node_sat_[pi_nodes_[i]] ) ) )
-    {
-      cex_patterns_[i] |= bit;
-    }
-  }
-  ++cex_count_;
-}
-
-void incremental_cec::refine_signatures()
-{
-  // Fold the collected counterexample bits into one signature word
-  // (unused high bits come from the pattern stream, so a sparse buffer
-  // still splits on 64 fresh columns), re-simulate every node on that
-  // word alone, and rebuild classes + candidate queue from scratch.
-  // Merges are never undone — signatures are hints, the merges are
-  // proofs — so "refinement" can only remove false candidates and expose
-  // pairs previously shadowed by refuted partners.
-  ++stats_.fraig_refinements;
-  const auto w = options_.num_sig_words;
-  const auto slot = refine_slot_;
-  refine_slot_ = ( refine_slot_ + 1u ) % w;
-  cex_patterns_.resize( pi_nodes_.size(), 0u );
-  const std::uint64_t keep_mask =
-      cex_count_ >= 64u ? ~std::uint64_t{ 0 } : ( ( std::uint64_t{ 1 } << cex_count_ ) - 1u );
-  sigs_[slot] = 0u; // constant-false node
-  for ( std::size_t i = 0; i < pi_nodes_.size(); ++i )
-  {
-    const auto filler = next_pattern( sig_rng_state_ );
-    sigs_[static_cast<std::size_t>( pi_nodes_[i] ) * w + slot] =
-        ( cex_patterns_[i] & keep_mask ) | ( filler & ~keep_mask );
-  }
-  for ( std::uint32_t n = 1; n < nodes_.size(); ++n )
-  {
-    const auto f0 = nodes_[n].fanin0;
-    const auto f1 = nodes_[n].fanin1;
-    if ( f0 < 2u )
-    {
-      continue; // PI (or constant): pattern set above
-    }
-    const std::uint64_t m0 = ( f0 & 1u ) ? ~std::uint64_t{ 0 } : 0u;
-    const std::uint64_t m1 = ( f1 & 1u ) ? ~std::uint64_t{ 0 } : 0u;
-    sigs_[static_cast<std::size_t>( n ) * w + slot] =
-        ( sigs_[static_cast<std::size_t>( f0 >> 1 ) * w + slot] ^ m0 ) &
-        ( sigs_[static_cast<std::size_t>( f1 >> 1 ) * w + slot] ^ m1 );
-  }
-  cex_count_ = 0;
-  std::fill( cex_patterns_.begin(), cex_patterns_.end(), 0u );
-  sig_classes_.clear();
-  fraig_pending_.clear();
-  fraig_cursor_ = 0;
-  for ( std::uint32_t n = 0; n < nodes_.size(); ++n )
-  {
-    register_signature( n );
-  }
-}
-
 void incremental_cec::run_fraig()
 {
   std::size_t attempts = 0;
-  while ( fraig_cursor_ < fraig_pending_.size() && attempts < options_.max_fraig_candidates )
+  while ( fraig_cursor_ < fraig_pending_.size() && attempts < max_fraig_candidates )
   {
     ++attempts;
     const auto [node, candidate] = fraig_pending_[fraig_cursor_++];
@@ -699,8 +447,7 @@ void incremental_cec::run_fraig()
       ++stats_.fraig_merges;
       continue;
     }
-    if ( window_proves_equal( ln, lc, options_.fraig_window_depth,
-                              options_.fraig_window_nodes ) )
+    if ( window_proves_equal( ln, lc ) )
     {
       assert_equal( ln, lc );
       merge( ln, lc );
@@ -708,32 +455,7 @@ void incremental_cec::run_fraig()
       ++stats_.fraig_window_proofs;
       continue;
     }
-    if ( options_.fraig_conflict_budget == 0 )
-    {
-      fraig_refuted_.insert( key ); // cheap paths failed; never retry
-      continue;
-    }
-    // Budgeted SAT attempt on the persistent solver.  Earlier merges make
-    // the two cones propagation-connected, so genuine equivalences tend to
-    // conflict out almost immediately; a model is a REAL counterexample
-    // (total over the PIs) and feeds the refinement buffer.
-    const auto res = prove_equal( ln, lc, options_.fraig_conflict_budget, 0 );
-    if ( res == result::unsatisfiable )
-    {
-      assert_equal( ln, lc );
-      merge( ln, lc );
-      ++stats_.fraig_merges;
-      continue;
-    }
-    fraig_refuted_.insert( key );
-    if ( res == result::satisfiable )
-    {
-      collect_cex_pattern();
-      if ( cex_count_ == 64u )
-      {
-        refine_signatures();
-      }
-    }
+    fraig_refuted_.insert( key ); // the free proofs failed; never retry
   }
   // Drop the consumed prefix; surplus candidates stay queued.
   fraig_pending_.erase( fraig_pending_.begin(),
@@ -789,22 +511,7 @@ cec_outcome incremental_cec::check( const aig_network& a, const aig_network& b,
   const auto outputs_a = encode( a );
   const auto outputs_b = encode( b );
   const auto fresh_nodes = nodes_.size() - nodes_before;
-  // Narrow designs are decided wholesale by the bit-parallel simulation
-  // pass below and never touch the solver; fraig hints only pay off when
-  // the solver will run.  The 14-PI clamp is the capacity of
-  // `try_full_simulation`'s SIMD-wide blocks — values above it in the
-  // option must not widen the gate (the sim pass would bail and the check
-  // would fall through undecided).
-  const bool narrow =
-      a.num_pis() <= std::min( options_.output_window_max_pis, 14u );
-  if ( !narrow )
-  {
-    sync_solver();
-    if ( options_.fraiging )
-    {
-      run_fraig();
-    }
-  }
+  run_fraig();
 
   cec_outcome out;
   out.equivalent = true;
@@ -836,38 +543,13 @@ cec_outcome incremental_cec::check( const aig_network& a, const aig_network& b,
   // makes each equality propagation-easy, while the batch recovers
   // monolithic-search behavior when an instance wants one global
   // refutation instead of 2 * num_pos restarted searches.
-  const bool try_per_output = fresh_nodes >= options_.per_output_node_threshold;
+  const bool try_per_output = fresh_nodes >= per_output_node_threshold;
   struct pending_output
   {
     unsigned index;
     ilit ea;
     ilit eb;
   };
-  // Narrow designs (pis <= output_window_max_pis): when the structural
-  // pre-scan leaves anything open, one bit-parallel simulation pass over
-  // the raw cones decides every output at once, without the solver — see
-  // try_full_simulation.  Warm re-checks of already-proven pairs stay on
-  // the pre-scan (the sim pass recorded its proofs as merges).
-  if ( narrow )
-  {
-    bool all_structural = true;
-    for ( unsigned o = 0; o < a.num_pos() && all_structural; ++o )
-    {
-      all_structural = find( outputs_a[o] ) == find( outputs_b[o] );
-    }
-    if ( all_structural )
-    {
-      stats_.structural_outputs += a.num_pos();
-      stats_.solver_conflicts = solver_.num_conflicts();
-      return out; // equivalent
-    }
-    const auto decided = try_full_simulation( a.num_pis(), outputs_a, outputs_b, out );
-    assert( decided );
-    (void)decided;
-    stats_.solver_conflicts = solver_.num_conflicts();
-    return out;
-  }
-
   std::vector<pending_output> unresolved;
   // Lowest output already KNOWN to differ (a budgeted attempt found a
   // model); lower-indexed unresolved outputs still have to be decided
@@ -882,8 +564,7 @@ cec_outcome incremental_cec::check( const aig_network& a, const aig_network& b,
       ++stats_.structural_outputs;
       continue;
     }
-    if ( window_proves_equal( ea, eb, options_.fraig_window_depth,
-                              options_.fraig_window_nodes ) )
+    if ( window_proves_equal( ea, eb ) )
     {
       assert_equal( ea, eb );
       merge( ea, eb );
@@ -893,8 +574,7 @@ cec_outcome incremental_cec::check( const aig_network& a, const aig_network& b,
     }
     if ( try_per_output && !budget_exhausted() )
     {
-      const auto res = prove_equal( ea, eb, options_.output_conflict_budget,
-                                    options_.output_decision_budget );
+      const auto res = prove_equal( ea, eb, output_conflict_budget, output_decision_budget );
       if ( res == result::unsatisfiable )
       {
         learn_equal( ea, eb );

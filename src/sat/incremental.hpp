@@ -2,10 +2,12 @@
 /// \brief Incremental, structurally-hashed SAT equivalence engine.
 ///
 /// `incremental_cec` replaces the one-monolithic-miter-per-call scheme of
-/// `check_equivalence` (cnf.hpp) for the hot verification paths.  One engine
+/// `check_equivalence` (cnf.hpp) for the SAT verification tier.  One engine
 /// instance owns ONE persistent CDCL solver and an internal AND-node store;
 /// every `check()` call encodes its two AIGs *into the union store* through
-/// hash-consing:
+/// hash-consing.  The verification tier only hands it designs with more
+/// than `sat_tier_max_enumerated_pis` (verify.hpp) inputs; narrower ones
+/// are proven by enumeration before the engine is reached.
 ///
 ///  * **Shared structural hashing.**  AND nodes are hash-consed (flat
 ///    `strash_table`) across both sides of a miter AND across successive
@@ -13,16 +15,8 @@
 ///    configuration of a DSE sweep, or logic shared between an
 ///    implementation and its spec — is stored exactly once.  Outputs whose
 ///    cones collapse to the same internal literal are proven equivalent
-///    with zero solver work.
-///  * **Lazy solver mirror.**  Checks of designs with at most
-///    `output_window_max_pis` inputs are decided by one exhaustive
-///    bit-parallel simulation pass over the store and never touch the
-///    solver.  Solver variables, Tseitin clauses and fraig signatures are
-///    built for a store prefix only, by one linear pass at the first check
-///    that needs the solver; equalities proven by simulation meanwhile are
-///    queued and replayed in that pass at the node count they were proven
-///    at, so the solver sees the same variables and clauses, in the same
-///    order, as if every node had been encoded on creation.
+///    with zero solver work.  Each store node is encoded into the solver
+///    (variable, Tseitin clauses, signature) when it is created.
 ///  * **Per-output miters under assumptions.**  Instead of one global OR
 ///    over all output XORs, each output pair gets its own miter activated by
 ///    a fresh assumption literal on the persistent solver.  UNSAT retires
@@ -30,17 +24,14 @@
 ///    (sound: the trigger occurs nowhere else, so UNSAT under the
 ///    assumption proves the equality from the encoding alone), which
 ///    accelerates every later call that reaches the same cone.
-///  * **Simulation-guided fraiging.**  Every node mirrored into the solver
-///    carries a signature of `num_sig_words` 64-bit pattern words (one
-///    random simulation pattern per bit, word-AND/word-NOT over the fanin
-///    signatures).  Signature-equal node pairs
-///    become candidate equivalences that are proven or refuted — free
-///    structural/window proofs first, then a budgeted SAT attempt on the
-///    persistent solver — *before* the output miters run; proven pairs are
-///    merged (class representative + permanent equality clauses), so the
-///    final miters see an already-swept union graph.  Refuting models are
-///    fed back as fresh simulation patterns (counterexample-guided
-///    refinement), splitting the false candidate classes wholesale.
+///  * **Simulation-guided fraiging.**  Every node carries a signature of
+///    four 64-bit pattern words (one random simulation pattern per bit,
+///    word-AND/word-NOT over the fanin signatures).  Signature-equal node
+///    pairs become candidate equivalences that are proven by the free
+///    structural and 64-way window proofs *before* the output miters run;
+///    proven pairs are merged (class representative + permanent equality
+///    clauses), so the final miters see an already-swept union graph.
+///    Candidates neither proof settles are dropped.
 ///  * **CDCL upgrades** live in solver.hpp: activity/LBD-scored learned
 ///    clause deletion and Luby restarts keep the persistent solver healthy
 ///    across a long sequence of checks.
@@ -49,14 +40,11 @@
 ///
 /// `check()` reports the *lowest-indexed* differing output
 /// (`failing_output`) together with one input assignment on which the two
-/// AIGs differ at that output.  On the narrow-design simulation path the
-/// assignment is deterministic (the lowest distinguishing input column);
-/// on the solver path it is engine-dependent — but it is always real: it
-/// is extracted from an exhaustive simulation column or from the model of
-/// the failing per-output miter, and tests/test_sat.cpp round-trips it
-/// through both networks.  When the networks are equivalent, `check()` is
-/// a proof (exhaustive simulation, UNSAT of every per-output miter, or
-/// structural identity).
+/// AIGs differ at that output.  The assignment is engine-dependent — but it
+/// is always real: it is extracted from the model of the failing
+/// per-output miter, and tests/test_sat.cpp round-trips it through both
+/// networks.  When the networks are equivalent, `check()` is a proof (UNSAT
+/// of every per-output miter, a window proof, or structural identity).
 ///
 /// ## Thread safety
 ///
@@ -80,68 +68,6 @@
 
 namespace qsyn::sat
 {
-
-/// Tuning knobs of the incremental equivalence engine.
-struct cec_options
-{
-  /// Process signature-equal node pairs (fraig candidates) before the
-  /// output miters: structural merge modulo classes, then the exhaustive
-  /// 64-way window proof, then a budgeted SAT attempt on the persistent
-  /// solver.  Refuting models become new simulation patterns that split
-  /// the signature classes (counterexample-guided refinement), so one
-  /// false candidate pays for eliminating many.
-  bool fraiging = true;
-  /// Conflict budget of the per-candidate SAT attempt (on the persistent
-  /// solver).  0 (the default) disables the SAT attempt: candidates are
-  /// then proven only by the free structural/window paths and dropped
-  /// otherwise, which bounds fraiging overhead per check — measured on the
-  /// NEWTON(8) miters, SAT-backed candidate proving costs far more than
-  /// the final miters it saves.
-  std::uint64_t fraig_conflict_budget = 0;
-  /// Expansion depth of the 64-way window proof used as a *fraig hint*
-  /// (see incremental.cpp, `window_proves_equal`).
-  unsigned fraig_window_depth = 8;
-  /// Node cap of one fraig-hint window expansion.
-  std::size_t fraig_window_nodes = 96;
-  /// Upper bound on fraig candidates examined per `check()` (bounds the
-  /// hint overhead; surplus candidates stay queued for later checks).
-  std::size_t max_fraig_candidates = 2048;
-  /// Discharge output miters of designs with at most this many primary
-  /// inputs by an exhaustive bit-parallel simulation pass over the union
-  /// cone (`try_full_simulation`): SIMD-wide blocks sized to 2^pis
-  /// enumerate every assignment, and all output pairs are proven or
-  /// refuted at once without the solver.  14 is the hard ceiling (256
-  /// words per node) and larger values are clamped to it; the default
-  /// stays 12 — the historical gate — so raising to 13/14 is an explicit
-  /// opt-in; lower it to force the solver path, e.g. in tests.
-  unsigned output_window_max_pis = 12;
-  /// Restrict solver decisions to primary-input (and miter-auxiliary)
-  /// variables.  Sound either way (Tseitin cones propagate completely
-  /// from their inputs); off by default — on the wide hierarchical miters
-  /// every full descent then re-propagates the whole union encoding,
-  /// which measures ~2x slower than free VSIDS branching.
-  bool decide_inputs_only = false;
-  /// A check whose encoding added at least this many fresh AND nodes tries
-  /// budgeted per-output miters before the batched fallback (large unions
-  /// tend to be propagation-easy per output, and the batch would search
-  /// one huge instance); smaller checks go straight to the batch.
-  std::size_t per_output_node_threshold = 30000;
-  /// 64-bit pattern words per node signature (n words = 64n simulation
-  /// patterns backing the candidate detection).
-  unsigned num_sig_words = 4;
-  /// Seed of the signature pattern generator (fixed => deterministic
-  /// candidate discovery).
-  std::uint64_t sim_seed = 0x9e3779b97f4a7c15ull;
-  /// Conflict / decision budgets of the per-output miter attempt that
-  /// precedes the batched fallback miter (0 = unlimited).
-  std::uint64_t output_conflict_budget = 100;
-  std::uint64_t output_decision_budget = 100000;
-  /// Learned-clause deletion on the persistent solver (performance only;
-  /// verdicts are unaffected — tests/test_sat.cpp checks on/off agreement).
-  bool clause_deletion = true;
-  /// First-reduction threshold forwarded to solver::set_reduce_base.
-  std::uint32_t reduce_base = 2000;
-};
 
 /// Per-check resource limits (all default to unlimited).  The wall-clock
 /// deadline is installed on the persistent solver for the duration of the
@@ -180,16 +106,12 @@ struct cec_stats
 {
   std::size_t checks = 0;
   std::size_t nodes = 0;            ///< union AND nodes created
-  /// Store nodes (constant, PIs, ANDs) mirrored into the solver: 1 (the
-  /// constant) until a check first leaves the narrow simulation path.
-  std::size_t encoded_nodes = 0;
   std::size_t strash_hits = 0;      ///< AND lookups served by hash-consing
   std::size_t structural_outputs = 0; ///< output pairs equal by structure alone
   std::size_t sat_proven_outputs = 0; ///< output pairs proven by a miter solve
   std::size_t fraig_candidates = 0; ///< signature-equal pairs attempted
   std::size_t fraig_merges = 0;     ///< candidate pairs proven and merged
   std::size_t fraig_window_proofs = 0; ///< merges proven by the 64-way window alone
-  std::size_t fraig_refinements = 0; ///< counterexample-guided class splits
   std::uint64_t solver_conflicts = 0;
 };
 
@@ -199,7 +121,7 @@ struct cec_stats
 class incremental_cec
 {
 public:
-  explicit incremental_cec( cec_options options = {} );
+  incremental_cec();
 
   /// Checks whether `a` and `b` (same PI/PO interface; throws
   /// std::invalid_argument otherwise) implement the same multi-output
@@ -214,7 +136,6 @@ public:
   cec_outcome check( const aig_network& a, const aig_network& b, const check_limits& limits );
 
   cec_stats stats() const;
-  const cec_options& options() const { return options_; }
 
 private:
   /// Internal literal: 2 * node + complement; node 0 is constant false.
@@ -229,30 +150,17 @@ private:
   ilit find( ilit l ) const;
   literal to_sat( ilit l ) const;
   void ensure_pis( unsigned count );
-  /// Hash-conses one AND into the union store (no solver contact).
+  /// Hash-conses one AND into the union store and encodes it if new.
   ilit create_and( ilit a, ilit b );
-  /// Mirrors store node `node` (== encoded_) into the solver: variable,
-  /// Tseitin clauses or constant unit, signature and class registration.
+  /// Encodes the newest store node into the solver: variable, Tseitin
+  /// clauses or constant unit, signature and class registration.
   void encode_node( std::uint32_t node );
-  /// Mirrors the store suffix [encoded_, nodes_.size()) into the solver,
-  /// interleaving the deferred equalities at their recorded node counts.
-  void sync_solver();
   std::vector<ilit> encode( const aig_network& aig );
   void register_signature( std::uint32_t node );
   void run_fraig();
-  /// Captures the PI values of the solver's current model as one more
-  /// simulation pattern for counterexample-guided class refinement.
-  void collect_cex_pattern();
-  /// Folds the collected counterexample patterns into one signature word,
-  /// re-simulates every node on it, and rebuilds the signature classes
-  /// (and the candidate queue) from the refined signatures.
-  void refine_signatures();
   void merge( ilit keep, ilit drop );
-  /// Asserts a == b in the solver; deferred to the next sync_solver() while
-  /// the mirror lags the store.
+  /// Asserts a == b in the solver with two equality clauses.
   void assert_equal( ilit a, ilit b );
-  /// Adds the two equality clauses (both nodes must be mirrored).
-  void add_equality( ilit a, ilit b );
   /// Two-directional implication check under assumptions: (a & !b) then
   /// (!a & b).  UNSAT twice proves a == b; a satisfiable direction leaves
   /// its model (a counterexample to the equality) in the solver.
@@ -261,51 +169,24 @@ private:
   /// Merges two nodes whose fanins already resolve to the same equivalence
   /// classes — zero solver work.  Returns true if a merge happened.
   bool try_structural_merge( ilit a, ilit b );
-  /// Exhaustive 64-way window proof: evaluates both cones over the free
-  /// values of at most twelve frontier equivalence classes (projection
-  /// patterns, word-parallel).  true => a == b (sound; never refutes).
-  /// `depth_cap` / `node_cap` bound the expansion: small caps make a cheap
-  /// fraig hint, unbounded caps on a <= 12-PI design make the window an
-  /// exhaustive proof of the whole output pair.
-  bool window_proves_equal( ilit a, ilit b, unsigned depth_cap, std::size_t node_cap );
-  /// Narrow-design fast path: one linear, bit-parallel simulation pass over
-  /// the raw output cones enumerates all 2^pis <= 16384 input assignments
-  /// (up to 256 words of projection patterns per node, evaluated through
-  /// the SIMD-wide AND kernel) and decides EVERY output
-  /// pair of the check at once — proofs are recorded as permanent
-  /// equalities, a difference yields the lowest-indexed failing output and
-  /// its lowest distinguishing input column as the counterexample.
-  /// Returns true if the outcome was decided (always, when pis fits).
-  bool try_full_simulation( unsigned num_pis, const std::vector<ilit>& outputs_a,
-                            const std::vector<ilit>& outputs_b, cec_outcome& out );
+  /// Exhaustive 64-way window proof: evaluates both cones, expanded to a
+  /// small fixed depth and node count, over the free values of at most
+  /// twelve frontier equivalence classes (projection patterns,
+  /// word-parallel).  true => a == b (sound; never refutes).
+  bool window_proves_equal( ilit a, ilit b );
 
-  /// An equality proven while the solver mirror lagged the store.
-  struct deferred_equality
-  {
-    ilit a;
-    ilit b;
-    std::size_t num_nodes; ///< store size when it was proven
-  };
-
-  cec_options options_;
   solver solver_;
   std::vector<inode> nodes_;       ///< [0] = constant false; PIs and ANDs follow
   std::vector<ilit> rep_;          ///< equivalence-class representative per node
   std::vector<std::uint32_t> pi_nodes_; ///< PI index -> node id
   strash_table<1> strash_;         ///< exact (fanin0, fanin1) key -> node
-  // Solver mirror: everything below covers nodes [0, encoded_) only.
-  std::size_t encoded_ = 0;
   std::vector<literal> node_sat_;  ///< positive solver literal per node
-  std::vector<deferred_equality> deferred_; ///< in proof order
-  std::vector<std::uint64_t> sigs_; ///< num_sig_words words per node
+  std::vector<std::uint64_t> sigs_; ///< signature words, node-major
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> sig_classes_;
   std::vector<std::pair<std::uint32_t, ilit>> fraig_pending_; ///< (node, candidate)
   std::size_t fraig_cursor_ = 0; ///< next fraig_pending_ entry to process
   std::unordered_set<std::uint64_t> fraig_refuted_; ///< canonical pair keys
-  std::vector<std::uint64_t> cex_patterns_; ///< one word per PI, refinement buffer
-  unsigned cex_count_ = 0;                  ///< collected patterns (bits used)
-  unsigned refine_slot_ = 0;                ///< signature word replaced next
-  std::uint64_t sig_rng_state_ = 0;
+  std::uint64_t sig_rng_state_;
   cec_stats stats_;
   mutable std::mutex mutex_;
 };

@@ -44,24 +44,8 @@ std::uint32_t solver::new_var()
   watches_.emplace_back();
   watches_.emplace_back();
   heap_pos_.push_back( -1 );
-  branchable_.push_back( true );
   heap_insert( v );
   return v;
-}
-
-void solver::set_branchable( std::uint32_t var, bool branchable )
-{
-  branchable_[var] = branchable;
-  if ( branchable && !heap_contains( var ) && assign_[var] == lbool::unassigned )
-  {
-    heap_insert( var );
-  }
-  if ( !branchable )
-  {
-    // Lazy removal: pick_branch drops non-branchable pops.  The fallback
-    // scan must re-examine it, though.
-    fallback_scan_from_ = 0;
-  }
 }
 
 bool solver::add_clause( std::vector<literal> lits )
@@ -298,7 +282,7 @@ void solver::backtrack( std::uint32_t level )
     phase_[v] = assign_[v] == lbool::true_value;
     assign_[v] = lbool::unassigned;
     reason_[v] = -1;
-    if ( branchable_[v] && !heap_contains( v ) )
+    if ( !heap_contains( v ) )
     {
       heap_insert( v );
     }
@@ -306,8 +290,6 @@ void solver::backtrack( std::uint32_t level )
   trail_.resize( limit );
   trail_limits_.resize( level );
   propagate_head_ = trail_.size();
-  // Unassigning variables invalidates the fallback watermark.
-  fallback_scan_from_ = 0;
 }
 
 // --- variable order heap -----------------------------------------------------
@@ -383,25 +365,11 @@ std::uint32_t solver::heap_pop()
 
 literal solver::pick_branch()
 {
+  // Every unassigned variable is in the heap (new_var and backtrack insert
+  // it); assigned ones are dropped lazily here.
   while ( !heap_.empty() )
   {
     const auto v = heap_pop();
-    if ( branchable_[v] )
-    {
-      if ( assign_[v] == lbool::unassigned )
-      {
-        return phase_[v] ? pos_lit( v ) : neg_lit( v );
-      }
-    }
-    // Non-branchable variables are dropped lazily here.
-  }
-  // Every branchable variable is assigned.  Usually propagation has by now
-  // assigned everything else too (Tseitin cones are propagation-complete
-  // from their inputs); the scan below covers the exceptions so a model is
-  // never declared with unassigned variables.
-  for ( ; fallback_scan_from_ < assign_.size(); ++fallback_scan_from_ )
-  {
-    const auto v = static_cast<std::uint32_t>( fallback_scan_from_ );
     if ( assign_[v] == lbool::unassigned )
     {
       return phase_[v] ? pos_lit( v ) : neg_lit( v );

@@ -2,15 +2,14 @@
 /// \brief A CDCL SAT solver.
 ///
 /// The solver backs combinational equivalence checking (the paper verifies
-/// every synthesized circuit with ABC's `cec`) and SAT-based sanity checks
-/// inside the logic optimizer.  It is a classic conflict-driven solver:
+/// every synthesized circuit with ABC's `cec`).  It is a classic conflict-driven solver:
 /// two-watched-literal propagation, first-UIP clause learning, VSIDS
 /// activities on a binary max-heap with phase saving, Luby restarts, and
 /// activity/LBD-scored learned-clause deletion (glue clauses with LBD <= 2
 /// are kept forever; the rest are halved whenever the learned database
 /// outgrows a geometrically growing limit).  Deletion can be disabled with
 /// `set_clause_deletion(false)` — verdicts must not change, which
-/// tests/test_sat.cpp checks on randomized miters.
+/// tests/test_sat.cpp checks on random CNF against brute force.
 ///
 /// ## Incremental use
 ///
@@ -82,17 +81,6 @@ public:
 
   /// Value of a variable in the last satisfying model.
   bool model_value( std::uint32_t var ) const { return model_[var]; }
-
-  /// Marks a variable as (non-)branchable.  Non-branchable variables are
-  /// never picked as decisions but still participate in propagation,
-  /// conflict analysis, and models; if propagation ever leaves one
-  /// unassigned after all branchable variables are set, a fallback scan
-  /// decides it, so verdicts are unaffected by any marking.  The
-  /// incremental equivalence engine marks Tseitin AND outputs
-  /// non-branchable (a full input assignment propagates every internal
-  /// node), which shrinks the decision space of a miter from the whole
-  /// encoding to the primary inputs.  Default: branchable.
-  void set_branchable( std::uint32_t var, bool branchable );
 
   /// Sets a cooperative wall-clock deadline polled at the conflict and
   /// decision checkpoints of `solve()` (and at solve entry, so an already
@@ -188,8 +176,6 @@ private:
   std::size_t propagate_head_ = 0;
   std::vector<double> activity_;
   std::vector<bool> phase_;
-  std::vector<bool> branchable_;
-  std::size_t fallback_scan_from_ = 0; ///< pick_branch fallback watermark
   double activity_inc_ = 1.0;
   double clause_inc_ = 1.0;
   bool ok_ = true;

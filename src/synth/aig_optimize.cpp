@@ -1,13 +1,9 @@
 #include "aig_optimize.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <optional>
-#include <random>
-#include <unordered_map>
 
-#include "../sat/cnf.hpp"
 #include "isop.hpp"
 
 namespace qsyn
@@ -400,151 +396,9 @@ aig_network aig_refactor( const aig_network& aig )
   return r.run();
 }
 
-/// --- SAT sweeping -------------------------------------------------------------
-
-aig_network aig_sat_sweep( const aig_network& aig, std::uint64_t conflict_budget )
-{
-  // Random-pattern simulation signatures (4 x 64 patterns).
-  constexpr unsigned num_words = 4;
-  std::mt19937_64 rng( 0xc0ffee123u );
-  std::vector<std::array<std::uint64_t, num_words>> sig( aig.num_nodes() );
-  {
-    std::vector<std::vector<std::uint64_t>> pi_patterns( num_words,
-                                                         std::vector<std::uint64_t>( aig.num_pis() ) );
-    for ( unsigned w = 0; w < num_words; ++w )
-    {
-      for ( unsigned i = 0; i < aig.num_pis(); ++i )
-      {
-        pi_patterns[w][i] = rng();
-      }
-    }
-    for ( unsigned w = 0; w < num_words; ++w )
-    {
-      std::vector<std::uint64_t> values( aig.num_nodes(), 0u );
-      for ( unsigned i = 0; i < aig.num_pis(); ++i )
-      {
-        values[i + 1u] = pi_patterns[w][i];
-      }
-      for ( std::uint32_t n = aig.num_pis() + 1u; n < aig.num_nodes(); ++n )
-      {
-        const auto f0 = aig.fanin0( n );
-        const auto f1 = aig.fanin1( n );
-        const auto v0 = values[lit_node( f0 )] ^ ( lit_complemented( f0 ) ? ~std::uint64_t{ 0 } : 0u );
-        const auto v1 = values[lit_node( f1 )] ^ ( lit_complemented( f1 ) ? ~std::uint64_t{ 0 } : 0u );
-        values[n] = v0 & v1;
-      }
-      for ( std::uint32_t n = 0; n < aig.num_nodes(); ++n )
-      {
-        sig[n][w] = values[n];
-      }
-    }
-  }
-
-  // Group candidate nodes by normalized signature (lowest bit = 0).
-  struct sig_hash
-  {
-    std::size_t operator()( const std::array<std::uint64_t, num_words>& s ) const
-    {
-      std::size_t seed = 0;
-      for ( const auto w : s )
-      {
-        seed = hash_combine( seed, static_cast<std::size_t>( w ) );
-      }
-      return seed;
-    }
-  };
-  const auto normalize = []( std::array<std::uint64_t, num_words> s ) {
-    if ( s[0] & 1u )
-    {
-      for ( auto& w : s )
-      {
-        w = ~w;
-      }
-    }
-    return s;
-  };
-  std::unordered_map<std::array<std::uint64_t, num_words>, std::vector<std::uint32_t>, sig_hash>
-      classes;
-  for ( std::uint32_t n = 1; n < aig.num_nodes(); ++n )
-  {
-    classes[normalize( sig[n] )].push_back( n );
-  }
-
-  // SAT instance over the original network.
-  sat::solver solver;
-  const auto sat_lits = sat::encode_aig( aig, solver );
-
-  // Representative (as literal in the rebuilt network) per original node.
-  aig_network dest( aig.num_pis() );
-  std::vector<aig_lit> map( aig.num_nodes(), 0xffffffffu );
-  map[0] = aig_network::const0;
-  for ( unsigned i = 0; i < aig.num_pis(); ++i )
-  {
-    map[i + 1u] = dest.pi( i );
-  }
-  // For each node in topological order, either merge into a previously
-  // proven-equivalent class member or copy.
-  std::unordered_map<std::uint32_t, std::uint32_t> merged_into; // node -> earlier node
-  for ( auto& [key, members] : classes )
-  {
-    (void)key;
-    std::sort( members.begin(), members.end() );
-    for ( std::size_t i = 1; i < members.size(); ++i )
-    {
-      const auto later = members[i];
-      if ( !aig.is_and( later ) )
-      {
-        continue;
-      }
-      const auto earlier = members[0];
-      // Determine tentative phase from signatures.
-      const bool complemented = ( sig[earlier][0] & 1u ) != ( sig[later][0] & 1u );
-      // Prove earlier (^ phase) == later with two SAT calls (one per
-      // disagreement direction) expressed via assumptions on a XOR.
-      const auto le = sat_lits[earlier];
-      const auto ll = sat_lits[later];
-      const auto a = complemented ? sat::lit_negate( le ) : le;
-      // UNSAT of (a != ll) proves equivalence.
-      const auto res1 = solver.solve( { a, sat::lit_negate( ll ) }, conflict_budget );
-      if ( res1 != sat::result::unsatisfiable )
-      {
-        continue;
-      }
-      const auto res2 = solver.solve( { sat::lit_negate( a ), ll }, conflict_budget );
-      if ( res2 != sat::result::unsatisfiable )
-      {
-        continue;
-      }
-      merged_into[later] = ( earlier << 1 ) | ( complemented ? 1u : 0u );
-    }
-  }
-
-  const auto map_lit = [&]( aig_lit old, const auto& self ) -> aig_lit {
-    auto node = lit_node( old );
-    bool compl_flag = lit_complemented( old );
-    if ( const auto it = merged_into.find( node ); it != merged_into.end() )
-    {
-      node = it->second >> 1;
-      compl_flag ^= ( it->second & 1u ) != 0u;
-    }
-    if ( map[node] == 0xffffffffu )
-    {
-      const auto f0 = self( aig.fanin0( node ), self );
-      const auto f1 = self( aig.fanin1( node ), self );
-      map[node] = dest.create_and( f0, f1 );
-    }
-    return lit_not_cond( map[node], compl_flag );
-  };
-  for ( const auto po : aig.pos() )
-  {
-    dest.add_po( map_lit( po, map_lit ) );
-  }
-  return dest;
-}
-
 /// --- driver ---------------------------------------------------------------------
 
-aig_network optimize( const aig_network& aig, unsigned rounds, bool use_sat_sweep )
+aig_network optimize( const aig_network& aig, unsigned rounds )
 {
   auto current = aig.cleanup();
   for ( unsigned r = 0; r < rounds; ++r )
@@ -557,10 +411,6 @@ aig_network optimize( const aig_network& aig, unsigned rounds, bool use_sat_swee
     {
       break;
     }
-  }
-  if ( use_sat_sweep )
-  {
-    current = aig_sat_sweep( current ).cleanup();
   }
   return current;
 }

@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "lexer.hpp"
 
@@ -108,6 +110,11 @@ std::string token_spelling( const token& t )
 class parser
 {
 public:
+  /// Deepest expression nesting the recursive descent accepts: each
+  /// parenthesis, unary operator, ternary branch, concatenation or select
+  /// opens one level.  Deeper input is a parse error, not a stack overflow.
+  static constexpr unsigned max_nesting = 256;
+
   parser( std::vector<token> tokens, std::string source_name )
       : tokens_( std::move( tokens ) ), source_name_( std::move( source_name ) )
   {
@@ -169,6 +176,26 @@ public:
   }
 
 private:
+  /// One level of expression nesting for the lifetime of the object.
+  class nesting
+  {
+  public:
+    explicit nesting( parser& p ) : p_( p )
+    {
+      if ( p_.depth_ == max_nesting )
+      {
+        p_.fail( "expression nested deeper than " + std::to_string( max_nesting ) + " levels" );
+      }
+      ++p_.depth_;
+    }
+    nesting( const nesting& ) = delete;
+    nesting& operator=( const nesting& ) = delete;
+    ~nesting() { --p_.depth_; }
+
+  private:
+    parser& p_;
+  };
+
   const token& current() const { return tokens_[pos_]; }
   bool at( token_kind kind ) const { return current().kind == kind; }
 
@@ -218,6 +245,7 @@ private:
   /// A constant integer expression made of numbers, +, -, * and parentheses.
   std::uint64_t parse_constant()
   {
+    const nesting level( *this );
     return parse_constant_add();
   }
 
@@ -352,7 +380,11 @@ private:
 
   /// --- expressions, precedence climbing ---------------------------------
 
-  expr_ptr parse_expression() { return parse_ternary(); }
+  expr_ptr parse_expression()
+  {
+    const nesting level( *this );
+    return parse_ternary();
+  }
 
   expr_ptr parse_ternary()
   {
@@ -555,29 +587,20 @@ private:
 
   expr_ptr parse_unary()
   {
-    if ( accept( token_kind::tilde ) )
+    static constexpr std::pair<token_kind, unary_op> prefix_ops[] = {
+        { token_kind::tilde, unary_op::bit_not },
+        { token_kind::bang, unary_op::logic_not },
+        { token_kind::minus, unary_op::negate },
+        { token_kind::amp, unary_op::reduce_and },
+        { token_kind::pipe, unary_op::reduce_or },
+        { token_kind::caret, unary_op::reduce_xor } };
+    for ( const auto& [kind, op] : prefix_ops )
     {
-      return make_unary( unary_op::bit_not, parse_unary() );
-    }
-    if ( accept( token_kind::bang ) )
-    {
-      return make_unary( unary_op::logic_not, parse_unary() );
-    }
-    if ( accept( token_kind::minus ) )
-    {
-      return make_unary( unary_op::negate, parse_unary() );
-    }
-    if ( accept( token_kind::amp ) )
-    {
-      return make_unary( unary_op::reduce_and, parse_unary() );
-    }
-    if ( accept( token_kind::pipe ) )
-    {
-      return make_unary( unary_op::reduce_or, parse_unary() );
-    }
-    if ( accept( token_kind::caret ) )
-    {
-      return make_unary( unary_op::reduce_xor, parse_unary() );
+      if ( accept( kind ) )
+      {
+        const nesting level( *this );
+        return make_unary( op, parse_unary() );
+      }
     }
     return parse_primary();
   }
@@ -660,6 +683,7 @@ private:
   std::vector<token> tokens_;
   std::string source_name_;
   std::size_t pos_ = 0;
+  unsigned depth_ = 0; ///< current expression nesting
 };
 
 } // namespace

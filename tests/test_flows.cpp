@@ -333,15 +333,13 @@ TEST( flows, cut_size_is_a_flow_param_and_cache_axis )
   EXPECT_EQ( dse_label( k3 ), "hierarchical(garbage,k=3)" );
 }
 
-TEST( flows, sat_tier_reuses_one_engine_across_a_sweep )
+namespace
 {
-  // Every sat-mode verification of a cache-sharing sweep goes through the
-  // cache's persistent incremental engine; verdicts must match the
-  // one-shot path and the engine must have seen every check.
-  const auto mod =
-      verilog::elaborate_verilog( reciprocal_verilog( reciprocal_design::intdiv, 4 ) );
-  flow_artifact_cache cache;
-  std::size_t configs_run = 0;
+
+/// Runs the hierarchical flow under every cleanup strategy with `sat`
+/// verification on one cache and expects each result proven by the SAT tier.
+void run_sat_sweep( const aig_network& aig, flow_artifact_cache& cache )
+{
   for ( const auto cleanup :
         { cleanup_strategy::keep_garbage, cleanup_strategy::bennett, cleanup_strategy::eager } )
   {
@@ -349,12 +347,100 @@ TEST( flows, sat_tier_reuses_one_engine_across_a_sweep )
     params.kind = flow_kind::hierarchical;
     params.cleanup = cleanup;
     params.verification = verify_mode::sat;
-    const auto result = run_flow_staged( mod.aig, params, cache );
+    const auto result = run_flow_staged( aig, params, cache );
     EXPECT_TRUE( result.verified );
     EXPECT_EQ( result.verified_with, verify_mode::sat );
-    ++configs_run;
+    EXPECT_EQ( result.status, flow_status::ok );
   }
-  EXPECT_EQ( cache.sat_engine().stats().checks, configs_run );
+}
+
+/// A 9+8-bit adder: 17 inputs, one above the SAT tier's enumeration bound.
+verilog::elaborated_module wide_adder()
+{
+  auto mod = verilog::elaborate_verilog( "module add(a, b, s);\n"
+                                         "  input [8:0] a;\n"
+                                         "  input [7:0] b;\n"
+                                         "  output [9:0] s;\n"
+                                         "  assign s = a + b;\n"
+                                         "endmodule\n" );
+  EXPECT_EQ( mod.aig.num_pis(), sat_tier_max_enumerated_pis + 1u );
+  return mod;
+}
+
+} // namespace
+
+TEST( flows, sat_tier_reuses_one_engine_across_a_sweep )
+{
+  // Every sat-mode verification of a design wider than the enumeration
+  // bound goes through the cache's persistent incremental engine.
+  const auto mod = wide_adder();
+  flow_artifact_cache cache;
+  run_sat_sweep( mod.aig, cache );
+  EXPECT_EQ( cache.sat_engine().stats().checks, 3u );
+}
+
+TEST( flows, sat_tier_refutes_a_corrupted_wide_design_through_the_engine )
+{
+  const auto mod = wide_adder();
+  flow_artifact_cache cache;
+  flow_params params;
+  params.kind = flow_kind::hierarchical;
+  params.verify = false;
+  const auto result = run_flow_staged( mod.aig, params, cache );
+  const auto& spec = cache.optimized( mod.aig, params.optimization_rounds );
+  const auto corrupted = corrupt_circuit( result.circuit, spec );
+  const auto outcome =
+      verify_against_aig_sat_budgeted( corrupted, spec, cache.sat_engine(), sat::check_limits{} );
+  EXPECT_TRUE( outcome.resolved );
+  EXPECT_FALSE( outcome.equivalent );
+  ASSERT_TRUE( outcome.counterexample.has_value() );
+  EXPECT_NE( evaluate_circuit( corrupted, *outcome.counterexample ),
+             spec.evaluate( *outcome.counterexample ) );
+  EXPECT_EQ( cache.sat_engine().stats().checks, 1u );
+}
+
+TEST( flows, sat_tier_enumerates_narrow_designs_without_the_engine )
+{
+  const auto mod =
+      verilog::elaborate_verilog( reciprocal_verilog( reciprocal_design::intdiv, 4 ) );
+  flow_artifact_cache cache;
+  run_sat_sweep( mod.aig, cache );
+  EXPECT_EQ( cache.sat_engine().stats().checks, 0u );
+}
+
+TEST( flows, narrow_sat_verdicts_equal_the_exhaustive_tier_on_corrupted_circuits )
+{
+  // Up to the enumeration bound the SAT tier IS the exhaustive tier: the
+  // same verdict and the same first failing assignment in counter order.
+  for ( const auto design : { reciprocal_design::intdiv, reciprocal_design::newton } )
+  {
+    for ( unsigned n = 4; n <= 8; ++n )
+    {
+      const auto mod = verilog::elaborate_verilog( reciprocal_verilog( design, n ) );
+      flow_artifact_cache cache;
+      for ( const auto kind :
+            { flow_kind::functional, flow_kind::esop_based, flow_kind::hierarchical } )
+      {
+        flow_params params;
+        params.kind = kind;
+        params.verify = false;
+        const auto result = run_flow_staged( mod.aig, params, cache );
+        const auto& spec = cache.optimized( mod.aig, params.optimization_rounds );
+        const auto corrupted = corrupt_circuit( result.circuit, spec );
+        const auto outcome = verify_against_aig_sat_budgeted( corrupted, spec, cache.sat_engine(),
+                                                              sat::check_limits{} );
+        const auto expected = verify_against_aig_exhaustive( corrupted, spec );
+        const auto context =
+            std::string( design == reciprocal_design::intdiv ? "intdiv " : "newton " ) +
+            std::to_string( n ) + " kind " + std::to_string( static_cast<int>( kind ) );
+        ASSERT_TRUE( expected.has_value() ) << context;
+        EXPECT_TRUE( outcome.resolved ) << context;
+        EXPECT_FALSE( outcome.equivalent ) << context;
+        EXPECT_EQ( outcome.counterexample, expected ) << context;
+      }
+      EXPECT_EQ( cache.sat_engine().stats().checks, 0u );
+    }
+  }
 }
 
 TEST( flows, cut_size_below_two_is_rejected )

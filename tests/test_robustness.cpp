@@ -198,33 +198,47 @@ TEST( robustness_solver, expired_deadline_returns_unknown )
 
 TEST( robustness_incremental, budget_exhaustion_reports_unresolved )
 {
-  // Functionally equal, structurally different XORs, with the window proof
-  // disabled so only the solver could settle the miter.
-  aig_network a( 2 );
-  a.add_po( a.create_xor( a.pi( 0 ), a.pi( 1 ) ) );
-  // (a & !b) | (!a & b): shares no AND node with create_xor's
-  // !(a & b) & !(!a & !b) decomposition, so structural hashing cannot
-  // merge the two outputs.
-  aig_network b( 2 );
-  b.add_po( b.create_or( b.create_and( b.pi( 0 ), lit_not( b.pi( 1 ) ) ),
-                         b.create_and( lit_not( b.pi( 0 ) ), b.pi( 1 ) ) ) );
+  // A 16-input XOR chain against a balanced XOR tree: fraiging merges the
+  // small subtrees, but the engine's fixed 64-way window (depth 8, at most
+  // twelve free classes) cannot prove the outputs equal, so only the
+  // solver could settle the miter.
+  constexpr unsigned n = 16;
+  aig_network a( n );
+  auto chain = a.pi( 0 );
+  for ( unsigned i = 1; i < n; ++i )
+  {
+    chain = a.create_xor( chain, a.pi( i ) );
+  }
+  a.add_po( chain );
+  aig_network b( n );
+  std::vector<aig_lit> level;
+  for ( unsigned i = 0; i < n; ++i )
+  {
+    level.push_back( b.pi( i ) );
+  }
+  while ( level.size() > 1u )
+  {
+    std::vector<aig_lit> next;
+    for ( std::size_t i = 0; i < level.size(); i += 2 )
+    {
+      next.push_back( b.create_xor( level[i], level[i + 1u] ) );
+    }
+    level = std::move( next );
+  }
+  b.add_po( level[0] );
 
-  sat::cec_options options;
-  options.fraiging = false;
-  options.output_window_max_pis = 0; // no uncapped narrow-design window
-  options.fraig_window_depth = 0;    // no per-output window hint either
-  options.fraig_window_nodes = 0;
-  sat::incremental_cec engine( options );
-
+  sat::incremental_cec engine;
   sat::check_limits limits;
   limits.stop = expired_deadline();
   const auto outcome = engine.check( a, b, limits );
   EXPECT_FALSE( outcome.resolved );
+  EXPECT_EQ( engine.stats().sat_proven_outputs, 0u );
 
   // The same engine resolves the pair once the limits are lifted.
   const auto settled = engine.check( a, b );
   EXPECT_TRUE( settled.resolved );
   EXPECT_TRUE( settled.equivalent );
+  EXPECT_EQ( engine.stats().sat_proven_outputs, 1u );
 }
 
 // --- TBS: no partial result, so expiry throws --------------------------------
@@ -353,37 +367,29 @@ TEST( robustness_verify, partial_report_counterexample_is_always_real )
   EXPECT_EQ( *report.counterexample, *plain );
 }
 
-// --- verify-tier degradation ladder in the flow ------------------------------
-
-TEST( robustness_flows, sat_budget_exhaustion_degrades_to_exhaustive_proof )
+TEST( robustness_verify, narrow_sat_tier_under_an_expired_deadline_is_unresolved )
 {
-  fault_guard guard;
-  const auto mod = verilog::elaborate_verilog( tiny_xor_verilog() );
-  flow_params params;
-  params.kind = flow_kind::esop_based;
-  params.verification = verify_mode::sat;
-
-  flow_artifact_cache cache;
-  fault_injection::arm( "verify.sat", fault_injection::kind::trip );
-  const auto result = run_flow_staged( mod.aig, params, cache );
-  fault_injection::disarm_all();
-
-  EXPECT_TRUE( result.verify_downgraded );
-  EXPECT_EQ( result.verified_with, verify_mode::exhaustive );
-  EXPECT_TRUE( result.verified );
-  // A complete exhaustive fallback is still a proof: the flow stays `ok`.
-  EXPECT_EQ( result.status, flow_status::ok );
-  EXPECT_TRUE( result.verify_complete );
+  // Designs this narrow are enumerated by the SAT tier; an expired deadline
+  // stops the enumeration before any coverage and never reaches the engine.
+  const xor_fixture fx;
+  sat::incremental_cec engine;
+  sat::check_limits limits;
+  limits.stop = expired_deadline();
+  const auto outcome = verify_against_aig_sat_budgeted( fx.circuit, fx.aig, engine, limits );
+  EXPECT_FALSE( outcome.resolved );
+  EXPECT_FALSE( outcome.counterexample.has_value() );
+  EXPECT_EQ( engine.stats().checks, 0u );
 }
 
-TEST( robustness_flows, sat_budget_exhaustion_degrades_to_sampled_when_too_wide )
+// --- verify-tier degradation ladder in the flow ------------------------------
+
+TEST( robustness_flows, sat_budget_exhaustion_degrades_to_sampled )
 {
   fault_guard guard;
   const auto mod = verilog::elaborate_verilog( tiny_xor_verilog() );
   flow_params params;
   params.kind = flow_kind::esop_based;
   params.verification = verify_mode::sat;
-  params.limits.exhaustive_fallback_max_pis = 0; // force the sampled rung
 
   flow_artifact_cache cache;
   fault_injection::arm( "verify.sat", fault_injection::kind::trip );
@@ -573,6 +579,66 @@ TEST( robustness_verilog, parser_errors_carry_file_line_and_token )
     EXPECT_NE( what.find( "broken.v:1" ), std::string::npos ) << what;
     EXPECT_NE( what.find( "near" ), std::string::npos ) << what;
     EXPECT_NE( what.find( "';'" ), std::string::npos ) << what;
+  }
+}
+
+namespace
+{
+
+/// A one-assign module whose right-hand side is `expr`, on line 4.
+std::string module_assigning( const std::string& expr )
+{
+  return "module deep(a, y);\n"
+         "  input a;\n"
+         "  output y;\n"
+         "  assign y = " + expr + ";\n"
+         "endmodule\n";
+}
+
+/// Parses `source` and returns the parse error message ("" if none).
+std::string parse_error( const std::string& source )
+{
+  try
+  {
+    verilog::parse_module( source, "deep.v" );
+  }
+  catch ( const std::runtime_error& e )
+  {
+    return e.what();
+  }
+  return "";
+}
+
+} // namespace
+
+TEST( robustness_verilog, deep_parentheses_are_a_parse_error_not_a_crash )
+{
+  // 20 000 nested parentheses are only ~40 KB of input but would overflow
+  // the stack of an unbounded recursive descent.  The right-hand side
+  // itself is level 1, so 255 parentheses are the documented 256 levels.
+  const auto nested = []( std::size_t depth ) {
+    return module_assigning( std::string( depth, '(' ) + "a" + std::string( depth, ')' ) );
+  };
+  EXPECT_EQ( parse_error( nested( 255 ) ), "" );
+  EXPECT_EQ( verilog::elaborate_verilog( nested( 255 ) ).aig.num_pos(), 1u );
+  for ( const std::size_t depth : { 256u, 20000u } )
+  {
+    const auto what = parse_error( nested( depth ) );
+    EXPECT_NE( what.find( "deep.v:4" ), std::string::npos ) << depth << ": " << what;
+    EXPECT_NE( what.find( "nested deeper than 256 levels" ), std::string::npos )
+        << depth << ": " << what;
+  }
+}
+
+TEST( robustness_verilog, deep_unary_chains_are_a_parse_error_not_a_crash )
+{
+  for ( const char op : { '~', '-', '!' } )
+  {
+    EXPECT_EQ( parse_error( module_assigning( std::string( 255, op ) + "a" ) ), "" ) << op;
+    const auto what = parse_error( module_assigning( std::string( 50000, op ) + "a" ) );
+    EXPECT_NE( what.find( "deep.v:4" ), std::string::npos ) << op << ": " << what;
+    EXPECT_NE( what.find( "nested deeper than 256 levels" ), std::string::npos )
+        << op << ": " << what;
   }
 }
 

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <algorithm>
+#include <bit>
+#include <optional>
 #include <random>
 
+#include "common/bits.hpp"
 #include "sat/cnf.hpp"
 #include "sat/solver.hpp"
 
@@ -186,6 +189,132 @@ TEST( sat, random_3cnf_vs_brute_force )
   }
 }
 
+TEST( sat, clause_deletion_on_off_agreement )
+{
+  // Learned-clause deletion is performance-only.  Random CNF made of 5-XOR
+  // constraints in clause form (16 clauses each; hard for resolution, so
+  // solves run through restarts and, at reduce base 8, database
+  // reductions) must get the brute-force verdict with deletion on and off,
+  // on a plain solve and under assumptions on the same solver.
+  constexpr unsigned num_vars = 20;
+  constexpr unsigned xor_width = 5;
+  constexpr unsigned num_xors = 20;
+  constexpr std::size_t num_words = ( std::size_t{ 1 } << num_vars ) / 64u;
+  // Value of `l` on the 64 assignments of word k (bit j = assignment 64k+j).
+  const auto lit_word = []( literal l, std::size_t k ) {
+    const auto v = lit_var( l );
+    const std::uint64_t value =
+        v < 6u ? projections[v] : ( ( k >> ( v - 6u ) ) & 1u ) ? ~std::uint64_t{ 0 } : 0u;
+    return lit_sign( l ) ? ~value : value;
+  };
+  std::mt19937_64 rng( 51 );
+  std::uint64_t deleted = 0;
+  for ( int instance = 0; instance < 10; ++instance )
+  {
+    std::vector<std::vector<literal>> clauses;
+    for ( unsigned x = 0; x < num_xors; ++x )
+    {
+      std::uint32_t vars[xor_width];
+      for ( unsigned k = 0; k < xor_width; ++k )
+      {
+        do
+        {
+          vars[k] = static_cast<std::uint32_t>( rng() % num_vars );
+        } while ( std::find( vars, vars + k, vars[k] ) != vars + k );
+      }
+      // The XOR of the variables equals `parity`: forbid each
+      // wrong-parity assignment with one clause.
+      const unsigned parity = rng() & 1u;
+      for ( unsigned m = 0; m < ( 1u << xor_width ); ++m )
+      {
+        if ( static_cast<unsigned>( std::popcount( m ) & 1 ) == parity )
+        {
+          continue;
+        }
+        std::vector<literal> clause;
+        for ( unsigned k = 0; k < xor_width; ++k )
+        {
+          clause.push_back( ( m >> k ) & 1u ? neg_lit( vars[k] ) : pos_lit( vars[k] ) );
+        }
+        clauses.push_back( clause );
+      }
+    }
+    // Brute force, 64 assignments per word: bit set = all clauses hold.
+    std::vector<std::uint64_t> models( num_words, ~std::uint64_t{ 0 } );
+    for ( std::size_t k = 0; k < num_words; ++k )
+    {
+      for ( const auto& clause : clauses )
+      {
+        std::uint64_t any = 0;
+        for ( const auto l : clause )
+        {
+          any |= lit_word( l, k );
+        }
+        models[k] &= any;
+      }
+    }
+    std::vector<std::vector<literal>> queries = { {} };
+    for ( int q = 0; q < 3; ++q )
+    {
+      const auto v0 = static_cast<std::uint32_t>( rng() % num_vars );
+      const auto v1 = static_cast<std::uint32_t>( ( v0 + 1u + rng() % ( num_vars - 1u ) ) % num_vars );
+      queries.push_back( { ( rng() & 1u ) ? pos_lit( v0 ) : neg_lit( v0 ),
+                           ( rng() & 1u ) ? pos_lit( v1 ) : neg_lit( v1 ) } );
+    }
+    for ( const bool deletion : { true, false } )
+    {
+      solver s;
+      s.set_clause_deletion( deletion );
+      s.set_reduce_base( 8 );
+      for ( unsigned v = 0; v < num_vars; ++v )
+      {
+        s.new_var();
+      }
+      for ( const auto& clause : clauses )
+      {
+        s.add_clause( clause );
+      }
+      for ( const auto& assumptions : queries )
+      {
+        bool expected = false;
+        for ( std::size_t k = 0; k < num_words && !expected; ++k )
+        {
+          auto word = models[k];
+          for ( const auto l : assumptions )
+          {
+            word &= lit_word( l, k );
+          }
+          expected = word != 0u;
+        }
+        const auto res = s.solve( assumptions );
+        ASSERT_NE( res, result::unknown );
+        EXPECT_EQ( res == result::satisfiable, expected )
+            << "instance " << instance << " deletion " << deletion;
+        if ( res != result::satisfiable )
+        {
+          continue;
+        }
+        // The model satisfies every clause and every assumption.
+        const auto holds = [&]( literal l ) { return s.model_value( lit_var( l ) ) != lit_sign( l ); };
+        for ( const auto& clause : clauses )
+        {
+          EXPECT_TRUE( std::any_of( clause.begin(), clause.end(), holds ) );
+        }
+        EXPECT_TRUE( std::all_of( assumptions.begin(), assumptions.end(), holds ) );
+      }
+      if ( deletion )
+      {
+        deleted += s.num_learnts_deleted();
+      }
+      else
+      {
+        EXPECT_EQ( s.num_learnts_deleted(), 0u );
+      }
+    }
+  }
+  EXPECT_GT( deleted, 0u ); // reductions actually ran
+}
+
 TEST( cec, equivalent_networks )
 {
   aig_network a( 3 );
@@ -332,6 +461,10 @@ TEST( cec, interface_mismatch_throws )
 }
 
 // --- incremental engine ------------------------------------------------------
+//
+// The SAT tier only hands the engine designs with more than 16 inputs
+// (narrower ones are enumerated), but the engine itself accepts any width;
+// these suites pin its contract against exhaustive simulation.
 
 #include "sat/incremental.hpp"
 
@@ -340,12 +473,20 @@ namespace
 
 /// Random multi-output AIG over `num_pis` inputs (XOR/AND mix, random
 /// complementations) — the generator of the `cec` round-trip test, shared
-/// by the incremental-engine suites.
+/// by the incremental-engine suites.  `sop_xor` builds every XOR as
+/// (a & !b) | (!a & b), which shares no AND node with `create_xor`'s
+/// decomposition: the same seed then gives an equivalent network with
+/// different structure.
 aig_network random_test_aig( std::uint64_t seed, unsigned num_pis, unsigned num_pos,
-                             int num_gates = 12 )
+                             int num_gates = 12, bool sop_xor = false )
 {
   std::mt19937_64 gen( seed );
   aig_network aig( num_pis );
+  const auto xor2 = [&]( aig_lit a, aig_lit b ) {
+    return sop_xor ? aig.create_or( aig.create_and( a, lit_not( b ) ),
+                                    aig.create_and( lit_not( a ), b ) )
+                   : aig.create_xor( a, b );
+  };
   std::vector<aig_lit> pool;
   for ( unsigned i = 0; i < num_pis; ++i )
   {
@@ -355,7 +496,7 @@ aig_network random_test_aig( std::uint64_t seed, unsigned num_pis, unsigned num_
   {
     const auto a = pool[gen() % pool.size()] ^ ( gen() & 1u );
     const auto b = pool[gen() % pool.size()] ^ ( gen() & 1u );
-    pool.push_back( gen() & 1u ? aig.create_xor( a, b ) : aig.create_and( a, b ) );
+    pool.push_back( gen() & 1u ? xor2( a, b ) : aig.create_and( a, b ) );
   }
   for ( unsigned o = 0; o < num_pos; ++o )
   {
@@ -364,32 +505,67 @@ aig_network random_test_aig( std::uint64_t seed, unsigned num_pis, unsigned num_
   return aig;
 }
 
-/// Brute-force reference: nullopt if equivalent, else the lowest-indexed
-/// output on which the networks differ for some input.
-std::optional<unsigned> lowest_differing_output( const aig_network& a, const aig_network& b )
+/// XOR of a chain over all inputs and a balanced tree over the inputs
+/// rotated left by `rotation`: constant 0, but no window proof reaches
+/// across the two parities, so only the solver can show it.  A `flip`
+/// other than const0 is XORed into the tree's first leaf, which makes the
+/// result equal `flip` instead, buried where propagation does not see it.
+aig_lit parity_zero( aig_network& aig, unsigned rotation = 0,
+                     aig_lit flip = aig_network::const0 )
 {
-  std::optional<unsigned> lowest;
-  std::vector<bool> inputs( a.num_pis() );
-  for ( std::uint32_t x = 0; x < ( 1u << a.num_pis() ); ++x )
+  const auto n = aig.num_pis();
+  auto chain = aig.pi( 0 );
+  std::vector<aig_lit> level = { aig.create_xor( aig.pi( rotation % n ), flip ) };
+  for ( unsigned i = 1; i < n; ++i )
   {
-    for ( unsigned i = 0; i < a.num_pis(); ++i )
-    {
-      inputs[i] = ( x >> i ) & 1u;
-    }
-    const auto va = a.evaluate( inputs );
-    const auto vb = b.evaluate( inputs );
-    for ( unsigned o = 0; o < va.size(); ++o )
-    {
-      if ( va[o] != vb[o] && ( !lowest || o < *lowest ) )
-      {
-        lowest = o;
-      }
-    }
+    chain = aig.create_xor( chain, aig.pi( i ) );
+    level.push_back( aig.pi( ( i + rotation ) % n ) );
   }
-  return lowest;
+  while ( level.size() > 1u )
+  {
+    std::vector<aig_lit> next;
+    for ( std::size_t i = 0; i + 1u < level.size(); i += 2 )
+    {
+      next.push_back( aig.create_xor( level[i], level[i + 1u] ) );
+    }
+    if ( level.size() % 2u != 0u )
+    {
+      next.push_back( level.back() );
+    }
+    level = std::move( next );
+  }
+  return aig.create_xor( chain, level[0] );
 }
 
-/// Checks one engine outcome against the brute-force reference: verdict,
+/// `aig` with every output XORed with `parity_zero`: the same function,
+/// but only the solver can prove the outputs.
+aig_network with_parity_pair( aig_network aig )
+{
+  const auto zero = parity_zero( aig );
+  for ( unsigned o = 0; o < aig.num_pos(); ++o )
+  {
+    aig.set_po( o, aig.create_xor( aig.po( o ), zero ) );
+  }
+  return aig;
+}
+
+/// Exhaustive reference: nullopt if equivalent, else the lowest-indexed
+/// output whose truth tables differ.
+std::optional<unsigned> lowest_differing_output( const aig_network& a, const aig_network& b )
+{
+  const auto ta = a.simulate_outputs();
+  const auto tb = b.simulate_outputs();
+  for ( unsigned o = 0; o < ta.size(); ++o )
+  {
+    if ( ta[o].blocks() != tb[o].blocks() )
+    {
+      return o;
+    }
+  }
+  return std::nullopt;
+}
+
+/// Checks one engine outcome against the exhaustive reference: verdict,
 /// lowest-failing-output index, and counterexample round-trip through both
 /// networks at exactly that output.
 void expect_matches_brute_force( const sat::cec_outcome& outcome, const aig_network& a,
@@ -410,12 +586,13 @@ void expect_matches_brute_force( const sat::cec_outcome& outcome, const aig_netw
 
 } // namespace
 
-TEST( incremental, matches_brute_force_simulation_path )
+TEST( incremental, matches_brute_force )
 {
-  // Narrow designs are decided by the engine's exhaustive bit-parallel
-  // simulation pass; every verdict, failing-output index, and
-  // counterexample must match brute force.
-  std::mt19937_64 rng( 11 );
+  // Every output goes through structural hashing, window proofs, the
+  // batched miter and ordered per-output miters on the persistent solver;
+  // verdicts,
+  // failing-output indices and counterexamples must match brute force.
+  std::mt19937_64 rng( 23 );
   for ( int instance = 0; instance < 60; ++instance )
   {
     const unsigned num_pis = 3u + rng() % 4u;
@@ -428,31 +605,89 @@ TEST( incremental, matches_brute_force_simulation_path )
     }
     sat::incremental_cec engine;
     const auto outcome = engine.check( a, b );
-    expect_matches_brute_force( outcome, a, b, "sim path" );
+    expect_matches_brute_force( outcome, a, b, "fresh engine" );
   }
 }
 
-TEST( incremental, matches_brute_force_solver_path )
+TEST( incremental, matches_brute_force_above_the_enumeration_bound )
 {
-  // Forcing output_window_max_pis = 0 disables the simulation fast path,
-  // so every output goes through per-output/batched miters on the
-  // persistent solver — same contract, same expected results.
-  std::mt19937_64 rng( 23 );
-  for ( int instance = 0; instance < 60; ++instance )
+  // 17- and 18-input miters, the widths the SAT tier actually hands the
+  // engine: equivalent pairs with different structure, and the same pairs
+  // with one output flipped.  One persistent engine sees them all.
+  sat::incremental_cec engine;
+  std::mt19937_64 rng( 1017 );
+  std::size_t differing = 0;
+  for ( const unsigned num_pis : { 17u, 18u } )
   {
-    const unsigned num_pis = 3u + rng() % 4u;
-    const unsigned num_pos = 1u + rng() % 4u;
-    const auto a = random_test_aig( rng(), num_pis, num_pos );
-    auto b = ( instance % 3 == 0 ) ? random_test_aig( rng(), num_pis, num_pos ) : a;
-    if ( instance % 3 == 1 )
+    for ( int instance = 0; instance < 6; ++instance )
     {
-      b.set_po( static_cast<unsigned>( rng() % num_pos ), b.po( 0 ) ^ 1u );
+      const unsigned num_pos = 2u + rng() % 3u;
+      const auto seed = rng();
+      const auto a = random_test_aig( seed, num_pis, num_pos, 48 );
+      auto b = with_parity_pair( random_test_aig( seed, num_pis, num_pos, 48, true ) );
+      const auto context = std::to_string( num_pis ) + " inputs, instance " +
+                           std::to_string( instance );
+      expect_matches_brute_force( engine.check( a, b ), a, b, context.c_str() );
+      const auto flipped = static_cast<unsigned>( rng() % num_pos );
+      b.set_po( flipped, lit_not( b.po( flipped ) ) );
+      const auto outcome = engine.check( a, b );
+      expect_matches_brute_force( outcome, a, b, ( context + ", flipped" ).c_str() );
+      differing += outcome.equivalent ? 0u : 1u;
     }
-    sat::cec_options options;
-    options.output_window_max_pis = 0;
-    sat::incremental_cec engine( options );
-    const auto outcome = engine.check( a, b );
-    expect_matches_brute_force( outcome, a, b, "solver path" );
+  }
+  EXPECT_EQ( differing, 12u );
+  EXPECT_GE( engine.stats().sat_proven_outputs, 12u );
+}
+
+TEST( incremental, large_checks_decide_outputs_lowest_first )
+{
+  // A check that adds at least 30000 fresh AND nodes to the union first
+  // tries a budgeted miter per output.  `b` copies a ~33000-node 17-input
+  // network and XORs output 0 with a chain-vs-rotated-tree parity: still
+  // equal, but beyond the window and the per-output budget, so output 0
+  // stays open while a later output may already be refuted.  Variants:
+  //   0: equivalent (the open output goes to the batched miter);
+  //   1: output 1 flipped: output 0 is proven first, output 1 reported;
+  //   2: output 0 flipped: refuted by its own budgeted miter;
+  //   3: output 1 flipped and the parity of output 0 flipped on the
+  //      all-ones input only: the unbounded miter of output 0 refutes it
+  //      before output 1 is reported.
+  // Every check runs on a fresh engine, so no earlier lemma proves the
+  // parity.
+  std::mt19937_64 rng( 3301 );
+  for ( int instance = 0; instance < 2; ++instance )
+  {
+    const auto a = random_test_aig( rng(), 17, 3, 17000 );
+    for ( int variant = 0; variant < 4; ++variant )
+    {
+      auto b = a;
+      auto flip = aig_network::const0;
+      if ( variant == 3 )
+      {
+        flip = b.pi( 0 );
+        for ( unsigned i = 1; i < b.num_pis(); ++i )
+        {
+          flip = b.create_and( flip, b.pi( i ) );
+        }
+      }
+      b.set_po( 0, b.create_xor( b.po( 0 ), parity_zero( b, 8, flip ) ) );
+      if ( variant == 1 || variant == 3 )
+      {
+        b.set_po( 1, lit_not( b.po( 1 ) ) );
+      }
+      if ( variant == 2 )
+      {
+        b.set_po( 0, lit_not( b.po( 0 ) ) );
+      }
+      sat::incremental_cec engine;
+      const auto outcome = engine.check( a, b );
+      const auto context =
+          "instance " + std::to_string( instance ) + ", variant " + std::to_string( variant );
+      EXPECT_GE( engine.stats().nodes, 30000u ) << context;
+      expect_matches_brute_force( outcome, a, b, context.c_str() );
+      const std::optional<unsigned> expected[] = { std::nullopt, 1u, 0u, 0u };
+      EXPECT_EQ( outcome.failing_output, expected[variant] ) << context;
+    }
   }
 }
 
@@ -462,107 +697,25 @@ TEST( incremental, engine_reuse_matches_fresh_engines )
   // learned lemmas, merges) must give exactly the verdicts of a fresh
   // engine per call.
   std::mt19937_64 rng( 37 );
-  for ( const unsigned max_pis : { 0u, 12u } ) // solver path and sim path
-  {
-    sat::cec_options options;
-    options.output_window_max_pis = max_pis;
-    sat::incremental_cec persistent( options );
-    for ( int round = 0; round < 8; ++round )
-    {
-      const unsigned num_pis = 4u + rng() % 3u;
-      const unsigned num_pos = 1u + rng() % 3u;
-      const auto a = random_test_aig( rng(), num_pis, num_pos, 16 );
-      auto b = ( round & 1 ) ? random_test_aig( rng(), num_pis, num_pos, 16 ) : a;
-      if ( round % 4 == 2 )
-      {
-        b.set_po( 0, b.po( 0 ) ^ 1u );
-      }
-      const auto reused = persistent.check( a, b );
-      sat::incremental_cec fresh( options );
-      const auto baseline = fresh.check( a, b );
-      EXPECT_EQ( reused.equivalent, baseline.equivalent ) << "round " << round;
-      EXPECT_EQ( reused.failing_output, baseline.failing_output ) << "round " << round;
-      expect_matches_brute_force( reused, a, b, "reused engine" );
-    }
-    EXPECT_GE( persistent.stats().checks, 8u );
-  }
-}
-
-TEST( incremental, clause_deletion_on_off_agreement )
-{
-  // Learned-clause deletion is performance-only: with a tiny reduce base
-  // (forcing frequent database reductions) the verdicts on randomized
-  // miters must match the deletion-free engine exactly.
-  std::mt19937_64 rng( 51 );
-  sat::cec_options with_deletion;
-  with_deletion.output_window_max_pis = 0; // force the solver path
-  with_deletion.clause_deletion = true;
-  with_deletion.reduce_base = 8; // reduce constantly on these small miters
-  sat::cec_options without_deletion = with_deletion;
-  without_deletion.clause_deletion = false;
-  sat::incremental_cec engine_del( with_deletion );
-  sat::incremental_cec engine_keep( without_deletion );
-  for ( int instance = 0; instance < 40; ++instance )
+  sat::incremental_cec persistent;
+  for ( int round = 0; round < 8; ++round )
   {
     const unsigned num_pis = 4u + rng() % 3u;
     const unsigned num_pos = 1u + rng() % 3u;
-    const auto a = random_test_aig( rng(), num_pis, num_pos, 20 );
-    auto b = ( instance & 1 ) ? random_test_aig( rng(), num_pis, num_pos, 20 ) : a;
-    const auto del = engine_del.check( a, b );
-    const auto keep = engine_keep.check( a, b );
-    EXPECT_EQ( del.equivalent, keep.equivalent ) << "instance " << instance;
-    EXPECT_EQ( del.failing_output, keep.failing_output ) << "instance " << instance;
-    expect_matches_brute_force( del, a, b, "deletion on" );
-    expect_matches_brute_force( keep, a, b, "deletion off" );
-  }
-}
-
-TEST( incremental, option_variants_agree )
-{
-  // Fraiging on/off, SAT-backed fraig budgets, input-only decisions, and
-  // the per-output-first strategy are performance knobs; all must agree
-  // with brute force on randomized pairs.
-  std::mt19937_64 rng( 77 );
-  std::vector<sat::cec_options> variants;
-  {
-    sat::cec_options o;
-    o.output_window_max_pis = 0;
-    o.fraiging = false;
-    variants.push_back( o );
-  }
-  {
-    sat::cec_options o;
-    o.output_window_max_pis = 0;
-    o.fraig_conflict_budget = 50; // SAT-backed fraig + cex refinement
-    o.num_sig_words = 1;          // provoke false candidates -> refinement
-    variants.push_back( o );
-  }
-  {
-    sat::cec_options o;
-    o.output_window_max_pis = 0;
-    o.decide_inputs_only = true;
-    variants.push_back( o );
-  }
-  {
-    sat::cec_options o;
-    o.output_window_max_pis = 0;
-    o.per_output_node_threshold = 0; // per-output miters first
-    variants.push_back( o );
-  }
-  for ( std::size_t v = 0; v < variants.size(); ++v )
-  {
-    sat::incremental_cec engine( variants[v] );
-    std::mt19937_64 instance_rng( 400 + v ); // same instances per variant
-    for ( int instance = 0; instance < 20; ++instance )
+    const auto a = random_test_aig( rng(), num_pis, num_pos, 16 );
+    auto b = ( round & 1 ) ? random_test_aig( rng(), num_pis, num_pos, 16 ) : a;
+    if ( round % 4 == 2 )
     {
-      const unsigned num_pis = 4u + instance_rng() % 3u;
-      const unsigned num_pos = 1u + instance_rng() % 3u;
-      const auto a = random_test_aig( instance_rng(), num_pis, num_pos, 18 );
-      auto b = ( instance & 1 ) ? random_test_aig( instance_rng(), num_pis, num_pos, 18 ) : a;
-      const auto outcome = engine.check( a, b );
-      expect_matches_brute_force( outcome, a, b, "variant" );
+      b.set_po( 0, b.po( 0 ) ^ 1u );
     }
+    const auto reused = persistent.check( a, b );
+    sat::incremental_cec fresh;
+    const auto baseline = fresh.check( a, b );
+    EXPECT_EQ( reused.equivalent, baseline.equivalent ) << "round " << round;
+    EXPECT_EQ( reused.failing_output, baseline.failing_output ) << "round " << round;
+    expect_matches_brute_force( reused, a, b, "reused engine" );
   }
+  EXPECT_EQ( persistent.stats().checks, 8u );
 }
 
 TEST( incremental, interface_mismatch_throws )
@@ -591,334 +744,4 @@ TEST( incremental, mixed_interface_sizes_on_one_engine )
   expect_matches_brute_force( engine.check( small_a, small_b ), small_a, small_b, "small" );
   expect_matches_brute_force( engine.check( wide_a, wide_b ), wide_a, wide_b, "wide" );
   expect_matches_brute_force( engine.check( small_a, small_a ), small_a, small_a, "repeat" );
-}
-
-// --- signature quality and the widened simulation pass -----------------------
-//
-// Satellite of the SIMD-wide engine: fraig signature words are the same
-// 64-bit pattern blocks the wide simulator batches, so their
-// discrimination quality (false-candidate rate), the refinement loop, and
-// the widened exhaustive pass are pinned here at several widths.
-
-namespace
-{
-
-/// Runs the same deterministic >12-PI instance sequence through one
-/// persistent engine configured with `num_sig_words` signature words and
-/// returns the engine's cumulative statistics.  Verdicts are checked
-/// against brute force on every instance, so any width that changed a
-/// verdict fails loudly before the stats comparison.
-sat::cec_stats run_fraig_sequence( unsigned num_sig_words )
-{
-  sat::cec_options options;
-  options.num_sig_words = num_sig_words;
-  options.fraig_conflict_budget = 50; // SAT-backed candidates + cex refinement
-  sat::incremental_cec engine( options );
-  std::mt19937_64 rng( 9001 ); // same instances at every width
-  for ( int instance = 0; instance < 6; ++instance )
-  {
-    const unsigned num_pis = 13; // > 12: the sim fast path bails, fraig runs
-    const unsigned num_pos = 2u + rng() % 2u;
-    const auto a = random_test_aig( rng(), num_pis, num_pos, 40 );
-    auto b = ( instance & 1 ) ? random_test_aig( rng(), num_pis, num_pos, 40 ) : a;
-    if ( instance % 3 == 2 )
-    {
-      b.set_po( 0, b.po( 0 ) ^ 1u );
-    }
-    const auto outcome = engine.check( a, b );
-    expect_matches_brute_force( outcome, a, b,
-                                ( "sig words " + std::to_string( num_sig_words ) ).c_str() );
-  }
-  return engine.stats();
-}
-
-} // namespace
-
-TEST( incremental_signatures, false_candidate_rate_shrinks_with_wider_signatures )
-{
-  // A fraig candidate is a signature-equal node pair; a candidate that is
-  // refuted (or only survives until a counterexample splits its class) was
-  // a signature collision.  More signature words = more simulation
-  // patterns backing the hint, so the collision share must not grow — and
-  // the verdicts (checked against brute force inside the sequence) must be
-  // identical at 1, 4, and 8 words.
-  const auto s1 = run_fraig_sequence( 1 );
-  const auto s4 = run_fraig_sequence( 4 );
-  const auto s8 = run_fraig_sequence( 8 );
-
-  // The sequences prove the same output pairs however the hints land.
-  EXPECT_EQ( s1.checks, s8.checks );
-  EXPECT_EQ( s1.structural_outputs + s1.sat_proven_outputs,
-             s8.structural_outputs + s8.sat_proven_outputs );
-
-  const auto false_candidates = []( const sat::cec_stats& s ) {
-    return s.fraig_candidates - s.fraig_merges;
-  };
-  // Wider signatures filter candidate pairs at least as well (deterministic
-  // pattern streams make these exact counts, not flaky averages).
-  EXPECT_LE( false_candidates( s8 ), false_candidates( s1 ) );
-  EXPECT_LE( false_candidates( s4 ), false_candidates( s1 ) );
-  // One word is weak enough to produce collisions here — otherwise this
-  // test stops measuring anything.
-  EXPECT_GT( false_candidates( s1 ), 0u );
-}
-
-TEST( incremental_signatures, refinement_converges_identically_wide_and_narrow )
-{
-  // Counterexample-guided refinement folds cex patterns into a signature
-  // word and rebuilds the classes.  However many words the signatures have
-  // (1 = every refinement overwrites the only word, 8 = a rotating slot),
-  // the refined engine must converge to the same verdicts as a fresh
-  // engine per check — refinement is a hint-quality loop, never a
-  // soundness ingredient.
-  for ( const unsigned num_sig_words : { 1u, 4u, 8u } )
-  {
-    sat::cec_options options;
-    options.num_sig_words = num_sig_words;
-    options.fraig_conflict_budget = 40;
-    sat::incremental_cec persistent( options );
-    std::mt19937_64 rng( 733 );
-    for ( int round = 0; round < 5; ++round )
-    {
-      const unsigned num_pis = 13;
-      const auto a = random_test_aig( rng(), num_pis, 2, 36 );
-      auto b = ( round & 1 ) ? random_test_aig( rng(), num_pis, 2, 36 ) : a;
-      const auto reused = persistent.check( a, b );
-      sat::incremental_cec fresh( options );
-      const auto baseline = fresh.check( a, b );
-      EXPECT_EQ( reused.equivalent, baseline.equivalent )
-          << "words " << num_sig_words << " round " << round;
-      EXPECT_EQ( reused.failing_output, baseline.failing_output )
-          << "words " << num_sig_words << " round " << round;
-      expect_matches_brute_force( reused, a, b, "refined engine" );
-    }
-  }
-}
-
-TEST( incremental_signatures, engine_reuse_verdicts_pinned_across_widths )
-{
-  // Three persistent engines — one per signature width — fed the same
-  // check sequence must report identical verdicts and failing outputs on
-  // every round: signature width is a hint parameter, the verdict contract
-  // does not move with it.
-  std::vector<std::unique_ptr<sat::incremental_cec>> engines;
-  for ( const unsigned words : { 1u, 4u, 8u } )
-  {
-    sat::cec_options options;
-    options.num_sig_words = words;
-    options.fraig_conflict_budget = 50;
-    engines.push_back( std::make_unique<sat::incremental_cec>( options ) );
-  }
-  std::mt19937_64 rng( 839 );
-  for ( int round = 0; round < 6; ++round )
-  {
-    const unsigned num_pis = 13;
-    const unsigned num_pos = 1u + rng() % 3u;
-    const auto a = random_test_aig( rng(), num_pis, num_pos, 32 );
-    auto b = ( round % 3 == 0 ) ? random_test_aig( rng(), num_pis, num_pos, 32 ) : a;
-    if ( round % 3 == 1 )
-    {
-      b.set_po( static_cast<unsigned>( rng() % num_pos ), b.po( 0 ) ^ 1u );
-    }
-    const auto first = engines[0]->check( a, b );
-    expect_matches_brute_force( first, a, b, "width 1" );
-    for ( std::size_t e = 1; e < engines.size(); ++e )
-    {
-      const auto other = engines[e]->check( a, b );
-      EXPECT_EQ( other.equivalent, first.equivalent ) << "round " << round << " engine " << e;
-      EXPECT_EQ( other.failing_output, first.failing_output )
-          << "round " << round << " engine " << e;
-      // Counterexamples come from solver models, which legitimately differ
-      // with the hint width — each must round-trip, not match verbatim.
-      if ( !other.equivalent )
-      {
-        ASSERT_TRUE( other.counterexample.has_value() ) << "round " << round << " engine " << e;
-        EXPECT_NE( a.evaluate( *other.counterexample )[*other.failing_output],
-                   b.evaluate( *other.counterexample )[*other.failing_output] )
-            << "round " << round << " engine " << e;
-      }
-    }
-  }
-}
-
-TEST( incremental_signatures, widened_simulation_pass_decides_13_and_14_pi_designs )
-{
-  // Opting `output_window_max_pis` up to 14 routes 13- and 14-PI checks
-  // through the widened exhaustive simulation pass (SIMD-wide blocks, no
-  // solver): verdicts, failing outputs, and counterexamples must match
-  // brute force, and the solver must never have been consulted.
-  for ( const unsigned num_pis : { 13u, 14u } )
-  {
-    sat::cec_options options;
-    options.output_window_max_pis = 14;
-    sat::incremental_cec engine( options );
-    std::mt19937_64 rng( 1000 + num_pis );
-    for ( int instance = 0; instance < 4; ++instance )
-    {
-      const unsigned num_pos = 1u + rng() % 3u;
-      const auto a = random_test_aig( rng(), num_pis, num_pos, 30 );
-      auto b = ( instance & 1 ) ? random_test_aig( rng(), num_pis, num_pos, 30 ) : a;
-      if ( instance == 2 )
-      {
-        b.set_po( 0, b.po( 0 ) ^ 1u );
-      }
-      const auto outcome = engine.check( a, b );
-      expect_matches_brute_force( outcome, a, b, "widened sim pass" );
-    }
-    EXPECT_EQ( engine.stats().solver_conflicts, 0u ) << num_pis;
-    EXPECT_EQ( engine.stats().sat_proven_outputs, 0u ) << num_pis;
-  }
-}
-
-// --- lazy solver mirror -------------------------------------------------------
-//
-// Narrow checks are decided by the exhaustive simulation pass and never
-// touch the solver; the CNF, signatures and the equalities those checks
-// proved are built by one pass at the first check that needs the solver.
-
-namespace
-{
-
-/// Copies `narrow` into a network with `num_pis` >= narrow.num_pis() inputs
-/// (PI i maps to PI i, POs kept in order), then appends `extra_pos` outputs
-/// over random logic across all inputs.  The extra logic depends only on
-/// `seed`, so two widened networks share it structurally.
-aig_network widen( const aig_network& narrow, unsigned num_pis, unsigned extra_pos,
-                   std::uint64_t seed )
-{
-  aig_network wide( num_pis );
-  std::vector<aig_lit> map( narrow.num_nodes() );
-  map[0] = aig_network::const0;
-  for ( unsigned i = 0; i < narrow.num_pis(); ++i )
-  {
-    map[i + 1u] = wide.pi( i );
-  }
-  const auto conv = [&]( aig_lit l ) { return lit_not_cond( map[lit_node( l )], lit_complemented( l ) ); };
-  for ( std::uint32_t n = narrow.num_pis() + 1u; n < narrow.num_nodes(); ++n )
-  {
-    map[n] = wide.create_and( conv( narrow.fanin0( n ) ), conv( narrow.fanin1( n ) ) );
-  }
-  for ( unsigned o = 0; o < narrow.num_pos(); ++o )
-  {
-    wide.add_po( conv( narrow.po( o ) ) );
-  }
-  std::mt19937_64 gen( seed );
-  std::vector<aig_lit> pool;
-  for ( unsigned i = 0; i < num_pis; ++i )
-  {
-    pool.push_back( wide.pi( i ) );
-  }
-  for ( int k = 0; k < 24; ++k )
-  {
-    const auto a = pool[gen() % pool.size()] ^ ( gen() & 1u );
-    const auto b = pool[gen() % pool.size()] ^ ( gen() & 1u );
-    pool.push_back( gen() & 1u ? wide.create_xor( a, b ) : wide.create_and( a, b ) );
-  }
-  for ( unsigned o = 0; o < extra_pos; ++o )
-  {
-    wide.add_po( pool[pool.size() - 1u - o] );
-  }
-  return wide;
-}
-
-/// Two structurally different, equivalent 5-PI networks: majority as an
-/// AND/OR tree vs. as a multiplexer, each XORed with x3 & x4.
-std::pair<aig_network, aig_network> majority_pair()
-{
-  aig_network a( 5 );
-  const auto pa = a.create_and( a.pi( 3 ), a.pi( 4 ) );
-  a.add_po( a.create_xor( a.create_maj( a.pi( 0 ), a.pi( 1 ), a.pi( 2 ) ), pa ) );
-  aig_network b( 5 );
-  const auto t_or_e = b.create_or( b.pi( 1 ), b.pi( 2 ) );
-  const auto t_and_e = b.create_and( b.pi( 1 ), b.pi( 2 ) );
-  const auto pb = b.create_and( b.pi( 4 ), b.pi( 3 ) );
-  b.add_po( b.create_xor( b.create_mux( b.pi( 0 ), t_or_e, t_and_e ), pb ) );
-  return { std::move( a ), std::move( b ) };
-}
-
-} // namespace
-
-TEST( incremental_lazy, narrow_checks_never_touch_the_solver )
-{
-  sat::incremental_cec engine;
-  std::mt19937_64 rng( 5 );
-  for ( int instance = 0; instance < 12; ++instance )
-  {
-    const unsigned num_pis = 3u + rng() % 7u; // 3..9, all on the sim path
-    const unsigned num_pos = 1u + rng() % 3u;
-    const auto a = random_test_aig( rng(), num_pis, num_pos, 24 );
-    auto b = ( instance % 3 == 0 ) ? random_test_aig( rng(), num_pis, num_pos, 24 ) : a;
-    if ( instance % 3 == 1 )
-    {
-      b.set_po( 0, b.po( 0 ) ^ 1u );
-    }
-    expect_matches_brute_force( engine.check( a, b ), a, b, "narrow" );
-  }
-  const auto [ma, mb] = majority_pair();
-  EXPECT_TRUE( engine.check( ma, mb ).equivalent );
-  const auto stats = engine.stats();
-  EXPECT_GT( stats.nodes, 0u );
-  EXPECT_EQ( stats.encoded_nodes, 1u ); // only the constant
-  EXPECT_EQ( stats.solver_conflicts, 0u );
-  EXPECT_EQ( stats.fraig_candidates, 0u );
-}
-
-TEST( incremental_lazy, narrow_then_wide_matches_fresh_engine )
-{
-  // output_window_max_pis = 6: the 5-PI check takes the simulation path
-  // and proves the majority pair without the solver; the 9-PI check then
-  // builds the whole CNF, replays that proof, and runs the solver path.
-  const auto [a5, b5] = majority_pair();
-  for ( const bool fraiging : { true, false } )
-  {
-    for ( const bool corrupt : { false, true } )
-    {
-      const auto context = std::string( fraiging ? "fraiging" : "no fraiging" ) +
-                           ( corrupt ? ", corrupted" : ", equivalent" );
-      sat::cec_options options;
-      options.output_window_max_pis = 6;
-      options.fraiging = fraiging;
-      const auto a9 = widen( a5, 9, 3, 17 );
-      auto b9 = widen( b5, 9, 3, 17 );
-      if ( corrupt )
-      {
-        b9.set_po( 2, lit_not( b9.po( 2 ) ) );
-      }
-      sat::incremental_cec engine( options );
-      EXPECT_TRUE( engine.check( a5, b5 ).equivalent ) << context;
-      const auto after_narrow = engine.stats();
-      EXPECT_EQ( after_narrow.encoded_nodes, 1u ) << context;
-
-      const auto wide = engine.check( a9, b9 );
-      sat::incremental_cec fresh( options );
-      const auto baseline = fresh.check( a9, b9 );
-      EXPECT_EQ( wide.equivalent, !corrupt ) << context;
-      EXPECT_EQ( wide.equivalent, baseline.equivalent ) << context;
-      EXPECT_EQ( wide.failing_output, baseline.failing_output ) << context;
-      expect_matches_brute_force( wide, a9, b9, context.c_str() );
-      expect_matches_brute_force( baseline, a9, b9, context.c_str() );
-
-      // The whole store is mirrored now: constant + 9 PIs + every AND.
-      const auto after_wide = engine.stats();
-      EXPECT_EQ( after_wide.encoded_nodes, 1u + 9u + after_wide.nodes ) << context;
-      if ( !fraiging )
-      {
-        // Output 0 is the pair the narrow pass proved, and outputs 1-3
-        // share their structure: every equal output resolves by class
-        // representative, without a window proof or a miter.  A fresh
-        // engine has to prove output 0 itself.
-        EXPECT_EQ( after_wide.structural_outputs - after_narrow.structural_outputs,
-                   corrupt ? 3u : 4u )
-            << context;
-        EXPECT_EQ( after_wide.fraig_window_proofs, 0u ) << context;
-        EXPECT_EQ( after_wide.sat_proven_outputs, 0u ) << context;
-        const auto fresh_stats = fresh.stats();
-        EXPECT_GT( fresh_stats.fraig_window_proofs + fresh_stats.sat_proven_outputs, 0u )
-            << context;
-      }
-
-      // A later narrow check on the synced engine still agrees with brute force.
-      expect_matches_brute_force( engine.check( a5, b5 ), a5, b5, context.c_str() );
-    }
-  }
 }
