@@ -42,6 +42,11 @@
 #   * `table3_esop --max-n 18` (Table III up to n = 18, ~3 s) does not
 #     finish within 60 seconds: the ESOP front half has regressed
 #     exponentially,
+#   * `table4_hierarchical --max-n 32` (Table IV up to n = 32, ~2 s) does
+#     not finish within 30 seconds, or any of its qubit or T-count columns
+#     differs from the committed values: the synthesis front end (optimize,
+#     LUT mapping, XMG resynthesis) must keep producing the same artifacts
+#     at Table IV scale,
 #   * docs/ARCHITECTURE.md is missing or no longer mentions every src/*
 #     subdirectory.
 # Finally reruns the verification + store + LUT-map + synth + daemon +
@@ -96,7 +101,7 @@ run_bench() {
 # The bench build enables every SIMD backend the host toolchain supports;
 # runtime cpuid dispatch keeps the binary correct on any machine.
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SIMD=native
-cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_esop bench_dse bench_verify table3_esop
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_esop bench_dse bench_verify table3_esop table4_hierarchical
 
 # --- ESOP term-count gate ----------------------------------------------------
 
@@ -154,6 +159,45 @@ EOF
 BENCH_TIMEOUT=60 run_bench table3_esop \
   "$BUILD_DIR/bench/table3_esop" --max-n 18 >/dev/null
 echo "table3_esop --max-n 18 OK (within the 60 s ceiling)"
+
+# --- Table IV front-end gate -------------------------------------------------
+# Table IV up to n = 32 takes ~2 s (4-vCPU Xeon, Release), almost all of it
+# optimize, lut_map and xmg_from_luts.  Its qubit and T-count columns are a
+# fingerprint of those stages' artifacts: a front-end change must leave
+# them unchanged, and one that blows up at Table IV scale hits the ceiling.
+TABLE4_OUT="$BUILD_DIR/table4_hierarchical.txt"
+BENCH_TIMEOUT=30 run_bench table4_hierarchical \
+  "$BUILD_DIR/bench/table4_hierarchical" --max-n 32 >"$TABLE4_OUT"
+python3 - "$TABLE4_OUT" <<'EOF'
+import sys
+
+# n -> (INTDIV qubits, INTDIV T-count, NEWTON qubits, NEWTON T-count)
+EXPECTED = {
+    8: (424, 2646, 8072, 48069),
+    16: (1953, 12068, 44401, 264817),
+    32: (8128, 49854, 219965, 1329923),
+}
+
+rows = {}
+with open(sys.argv[1]) as f:
+    for line in f:
+        cells = [c.split() for c in line.split("|")]
+        if len(cells) == 3 and cells[0] and cells[0][0].isdigit():
+            rows[int(cells[0][0])] = (int(cells[1][0]), int(cells[1][1]),
+                                      int(cells[2][0]), int(cells[2][1]))
+
+failures = []
+for n, expected in sorted(EXPECTED.items()):
+    got = rows.get(n)
+    if got != expected:
+        failures.append(f"n = {n}: INTDIV/NEWTON qubits, T-count {got} vs committed {expected}")
+if failures:
+    print("TABLE IV FRONT-END REGRESSIONS:")
+    for f in failures:
+        print("  " + f)
+    sys.exit(1)
+print("table4_hierarchical --max-n 32 OK (within the 30 s ceiling, qubits and T-counts unchanged)")
+EOF
 
 # --- DSE wall-clock gate -----------------------------------------------------
 

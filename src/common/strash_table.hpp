@@ -6,8 +6,9 @@
 /// `KeyWords` 64-bit words (a packed fanin tuple) to a 32-bit node id.
 /// Slots live in one power-of-two array probed linearly; the table doubles
 /// before its load factor exceeds 1/2, so a probe sequence is short and a
-/// miss ends at the first empty slot.  There is no erase: strash tables
-/// only grow with their network.
+/// miss ends at the first empty slot.  A network rebuilt from a source of
+/// known size `reserve`s its table up front instead of doubling its way
+/// there.  There is no erase: strash tables only grow with their network.
 ///
 /// `insert` keeps the first value of a key.  `aig_network::append_raw_and`
 /// relies on that: a deserialized duplicate fanin pair must leave later
@@ -66,7 +67,7 @@ public:
     assert( value != empty );
     if ( 2u * ( size_ + 1u ) > slots_.size() )
     {
-      grow();
+      rehash( slots_.empty() ? std::size_t{ 16 } : 2u * slots_.size() );
     }
     const auto mask = slots_.size() - 1u;
     for ( auto i = hash( key ) & mask;; i = ( i + 1u ) & mask )
@@ -83,6 +84,21 @@ public:
       {
         return { s.value, false };
       }
+    }
+  }
+
+  /// Presizes the table so that `count` keys fit without regrowth.  Never
+  /// shrinks; lookups and inserts return the same values either way.
+  void reserve( std::size_t count )
+  {
+    std::size_t slots = 16;
+    while ( slots < 2u * count )
+    {
+      slots *= 2u;
+    }
+    if ( slots > slots_.size() )
+    {
+      rehash( slots );
     }
   }
 
@@ -111,9 +127,10 @@ private:
     return static_cast<std::size_t>( h ^ ( h >> 32 ) );
   }
 
-  void grow()
+  /// Moves every entry into `count` (a power of two) slots.
+  void rehash( std::size_t count )
   {
-    std::vector<slot> old( slots_.empty() ? std::size_t{ 16 } : 2u * slots_.size() );
+    std::vector<slot> old( count );
     old.swap( slots_ );
     const auto mask = slots_.size() - 1u;
     for ( const auto& s : old )

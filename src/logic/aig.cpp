@@ -1,5 +1,6 @@
 #include "aig.hpp"
 
+#include "../common/balanced_reduce.hpp"
 #include "../common/content_hash.hpp"
 
 #include <algorithm>
@@ -102,28 +103,19 @@ aig_lit aig_network::create_maj( aig_lit a, aig_lit b, aig_lit c )
   return create_or( create_or( ab, ac ), bc );
 }
 
+void aig_network::reserve( std::size_t num_ands )
+{
+  nodes_.reserve( 1u + num_pis_ + num_ands );
+  strash_.reserve( num_ands );
+}
+
 aig_lit aig_network::create_nary_and( std::vector<aig_lit> lits )
 {
   if ( lits.empty() )
   {
     return const1;
   }
-  // Balanced reduction keeps the depth logarithmic.
-  while ( lits.size() > 1u )
-  {
-    std::vector<aig_lit> next;
-    next.reserve( ( lits.size() + 1u ) / 2u );
-    for ( std::size_t i = 0; i + 1u < lits.size(); i += 2u )
-    {
-      next.push_back( create_and( lits[i], lits[i + 1u] ) );
-    }
-    if ( lits.size() & 1u )
-    {
-      next.push_back( lits.back() );
-    }
-    lits = std::move( next );
-  }
-  return lits[0];
+  return reduce_balanced( lits, [this]( aig_lit a, aig_lit b ) { return create_and( a, b ); } );
 }
 
 aig_lit aig_network::create_nary_or( std::vector<aig_lit> lits )
@@ -141,21 +133,7 @@ aig_lit aig_network::create_nary_xor( std::vector<aig_lit> lits )
   {
     return const0;
   }
-  while ( lits.size() > 1u )
-  {
-    std::vector<aig_lit> next;
-    next.reserve( ( lits.size() + 1u ) / 2u );
-    for ( std::size_t i = 0; i + 1u < lits.size(); i += 2u )
-    {
-      next.push_back( create_xor( lits[i], lits[i + 1u] ) );
-    }
-    if ( lits.size() & 1u )
-    {
-      next.push_back( lits.back() );
-    }
-    lits = std::move( next );
-  }
-  return lits[0];
+  return reduce_balanced( lits, [this]( aig_lit a, aig_lit b ) { return create_xor( a, b ); } );
 }
 
 std::vector<std::uint32_t> aig_network::fanout_counts() const
@@ -300,14 +278,6 @@ std::vector<bool> aig_network::evaluate( const std::vector<bool>& inputs ) const
 
 aig_network aig_network::cleanup( std::vector<aig_lit>* old_to_new ) const
 {
-  constexpr aig_lit unmapped = 0xffffffffu;
-  std::vector<aig_lit> map( nodes_.size(), unmapped );
-  map[0] = const0;
-  aig_network result( num_pis_ );
-  for ( unsigned i = 0; i < num_pis_; ++i )
-  {
-    map[i + 1u] = result.pi( i );
-  }
   // Mark reachable nodes.
   std::vector<bool> reachable( nodes_.size(), false );
   std::vector<std::uint32_t> stack;
@@ -326,6 +296,16 @@ aig_network aig_network::cleanup( std::vector<aig_lit>* old_to_new ) const
     reachable[n] = true;
     stack.push_back( lit_node( nodes_[n].fanin0 ) );
     stack.push_back( lit_node( nodes_[n].fanin1 ) );
+  }
+  const auto num_reachable = static_cast<std::size_t>( std::count( reachable.begin(), reachable.end(), true ) );
+  constexpr aig_lit unmapped = 0xffffffffu;
+  std::vector<aig_lit> map( nodes_.size(), unmapped );
+  map[0] = const0;
+  aig_network result( num_pis_ );
+  result.reserve( num_reachable );
+  for ( unsigned i = 0; i < num_pis_; ++i )
+  {
+    map[i + 1u] = result.pi( i );
   }
   // Copy reachable AND nodes in (original, hence topological) order.
   for ( std::uint32_t n = num_pis_ + 1u; n < nodes_.size(); ++n )

@@ -78,10 +78,16 @@ public:
   aig_lit create_mux( aig_lit sel, aig_lit t, aig_lit e );
   /// Majority of three.
   aig_lit create_maj( aig_lit a, aig_lit b, aig_lit c );
-  /// Balanced AND / OR / XOR over a list of literals.
+  /// Balanced AND / OR / XOR over a list of literals (pairs neighbours,
+  /// level by level, reducing the list in place).
   aig_lit create_nary_and( std::vector<aig_lit> lits );
   aig_lit create_nary_or( std::vector<aig_lit> lits );
   aig_lit create_nary_xor( std::vector<aig_lit> lits );
+
+  /// Presizes the node vector and the strash table for `num_ands` AND
+  /// nodes, so a network rebuilt from a source of known size never regrows
+  /// either.  Changes no result.
+  void reserve( std::size_t num_ands );
 
   /// Registers a primary output.
   void add_po( aig_lit lit ) { pos_.push_back( lit ); }

@@ -1,5 +1,7 @@
 #include "xmg.hpp"
 
+#include "../common/balanced_reduce.hpp"
+
 #include <algorithm>
 #include <cassert>
 #include <sstream>
@@ -160,27 +162,19 @@ xmg_lit xmg_network::create_mux( xmg_lit sel, xmg_lit t, xmg_lit e )
   return create_or( on, off );
 }
 
+void xmg_network::reserve( std::size_t num_gates )
+{
+  nodes_.reserve( 1u + num_pis_ + num_gates );
+  strash_.reserve( num_gates );
+}
+
 xmg_lit xmg_network::create_nary_xor( std::vector<xmg_lit> lits )
 {
   if ( lits.empty() )
   {
     return const0;
   }
-  while ( lits.size() > 1u )
-  {
-    std::vector<xmg_lit> next;
-    next.reserve( ( lits.size() + 1u ) / 2u );
-    for ( std::size_t i = 0; i + 1u < lits.size(); i += 2u )
-    {
-      next.push_back( create_xor( lits[i], lits[i + 1u] ) );
-    }
-    if ( lits.size() & 1u )
-    {
-      next.push_back( lits.back() );
-    }
-    lits = std::move( next );
-  }
-  return lits[0];
+  return reduce_balanced( lits, [this]( xmg_lit a, xmg_lit b ) { return create_xor( a, b ); } );
 }
 
 xmg_lit xmg_network::create_nary_and( std::vector<xmg_lit> lits )
@@ -189,21 +183,7 @@ xmg_lit xmg_network::create_nary_and( std::vector<xmg_lit> lits )
   {
     return const1;
   }
-  while ( lits.size() > 1u )
-  {
-    std::vector<xmg_lit> next;
-    next.reserve( ( lits.size() + 1u ) / 2u );
-    for ( std::size_t i = 0; i + 1u < lits.size(); i += 2u )
-    {
-      next.push_back( create_and( lits[i], lits[i + 1u] ) );
-    }
-    if ( lits.size() & 1u )
-    {
-      next.push_back( lits.back() );
-    }
-    lits = std::move( next );
-  }
-  return lits[0];
+  return reduce_balanced( lits, [this]( xmg_lit a, xmg_lit b ) { return create_and( a, b ); } );
 }
 
 std::vector<std::uint32_t> xmg_network::fanout_counts() const

@@ -71,6 +71,11 @@ public:
   xmg_lit create_nary_xor( std::vector<xmg_lit> lits );
   xmg_lit create_nary_and( std::vector<xmg_lit> lits );
 
+  /// Presizes the node vector and the strash table for `num_gates` logic
+  /// nodes, so a network built to a known size bound never regrows either.
+  /// Changes no result.
+  void reserve( std::size_t num_gates );
+
   void add_po( xmg_lit lit ) { pos_.push_back( lit ); }
   xmg_lit po( unsigned index ) const { return pos_.at( index ); }
   const std::vector<xmg_lit>& pos() const { return pos_; }

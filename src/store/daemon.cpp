@@ -701,6 +701,12 @@ std::string synthesis_daemon::handle_synthesize( const std::map<std::string, std
   {
     throw std::runtime_error( "field 'bitwidth' is out of range: " + limit );
   }
+  if ( bitwidth > max_design_bitwidth )
+  {
+    throw std::runtime_error( "field 'bitwidth' is out of range: " + std::to_string( bitwidth ) +
+                              " inputs exceed the " + std::to_string( max_design_bitwidth ) +
+                              "-input limit of the largest Table IV design" );
+  }
   auto& ctx = context_for( design, bitwidth );
   const auto rkey = outcome_key( params );
   auto& slot = slot_of( ctx.results_mutex, ctx.results, rkey );

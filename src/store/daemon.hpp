@@ -85,6 +85,11 @@ class thread_pool;
 namespace qsyn::store
 {
 
+/// Largest `bitwidth` a synthesize request may name.  INTDIV(n) and
+/// NEWTON(n) have n inputs, and INTDIV(128) is the largest design of the
+/// paper's Table IV; a wider request is rejected before elaboration.
+inline constexpr unsigned max_design_bitwidth = 128;
+
 struct daemon_options
 {
   std::string socket_path;  ///< unix-domain socket to listen on

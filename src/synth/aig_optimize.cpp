@@ -1,9 +1,11 @@
 #include "aig_optimize.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <array>
 #include <optional>
+#include <span>
 
+#include "../common/balanced_reduce.hpp"
 #include "isop.hpp"
 
 namespace qsyn
@@ -14,13 +16,17 @@ namespace qsyn
 namespace
 {
 
+constexpr aig_lit unmapped = 0xffffffffu;
+
 class balancer
 {
 public:
   explicit balancer( const aig_network& aig )
       : aig_( aig ), fanouts_( aig.fanout_counts() ), dest_( aig.num_pis() ),
-        map_( aig.num_nodes(), 0xffffffffu )
+        map_( aig.num_nodes(), unmapped )
   {
+    // Balancing never adds AND nodes: a tree of m leaves becomes m - 1.
+    dest_.reserve( aig.num_ands() );
     map_[0] = aig_network::const0;
     for ( unsigned i = 0; i < aig_.num_pis(); ++i )
     {
@@ -38,73 +44,104 @@ public:
   }
 
 private:
+  /// One AND tree under construction: its root and its conjunct leaves,
+  /// `leaves_[begin, end)`, of which those before `next` are mapped.
+  struct frame
+  {
+    std::uint32_t node;
+    std::size_t begin;
+    std::size_t next;
+    std::size_t end;
+  };
+
+  /// Maps `old` into the destination.  An explicit-stack walk (deep AIGs
+  /// would overflow a recursive one) in the order of the recursion: a
+  /// tree's leaves are mapped left to right, each completely, before the
+  /// tree itself is rebuilt, so the destination's node ids follow the same
+  /// post-order.
   aig_lit map_lit( aig_lit old )
   {
-    const auto node = lit_node( old );
-    if ( map_[node] == 0xffffffffu )
+    const auto root = lit_node( old );
+    if ( map_[root] == unmapped )
     {
-      map_[node] = build_node( node );
+      push_tree( root );
     }
-    return lit_not_cond( map_[node], lit_complemented( old ) );
+    while ( !frames_.empty() )
+    {
+      auto& top = frames_.back();
+      if ( top.next < top.end )
+      {
+        const auto leaf = lit_node( leaves_[top.next++] );
+        if ( map_[leaf] == unmapped )
+        {
+          push_tree( leaf );
+        }
+        continue;
+      }
+      map_[top.node] = build_tree( top.begin, top.end );
+      leaves_.resize( top.begin );
+      frames_.pop_back();
+    }
+    return lit_not_cond( map_[root], lit_complemented( old ) );
   }
 
-  /// Level of a destination node, computed lazily (recomputing all levels
-  /// per rebuilt node would be quadratic on large netlists).
-  std::uint32_t dest_level( std::uint32_t node )
+  void push_tree( std::uint32_t node )
   {
-    if ( node >= dest_levels_.size() )
-    {
-      dest_levels_.resize( dest_.num_nodes(), 0xffffffffu );
-    }
-    if ( dest_levels_[node] != 0xffffffffu )
-    {
-      return dest_levels_[node];
-    }
-    std::uint32_t level = 0;
-    if ( dest_.is_and( node ) )
-    {
-      level = 1u + std::max( dest_level( lit_node( dest_.fanin0( node ) ) ),
-                             dest_level( lit_node( dest_.fanin1( node ) ) ) );
-    }
-    dest_levels_[node] = level;
-    return level;
+    const auto begin = leaves_.size();
+    collect_conjuncts( node );
+    frames_.push_back( { node, begin, begin, leaves_.size() } );
   }
 
-  /// Collects the single-fanout AND tree rooted at `node` and rebuilds it
-  /// as a balanced tree over the mapped leaves (sorted by level so the
-  /// shallowest operands combine first).
-  aig_lit build_node( std::uint32_t node )
+  /// Rebuilds the tree with leaves `leaves_[begin, end)`, all mapped, as a
+  /// balanced tree, the shallowest destination operands combined first.
+  aig_lit build_tree( std::size_t begin, std::size_t end )
   {
-    std::vector<aig_lit> leaves;
-    collect_conjuncts( make_lit( node ), leaves, true );
-    std::vector<aig_lit> mapped;
-    mapped.reserve( leaves.size() );
-    for ( const auto leaf : leaves )
+    mapped_.clear();
+    for ( auto i = begin; i < end; ++i )
     {
-      mapped.push_back( map_lit( leaf ) );
+      const auto leaf = leaves_[i];
+      mapped_.push_back( lit_not_cond( map_[lit_node( leaf )], lit_complemented( leaf ) ) );
     }
-    // Sort by the level in the destination network for balanced depth.
-    std::sort( mapped.begin(), mapped.end(), [&]( aig_lit a, aig_lit b ) {
-      return dest_level( lit_node( a ) ) < dest_level( lit_node( b ) );
+    update_dest_levels();
+    std::sort( mapped_.begin(), mapped_.end(), [&]( aig_lit a, aig_lit b ) {
+      return dest_levels_[lit_node( a )] < dest_levels_[lit_node( b )];
     } );
-    return dest_.create_nary_and( std::move( mapped ) );
+    // create_nary_and's reduction, on the reused buffer.
+    return reduce_balanced( mapped_, [this]( aig_lit a, aig_lit b ) { return dest_.create_and( a, b ); } );
   }
 
-  /// Gathers the conjunct leaves of an AND tree.  Only descends through
-  /// non-complemented AND fanins with a single fanout (classic balancing
-  /// scope: shared nodes stay shared).
-  void collect_conjuncts( aig_lit lit, std::vector<aig_lit>& leaves, bool root )
+  /// Extends the destination's levels to its newest nodes.
+  void update_dest_levels()
   {
-    const auto node = lit_node( lit );
-    const bool expandable = !lit_complemented( lit ) && aig_.is_and( node ) &&
-                            ( root || fanouts_[node] == 1u );
-    if ( !expandable )
+    for ( auto n = static_cast<std::uint32_t>( dest_levels_.size() ); n < dest_.num_nodes(); ++n )
     {
-      leaves.push_back( lit );
-      return;
+      dest_levels_.push_back( dest_.is_and( n )
+                                  ? 1u + std::max( dest_levels_[lit_node( dest_.fanin0( n ) )],
+                                                   dest_levels_[lit_node( dest_.fanin1( n ) )] )
+                                  : 0u );
     }
-    collect_conjuncts( aig_.fanin0( node ), leaves, false );
-    collect_conjuncts( aig_.fanin1( node ), leaves, false );
+  }
+
+  /// Appends the conjunct leaves of the AND tree rooted at `root` to
+  /// `leaves_`, left to right.  Only descends through non-complemented AND
+  /// fanins with a single fanout (classic balancing scope: shared nodes
+  /// stay shared).
+  void collect_conjuncts( std::uint32_t root )
+  {
+    stack_.assign( { aig_.fanin1( root ), aig_.fanin0( root ) } );
+    while ( !stack_.empty() )
+    {
+      const auto lit = stack_.back();
+      stack_.pop_back();
+      const auto node = lit_node( lit );
+      if ( lit_complemented( lit ) || !aig_.is_and( node ) || fanouts_[node] != 1u )
+      {
+        leaves_.push_back( lit );
+        continue;
+      }
+      stack_.push_back( aig_.fanin1( node ) );
+      stack_.push_back( aig_.fanin0( node ) );
+    }
   }
 
   const aig_network& aig_;
@@ -112,6 +149,10 @@ private:
   aig_network dest_;
   std::vector<aig_lit> map_;
   std::vector<std::uint32_t> dest_levels_;
+  std::vector<frame> frames_;
+  std::vector<aig_lit> leaves_; ///< leaves of every tree on `frames_`
+  std::vector<aig_lit> stack_;
+  std::vector<aig_lit> mapped_;
 };
 
 } // namespace
@@ -136,14 +177,19 @@ class refactorer
 public:
   explicit refactorer( const aig_network& aig )
       : aig_( aig ), fanouts_( aig.fanout_counts() ), dest_( aig.num_pis() ),
-        map_( aig.num_nodes(), 0xffffffffu )
+        map_( aig.num_nodes(), unmapped ), plan_of_( aig.num_nodes(), none ),
+        stamp_( aig.num_nodes(), 0u ), slot_( aig.num_nodes(), 0u )
   {
+    dest_.reserve( aig.num_ands() );
     map_[0] = aig_network::const0;
     for ( unsigned i = 0; i < aig_.num_pis(); ++i )
     {
       map_[i + 1u] = dest_.pi( i );
     }
-    compute_plans();
+    for ( std::uint32_t n = aig_.num_pis() + 1u; n < aig_.num_nodes(); ++n )
+    {
+      try_plan( n );
+    }
   }
 
   aig_network run()
@@ -156,6 +202,8 @@ public:
   }
 
 private:
+  static constexpr std::uint32_t none = 0xffffffffu;
+
   struct plan
   {
     std::vector<std::uint32_t> leaves; ///< leaf nodes (inputs of the cone)
@@ -163,57 +211,43 @@ private:
     bool complemented = false;         ///< SOP covers the complement
   };
 
-  /// Grows a reconvergence-driven cut around `root` and decides whether an
-  /// ISOP resynthesis is expected to be smaller than the cone's exclusive
-  /// logic (MFFC).
-  void compute_plans()
-  {
-    plans_.resize( aig_.num_nodes() );
-    for ( std::uint32_t n = aig_.num_pis() + 1u; n < aig_.num_nodes(); ++n )
-    {
-      try_plan( n );
-    }
-  }
-
+  /// Grows a reconvergence-driven cut around `root` and records a plan when
+  /// an ISOP resynthesis is smaller than the cone's exclusive logic (MFFC).
   void try_plan( std::uint32_t root )
   {
     // Grow the cut: start from the fanins, expand internal nodes that do
     // not increase the leaf count beyond the bound.
-    auto& leaves = leaves_;
-    leaves.assign( { lit_node( aig_.fanin0( root ) ), lit_node( aig_.fanin1( root ) ) } );
-    std::sort( leaves.begin(), leaves.end() );
-    leaves.erase( std::unique( leaves.begin(), leaves.end() ), leaves.end() );
+    const auto a = lit_node( aig_.fanin0( root ) );
+    const auto b = lit_node( aig_.fanin1( root ) );
+    leaves_[0] = std::min( a, b );
+    leaves_[1] = std::max( a, b );
+    num_leaves_ = a == b ? 1u : 2u;
     bool grew = true;
     while ( grew )
     {
       grew = false;
-      for ( std::size_t i = 0; i < leaves.size(); ++i )
+      for ( unsigned i = 0; i < num_leaves_; ++i )
       {
-        const auto leaf = leaves[i];
+        const auto leaf = leaves_[i];
         if ( !aig_.is_and( leaf ) )
         {
           continue;
         }
-        auto& expanded = expanded_;
-        expanded.assign( leaves.begin(), leaves.end() );
-        expanded.erase( expanded.begin() + static_cast<std::ptrdiff_t>( i ) );
-        expanded.push_back( lit_node( aig_.fanin0( leaf ) ) );
-        expanded.push_back( lit_node( aig_.fanin1( leaf ) ) );
-        std::sort( expanded.begin(), expanded.end() );
-        expanded.erase( std::unique( expanded.begin(), expanded.end() ), expanded.end() );
-        // Never keep the constant node as a leaf.
-        expanded.erase( std::remove( expanded.begin(), expanded.end(), 0u ), expanded.end() );
-        if ( expanded.size() <= std::min<std::size_t>( max_leaves, leaves.size() ) ||
-             ( expanded.size() <= max_leaves && fanouts_[leaf] == 1u ) )
+        const auto size = expand( i );
+        if ( size <= std::min( max_leaves, num_leaves_ ) ||
+             ( size <= max_leaves && fanouts_[leaf] == 1u ) )
         {
-          leaves.swap( expanded );
+          leaves_ = expanded_;
+          num_leaves_ = size;
           grew = true;
           break;
         }
       }
     }
-    leaves.erase( std::remove( leaves.begin(), leaves.end(), 0u ), leaves.end() );
-    if ( leaves.empty() || leaves.size() > max_leaves )
+    // Never keep the constant node as a leaf (it sorts first).
+    const unsigned first = num_leaves_ > 0u && leaves_[0] == 0u ? 1u : 0u;
+    const std::span<const std::uint32_t> leaves( leaves_.data() + first, num_leaves_ - first );
+    if ( leaves.empty() )
     {
       return;
     }
@@ -226,6 +260,18 @@ private:
     // (approximated by the node count of the cone restricted to
     // single-fanout internals plus the root).
     const auto old_cost = mffc_size( root, leaves );
+    // Exact bound: every support variable of a non-constant function is a
+    // literal of some cube, so any SOP of it costs at least support - 1,
+    // and no cover can beat the cone once support - 1 >= old_cost.
+    std::size_t support = 0;
+    for ( unsigned v = 0; v < leaves.size() && support <= old_cost; ++v )
+    {
+      support += tt->depends_on( v ) ? 1u : 0u;
+    }
+    if ( support > old_cost )
+    {
+      return;
+    }
     isop( *tt, sop_ );
     isop( ~*tt, sop_compl_ );
     const bool use_compl = estimate_cost( sop_compl_ ) < estimate_cost( sop_ );
@@ -234,7 +280,51 @@ private:
     {
       return;
     }
-    plans_[root] = plan{ leaves, chosen, use_compl };
+    plan_of_[root] = static_cast<std::uint32_t>( plans_.size() );
+    plans_.push_back( plan{ { leaves.begin(), leaves.end() }, chosen, use_compl } );
+  }
+
+  /// Writes the sorted cut `leaves_` with leaf `i` replaced by its fanins
+  /// into `expanded_` (the constant node dropped) and returns its size;
+  /// max_leaves + 1 means "too large" and leaves `expanded_` partial.
+  unsigned expand( unsigned i )
+  {
+    auto a = lit_node( aig_.fanin0( leaves_[i] ) );
+    auto b = lit_node( aig_.fanin1( leaves_[i] ) );
+    if ( a > b )
+    {
+      std::swap( a, b );
+    }
+    const std::uint32_t fanins[2] = { a, b };
+    unsigned n = 0;
+    const auto emit = [&]( std::uint32_t v ) {
+      if ( v == 0u || ( n > 0u && expanded_[n - 1u] == v ) )
+      {
+        return true;
+      }
+      if ( n == max_leaves )
+      {
+        return false;
+      }
+      expanded_[n++] = v;
+      return true;
+    };
+    unsigned l = 0;
+    unsigned f = 0;
+    while ( l < num_leaves_ || f < 2u )
+    {
+      if ( l == i )
+      {
+        ++l;
+        continue;
+      }
+      const bool take_leaf = f == 2u || ( l < num_leaves_ && leaves_[l] <= fanins[f] );
+      if ( !emit( take_leaf ? leaves_[l++] : fanins[f++] ) )
+      {
+        return max_leaves + 1u;
+      }
+    }
+    return n;
   }
 
   static std::size_t estimate_cost( const std::vector<cube>& sop )
@@ -248,32 +338,32 @@ private:
     return cost;
   }
 
+  /// True when `n` is a leaf of the cone last evaluated by `cone_tt`.
+  bool is_leaf( std::uint32_t n, std::size_t num_leaves ) const
+  {
+    return stamp_[n] == epoch_ && slot_[n] >= 1u && slot_[n] <= num_leaves;
+  }
+
   /// Number of cone nodes used exclusively inside the cone (counting the
-  /// root).  A lower bound on the nodes freed by replacing the cone.
-  std::size_t mffc_size( std::uint32_t root, const std::vector<std::uint32_t>& leaves )
+  /// root): a lower bound on the nodes freed by replacing the cone.  Runs
+  /// after `cone_tt`, whose stamps mark the leaves.  The walk needs no
+  /// visited set: it only enters nodes with a single fanout, which it can
+  /// reach once.
+  std::size_t mffc_size( std::uint32_t root, std::span<const std::uint32_t> leaves )
   {
     std::size_t count = 0;
-    auto& stack = stack_;
-    auto& visited = cone_; // the MFFC's nodes
-    stack.assign( 1u, root );
-    visited.clear();
-    while ( !stack.empty() )
+    stack_.assign( 1u, root );
+    while ( !stack_.empty() )
     {
-      const auto n = stack.back();
-      stack.pop_back();
-      if ( std::find( visited.begin(), visited.end(), n ) != visited.end() )
-      {
-        continue;
-      }
-      visited.push_back( n );
+      const auto n = stack_.back();
+      stack_.pop_back();
       ++count;
       for ( const auto f : { aig_.fanin0( n ), aig_.fanin1( n ) } )
       {
         const auto m = lit_node( f );
-        if ( aig_.is_and( m ) && fanouts_[m] == 1u &&
-             std::find( leaves.begin(), leaves.end(), m ) == leaves.end() )
+        if ( aig_.is_and( m ) && fanouts_[m] == 1u && !is_leaf( m, leaves.size() ) )
         {
-          stack.push_back( m );
+          stack_.push_back( m );
         }
       }
     }
@@ -281,10 +371,23 @@ private:
   }
 
   /// Truth table of `root` over the projections of the sorted `leaves`;
-  /// fails (nullopt) if the cone reaches a PI outside the leaf set.
+  /// fails (nullopt) if the cone reaches a PI outside the leaf set.  Cone
+  /// membership is a per-node epoch stamp; `slot_` indexes a node's value
+  /// in `values_` (constant, then the leaves, then the cone's AND nodes).
   std::optional<small_truth_table> cone_tt( std::uint32_t root,
-                                            const std::vector<std::uint32_t>& leaves )
+                                            std::span<const std::uint32_t> leaves )
   {
+    ++epoch_;
+    values_.clear();
+    values_.emplace_back(); // constant 0
+    stamp_[0] = epoch_;
+    slot_[0] = 0u;
+    for ( unsigned i = 0; i < leaves.size(); ++i )
+    {
+      stamp_[leaves[i]] = epoch_;
+      slot_[leaves[i]] = i + 1u;
+      values_.push_back( small_truth_table::projection( i ) );
+    }
     // Collect the cone's AND nodes; node ids are topological, so evaluating
     // them in ascending order visits every fanin first, and the root last.
     cone_.clear();
@@ -293,8 +396,7 @@ private:
     {
       const auto n = stack_.back();
       stack_.pop_back();
-      if ( n == 0u || std::binary_search( leaves.begin(), leaves.end(), n ) ||
-           std::find( cone_.begin(), cone_.end(), n ) != cone_.end() )
+      if ( stamp_[n] == epoch_ )
       {
         continue;
       }
@@ -302,88 +404,113 @@ private:
       {
         return std::nullopt;
       }
+      stamp_[n] = epoch_;
       cone_.push_back( n );
       stack_.push_back( lit_node( aig_.fanin0( n ) ) );
       stack_.push_back( lit_node( aig_.fanin1( n ) ) );
     }
     std::sort( cone_.begin(), cone_.end() );
-    cone_values_.resize( cone_.size() );
     const auto value = [&]( aig_lit f ) {
-      const auto m = lit_node( f );
-      small_truth_table v; // constant 0 for node 0
-      if ( const auto leaf = std::lower_bound( leaves.begin(), leaves.end(), m );
-           leaf != leaves.end() && *leaf == m )
-      {
-        v = small_truth_table::projection( static_cast<unsigned>( leaf - leaves.begin() ) );
-      }
-      else if ( m != 0u )
-      {
-        v = cone_values_[static_cast<std::size_t>(
-            std::lower_bound( cone_.begin(), cone_.end(), m ) - cone_.begin() )];
-      }
+      const auto& v = values_[slot_[lit_node( f )]];
       return lit_complemented( f ) ? ~v : v;
     };
-    for ( std::size_t i = 0; i < cone_.size(); ++i )
+    for ( const auto n : cone_ )
     {
-      cone_values_[i] = value( aig_.fanin0( cone_[i] ) ) & value( aig_.fanin1( cone_[i] ) );
+      slot_[n] = static_cast<std::uint32_t>( values_.size() );
+      values_.push_back( value( aig_.fanin0( n ) ) & value( aig_.fanin1( n ) ) );
     }
-    return cone_values_.back();
+    return values_.back();
   }
 
+  /// Maps `old` into the destination: an explicit-stack walk (deep AIGs
+  /// would overflow a recursive one) in which a node's inputs are mapped in
+  /// turn, each completely, before the node itself is built.  The inputs
+  /// are its plan's leaves in order, or fanin 1 then fanin 0: the post-order
+  /// that fixes the destination's node ids, pinned by the tests.
   aig_lit map_lit( aig_lit old )
   {
-    const auto node = lit_node( old );
-    if ( map_[node] == 0xffffffffu )
+    const auto root = lit_node( old );
+    if ( map_[root] == unmapped )
     {
-      map_[node] = build_node( node );
+      frames_.push_back( { root, 0u } );
     }
-    return lit_not_cond( map_[node], lit_complemented( old ) );
+    while ( !frames_.empty() )
+    {
+      auto& [node, next] = frames_.back();
+      const auto input = input_of( node, next );
+      if ( input != none )
+      {
+        ++next;
+        if ( map_[input] == unmapped )
+        {
+          frames_.push_back( { input, 0u } );
+        }
+        continue;
+      }
+      map_[node] = build_node( node );
+      frames_.pop_back();
+    }
+    return lit_not_cond( map_[root], lit_complemented( old ) );
   }
 
+  /// The `i`-th node that `node` is built from, or none past the last.
+  std::uint32_t input_of( std::uint32_t node, std::uint32_t i ) const
+  {
+    if ( plan_of_[node] != none )
+    {
+      const auto& leaves = plans_[plan_of_[node]].leaves;
+      return i < leaves.size() ? leaves[i] : none;
+    }
+    return i < 2u ? lit_node( i == 0u ? aig_.fanin1( node ) : aig_.fanin0( node ) ) : none;
+  }
+
+  /// Builds `node` over its mapped inputs.
   aig_lit build_node( std::uint32_t node )
   {
-    const auto& p = plans_[node];
-    if ( !p.leaves.empty() )
+    if ( plan_of_[node] == none )
     {
-      std::vector<aig_lit> leaf_lits;
-      leaf_lits.reserve( p.leaves.size() );
-      for ( const auto leaf : p.leaves )
-      {
-        leaf_lits.push_back( map_lit( make_lit( leaf ) ) );
-      }
-      std::vector<aig_lit> or_terms;
-      or_terms.reserve( p.sop.size() );
-      for ( const auto& c : p.sop )
-      {
-        std::vector<aig_lit> factors;
-        for ( unsigned v = 0; v < p.leaves.size(); ++v )
-        {
-          if ( c.has_var( v ) )
-          {
-            factors.push_back( lit_not_cond( leaf_lits[v], !c.var_polarity( v ) ) );
-          }
-        }
-        or_terms.push_back( dest_.create_nary_and( std::move( factors ) ) );
-      }
-      const auto result = dest_.create_nary_or( std::move( or_terms ) );
-      return lit_not_cond( result, p.complemented );
+      const auto f0 = aig_.fanin0( node );
+      const auto f1 = aig_.fanin1( node );
+      return dest_.create_and( lit_not_cond( map_[lit_node( f0 )], lit_complemented( f0 ) ),
+                               lit_not_cond( map_[lit_node( f1 )], lit_complemented( f1 ) ) );
     }
-    const auto f0 = aig_.fanin0( node );
-    const auto f1 = aig_.fanin1( node );
-    return dest_.create_and( map_lit( f0 ), map_lit( f1 ) );
+    const auto& p = plans_[plan_of_[node]];
+    std::vector<aig_lit> or_terms;
+    or_terms.reserve( p.sop.size() );
+    for ( const auto& c : p.sop )
+    {
+      std::vector<aig_lit> factors;
+      for ( unsigned v = 0; v < p.leaves.size(); ++v )
+      {
+        if ( c.has_var( v ) )
+        {
+          factors.push_back( lit_not_cond( map_[p.leaves[v]], !c.var_polarity( v ) ) );
+        }
+      }
+      or_terms.push_back( dest_.create_nary_and( std::move( factors ) ) );
+    }
+    const auto result = dest_.create_nary_or( std::move( or_terms ) );
+    return lit_not_cond( result, p.complemented );
   }
 
   const aig_network& aig_;
   std::vector<std::uint32_t> fanouts_;
   aig_network dest_;
   std::vector<aig_lit> map_;
+  std::vector<std::uint32_t> plan_of_; ///< node -> index into plans_, or none
   std::vector<plan> plans_;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> frames_; ///< node, next input
+  // Per-node cone marks: stamp_[n] == epoch_ while n is in the current cone.
+  std::vector<std::uint32_t> stamp_;
+  std::vector<std::uint32_t> slot_;
+  std::uint32_t epoch_ = 0;
   // Scratch reused by every try_plan call.
-  std::vector<std::uint32_t> leaves_;
-  std::vector<std::uint32_t> expanded_;
+  std::array<std::uint32_t, max_leaves> leaves_{};
+  std::array<std::uint32_t, max_leaves> expanded_{};
+  unsigned num_leaves_ = 0;
   std::vector<std::uint32_t> stack_;
   std::vector<std::uint32_t> cone_;
-  std::vector<small_truth_table> cone_values_;
+  std::vector<small_truth_table> values_;
   std::vector<cube> sop_;
   std::vector<cube> sop_compl_;
 };

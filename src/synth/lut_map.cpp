@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -46,14 +48,25 @@ constexpr unsigned max_k = lut_map_params::max_cut_size;
 
 /// A cut: sorted leaf nodes plus the cut function over those leaves.  The
 /// function is a six-variable word stored replicated (it ignores variables
-/// size..5), so complement and AND are single word operations.
+/// size..5), so complement and AND are single word operations.  The
+/// signature has bit (leaf mod 64) set for every leaf: the popcount of two
+/// cuts' OR is at most the size of their union.
 struct cut
 {
   std::array<std::uint32_t, max_k> leaves{};
   std::uint32_t size = 0;
-  std::uint64_t function = 0;
   std::uint32_t depth = 0;
+  std::uint64_t function = 0;
+  std::uint64_t signature = 0;
   double area_flow = 0.0;
+};
+
+/// What cover extraction needs of a node's best cut.
+struct chosen_cut
+{
+  std::array<std::uint32_t, max_k> leaves{};
+  std::uint32_t size = 0;
+  std::uint64_t function = 0;
 };
 
 /// Position of each leaf of a fanin cut within the merged cut.
@@ -119,8 +132,62 @@ cut trivial_cut( std::uint32_t n )
   c.leaves[0] = n;
   c.size = 1;
   c.function = projections[0];
+  c.signature = std::uint64_t{ 1 } << ( n % 64u );
   return c;
 }
+
+/// Per-node cut lists in fixed blocks of `block_size` cuts, recycled
+/// through a free list: a node's list lives from its enumeration until its
+/// last fanout has merged it, so the pool stays as large as the widest
+/// frontier of live lists.
+class cut_pool
+{
+public:
+  static constexpr std::uint32_t block_size = lut_map_params::cuts_per_node + 1u;
+
+  explicit cut_pool( std::size_t num_nodes ) : block_( num_nodes, none ), count_( num_nodes, 0u ) {}
+
+  std::span<const cut> cuts( std::uint32_t node ) const
+  {
+    return { cuts_.data() + std::size_t{ block_[node] } * block_size, count_[node] };
+  }
+
+  /// Makes room for the `count` <= block_size cuts of `node`'s list and
+  /// returns it to be filled; valid until the next `assign`.
+  std::span<cut> assign( std::uint32_t node, std::uint32_t count )
+  {
+    assert( count <= block_size );
+    std::uint32_t block;
+    if ( free_.empty() )
+    {
+      block = static_cast<std::uint32_t>( cuts_.size() / block_size );
+      cuts_.resize( cuts_.size() + block_size );
+    }
+    else
+    {
+      block = free_.back();
+      free_.pop_back();
+    }
+    block_[node] = block;
+    count_[node] = static_cast<std::uint8_t>( count );
+    return { cuts_.data() + std::size_t{ block } * block_size, count };
+  }
+
+  void release( std::uint32_t node )
+  {
+    free_.push_back( block_[node] );
+    block_[node] = none;
+    count_[node] = 0u;
+  }
+
+private:
+  static constexpr std::uint32_t none = ~std::uint32_t{ 0 };
+
+  std::vector<cut> cuts_;
+  std::vector<std::uint32_t> block_;
+  std::vector<std::uint8_t> count_;
+  std::vector<std::uint32_t> free_;
+};
 
 } // namespace
 
@@ -137,26 +204,31 @@ lut_network lut_map( const aig_network& aig, const lut_map_params& params )
   }
   const auto fanouts = aig.fanout_counts();
 
-  // Per node: list of candidate cuts (first entry is the best).  Cut lists
-  // are freed once every fanout has consumed them (large designs would
-  // otherwise hold gigabytes of cuts); the best cut survives in
-  // `best_cuts` for the cover-extraction phase.
-  std::vector<std::vector<cut>> cuts( aig.num_nodes() );
-  std::vector<cut> best_cuts( aig.num_nodes() );
+  // Per node: its list of candidate cuts (best first, trivial cut last),
+  // freed once every fanout has consumed it (large designs would otherwise
+  // hold gigabytes of cuts); the best cut survives in `best_cuts` for the
+  // cover-extraction phase.
+  cut_pool cuts( aig.num_nodes() );
+  std::vector<chosen_cut> best_cuts( aig.num_nodes() );
   std::vector<std::uint32_t> pending_fanouts( fanouts );
-  // Mapped depth / area flow per node (PIs: 0), used to cost candidate cuts
-  // from their *leaves* rather than from the structural merge path.
+  // Mapped depth and area-flow share (area flow / fanouts) per node (PIs:
+  // 0), used to cost candidate cuts from their *leaves* rather than from
+  // the structural merge path.
   std::vector<std::uint32_t> node_depth( aig.num_nodes(), 0u );
-  std::vector<double> node_area_flow( aig.num_nodes(), 0.0 );
+  std::vector<double> node_flow_share( aig.num_nodes(), 0.0 );
 
   for ( std::uint32_t n = 1; n <= aig.num_pis(); ++n )
   {
-    cuts[n].push_back( trivial_cut( n ) );
+    cuts.assign( n, 1u )[0] = trivial_cut( n );
   }
   // A constant fanin contributes one empty cut with the constant-0 function.
-  const std::vector<cut> constant_cuts( 1u );
+  const std::array<cut, 1> constant_cuts{};
 
-  std::vector<cut> candidates;
+  constexpr auto max_candidates = cut_pool::block_size * cut_pool::block_size;
+  // `order` and the pool's list counts hold candidate indices in 8 bits.
+  static_assert( max_candidates <= 256u );
+  std::vector<cut> candidates( max_candidates );
+  std::vector<std::uint8_t> order( max_candidates );
   leaf_positions pos0{};
   leaf_positions pos1{};
   for ( std::uint32_t n = aig.num_pis() + 1u; n < aig.num_nodes(); ++n )
@@ -167,29 +239,42 @@ lut_network lut_map( const aig_network& aig, const lut_map_params& params )
     const auto n1 = lit_node( f1 );
     const auto compl0 = lit_complemented( f0 ) ? ~std::uint64_t{ 0 } : 0u;
     const auto compl1 = lit_complemented( f1 ) ? ~std::uint64_t{ 0 } : 0u;
-    candidates.clear();
-    for ( const auto& c0 : n0 == 0u ? constant_cuts : cuts[n0] )
+    const auto cuts0 = n0 == 0u ? std::span<const cut>( constant_cuts ) : cuts.cuts( n0 );
+    const auto cuts1 = n1 == 0u ? std::span<const cut>( constant_cuts ) : cuts.cuts( n1 );
+    std::uint32_t count = 0;
+    for ( const auto& c0 : cuts0 )
     {
-      for ( const auto& c1 : n1 == 0u ? constant_cuts : cuts[n1] )
+      for ( const auto& c1 : cuts1 )
       {
-        cut c;
+        // More than k signature bits means more than k leaves.
+        if ( static_cast<unsigned>( std::popcount( c0.signature | c1.signature ) ) > k )
+        {
+          continue;
+        }
+        auto& c = candidates[count];
         if ( !merge_leaves( c0, c1, k, c, pos0, pos1 ) )
         {
           continue;
         }
+        c.signature = c0.signature | c1.signature;
         c.function = ( expand_tt( c0.function, pos0, c0.size ) ^ compl0 ) &
                      ( expand_tt( c1.function, pos1, c1.size ) ^ compl1 );
+        c.depth = 0;
         c.area_flow = 1.0;
         for ( std::uint32_t i = 0; i < c.size; ++i )
         {
           const auto leaf = c.leaves[i];
           c.depth = std::max( c.depth, node_depth[leaf] + 1u );
-          c.area_flow += node_area_flow[leaf] / std::max( 1u, fanouts[leaf] );
+          c.area_flow += node_flow_share[leaf];
         }
-        candidates.push_back( c );
+        order[count] = static_cast<std::uint8_t>( count );
+        ++count;
       }
     }
-    std::sort( candidates.begin(), candidates.end(), []( const cut& a, const cut& b ) {
+    assert( count > 0u );
+    std::sort( order.begin(), order.begin() + count, [&]( std::uint8_t i, std::uint8_t j ) {
+      const auto& a = candidates[i];
+      const auto& b = candidates[j];
       if ( a.depth != b.depth )
       {
         return a.depth < b.depth;
@@ -200,30 +285,28 @@ lut_network lut_map( const aig_network& aig, const lut_map_params& params )
       }
       return a.size < b.size;
     } );
-    if ( candidates.size() > lut_map_params::cuts_per_node )
-    {
-      candidates.resize( lut_map_params::cuts_per_node );
-    }
-    assert( !candidates.empty() );
-    const auto& best = candidates.front();
-    best_cuts[n] = best;
+    const auto kept = std::min( count, lut_map_params::cuts_per_node );
+    const auto& best = candidates[order[0]];
+    best_cuts[n] = { best.leaves, best.size, best.function };
     node_depth[n] = best.depth;
-    node_area_flow[n] = best.area_flow;
+    node_flow_share[n] = best.area_flow / std::max( 1u, fanouts[n] );
     // The trivial cut (the node itself, at the node's mapped depth and area
     // flow) follows the real candidates; it participates in fanout merging
     // only.
-    auto trivial = trivial_cut( n );
-    trivial.depth = best.depth;
-    trivial.area_flow = best.area_flow;
-    candidates.push_back( trivial );
-    cuts[n].assign( candidates.begin(), candidates.end() );
+    auto list = cuts.assign( n, kept + 1u );
+    for ( std::uint32_t i = 0; i < kept; ++i )
+    {
+      list[i] = candidates[order[i]];
+    }
+    list[kept] = trivial_cut( n );
+    list[kept].depth = best.depth;
+    list[kept].area_flow = best.area_flow;
     // Release fanin cut lists that are no longer needed.
     for ( const auto m : { n0, n1 } )
     {
       if ( m > aig.num_pis() && pending_fanouts[m] > 0u && --pending_fanouts[m] == 0u )
       {
-        cuts[m].clear();
-        cuts[m].shrink_to_fit();
+        cuts.release( m );
       }
     }
   }

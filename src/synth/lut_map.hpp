@@ -61,8 +61,9 @@ struct lut_map_params
 };
 
 /// Maps an AIG into a k-LUT network.  Cuts live in fixed-capacity leaf
-/// arrays with one-word functions, so enumeration allocates only the
-/// per-node priority lists.  Throws std::invalid_argument when `cut_size`
+/// arrays with one-word functions, and the per-node priority lists in
+/// recycled fixed-size blocks, so enumeration allocates only while the
+/// set of live lists grows.  Throws std::invalid_argument when `cut_size`
 /// is outside [2, max_cut_size].
 lut_network lut_map( const aig_network& aig, const lut_map_params& params = {} );
 

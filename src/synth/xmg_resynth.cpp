@@ -1,9 +1,12 @@
 #include "xmg_resynth.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <array>
+#include <bit>
 #include <optional>
+#include <unordered_map>
 
+#include "../common/balanced_reduce.hpp"
 #include "esop_extract.hpp"
 #include "isop.hpp"
 #include "lut_map.hpp"
@@ -120,31 +123,129 @@ std::optional<std::pair<std::uint64_t, bool>> detect_parity( const truth_table& 
   return std::nullopt;
 }
 
-/// Detects MAJ of three (possibly complemented) support variables.
-std::optional<std::array<bool, 3>> detect_maj3( const truth_table& tt,
-                                                const std::vector<unsigned>& support )
+/// Detects MAJ of three (possibly complemented) variables: the polarity
+/// of each (bit i set = variable i complemented).
+std::optional<std::uint8_t> detect_maj3( const truth_table& tt )
 {
-  if ( support.size() != 3u )
+  if ( tt.num_vars() != 3u )
   {
     return std::nullopt;
   }
-  const auto n = tt.num_vars();
-  const auto a = truth_table::projection( n, support[0] );
-  const auto b = truth_table::projection( n, support[1] );
-  const auto c = truth_table::projection( n, support[2] );
-  for ( unsigned pol = 0; pol < 8; ++pol )
+  const auto a = truth_table::projection( 3u, 0u );
+  const auto b = truth_table::projection( 3u, 1u );
+  const auto c = truth_table::projection( 3u, 2u );
+  for ( std::uint8_t pol = 0; pol < 8u; ++pol )
   {
     const auto pa = ( pol & 1u ) ? ~a : a;
     const auto pb = ( pol & 2u ) ? ~b : b;
     const auto pc = ( pol & 4u ) ? ~c : c;
-    const auto maj = ( pa & pb ) | ( pa & pc ) | ( pb & pc );
-    if ( maj == tt )
+    if ( ( ( pa & pb ) | ( pa & pc ) | ( pb & pc ) ) == tt )
     {
-      return std::array<bool, 3>{ ( pol & 1u ) != 0u, ( pol & 2u ) != 0u, ( pol & 4u ) != 0u };
+      return pol;
     }
   }
   return std::nullopt;
 }
+
+/// How one LUT function (shrunk to its support) is built in XMG logic.
+struct lut_form
+{
+  enum class form : std::uint8_t
+  {
+    constant,
+    literal,
+    parity,
+    maj,
+    pprm,
+    sop
+  };
+  form kind = form::constant;
+  /// Output inverted: constant 1, negative literal, XNOR, or a PPRM/SOP of
+  /// the complement.
+  bool complemented = false;
+  std::uint64_t parity_vars = 0; ///< parity: the XORed variables
+  std::uint8_t maj_polarity = 0; ///< maj: bit i set = variable i complemented
+  std::vector<cube> cubes;       ///< pprm monomials or sop cubes
+  unsigned nodes = 0;            ///< nodes built, before structural hashing
+};
+
+/// Decides the form of a support-shrunk function: constants, literals,
+/// parity and MAJ directly; otherwise the PPRM or ISOP expansion of the
+/// function or its complement (free output inverter) with the fewest MAJ
+/// nodes, then the fewest nodes, the first of equals winning.
+lut_form decide_form( const truth_table& tt )
+{
+  lut_form f;
+  if ( tt.is_const0() || tt.is_const1() )
+  {
+    f.complemented = tt.is_const1();
+    return f;
+  }
+  if ( tt.num_vars() == 1u )
+  {
+    f.kind = lut_form::form::literal;
+    f.complemented = !tt.get_bit( 1 );
+    return f;
+  }
+  if ( const auto parity = detect_parity( tt ) )
+  {
+    f.kind = lut_form::form::parity;
+    f.parity_vars = parity->first;
+    f.complemented = parity->second;
+    f.nodes = static_cast<unsigned>( std::popcount( parity->first ) ) - 1u;
+    return f;
+  }
+  if ( const auto polarity = detect_maj3( tt ) )
+  {
+    f.kind = lut_form::form::maj;
+    f.maj_polarity = *polarity;
+    f.nodes = 1u;
+    return f;
+  }
+  struct candidate
+  {
+    lut_form::form kind;
+    std::vector<cube> cubes;
+    bool complemented;
+    form_cost cost;
+  };
+  auto pprm = pprm_from_truth_table( tt );
+  auto pprm_compl = pprm_from_truth_table( ~tt );
+  auto sop = isop( tt );
+  auto sop_compl = isop( ~tt );
+  const auto pprm_c = pprm_cost( pprm );
+  const auto pprm_compl_c = pprm_cost( pprm_compl );
+  const auto sop_c = isop_cost( sop );
+  const auto sop_compl_c = isop_cost( sop_compl );
+  std::array<candidate, 4> cands = { {
+      { lut_form::form::pprm, std::move( pprm ), false, pprm_c },
+      { lut_form::form::pprm, std::move( pprm_compl ), true, pprm_compl_c },
+      { lut_form::form::sop, std::move( sop ), false, sop_c },
+      { lut_form::form::sop, std::move( sop_compl ), true, sop_compl_c },
+  } };
+  auto& best = *std::min_element( cands.begin(), cands.end(),
+                                  []( const candidate& a, const candidate& b ) {
+                                    return a.cost < b.cost;
+                                  } );
+  f.kind = best.kind;
+  f.complemented = best.complemented;
+  f.cubes = std::move( best.cubes );
+  f.nodes = best.cost.total;
+  return f;
+}
+
+struct truth_table_hash
+{
+  std::size_t operator()( const truth_table& tt ) const
+  {
+    auto h = static_cast<std::size_t>( tt.num_vars() );
+    for ( const auto block : tt.blocks() )
+    {
+      h = hash_combine( h, static_cast<std::size_t>( block * 0x9e3779b97f4a7c15ull ) );
+    }
+    return h;
+  }
+};
 
 class lut_to_xmg
 {
@@ -156,25 +257,46 @@ public:
 
   xmg_network run()
   {
-    std::vector<xmg_lit> signal_lits( net_.num_pis + net_.luts.size() );
+    // Decide every LUT's form first (one decision per distinct function:
+    // a 4-LUT has at most 2^16), which bounds the XMG's size before any
+    // node exists.
+    const auto num_luts = net_.luts.size();
+    std::vector<const lut_form*> forms( num_luts );
+    std::vector<std::uint32_t> support_begin( num_luts + 1u, 0u );
+    std::vector<std::uint32_t> support_vars; // per LUT: the fanins its function depends on
+    std::unordered_map<truth_table, lut_form, truth_table_hash> memo;
+    std::vector<unsigned> support_map;
+    std::size_t max_gates = 0;
+    for ( std::size_t l = 0; l < num_luts; ++l )
+    {
+      auto tt = net_.luts[l].function.shrink_to_support( &support_map );
+      support_vars.insert( support_vars.end(), support_map.begin(), support_map.end() );
+      support_begin[l + 1u] = static_cast<std::uint32_t>( support_vars.size() );
+      auto [it, inserted] = memo.try_emplace( std::move( tt ) );
+      if ( inserted )
+      {
+        it->second = decide_form( it->first );
+      }
+      forms[l] = &it->second;
+      max_gates += it->second.nodes;
+    }
+    xmg_.reserve( max_gates );
+
+    std::vector<xmg_lit> signal_lits( net_.num_pis + num_luts );
     for ( unsigned i = 0; i < net_.num_pis; ++i )
     {
       signal_lits[i] = xmg_.pi( i );
     }
-    for ( std::size_t l = 0; l < net_.luts.size(); ++l )
+    std::vector<xmg_lit> fanins;
+    for ( std::size_t l = 0; l < num_luts; ++l )
     {
       const auto& lut = net_.luts[l];
-      std::vector<xmg_lit> fanins;
-      fanins.reserve( lut.fanins.size() );
-      for ( const auto f : lut.fanins )
+      fanins.clear();
+      for ( auto i = support_begin[l]; i < support_begin[l + 1u]; ++i )
       {
-        fanins.push_back( signal_lits[f] );
+        fanins.push_back( signal_lits[lut.fanins[support_vars[i]]] );
       }
-      signal_lits[net_.num_pis + l] = synthesize( lut.function, fanins );
-      if ( stats_ )
-      {
-        ++stats_->luts;
-      }
+      signal_lits[net_.num_pis + l] = build( *forms[l], fanins );
     }
     for ( const auto& out : net_.outputs )
     {
@@ -184,144 +306,71 @@ public:
   }
 
 private:
-  /// Synthesizes one LUT function over already-built fanin literals.
-  xmg_lit synthesize( const truth_table& tt_full, const std::vector<xmg_lit>& fanins_full )
+  /// Builds one LUT's form over the literals of its support fanins.
+  xmg_lit build( const lut_form& f, const std::vector<xmg_lit>& fanins )
   {
-    // Work on the support only.
-    std::vector<unsigned> support_map;
-    const auto tt = tt_full.shrink_to_support( &support_map );
-    std::vector<xmg_lit> fanins;
-    fanins.reserve( support_map.size() );
-    for ( const auto v : support_map )
+    if ( stats_ )
     {
-      fanins.push_back( fanins_full[v] );
+      ++stats_->luts;
+      switch ( f.kind )
+      {
+      case lut_form::form::parity:
+      case lut_form::form::maj:
+        ++stats_->direct_forms;
+        break;
+      case lut_form::form::pprm:
+        ++stats_->pprm_forms;
+        break;
+      case lut_form::form::sop:
+        ++stats_->isop_forms;
+        break;
+      default:
+        break;
+      }
     }
-
-    if ( tt.is_const0() )
+    const xmg_lit invert = f.complemented ? 1u : 0u;
+    switch ( f.kind )
     {
-      return xmg_network::const0;
-    }
-    if ( tt.is_const1() )
-    {
-      return xmg_network::const1;
-    }
-    if ( tt.num_vars() == 1u )
-    {
-      return tt.get_bit( 1 ) ? fanins[0] : ( fanins[0] ^ 1u );
-    }
-
-    // Direct parity form.
-    if ( const auto parity = detect_parity( tt ) )
+    case lut_form::form::constant:
+      return xmg_network::const0 ^ invert;
+    case lut_form::form::literal:
+      return fanins[0] ^ invert;
+    case lut_form::form::parity:
     {
       std::vector<xmg_lit> terms;
       for ( unsigned v = 0; v < fanins.size(); ++v )
       {
-        if ( ( parity->first >> v ) & 1u )
+        if ( ( f.parity_vars >> v ) & 1u )
         {
           terms.push_back( fanins[v] );
         }
       }
-      if ( stats_ )
-      {
-        ++stats_->direct_forms;
-      }
-      return xmg_.create_nary_xor( std::move( terms ) ) ^ ( parity->second ? 1u : 0u );
+      return xmg_.create_nary_xor( std::move( terms ) ) ^ invert;
     }
-
-    // Direct MAJ form.
-    {
-      std::vector<unsigned> support( fanins.size() );
-      for ( unsigned v = 0; v < fanins.size(); ++v )
-      {
-        support[v] = v;
-      }
-      if ( const auto maj = detect_maj3( tt, support ) )
-      {
-        if ( stats_ )
-        {
-          ++stats_->direct_forms;
-        }
-        return xmg_.create_maj( fanins[0] ^ ( ( *maj )[0] ? 1u : 0u ),
-                                fanins[1] ^ ( ( *maj )[1] ? 1u : 0u ),
-                                fanins[2] ^ ( ( *maj )[2] ? 1u : 0u ) );
-      }
+    case lut_form::form::maj:
+      return xmg_.create_maj( fanins[0] ^ ( f.maj_polarity & 1u ),
+                              fanins[1] ^ ( ( f.maj_polarity >> 1 ) & 1u ),
+                              fanins[2] ^ ( ( f.maj_polarity >> 2 ) & 1u ) );
+    default:
+      break;
     }
-
-    // Candidate expansions: PPRM (XOR-friendly) vs. ISOP (SOP), both also
-    // for the complement (free output inverters).
-    const auto pprm = pprm_from_truth_table( tt );
-    const auto pprm_compl = pprm_from_truth_table( ~tt );
-    const auto sop = isop( tt );
-    const auto sop_compl = isop( ~tt );
-
-    struct candidate
+    std::vector<xmg_lit> terms;
+    terms.reserve( f.cubes.size() );
+    for ( const auto& c : f.cubes )
     {
-      enum class form
-      {
-        pprm,
-        sop
-      } kind;
-      const std::vector<cube>* cubes;
-      bool complemented;
-      form_cost cost;
-    };
-    std::vector<candidate> cands = {
-        { candidate::form::pprm, &pprm, false, pprm_cost( pprm ) },
-        { candidate::form::pprm, &pprm_compl, true, pprm_cost( pprm_compl ) },
-        { candidate::form::sop, &sop, false, isop_cost( sop ) },
-        { candidate::form::sop, &sop_compl, true, isop_cost( sop_compl ) },
-    };
-    const auto best = std::min_element( cands.begin(), cands.end(),
-                                        []( const candidate& a, const candidate& b ) {
-                                          return a.cost < b.cost;
-                                        } );
-    if ( stats_ )
-    {
-      if ( best->kind == candidate::form::pprm )
-      {
-        ++stats_->pprm_forms;
-      }
-      else
-      {
-        ++stats_->isop_forms;
-      }
+      terms.push_back( build_monomial( xmg_, c, fanins ) );
     }
-    xmg_lit result;
-    if ( best->kind == candidate::form::pprm )
+    if ( f.kind == lut_form::form::pprm )
     {
-      std::vector<xmg_lit> terms;
-      terms.reserve( best->cubes->size() );
-      for ( const auto& m : *best->cubes )
-      {
-        terms.push_back( build_monomial( xmg_, m, fanins ) );
-      }
-      result = xmg_.create_nary_xor( std::move( terms ) );
+      return xmg_.create_nary_xor( std::move( terms ) ) ^ invert;
     }
-    else
+    if ( terms.empty() )
     {
-      std::vector<xmg_lit> terms;
-      terms.reserve( best->cubes->size() );
-      for ( const auto& c : *best->cubes )
-      {
-        terms.push_back( build_monomial( xmg_, c, fanins ) );
-      }
-      // OR tree via MAJ(a, b, 1).
-      while ( terms.size() > 1u )
-      {
-        std::vector<xmg_lit> next;
-        for ( std::size_t i = 0; i + 1u < terms.size(); i += 2u )
-        {
-          next.push_back( xmg_.create_or( terms[i], terms[i + 1u] ) );
-        }
-        if ( terms.size() & 1u )
-        {
-          next.push_back( terms.back() );
-        }
-        terms = std::move( next );
-      }
-      result = terms.empty() ? xmg_network::const0 : terms[0];
+      return xmg_network::const0 ^ invert;
     }
-    return result ^ ( best->complemented ? 1u : 0u );
+    // OR tree via MAJ(a, b, 1).
+    return reduce_balanced( terms, [this]( xmg_lit a, xmg_lit b ) { return xmg_.create_or( a, b ); } ) ^
+           invert;
   }
 
   const lut_network& net_;

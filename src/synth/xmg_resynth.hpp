@@ -12,7 +12,9 @@
 ///  * the ISOP expansion (SOP over AND/OR nodes),
 ///
 /// and picks the candidate with the fewest MAJ nodes (ties: fewer total
-/// nodes).  Structural hashing in the target XMG shares logic across LUTs.
+/// nodes).  The choice depends only on the support-shrunk function, so it
+/// is made once per distinct function.  Structural hashing in the target
+/// XMG shares logic across LUTs.
 
 #pragma once
 

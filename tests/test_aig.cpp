@@ -196,6 +196,37 @@ TEST( aig, cleanup_preserves_complemented_pos )
   EXPECT_EQ( clean.simulate_outputs(), aig.simulate_outputs() );
 }
 
+TEST( aig, cleanup_keeps_a_canonical_network_and_rebuilds_raw_nodes )
+{
+  // Without dangling nodes a strashed network is its own cleanup, node for
+  // node, and keeps hash-consing.
+  aig_network aig( 3 );
+  const auto ab = aig.create_and( aig.pi( 0 ), aig.pi( 1 ) );
+  aig.add_po( aig.create_or( ab, lit_not( aig.pi( 2 ) ) ) );
+  aig.add_po( lit_not( ab ) );
+  std::vector<aig_lit> map;
+  auto clean = aig.cleanup( &map );
+  EXPECT_EQ( clean.content_hash(), aig.content_hash() );
+  ASSERT_EQ( map.size(), aig.num_nodes() );
+  for ( std::uint32_t n = 0; n < aig.num_nodes(); ++n )
+  {
+    EXPECT_EQ( map[n], make_lit( n ) );
+  }
+  EXPECT_EQ( clean.create_and( aig.pi( 1 ), aig.pi( 0 ) ), ab );
+  EXPECT_EQ( clean.num_ands(), aig.num_ands() );
+
+  // Raw nodes that create_and would fold or merge are rebuilt by it: a
+  // duplicate fanin pair, reversed fanins and a constant fanin.
+  aig_network raw( 2 );
+  const auto first = raw.append_raw_and( raw.pi( 0 ), raw.pi( 1 ) );
+  const auto twin = raw.append_raw_and( raw.pi( 1 ), raw.pi( 0 ) );
+  const auto with_const = raw.append_raw_and( aig_network::const1, twin );
+  raw.add_po( raw.append_raw_and( first, with_const ) );
+  const auto rebuilt = raw.cleanup();
+  EXPECT_EQ( rebuilt.num_ands(), 1u );
+  EXPECT_EQ( rebuilt.simulate_outputs(), raw.simulate_outputs() );
+}
+
 TEST( aig, levels_and_depth )
 {
   aig_network aig( 4 );
@@ -338,6 +369,45 @@ TEST( strash_table, matches_unordered_map_oracle_two_word_keys )
   for ( const std::uint64_t seed : { 4u, 5u } )
   {
     EXPECT_GE( replay_against_oracle<2>( seed, 4000 ), 5u ) << "seed " << seed;
+  }
+}
+
+TEST( strash_table, reserved_table_answers_like_a_grown_one )
+{
+  // A presized table must return the same find/insert results as one that
+  // grew insert by insert, duplicate inserts keeping the first value
+  // included, and reserve never shrinks the table.
+  std::mt19937_64 rng( 17 );
+  strash_table<2> grown;
+  strash_table<2> presized;
+  presized.reserve( 3000 );
+  const auto reserved = presized.capacity();
+  EXPECT_GE( reserved, 6000u );
+  EXPECT_TRUE( is_power_of_two( reserved ) );
+  std::vector<strash_table<2>::key_type> seen;
+  for ( std::uint32_t step = 0; step < 3000u; ++step )
+  {
+    const bool repeat = !seen.empty() && rng() % 3u == 0u;
+    const auto key = repeat ? seen[rng() % seen.size()]
+                            : strash_table<2>::key_type{ rng() % 4096u, rng() % 4096u };
+    seen.push_back( key );
+    EXPECT_EQ( presized.insert( key, step ), grown.insert( key, step ) ) << "step " << step;
+    const strash_table<2>::key_type probe{ rng() % 4096u, rng() % 4096u };
+    EXPECT_EQ( presized.find( probe ), grown.find( probe ) ) << "step " << step;
+  }
+  EXPECT_EQ( presized.size(), grown.size() );
+  EXPECT_EQ( presized.capacity(), reserved ); // no regrowth within the reservation
+  for ( const auto& key : seen )
+  {
+    EXPECT_EQ( presized.find( key ), grown.find( key ) );
+  }
+  presized.reserve( 10 );
+  EXPECT_EQ( presized.capacity(), reserved ); // never shrinks
+  grown.reserve( 4 * grown.size() );
+  EXPECT_GE( grown.capacity(), 8 * grown.size() );
+  for ( const auto& key : seen )
+  {
+    EXPECT_EQ( presized.find( key ), grown.find( key ) ); // survives a rehash
   }
 }
 

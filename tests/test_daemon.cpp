@@ -181,6 +181,23 @@ TEST( daemon, explicit_table_flow_over_the_input_limit_is_rejected_before_elabor
   EXPECT_EQ( daemon.stats().synthesized, 0u );
 }
 
+TEST( daemon, hierarchical_bitwidth_above_table_iv_scale_is_rejected_before_elaboration )
+{
+  synthesis_daemon daemon( {} );
+  // Elaborating NEWTON(4096) would take minutes; the bitwidth error proves
+  // the limit is checked first.
+  for ( const auto* request : { R"({"cmd":"synthesize","design":"newton","bitwidth":4096})",
+                                R"({"cmd":"synthesize","design":"intdiv","bitwidth":129,"flow":"hierarchical"})" } )
+  {
+    const auto response = daemon.handle_request( request );
+    EXPECT_TRUE( contains( response, "\"ok\":false" ) ) << response;
+    EXPECT_TRUE( contains( response, "bitwidth" ) ) << response;
+    EXPECT_TRUE( contains( response, "128-input limit" ) ) << response;
+  }
+  EXPECT_EQ( daemon.stats().errors, 2u );
+  EXPECT_EQ( daemon.stats().synthesized, 0u );
+}
+
 TEST( daemon, negative_integer_fields_are_rejected )
 {
   synthesis_daemon daemon( {} );

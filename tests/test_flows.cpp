@@ -486,6 +486,21 @@ TEST( flows, explicit_table_flows_fail_at_entry_over_the_input_limit )
   EXPECT_TRUE( result.verified );
 }
 
+TEST( flows, hierarchical_flow_takes_designs_wider_than_table_iv )
+{
+  // The hierarchical flow builds no explicit table, so user designs wider
+  // than INTDIV(128), the daemon's largest bitwidth, still compile.
+  constexpr unsigned num_inputs = 130;
+  aig_network wide( num_inputs );
+  wide.add_po( wide.create_and( wide.pi( 0 ), wide.pi( num_inputs - 1u ) ) );
+  wide.add_po( wide.create_xor( wide.pi( 64 ), wide.pi( 65 ) ) );
+  flow_params params;
+  params.kind = flow_kind::hierarchical;
+  const auto result = run_flow_on_aig( wide, params );
+  EXPECT_EQ( result.status, flow_status::ok ) << result.status_detail;
+  EXPECT_GT( result.circuit.num_gates(), 0u );
+}
+
 TEST( flows, cache_rejects_same_size_different_function_design )
 {
   // Regression for the size-only design fingerprint: `a AND b` and

@@ -84,6 +84,28 @@ std::uint64_t fingerprint( const lut_network& net )
   return h.digest();
 }
 
+/// Order-sensitive structural fingerprint of an XMG: every node's kind and
+/// fanin literals in topological order, then the outputs.
+std::uint64_t fingerprint( const xmg_network& xmg )
+{
+  content_hasher h;
+  h.update( xmg.num_pis() );
+  h.update( xmg.num_nodes() );
+  for ( std::uint32_t n = xmg.num_pis() + 1u; n < xmg.num_nodes(); ++n )
+  {
+    h.update( static_cast<unsigned>( xmg.kind( n ) ) );
+    for ( const auto f : xmg.fanins( n ) )
+    {
+      h.update_u32( f );
+    }
+  }
+  for ( const auto po : xmg.pos() )
+  {
+    h.update_u32( po );
+  }
+  return h.digest();
+}
+
 bool xmg_equals_aig( const aig_network& aig, const xmg_network& xmg )
 {
   for ( std::uint64_t i = 0; i < ( std::uint64_t{ 1 } << aig.num_pis() ); ++i )
@@ -172,21 +194,55 @@ TEST( lut_map, newton8_mapping_is_pinned )
   }
 }
 
+TEST( lut_map, compile_cold_shapes_are_pinned )
+{
+  // The optimized AIG and its 4-LUT cover of the two Table IV shapes that
+  // dominate a cold compile, recorded before the front end skipped work
+  // that cannot change its result: cut pruning, cone evaluation and the
+  // presized builders must keep producing these exact networks.
+  struct pin
+  {
+    const char* design;
+    std::string verilog;
+    std::uint64_t optimized;
+    std::uint64_t luts;
+  };
+  const pin pins[] = {
+      { "NEWTON(16)", verilog::generate_newton( 16 ), 0xb5f6f38cec9d5227ull, 0x53200f31625ae8dbull },
+      { "INTDIV(16)", verilog::generate_intdiv( 16 ), 0x5c99d0af07c39d11ull, 0x100f94c9121c8a8eull },
+  };
+  for ( const auto& p : pins )
+  {
+    const auto aig = optimize( verilog::elaborate_verilog( p.verilog ).aig, 2 );
+    const auto hash = aig.content_hash();
+    EXPECT_EQ( hash, p.optimized ) << p.design << ": 0x" << std::hex << hash;
+    const auto fp = fingerprint( lut_map( aig ) );
+    EXPECT_EQ( fp, p.luts ) << p.design << ": 0x" << std::hex << fp;
+  }
+}
+
 TEST( lut_map, million_and_chain_maps_without_recursion )
 {
-  // A chain this deep overflowed the stack of a recursive cover walk.
+  // Chains this deep overflowed the stack of a recursive cover walk and of
+  // the recursive balance and refactor walks: an AND/OR chain (a million
+  // small AND trees, each the input of the next) and a pure AND chain (one
+  // AND tree of a million conjuncts).
   constexpr unsigned num_pis = 8;
   aig_network aig( num_pis );
   auto chain = aig.pi( 0 );
+  auto conj = aig.pi( 1 );
   for ( unsigned i = 1; i <= 1000000u; ++i )
   {
     const auto x = aig.pi( i % num_pis );
     chain = ( i & 1u ) ? aig.create_and( chain, x ) : aig.create_or( chain, x );
+    conj = aig.create_and( conj, x ^ ( ( i / num_pis ) & 1u ) );
   }
   aig.add_po( chain );
-  ASSERT_GE( aig.num_ands(), 1000000u );
-  const auto net = lut_map( aig );
-  ASSERT_EQ( net.outputs.size(), 1u );
+  aig.add_po( conj );
+  ASSERT_GE( aig.num_ands(), 1999000u );
+  const auto optimized = optimize( aig, 2 );
+  const auto net = lut_map( optimized );
+  ASSERT_EQ( net.outputs.size(), 2u );
   std::mt19937_64 rng( 7 );
   for ( int trial = 0; trial < 8; ++trial )
   {
@@ -195,7 +251,40 @@ TEST( lut_map, million_and_chain_maps_without_recursion )
     {
       inputs[b] = rng() & 1u;
     }
-    EXPECT_EQ( aig.evaluate( inputs ), net.evaluate( inputs ) );
+    const auto expected = aig.evaluate( inputs );
+    EXPECT_EQ( optimized.evaluate( inputs ), expected );
+    EXPECT_EQ( net.evaluate( inputs ), expected );
+  }
+}
+
+TEST( xmg_resynth, newton8_xmg_is_pinned )
+{
+  // The XMG and the form counters of the resynthesis of optimized
+  // NEWTON(8), recorded before the per-function form decision was
+  // memoized: the memo must pick the same form, with the same cubes, in
+  // the same first-wins order as deciding every LUT afresh.
+  const auto aig = optimize( verilog::elaborate_verilog( verilog::generate_newton( 8 ) ).aig, 2 );
+  struct pin
+  {
+    unsigned k;
+    std::uint64_t xmg;
+    xmg_resynth_stats stats;
+  };
+  const pin pins[] = {
+      { 3u, 0x770771e6f496eb6eull, { 4580u, 3183u, 1236u, 161u } },
+      { 4u, 0x8cb745e4a6b9b4e6ull, { 3610u, 1025u, 2447u, 138u } },
+      { 6u, 0x062d343cb91eea22ull, { 3306u, 473u, 2234u, 599u } },
+  };
+  for ( const auto& p : pins )
+  {
+    xmg_resynth_stats stats;
+    const auto xmg = xmg_from_aig( aig, p.k, &stats );
+    const auto fp = fingerprint( xmg );
+    EXPECT_EQ( fp, p.xmg ) << "k = " << p.k << ": 0x" << std::hex << fp;
+    EXPECT_EQ( stats.luts, p.stats.luts ) << "k = " << p.k;
+    EXPECT_EQ( stats.direct_forms, p.stats.direct_forms ) << "k = " << p.k;
+    EXPECT_EQ( stats.pprm_forms, p.stats.pprm_forms ) << "k = " << p.k;
+    EXPECT_EQ( stats.isop_forms, p.stats.isop_forms ) << "k = " << p.k;
   }
 }
 
