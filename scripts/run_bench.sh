@@ -689,8 +689,8 @@ cmake --build "$ASAN_DIR" -j "$(nproc)" \
 # words by node id: both are out-of-bounds accesses waiting to happen.
 "$ASAN_DIR/tests/test_sat"
 "$ASAN_DIR/tests/test_aig"
-# The daemon hands slots and exception_ptrs across request threads and
-# decodes cached outcomes from on-disk bytes.
+# The daemon hands cache slots across request threads and decodes cached
+# outcomes from on-disk bytes.
 "$ASAN_DIR/tests/test_daemon"
 # The SAT tier's dispatch (enumeration up to 16 inputs, the engine above),
 # the verify-tier degradation ladder and the parser's nesting limit.
@@ -738,7 +738,7 @@ echo "test_robustness + test_scheduler + test_store + test_verify + test_lut_xmg
 TSAN_DIR="$REPO_ROOT/build-tsan-robustness"
 cmake -B "$TSAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$(nproc)" --target test_robustness test_scheduler test_daemon \
-  test_flows
+  test_flows test_store
 "$TSAN_DIR/tests/test_robustness"
 # The scheduler suite under TSan runs at the pool widths the ctest fixtures
 # pin: stealing races only exist with >= 2 workers.
@@ -752,5 +752,9 @@ QSYN_THREADS=2 "$TSAN_DIR/tests/test_scheduler"
 # The artifact cache locks one slot per key: its suite races first requests
 # of one key, and a memory hit against another key's computation.
 "$TSAN_DIR/tests/test_flows"
+# The store tier of the same slots: loads, saves and budget upgrades,
+# including store-backed sweeps on several threads.
+"$TSAN_DIR/tests/test_store"
 echo
-echo "test_robustness + test_scheduler + test_daemon + test_flows OK under ThreadSanitizer"
+echo "test_robustness + test_scheduler + test_daemon + test_flows + test_store OK under" \
+     "ThreadSanitizer"

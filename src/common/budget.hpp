@@ -180,10 +180,11 @@ struct budget
 
   /// True when this budget is at least as generous as `other` in every
   /// dimension and strictly more generous in at least one (0 = unlimited
-  /// ranks above any finite value).  The daemon's result cache uses this
-  /// to decide whether a requester's budget justifies recomputing a
-  /// cached `degraded` outcome: only a strictly better-funded request can
-  /// hope for a better verdict.
+  /// ranks above any finite value).  `flow_artifact_cache`'s upgrade
+  /// rule uses this to decide whether a requester's budget justifies
+  /// recomputing an imperfect cached value (an out-of-budget ESOP, a
+  /// `degraded` outcome): only a strictly better-funded request can hope
+  /// for a better one.
   [[nodiscard]] bool more_generous_than( const budget& other ) const noexcept
   {
     // Map 0/negative ("unlimited") onto +inf so one comparison rule works.

@@ -128,11 +128,11 @@ std::string xmg_artifact_key( unsigned rounds, unsigned cut_size )
   return "xmg[r=" + std::to_string( rounds ) + ",k=" + std::to_string( cut_size ) + "]";
 }
 
-/// What `flow_artifact_cache::fetch` needs to know about one artifact kind.
+/// What `flow_artifact_cache::fetch` needs to know about one kind of value.
 template<typename T>
 struct artifact_spec
 {
-  const char* site = nullptr;         ///< fault-injection site polled before computing
+  const char* site = nullptr;         ///< fault-injection site polled before computing, if any
   std::optional<unsigned> upstream{}; ///< compute from optimized(aig, *upstream), else from the design
   std::function<T( const aig_network& )> compute{};
   /// Store tier (none when `store_name` is empty): payload kind, key and codec.
@@ -140,13 +140,101 @@ struct artifact_spec
   std::string store_name{};
   std::function<void( store::byte_writer&, const T& )> encode{};
   std::function<T( store::byte_reader& )> decode{};
-  /// Runs under the slot lock on every memory or store hit; returns true
-  /// when it replaced the slot's artifact (the ESOP budget upgrade), which
-  /// is then written back to the store.
-  std::function<bool( std::shared_ptr<T>& )> refresh{};
+  /// The upgrade rule (none when `imperfect` is empty): an `imperfect`
+  /// value is recomputed for a requester whose budget is more generous
+  /// than the one it was produced under.  `requested` is the budget a
+  /// value computed now records; kinds with the rule store it ahead of the
+  /// payload.
+  budget requested{};
+  std::function<bool( const T& )> imperfect{};
+  /// Only values that pass `keep` are cached and saved (all, when empty).
+  std::function<bool( const T& )> keep{};
   /// Honour the `cache.hit` trip on memory hits (the optimized AIG only).
   bool trip_on_hit = false;
+  /// Count the lookup in `cache_stats` (outcomes count in the daemon's stats).
+  bool counted = true;
+  /// The accessor hands out references, so a value that leaves the slot
+  /// is retired, not destroyed (outcomes are handed out as shared_ptr).
+  bool by_reference = true;
 };
+
+void write_budget( store::byte_writer& w, const budget& b )
+{
+  w.f64( b.deadline_seconds );
+  w.u64( b.sat_conflict_budget );
+  w.u64( b.sat_propagation_budget );
+  w.u64( b.exorcism_pair_budget );
+}
+
+budget read_budget( store::byte_reader& r )
+{
+  budget b;
+  b.deadline_seconds = r.f64();
+  b.sat_conflict_budget = r.u64();
+  b.sat_propagation_budget = r.u64();
+  b.exorcism_pair_budget = r.u64();
+  return b;
+}
+
+void encode_outcome( store::byte_writer& w, const flow_result& result )
+{
+  w.u8( static_cast<std::uint8_t>( result.status ) );
+  w.u8( result.verified ? 1u : 0u );
+  w.u8( static_cast<std::uint8_t>( result.verified_with ) );
+  w.u8( result.verify_downgraded ? 1u : 0u );
+  w.f64( result.runtime_seconds );
+  w.f64( result.verify_seconds );
+  w.u32( result.costs.qubits );
+  w.u64( result.costs.t_count );
+  w.u64( result.costs.gates );
+  w.u64( result.costs.toffoli_gates );
+  w.u64( result.costs.depth );
+  w.u64( result.esop_terms );
+  w.u64( result.xmg_maj );
+  w.u64( result.xmg_xor );
+  w.u32( result.embedding_lines );
+  w.u64( result.max_collisions );
+  w.u64( result.aig_nodes_initial );
+  w.u64( result.aig_nodes_optimized );
+  w.str( result.status_detail );
+  store::write_circuit( w, result.circuit );
+}
+
+flow_result decode_outcome( store::byte_reader& r )
+{
+  flow_result result;
+  const auto status = r.u8();
+  if ( status > static_cast<std::uint8_t>( flow_status::failed ) )
+  {
+    throw store::deserialize_error( "outcome: unknown status" );
+  }
+  result.status = static_cast<flow_status>( status );
+  result.verified = r.u8() != 0u;
+  const auto tier = r.u8();
+  if ( tier > static_cast<std::uint8_t>( verify_mode::sat ) )
+  {
+    throw store::deserialize_error( "outcome: unknown verify tier" );
+  }
+  result.verified_with = static_cast<verify_mode>( tier );
+  result.verify_downgraded = r.u8() != 0u;
+  result.runtime_seconds = r.f64();
+  result.verify_seconds = r.f64();
+  result.costs.qubits = r.u32();
+  result.costs.t_count = r.u64();
+  result.costs.gates = r.u64();
+  result.costs.toffoli_gates = r.u64();
+  result.costs.depth = r.u64();
+  result.esop_terms = r.u64();
+  result.xmg_maj = r.u64();
+  result.xmg_xor = r.u64();
+  result.embedding_lines = r.u32();
+  result.max_collisions = r.u64();
+  result.aig_nodes_initial = r.u64();
+  result.aig_nodes_optimized = r.u64();
+  result.status_detail = r.str();
+  result.circuit = store::read_circuit( r );
+  return result;
+}
 
 } // namespace
 
@@ -155,23 +243,15 @@ struct artifact_spec
 flow_artifact_cache::flow_artifact_cache() = default;
 flow_artifact_cache::~flow_artifact_cache() = default;
 
-void flow_artifact_cache::check_same_design( const aig_network& aig )
+void flow_artifact_cache::check_same_design( std::uint64_t hash )
 {
   if ( !bound_ )
   {
     bound_ = true;
-    bound_pis_ = aig.num_pis();
-    bound_pos_ = aig.num_pos();
-    bound_ands_ = aig.num_ands();
-    bound_hash_ = aig.content_hash();
+    bound_hash_ = hash;
     return;
   }
-  // Cheap size pre-check first; the structural hash then catches
-  // equal-sized but functionally distinct designs, which a size-only
-  // fingerprint silently aliased (serving one design's artifacts for the
-  // other).
-  if ( aig.num_pis() != bound_pis_ || aig.num_pos() != bound_pos_ ||
-       aig.num_ands() != bound_ands_ || aig.content_hash() != bound_hash_ )
+  if ( hash != bound_hash_ )
   {
     throw std::invalid_argument(
         "flow_artifact_cache: cache is bound to one design AIG (structural content hash "
@@ -185,67 +265,56 @@ void flow_artifact_cache::attach_store( std::shared_ptr<store::artifact_store> d
   store_ = std::move( disk );
 }
 
-std::shared_ptr<store::artifact_store> flow_artifact_cache::attached_store() const
-{
-  std::lock_guard<std::mutex> lock( mutex_ );
-  return store_;
-}
-
 std::uint64_t flow_artifact_cache::design_hash() const
 {
   std::lock_guard<std::mutex> lock( mutex_ );
   return bound_ ? bound_hash_ : 0u;
 }
 
-void flow_artifact_cache::count( std::size_t cache_stats::*counter )
-{
-  std::lock_guard<std::mutex> lock( mutex_ );
-  ++( stats_.*counter );
-}
-
 template<typename Key, typename T, typename Spec>
-const T& flow_artifact_cache::fetch( slot_map<Key, T>& slots, const aig_network& aig,
-                                     const Key& key, const Spec& spec )
+std::shared_ptr<const T> flow_artifact_cache::fetch( slot_map<Key, T>& slots,
+                                                     const aig_network& aig, const Key& key,
+                                                     const Spec& spec, lookup& how )
 {
+  // Memoized on the network: only a design's first lookup hashes it.
+  const auto hash = aig.content_hash();
   slot<T>* s = nullptr;
-  std::shared_ptr<store::artifact_store> disk;
-  store::store_key skey;
   {
     std::lock_guard<std::mutex> lock( mutex_ );
-    check_same_design( aig ); // binds the design hash before any store key is built
+    check_same_design( hash ); // binds the design hash before any store key is built
     auto& entry = slots[key];
     if ( !entry )
     {
       entry = std::make_unique<slot<T>>();
     }
     s = entry.get();
-    if ( !spec.store_name.empty() )
-    {
-      disk = store_;
-      skey = { bound_hash_, spec.kind, spec.store_name };
-    }
   }
-  // Lock order: artifact slot → optimize slot (a derived artifact computes
-  // its upstream optimized AIG while holding its own slot), never the
-  // reverse.  The cache mutex is only taken briefly, never while waiting
-  // on a slot.
-  std::lock_guard<std::mutex> lock( s->mutex );
-  const auto save = [&] {
-    if ( disk )
+  const auto tally = [&]( std::size_t cache_stats::*counter ) {
+    if ( spec.counted )
     {
-      store::byte_writer w;
-      spec.encode( w, *s->value );
-      disk->save( skey, w.take() );
+      std::lock_guard<std::mutex> cache_lock( mutex_ );
+      ++( stats_.*counter );
     }
   };
-  const auto serve = [&]( std::size_t cache_stats::*counter ) -> const T& {
-    count( counter );
-    if ( spec.refresh && spec.refresh( s->value ) )
-    {
-      save();
-    }
-    return *s->value;
+  const auto entitled = [&]( const T& value, const budget& with ) {
+    return spec.imperfect && spec.imperfect( value ) && spec.requested.more_generous_than( with );
   };
+  // Lock order: outcome slot → artifact slot → optimize slot (a request
+  // computes its flow, and a derived artifact its upstream optimized AIG,
+  // while holding its own slot), never the reverse.  The cache mutex is
+  // only taken briefly, never while waiting on a slot.
+  const auto seen = s->computations.load();
+  std::unique_lock<std::mutex> lock( s->mutex, std::try_to_lock );
+  if ( !lock.owns_lock() )
+  {
+    how.waited = true;
+    lock.lock();
+  }
+  if ( how.waited && s->computations.load() != seen && !entitled( *s->latest, s->latest_with ) )
+  {
+    tally( &cache_stats::hits );
+    return s->latest;
+  }
   if ( s->value )
   {
     // An injected "cache.hit" trip forces this hit to behave like a miss:
@@ -254,23 +323,46 @@ const T& flow_artifact_cache::fetch( slot_map<Key, T>& slots, const aig_network&
     // references stay safe) and the miss is counted.
     if ( spec.trip_on_hit && fault_injection::poll( "cache.hit" ) )
     {
-      count( &cache_stats::misses );
+      tally( &cache_stats::misses );
       (void)spec.compute( aig );
-      return *s->value;
+      return s->value;
     }
-    return serve( &cache_stats::hits );
+    if ( !entitled( *s->value, s->value_with ) )
+    {
+      tally( &cache_stats::hits );
+      return s->value;
+    }
+    how.upgraded = true;
   }
-  if ( disk )
+
+  std::shared_ptr<store::artifact_store> disk;
+  store::store_key skey;
+  if ( !spec.store_name.empty() )
+  {
+    std::lock_guard<std::mutex> cache_lock( mutex_ );
+    disk = store_;
+    skey = { bound_hash_, spec.kind, spec.store_name };
+  }
+  // The store is pointless when the memory entry is being upgraded.
+  if ( disk && !how.upgraded )
   {
     if ( const auto payload = disk->load( skey ) )
     {
       try
       {
         store::byte_reader r( *payload );
-        auto value = spec.decode( r );
+        const auto with = spec.imperfect ? read_budget( r ) : budget{};
+        auto value = std::make_shared<const T>( spec.decode( r ) );
         r.expect_end();
-        s->value = std::make_shared<T>( std::move( value ) );
-        return serve( &cache_stats::store_hits );
+        if ( !entitled( *value, with ) )
+        {
+          s->value = value;
+          s->value_with = with;
+          tally( &cache_stats::store_hits );
+          how.served = tier::store;
+          return value;
+        }
+        how.upgraded = true;
       }
       catch ( const store::deserialize_error& )
       {
@@ -278,27 +370,64 @@ const T& flow_artifact_cache::fetch( slot_map<Key, T>& slots, const aig_network&
       }
     }
   }
+
   const auto& source = spec.upstream ? optimized( aig, *spec.upstream ) : aig;
-  count( &cache_stats::misses );
-  fault_injection::poll( spec.site );
-  s->value = std::make_shared<T>( spec.compute( source ) );
-  save();
-  return *s->value;
+  tally( how.upgraded ? &cache_stats::upgrades : &cache_stats::misses );
+  if ( spec.site )
+  {
+    fault_injection::poll( spec.site );
+  }
+  const auto value = std::make_shared<const T>( spec.compute( source ) );
+  how.served = tier::computed;
+
+  // Publish, still holding the slot.
+  const auto retire = [&]( std::shared_ptr<const T> old ) {
+    if ( old && spec.by_reference )
+    {
+      std::lock_guard<std::mutex> cache_lock( mutex_ );
+      retired_.push_back( std::move( old ) );
+    }
+  };
+  if ( s->latest != s->value )
+  {
+    retire( std::move( s->latest ) );
+  }
+  s->latest = value;
+  s->latest_with = spec.requested;
+  if ( !spec.keep || spec.keep( *value ) )
+  {
+    retire( std::exchange( s->value, value ) );
+    s->value_with = spec.requested;
+    if ( disk )
+    {
+      store::byte_writer w;
+      if ( spec.imperfect )
+      {
+        write_budget( w, spec.requested );
+      }
+      spec.encode( w, *value );
+      disk->save( skey, w.take() );
+    }
+  }
+  s->computations.fetch_add( 1 );
+  return value;
 }
 
 const aig_network& flow_artifact_cache::optimized( const aig_network& aig, unsigned rounds )
 {
-  return fetch( optimized_, aig, rounds,
-                artifact_spec<aig_network>{
-                    .site = "flow.optimize",
-                    .compute = [rounds]( const aig_network& design ) {
-                      return optimize( design, rounds );
-                    },
-                    .kind = store::payload_kind::aig,
-                    .store_name = optimize_artifact_key( rounds ),
-                    .encode = store::write_aig,
-                    .decode = store::read_aig,
-                    .trip_on_hit = true } );
+  lookup how;
+  return *fetch( optimized_, aig, rounds,
+                 artifact_spec<aig_network>{
+                     .site = "flow.optimize",
+                     .compute = [rounds]( const aig_network& design ) {
+                       return optimize( design, rounds );
+                     },
+                     .kind = store::payload_kind::aig,
+                     .store_name = optimize_artifact_key( rounds ),
+                     .encode = store::write_aig,
+                     .decode = store::read_aig,
+                     .trip_on_hit = true },
+                 how );
 }
 
 const flow_artifact_cache::functional_artifact&
@@ -307,28 +436,31 @@ flow_artifact_cache::functional_intermediate( const aig_network& aig, unsigned r
   // The functional intermediate (truth tables + embedding) has no disk
   // tier: it is exponential in the input count by construction, so it is
   // only ever built for small designs where recomputing is cheap.
-  return fetch( functional_, aig, rounds,
-                artifact_spec<functional_artifact>{
-                    .site = "flow.collapse",
-                    .upstream = rounds,
-                    .compute = []( const aig_network& opt ) {
-                      functional_artifact art;
-                      art.outputs = collapse_to_truth_tables( opt );
-                      art.embed = embed_optimum( art.outputs );
-                      return art;
-                    } } );
+  lookup how;
+  return *fetch( functional_, aig, rounds,
+                 artifact_spec<functional_artifact>{
+                     .site = "flow.collapse",
+                     .upstream = rounds,
+                     .compute = []( const aig_network& opt ) {
+                       functional_artifact art;
+                       art.outputs = collapse_to_truth_tables( opt );
+                       art.embed = embed_optimum( art.outputs );
+                       return art;
+                     } },
+                 how );
 }
 
 const flow_artifact_cache::esop_artifact&
 flow_artifact_cache::esop_intermediate( const aig_network& aig, unsigned rounds,
-                                        bool run_exorcism,
-                                        const exorcism_params& minimize_limits )
+                                        bool run_exorcism, const budget& limits,
+                                        const deadline& stop )
 {
-  // A requester with an unexpired deadline carries budget: it may upgrade
-  // a cached artifact whose minimization stopped at an earlier caller's
-  // budget instead of reusing the half-minimized cube list as-is.
-  const bool requester_has_budget = run_exorcism && !minimize_limits.stop.expired();
-  return fetch(
+  // An ESOP records only the budget EXORCISM spends.
+  budget recorded;
+  recorded.deadline_seconds = limits.deadline_seconds;
+  recorded.exorcism_pair_budget = limits.exorcism_pair_budget;
+  lookup how;
+  return *fetch(
       esops_, aig, std::make_pair( rounds, run_exorcism ),
       artifact_spec<esop_artifact>{
           .site = "flow.esop",
@@ -339,7 +471,10 @@ flow_artifact_cache::esop_intermediate( const aig_network& aig, unsigned rounds,
                 art.expression = esop_from_aig( opt );
                 if ( run_exorcism )
                 {
-                  art.budget_exhausted = exorcism( art.expression, minimize_limits ).budget_exhausted;
+                  exorcism_params mlimits;
+                  mlimits.pair_budget = limits.exorcism_pair_budget;
+                  mlimits.stop = stop;
+                  art.budget_exhausted = exorcism( art.expression, mlimits ).budget_exhausted;
                 }
                 art.terms = art.expression.num_terms();
                 return art;
@@ -360,58 +495,82 @@ flow_artifact_cache::esop_intermediate( const aig_network& aig, unsigned rounds,
                 art.terms = art.expression.num_terms();
                 return art;
               },
-          .refresh =
-              [&]( std::shared_ptr<esop_artifact>& value ) {
-                if ( !value->budget_exhausted || !requester_has_budget )
-                {
-                  return false;
-                }
-                auto upgraded = std::make_shared<esop_artifact>( *value );
-                upgraded->budget_exhausted =
-                    exorcism( upgraded->expression, minimize_limits ).budget_exhausted;
-                upgraded->terms = upgraded->expression.num_terms();
-                std::lock_guard<std::mutex> lock( mutex_ );
-                // References handed out earlier stay valid.
-                retired_esops_.push_back( std::exchange( value, std::move( upgraded ) ) );
-                return true;
-              } } );
+          .requested = recorded,
+          .imperfect = []( const esop_artifact& art ) { return art.budget_exhausted; },
+          // Out of budget under an unlimited recorded budget: cut short by
+          // `stop` alone (a sweep deadline), so served but not kept.
+          .keep = [unlimited = recorded.unlimited()]( const esop_artifact& art ) {
+            return !( art.budget_exhausted && unlimited );
+          } },
+      how );
 }
 
 const flow_artifact_cache::xmg_artifact&
 flow_artifact_cache::xmg_intermediate( const aig_network& aig, unsigned rounds,
                                        unsigned cut_size )
 {
-  return fetch( xmgs_, aig, std::make_pair( rounds, cut_size ),
-                artifact_spec<xmg_artifact>{
-                    .site = "flow.xmg",
-                    .upstream = rounds,
-                    .compute =
-                        [cut_size]( const aig_network& opt ) {
-                          xmg_artifact art;
-                          art.graph = xmg_from_aig( opt, cut_size, &art.stats );
-                          return art;
+  lookup how;
+  return *fetch( xmgs_, aig, std::make_pair( rounds, cut_size ),
+                 artifact_spec<xmg_artifact>{
+                     .site = "flow.xmg",
+                     .upstream = rounds,
+                     .compute =
+                         [cut_size]( const aig_network& opt ) {
+                           xmg_artifact art;
+                           art.graph = xmg_from_aig( opt, cut_size, &art.stats );
+                           return art;
+                         },
+                     .kind = store::payload_kind::xmg,
+                     .store_name = xmg_artifact_key( rounds, cut_size ),
+                     // Store payload: graph + resynthesis statistics.
+                     .encode =
+                         []( store::byte_writer& w, const xmg_artifact& art ) {
+                           store::write_xmg( w, art.graph );
+                           w.u64( art.stats.luts );
+                           w.u64( art.stats.direct_forms );
+                           w.u64( art.stats.pprm_forms );
+                           w.u64( art.stats.isop_forms );
+                         },
+                     .decode =
+                         []( store::byte_reader& r ) {
+                           xmg_artifact art;
+                           art.graph = store::read_xmg( r );
+                           art.stats.luts = r.u64();
+                           art.stats.direct_forms = r.u64();
+                           art.stats.pprm_forms = r.u64();
+                           art.stats.isop_forms = r.u64();
+                           return art;
+                         } },
+                 how );
+}
+
+std::shared_ptr<const flow_result>
+flow_artifact_cache::outcome( const aig_network& aig, const flow_params& params,
+                              const std::function<flow_result()>& synthesize, lookup& how )
+{
+  const auto key = outcome_key( params );
+  return fetch( outcomes_, aig, key,
+                artifact_spec<flow_result>{
+                    .compute = [&synthesize]( const aig_network& ) { return synthesize(); },
+                    .kind = store::payload_kind::flow_outcome,
+                    .store_name = key,
+                    .encode = encode_outcome,
+                    .decode = decode_outcome,
+                    .requested = params.limits,
+                    .imperfect =
+                        []( const flow_result& result ) {
+                          return result.status == flow_status::degraded || result.verify_downgraded;
                         },
-                    .kind = store::payload_kind::xmg,
-                    .store_name = xmg_artifact_key( rounds, cut_size ),
-                    // Store payload: graph + resynthesis statistics.
-                    .encode =
-                        []( store::byte_writer& w, const xmg_artifact& art ) {
-                          store::write_xmg( w, art.graph );
-                          w.u64( art.stats.luts );
-                          w.u64( art.stats.direct_forms );
-                          w.u64( art.stats.pprm_forms );
-                          w.u64( art.stats.isop_forms );
+                    // A timed-out or failed attempt must not pin the failure
+                    // for later (possibly better-funded) requesters.
+                    .keep =
+                        []( const flow_result& result ) {
+                          return result.status == flow_status::ok ||
+                                 result.status == flow_status::degraded;
                         },
-                    .decode =
-                        []( store::byte_reader& r ) {
-                          xmg_artifact art;
-                          art.graph = store::read_xmg( r );
-                          art.stats.luts = r.u64();
-                          art.stats.direct_forms = r.u64();
-                          art.stats.pprm_forms = r.u64();
-                          art.stats.isop_forms = r.u64();
-                          return art;
-                        } } );
+                    .counted = false,
+                    .by_reference = false },
+                how );
 }
 
 sat::incremental_cec& flow_artifact_cache::sat_engine()
@@ -476,6 +635,26 @@ std::string flow_artifact_key( const flow_params& params )
   return "unknown";
 }
 
+std::string outcome_key( const flow_params& params )
+{
+  std::string key = "flow[" + flow_artifact_key( params );
+  switch ( params.kind )
+  {
+  case flow_kind::functional:
+    key += ",bidir=" + std::string( params.bidirectional_tbs ? "1" : "0" );
+    break;
+  case flow_kind::esop_based:
+    key += ",p=" + std::to_string( params.esop_p );
+    break;
+  case flow_kind::hierarchical:
+    key += ",cleanup=" + std::to_string( static_cast<unsigned>( params.cleanup ) );
+    break;
+  }
+  key += ",verify=" + verify_mode_name( params.verify ? params.verification : verify_mode::none );
+  key += "]";
+  return key;
+}
+
 flow_task_ids add_flow_tasks( task_graph& graph, const aig_network& aig,
                               const flow_params& params, flow_artifact_cache& cache,
                               const deadline& stop, flow_result& out,
@@ -503,12 +682,8 @@ flow_task_ids add_flow_tasks( task_graph& graph, const aig_network& aig,
     ids.artifact = graph.add_shared(
         artifact_key,
         [&aig, &cache, rounds = params.optimization_rounds,
-         run_exorcism = params.run_exorcism,
-         pair_budget = params.limits.exorcism_pair_budget, stop_ptr = &stop] {
-          exorcism_params mlimits;
-          mlimits.pair_budget = pair_budget;
-          mlimits.stop = *stop_ptr;
-          cache.esop_intermediate( aig, rounds, run_exorcism, mlimits );
+         run_exorcism = params.run_exorcism, limits = params.limits, stop_ptr = &stop] {
+          cache.esop_intermediate( aig, rounds, run_exorcism, limits, *stop_ptr );
         },
         { ids.optimize } );
     break;
@@ -691,11 +866,8 @@ flow_result run_flow_staged( const aig_network& aig, const flow_params& params,
   }
   case flow_kind::esop_based:
   {
-    exorcism_params mlimits;
-    mlimits.pair_budget = params.limits.exorcism_pair_budget;
-    mlimits.stop = stop;
     const auto& art = cache.esop_intermediate( aig, params.optimization_rounds,
-                                               params.run_exorcism, mlimits );
+                                               params.run_exorcism, params.limits, stop );
     result.esop_terms = art.terms;
     if ( art.budget_exhausted )
     {

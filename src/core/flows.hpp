@@ -40,7 +40,9 @@
 
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -184,40 +186,51 @@ class artifact_store;
 } // namespace store
 
 /// Cache hit/miss counters (one "access" per stage lookup).  With a disk
-/// tier attached the three counters partition the accesses: `hits` are
+/// tier attached the four counters partition the accesses: `hits` are
 /// served from memory, `store_hits` are deserialized from the attached
-/// `store::artifact_store` (and promoted into memory), and `misses` are
-/// actually computed (then written to both tiers).  Without a store,
-/// `store_hits` stays 0 and the counters keep their historical meaning.
+/// `store::artifact_store` (and promoted into memory), `misses` are
+/// actually computed (then written to both tiers), and `upgrades` are
+/// recomputed because the requester's budget entitles it to replace an
+/// imperfect entry (see `flow_artifact_cache`).  Without a store,
+/// `store_hits` stays 0.
 struct cache_stats
 {
   std::size_t hits = 0;
   std::size_t misses = 0;
   std::size_t store_hits = 0;
+  std::size_t upgrades = 0;
 };
 
-/// Memoizes the stage artifacts of the flows for ONE design AIG.  The
-/// cache binds to the first design it sees via a structural content hash
-/// (`aig_network::content_hash()`) and rejects any other design with
-/// std::invalid_argument — including equal-sized distinct designs, which
-/// the old size-only fingerprint silently aliased.  Each artifact is
-/// keyed on the parameter subset the stage depends on, so a sweep over
+/// Memoizes the stage artifacts of the flows, and the daemon's full flow
+/// outcomes, for ONE design AIG.  The cache binds to the first design it
+/// sees via a structural content hash (`aig_network::content_hash()`,
+/// memoized on the network) and rejects any other design with
+/// std::invalid_argument — including equal-sized distinct designs.  Each
+/// value is keyed on the parameter subset it depends on, so a sweep over
 /// `esop_p` or cleanup strategies shares everything upstream of the
 /// synthesis tail.
 ///
-/// With `attach_store`, the cache gains a persistent second tier:
-/// lookups go memory → disk → compute, computed artifacts are written
-/// back to disk, and a fresh process warm-starts from what earlier
-/// processes computed (same design hash × same parameter key — the store
-/// validates both).  All accessors are thread-safe.  Each artifact key has
-/// its own slot whose lock is held while that key loads or computes:
-/// concurrent first accesses of one key compute it once (later ones block
-/// until it is ready), while other keys — including memory hits on them —
-/// go ahead.  The cache-wide mutex only guards the slot maps, the design
-/// binding, the counters, the store pointer and SAT engine creation.
-/// References returned remain valid for the cache's lifetime (slots are
-/// never removed; an ESOP artifact replaced by a budget upgrade retires —
-/// but keeps alive — the old object).
+/// Every accessor goes through one memory → store → compute → save path
+/// (with `attach_store`, computed values are written to disk and a fresh
+/// process warm-starts from what earlier processes computed; the store
+/// validates design hash × parameter key).  Its slot contract:
+///  * each key has a slot whose lock is held while the key is served, so
+///    concurrent first accesses compute once while other keys — memory
+///    hits on them included — go ahead;
+///  * a request that waited on a computation gets that attempt's value,
+///    even one that is not cached, unless the upgrade rule below entitles
+///    it to a recompute;
+///  * an attempt that throws leaves the slot unchanged, and waiters retry;
+///  * only values that pass the kind's `keep` test are cached and saved.
+///
+/// One upgrade rule: an imperfect value (an ESOP whose EXORCISM ran out of
+/// budget; a `degraded` or verify-downgraded outcome) remembers the
+/// `budget` it was produced under, in memory and on disk.  It is
+/// recomputed from scratch only for a requester whose budget is
+/// `more_generous_than` that one, and the result replaces the entry in
+/// both tiers.  Replaced stage artifacts are retired, not destroyed, so
+/// references returned earlier remain valid for the cache's lifetime.
+/// All accessors are thread-safe.
 class flow_artifact_cache
 {
 public:
@@ -253,26 +266,46 @@ public:
     xmg_resynth_stats stats;
   };
 
+  /// Where one lookup's value came from.
+  enum class tier
+  {
+    memory,  ///< the memory tier, or the computation the request waited on
+    store,   ///< deserialized from the attached store
+    computed ///< computed by this request
+  };
+
+  /// How one lookup was served.
+  struct lookup
+  {
+    tier served = tier::memory;
+    bool waited = false;   ///< the key's slot was held and the request waited for it
+    bool upgraded = false; ///< computed to replace an imperfect entry
+  };
+
   /// Optimized AIG, keyed on the number of dc2-style rounds.
   const aig_network& optimized( const aig_network& aig, unsigned rounds );
   /// Collapse + optimum embedding, keyed on rounds.
   const functional_artifact& functional_intermediate( const aig_network& aig, unsigned rounds );
   /// Extraction + optional exorcism, keyed on (rounds, run_exorcism).
-  /// `minimize_limits` (EXORCISM pair budget + deadline) applies on a
-  /// miss; on a hit whose cached artifact stopped at its budget
-  /// (`budget_exhausted`), a requester that still has budget left
-  /// (unexpired deadline) re-minimizes the cached expression and upgrades
-  /// the entry in place — in memory and, when a store is attached, on
-  /// disk — so one early tight budget can no longer pin a sweep (or a
-  /// warm-started process) to a half-minimized cube list forever.
-  /// References returned earlier stay valid (the superseded artifact is
-  /// retired, not destroyed).
+  /// EXORCISM runs under `limits.exorcism_pair_budget` and `stop`; the
+  /// artifact records only `limits`' deadline and pair budget.  One that
+  /// ran out of budget under an unlimited recorded budget was cut short by
+  /// `stop` alone (a sweep deadline), so it is served but not kept.
   const esop_artifact& esop_intermediate( const aig_network& aig, unsigned rounds,
-                                          bool run_exorcism,
-                                          const exorcism_params& minimize_limits = {} );
+                                          bool run_exorcism, const budget& limits = {},
+                                          const deadline& stop = {} );
   /// LUT map + XMG resynthesis, keyed on (rounds, cut_size).
   const xmg_artifact& xmg_intermediate( const aig_network& aig, unsigned rounds,
                                         unsigned cut_size );
+
+  /// The daemon's full flow outcome of `params` under `params.limits`,
+  /// keyed on `outcome_key`; `synthesize` computes it.  `ok` and
+  /// `degraded` outcomes are kept.  `how` is filled in as the lookup goes,
+  /// so `waited` is valid even when `synthesize` throws.  Not counted in
+  /// `stats()`.
+  std::shared_ptr<const flow_result> outcome( const aig_network& aig, const flow_params& params,
+                                              const std::function<flow_result()>& synthesize,
+                                              lookup& how );
 
   /// The cache's persistent incremental SAT equivalence engine
   /// (`sat::incremental_cec`), created on first use.  Every `sat`-tier
@@ -287,10 +320,9 @@ public:
 
   /// Attaches (or detaches, with nullptr) the persistent disk tier.  The
   /// store is consulted between memory lookup and computation and written
-  /// back to on every computation (and ESOP upgrade); several caches —
-  /// across threads and processes — may share one store.
+  /// back to on every kept computation; several caches — across threads
+  /// and processes — may share one store.
   void attach_store( std::shared_ptr<store::artifact_store> disk );
-  [[nodiscard]] std::shared_ptr<store::artifact_store> attached_store() const;
 
   /// Structural content hash of the bound design (0 until the first
   /// lookup binds the cache) — the store tier's design key.
@@ -299,42 +331,45 @@ public:
   cache_stats stats() const;
 
 private:
-  /// One artifact key's once-slot: `mutex` is held while the key loads or
-  /// computes, and `value` stays null until a load or computation succeeds.
+  /// One key's slot: `mutex` is held while the key is served.  `value`
+  /// is the kept value (null until one is kept), `latest` the value of the
+  /// last computation, kept or not; each with the budget it was produced
+  /// under.  `computations` counts finished computations and is read
+  /// before waiting on `mutex`, so a waiter can tell that the holder
+  /// computed.
   template<typename T>
   struct slot
   {
     std::mutex mutex;
-    std::shared_ptr<T> value;
+    std::shared_ptr<const T> value;
+    budget value_with;
+    std::shared_ptr<const T> latest;
+    budget latest_with;
+    std::atomic<std::size_t> computations{ 0 };
   };
   template<typename Key, typename T>
   using slot_map = std::map<Key, std::unique_ptr<slot<T>>>;
 
   /// The one memory → store → compute → save path behind every accessor
-  /// (flows.cpp); `Spec` says how the artifact kind is computed, encoded
-  /// and refreshed.
+  /// (flows.cpp); `Spec` says how the kind is computed, encoded, kept and
+  /// upgraded.
   template<typename Key, typename T, typename Spec>
-  const T& fetch( slot_map<Key, T>& slots, const aig_network& aig, const Key& key,
-                  const Spec& spec );
-  void check_same_design( const aig_network& aig );
-  void count( std::size_t cache_stats::*counter );
+  std::shared_ptr<const T> fetch( slot_map<Key, T>& slots, const aig_network& aig, const Key& key,
+                                  const Spec& spec, lookup& how );
+  void check_same_design( std::uint64_t hash );
 
   mutable std::mutex mutex_;
   slot_map<unsigned, aig_network> optimized_;
   slot_map<unsigned, functional_artifact> functional_;
-  /// A budget upgrade publishes a NEW artifact object into the slot and
-  /// moves the superseded one here, keeping references handed out earlier
-  /// alive without mutating them under readers.
   slot_map<std::pair<unsigned, bool>, esop_artifact> esops_;
-  std::vector<std::shared_ptr<esop_artifact>> retired_esops_;
   slot_map<std::pair<unsigned, unsigned>, xmg_artifact> xmgs_;
+  slot_map<std::string, flow_result> outcomes_;
+  /// Stage artifacts that left a slot, kept alive for the references handed out.
+  std::vector<std::shared_ptr<const void>> retired_;
   std::unique_ptr<sat::incremental_cec> sat_engine_; ///< lazily created
   std::shared_ptr<store::artifact_store> store_; ///< optional disk tier
   cache_stats stats_;
   bool bound_ = false;           ///< cache is bound to the first design seen
-  unsigned bound_pis_ = 0;       ///< cheap pre-check before the hash compare
-  unsigned bound_pos_ = 0;
-  std::size_t bound_ands_ = 0;
   std::uint64_t bound_hash_ = 0; ///< content hash of the bound design
 };
 
@@ -361,6 +396,13 @@ std::string optimize_artifact_key( unsigned rounds );
 /// "collapse[r=2]", "esop[r=2,exo=1]", or "xmg[r=2,k=4]".
 std::string flow_artifact_key( const flow_params& params );
 
+/// Key of a full flow outcome (`flow_artifact_cache::outcome`): the flow's
+/// whole parameter identity plus the verify tier (a cached verdict must
+/// match the tier that was asked for), e.g.
+/// "flow[esop[r=2,exo=1],p=1,verify=sampled]".  The budget is not part of
+/// the key: a cached outcome remembers the budget it was produced under.
+std::string outcome_key( const flow_params& params );
+
 /// Task ids of one staged flow added to a graph by `add_flow_tasks`.
 struct flow_task_ids
 {
@@ -375,9 +417,9 @@ struct flow_task_ids
 /// optimize_artifact_key/flow_artifact_key` via `task_graph::add_shared`,
 /// so configurations (or repeat calls) sharing an artifact coalesce onto
 /// ONE task — the first caller's budget limits apply to the shared stage
-/// (a later tail with remaining budget upgrades a budget-exhausted ESOP
-/// artifact through `flow_artifact_cache::esop_intermediate`'s
-/// re-minimization path).  The tail task runs
+/// (a later tail with a more generous budget recomputes a budget-exhausted
+/// ESOP artifact through `flow_artifact_cache::esop_intermediate`'s
+/// upgrade rule).  The tail task runs
 /// `run_flow_staged` (every stage lookup then hits) and assigns `out`;
 /// `aig`, `cache`, `stop`, and `out` must outlive the graph run.  `stop`
 /// is read when each task runs, not copied at build time, so a batch

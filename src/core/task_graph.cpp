@@ -440,13 +440,6 @@ const std::string& task_graph::key( task_id id ) const
   return impl_->nodes.at( id ).key;
 }
 
-double task_graph::task_seconds( task_id id ) const
-{
-  std::unique_lock<std::mutex> lock( impl_->mutex );
-  const auto& node = impl_->nodes.at( id );
-  return ( node.start_s >= 0.0 && node.end_s >= 0.0 ) ? node.end_s - node.start_s : 0.0;
-}
-
 double task_graph::start_seconds( task_id id ) const
 {
   std::unique_lock<std::mutex> lock( impl_->mutex );

@@ -159,8 +159,6 @@ public:
   /// otherwise.
   [[nodiscard]] const std::string& blame( task_id id ) const;
   [[nodiscard]] const std::string& key( task_id id ) const;
-  /// Measured duration of an executed task (0 for tasks that never ran).
-  [[nodiscard]] double task_seconds( task_id id ) const;
   /// Start/end of an executed task in seconds since run() entry (-1 for
   /// tasks that never ran).
   [[nodiscard]] double start_seconds( task_id id ) const;

@@ -25,6 +25,7 @@ aig_lit aig_network::add_pi()
   }
   ++num_pis_;
   nodes_.emplace_back();
+  hash_.forget();
   return make_lit( num_pis_ );
 }
 
@@ -67,6 +68,7 @@ aig_lit aig_network::create_and( aig_lit a, aig_lit b )
   if ( inserted )
   {
     nodes_.push_back( { a, b } );
+    hash_.forget();
   }
   return make_lit( node );
 }
@@ -333,6 +335,10 @@ aig_network aig_network::cleanup( std::vector<aig_lit>* old_to_new ) const
 
 std::uint64_t aig_network::content_hash() const
 {
+  if ( const auto memo = hash_.value.load( std::memory_order_relaxed ); memo != 0u )
+  {
+    return memo;
+  }
   content_hasher h;
   h.update_u32( num_pis_ );
   h.update_u32( static_cast<std::uint32_t>( nodes_.size() ) );
@@ -346,7 +352,9 @@ std::uint64_t aig_network::content_hash() const
   {
     h.update_u32( po );
   }
-  return h.digest();
+  const auto digest = h.digest();
+  hash_.value.store( digest, std::memory_order_relaxed );
+  return digest;
 }
 
 aig_lit aig_network::append_raw_and( aig_lit fanin0, aig_lit fanin1 )
@@ -357,6 +365,7 @@ aig_lit aig_network::append_raw_and( aig_lit fanin0, aig_lit fanin1 )
   }
   const auto node = static_cast<std::uint32_t>( nodes_.size() );
   nodes_.push_back( { fanin0, fanin1 } );
+  hash_.forget();
   // insert keeps the first node of a duplicate pair
   strash_.insert( fanin0 <= fanin1 ? strash_key( fanin0, fanin1 ) : strash_key( fanin1, fanin0 ),
                   node );

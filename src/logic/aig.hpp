@@ -13,6 +13,7 @@
 
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -90,10 +91,10 @@ public:
   void reserve( std::size_t num_ands );
 
   /// Registers a primary output.
-  void add_po( aig_lit lit ) { pos_.push_back( lit ); }
+  void add_po( aig_lit lit ) { pos_.push_back( lit ); hash_.forget(); }
   aig_lit po( unsigned index ) const { return pos_.at( index ); }
   const std::vector<aig_lit>& pos() const { return pos_; }
-  void set_po( unsigned index, aig_lit lit ) { pos_.at( index ) = lit; }
+  void set_po( unsigned index, aig_lit lit ) { pos_.at( index ) = lit; hash_.forget(); }
 
   /// --- analysis -----------------------------------------------------------
 
@@ -131,7 +132,8 @@ public:
   /// fanin literals in topological order, every PO literal).  Identical
   /// node/PO structure hashes identically across processes and platforms;
   /// it is the design-identity component of artifact-store keys and the
-  /// cross-design reuse guard of `flow_artifact_cache`.
+  /// cross-design reuse guard of `flow_artifact_cache`.  Computed once
+  /// and memoized: every mutator forgets the memo, and copies carry it.
   std::uint64_t content_hash() const;
 
   /// Appends one AND node with exactly the given fanins — no folding, no
@@ -157,10 +159,30 @@ private:
     return { ( static_cast<std::uint64_t>( a ) << 32 ) | b };
   }
 
+  /// The memoized `content_hash()` (0 = not computed yet).  Relaxed
+  /// atomic, so concurrent readers of one network may both fill it in.
+  struct hash_memo
+  {
+    mutable std::atomic<std::uint64_t> value{ 0 };
+
+    hash_memo() = default;
+    hash_memo( const hash_memo& other ) noexcept
+        : value( other.value.load( std::memory_order_relaxed ) )
+    {
+    }
+    hash_memo& operator=( const hash_memo& other ) noexcept
+    {
+      value.store( other.value.load( std::memory_order_relaxed ), std::memory_order_relaxed );
+      return *this;
+    }
+    void forget() noexcept { value.store( 0, std::memory_order_relaxed ); }
+  };
+
   unsigned num_pis_ = 0;
   std::vector<node_data> nodes_; ///< node 0 = constant false
   std::vector<aig_lit> pos_;
   strash_table<1> strash_; ///< (fanin0, fanin1) with fanin0 <= fanin1 -> node
+  hash_memo hash_;
 };
 
 } // namespace qsyn

@@ -452,14 +452,4 @@ reversible_circuit corrupt_circuit( const reversible_circuit& circuit, const aig
   throw std::logic_error( "corrupt_circuit: no single retarget changes the function" );
 }
 
-bool verify_permutation( const reversible_circuit& circuit,
-                         const std::vector<std::uint64_t>& expected )
-{
-  if ( circuit.num_lines() > 20u )
-  {
-    throw std::invalid_argument( "verify_permutation: too many lines" );
-  }
-  return circuit.permutation() == expected;
-}
-
 } // namespace qsyn

@@ -175,11 +175,6 @@ sat_verify_outcome verify_against_aig_sat_budgeted( const reversible_circuit& ci
 std::optional<std::vector<bool>> verify_against_aig_sat( const reversible_circuit& circuit,
                                                          const aig_network& aig );
 
-/// Checks that the circuit realizes exactly the given permutation over all
-/// its lines (num_lines() <= 20).
-bool verify_permutation( const reversible_circuit& circuit,
-                         const std::vector<std::uint64_t>& expected );
-
 /// Returns a copy of the circuit with one gate retargeted such that the
 /// realized function provably differs from `spec` (confirmed by exhaustive
 /// enumeration; gates are scanned from the back, a retarget onto a control

@@ -42,10 +42,10 @@ namespace qsyn::store
 enum class payload_kind : std::uint32_t
 {
   aig = 1,          ///< optimized AIG (serialize.hpp write_aig)
-  esop = 2,         ///< minimized ESOP cube list + budget flag
+  esop = 2,         ///< producing budget + budget flag + minimized ESOP cube list
   xmg = 3,          ///< resynthesized XMG
   circuit = 4,      ///< synthesized reversible circuit
-  flow_outcome = 5, ///< full flow result incl. verification verdict (daemon)
+  flow_outcome = 5, ///< producing budget + full flow result incl. verification verdict (daemon)
 };
 
 /// Identity of one store entry.
@@ -72,7 +72,7 @@ class artifact_store
 public:
   /// On-disk entry format version; bump when the header or any payload
   /// layout changes.  Entries with a different version load as a miss.
-  static constexpr std::uint32_t format_version = 1;
+  static constexpr std::uint32_t format_version = 2;
 
   /// Opens (and creates, if needed) a store rooted at `root_dir`.  Throws
   /// std::runtime_error when the root cannot be created — a store that

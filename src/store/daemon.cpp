@@ -16,7 +16,6 @@
 #include "../core/task_graph.hpp"
 #include "../synth/lut_map.hpp"
 #include "../verilog/elaborator.hpp"
-#include "serialize.hpp"
 
 namespace qsyn::store
 {
@@ -405,117 +404,6 @@ flow_params params_from_fields( const std::map<std::string, std::string>& fields
   return params;
 }
 
-/// Canonical result-cache key of a synthesize query: the flow's full
-/// parameter identity plus the verify tier (a cached verdict must match
-/// the tier that was asked for).
-std::string outcome_key( const flow_params& params )
-{
-  std::string key = "flow[" + flow_artifact_key( params );
-  switch ( params.kind )
-  {
-  case flow_kind::functional:
-    key += ",bidir=" + std::string( params.bidirectional_tbs ? "1" : "0" );
-    break;
-  case flow_kind::esop_based:
-    key += ",p=" + std::to_string( params.esop_p );
-    break;
-  case flow_kind::hierarchical:
-    key += ",cleanup=" + std::to_string( static_cast<unsigned>( params.cleanup ) );
-    break;
-  }
-  key += ",verify=" + verify_mode_name( params.verify ? params.verification : verify_mode::none );
-  key += "]";
-  return key;
-}
-
-/// Serializes a flow outcome together with the budget it was produced
-/// under (`produced_with`), so a later daemon can tell whether a cached
-/// `degraded` verdict deserves a recompute for a better-funded requester.
-/// The budget fields are appended after the circuit: entries written by
-/// the budget-blind format are shorter, fail `decode_outcome`'s bounds
-/// checks with `deserialize_error`, and gracefully count as a miss.
-std::vector<std::uint8_t> encode_outcome( const flow_result& result, const budget& produced_with )
-{
-  byte_writer w;
-  w.u8( static_cast<std::uint8_t>( result.status ) );
-  w.u8( result.verified ? 1u : 0u );
-  w.u8( static_cast<std::uint8_t>( result.verified_with ) );
-  w.u8( result.verify_downgraded ? 1u : 0u );
-  w.f64( result.runtime_seconds );
-  w.f64( result.verify_seconds );
-  w.u32( result.costs.qubits );
-  w.u64( result.costs.t_count );
-  w.u64( result.costs.gates );
-  w.u64( result.costs.toffoli_gates );
-  w.u64( result.costs.depth );
-  w.u64( result.esop_terms );
-  w.u64( result.xmg_maj );
-  w.u64( result.xmg_xor );
-  w.u32( result.embedding_lines );
-  w.u64( result.max_collisions );
-  w.u64( result.aig_nodes_initial );
-  w.u64( result.aig_nodes_optimized );
-  w.str( result.status_detail );
-  write_circuit( w, result.circuit );
-  w.f64( produced_with.deadline_seconds );
-  w.u64( produced_with.sat_conflict_budget );
-  w.u64( produced_with.sat_propagation_budget );
-  w.u64( produced_with.exorcism_pair_budget );
-  return w.take();
-}
-
-flow_result decode_outcome( const std::vector<std::uint8_t>& payload, budget& produced_with )
-{
-  byte_reader r( payload );
-  flow_result result;
-  const auto status = r.u8();
-  if ( status > static_cast<std::uint8_t>( flow_status::failed ) )
-  {
-    throw deserialize_error( "outcome: unknown status" );
-  }
-  result.status = static_cast<flow_status>( status );
-  result.verified = r.u8() != 0u;
-  const auto tier = r.u8();
-  if ( tier > static_cast<std::uint8_t>( verify_mode::sat ) )
-  {
-    throw deserialize_error( "outcome: unknown verify tier" );
-  }
-  result.verified_with = static_cast<verify_mode>( tier );
-  result.verify_downgraded = r.u8() != 0u;
-  result.runtime_seconds = r.f64();
-  result.verify_seconds = r.f64();
-  result.costs.qubits = r.u32();
-  result.costs.t_count = r.u64();
-  result.costs.gates = r.u64();
-  result.costs.toffoli_gates = r.u64();
-  result.costs.depth = r.u64();
-  result.esop_terms = r.u64();
-  result.xmg_maj = r.u64();
-  result.xmg_xor = r.u64();
-  result.embedding_lines = r.u32();
-  result.max_collisions = r.u64();
-  result.aig_nodes_initial = r.u64();
-  result.aig_nodes_optimized = r.u64();
-  result.status_detail = r.str();
-  result.circuit = read_circuit( r );
-  produced_with.deadline_seconds = r.f64();
-  produced_with.sat_conflict_budget = r.u64();
-  produced_with.sat_propagation_budget = r.u64();
-  produced_with.exorcism_pair_budget = r.u64();
-  r.expect_end();
-  return result;
-}
-
-/// A cached outcome is served as-is unless it is imperfect (degraded or
-/// verify-downgraded) AND the requester brings strictly more budget than
-/// the producer had — only then can recomputing possibly improve it.
-bool upgrade_worthwhile( const flow_result& cached, const budget& produced_with,
-                         const budget& requested )
-{
-  const bool imperfect = cached.status == flow_status::degraded || cached.verify_downgraded;
-  return imperfect && requested.more_generous_than( produced_with );
-}
-
 std::string synthesize_response( const flow_params& params, const flow_result& result,
                                  bool from_cache, double seconds )
 {
@@ -549,20 +437,6 @@ std::string synthesize_response( const flow_params& params, const flow_result& r
   return out;
 }
 
-/// The slot of `key`, created on first use; `mutex` guards only the map.
-template<typename Slot>
-Slot& slot_of( std::mutex& mutex, std::map<std::string, std::unique_ptr<Slot>>& slots,
-               const std::string& key )
-{
-  std::lock_guard<std::mutex> lock( mutex );
-  auto& entry = slots[key];
-  if ( !entry )
-  {
-    entry = std::make_unique<Slot>();
-  }
-  return *entry;
-}
-
 std::string error_response( const std::string& message, const std::string& code = {} )
 {
   std::string out = "{\"ok\":false,\"error\":\"" + json_escape( message ) + "\"";
@@ -578,48 +452,18 @@ std::string error_response( const std::string& message, const std::string& code 
 
 // --- daemon core -------------------------------------------------------------
 
-/// Everything the daemon keeps alive for one (design, bitwidth): the
-/// elaborated AIG, its content hash, the stage-artifact cache (which owns
-/// the persistent SAT engine and is attached to the shared store), and one
-/// outcome slot per result-cache key.
-struct synthesis_daemon::design_context
-{
-  /// One result-cache key's slot.  `mutex` is held while the key is
-  /// served — from memory, from the store, or by synthesizing it — so
-  /// identical concurrent requests queue on the slot instead of
-  /// recomputing.
-  struct outcome_slot
-  {
-    std::mutex mutex;
-    /// The cached `ok`/`degraded` outcome (null until there is one) and
-    /// the budget it was produced under (see `upgrade_worthwhile`).
-    std::shared_ptr<const flow_result> cached;
-    budget cached_with;
-    /// The latest synthesis's outcome or exception, and its budget: what a
-    /// request that waited on that synthesis is served.
-    std::shared_ptr<const flow_result> latest;
-    budget latest_with;
-    std::exception_ptr latest_error;
-    /// Finished syntheses; read before waiting on `mutex`, so a waiter can
-    /// tell whether the holder synthesized.
-    std::atomic<std::size_t> syntheses{ 0 };
-  };
-
-  aig_network aig{ 0 };
-  std::uint64_t design_hash = 0;
-  flow_artifact_cache cache;
-  std::mutex results_mutex; ///< guards the `results` map, not the slots
-  std::map<std::string, std::unique_ptr<outcome_slot>> results;
-};
-
-/// One (design, bitwidth)'s slot: `mutex` is held while the design
-/// elaborates, and `ready` publishes `context` once elaboration succeeded
-/// (a failed elaboration leaves the slot empty for the next request).
+/// Everything the daemon keeps alive for one (design, bitwidth): `mutex`
+/// is held while the design elaborates, and `ready` publishes `aig` once
+/// elaboration succeeded (a failed elaboration leaves the slot empty for
+/// the next request).  `cache` holds the stage artifacts, the full flow
+/// outcomes and the persistent SAT engine, and is attached to the shared
+/// store.
 struct synthesis_daemon::design_slot
 {
   std::mutex mutex;
-  std::unique_ptr<design_context> context;
   std::atomic<bool> ready{ false };
+  aig_network aig{ 0 };
+  flow_artifact_cache cache;
 };
 
 synthesis_daemon::synthesis_daemon( daemon_options options ) : options_( std::move( options ) )
@@ -647,8 +491,8 @@ void synthesis_daemon::count( std::size_t daemon_stats::*counter )
   ++( stats_.*counter );
 }
 
-synthesis_daemon::design_context& synthesis_daemon::context_for( const std::string& design,
-                                                                 unsigned bitwidth )
+synthesis_daemon::design_slot& synthesis_daemon::context_for( const std::string& design,
+                                                              unsigned bitwidth )
 {
   reciprocal_design kind;
   if ( design == "intdiv" )
@@ -663,23 +507,29 @@ synthesis_daemon::design_context& synthesis_daemon::context_for( const std::stri
   {
     throw std::runtime_error( "unknown design '" + design + "' (intdiv|newton)" );
   }
-  auto& slot = slot_of( mutex_, designs_, design + ":" + std::to_string( bitwidth ) );
-  if ( !slot.ready.load() )
+  design_slot* slot = nullptr;
+  {
+    std::lock_guard<std::mutex> lock( mutex_ );
+    auto& entry = designs_[design + ":" + std::to_string( bitwidth )];
+    if ( !entry )
+    {
+      entry = std::make_unique<design_slot>();
+    }
+    slot = entry.get();
+  }
+  if ( !slot->ready.load() )
   {
     // Elaboration holds only this design's slot: requests for other
     // designs, memory hits included, go ahead.
-    std::lock_guard<std::mutex> lock( slot.mutex );
-    if ( !slot.context )
+    std::lock_guard<std::mutex> lock( slot->mutex );
+    if ( !slot->ready.load() )
     {
-      auto ctx = std::make_unique<design_context>();
-      ctx->aig = verilog::elaborate_verilog( reciprocal_verilog( kind, bitwidth ) ).aig;
-      ctx->design_hash = ctx->aig.content_hash();
-      ctx->cache.attach_store( store_ );
-      slot.context = std::move( ctx );
-      slot.ready.store( true );
+      slot->aig = verilog::elaborate_verilog( reciprocal_verilog( kind, bitwidth ) ).aig;
+      slot->cache.attach_store( store_ );
+      slot->ready.store( true );
     }
   }
-  return *slot.context;
+  return *slot;
 }
 
 std::string synthesis_daemon::handle_synthesize( const std::map<std::string, std::string>& fields )
@@ -708,148 +558,71 @@ std::string synthesis_daemon::handle_synthesize( const std::map<std::string, std
                               "-input limit of the largest Table IV design" );
   }
   auto& ctx = context_for( design, bitwidth );
-  const auto rkey = outcome_key( params );
-  auto& slot = slot_of( ctx.results_mutex, ctx.results, rkey );
-  // 1. Take the slot (lock order: see `mutex_`); a request that finds it
-  // busy waits for the holder and counts as coalesced.
-  const auto seen = slot.syntheses.load();
-  std::unique_lock<std::mutex> lock( slot.mutex, std::try_to_lock );
-  const bool waited = !lock.owns_lock();
-  if ( waited )
-  {
-    count( &daemon_stats::coalesced );
-    lock.lock();
-  }
-  // Every answer not synthesized by this request leaves through here.  A
-  // request that waited was counted as coalesced, never as a result hit.
-  const auto serve = [&]( std::shared_ptr<const flow_result> result, bool hit ) {
-    lock.unlock();
-    if ( hit && !waited )
+
+  // Runs the flow on the shared pool: the staged flow becomes a little
+  // dependency graph (optimize → artifact → tail) that runs alongside every
+  // other in-flight request's graph; stage work still coalesces per design
+  // through the artifact-cache keys.  Admission comes first: beyond
+  // max_inflight_ admitted syntheses the request is rejected immediately,
+  // so one huge design cannot absorb every connection thread.  The
+  // deadline is armed at admission, so time spent queued behind other
+  // requests' tasks consumes this request's budget, and a tail that cannot
+  // start before expiry reports `timed_out` instead of running late.
+  bool rejected = false;
+  const auto synthesize = [&] {
+    if ( inflight_.fetch_add( 1 ) >= max_inflight_ )
     {
-      count( &daemon_stats::result_hits );
+      inflight_.fetch_sub( 1 );
+      rejected = true;
+      throw std::runtime_error( "synthesis queue full" );
     }
-    return synthesize_response( params, *result, true, watch.elapsed_seconds() );
+    struct release
+    {
+      std::atomic<std::size_t>& gauge;
+      ~release() { gauge.fetch_sub( 1 ); }
+    } admitted{ inflight_ };
+    flow_result out;
+    const auto stop = deadline::in( params.limits.deadline_seconds );
+    task_graph graph;
+    const auto ids = add_flow_tasks( graph, ctx.aig, params, ctx.cache, stop, out );
+    graph.run( *pool_, stop );
+    fill_flow_status_from_graph( graph, ids.tail, out );
+    return out;
   };
 
-  // 2. The holder synthesized: serve its answer — timed_out, failed, or
-  // its exception included — unless this requester brings the budget to
-  // improve an imperfect one.
-  if ( waited && slot.syntheses.load() != seen )
+  // The outcome's cache slot coalesces identical requests: one that finds
+  // it held waits, counts as coalesced (never as a result hit), and gets
+  // the holder's answer.  A memory or store hit skips synthesis AND
+  // verification — the cached entry carries the verdict.
+  flow_artifact_cache::lookup how;
+  std::shared_ptr<const flow_result> result;
+  try
   {
-    if ( slot.latest_error )
-    {
-      std::rethrow_exception( slot.latest_error );
-    }
-    if ( !upgrade_worthwhile( *slot.latest, slot.latest_with, params.limits ) )
-    {
-      return serve( slot.latest, false );
-    }
+    result = ctx.cache.outcome( ctx.aig, params, synthesize, how );
   }
-
-  // 3. Memory tier: a full hit skips synthesis AND verification — the
-  // cached entry carries the verdict — unless this requester's larger
-  // budget justifies recomputing an imperfect one.
-  bool upgrading = false;
-  if ( slot.cached )
+  catch ( ... )
   {
-    if ( !upgrade_worthwhile( *slot.cached, slot.cached_with, params.limits ) )
+    if ( how.waited )
     {
-      return serve( slot.cached, true );
+      count( &daemon_stats::coalesced );
     }
-    upgrading = true;
-  }
-
-  // 4. Store tier (pointless when already upgrading the memory entry).  A
-  // store hit is subject to the same budget-honesty rule; a corrupt or
-  // budget-blind legacy entry counts as a miss and is rewritten below.
-  const store_key skey{ ctx.design_hash, payload_kind::flow_outcome, rkey };
-  if ( !upgrading && store_ )
-  {
-    if ( const auto payload = store_->load( skey ) )
+    if ( !rejected )
     {
-      try
-      {
-        budget produced_with;
-        const auto result =
-            std::make_shared<const flow_result>( decode_outcome( *payload, produced_with ) );
-        if ( !upgrade_worthwhile( *result, produced_with, params.limits ) )
-        {
-          slot.cached = result;
-          slot.cached_with = produced_with;
-          return serve( result, true );
-        }
-        upgrading = true; // the store has it, but this requester can do better
-      }
-      catch ( const deserialize_error& )
-      {
-        // corrupt outcome entry: recompute below
-      }
+      throw;
     }
-  }
-
-  // 5. Admission: beyond max_inflight_ admitted syntheses the request is
-  // rejected immediately, so one huge design cannot absorb every
-  // connection thread.
-  if ( inflight_.fetch_add( 1 ) >= max_inflight_ )
-  {
-    inflight_.fetch_sub( 1 );
-    lock.unlock();
     count( &daemon_stats::rejected );
     return error_response(
         "synthesis queue full (" + std::to_string( max_inflight_ ) + " in flight)", "busy" );
   }
-
-  // 6. Synthesize on the shared pool: the staged flow becomes a little
-  // dependency graph (optimize → artifact → tail) that runs alongside
-  // every other in-flight request's graph; stage work still coalesces per
-  // design through the artifact-cache keys.  The deadline is armed here —
-  // at admission — so time spent queued behind other requests' tasks
-  // consumes this request's budget, and a tail that cannot start before
-  // expiry reports `timed_out` instead of running late.
-  const auto out = std::make_shared<flow_result>();
-  std::exception_ptr error;
-  try
+  const bool synthesized = how.served == flow_artifact_cache::tier::computed;
   {
-    const auto stop = deadline::in( params.limits.deadline_seconds );
-    task_graph graph;
-    const auto ids = add_flow_tasks( graph, ctx.aig, params, ctx.cache, stop, *out );
-    graph.run( *pool_, stop );
-    fill_flow_status_from_graph( graph, ids.tail, *out );
+    std::lock_guard<std::mutex> lock( mutex_ );
+    stats_.coalesced += how.waited ? 1u : 0u;
+    stats_.result_hits += !synthesized && !how.waited ? 1u : 0u;
+    stats_.synthesized += synthesized ? 1u : 0u;
+    stats_.upgraded += synthesized && how.upgraded ? 1u : 0u;
   }
-  catch ( ... )
-  {
-    error = std::current_exception();
-  }
-  inflight_.fetch_sub( 1 );
-
-  // 7. Publish, still holding the slot.  Only completed results are worth
-  // remembering: a timed-out or failed attempt must not pin the failure
-  // for every later (possibly better-budgeted) requester.  An upgrade
-  // overwrites both tiers.
-  if ( !error && ( out->status == flow_status::ok || out->status == flow_status::degraded ) )
-  {
-    slot.cached = out;
-    slot.cached_with = params.limits;
-    if ( store_ )
-    {
-      store_->save( skey, encode_outcome( *out, params.limits ) );
-    }
-  }
-  slot.latest = out;
-  slot.latest_with = params.limits;
-  slot.latest_error = error;
-  slot.syntheses.fetch_add( 1 );
-  lock.unlock();
-  if ( error )
-  {
-    std::rethrow_exception( error );
-  }
-  count( &daemon_stats::synthesized );
-  if ( upgrading )
-  {
-    count( &daemon_stats::upgraded );
-  }
-  return synthesize_response( params, *out, false, watch.elapsed_seconds() );
+  return synthesize_response( params, *result, !synthesized, watch.elapsed_seconds() );
 }
 
 std::string synthesis_daemon::handle_request( const std::string& line )
@@ -883,7 +656,7 @@ std::string synthesis_daemon::handle_request( const std::string& line )
             continue; // still elaborating, or its elaboration failed
           }
           ++num_designs;
-          const auto s = slot->context->cache.stats();
+          const auto s = slot->cache.stats();
           artifacts.hits += s.hits;
           artifacts.misses += s.misses;
           artifacts.store_hits += s.store_hits;

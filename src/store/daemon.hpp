@@ -3,11 +3,12 @@
 ///
 /// `synthesis_daemon` keeps the expensive state of the synthesis pipeline
 /// alive between queries: one shared persistent `artifact_store` (disk
-/// tier), a per-design `flow_artifact_cache` (stage artifacts + the
-/// persistent incremental SAT engine, so repeat verifications of one
-/// design share the miter encoding and learned lemmas), and a full-result
-/// cache (`payload_kind::flow_outcome`, in memory and on disk) so a repeat
-/// synthesis query is answered without recomputing anything.
+/// tier) and a per-design `flow_artifact_cache`.  That cache holds the
+/// stage artifacts, the persistent incremental SAT engine (so repeat
+/// verifications of one design share the miter encoding and learned
+/// lemmas) and the full flow outcomes (`flow_artifact_cache::outcome`,
+/// store kind `flow_outcome`), so a repeat synthesis query is answered
+/// without recomputing anything.
 ///
 /// Execution model: connection threads are pure I/O.  Every admitted
 /// synthesize request builds its staged flow as a `task_graph`
@@ -16,7 +17,7 @@
 /// big design's stages parallelize across workers and concurrent requests
 /// interleave at task granularity instead of fighting over cores
 /// thread-per-request.  Identical concurrent queries coalesce: every
-/// result-cache key (`outcome_key`) has its own slot, held while the key
+/// outcome key (`outcome_key`) has its own cache slot, held while the key
 /// is served from memory, loaded from the store, or synthesized, so every
 /// duplicate waits on the slot and shares the holder's result — N
 /// identical in-flight queries run `run_flow_staged` exactly once (stats
@@ -31,12 +32,12 @@
 /// queued behind other requests' tasks consumes its budget, and a tail
 /// that cannot start before expiry reports `timed_out`.
 ///
-/// Budget-honest result cache: cached outcomes remember the budget they
-/// were produced under.  A cached `degraded` (or verify-downgraded)
-/// outcome is served as-is only to requesters with no more budget than
-/// the producer had; a strictly better-funded requester triggers a
-/// recompute that upgrades the memory slot and the store entry (stats
-/// `upgraded`), mirroring the stage-level ESOP upgrade path.
+/// Budget-honest result cache: the outcome cache follows the one upgrade
+/// rule of `flow_artifact_cache`.  A cached `degraded` (or
+/// verify-downgraded) outcome remembers the budget it was produced under
+/// and is served as-is to requesters with no more budget; a strictly
+/// better-funded requester triggers a recompute that replaces the memory
+/// entry and the store entry (stats `upgraded`).
 ///
 /// Wire protocol: line-delimited JSON over `AF_UNIX`/`SOCK_STREAM` — one
 /// flat JSON object per request line, one per response line.  Requests:
@@ -161,10 +162,9 @@ public:
   [[nodiscard]] std::shared_ptr<artifact_store> store() const { return store_; }
 
 private:
-  struct design_context;
   struct design_slot;
 
-  design_context& context_for( const std::string& design, unsigned bitwidth );
+  design_slot& context_for( const std::string& design, unsigned bitwidth );
   void count( std::size_t daemon_stats::*counter );
   std::string handle_synthesize( const std::map<std::string, std::string>& fields );
   void accept_loop();
@@ -178,8 +178,8 @@ private:
 
   /// Guards the designs_ map (not the slots) and stats_; held only briefly.
   /// Lock order: a request takes its design slot, releases it, then holds
-  /// its outcome slot while the flow's pool tasks take artifact-cache
-  /// slots; cache code never takes an outcome slot, so there is no cycle.
+  /// its outcome slot (in the design's cache) while the flow's pool tasks
+  /// take artifact slots; artifact code never takes an outcome slot.
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<design_slot>> designs_;
   daemon_stats stats_;

@@ -453,4 +453,20 @@ TEST( aig, strash_survives_copies_and_growth )
   }
   EXPECT_EQ( copy.num_ands(), before );
   EXPECT_EQ( copy.content_hash(), aig.content_hash() );
+
+  // The hash is memoized: a copy carries the memo, and every mutation of
+  // the copy forgets it without touching the original's.
+  const auto original = aig.content_hash();
+  const auto last = make_lit( static_cast<std::uint32_t>( aig.num_nodes() - 1u ) ); // no fanout yet
+  auto grown = aig;
+  grown.create_and( last, aig.pi( 0 ) );
+  ASSERT_EQ( grown.num_ands(), before + 1u );
+  EXPECT_NE( grown.content_hash(), original );
+  auto rewired = aig;
+  rewired.add_po( last );
+  const auto with_po = rewired.content_hash();
+  EXPECT_NE( with_po, original );
+  rewired.set_po( 0, lit_not( last ) );
+  EXPECT_NE( rewired.content_hash(), with_po );
+  EXPECT_EQ( aig.content_hash(), original );
 }

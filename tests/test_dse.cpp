@@ -123,31 +123,59 @@ TEST( dse_label, default_sweep_labels_are_distinct )
 
 TEST( dse_engine, parallel_cached_matches_sequential_bit_for_bit )
 {
-  const auto mod =
-      verilog::elaborate_verilog( reciprocal_verilog( reciprocal_design::intdiv, 5 ) );
-  const auto configs = default_dse_configurations( true );
-
-  explore_options parallel;
-  parallel.num_threads = 4;
-  flow_artifact_cache cache;
-  const auto par = explore( mod.aig, configs, parallel, cache );
-
-  ASSERT_EQ( configs.size(), par.size() );
-  for ( std::size_t i = 0; i < configs.size(); ++i )
+  // A pair-budgeted ESOP sweep: every tail must see the one cube list the
+  // shared stage minimized under the sweep's budget, as a one-by-one run
+  // does, instead of re-minimizing it per tail.
+  std::vector<flow_params> budgeted;
+  for ( unsigned p = 0; p <= 2; ++p )
   {
-    // The sequential oracle: a fresh private cache per configuration.
-    const auto seq = run_flow_on_aig( mod.aig, configs[i] );
-    EXPECT_EQ( dse_label( configs[i] ), par[i].label ) << i;
-    EXPECT_EQ( seq.costs.qubits, par[i].result.costs.qubits ) << par[i].label;
-    EXPECT_EQ( seq.costs.t_count, par[i].result.costs.t_count ) << par[i].label;
-    EXPECT_EQ( seq.costs.gates, par[i].result.costs.gates ) << par[i].label;
-    EXPECT_EQ( seq.esop_terms, par[i].result.esop_terms ) << par[i].label;
-    EXPECT_TRUE( par[i].result.verified ) << par[i].label;
+    flow_params esop;
+    esop.kind = flow_kind::esop_based;
+    esop.esop_p = p;
+    esop.limits.exorcism_pair_budget = 10;
+    budgeted.push_back( esop );
   }
-  // One miss per distinct artifact (optimized AIG, functional, ESOP, XMG),
-  // everything else hits.
-  EXPECT_EQ( cache.stats().misses, 4u );
-  EXPECT_GT( cache.stats().hits, 0u );
+  struct sweep_case
+  {
+    reciprocal_design design;
+    unsigned n;
+    std::vector<flow_params> configs;
+    std::size_t misses; ///< one per distinct artifact
+  };
+  const std::vector<sweep_case> cases{
+      // optimized AIG, functional, ESOP, XMG
+      { reciprocal_design::intdiv, 5, default_dse_configurations( true ), 4u },
+      // optimized AIG, ESOP
+      { reciprocal_design::newton, 6, budgeted, 2u } };
+
+  for ( const auto& c : cases )
+  {
+    const auto mod = verilog::elaborate_verilog( reciprocal_verilog( c.design, c.n ) );
+    const auto& configs = c.configs;
+    for ( const unsigned threads : { 1u, 4u } )
+    {
+      explore_options parallel;
+      parallel.num_threads = threads;
+      flow_artifact_cache cache;
+      const auto par = explore( mod.aig, configs, parallel, cache );
+
+      ASSERT_EQ( configs.size(), par.size() );
+      for ( std::size_t i = 0; i < configs.size(); ++i )
+      {
+        // The sequential oracle: a fresh private cache per configuration.
+        const auto seq = run_flow_on_aig( mod.aig, configs[i] );
+        EXPECT_EQ( dse_label( configs[i] ), par[i].label ) << i;
+        EXPECT_EQ( seq.costs.qubits, par[i].result.costs.qubits ) << par[i].label;
+        EXPECT_EQ( seq.costs.t_count, par[i].result.costs.t_count ) << par[i].label;
+        EXPECT_EQ( seq.costs.gates, par[i].result.costs.gates ) << par[i].label;
+        EXPECT_EQ( seq.esop_terms, par[i].result.esop_terms ) << par[i].label;
+        EXPECT_TRUE( par[i].result.verified ) << par[i].label;
+      }
+      // One miss per distinct artifact, everything else hits.
+      EXPECT_EQ( cache.stats().misses, c.misses ) << c.n << " on " << threads << " threads";
+      EXPECT_GT( cache.stats().hits, 0u );
+    }
+  }
 }
 
 TEST( dse_engine, runtime_excludes_verification )

@@ -529,6 +529,11 @@ TEST( flows, cache_rejects_same_size_different_function_design )
   EXPECT_EQ( again.costs.t_count, first.costs.t_count );
   EXPECT_GT( cache.stats().hits, 0u ); // the copy reused the first run's artifacts
   EXPECT_EQ( cache.design_hash(), and_ab.content_hash() );
+
+  // Rewriting the bound object in place makes it another design: the
+  // memoized hash must not let it through.
+  and_ab.set_po( 0, lit_not( and_ab.po( 0 ) ) );
+  EXPECT_THROW( run_flow_staged( and_ab, params, cache ), std::invalid_argument );
 }
 
 // --- per-key cache slots -------------------------------------------------------

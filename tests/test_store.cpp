@@ -471,13 +471,13 @@ TEST( cache_store_tier, budget_exhausted_esop_upgrades_on_later_budget )
   // In-memory upgrade: a tight first budget leaves a half-minimized cube
   // list; a later unlimited requester re-minimizes instead of reusing it.
   flow_artifact_cache cache;
-  exorcism_params tight;
-  tight.pair_budget = 1;
+  budget tight;
+  tight.exorcism_pair_budget = 1;
   const auto& first = cache.esop_intermediate( aig, 2, true, tight );
   ASSERT_TRUE( first.budget_exhausted );
   const auto first_terms = first.terms;
 
-  const auto& upgraded = cache.esop_intermediate( aig, 2, true, exorcism_params{} );
+  const auto& upgraded = cache.esop_intermediate( aig, 2, true, budget{} );
   EXPECT_FALSE( upgraded.budget_exhausted );
   EXPECT_LE( upgraded.terms, first_terms );
   // The reference handed out before the upgrade is retired, not destroyed.
@@ -485,8 +485,40 @@ TEST( cache_store_tier, budget_exhausted_esop_upgrades_on_later_budget )
   EXPECT_TRUE( first.budget_exhausted );
 
   // An already-minimized artifact is not re-minimized again (same object).
-  const auto& again = cache.esop_intermediate( aig, 2, true, exorcism_params{} );
+  const auto& again = cache.esop_intermediate( aig, 2, true, budget{} );
   EXPECT_EQ( &again, &upgraded );
+
+  // An equal budget entitles a requester to nothing more: the repeat is a
+  // plain hit on the same object and writes nothing.
+  temp_dir dir;
+  const auto disk = std::make_shared<store::artifact_store>( dir.path + "/store" );
+  flow_artifact_cache equal;
+  equal.attach_store( disk );
+  const auto& starved = equal.esop_intermediate( aig, 2, true, tight );
+  ASSERT_TRUE( starved.budget_exhausted );
+  const auto writes = disk->stats().writes;
+  const auto& repeat = equal.esop_intermediate( aig, 2, true, tight );
+  EXPECT_EQ( &repeat, &starved );
+  EXPECT_EQ( disk->stats().writes, writes );
+  EXPECT_EQ( equal.stats().upgrades, 0u );
+
+  // Out of budget under an unlimited budget means cut short by the
+  // deadline alone (a sweep deadline): served, but neither cached nor saved.
+  const auto swept_disk = std::make_shared<store::artifact_store>( dir.path + "/swept" );
+  flow_artifact_cache swept;
+  swept.attach_store( swept_disk );
+  cancellation_token cancelled;
+  cancelled.request_cancel();
+  const auto& cut =
+      swept.esop_intermediate( aig, 2, true, budget{}, deadline::with_token( cancelled ) );
+  ASSERT_TRUE( cut.budget_exhausted );
+  EXPECT_FALSE(
+      swept_disk->load( { aig.content_hash(), store::payload_kind::esop, "esop[r=2,exo=1]" } ) );
+  const auto& full = swept.esop_intermediate( aig, 2, true );
+  EXPECT_FALSE( full.budget_exhausted );
+  EXPECT_NE( &full, &cut );
+  EXPECT_TRUE( cut.budget_exhausted ); // the served value stays valid
+  EXPECT_EQ( swept.stats().misses, 3u ); // optimize + both ESOP computations
 }
 
 TEST( cache_store_tier, budget_exhausted_store_entry_upgrades_across_processes )
@@ -499,8 +531,8 @@ TEST( cache_store_tier, budget_exhausted_store_entry_upgrades_across_processes )
   {
     flow_artifact_cache cache;
     cache.attach_store( std::make_shared<store::artifact_store>( root ) );
-    exorcism_params tight;
-    tight.pair_budget = 1;
+    budget tight;
+    tight.exorcism_pair_budget = 1;
     const auto& art = cache.esop_intermediate( aig, 2, true, tight );
     ASSERT_TRUE( art.budget_exhausted );
   }
@@ -510,7 +542,7 @@ TEST( cache_store_tier, budget_exhausted_store_entry_upgrades_across_processes )
   {
     flow_artifact_cache cache;
     cache.attach_store( std::make_shared<store::artifact_store>( root ) );
-    const auto& art = cache.esop_intermediate( aig, 2, true, exorcism_params{} );
+    const auto& art = cache.esop_intermediate( aig, 2, true, budget{} );
     EXPECT_FALSE( art.budget_exhausted );
     EXPECT_EQ( cache.stats().store_hits, 1u );
     EXPECT_EQ( cache.stats().misses, 0u );
@@ -520,7 +552,7 @@ TEST( cache_store_tier, budget_exhausted_store_entry_upgrades_across_processes )
   {
     flow_artifact_cache cache;
     cache.attach_store( std::make_shared<store::artifact_store>( root ) );
-    const auto& art = cache.esop_intermediate( aig, 2, true, exorcism_params{} );
+    const auto& art = cache.esop_intermediate( aig, 2, true, budget{} );
     EXPECT_FALSE( art.budget_exhausted );
     EXPECT_EQ( cache.stats().store_hits, 1u );
   }
