@@ -9,16 +9,19 @@
 /// including the circuit's extraction where it needs one: the monolithic
 /// reference miter (`sat::check_equivalence` on `circuit_to_aig`), and
 /// `verify_against_aig_sat_budgeted` as the flows call it — on a fresh
-/// engine and as a re-check on a persistent engine.  The cases have 7-8
-/// inputs, so the tier proves them by enumeration without touching either
-/// engine: the cold and warm timings measure the same enumeration.  Every
-/// tier must accept the correct circuit and reject a
-/// corrupted copy with a *real* counterexample, and the SAT tier's must be
-/// the exhaustive tier's; the reports of widths 64/256/512 on mixed
+/// engine and as a re-check on a persistent engine.  The INTDIV/NEWTON
+/// cases have 7-8 inputs, so the tier proves them by enumeration without
+/// touching either engine: their cold and warm timings measure the same
+/// enumeration.  One 17-input 9+8-bit adder (`adder-n17-hier`) is wider
+/// than the enumeration bound, so its SAT timings measure
+/// `sat::incremental_cec` itself.  Every tier must accept the correct
+/// circuit and reject a corrupted copy with a *real* counterexample, and
+/// below the enumeration bound the SAT tier's must be the exhaustive
+/// tier's; the reports of widths 64/256/512 on mixed
 /// pass/fail candidates must equal the scalar enumeration's
 /// (`widths_agree`), and the corrupted circuit's counterexample is
 /// recorded as a bit string (`cex`) so the AVX and portable builds can be
-/// diffed.  It writes BENCH_verify.json (schema 6, see
+/// diffed.  It writes BENCH_verify.json (schema 7, see
 /// docs/ARCHITECTURE.md), which scripts/run_bench.sh gates on.
 ///
 /// Usage: bench_verify [--out FILE] [--quick] [--sim-only]
@@ -143,13 +146,21 @@ bool reports_equal( const partial_verify_report& a, const partial_verify_report&
          a.assignments_completed == b.assignments_completed && a.complete == b.complete;
 }
 
-case_result run_case( reciprocal_design design, unsigned n, flow_kind kind, bool sim_only )
+/// A 9+8-bit adder: 17 inputs, one more than the SAT tier enumerates.
+const char* const wide_adder_verilog = "module add(a, b, s);\n"
+                                       "  input [8:0] a;\n"
+                                       "  input [7:0] b;\n"
+                                       "  output [9:0] s;\n"
+                                       "  assign s = a + b;\n"
+                                       "endmodule\n";
+
+case_result run_case( const std::string& name, const std::string& verilog, flow_kind kind,
+                      bool sim_only )
 {
   case_result r;
-  r.name = std::string( design == reciprocal_design::intdiv ? "intdiv" : "newton" ) + "-n" +
-           std::to_string( n ) + ( kind == flow_kind::esop_based ? "-esop" : "-hier" );
+  r.name = name + ( kind == flow_kind::esop_based ? "-esop" : "-hier" );
 
-  const auto mod = verilog::elaborate_verilog( reciprocal_verilog( design, n ) );
+  const auto mod = verilog::elaborate_verilog( verilog );
   flow_params params;
   params.kind = kind;
   params.verify = false;
@@ -176,7 +187,7 @@ case_result run_case( reciprocal_design design, unsigned n, flow_kind kind, bool
     r.sat_mono_ms = time_ms(
         [&] { mono_ok = sat::check_equivalence( spec, circuit_to_aig( circuit ) ).equivalent; } );
     // Cold: a fresh engine per call.  Above the enumeration bound this is
-    // what the first `sat`-tier check of a sweep costs; at these sizes the
+    // what the first `sat`-tier check of a sweep costs; at or below it the
     // tier enumerates, so cold and warm time the same work.
     r.sat_ms = time_ms( [&] {
       sat::incremental_cec cold;
@@ -259,14 +270,22 @@ case_result run_case( reciprocal_design design, unsigned n, flow_kind kind, bool
     const auto mono_bad = sat::check_equivalence( spec, circuit_to_aig( corrupted ) );
     r.corrupt_rejected = r.corrupt_rejected && sat_bad.has_value() && !mono_bad.equivalent;
     // Below the enumeration bound the SAT tier reports the exhaustive
-    // tier's first failing assignment; the monolithic miter's
-    // counterexample is solver-dependent and only has to be real.
-    r.tiers_agree = r.tiers_agree && sat_bad == wide_bad;
+    // tier's first failing assignment; the engine's and the monolithic
+    // miter's counterexamples are solver-dependent and only have to be real.
+    const auto is_real = [&]( const std::vector<bool>& cex ) {
+      return evaluate_circuit( corrupted, cex ) != spec.evaluate( cex );
+    };
+    if ( r.pis <= sat_tier_max_enumerated_pis )
+    {
+      r.tiers_agree = r.tiers_agree && sat_bad == wide_bad;
+    }
+    else if ( sat_bad )
+    {
+      r.corrupt_rejected = r.corrupt_rejected && is_real( *sat_bad );
+    }
     if ( mono_bad.counterexample )
     {
-      r.corrupt_rejected = r.corrupt_rejected &&
-                           evaluate_circuit( corrupted, *mono_bad.counterexample ) !=
-                               spec.evaluate( *mono_bad.counterexample );
+      r.corrupt_rejected = r.corrupt_rejected && is_real( *mono_bad.counterexample );
     }
   }
 
@@ -341,7 +360,7 @@ void write_json( const char* path, const std::vector<case_result>& cases, bool s
     std::fprintf( stderr, "cannot open %s for writing\n", path );
     std::exit( 1 );
   }
-  std::fprintf( f, "{\n  \"bench\": \"verify\",\n  \"schema_version\": 6,\n" );
+  std::fprintf( f, "{\n  \"bench\": \"verify\",\n  \"schema_version\": 7,\n" );
   std::fprintf( f, "  \"sim_only\": %s,\n", sim_only ? "true" : "false" );
   std::fprintf( f, "  \"simd_backend\": \"%s\",\n",
                 simd_backend_name( active_simd_backend( sim_width::w512 ) ) );
@@ -413,10 +432,13 @@ int main( int argc, char** argv )
     {
       for ( const auto kind : { flow_kind::esop_based, flow_kind::hierarchical } )
       {
-        cases.push_back( run_case( design, n, kind, sim_only ) );
+        const std::string name = design == reciprocal_design::intdiv ? "intdiv" : "newton";
+        cases.push_back( run_case( name + "-n" + std::to_string( n ),
+                                   reciprocal_verilog( design, n ), kind, sim_only ) );
       }
     }
   }
+  cases.push_back( run_case( "adder-n17", wide_adder_verilog, flow_kind::hierarchical, sim_only ) );
 
   write_json( out_path, cases, sim_only );
   std::printf( "\nwrote %s\n", out_path );

@@ -49,11 +49,13 @@
 #     at Table IV scale,
 #   * docs/ARCHITECTURE.md is missing or no longer mentions every src/*
 #     subdirectory.
-# Finally reruns the verification + store + LUT-map + synth + daemon +
-# robustness + flows test suites under AddressSanitizer
+# Finally reruns the verification + store + LUT-map + synth + SAT + AIG +
+# XMG + daemon + robustness + flows test suites under AddressSanitizer
 # (QSYN_SANITIZE=address) — the wide engine is all raw word indexing, the
 # store and the daemon decode untrusted on-disk bytes, the cut and ISOP
-# kernels index fixed-capacity arrays, and the robustness and flows suites
+# kernels index fixed-capacity arrays, the strash tables of the AIG, the
+# XMG and the SAT engine read node fanins by probed id, and the robustness
+# and flows suites
 # drive the SAT tier's dispatch and degradation ladder — the same plus
 # the robustness + scheduler suites under UndefinedBehaviorSanitizer, and the robustness + scheduler + daemon +
 # flows suites under ThreadSanitizer (the daemon coalesces concurrent
@@ -674,7 +676,7 @@ ASAN_DIR="$REPO_ROOT/build-asan-verify"
 cmake -B "$ASAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE=address \
   -DQSYN_SIMD=native
 cmake --build "$ASAN_DIR" -j "$(nproc)" \
-  --target test_verify test_store test_lut_xmg test_synth test_sat test_aig test_daemon \
+  --target test_verify test_store test_lut_xmg test_synth test_sat test_aig test_xmg test_daemon \
   test_robustness test_flows
 "$ASAN_DIR/tests/test_verify"
 # The artifact store is raw byte-level (de)serialization of attacker-ish
@@ -685,10 +687,12 @@ cmake --build "$ASAN_DIR" -j "$(nproc)" \
 "$ASAN_DIR/tests/test_lut_xmg"
 "$ASAN_DIR/tests/test_synth"
 # The flat strash table probes with mask arithmetic over a power-of-two
-# slot array, and the SAT engine indexes solver literals and signature
-# words by node id: both are out-of-bounds accesses waiting to happen.
+# slot array and confirms each probed id by reading that node's fanins in
+# the AIG, the XMG and the SAT engine, which also indexes solver literals
+# and signature words by node id: out-of-bounds accesses waiting to happen.
 "$ASAN_DIR/tests/test_sat"
 "$ASAN_DIR/tests/test_aig"
+"$ASAN_DIR/tests/test_xmg"
 # The daemon hands cache slots across request threads and decodes cached
 # outcomes from on-disk bytes.
 "$ASAN_DIR/tests/test_daemon"
@@ -697,7 +701,7 @@ cmake --build "$ASAN_DIR" -j "$(nproc)" \
 "$ASAN_DIR/tests/test_robustness"
 "$ASAN_DIR/tests/test_flows"
 echo
-echo "test_verify + test_store + test_lut_xmg + test_synth + test_sat + test_aig +" \
+echo "test_verify + test_store + test_lut_xmg + test_synth + test_sat + test_aig + test_xmg +" \
      "test_daemon + test_robustness + test_flows OK under AddressSanitizer"
 
 # --- robustness + scheduler tests under UBSan and TSan -----------------------
@@ -711,7 +715,7 @@ cmake -B "$UBSAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE
   -DQSYN_SIMD=native
 cmake --build "$UBSAN_DIR" -j "$(nproc)" \
   --target test_robustness test_scheduler test_store test_verify test_lut_xmg test_synth \
-  test_sat test_aig test_daemon
+  test_sat test_aig test_xmg test_daemon
 "$UBSAN_DIR/tests/test_robustness"
 "$UBSAN_DIR/tests/test_scheduler"
 # The store headers round-trip enums and fixed-width counters from
@@ -725,15 +729,16 @@ cmake --build "$UBSAN_DIR" -j "$(nproc)" \
 # 64-bit words, where a shift by 64 would hide.
 "$UBSAN_DIR/tests/test_lut_xmg"
 "$UBSAN_DIR/tests/test_synth"
-# Strash probing and the SAT engine's literal packing are shift-and-mask
-# arithmetic on 32- and 64-bit words.
+# Strash probing and key packing, and the SAT engine's literal packing,
+# are shift-and-mask arithmetic on 32- and 64-bit words.
 "$UBSAN_DIR/tests/test_sat"
 "$UBSAN_DIR/tests/test_aig"
+"$UBSAN_DIR/tests/test_xmg"
 # Outcome decoding turns on-disk bytes back into enums and counters.
 "$UBSAN_DIR/tests/test_daemon"
 echo
 echo "test_robustness + test_scheduler + test_store + test_verify + test_lut_xmg +" \
-     "test_synth + test_sat + test_aig + test_daemon OK under UndefinedBehaviorSanitizer"
+     "test_synth + test_sat + test_aig + test_xmg + test_daemon OK under UndefinedBehaviorSanitizer"
 
 TSAN_DIR="$REPO_ROOT/build-tsan-robustness"
 cmake -B "$TSAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE=thread

@@ -4,11 +4,22 @@
 /// One structure serves the strash tables of `aig_network`,
 /// `xmg_network` and `sat::incremental_cec`: it maps a fixed-width key of
 /// `KeyWords` 64-bit words (a packed fanin tuple) to a 32-bit node id.
+/// A slot holds only the node id — 4 bytes, whatever the key width.  The
+/// key is not stored: the owner passes a `key_of` callable to every call,
+/// which rebuilds the key of a stored id from that node's fanins, and a
+/// candidate slot is confirmed by comparing the probed key with
+/// `key_of( id )`.  Growth rehashes each id from `key_of` too.
+///
 /// Slots live in one power-of-two array probed linearly; the table doubles
 /// before its load factor exceeds 1/2, so a probe sequence is short and a
 /// miss ends at the first empty slot.  A network rebuilt from a source of
 /// known size `reserve`s its table up front instead of doubling its way
 /// there.  There is no erase: strash tables only grow with their network.
+///
+/// The `key_of` contract: for every id in the table, `key_of( id )` returns
+/// the key the id was inserted under, from the first table call after the
+/// insert on.  An owner that inserts `nodes.size()` and appends the node
+/// right after a successful insert (or appends first) meets it.
 ///
 /// `insert` keeps the first value of a key.  `aig_network::append_raw_and`
 /// relies on that: a deserialized duplicate fanin pair must leave later
@@ -38,7 +49,8 @@ public:
   static constexpr std::uint32_t empty = ~std::uint32_t{ 0 };
 
   /// Value stored under `key`, or nullopt.
-  [[nodiscard]] std::optional<std::uint32_t> find( const key_type& key ) const
+  template<class KeyOf>
+  [[nodiscard]] std::optional<std::uint32_t> find( const key_type& key, const KeyOf& key_of ) const
   {
     if ( slots_.empty() )
     {
@@ -47,14 +59,14 @@ public:
     const auto mask = slots_.size() - 1u;
     for ( auto i = hash( key ) & mask;; i = ( i + 1u ) & mask )
     {
-      const auto& s = slots_[i];
-      if ( s.value == empty )
+      const auto id = slots_[i];
+      if ( id == empty )
       {
         return std::nullopt;
       }
-      if ( s.key == key )
+      if ( key_of( id ) == key )
       {
-        return s.value;
+        return id;
       }
     }
   }
@@ -62,34 +74,36 @@ public:
   /// Stores `value` under `key` unless the key is present.  Returns the
   /// value now stored under `key` and whether it was inserted — a present
   /// key keeps its first value.
-  std::pair<std::uint32_t, bool> insert( const key_type& key, std::uint32_t value )
+  template<class KeyOf>
+  std::pair<std::uint32_t, bool> insert( const key_type& key, std::uint32_t value,
+                                         const KeyOf& key_of )
   {
     assert( value != empty );
     if ( 2u * ( size_ + 1u ) > slots_.size() )
     {
-      rehash( slots_.empty() ? std::size_t{ 16 } : 2u * slots_.size() );
+      rehash( slots_.empty() ? std::size_t{ 16 } : 2u * slots_.size(), key_of );
     }
     const auto mask = slots_.size() - 1u;
     for ( auto i = hash( key ) & mask;; i = ( i + 1u ) & mask )
     {
-      auto& s = slots_[i];
-      if ( s.value == empty )
+      auto& id = slots_[i];
+      if ( id == empty )
       {
-        s.key = key;
-        s.value = value;
+        id = value;
         ++size_;
         return { value, true };
       }
-      if ( s.key == key )
+      if ( key_of( id ) == key )
       {
-        return { s.value, false };
+        return { id, false };
       }
     }
   }
 
   /// Presizes the table so that `count` keys fit without regrowth.  Never
   /// shrinks; lookups and inserts return the same values either way.
-  void reserve( std::size_t count )
+  template<class KeyOf>
+  void reserve( std::size_t count, const KeyOf& key_of )
   {
     std::size_t slots = 16;
     while ( slots < 2u * count )
@@ -98,7 +112,7 @@ public:
     }
     if ( slots > slots_.size() )
     {
-      rehash( slots );
+      rehash( slots, key_of );
     }
   }
 
@@ -107,11 +121,9 @@ public:
   [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
 
 private:
-  struct slot
-  {
-    key_type key{};
-    std::uint32_t value = empty;
-  };
+  /// A slot is a node id, or `empty`.
+  using slot = std::uint32_t;
+  static_assert( sizeof( slot ) == 4, "a strash slot is one 32-bit node id" );
 
   /// Fibonacci multiply per word, high half folded onto the low half:
   /// fanin tuples are small, dense integers, and the fold carries the high
@@ -127,24 +139,26 @@ private:
     return static_cast<std::size_t>( h ^ ( h >> 32 ) );
   }
 
-  /// Moves every entry into `count` (a power of two) slots.
-  void rehash( std::size_t count )
+  /// Moves every id into `count` (a power of two) slots, in old-slot
+  /// order, each at the hash of its rebuilt key.
+  template<class KeyOf>
+  void rehash( std::size_t count, const KeyOf& key_of )
   {
-    std::vector<slot> old( count );
+    std::vector<slot> old( count, empty );
     old.swap( slots_ );
     const auto mask = slots_.size() - 1u;
-    for ( const auto& s : old )
+    for ( const auto id : old )
     {
-      if ( s.value == empty )
+      if ( id == empty )
       {
         continue;
       }
-      auto i = hash( s.key ) & mask;
-      while ( slots_[i].value != empty )
+      auto i = hash( key_of( id ) ) & mask;
+      while ( slots_[i] != empty )
       {
         i = ( i + 1u ) & mask;
       }
-      slots_[i] = s;
+      slots_[i] = id;
     }
   }
 

@@ -63,8 +63,8 @@ aig_lit aig_network::create_and( aig_lit a, aig_lit b )
   {
     std::swap( a, b );
   }
-  const auto [node, inserted] =
-      strash_.insert( strash_key( a, b ), static_cast<std::uint32_t>( nodes_.size() ) );
+  const auto [node, inserted] = strash_.insert(
+      strash_key( a, b ), static_cast<std::uint32_t>( nodes_.size() ), strash_keys() );
   if ( inserted )
   {
     nodes_.push_back( { a, b } );
@@ -108,7 +108,7 @@ aig_lit aig_network::create_maj( aig_lit a, aig_lit b, aig_lit c )
 void aig_network::reserve( std::size_t num_ands )
 {
   nodes_.reserve( 1u + num_pis_ + num_ands );
-  strash_.reserve( num_ands );
+  strash_.reserve( num_ands, strash_keys() );
 }
 
 aig_lit aig_network::create_nary_and( std::vector<aig_lit> lits )
@@ -367,8 +367,8 @@ aig_lit aig_network::append_raw_and( aig_lit fanin0, aig_lit fanin1 )
   nodes_.push_back( { fanin0, fanin1 } );
   hash_.forget();
   // insert keeps the first node of a duplicate pair
-  strash_.insert( fanin0 <= fanin1 ? strash_key( fanin0, fanin1 ) : strash_key( fanin1, fanin0 ),
-                  node );
+  const auto key_of = strash_keys();
+  strash_.insert( key_of( node ), node, key_of );
   return make_lit( node );
 }
 

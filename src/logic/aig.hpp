@@ -159,6 +159,17 @@ private:
     return { ( static_cast<std::uint64_t>( a ) << 32 ) | b };
   }
 
+  /// The `key_of` callable of `strash_`: an AND node's key rebuilt from its
+  /// fanins, ordered (a raw-appended node may hold them reversed).
+  auto strash_keys() const
+  {
+    return [this]( std::uint32_t node ) {
+      const auto& n = nodes_[node];
+      return n.fanin0 <= n.fanin1 ? strash_key( n.fanin0, n.fanin1 )
+                                  : strash_key( n.fanin1, n.fanin0 );
+    };
+  }
+
   /// The memoized `content_hash()` (0 = not computed yet).  Relaxed
   /// atomic, so concurrent readers of one network may both fill it in.
   struct hash_memo
@@ -181,7 +192,7 @@ private:
   unsigned num_pis_ = 0;
   std::vector<node_data> nodes_; ///< node 0 = constant false
   std::vector<aig_lit> pos_;
-  strash_table<1> strash_; ///< (fanin0, fanin1) with fanin0 <= fanin1 -> node
+  strash_table<1> strash_; ///< AND node ids, keyed (fanin0, fanin1) with fanin0 <= fanin1
   hash_memo hash_;
 };
 

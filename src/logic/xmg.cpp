@@ -141,8 +141,8 @@ xmg_lit xmg_network::create_xor( xmg_lit a, xmg_lit b )
 
 std::uint32_t xmg_network::find_or_add( node_kind kind, xmg_lit a, xmg_lit b, xmg_lit c )
 {
-  const auto [node, inserted] =
-      strash_.insert( strash_key( kind, a, b, c ), static_cast<std::uint32_t>( nodes_.size() ) );
+  const auto [node, inserted] = strash_.insert(
+      strash_key( kind, a, b, c ), static_cast<std::uint32_t>( nodes_.size() ), strash_keys() );
   if ( inserted )
   {
     nodes_.push_back( { kind, { a, b, c } } );
@@ -165,7 +165,7 @@ xmg_lit xmg_network::create_mux( xmg_lit sel, xmg_lit t, xmg_lit e )
 void xmg_network::reserve( std::size_t num_gates )
 {
   nodes_.reserve( 1u + num_pis_ + num_gates );
-  strash_.reserve( num_gates );
+  strash_.reserve( num_gates, strash_keys() );
 }
 
 xmg_lit xmg_network::create_nary_xor( std::vector<xmg_lit> lits )
@@ -332,10 +332,10 @@ xmg_lit xmg_network::append_raw_node( node_kind kind, const std::array<xmg_lit, 
   }
   const auto node = static_cast<std::uint32_t>( nodes_.size() );
   nodes_.push_back( { kind, fanin } );
-  // Mirror the strash key layout of create_maj / create_xor so hash-consed
-  // construction keeps working after a raw append.
-  strash_.insert( strash_key( kind, fanin[0], fanin[1], kind == node_kind::maj ? fanin[2] : 0u ),
-                  node );
+  // Keyed like create_maj / create_xor so hash-consed construction keeps
+  // working after a raw append.
+  const auto key_of = strash_keys();
+  strash_.insert( key_of( node ), node, key_of );
   return node << 1;
 }
 

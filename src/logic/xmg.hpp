@@ -120,6 +120,17 @@ private:
              ( static_cast<std::uint64_t>( c ) << 1 ) | ( kind == node_kind::xor2 ? 1u : 0u ) };
   }
 
+  /// The `key_of` callable of `strash_`: a logic node's key rebuilt from
+  /// its kind and fanins as stored (an XOR's third fanin keyed as 0).
+  auto strash_keys() const
+  {
+    return [this]( std::uint32_t node ) {
+      const auto& n = nodes_[node];
+      return strash_key( n.kind, n.fanin[0], n.fanin[1],
+                         n.kind == node_kind::maj ? n.fanin[2] : 0u );
+    };
+  }
+
   /// Hash-consed construction of a canonical node: the existing node with
   /// this kind and these fanins, or a new one.
   std::uint32_t find_or_add( node_kind kind, xmg_lit a, xmg_lit b, xmg_lit c );
@@ -132,7 +143,7 @@ private:
   unsigned num_pis_ = 0;
   std::vector<node_data> nodes_;
   std::vector<xmg_lit> pos_;
-  strash_table<2> strash_;
+  strash_table<2> strash_; ///< logic node ids, keyed by kind and fanins
 };
 
 } // namespace qsyn

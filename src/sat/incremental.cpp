@@ -209,8 +209,11 @@ incremental_cec::ilit incremental_cec::create_and( ilit a, ilit b )
   {
     std::swap( a, b );
   }
-  const auto [node, inserted] = strash_.insert(
-      { ( static_cast<std::uint64_t>( a ) << 32 ) | b }, static_cast<std::uint32_t>( nodes_.size() ) );
+  const auto key_of = [this]( std::uint32_t n ) {
+    return strash_key( nodes_[n].fanin0, nodes_[n].fanin1 );
+  };
+  const auto [node, inserted] =
+      strash_.insert( strash_key( a, b ), static_cast<std::uint32_t>( nodes_.size() ), key_of );
   if ( !inserted )
   {
     ++stats_.strash_hits;

@@ -147,6 +147,12 @@ private:
     ilit fanin1 = 0;
   };
 
+  /// Strash key of an AND: the ordered fanin pair packed into one word.
+  static strash_table<1>::key_type strash_key( ilit a, ilit b )
+  {
+    return { ( static_cast<std::uint64_t>( a ) << 32 ) | b };
+  }
+
   ilit find( ilit l ) const;
   literal to_sat( ilit l ) const;
   void ensure_pis( unsigned count );
@@ -179,7 +185,7 @@ private:
   std::vector<inode> nodes_;       ///< [0] = constant false; PIs and ANDs follow
   std::vector<ilit> rep_;          ///< equivalence-class representative per node
   std::vector<std::uint32_t> pi_nodes_; ///< PI index -> node id
-  strash_table<1> strash_;         ///< exact (fanin0, fanin1) key -> node
+  strash_table<1> strash_;         ///< AND node ids, keyed by exact (fanin0, fanin1)
   std::vector<literal> node_sat_;  ///< positive solver literal per node
   std::vector<std::uint64_t> sigs_; ///< signature words, node-major
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> sig_classes_;

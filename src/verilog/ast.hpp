@@ -98,9 +98,45 @@ struct expression
 
   // replicate
   std::unique_ptr<expression> repeat_count;
+
+  expression() = default;
+  expression( const expression& ) = delete;
+  expression& operator=( const expression& ) = delete;
+  ~expression();
 };
 
 using expr_ptr = std::unique_ptr<expression>;
+
+/// Destroys the subtree without recursion: a long operator chain is a left
+/// spine as deep as the chain is long.  Children move onto an explicit
+/// stack, and each dies after handing over its own.
+inline expression::~expression()
+{
+  std::vector<expr_ptr> pending;
+  const auto detach = [&pending]( expression& e ) {
+    for ( auto& op : e.operands )
+    {
+      if ( op )
+      {
+        pending.push_back( std::move( op ) );
+      }
+    }
+    for ( auto* child : { &e.index, &e.index_msb, &e.index_lsb, &e.repeat_count } )
+    {
+      if ( *child )
+      {
+        pending.push_back( std::move( *child ) );
+      }
+    }
+  };
+  detach( *this );
+  while ( !pending.empty() )
+  {
+    const auto node = std::move( pending.back() );
+    pending.pop_back();
+    detach( *node );
+  }
+}
 
 enum class net_kind
 {

@@ -311,8 +311,43 @@ private:
     return it->second;
   }
 
-  /// True if all signal bits referenced by `e` are driven.
+  /// Binary nodes of the chain rooted at `e`, top-down, into `spine`, and
+  /// its leftmost non-binary operand.  A left-associative chain such as
+  /// `a ^ a ^ … ^ a` parses into a left spine as deep as the chain is
+  /// long, so every walk goes down that spine in a loop; only operands off
+  /// the spine recurse.
+  static const expression& left_spine( const expression& e, std::vector<const expression*>& spine )
+  {
+    const expression* node = &e;
+    while ( node->kind == expression::node_kind::binary )
+    {
+      spine.push_back( node );
+      node = node->operands[0].get();
+    }
+    return *node;
+  }
+
+  /// True if all signal bits referenced by `e` are driven.  Visits the
+  /// leftmost operand first, then each right operand bottom-up.
   bool ready( const expression& e ) const
+  {
+    std::vector<const expression*> spine;
+    if ( !ready_leaf( left_spine( e, spine ) ) )
+    {
+      return false;
+    }
+    for ( auto it = spine.rbegin(); it != spine.rend(); ++it )
+    {
+      if ( !ready( *( *it )->operands[1] ) )
+      {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// `ready` of a non-binary expression.
+  bool ready_leaf( const expression& e ) const
   {
     switch ( e.kind )
     {
@@ -375,43 +410,69 @@ private:
 
   bool try_constant( const expression& e, std::uint64_t& value ) const
   {
-    switch ( e.kind )
+    std::vector<const expression*> spine;
+    const auto& leaf = left_spine( e, spine );
+    if ( leaf.kind != expression::node_kind::number )
     {
-    case expression::node_kind::number:
-    {
-      value = 0;
-      for ( std::size_t b = 0; b < e.bits.size() && b < 64u; ++b )
-      {
-        if ( e.bits[b] )
-        {
-          value |= std::uint64_t{ 1 } << b;
-        }
-      }
-      return true;
+      return false;
     }
-    case expression::node_kind::binary:
+    value = 0;
+    for ( std::size_t b = 0; b < leaf.bits.size() && b < 64u; ++b )
     {
-      std::uint64_t a = 0;
+      if ( leaf.bits[b] )
+      {
+        value |= std::uint64_t{ 1 } << b;
+      }
+    }
+    for ( auto it = spine.rbegin(); it != spine.rend(); ++it )
+    {
       std::uint64_t b = 0;
-      if ( !try_constant( *e.operands[0], a ) || !try_constant( *e.operands[1], b ) )
+      if ( !try_constant( *( *it )->operands[1], b ) )
       {
         return false;
       }
-      switch ( e.bin_op )
+      switch ( ( *it )->bin_op )
       {
-      case binary_op::add: value = a + b; return true;
-      case binary_op::sub: value = a - b; return true;
-      case binary_op::mul: value = a * b; return true;
+      case binary_op::add: value += b; break;
+      case binary_op::sub: value -= b; break;
+      case binary_op::mul: value *= b; break;
       default: return false;
       }
     }
-    default:
-      return false;
-    }
+    return true;
   }
 
-  /// Self-determined width of an expression.
+  /// Self-determined width of an expression.  Visits the right operands
+  /// of a binary chain top-down, then its leftmost operand.
   unsigned width_of( const expression& e ) const
+  {
+    unsigned width = 0;
+    const expression* node = &e;
+    for ( ; node->kind == expression::node_kind::binary; node = node->operands[0].get() )
+    {
+      switch ( node->bin_op )
+      {
+      case binary_op::lt:
+      case binary_op::le:
+      case binary_op::gt:
+      case binary_op::ge:
+      case binary_op::eq:
+      case binary_op::ne:
+      case binary_op::logic_and:
+      case binary_op::logic_or:
+        return std::max( width, 1u );
+      case binary_op::shl:
+      case binary_op::shr:
+        break; // the left operand's width
+      default:
+        width = std::max( width, width_of( *node->operands[1] ) );
+      }
+    }
+    return std::max( width, leaf_width( *node ) );
+  }
+
+  /// `width_of` of a non-binary expression.
+  unsigned leaf_width( const expression& e ) const
   {
     switch ( e.kind )
     {
@@ -433,23 +494,7 @@ private:
         return 1u; // logic not, reductions
       }
     case expression::node_kind::binary:
-      switch ( e.bin_op )
-      {
-      case binary_op::lt:
-      case binary_op::le:
-      case binary_op::gt:
-      case binary_op::ge:
-      case binary_op::eq:
-      case binary_op::ne:
-      case binary_op::logic_and:
-      case binary_op::logic_or:
-        return 1u;
-      case binary_op::shl:
-      case binary_op::shr:
-        return width_of( *e.operands[0] );
-      default:
-        return std::max( width_of( *e.operands[0] ), width_of( *e.operands[1] ) );
-      }
+      break; // width_of walks binary chains
     case expression::node_kind::ternary:
       return std::max( width_of( *e.operands[1] ), width_of( *e.operands[2] ) );
     case expression::node_kind::concat:
@@ -479,8 +524,70 @@ private:
     return aig_.create_nary_or( bits );
   }
 
-  /// Elaborates `e` in a context of `width` bits.
+  /// Elaborates `e` in a context of `width` bits.  A binary chain is walked
+  /// down its left spine in a loop (see `left_spine`): going down, each
+  /// level fixes its left operand's width and elaborates a right operand
+  /// that comes first; coming up, each level combines.  `+ - * / %`
+  /// elaborate their right operand before their left one, every other
+  /// binary operator its left one first.  The order of the create_* calls
+  /// fixes the AIG's node numbering, which content hashes and store keys
+  /// depend on, so it must not change.
   std::vector<aig_lit> elab( const expression& e, unsigned width )
+  {
+    struct level
+    {
+      const expression* node;
+      unsigned width;             ///< context width of the node
+      unsigned operand_width;     ///< context width of its left operand
+      std::vector<aig_lit> right; ///< its right operand, if elaborated first
+    };
+    std::vector<level> spine;
+    const expression* node = &e;
+    while ( node->kind == expression::node_kind::binary )
+    {
+      const auto& lhs = *node->operands[0];
+      const auto& rhs = *node->operands[1];
+      level lv{ node, width, width, {} };
+      switch ( node->bin_op )
+      {
+      case binary_op::add:
+      case binary_op::sub:
+      case binary_op::mul:
+      case binary_op::div:
+      case binary_op::mod:
+        lv.right = elab( rhs, width );
+        break;
+      case binary_op::lt:
+      case binary_op::le:
+      case binary_op::gt:
+      case binary_op::ge:
+      case binary_op::eq:
+      case binary_op::ne:
+        // Comparison width: max of the self-determined operand widths.
+        lv.operand_width = std::max( width_of( lhs ), width_of( rhs ) );
+        break;
+      case binary_op::logic_and:
+      case binary_op::logic_or:
+        lv.operand_width = width_of( lhs );
+        break;
+      default:
+        break;
+      }
+      width = lv.operand_width;
+      spine.push_back( std::move( lv ) );
+      node = &lhs;
+    }
+    auto bits = elab_leaf( *node, width );
+    for ( auto it = spine.rbegin(); it != spine.rend(); ++it )
+    {
+      bits = elab_binary( *it->node, it->width, it->operand_width, std::move( bits ),
+                          std::move( it->right ) );
+    }
+    return bits;
+  }
+
+  /// `elab` of a non-binary expression.
+  std::vector<aig_lit> elab_leaf( const expression& e, unsigned width )
   {
     switch ( e.kind )
     {
@@ -520,7 +627,7 @@ private:
     case expression::node_kind::unary:
       return elab_unary( e, width );
     case expression::node_kind::binary:
-      return elab_binary( e, width );
+      break; // elab walks binary chains
     case expression::node_kind::ternary:
     {
       // The condition is self-determined; nonzero means true.
@@ -611,32 +718,34 @@ private:
     fail( "unreachable unary op" );
   }
 
-  std::vector<aig_lit> elab_binary( const expression& e, unsigned width )
+  /// Combines a binary node from its left operand `a`, elaborated at
+  /// `operand_width`, and its right operand: `b` for `+ - * / %`, else
+  /// elaborated here.
+  std::vector<aig_lit> elab_binary( const expression& e, unsigned width, unsigned operand_width,
+                                    std::vector<aig_lit> a, std::vector<aig_lit> b )
   {
-    const auto& lhs = *e.operands[0];
     const auto& rhs = *e.operands[1];
     switch ( e.bin_op )
     {
     case binary_op::add:
-      return ripple_add( aig_, elab( lhs, width ), elab( rhs, width ), aig_network::const0 );
+      return ripple_add( aig_, a, b, aig_network::const0 );
     case binary_op::sub:
-      return ripple_sub( aig_, elab( lhs, width ), elab( rhs, width ) );
+      return ripple_sub( aig_, a, b );
     case binary_op::mul:
-      return array_multiply( aig_, elab( lhs, width ), elab( rhs, width ) );
+      return array_multiply( aig_, a, b );
     case binary_op::div:
-      return restoring_divide( aig_, elab( lhs, width ), elab( rhs, width ) );
+      return restoring_divide( aig_, a, b );
     case binary_op::mod:
     {
       std::vector<aig_lit> remainder;
-      restoring_divide( aig_, elab( lhs, width ), elab( rhs, width ), &remainder );
+      restoring_divide( aig_, a, b, &remainder );
       return remainder;
     }
     case binary_op::bit_and:
     case binary_op::bit_or:
     case binary_op::bit_xor:
     {
-      const auto a = elab( lhs, width );
-      const auto b = elab( rhs, width );
+      b = elab( rhs, width );
       std::vector<aig_lit> bits( width );
       for ( unsigned i = 0; i < width; ++i )
       {
@@ -649,7 +758,6 @@ private:
     case binary_op::shl:
     case binary_op::shr:
     {
-      const auto a = elab( lhs, width );
       std::uint64_t amount = 0;
       if ( try_constant( rhs, amount ) )
       {
@@ -674,10 +782,7 @@ private:
     case binary_op::gt:
     case binary_op::ge:
     {
-      // Comparison width: max of the self-determined operand widths.
-      const auto cw = std::max( width_of( lhs ), width_of( rhs ) );
-      auto a = elab( lhs, cw );
-      auto b = elab( rhs, cw );
+      b = elab( rhs, operand_width );
       if ( e.bin_op == binary_op::gt || e.bin_op == binary_op::le )
       {
         std::swap( a, b ); // a>b == b<a, a<=b == !(b<a)
@@ -695,11 +800,9 @@ private:
     case binary_op::eq:
     case binary_op::ne:
     {
-      const auto cw = std::max( width_of( lhs ), width_of( rhs ) );
-      const auto a = elab( lhs, cw );
-      const auto b = elab( rhs, cw );
-      std::vector<aig_lit> eq_bits( cw );
-      for ( unsigned i = 0; i < cw; ++i )
+      b = elab( rhs, operand_width );
+      std::vector<aig_lit> eq_bits( operand_width );
+      for ( unsigned i = 0; i < operand_width; ++i )
       {
         eq_bits[i] = aig_.create_xnor( a[i], b[i] );
       }
@@ -713,10 +816,10 @@ private:
     case binary_op::logic_and:
     case binary_op::logic_or:
     {
-      const auto a = reduce_or_bits( elab( lhs, width_of( lhs ) ) );
-      const auto b = reduce_or_bits( elab( rhs, width_of( rhs ) ) );
-      const auto r = e.bin_op == binary_op::logic_and ? aig_.create_and( a, b )
-                                                      : aig_.create_or( a, b );
+      const auto x = reduce_or_bits( a );
+      const auto y = reduce_or_bits( elab( rhs, width_of( rhs ) ) );
+      const auto r = e.bin_op == binary_op::logic_and ? aig_.create_and( x, y )
+                                                      : aig_.create_or( x, y );
       return resize_bits( { r }, width );
     }
     }

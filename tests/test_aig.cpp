@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <random>
+#include <tuple>
 #include <unordered_map>
 
 #include "common/strash_table.hpp"
 #include "logic/aig.hpp"
+#include "logic/xmg.hpp"
+#include "sat/incremental.hpp"
 
 using namespace qsyn;
 
@@ -272,6 +277,26 @@ TEST( aig, dot_output_contains_nodes )
 namespace
 {
 
+/// The node store behind a test table: node id -> key, appended before each
+/// insert, as `aig_network::append_raw_and` does.  `key_of` rebuilds a
+/// stored id's key from it.
+template<unsigned KeyWords>
+struct key_store
+{
+  using key_type = typename strash_table<KeyWords>::key_type;
+  std::vector<key_type> keys;
+
+  std::uint32_t append( const key_type& key )
+  {
+    keys.push_back( key );
+    return static_cast<std::uint32_t>( keys.size() - 1u );
+  }
+  auto key_of() const
+  {
+    return [this]( std::uint32_t id ) { return keys.at( id ); };
+  }
+};
+
 /// Replays one seeded insert/lookup stream against the flat table and a
 /// std::unordered_map oracle.  The stream repeats keys (duplicate inserts
 /// must keep the first value), and every step also looks up a fresh key
@@ -304,6 +329,8 @@ unsigned replay_against_oracle( std::uint64_t seed, unsigned steps )
     }
     return k;
   };
+  key_store<KeyWords> store;
+  const auto key_of = store.key_of();
   table flat;
   std::unordered_map<key_type, std::uint32_t, key_hash> oracle;
   unsigned growths = 0;
@@ -314,9 +341,9 @@ unsigned replay_against_oracle( std::uint64_t seed, unsigned steps )
     // One step in three re-inserts an earlier key.
     const auto key = !seen.empty() && rng() % 3u == 0u ? seen[rng() % seen.size()] : random_key();
     seen.push_back( key );
-    const auto value = static_cast<std::uint32_t>( rng() % 1000000u );
+    const auto value = store.append( key );
     const auto [it, oracle_inserted] = oracle.emplace( key, value );
-    const auto [stored, inserted] = flat.insert( key, value );
+    const auto [stored, inserted] = flat.insert( key, value, key_of );
     EXPECT_EQ( inserted, oracle_inserted ) << "step " << step;
     EXPECT_EQ( stored, it->second ) << "step " << step;
     EXPECT_EQ( flat.size(), oracle.size() ) << "step " << step;
@@ -329,19 +356,19 @@ unsigned replay_against_oracle( std::uint64_t seed, unsigned steps )
       // Every stored key must survive the rehash.
       for ( const auto& [k, v] : oracle )
       {
-        EXPECT_EQ( flat.find( k ), std::optional<std::uint32_t>( v ) ) << "step " << step;
+        EXPECT_EQ( flat.find( k, key_of ), std::optional<std::uint32_t>( v ) ) << "step " << step;
       }
     }
     const auto probe = random_key();
     const auto expected = oracle.find( probe );
-    EXPECT_EQ( flat.find( probe ), expected == oracle.end()
-                                       ? std::nullopt
-                                       : std::optional<std::uint32_t>( expected->second ) )
+    EXPECT_EQ( flat.find( probe, key_of ), expected == oracle.end()
+                                               ? std::nullopt
+                                               : std::optional<std::uint32_t>( expected->second ) )
         << "step " << step;
   }
   for ( const auto& [k, v] : oracle )
   {
-    EXPECT_EQ( flat.find( k ), std::optional<std::uint32_t>( v ) );
+    EXPECT_EQ( flat.find( k, key_of ), std::optional<std::uint32_t>( v ) );
   }
   return growths;
 }
@@ -351,7 +378,11 @@ unsigned replay_against_oracle( std::uint64_t seed, unsigned steps )
 TEST( strash_table, empty_table_finds_nothing )
 {
   const strash_table<1> t;
-  EXPECT_EQ( t.find( { 0u } ), std::nullopt );
+  const auto never_called = []( std::uint32_t ) -> strash_table<1>::key_type {
+    ADD_FAILURE() << "an empty table has no id to rebuild a key for";
+    return {};
+  };
+  EXPECT_EQ( t.find( { 0u }, never_called ), std::nullopt );
   EXPECT_EQ( t.size(), 0u );
   EXPECT_EQ( t.capacity(), 0u );
 }
@@ -378,9 +409,11 @@ TEST( strash_table, reserved_table_answers_like_a_grown_one )
   // grew insert by insert, duplicate inserts keeping the first value
   // included, and reserve never shrinks the table.
   std::mt19937_64 rng( 17 );
+  key_store<2> store;
+  const auto key_of = store.key_of();
   strash_table<2> grown;
   strash_table<2> presized;
-  presized.reserve( 3000 );
+  presized.reserve( 3000, key_of );
   const auto reserved = presized.capacity();
   EXPECT_GE( reserved, 6000u );
   EXPECT_TRUE( is_power_of_two( reserved ) );
@@ -391,23 +424,229 @@ TEST( strash_table, reserved_table_answers_like_a_grown_one )
     const auto key = repeat ? seen[rng() % seen.size()]
                             : strash_table<2>::key_type{ rng() % 4096u, rng() % 4096u };
     seen.push_back( key );
-    EXPECT_EQ( presized.insert( key, step ), grown.insert( key, step ) ) << "step " << step;
+    const auto id = store.append( key );
+    EXPECT_EQ( presized.insert( key, id, key_of ), grown.insert( key, id, key_of ) )
+        << "step " << step;
     const strash_table<2>::key_type probe{ rng() % 4096u, rng() % 4096u };
-    EXPECT_EQ( presized.find( probe ), grown.find( probe ) ) << "step " << step;
+    EXPECT_EQ( presized.find( probe, key_of ), grown.find( probe, key_of ) ) << "step " << step;
   }
   EXPECT_EQ( presized.size(), grown.size() );
   EXPECT_EQ( presized.capacity(), reserved ); // no regrowth within the reservation
   for ( const auto& key : seen )
   {
-    EXPECT_EQ( presized.find( key ), grown.find( key ) );
+    EXPECT_EQ( presized.find( key, key_of ), grown.find( key, key_of ) );
   }
-  presized.reserve( 10 );
+  presized.reserve( 10, key_of );
   EXPECT_EQ( presized.capacity(), reserved ); // never shrinks
-  grown.reserve( 4 * grown.size() );
+  grown.reserve( 4 * grown.size(), key_of );
   EXPECT_GE( grown.capacity(), 8 * grown.size() );
   for ( const auto& key : seen )
   {
-    EXPECT_EQ( presized.find( key ), grown.find( key ) ); // survives a rehash
+    EXPECT_EQ( presized.find( key, key_of ), grown.find( key, key_of ) ); // survives a rehash
+  }
+}
+
+namespace
+{
+
+/// Reference hash-consing of an AND over literals: the folding rules of
+/// `aig_network::create_and` (shared by the SAT engine), then the first
+/// node of the ordered fanin pair, `next` if the pair is new.
+struct and_reference
+{
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t> first;
+  std::size_t created = 0;
+  std::size_t hits = 0;
+
+  std::uint32_t create_and( std::uint32_t a, std::uint32_t b, std::uint32_t next )
+  {
+    if ( a == 0u || b == 0u || a == ( b ^ 1u ) )
+    {
+      return 0u;
+    }
+    if ( a == 1u || a == b )
+    {
+      return b;
+    }
+    if ( b == 1u )
+    {
+      return a;
+    }
+    const auto [it, fresh] = first.emplace( std::minmax( a, b ), next );
+    ++( fresh ? created : hits );
+    return it->second << 1;
+  }
+};
+
+/// A random AIG over `num_pis` inputs: `steps` create_and calls on earlier
+/// literals, each result checked against `ref`, with one raw duplicate
+/// pair appended halfway (the first of the pair keeps the key).
+aig_network random_strashed_aig( std::mt19937_64& rng, unsigned num_pis, unsigned steps,
+                                 and_reference& ref )
+{
+  aig_network aig( num_pis );
+  std::vector<aig_lit> pool = { aig_network::const0 };
+  for ( unsigned i = 0; i < num_pis; ++i )
+  {
+    pool.push_back( aig.pi( i ) );
+  }
+  // Half the picks come from the first literals, so pairs repeat.
+  const auto pick = [&] {
+    const auto range = rng() % 2u == 0u ? std::min<std::size_t>( pool.size(), 32u ) : pool.size();
+    return pool[rng() % range] ^ static_cast<aig_lit>( rng() & 1u );
+  };
+  for ( unsigned step = 0; step < steps; ++step )
+  {
+    if ( step == steps / 2u )
+    {
+      // The newest node feeds no node yet, so no node has this pair.
+      const auto x = make_lit( static_cast<std::uint32_t>( aig.num_nodes() - 1u ) );
+      const auto y = aig.pi( 0 );
+      const auto raw_first = aig.append_raw_and( x, y ); // fanins reversed
+      const auto raw_twin = aig.append_raw_and( y, x );
+      EXPECT_EQ( ref.create_and( x, y, lit_node( raw_first ) ), raw_first );
+      EXPECT_EQ( aig.create_and( x, y ), raw_first );
+      EXPECT_EQ( aig.create_and( y, x ), raw_first );
+      pool.push_back( raw_first );
+      pool.push_back( raw_twin );
+    }
+    const auto a = pick();
+    const auto b = pick();
+    const auto next = static_cast<std::uint32_t>( aig.num_nodes() );
+    const auto expected = ref.create_and( a, b, next );
+    const auto got = aig.create_and( a, b );
+    EXPECT_EQ( got, expected ) << "step " << step;
+    EXPECT_EQ( aig.num_nodes(), lit_node( expected ) == next ? next + 1u : next )
+        << "step " << step;
+    pool.push_back( got );
+  }
+  return aig;
+}
+
+} // namespace
+
+TEST( strash_table, owners_hash_cons_like_a_map_reference )
+{
+  // The slot format must not change an answer: every owner of a strash
+  // table returns, for each normalized key, the first node built with it.
+  std::mt19937_64 rng( 20 );
+
+  // AIG: create_and on random literals plus one raw duplicate pair.
+  and_reference aig_ref;
+  const auto spec = random_strashed_aig( rng, 18, 4000, aig_ref );
+  EXPECT_GT( aig_ref.hits, 100u );
+  EXPECT_GT( aig_ref.created, 1000u );
+
+  // XMG: MAJ over three distinct nodes with at most one complemented
+  // fanin, and XOR over two distinct non-constant nodes, each passed in a
+  // random order (these shapes are canonical up to fanin order), plus one
+  // raw duplicate MAJ.
+  {
+    xmg_network xmg( 8 );
+    using key = std::tuple<bool, xmg_lit, xmg_lit, xmg_lit>; // (is_xor, sorted fanins)
+    std::map<key, std::uint32_t> first;
+    std::size_t hits = 0;
+    const auto reference = [&]( const key& k ) {
+      const auto [it, fresh] = first.emplace( k, static_cast<std::uint32_t>( xmg.num_nodes() ) );
+      hits += fresh ? 0u : 1u;
+      return it->second;
+    };
+    // Half the tuples come from the first nodes, so keys repeat.
+    const auto distinct_nodes = [&]( unsigned count ) {
+      const auto range =
+          rng() % 2u == 0u ? std::min<std::size_t>( xmg.num_nodes(), 12u ) : xmg.num_nodes();
+      std::vector<std::uint32_t> nodes;
+      while ( nodes.size() < count )
+      {
+        const auto n = static_cast<std::uint32_t>( rng() % range );
+        if ( std::find( nodes.begin(), nodes.end(), n ) == nodes.end() )
+        {
+          nodes.push_back( n );
+        }
+      }
+      std::sort( nodes.begin(), nodes.end() );
+      return nodes;
+    };
+    for ( unsigned step = 0; step < 4000u; ++step )
+    {
+      if ( step == 2000u )
+      {
+        // The newest node feeds no node yet, so no node has this triple.
+        const auto newest = static_cast<xmg_lit>( xmg.num_nodes() - 1u ) << 1;
+        const std::array<xmg_lit, 3> fanin = { xmg.pi( 0 ), xmg.pi( 1 ), newest };
+        const auto expected = reference( { false, fanin[0], fanin[1], fanin[2] } );
+        const auto raw_first = xmg.append_raw_node( xmg_network::node_kind::maj, fanin );
+        xmg.append_raw_node( xmg_network::node_kind::maj, fanin );
+        EXPECT_EQ( raw_first, expected << 1 );
+        EXPECT_EQ( xmg.create_maj( fanin[2], fanin[0], fanin[1] ), raw_first );
+        continue;
+      }
+      if ( rng() % 2u == 0u )
+      {
+        const auto n = distinct_nodes( 3 );
+        std::array<xmg_lit, 3> lits = { n[0] << 1, n[1] << 1, n[2] << 1 };
+        const auto flip = rng() % 4u; // 3: no complemented fanin
+        if ( flip < 3u )
+        {
+          lits[flip] ^= 1u;
+        }
+        const auto expected = reference( { false, lits[0], lits[1], lits[2] } ) << 1;
+        std::shuffle( lits.begin(), lits.end(), rng );
+        EXPECT_EQ( xmg.create_maj( lits[0], lits[1], lits[2] ), expected ) << "step " << step;
+      }
+      else if ( xmg.num_nodes() > 3u )
+      {
+        const auto n = distinct_nodes( 2 );
+        if ( n[0] == 0u )
+        {
+          continue;
+        }
+        const auto ca = static_cast<xmg_lit>( rng() & 1u );
+        const auto cb = static_cast<xmg_lit>( rng() & 1u );
+        const auto expected =
+            ( reference( { true, n[0] << 1, n[1] << 1, 0u } ) << 1 ) | ( ca ^ cb );
+        const auto a = ( n[0] << 1 ) | ca;
+        const auto b = ( n[1] << 1 ) | cb;
+        EXPECT_EQ( rng() % 2u == 0u ? xmg.create_xor( a, b ) : xmg.create_xor( b, a ), expected )
+            << "step " << step;
+      }
+    }
+    EXPECT_GT( hits, 100u );
+    EXPECT_EQ( xmg.num_gates(), first.size() + 1u ); // + the raw twin
+  }
+
+  // SAT engine: encoding hash-conses every AND of both networks into one
+  // union store, so its node and hit counters follow the reference.
+  {
+    and_reference engine_ref;
+    const auto encode = [&]( const aig_network& aig ) {
+      std::vector<std::uint32_t> map( aig.num_nodes() );
+      for ( std::uint32_t n = 1; n <= aig.num_pis(); ++n )
+      {
+        map[n] = n << 1; // the engine numbers PIs 1..num_pis on the first check
+      }
+      const auto conv = [&]( aig_lit l ) { return map[lit_node( l )] ^ ( l & 1u ); };
+      for ( std::uint32_t n = aig.num_pis() + 1u; n < aig.num_nodes(); ++n )
+      {
+        const auto next = static_cast<std::uint32_t>( 1u + aig.num_pis() + engine_ref.created );
+        map[n] = engine_ref.create_and( conv( aig.fanin0( n ) ), conv( aig.fanin1( n ) ), next );
+      }
+    };
+    sat::incremental_cec engine;
+    const auto same = engine.check( spec, spec );
+    EXPECT_TRUE( same.equivalent );
+    encode( spec );
+    encode( spec );
+    EXPECT_EQ( engine.stats().nodes, engine_ref.created );
+    EXPECT_EQ( engine.stats().strash_hits, engine_ref.hits );
+
+    and_reference other_ref;
+    const auto other = random_strashed_aig( rng, 18, 2000, other_ref );
+    engine.check( spec, other );
+    encode( spec );
+    encode( other );
+    EXPECT_EQ( engine.stats().nodes, engine_ref.created );
+    EXPECT_EQ( engine.stats().strash_hits, engine_ref.hits );
   }
 }
 

@@ -642,6 +642,81 @@ TEST( robustness_verilog, deep_unary_chains_are_a_parse_error_not_a_crash )
   }
 }
 
+namespace
+{
+
+/// A module assigning `expr` over 4-bit inputs `a` and `b` to 4-bit `y`.
+std::string nibble_module( const std::string& expr )
+{
+  return "module chain(a, b, y);\n"
+         "  input [3:0] a;\n"
+         "  input [3:0] b;\n"
+         "  output [3:0] y;\n"
+         "  assign y = " + expr + ";\n"
+         "endmodule\n";
+}
+
+/// `terms` operands joined left-associatively, cycling through `ops` and
+/// `operands`.
+std::string operator_chain( const std::vector<std::string>& ops,
+                            const std::vector<std::string>& operands, std::size_t terms )
+{
+  std::string chain = operands[0];
+  for ( std::size_t i = 1; i < terms; ++i )
+  {
+    chain += " " + ops[i % ops.size()] + " " + operands[i % operands.size()];
+  }
+  return chain;
+}
+
+/// `y` of a `nibble_module` AIG for inputs `a` and `b`.
+unsigned evaluate_nibble( const aig_network& aig, unsigned a, unsigned b )
+{
+  std::vector<bool> inputs;
+  for ( const auto word : { a, b } )
+  {
+    for ( unsigned bit = 0; bit < 4u; ++bit )
+    {
+      inputs.push_back( ( word >> bit ) & 1u );
+    }
+  }
+  const auto out = aig.evaluate( inputs );
+  unsigned y = 0;
+  for ( unsigned bit = 0; bit < 4u; ++bit )
+  {
+    y |= out[bit] ? 1u << bit : 0u;
+  }
+  return y;
+}
+
+} // namespace
+
+TEST( robustness_verilog, long_operator_chains_elaborate_without_recursion )
+{
+  // A left-associative chain parses into a left spine as deep as the chain
+  // is long; elaborating (and destroying) 50 000 terms used to overflow the
+  // stack.
+  const auto xor_chain =
+      verilog::elaborate_verilog( nibble_module( operator_chain( { "^" }, { "a" }, 50001 ) ) );
+  const auto add_chain =
+      verilog::elaborate_verilog( nibble_module( operator_chain( { "+" }, { "a" }, 50003 ) ) );
+  for ( unsigned a = 0; a < 16u; a += 5u )
+  {
+    EXPECT_EQ( evaluate_nibble( xor_chain.aig, a, 0u ), a ); // an odd count of a
+    EXPECT_EQ( evaluate_nibble( add_chain.aig, a, 0u ), ( 50003u * a ) % 16u );
+  }
+
+  // The chain walk keeps the recursion's create_* order (`+ - * / %` right
+  // operand first, every other operator left operand first), so the AIG is
+  // node for node the one the recursive elaborator built.
+  const std::vector<std::string> all_ops = { "^", "+",  "&",  "-", "|",  "*",  "/",  "%",  "<<",
+                                             ">>", "<", "==", "&&", "||", "!=", ">=", "<=", ">" };
+  const auto mixed = verilog::elaborate_verilog( nibble_module(
+      operator_chain( all_ops, { "(a + b)", "(b - a)", "(a * b)", "(a ^ b)", "4'd3" }, 1000 ) ) );
+  EXPECT_EQ( mixed.aig.num_ands(), 2787u );
+  EXPECT_EQ( mixed.aig.content_hash(), 3235133762238064144ull );
+}
+
 TEST( robustness_verilog, elaborator_errors_name_source_and_module )
 {
   const std::string source = "module broken(a, y);\n"
