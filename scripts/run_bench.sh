@@ -677,7 +677,7 @@ cmake -B "$ASAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE=
   -DQSYN_SIMD=native
 cmake --build "$ASAN_DIR" -j "$(nproc)" \
   --target test_verify test_store test_lut_xmg test_synth test_sat test_aig test_xmg test_daemon \
-  test_robustness test_flows
+  test_robustness test_flows test_reversible test_rsynth
 "$ASAN_DIR/tests/test_verify"
 # The artifact store is raw byte-level (de)serialization of attacker-ish
 # input (any on-disk file): run its suite instrumented too.
@@ -700,9 +700,15 @@ cmake --build "$ASAN_DIR" -j "$(nproc)" \
 # the verify-tier degradation ladder and the parser's nesting limit.
 "$ASAN_DIR/tests/test_robustness"
 "$ASAN_DIR/tests/test_flows"
+# A circuit's gates are one flat array indexed through per-gate control
+# offsets, and the gate kernel reads those arrays and the packed controls
+# in place: an off-by-one offset reads a neighbour gate's controls.
+"$ASAN_DIR/tests/test_reversible"
+"$ASAN_DIR/tests/test_rsynth"
 echo
 echo "test_verify + test_store + test_lut_xmg + test_synth + test_sat + test_aig + test_xmg +" \
-     "test_daemon + test_robustness + test_flows OK under AddressSanitizer"
+     "test_daemon + test_robustness + test_flows + test_reversible + test_rsynth OK under" \
+     "AddressSanitizer"
 
 # --- robustness + scheduler tests under UBSan and TSan -----------------------
 # The budget/cancellation/fault-injection paths are counter arithmetic,
@@ -715,7 +721,7 @@ cmake -B "$UBSAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE
   -DQSYN_SIMD=native
 cmake --build "$UBSAN_DIR" -j "$(nproc)" \
   --target test_robustness test_scheduler test_store test_verify test_lut_xmg test_synth \
-  test_sat test_aig test_xmg test_daemon
+  test_sat test_aig test_xmg test_daemon test_reversible test_rsynth
 "$UBSAN_DIR/tests/test_robustness"
 "$UBSAN_DIR/tests/test_scheduler"
 # The store headers round-trip enums and fixed-width counters from
@@ -736,9 +742,14 @@ cmake --build "$UBSAN_DIR" -j "$(nproc)" \
 "$UBSAN_DIR/tests/test_xmg"
 # Outcome decoding turns on-disk bytes back into enums and counters.
 "$UBSAN_DIR/tests/test_daemon"
+# Control offsets are 32-bit sums over the flat gate array, and a control
+# packs its line and polarity into bit-fields of one word.
+"$UBSAN_DIR/tests/test_reversible"
+"$UBSAN_DIR/tests/test_rsynth"
 echo
 echo "test_robustness + test_scheduler + test_store + test_verify + test_lut_xmg +" \
-     "test_synth + test_sat + test_aig + test_xmg + test_daemon OK under UndefinedBehaviorSanitizer"
+     "test_synth + test_sat + test_aig + test_xmg + test_daemon + test_reversible + test_rsynth" \
+     "OK under UndefinedBehaviorSanitizer"
 
 TSAN_DIR="$REPO_ROOT/build-tsan-robustness"
 cmake -B "$TSAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE=thread

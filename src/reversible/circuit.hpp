@@ -10,33 +10,48 @@
 /// Lines carry metadata (primary input / constant ancilla / which output a
 /// line holds / garbage) so that flows can report qubit counts and verify
 /// semantics against the original irreversible specification.
+///
+/// Gate storage is one compressed-sparse-row array, with no allocation per
+/// gate: `targets_` holds one `uint32` per gate, `controls_` holds every
+/// gate's controls back to back (a `control` packs line and polarity into
+/// 4 bytes), and gate g's controls are `controls_[offsets_[g],
+/// offsets_[g + 1])`.  A NOT costs 8 bytes, a CNOT 12 and a two-control
+/// Toffoli 16.  `gates()` and `gate()` hand out `gate_ref`s that view these
+/// arrays in place: a `gate_ref` stays valid until the next mutation of its
+/// circuit (adding a gate may reallocate the arrays).
 
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <ranges>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace qsyn
 {
 
-/// A control connection of a Toffoli gate.
+/// A control connection of a Toffoli gate: a 31-bit line index and a
+/// polarity bit in one 4-byte word.
 struct control
 {
-  std::uint32_t line;
-  bool positive; ///< false = negative control (fires on 0)
+  std::uint32_t line : 31;
+  bool positive : 1; ///< false = negative control (fires on 0)
 
   bool operator==( const control& other ) const
   {
     return line == other.line && positive == other.positive;
   }
 };
+static_assert( sizeof( control ) == 4 );
 
-/// One mixed-polarity multiple-controlled Toffoli gate.
-struct toffoli_gate
+/// One mixed-polarity multiple-controlled Toffoli gate, viewed in place in
+/// its circuit's arrays; valid until the circuit's next mutation.
+struct gate_ref
 {
-  std::vector<control> controls;
-  std::uint32_t target = 0;
+  std::span<const control> controls;
+  std::uint32_t target;
 
   unsigned num_controls() const { return static_cast<unsigned>( controls.size() ); }
 };
@@ -64,9 +79,30 @@ public:
   explicit reversible_circuit( unsigned num_lines );
 
   unsigned num_lines() const { return static_cast<unsigned>( lines_.size() ); }
-  std::size_t num_gates() const { return gates_.size(); }
-  const std::vector<toffoli_gate>& gates() const { return gates_; }
-  std::vector<toffoli_gate>& gates() { return gates_; }
+  std::size_t num_gates() const { return targets_.size(); }
+
+  /// Gate `index`, viewed in place.
+  gate_ref gate( std::size_t index ) const
+  {
+    const auto begin = offsets_[index];
+    return { { controls_.data() + begin, offsets_[index + 1u] - begin }, targets_[index] };
+  }
+
+  /// Read-only random-access view of the gates in order; its elements are
+  /// `gate_ref`s.
+  auto gates() const
+  {
+    return std::views::iota( std::uint32_t{ 0 }, static_cast<std::uint32_t>( num_gates() ) ) |
+           std::views::transform( [this]( std::uint32_t index ) { return gate( index ); } );
+  }
+
+  /// The arrays behind `gates()`, for kernels that stream them: gate g's
+  /// controls are `controls()[control_offsets()[g], control_offsets()[g + 1])`.
+  /// `control_offsets()` has `num_gates() + 1` entries, or none while the
+  /// circuit has no gate.
+  std::span<const std::uint32_t> targets() const { return targets_; }
+  std::span<const std::uint32_t> control_offsets() const { return offsets_; }
+  std::span<const control> controls() const { return controls_; }
 
   line_info& line( unsigned index ) { return lines_.at( index ); }
   const line_info& line( unsigned index ) const { return lines_.at( index ); }
@@ -76,7 +112,9 @@ public:
 
   /// --- gate constructors ---------------------------------------------------
 
-  void add_gate( toffoli_gate gate );
+  /// Appends one gate; every other gate constructor ends here.  The
+  /// controls are copied, so they may live anywhere but in this circuit.
+  void add_gate( std::span<const control> controls, std::uint32_t target );
   /// NOT gate.
   void add_not( std::uint32_t target );
   /// CNOT with a positive control.
@@ -84,11 +122,19 @@ public:
   /// Toffoli with two positive controls.
   void add_toffoli( std::uint32_t c0, std::uint32_t c1, std::uint32_t target );
   /// General gate from (line, polarity) pairs.
-  void add_mct( const std::vector<control>& controls, std::uint32_t target );
+  void add_mct( std::span<const control> controls, std::uint32_t target );
+  void add_mct( std::initializer_list<control> controls, std::uint32_t target );
   /// SWAP via three CNOTs.
   void add_swap( std::uint32_t a, std::uint32_t b );
   /// Fredkin (controlled swap) via CNOT + Toffoli + CNOT.
   void add_fredkin( std::uint32_t ctrl, std::uint32_t a, std::uint32_t b );
+
+  /// Presizes the gate arrays for `gates` gates with `controls` controls
+  /// in total.
+  void reserve( std::size_t gates, std::size_t controls );
+
+  /// Retargets gate `index` (fault injection: `corrupt_circuit`).
+  void set_target( std::size_t index, std::uint32_t target );
 
   /// Appends all gates of `other` (same line count).
   void append( const reversible_circuit& other );
@@ -119,8 +165,14 @@ public:
   std::string to_string() const;
 
 private:
+  /// Throws std::length_error unless `gates` more gates with `controls`
+  /// more controls keep every gate index and control offset in 32 bits.
+  void check_room( std::size_t gates, std::size_t controls ) const;
+
   std::vector<line_info> lines_;
-  std::vector<toffoli_gate> gates_;
+  std::vector<std::uint32_t> targets_;
+  std::vector<std::uint32_t> offsets_; ///< empty, or num_gates() + 1 entries
+  std::vector<control> controls_;
 };
 
 } // namespace qsyn

@@ -55,7 +55,7 @@ std::uint64_t circuit_t_count( const reversible_circuit& circuit )
 {
   std::uint64_t total = 0;
   const auto lines = circuit.num_lines();
-  for ( const auto& g : circuit.gates() )
+  for ( const auto g : circuit.gates() )
   {
     const auto touched = g.num_controls() + 1u;
     const auto free_lines = lines >= touched ? lines - touched : 0u;
@@ -68,7 +68,7 @@ std::uint64_t circuit_depth( const reversible_circuit& circuit )
 {
   std::vector<std::uint64_t> line_level( circuit.num_lines(), 0u );
   std::uint64_t depth = 0;
-  for ( const auto& g : circuit.gates() )
+  for ( const auto g : circuit.gates() )
   {
     std::uint64_t level = line_level[g.target];
     for ( const auto& c : g.controls )

@@ -373,7 +373,7 @@ aig_network circuit_to_aig( const reversible_circuit& circuit )
   {
     state[in_lines[i]] = aig.pi( static_cast<unsigned>( i ) );
   }
-  for ( const auto& g : circuit.gates() )
+  for ( const auto g : circuit.gates() )
   {
     std::vector<aig_lit> controls;
     controls.reserve( g.controls.size() );
@@ -430,23 +430,22 @@ reversible_circuit corrupt_circuit( const reversible_circuit& circuit, const aig
   auto corrupted = circuit;
   for ( std::size_t g = corrupted.num_gates(); g-- > 0; )
   {
-    auto& gate = corrupted.gates()[g];
-    const auto original = gate.target;
+    const auto original = corrupted.gate( g ).target;
     for ( std::uint32_t t = 0; t < corrupted.num_lines(); ++t )
     {
-      const auto on_control =
-          std::any_of( gate.controls.begin(), gate.controls.end(),
-                       [t]( const control& c ) { return c.line == t; } );
+      const auto controls = corrupted.gate( g ).controls;
+      const auto on_control = std::any_of( controls.begin(), controls.end(),
+                                           [t]( const control& c ) { return c.line == t; } );
       if ( t == original || on_control )
       {
         continue;
       }
-      gate.target = t;
+      corrupted.set_target( g, t );
       if ( verify_against_aig_exhaustive( corrupted, spec ).has_value() )
       {
         return corrupted;
       }
-      gate.target = original;
+      corrupted.set_target( g, original );
     }
   }
   throw std::logic_error( "corrupt_circuit: no single retarget changes the function" );

@@ -196,27 +196,10 @@ void simd_and2_masked( std::uint64_t* dst, const std::uint64_t* a, std::uint64_t
 // --- wide_simulator ----------------------------------------------------------
 
 wide_simulator::wide_simulator( const reversible_circuit& circuit, sim_width width )
-    : width_( width ), backend_( active_simd_backend( width ) ),
+    : circuit_( &circuit ), width_( width ), backend_( active_simd_backend( width ) ),
       in_lines_( input_lines_of( circuit ) ), out_lines_( output_lines_of( circuit ) )
 {
   const auto W = words_of( width_ );
-  targets_.reserve( circuit.num_gates() );
-  control_offsets_.reserve( circuit.num_gates() + 1u );
-  // Toffoli-dominated cascades average ~2 controls per gate; reserving for
-  // that keeps the flattening pass to at most one late regrowth.
-  control_lines_.reserve( 2u * circuit.num_gates() );
-  control_inverts_.reserve( 2u * circuit.num_gates() );
-  control_offsets_.push_back( 0u );
-  for ( const auto& g : circuit.gates() )
-  {
-    targets_.push_back( g.target );
-    for ( const auto& c : g.controls )
-    {
-      control_lines_.push_back( c.line );
-      control_inverts_.push_back( c.positive ? 0u : ~std::uint64_t{ 0 } );
-    }
-    control_offsets_.push_back( static_cast<std::uint32_t>( control_lines_.size() ) );
-  }
   // A sparse constant list instead of a full initial-state image: the
   // per-evaluate reset is then one write-only memset plus a handful of
   // constant-1 groups, instead of streaming a lines*W image through the
@@ -252,8 +235,8 @@ wide_simulator::evaluate( const std::vector<std::uint64_t>& input_words )
                  W * sizeof( std::uint64_t ) );
   }
   const auto table = wide_detail::table_for( backend_, W );
-  table.gate( targets_.data(), control_offsets_.data(), targets_.size(), control_lines_.data(),
-              control_inverts_.data(), state_.data() );
+  table.gate( circuit_->targets().data(), circuit_->control_offsets().data(),
+              circuit_->num_gates(), circuit_->controls().data(), state_.data() );
   for ( std::size_t o = 0; o < out_lines_.size(); ++o )
   {
     std::memcpy( outputs_.data() + o * W, state_.data() + std::size_t{ out_lines_[o] } * W,

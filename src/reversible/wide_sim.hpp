@@ -91,10 +91,11 @@ simd_backend active_simd_backend( sim_width width );
 void simd_and2_masked( std::uint64_t* dst, const std::uint64_t* a, std::uint64_t invert_a,
                        const std::uint64_t* b, std::uint64_t invert_b, std::size_t num_words );
 
-/// Reusable width-generic circuit simulator.  The gate list is flattened once at
-/// construction (targets, control lines, polarity masks in flat arrays);
-/// every `evaluate` call then runs allocation-free and branch-free over the
-/// dispatched kernel.  The referenced circuit must outlive the simulator.
+/// Reusable width-generic circuit simulator.  The dispatched kernel reads
+/// the circuit's gate arrays in place, so every `evaluate` call runs
+/// allocation-free and branch-free with no copy of the gate list.  The
+/// referenced circuit must outlive the simulator and must not change while
+/// the simulator is in use.
 class wide_simulator
 {
 public:
@@ -113,15 +114,12 @@ public:
   const std::vector<std::uint32_t>& output_lines() const { return out_lines_; }
 
 private:
+  const reversible_circuit* circuit_;
   sim_width width_;
   simd_backend backend_;
   std::vector<std::uint32_t> in_lines_;
   std::vector<std::uint32_t> out_lines_;
-  std::vector<std::uint32_t> targets_;         ///< target line per gate
-  std::vector<std::uint32_t> control_offsets_; ///< gate g's controls at [g], [g+1])
-  std::vector<std::uint32_t> control_lines_;
-  std::vector<std::uint64_t> control_inverts_; ///< all-ones for negative controls
-  std::vector<std::uint32_t> one_lines_;       ///< lines with constant-1 inputs
+  std::vector<std::uint32_t> one_lines_; ///< lines with constant-1 inputs
   std::vector<std::uint64_t> state_;
   std::vector<std::uint64_t> outputs_;
 };

@@ -24,6 +24,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "circuit.hpp"
+
 namespace qsyn::wide_detail
 {
 
@@ -31,12 +33,12 @@ namespace qsyn::wide_detail
 /// hold one group (`W` consecutive words) per line / node.
 struct kernel_table
 {
-  /// Runs the whole flattened gate cascade over one lane group per line:
-  /// per gate, the control conjunction is a group AND over polarity-masked
-  /// line groups, the target update a group XOR.
+  /// Runs a circuit's whole gate cascade, read in place from its arrays
+  /// (`reversible_circuit::targets`, `control_offsets`, `controls`), over
+  /// one lane group per line: per gate, the control conjunction is a group
+  /// AND over polarity-masked line groups, the target update a group XOR.
   void ( *gate )( const std::uint32_t* targets, const std::uint32_t* control_offsets,
-                  std::size_t num_gates, const std::uint32_t* control_lines,
-                  const std::uint64_t* control_inverts, std::uint64_t* state );
+                  std::size_t num_gates, const control* controls, std::uint64_t* state );
   /// Walks all AND nodes in topological order: node `first_and + n` gets
   /// `(v(f0) ^ i0) & (v(f1) ^ i1)` over its group.
   void ( *aig )( const std::uint32_t* fanin_nodes, const std::uint64_t* fanin_inverts,
@@ -153,8 +155,7 @@ struct paired_ops
 
 template<typename Ops>
 void gate_kernel( const std::uint32_t* targets, const std::uint32_t* control_offsets,
-                  std::size_t num_gates, const std::uint32_t* control_lines,
-                  const std::uint64_t* control_inverts, std::uint64_t* state )
+                  std::size_t num_gates, const control* controls, std::uint64_t* state )
 {
   constexpr unsigned W = Ops::words;
   for ( std::size_t g = 0; g < num_gates; ++g )
@@ -163,8 +164,10 @@ void gate_kernel( const std::uint32_t* targets, const std::uint32_t* control_off
     const auto end = control_offsets[g + 1];
     for ( auto c = control_offsets[g]; c < end; ++c )
     {
-      acc = Ops::and_xor( acc, Ops::load( state + std::size_t{ control_lines[c] } * W ),
-                          Ops::broadcast( control_inverts[c] ) );
+      // A negative control's mask is all ones: it tests the line's complement.
+      const auto invert = std::uint64_t{ 0 } - std::uint64_t{ !controls[c].positive };
+      acc = Ops::and_xor( acc, Ops::load( state + std::size_t{ controls[c].line } * W ),
+                          Ops::broadcast( invert ) );
     }
     std::uint64_t* t = state + std::size_t{ targets[g] } * W;
     Ops::store( t, Ops::bxor( Ops::load( t ), acc ) );

@@ -28,7 +28,7 @@ void write_real( const reversible_circuit& circuit, std::ostream& os, const std:
     os << ( circuit.line( l ).is_garbage ? '1' : '-' );
   }
   os << "\n.begin\n";
-  for ( const auto& g : circuit.gates() )
+  for ( const auto g : circuit.gates() )
   {
     os << "t" << ( g.num_controls() + 1u );
     for ( const auto& c : g.controls )
@@ -106,7 +106,7 @@ void emit_mcx( std::ostream& os, const std::vector<std::uint32_t>& controls,
 void write_qasm( const reversible_circuit& circuit, std::ostream& os )
 {
   unsigned max_controls = 0;
-  for ( const auto& g : circuit.gates() )
+  for ( const auto g : circuit.gates() )
   {
     max_controls = std::max( max_controls, g.num_controls() );
   }
@@ -125,7 +125,7 @@ void write_qasm( const reversible_circuit& circuit, std::ostream& os )
       os << "x q[" << l << "];\n";
     }
   }
-  for ( const auto& g : circuit.gates() )
+  for ( const auto g : circuit.gates() )
   {
     // Conjugate negative controls with X.
     for ( const auto& c : g.controls )

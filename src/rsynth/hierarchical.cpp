@@ -1,6 +1,7 @@
 #include "hierarchical.hpp"
 
 #include <cassert>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -31,6 +32,12 @@ public:
 
   reversible_circuit run()
   {
+    // Presize to a lower bound: each MAJ costs at least one Toffoli and each
+    // XOR at least one CNOT, and the cleanups other than keep_garbage
+    // uncompute every node at least once.
+    const auto copies = params_.cleanup == cleanup_strategy::keep_garbage ? 1u : 2u;
+    circuit_.reserve( copies * ( xmg_.num_maj() + xmg_.num_xor() ),
+                      copies * ( 2u * xmg_.num_maj() + xmg_.num_xor() ) );
     if ( params_.cleanup == cleanup_strategy::eager )
     {
       run_eager();
@@ -143,21 +150,40 @@ private:
     }
   }
 
-  /// Recursively computes all not-yet-computed nodes in the cone of `node`.
-  void compute_cone( std::uint32_t node, std::vector<std::uint32_t>& cone )
+  /// Computes all not-yet-computed nodes in the cone of `root`, in post
+  /// order: a node's fanins in order, each skipped if it has a line when it
+  /// is reached, then the node.  An explicit stack of (node, next fanin)
+  /// frames keeps deep cones off the call stack.
+  void compute_cone( std::uint32_t root, std::vector<std::uint32_t>& cone )
   {
-    if ( node <= xmg_.num_pis() || node_line_[node] != no_line )
+    const auto needs_line = [&]( std::uint32_t n ) {
+      return n > xmg_.num_pis() && node_line_[n] == no_line;
+    };
+    if ( !needs_line( root ) )
     {
       return;
     }
-    for ( const auto lit : fanin_lits( node ) )
+    cone_stack_.push_back( { root, 0u } );
+    while ( !cone_stack_.empty() )
     {
-      compute_cone( lit >> 1, cone );
+      auto& frame = cone_stack_.back();
+      const auto fanins = fanin_lits( frame.node );
+      if ( frame.next_fanin < fanins.size() )
+      {
+        const auto fanin = fanins[frame.next_fanin++] >> 1;
+        if ( needs_line( fanin ) )
+        {
+          cone_stack_.push_back( { fanin, 0u } );
+        }
+        continue;
+      }
+      const auto node = frame.node;
+      cone_stack_.pop_back();
+      const auto before = circuit_.num_gates();
+      compute_node( node );
+      cone_gate_counts_ += circuit_.num_gates() - before;
+      cone.push_back( node );
     }
-    const auto before = circuit_.num_gates();
-    compute_node( node );
-    cone_gate_counts_ += circuit_.num_gates() - before;
-    cone.push_back( node );
   }
 
   std::uint32_t alloc_line( const std::string& name )
@@ -211,14 +237,10 @@ private:
     }
   }
 
-  std::vector<xmg_lit> fanin_lits( std::uint32_t n ) const
+  /// The node's fanins: three for a MAJ, two for an XOR.
+  std::span<const xmg_lit> fanin_lits( std::uint32_t n ) const
   {
-    const auto& f = xmg_.fanins( n );
-    if ( xmg_.is_maj( n ) )
-    {
-      return { f[0], f[1], f[2] };
-    }
-    return { f[0], f[1] };
+    return std::span<const xmg_lit>( xmg_.fanins( n ) ).first( xmg_.is_maj( n ) ? 3u : 2u );
   }
 
   void compute_xor( std::uint32_t n )
@@ -359,6 +381,13 @@ private:
   std::vector<std::uint32_t> node_line_;
   std::vector<std::uint32_t> free_lines_;
   std::size_t cone_gate_counts_ = 0;
+
+  struct cone_frame
+  {
+    std::uint32_t node;
+    unsigned next_fanin;
+  };
+  std::vector<cone_frame> cone_stack_;
 };
 
 } // namespace

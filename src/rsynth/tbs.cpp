@@ -1,5 +1,6 @@
 #include "tbs.hpp"
 
+#include <array>
 #include <cassert>
 #include <stdexcept>
 
@@ -187,16 +188,26 @@ private:
   reversible_circuit build_circuit()
   {
     reversible_circuit circuit( num_lines_ );
+    std::size_t num_controls = 0;
+    for ( const auto* gates : { &input_gates_, &output_gates_ } )
+    {
+      for ( const auto& g : *gates )
+      {
+        num_controls += popcount64( g.controls );
+      }
+    }
+    circuit.reserve( input_gates_.size() + output_gates_.size(), num_controls );
+    std::array<control, 64> controls{};
     const auto emit = [&]( const tbs_gate& g ) {
-      std::vector<control> controls;
+      std::size_t size = 0;
       for ( unsigned b = 0; b < num_lines_; ++b )
       {
         if ( ( g.controls >> b ) & 1u )
         {
-          controls.push_back( { b, true } );
+          controls[size++] = { b, true };
         }
       }
-      circuit.add_mct( controls, g.target );
+      circuit.add_gate( { controls.data(), size }, g.target );
     };
     // f = I_1 ... I_k  then  O_m ... O_1  (see tbs.hpp derivation).
     for ( const auto& g : input_gates_ )

@@ -1,5 +1,6 @@
 #include "serialize.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <limits>
 
@@ -264,7 +265,7 @@ void write_circuit( byte_writer& w, const reversible_circuit& circuit )
     w.u32( static_cast<std::uint32_t>( info.output_index ) );
   }
   w.u32( static_cast<std::uint32_t>( circuit.num_gates() ) );
-  for ( const auto& gate : circuit.gates() )
+  for ( const auto gate : circuit.gates() )
   {
     w.u32( gate.target );
     w.u32( static_cast<std::uint32_t>( gate.controls.size() ) );
@@ -304,11 +305,15 @@ reversible_circuit read_circuit( byte_reader& r )
   {
     throw deserialize_error( "circuit: impossible gate count" );
   }
+  // A gate takes 8 bytes plus 5 per control, so the bytes left bound the
+  // presize; it is exact when, as in every record, the circuit comes last.
+  const auto gates = std::min<std::size_t>( num_gates, r.remaining() / 8u );
+  circuit.reserve( gates, ( r.remaining() - 8u * gates ) / 5u );
+  std::vector<control> controls;
   for ( std::uint32_t g = 0; g < num_gates; ++g )
   {
-    toffoli_gate gate;
-    gate.target = r.u32();
-    if ( gate.target >= num_lines )
+    const auto target = r.u32();
+    if ( target >= num_lines )
     {
       throw deserialize_error( "circuit: gate target outside the line range" );
     }
@@ -317,19 +322,23 @@ reversible_circuit read_circuit( byte_reader& r )
     {
       throw deserialize_error( "circuit: more controls than lines" );
     }
-    gate.controls.reserve( num_controls );
+    controls.clear();
     for ( std::uint32_t c = 0; c < num_controls; ++c )
     {
-      control ctrl;
-      ctrl.line = r.u32();
-      ctrl.positive = r.u8() != 0u;
-      if ( ctrl.line >= num_lines )
+      const auto line = r.u32();
+      const bool positive = r.u8() != 0u;
+      if ( line >= num_lines )
       {
         throw deserialize_error( "circuit: control outside the line range" );
       }
-      gate.controls.push_back( ctrl );
+      // x_t ^= x_t AND ... is not a bijection: no reversible gate has it.
+      if ( line == target )
+      {
+        throw deserialize_error( "circuit: control on the gate's own target" );
+      }
+      controls.push_back( { line, positive } );
     }
-    circuit.add_gate( std::move( gate ) );
+    circuit.add_gate( controls, target );
   }
   return circuit;
 }

@@ -492,9 +492,12 @@ TEST( daemon, requests_waiting_on_a_timed_out_synthesis_share_its_answer )
   synthesis_daemon daemon( {} );
   // Prewarm the optimized AIG (shared with the ESOP flow) so that the
   // hierarchical request below spends its 20 ms deadline inside the XMG
-  // stage, and its synthesis tail can no longer start.
+  // stage, and its synthesis tail can no longer start.  NEWTON(16)'s XMG
+  // stage takes ~50 ms in a Release build on a 4-vCPU x86-64 Xeon;
+  // NEWTON(10)'s takes ~14 ms there, so at that size the whole flow could
+  // finish inside the deadline.
   const auto prewarm = daemon.handle_request(
-      R"({"cmd":"synthesize","design":"newton","bitwidth":10,"flow":"esop"})" );
+      R"({"cmd":"synthesize","design":"newton","bitwidth":16,"flow":"esop"})" );
   ASSERT_TRUE( contains( prewarm, "\"status\":\"ok\"" ) ) << prewarm;
   const auto synthesized_before = daemon.stats().synthesized;
 
@@ -502,7 +505,7 @@ TEST( daemon, requests_waiting_on_a_timed_out_synthesis_share_its_answer )
   // Armed only to count polls: the XMG stage never fails.
   fault_injection::arm( "flow.xmg", fault_injection::kind::fail, 1000000u );
   const auto request =
-      R"({"cmd":"synthesize","design":"newton","bitwidth":10,"flow":"hierarchical","deadline":0.02})";
+      R"({"cmd":"synthesize","design":"newton","bitwidth":16,"flow":"hierarchical","deadline":0.02})";
   std::vector<std::string> responses( 4 );
   std::vector<std::thread> clients;
   for ( unsigned t = 0; t < responses.size(); ++t )

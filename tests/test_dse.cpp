@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <stdexcept>
 #include <vector>
@@ -265,7 +266,7 @@ TEST( dse_verify, exhaustive_below_sample_budget_finds_rare_counterexample )
   circuit.line( 2 ).output_index = 0;
   circuit.line( 2 ).is_garbage = false;
   // OR via De Morgan: negative-control Toffoli then NOT.
-  circuit.add_gate( toffoli_gate{ { { 0, false }, { 1, false } }, 2 } );
+  circuit.add_gate( std::array{ control{ 0, false }, control{ 1, false } }, 2 );
   circuit.add_not( 2 );
 
   const auto cex = verify_against_aig_sampled( circuit, aig, 256, 1 );

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <utility>
+#include <vector>
+
 #include "reversible/circuit.hpp"
 #include "reversible/cost.hpp"
 #include "reversible/verify.hpp"
@@ -103,6 +108,191 @@ TEST( circuit, gate_validation )
   c.add_toffoli( 0, 1, 2 ); // fine: target distinct from both controls
   EXPECT_EQ( c.num_gates(), 2u );
   EXPECT_EQ( c.num_toffoli_gates(), 1u );
+}
+
+namespace
+{
+
+/// Reference gate list: one heap vector of controls per gate.
+using reference_gates = std::vector<std::pair<std::vector<control>, std::uint32_t>>;
+
+void expect_same_gates( const reversible_circuit& circuit, const reference_gates& reference )
+{
+  ASSERT_EQ( circuit.num_gates(), reference.size() );
+  std::size_t toffolis = 0;
+  std::size_t g = 0;
+  for ( const auto gate : circuit.gates() )
+  {
+    const auto& [controls, target] = reference[g];
+    ASSERT_EQ( gate.target, target ) << "gate " << g;
+    ASSERT_TRUE( std::equal( gate.controls.begin(), gate.controls.end(), controls.begin(),
+                             controls.end() ) )
+        << "gate " << g;
+    toffolis += controls.size() >= 2u ? 1u : 0u;
+    ++g;
+  }
+  EXPECT_EQ( circuit.num_toffoli_gates(), toffolis );
+}
+
+/// A random gate over `num_lines` lines: up to 4 distinct controls of
+/// random polarity, none on the target.
+std::pair<std::vector<control>, std::uint32_t> random_gate( std::mt19937& rng, unsigned num_lines )
+{
+  const auto target = static_cast<std::uint32_t>( rng() % num_lines );
+  std::vector<control> controls;
+  const auto wanted = rng() % 5u;
+  for ( std::uint32_t line = 0; line < num_lines && controls.size() < wanted; ++line )
+  {
+    if ( line != target && rng() % 2u == 0u )
+    {
+      controls.push_back( { line, rng() % 2u == 0u } );
+    }
+  }
+  std::shuffle( controls.begin(), controls.end(), rng );
+  return { std::move( controls ), target };
+}
+
+} // namespace
+
+TEST( circuit, flat_gate_arrays_match_a_per_gate_reference )
+{
+  constexpr unsigned num_lines = 8;
+  for ( const unsigned seed : { 1u, 2u, 3u } )
+  {
+    std::mt19937 rng( seed );
+    reversible_circuit circuit( num_lines );
+    reference_gates reference;
+    for ( unsigned step = 0; step < 3000u; ++step )
+    {
+      const bool may_grow = reference.size() < 4000u;
+      switch ( rng() % 9u )
+      {
+      case 0u:
+      {
+        const auto t = static_cast<std::uint32_t>( rng() % num_lines );
+        circuit.add_not( t );
+        reference.push_back( { {}, t } );
+        break;
+      }
+      case 1u:
+      {
+        const auto t = static_cast<std::uint32_t>( rng() % num_lines );
+        const auto c = static_cast<std::uint32_t>( ( t + 1u + rng() % ( num_lines - 1u ) ) % num_lines );
+        circuit.add_cnot( c, t );
+        reference.push_back( { { { c, true } }, t } );
+        break;
+      }
+      case 2u:
+      {
+        const auto t = static_cast<std::uint32_t>( rng() % num_lines );
+        const auto c0 = ( t + 1u ) % num_lines;
+        const auto c1 = static_cast<std::uint32_t>( ( t + 2u + rng() % ( num_lines - 2u ) ) % num_lines );
+        circuit.add_toffoli( c0, c1, t );
+        reference.push_back( { { { c0, true }, { c1, true } }, t } );
+        break;
+      }
+      case 3u:
+      {
+        auto [controls, target] = random_gate( rng, num_lines );
+        circuit.add_mct( controls, target );
+        reference.push_back( { std::move( controls ), target } );
+        break;
+      }
+      case 4u:
+      case 5u:
+      {
+        const bool reversed = step % 2u == 0u;
+        reversible_circuit other( num_lines );
+        reference_gates other_reference;
+        for ( auto n = rng() % 6u; n > 0u; --n )
+        {
+          auto [controls, target] = random_gate( rng, num_lines );
+          other.add_gate( controls, target );
+          other_reference.push_back( { std::move( controls ), target } );
+        }
+        if ( reversed )
+        {
+          circuit.append_reversed( other );
+          reference.insert( reference.end(), other_reference.rbegin(), other_reference.rend() );
+        }
+        else
+        {
+          circuit.append( other );
+          reference.insert( reference.end(), other_reference.begin(), other_reference.end() );
+        }
+        break;
+      }
+      case 6u:
+      {
+        if ( !may_grow )
+        {
+          break;
+        }
+        const auto end = rng() % ( reference.size() + 1u );
+        const auto begin = end - std::min<std::size_t>( end, rng() % 20u );
+        circuit.append_reversed_window( begin, end );
+        for ( auto i = end; i > begin; --i )
+        {
+          reference.push_back( reference[i - 1u] );
+        }
+        break;
+      }
+      case 7u:
+      {
+        if ( reference.empty() )
+        {
+          break;
+        }
+        const auto g = rng() % reference.size();
+        const auto& controls = reference[g].first;
+        const auto t = static_cast<std::uint32_t>( rng() % num_lines );
+        if ( std::none_of( controls.begin(), controls.end(),
+                           [t]( const control& c ) { return c.line == t; } ) )
+        {
+          circuit.set_target( g, t );
+          reference[g].second = t;
+        }
+        break;
+      }
+      default:
+      {
+        reversible_circuit copy = circuit;
+        expect_same_gates( copy, reference );
+        reversible_circuit moved( std::move( copy ) );
+        circuit = reversible_circuit( num_lines );
+        circuit = std::move( moved );
+        break;
+      }
+      }
+      if ( step % 100u == 0u )
+      {
+        expect_same_gates( circuit, reference );
+      }
+    }
+    expect_same_gates( circuit, reference );
+    // The flat arrays agree with the gate view they back.
+    const auto offsets = circuit.control_offsets();
+    ASSERT_EQ( offsets.size(), circuit.num_gates() + 1u );
+    EXPECT_EQ( offsets.front(), 0u );
+    EXPECT_EQ( offsets.back(), circuit.controls().size() );
+    EXPECT_TRUE( std::is_sorted( offsets.begin(), offsets.end() ) );
+  }
+}
+
+TEST( circuit, empty_circuit_has_no_gate_arrays )
+{
+  reversible_circuit empty( 3 );
+  EXPECT_EQ( empty.num_gates(), 0u );
+  EXPECT_TRUE( empty.gates().empty() );
+  EXPECT_TRUE( empty.control_offsets().empty() );
+  reversible_circuit copy( 3 );
+  copy.append( empty );
+  copy.append_reversed( empty );
+  copy.append_reversed_window( 0, 0 );
+  EXPECT_EQ( copy.num_gates(), 0u );
+  copy.add_not( 2 );
+  EXPECT_EQ( copy.control_offsets().size(), 2u );
+  EXPECT_EQ( copy.gate( 0 ).num_controls(), 0u );
 }
 
 TEST( cost_model, small_gate_costs )

@@ -23,6 +23,7 @@
 #include "common/thread_pool.hpp"
 #include "core/dse.hpp"
 #include "reversible/verify.hpp"
+#include "rsynth/hierarchical.hpp"
 #include "rsynth/tbs.hpp"
 #include "sat/incremental.hpp"
 #include "sat/solver.hpp"
@@ -561,6 +562,37 @@ TEST( robustness_dse, unlimited_budgets_are_bit_identical_to_the_default )
   {
     EXPECT_TRUE( costs_equal( baseline[i], limited[i] ) ) << baseline[i].label;
     EXPECT_EQ( limited[i].result.status, flow_status::ok ) << baseline[i].label;
+  }
+}
+
+// --- hierarchical synthesis: deep XMGs ---------------------------------------
+
+TEST( robustness_rsynth, deep_xmg_chain_synthesizes_under_every_cleanup )
+{
+  // A 10^5-node MAJ/XOR chain: eager cleanup walks the output's cone as deep
+  // as the chain is long, which used to overflow the call stack.
+  xmg_network xmg( 4 );
+  auto chain = xmg.pi( 0 );
+  for ( unsigned i = 0; i < 100000u; ++i )
+  {
+    chain = i % 2u == 0u ? xmg.create_maj( chain, xmg.pi( 1 ), xmg.pi( 2 ) ^ ( i % 4u == 0u ) )
+                         : xmg.create_xor( chain, xmg.pi( 3 ) );
+  }
+  xmg.add_po( chain );
+  ASSERT_EQ( xmg.num_gates(), 100000u );
+  for ( const auto cleanup :
+        { cleanup_strategy::keep_garbage, cleanup_strategy::bennett, cleanup_strategy::eager } )
+  {
+    hierarchical_params params;
+    params.cleanup = cleanup;
+    const auto circuit = hierarchical_synthesize( xmg, params );
+    for ( unsigned a = 0; a < 16u; ++a )
+    {
+      const std::vector<bool> inputs = { ( a & 1u ) != 0u, ( a & 2u ) != 0u, ( a & 4u ) != 0u,
+                                         ( a & 8u ) != 0u };
+      EXPECT_EQ( evaluate_circuit( circuit, inputs ), xmg.evaluate( inputs ) )
+          << "cleanup " << static_cast<int>( cleanup ) << ", inputs " << a;
+    }
   }
 }
 

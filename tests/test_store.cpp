@@ -16,6 +16,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/content_hash.hpp"
 #include "core/dse.hpp"
 #include "core/flows.hpp"
 #include "store/artifact_store.hpp"
@@ -160,6 +161,47 @@ TEST( store_serialize, circuit_round_trip_preserves_gates_and_costs )
   EXPECT_EQ( costs.depth, result.costs.depth );
 }
 
+TEST( store_serialize, circuit_bytes_are_pinned )
+{
+  // Digests of the stored bytes of flow circuits, recorded before the
+  // circuit's gates moved into one flat array: the layout may change, the
+  // gates and their byte encoding may not.
+  struct pin
+  {
+    const char* what;
+    reciprocal_design design;
+    unsigned n;
+    flow_kind kind;
+    cleanup_strategy cleanup;
+    unsigned esop_p;
+    std::uint64_t digest;
+  };
+  const pin pins[] = {
+      { "NEWTON(8) keep_garbage", reciprocal_design::newton, 8, flow_kind::hierarchical,
+        cleanup_strategy::keep_garbage, 0, 0xc0e54a132237de0bull },
+      { "NEWTON(8) bennett", reciprocal_design::newton, 8, flow_kind::hierarchical,
+        cleanup_strategy::bennett, 0, 0x4e6d13b0a6fb850full },
+      { "NEWTON(8) eager", reciprocal_design::newton, 8, flow_kind::hierarchical,
+        cleanup_strategy::eager, 0, 0x098cce66ea436468ull },
+      { "INTDIV(8) esop p=2", reciprocal_design::intdiv, 8, flow_kind::esop_based,
+        cleanup_strategy::keep_garbage, 2, 0xb617f1c3352c0987ull },
+      { "INTDIV(6) functional", reciprocal_design::intdiv, 6, flow_kind::functional,
+        cleanup_strategy::keep_garbage, 0, 0xcc2d2926945b91a2ull },
+  };
+  for ( const auto& p : pins )
+  {
+    flow_params params;
+    params.kind = p.kind;
+    params.cleanup = p.cleanup;
+    params.esop_p = p.esop_p;
+    params.verify = false;
+    const auto bytes =
+        store::serialize_circuit( run_reciprocal_flow( p.design, p.n, params ).circuit );
+    const auto digest = content_hash_bytes( std::string( bytes.begin(), bytes.end() ) );
+    EXPECT_EQ( digest, p.digest ) << p.what << ": 0x" << std::hex << digest;
+  }
+}
+
 TEST( store_serialize, readers_reject_malformed_payloads )
 {
   // Truncation anywhere must throw, never read out of bounds.
@@ -194,6 +236,36 @@ TEST( store_serialize, readers_reject_malformed_payloads )
   we.u64( 0x1 );
   we.u64( 0x1 );
   EXPECT_THROW( store::deserialize_esop( we.take() ), store::deserialize_error );
+}
+
+TEST( store_serialize, circuit_gate_on_its_own_target_is_corrupt )
+{
+  // x1 ^= x0 AND x1 is not a bijection, so no reversible circuit holds it:
+  // bytes that say so are corrupt, even with every line in range.
+  const auto bytes = []( std::uint32_t second_control ) {
+    store::byte_writer w;
+    w.u32( 2 ); // lines
+    for ( const char* name : { "a", "b" } )
+    {
+      w.str( name );
+      w.u8( 1 );  // primary input
+      w.u32( static_cast<std::uint32_t>( -1 ) ); // no output
+    }
+    w.u32( 1 ); // gates
+    w.u32( 1 ); // target
+    w.u32( 2 ); // controls
+    w.u32( 0 );
+    w.u8( 1 );
+    w.u32( second_control );
+    w.u8( 0 );
+    return w.take();
+  };
+  EXPECT_THROW( store::deserialize_circuit( bytes( 1 ) ), store::deserialize_error );
+  // The same bytes with a repeated control line are a valid gate.
+  const auto valid = store::deserialize_circuit( bytes( 0 ) );
+  ASSERT_EQ( valid.num_gates(), 1u );
+  EXPECT_EQ( valid.gate( 0 ).target, 1u );
+  EXPECT_EQ( valid.gate( 0 ).num_controls(), 2u );
 }
 
 // --- artifact store ----------------------------------------------------------

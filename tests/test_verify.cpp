@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <optional>
 #include <random>
 #include <stdexcept>
@@ -360,7 +361,7 @@ TEST( verify_sampled, small_spaces_are_enumerated_exhaustively )
   circuit.line( 2 ).is_constant_input = true;
   circuit.line( 2 ).output_index = 0;
   circuit.line( 2 ).is_garbage = false;
-  circuit.add_gate( toffoli_gate{ { { 0, false }, { 1, false } }, 2 } );
+  circuit.add_gate( std::array{ control{ 0, false }, control{ 1, false } }, 2 );
   circuit.add_not( 2 );
 
   const auto cex = verify_against_aig_sampled( circuit, aig, 256, 1 );
