@@ -31,7 +31,7 @@ int main()
   subgraph cluster_design { label="design level";
     INTDIV [shape=box]; NEWTON [shape=box]; }
   subgraph cluster_logic { label="logic synthesis level";
-    collapse [shape=box,label="optimize + collapse\n(dc2, BDD)"];
+    collapse [shape=box,label="optimize + collapse\n(dc2, truth table)"];
     exorcism [shape=box,label="optimize + exorcism\n(AIG -> ESOP)"];
     xmglut  [shape=box,label="optimize + xmglut\n(AIG -> XMG)"]; }
   subgraph cluster_rev { label="reversible synthesis level";
@@ -43,7 +43,7 @@ int main()
   INTDIV -> collapse [label="Verilog"]; NEWTON -> collapse [label="Verilog"];
   INTDIV -> exorcism [label="Verilog"]; NEWTON -> exorcism [label="Verilog"];
   INTDIV -> xmglut  [label="Verilog"]; NEWTON -> xmglut  [label="Verilog"];
-  collapse -> functional [label="BDD / truth table"];
+  collapse -> functional [label="truth table"];
   exorcism -> esop_synth [label="ESOP"];
   xmglut  -> hier_synth  [label="XMG"];
   functional -> arch [label="rev. circuit"];
@@ -61,17 +61,12 @@ int main()
   std::printf( "[logic level]   dc2-optimized AIG: %zu AND nodes, depth %u\n",
                optimized.num_ands(), optimized.depth() );
 
-  // Path 1: collapse -> BDD -> embedding -> TBS.
+  // Path 1: collapse -> truth table -> embedding -> TBS.
   {
-    bdd_manager mgr( optimized.num_pis() );
-    const auto bdds = collapse_to_bdds( optimized, mgr );
-    std::size_t bdd_nodes = 0;
-    for ( const auto f : bdds )
-    {
-      bdd_nodes += mgr.size( f );
-    }
-    std::printf( "[interface]     BDD: %zu nodes over %u outputs\n", bdd_nodes,
-                 optimized.num_pos() );
+    const auto tts = collapse_to_truth_tables( optimized );
+    std::printf( "[interface]     truth table: %zu outputs over %u inputs, mu = %llu\n",
+                 tts.size(), optimized.num_pis(),
+                 static_cast<unsigned long long>( max_collisions_explicit( tts ) ) );
     flow_params params;
     params.kind = flow_kind::functional;
     const auto r = run_flow_on_aig( optimized, params );

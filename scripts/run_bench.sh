@@ -47,8 +47,8 @@
 #     differs from the committed values: the synthesis front end (optimize,
 #     LUT mapping, XMG resynthesis) must keep producing the same artifacts
 #     at Table IV scale,
-#   * docs/ARCHITECTURE.md is missing or no longer mentions every src/*
-#     subdirectory.
+#   * docs/ARCHITECTURE.md is missing, no longer mentions every src/*
+#     subdirectory, or names a src/<name>/ that does not exist.
 # Finally reruns the verification + store + LUT-map + synth + SAT + AIG +
 # XMG + daemon + robustness + flows test suites under AddressSanitizer
 # (QSYN_SANITIZE=address) — the wide engine is all raw word indexing, the
@@ -646,7 +646,8 @@ EOF
 
 # --- documentation check -----------------------------------------------------
 # docs/ARCHITECTURE.md is the layer map of the whole system; every source
-# subdirectory must exist in it so the map cannot silently rot.
+# subdirectory must exist in it, and every src/<name>/ it names must exist
+# in the tree, so the map cannot silently rot in either direction.
 
 ARCH_DOC="$REPO_ROOT/docs/ARCHITECTURE.md"
 if [[ ! -f "$ARCH_DOC" ]]; then
@@ -661,10 +662,16 @@ for dir in "$REPO_ROOT"/src/*/; do
     DOC_FAILURES=1
   fi
 done
+for name in $(grep -o 'src/[A-Za-z0-9_]*/' "$ARCH_DOC" | cut -d/ -f2 | sort -u); do
+  if [[ ! -d "$REPO_ROOT/src/$name" ]]; then
+    echo "DOCS CHECK FAILED: docs/ARCHITECTURE.md names src/$name/, which does not exist"
+    DOC_FAILURES=1
+  fi
+done
 if [[ "$DOC_FAILURES" -ne 0 ]]; then
   exit 1
 fi
-echo "docs check OK (docs/ARCHITECTURE.md covers every src/* subdirectory)"
+echo "docs check OK (docs/ARCHITECTURE.md and the src/* subdirectories match)"
 
 # --- verification tests under AddressSanitizer -------------------------------
 # The wide engine is raw uint64_t indexing over packed state words; run the suite instrumented on every bench invocation, with

@@ -155,13 +155,4 @@ void barrel_rotate_left( reversible_circuit& circuit, const std::vector<std::uin
   }
 }
 
-void barrel_rotate_right( reversible_circuit& circuit, const std::vector<std::uint32_t>& reg,
-                          const std::vector<std::uint32_t>& amount )
-{
-  // Rotating right by d equals rotating left by w - d; simply reverse the
-  // register view and reuse the left rotation.
-  std::vector<std::uint32_t> reversed( reg.rbegin(), reg.rend() );
-  barrel_rotate_left( circuit, reversed, amount );
-}
-
 } // namespace qsyn

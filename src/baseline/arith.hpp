@@ -57,8 +57,4 @@ void xor_constant( reversible_circuit& circuit, const std::vector<bool>& constan
 void barrel_rotate_left( reversible_circuit& circuit, const std::vector<std::uint32_t>& reg,
                          const std::vector<std::uint32_t>& amount );
 
-/// Conditional rotate towards the LSB by a register amount.
-void barrel_rotate_right( reversible_circuit& circuit, const std::vector<std::uint32_t>& reg,
-                          const std::vector<std::uint32_t>& amount );
-
 } // namespace qsyn

@@ -70,15 +70,15 @@ public:
 
   deadline() = default;
 
-  /// Deadline `seconds` from now; `seconds <= 0` means unlimited.
+  /// Deadline `seconds` from now; `seconds <= 0` or NaN means unlimited.
+  /// A limit beyond the clock's range (up to infinity) never expires.
   static deadline in( double seconds )
   {
     deadline d;
     if ( seconds > 0.0 )
     {
       d.has_time_limit_ = true;
-      d.expires_at_ = clock::now() + std::chrono::duration_cast<clock::duration>(
-                                         std::chrono::duration<double>( seconds ) );
+      d.expires_at_ = expiry_after( seconds );
     }
     return d;
   }
@@ -130,17 +130,16 @@ public:
   }
 
   /// The tighter of this deadline and one `seconds` from now
-  /// (`seconds <= 0` keeps this deadline unchanged).  Used to compose a
-  /// sweep-level deadline with a per-design budget.
+  /// (`seconds <= 0` or NaN keeps this deadline unchanged).  Used to
+  /// compose a sweep-level deadline with a per-design budget.
   [[nodiscard]] deadline tightened( double seconds ) const
   {
-    if ( seconds <= 0.0 )
+    if ( !( seconds > 0.0 ) )
     {
       return *this;
     }
     deadline d = *this;
-    const auto candidate = clock::now() + std::chrono::duration_cast<clock::duration>(
-                                              std::chrono::duration<double>( seconds ) );
+    const auto candidate = expiry_after( seconds );
     if ( !d.has_time_limit_ || candidate < d.expires_at_ )
     {
       d.has_time_limit_ = true;
@@ -150,6 +149,19 @@ public:
   }
 
 private:
+  /// `now + seconds` for positive `seconds`, clamped to the clock's last
+  /// time point: the double-to-tick cast would overflow past it.
+  static clock::time_point expiry_after( double seconds )
+  {
+    const auto now = clock::now();
+    const std::chrono::duration<double> limit( seconds );
+    if ( limit >= clock::time_point::max() - now )
+    {
+      return clock::time_point::max();
+    }
+    return now + std::chrono::duration_cast<clock::duration>( limit );
+  }
+
   bool has_time_limit_ = false;
   bool has_token_ = false;
   clock::time_point expires_at_{};

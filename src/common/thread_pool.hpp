@@ -20,12 +20,6 @@
 /// `wait_all()` returns the full batch, `wait()` rethrows the first and
 /// drops the rest (legacy call sites that treat any job failure as fatal).
 ///
-/// The pool also carries a `cancellation_token`.  `cancel()` flips it;
-/// jobs that poll a `deadline` built from `pool.cancellation()` stop
-/// promptly.  The pool itself never drops queued jobs — accounting for
-/// cancelled work stays with the caller, which keeps per-task status
-/// records accurate.
-///
 /// Queue bookkeeping (the pending-job count, wakeups, error collection)
 /// runs under one pool mutex; each worker deque has its own mutex so
 /// steal probes touch only the victim.  Jobs here are coarse (stage
@@ -45,8 +39,6 @@
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "budget.hpp"
 
 namespace qsyn
 {
@@ -152,15 +144,6 @@ public:
       std::rethrow_exception( errors.front() );
     }
   }
-
-  /// Requests cancellation of in-flight work.  Jobs observe this through
-  /// deadlines built from `cancellation()`; the queues are not dropped.
-  void cancel() noexcept { cancel_token_.request_cancel(); }
-
-  [[nodiscard]] bool cancelled() const noexcept { return cancel_token_.cancelled(); }
-
-  /// The pool's cancellation token, for composing job deadlines.
-  [[nodiscard]] cancellation_token cancellation() const { return cancel_token_; }
 
   /// Number of worker threads (0 = inline execution).
   unsigned num_workers() const { return static_cast<unsigned>( workers_.size() ); }
@@ -336,7 +319,6 @@ private:
   bool stopping_ = false;
   std::vector<std::exception_ptr> errors_;
   std::atomic<std::uint64_t> steals_{ 0 };
-  cancellation_token cancel_token_;
 };
 
 } // namespace qsyn

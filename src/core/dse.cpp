@@ -162,15 +162,9 @@ std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_p
 std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_params>& configs,
                                 const explore_options& options, flow_artifact_cache& cache )
 {
-  return explore( aig, configs, options, cache, deadline::in( options.sweep_deadline_seconds ) );
-}
-
-std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_params>& configs,
-                                const explore_options& options, flow_artifact_cache& cache,
-                                const deadline& stop )
-{
   task_graph_stats unused;
-  return explore( aig, configs, options, cache, stop, unused );
+  return explore( aig, configs, options, cache, deadline::in( options.sweep_deadline_seconds ),
+                  unused );
 }
 
 /// One dependency DAG per exploration — coalesced stage-artifact tasks

@@ -85,16 +85,12 @@ std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_p
 /// into) a caller-owned cache, which must be used for one design only.
 std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_params>& configs,
                                 const explore_options& options, flow_artifact_cache& cache );
-/// As above under an externally armed deadline (e.g. the sweep deadline of
-/// `explore_designs`); each configuration's own `limits.deadline_seconds`
-/// tightens it further.  A configuration hitting its budget or throwing is
-/// isolated into its point's `result.status` — the exploration always
+/// As above under an externally armed deadline, additionally reporting the
+/// scheduler statistics of the run (tasks run/coalesced, steals, wall vs
+/// critical path).  Each configuration's own `limits.deadline_seconds`
+/// tightens `stop` further.  A configuration hitting its budget or throwing
+/// is isolated into its point's `result.status` — the exploration always
 /// returns a full, ordered point list.
-std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_params>& configs,
-                                const explore_options& options, flow_artifact_cache& cache,
-                                const deadline& stop );
-/// As above, additionally reporting the scheduler statistics of the run
-/// (tasks run/coalesced, steals, wall vs critical path).
 std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_params>& configs,
                                 const explore_options& options, flow_artifact_cache& cache,
                                 const deadline& stop, task_graph_stats& sched_stats );

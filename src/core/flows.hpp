@@ -7,7 +7,7 @@
 ///                       user-supplied source),
 ///   logic synthesis   — elaboration to an AIG + dc2-style optimization,
 ///                       then conversion to the back-end's input format
-///                       (truth table/BDD, ESOP, or XMG),
+///                       (truth table, ESOP, or XMG),
 ///   reversible synth  — functional (TBS over an optimum embedding),
 ///                       ESOP-based (REVS, parameter p), or hierarchical
 ///                       (XMG, cleanup strategy),

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <stdexcept>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "../common/bits.hpp"
-#include "../synth/collapse.hpp"
 
 namespace qsyn
 {
@@ -47,63 +44,6 @@ std::uint64_t max_collisions_explicit( const std::vector<truth_table>& outputs )
     mu = std::max( mu, count );
   }
   return mu;
-}
-
-std::uint64_t max_collisions_bdd( const aig_network& aig )
-{
-  const auto n = aig.num_pis();
-  const auto m = aig.num_pos();
-  bdd_manager manager( n + m );
-  // y variables 0..m-1 (top), x variables m..m+n-1 (bottom).
-  const auto funcs = collapse_to_bdds( aig, manager, m );
-  auto chi = manager.constant( true );
-  for ( unsigned j = 0; j < m; ++j )
-  {
-    chi = manager.bdd_and( chi, manager.bdd_xnor( manager.var( j ), funcs[j] ) );
-  }
-  // Walk the y-level part of chi; every node reached at a variable >= m (or
-  // a terminal) is the root of one collision-class characteristic function
-  // over the x variables.
-  std::unordered_set<bdd_node> boundary;
-  std::unordered_set<bdd_node> visited;
-  std::vector<bdd_node> stack{ chi };
-  while ( !stack.empty() )
-  {
-    const auto f = stack.back();
-    stack.pop_back();
-    if ( visited.count( f ) )
-    {
-      continue;
-    }
-    visited.insert( f );
-    if ( manager.is_constant( f ) || manager.top_var( f ) >= m )
-    {
-      if ( f != manager.constant( false ) )
-      {
-        boundary.insert( f );
-      }
-      continue;
-    }
-    stack.push_back( manager.low( f ) );
-    stack.push_back( manager.high( f ) );
-  }
-  // Count x assignments of every boundary function.  satcount is over all
-  // n + m variables; divide out the y part (variables < m are free above
-  // the boundary node, but the boundary function does not depend on them).
-  std::uint64_t mu = 0;
-  for ( const auto f : boundary )
-  {
-    const double count = manager.sat_count( f ); // over n + m vars
-    const double x_count = count / std::ldexp( 1.0, static_cast<int>( m ) );
-    mu = std::max( mu, static_cast<std::uint64_t>( x_count + 0.5 ) );
-  }
-  return mu;
-}
-
-unsigned minimum_extra_lines( const std::vector<truth_table>& outputs )
-{
-  const auto mu = max_collisions_explicit( outputs );
-  return ceil_log2( mu );
 }
 
 embedding embed_optimum( const std::vector<truth_table>& outputs )
@@ -159,39 +99,6 @@ embedding embed_optimum( const std::vector<truth_table>& outputs )
     }
     result.permutation[v] = next_free;
     output_used[next_free] = true;
-  }
-  return result;
-}
-
-embedding embed_bennett( const std::vector<truth_table>& outputs )
-{
-  assert( !outputs.empty() );
-  const auto n = outputs[0].num_vars();
-  const auto m = static_cast<unsigned>( outputs.size() );
-  const auto r = n + m;
-  if ( r > 28u )
-  {
-    throw std::invalid_argument( "embed_bennett: too many lines for explicit permutation" );
-  }
-  embedding result;
-  result.num_inputs = n;
-  result.num_outputs = m;
-  result.num_lines = r;
-  result.extra_lines = m;
-  result.garbage_lines = n;
-  result.max_collisions = max_collisions_explicit( outputs );
-
-  const std::uint64_t size = std::uint64_t{ 1 } << r;
-  result.permutation.resize( size );
-  // State layout: x in low n bits, target register t in high m bits.
-  // f'(x, t) = (x, t ^ f(x)); outputs in the high bits match Eq. (1) with
-  // t = 0, and x doubles as the garbage.
-  for ( std::uint64_t v = 0; v < size; ++v )
-  {
-    const auto x = v & ( ( std::uint64_t{ 1 } << n ) - 1u );
-    const auto t = v >> n;
-    const auto y = output_word( outputs, x );
-    result.permutation[v] = x | ( ( t ^ y ) << n );
   }
   return result;
 }

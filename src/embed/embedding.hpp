@@ -7,8 +7,8 @@
 /// the last m outputs of f' compute f (Eq. (1)).  The minimum number of
 /// additional lines is ceil(log2 mu) where mu is the largest collision-set
 /// size max_y |f^-1(y)| (Eq. (3)); computing it is coNP-complete in
-/// general [17], but both an explicit truth-table scan and a BDD-based
-/// characteristic-function analysis are exact and practical here.
+/// general [17], but an explicit truth-table scan is exact and practical
+/// under the functional flow's input cap.
 ///
 /// Layout conventions of the constructed permutation (on 2^r states):
 ///  * input side:  x occupies the low n bits, constant-0 ancillae the rest,
@@ -20,8 +20,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "../bdd/bdd.hpp"
-#include "../logic/aig.hpp"
 #include "../logic/truth_table.hpp"
 
 namespace qsyn
@@ -44,20 +42,7 @@ struct embedding
 /// Largest collision-set size via explicit enumeration (n <= ~24).
 std::uint64_t max_collisions_explicit( const std::vector<truth_table>& outputs );
 
-/// Largest collision-set size via a BDD characteristic function
-/// chi(y, x) = AND_j (y_j XNOR f_j(x)) with the y variables ordered above
-/// the x variables: every distinct sub-BDD at the x boundary is one
-/// collision class; its satcount is the class size.
-std::uint64_t max_collisions_bdd( const aig_network& aig );
-
-/// Minimum additional lines (Eq. (3)).
-unsigned minimum_extra_lines( const std::vector<truth_table>& outputs );
-
 /// Builds a line-optimum embedding of the given multi-output function.
 embedding embed_optimum( const std::vector<truth_table>& outputs );
-
-/// Builds the Bennett embedding (Thm. 1): r = n + m lines, inputs
-/// preserved, outputs XORed onto constant-0 lines.
-embedding embed_bennett( const std::vector<truth_table>& outputs );
 
 } // namespace qsyn

@@ -4,7 +4,7 @@
 /// AIGs are the workhorse multi-level logic representation of the classical
 /// logic synthesis level (Fig. 1 of the paper): the Verilog elaborator emits
 /// an AIG, the dc2-style optimizer transforms it, and the three reversible
-/// flows consume it (collapsed to a truth table / BDD, collapsed to an ESOP,
+/// flows consume it (collapsed to a truth table, collapsed to an ESOP,
 /// or mapped to an XMG).
 ///
 /// Nodes are stored in topological order; literals are `2 * node +

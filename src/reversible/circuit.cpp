@@ -71,13 +71,6 @@ void reversible_circuit::add_mct( std::initializer_list<control> controls, std::
   add_gate( { controls.begin(), controls.size() }, target );
 }
 
-void reversible_circuit::add_swap( std::uint32_t a, std::uint32_t b )
-{
-  add_cnot( a, b );
-  add_cnot( b, a );
-  add_cnot( a, b );
-}
-
 void reversible_circuit::add_fredkin( std::uint32_t ctrl, std::uint32_t a, std::uint32_t b )
 {
   add_cnot( b, a );

@@ -124,8 +124,6 @@ public:
   /// General gate from (line, polarity) pairs.
   void add_mct( std::span<const control> controls, std::uint32_t target );
   void add_mct( std::initializer_list<control> controls, std::uint32_t target );
-  /// SWAP via three CNOTs.
-  void add_swap( std::uint32_t a, std::uint32_t b );
   /// Fredkin (controlled swap) via CNOT + Toffoli + CNOT.
   void add_fredkin( std::uint32_t ctrl, std::uint32_t a, std::uint32_t b );
 

@@ -15,10 +15,10 @@
 /// C) — the same locality that the symbolic variant of [7] exploits; this
 /// keeps explicit synthesis practical through r ~ 20 lines.
 ///
-/// Substitution note (DESIGN.md): the paper runs the BDD-based symbolic
-/// variant `tbs -s` to push the bitwidth further; the circuits produced are
-/// the same as the explicit algorithm's, so the quality columns of Table II
-/// are reproduced faithfully for the sizes we can afford.
+/// Substitution note (DESIGN.md): the paper runs the decision-diagram-based
+/// symbolic variant `tbs -s` to push the bitwidth further; the circuits
+/// produced are the same as the explicit algorithm's, so the quality columns
+/// of Table II are reproduced faithfully for the sizes we can afford.
 
 #pragma once
 

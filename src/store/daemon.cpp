@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -329,9 +330,9 @@ double double_field( const std::map<std::string, std::string>& fields, const std
   }
   std::size_t pos = 0;
   const auto value = std::stod( it->second, &pos );
-  if ( pos != it->second.size() || value < 0.0 )
+  if ( pos != it->second.size() || !std::isfinite( value ) || value < 0.0 )
   {
-    throw std::runtime_error( "field '" + key + "' is not a non-negative number" );
+    throw std::runtime_error( "field '" + key + "' is not a finite non-negative number" );
   }
   return value;
 }

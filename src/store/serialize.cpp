@@ -1,6 +1,5 @@
 #include "serialize.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <limits>
 
@@ -279,8 +278,10 @@ void write_circuit( byte_writer& w, const reversible_circuit& circuit )
 
 reversible_circuit read_circuit( byte_reader& r )
 {
+  // A line record takes at least 9 bytes (an empty name) and a gate at
+  // least 8 (no controls), so the bytes left bound both counts.
   const auto num_lines = r.u32();
-  if ( num_lines > ( 1u << 20 ) )
+  if ( num_lines > r.remaining() / 9u )
   {
     throw deserialize_error( "circuit: impossible line count" );
   }
@@ -301,14 +302,13 @@ reversible_circuit read_circuit( byte_reader& r )
     }
   }
   const auto num_gates = r.u32();
-  if ( num_gates > ( 1u << 28 ) )
+  if ( num_gates > r.remaining() / 8u )
   {
     throw deserialize_error( "circuit: impossible gate count" );
   }
-  // A gate takes 8 bytes plus 5 per control, so the bytes left bound the
-  // presize; it is exact when, as in every record, the circuit comes last.
-  const auto gates = std::min<std::size_t>( num_gates, r.remaining() / 8u );
-  circuit.reserve( gates, ( r.remaining() - 8u * gates ) / 5u );
+  // Each control adds 5 bytes; the presize is exact when, as in every
+  // record, the circuit comes last.
+  circuit.reserve( num_gates, ( r.remaining() - 8u * std::size_t{ num_gates } ) / 5u );
   std::vector<control> controls;
   for ( std::uint32_t g = 0; g < num_gates; ++g )
   {

@@ -1,39 +1,7 @@
 #include "collapse.hpp"
 
-#include <stdexcept>
-
 namespace qsyn
 {
-
-std::vector<bdd_node> collapse_to_bdds( const aig_network& aig, bdd_manager& manager,
-                                        unsigned var_offset )
-{
-  if ( var_offset + aig.num_pis() > manager.num_vars() )
-  {
-    throw std::invalid_argument( "collapse_to_bdds: manager has too few variables" );
-  }
-  std::vector<bdd_node> node_bdds( aig.num_nodes() );
-  node_bdds[0] = manager.constant( false );
-  for ( unsigned i = 0; i < aig.num_pis(); ++i )
-  {
-    node_bdds[i + 1u] = manager.var( var_offset + i );
-  }
-  const auto lit_bdd = [&]( aig_lit l ) {
-    const auto base = node_bdds[lit_node( l )];
-    return lit_complemented( l ) ? manager.bdd_not( base ) : base;
-  };
-  for ( std::uint32_t n = aig.num_pis() + 1u; n < aig.num_nodes(); ++n )
-  {
-    node_bdds[n] = manager.bdd_and( lit_bdd( aig.fanin0( n ) ), lit_bdd( aig.fanin1( n ) ) );
-  }
-  std::vector<bdd_node> result;
-  result.reserve( aig.num_pos() );
-  for ( const auto po : aig.pos() )
-  {
-    result.push_back( lit_bdd( po ) );
-  }
-  return result;
-}
 
 std::vector<truth_table> collapse_to_truth_tables( const aig_network& aig )
 {

@@ -2,23 +2,18 @@
 /// \brief Collapsing a multi-level AIG into functional form (ABC `collapse`).
 ///
 /// The functional reversible flow (Sec. IV-A) needs the design as an
-/// explicit function: a BDD per output for the symbolic embedding analysis
-/// and a truth-table vector for the transformation-based synthesizer.
+/// explicit function: a truth-table vector for the optimum embedding and the
+/// transformation-based synthesizer.
 
 #pragma once
 
 #include <vector>
 
-#include "../bdd/bdd.hpp"
 #include "../logic/aig.hpp"
+#include "../logic/truth_table.hpp"
 
 namespace qsyn
 {
-
-/// Builds one BDD per primary output in `manager` (PI i maps to BDD
-/// variable `var_offset + i`).
-std::vector<bdd_node> collapse_to_bdds( const aig_network& aig, bdd_manager& manager,
-                                        unsigned var_offset = 0 );
 
 /// Explicit truth tables of all outputs (num_pis() <= 20).
 std::vector<truth_table> collapse_to_truth_tables( const aig_network& aig );

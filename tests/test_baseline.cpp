@@ -239,34 +239,6 @@ TEST( arith, barrel_rotate_left_shifts_with_headroom )
   }
 }
 
-TEST( arith, barrel_rotate_right_inverse_of_left )
-{
-  reversible_circuit c;
-  std::vector<std::uint32_t> reg;
-  std::vector<std::uint32_t> amount;
-  for ( unsigned i = 0; i < 6; ++i )
-  {
-    reg.push_back( c.add_line( {} ) );
-  }
-  for ( unsigned i = 0; i < 2; ++i )
-  {
-    amount.push_back( c.add_line( {} ) );
-  }
-  barrel_rotate_left( c, reg, amount );
-  barrel_rotate_right( c, reg, amount );
-  for ( std::uint64_t v = 0; v < 64; v += 7 )
-  {
-    for ( std::uint64_t s = 0; s < 4; ++s )
-    {
-      std::vector<bool> state( c.num_lines(), false );
-      write_register( state, reg, v );
-      write_register( state, amount, s );
-      c.apply( state );
-      EXPECT_EQ( read_register( state, reg ), v );
-    }
-  }
-}
-
 class divider_widths : public ::testing::TestWithParam<unsigned>
 {
 };

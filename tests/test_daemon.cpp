@@ -218,6 +218,27 @@ TEST( daemon, negative_integer_fields_are_rejected )
   EXPECT_EQ( daemon.stats().synthesized, 0u );
 }
 
+TEST( daemon, huge_deadline_means_no_limit_and_non_finite_is_rejected )
+{
+  synthesis_daemon daemon( {} );
+  // A deadline past the clock's range used to overflow into an expiry in
+  // the past and time the request out at once.
+  const auto huge = daemon.handle_request(
+      R"({"cmd":"synthesize","design":"intdiv","bitwidth":4,"flow":"hierarchical","deadline":1e300})" );
+  EXPECT_TRUE( contains( huge, "\"status\":\"ok\"" ) ) << huge;
+  for ( const auto* value : { "nan", "inf" } )
+  {
+    const auto response = daemon.handle_request(
+        std::string( R"({"cmd":"synthesize","design":"intdiv","bitwidth":4,"flow":"hierarchical","deadline":)" ) +
+        value + "}" );
+    EXPECT_TRUE( contains( response, "\"ok\":false" ) ) << response;
+    EXPECT_TRUE( contains( response, "field 'deadline' is not a finite non-negative number" ) )
+        << response;
+  }
+  EXPECT_EQ( daemon.stats().errors, 2u );
+  EXPECT_EQ( daemon.stats().synthesized, 1u );
+}
+
 TEST( daemon, repeat_query_is_served_from_the_result_cache )
 {
   synthesis_daemon daemon( {} );

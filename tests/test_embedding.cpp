@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/bits.hpp"
 #include "embed/embedding.hpp"
 #include "synth/collapse.hpp"
 #include "verilog/elaborator.hpp"
@@ -41,7 +42,7 @@ TEST( embedding, collision_count_identity_function )
     outputs.push_back( truth_table::projection( 3, v ) );
   }
   EXPECT_EQ( max_collisions_explicit( outputs ), 1u );
-  EXPECT_EQ( minimum_extra_lines( outputs ), 0u );
+  EXPECT_EQ( ceil_log2( max_collisions_explicit( outputs ) ), 0u );
 }
 
 TEST( embedding, collision_count_constant_function )
@@ -49,7 +50,7 @@ TEST( embedding, collision_count_constant_function )
   // f(x) = 0 for all x: mu = 2^n.
   std::vector<truth_table> outputs{ truth_table( 4 ) };
   EXPECT_EQ( max_collisions_explicit( outputs ), 16u );
-  EXPECT_EQ( minimum_extra_lines( outputs ), 4u );
+  EXPECT_EQ( ceil_log2( max_collisions_explicit( outputs ) ), 4u );
 }
 
 TEST( embedding, collision_count_and_gate )
@@ -58,17 +59,7 @@ TEST( embedding, collision_count_and_gate )
   std::vector<truth_table> outputs{ truth_table::projection( 2, 0 ) &
                                     truth_table::projection( 2, 1 ) };
   EXPECT_EQ( max_collisions_explicit( outputs ), 3u );
-  EXPECT_EQ( minimum_extra_lines( outputs ), 2u );
-}
-
-TEST( embedding, bdd_collision_count_matches_explicit )
-{
-  for ( const unsigned n : { 3u, 4u, 5u, 6u } )
-  {
-    const auto mod = verilog::elaborate_verilog( verilog::generate_intdiv( n ) );
-    const auto tts = mod.aig.simulate_outputs();
-    EXPECT_EQ( max_collisions_bdd( mod.aig ), max_collisions_explicit( tts ) ) << "n=" << n;
-  }
+  EXPECT_EQ( ceil_log2( max_collisions_explicit( outputs ) ), 2u );
 }
 
 TEST( embedding, reciprocal_needs_2n_minus_1_lines )
@@ -130,36 +121,13 @@ TEST( embedding, garbage_distinguishes_collisions )
   EXPECT_EQ( std::adjacent_find( images.begin(), images.end() ), images.end() );
 }
 
-TEST( embedding, bennett_layout )
-{
-  std::vector<truth_table> outputs{ truth_table::projection( 2, 0 ) ^
-                                    truth_table::projection( 2, 1 ) };
-  const auto emb = embed_bennett( outputs );
-  EXPECT_EQ( emb.num_lines, 3u );
-  EXPECT_TRUE( is_bijection( emb.permutation ) );
-  // f'(x, t) = (x, t ^ f(x)).
-  for ( std::uint64_t v = 0; v < 8; ++v )
-  {
-    const auto x = v & 3u;
-    const auto t = v >> 2;
-    const bool fx = outputs[0].get_bit( x );
-    EXPECT_EQ( emb.permutation[v], x | ( ( t ^ ( fx ? 1u : 0u ) ) << 2 ) );
-  }
-}
-
-TEST( embedding, bennett_line_count_is_n_plus_m )
-{
-  const auto tts = reciprocal_tts( 4 );
-  const auto emb = embed_bennett( tts );
-  EXPECT_EQ( emb.num_lines, 8u );
-  EXPECT_TRUE( is_bijection( emb.permutation ) );
-}
-
 TEST( embedding, optimum_beats_bennett_on_reciprocal )
 {
-  // 2n-1 < 2n: the functional flow's qubit advantage (paper Sec. V).
-  const auto tts = reciprocal_tts( 6 );
-  EXPECT_LT( embed_optimum( tts ).num_lines, embed_bennett( tts ).num_lines );
+  // 2n-1 < 2n = n + m, the Bennett embedding's line count (Thm. 1): the
+  // functional flow's qubit advantage (paper Sec. V).
+  const unsigned n = 6;
+  const auto tts = reciprocal_tts( n );
+  EXPECT_LT( embed_optimum( tts ).num_lines, n + static_cast<unsigned>( tts.size() ) );
 }
 
 TEST( embedding, injective_function_gets_no_extra_lines )

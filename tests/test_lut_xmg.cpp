@@ -3,6 +3,8 @@
 #include <random>
 
 #include "common/content_hash.hpp"
+#include "reversible/verify.hpp"
+#include "rsynth/hierarchical.hpp"
 #include "synth/aig_optimize.hpp"
 #include "synth/lut_map.hpp"
 #include "synth/xmg_resynth.hpp"
@@ -243,6 +245,17 @@ TEST( lut_map, million_and_chain_maps_without_recursion )
   const auto optimized = optimize( aig, 2 );
   const auto net = lut_map( optimized );
   ASSERT_EQ( net.outputs.size(), 2u );
+  // The rest of the hierarchical tail: XMG resynthesis, synthesis, the
+  // exhaustive check against the 8-input chain, and extraction back to an
+  // AIG.
+  const auto circuit = hierarchical_synthesize( xmg_from_luts( net ) );
+  const auto report = verify_against_aig_exhaustive_budgeted( circuit, aig, deadline{} );
+  EXPECT_TRUE( report.complete );
+  EXPECT_EQ( report.assignments_completed, 1u << num_pis );
+  EXPECT_FALSE( report.counterexample.has_value() );
+  const auto extracted = circuit_to_aig( circuit );
+  ASSERT_EQ( extracted.num_pis(), num_pis );
+  ASSERT_EQ( extracted.num_pos(), 2u );
   std::mt19937_64 rng( 7 );
   for ( int trial = 0; trial < 8; ++trial )
   {
@@ -254,6 +267,7 @@ TEST( lut_map, million_and_chain_maps_without_recursion )
     const auto expected = aig.evaluate( inputs );
     EXPECT_EQ( optimized.evaluate( inputs ), expected );
     EXPECT_EQ( net.evaluate( inputs ), expected );
+    EXPECT_EQ( extracted.evaluate( inputs ), expected );
   }
 }
 

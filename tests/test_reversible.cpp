@@ -34,15 +34,6 @@ TEST( circuit, negative_controls )
   EXPECT_FALSE( s1[1] );
 }
 
-TEST( circuit, swap_exchanges_lines )
-{
-  reversible_circuit c( 2 );
-  c.add_swap( 0, 1 );
-  std::vector<bool> state = { true, false };
-  c.apply( state );
-  EXPECT_EQ( state, ( std::vector<bool>{ false, true } ) );
-}
-
 TEST( circuit, fredkin_is_controlled_swap )
 {
   reversible_circuit c( 3 );

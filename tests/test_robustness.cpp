@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -103,8 +104,17 @@ TEST( robustness_deadline, nonpositive_seconds_mean_unlimited )
 {
   EXPECT_TRUE( deadline::in( 0.0 ).unlimited() );
   EXPECT_TRUE( deadline::in( -1.0 ).unlimited() );
+  EXPECT_TRUE( deadline::in( std::numeric_limits<double>::quiet_NaN() ).unlimited() );
   EXPECT_FALSE( deadline::in( 3600.0 ).unlimited() );
   EXPECT_FALSE( deadline::in( 3600.0 ).expired() );
+  // Limits past the clock's range clamp to its end instead of overflowing
+  // into an expiry in the past.
+  for ( const double huge : { 1e10, 1e300, std::numeric_limits<double>::infinity() } )
+  {
+    const auto d = deadline::in( huge );
+    EXPECT_FALSE( d.expired() ) << huge;
+    EXPECT_GT( d.remaining_seconds(), 1e9 ) << huge;
+  }
 }
 
 TEST( robustness_deadline, cancellation_token_expires_every_copy )
@@ -129,10 +139,18 @@ TEST( robustness_deadline, tightened_takes_the_tighter_limit )
   EXPECT_LT( kept.remaining_seconds(), 1.0 );
   // Nonpositive seconds leave the deadline unchanged (still unlimited here).
   EXPECT_TRUE( deadline{}.tightened( 0.0 ).unlimited() );
+  EXPECT_TRUE( deadline{}.tightened( std::numeric_limits<double>::quiet_NaN() ).unlimited() );
   EXPECT_FALSE( deadline{}.tightened( 1.0 ).unlimited() );
+  // Limits past the clock's range neither expire nor loosen a tighter one.
+  for ( const double huge : { 1e10, 1e300, std::numeric_limits<double>::infinity() } )
+  {
+    EXPECT_FALSE( deadline{}.tightened( huge ).expired() ) << huge;
+    EXPECT_GT( deadline{}.tightened( huge ).remaining_seconds(), 1e9 ) << huge;
+    EXPECT_LT( tight.tightened( huge ).remaining_seconds(), 1.0 ) << huge;
+  }
 }
 
-// --- thread pool: full exception collection + cancellation -------------------
+// --- thread pool: full exception collection ----------------------------------
 
 TEST( robustness_pool, wait_all_collects_every_exception_of_a_batch )
 {
@@ -167,17 +185,6 @@ TEST( robustness_pool, inline_pool_collects_every_exception_too )
     pool.submit( [] { throw std::runtime_error( "inline boom" ); } );
   }
   EXPECT_EQ( pool.wait_all().size(), 3u );
-}
-
-TEST( robustness_pool, cancellation_token_reaches_job_deadlines )
-{
-  thread_pool pool( 2 );
-  EXPECT_FALSE( pool.cancelled() );
-  const auto job_deadline = deadline::with_token( pool.cancellation() );
-  EXPECT_FALSE( job_deadline.expired() );
-  pool.cancel();
-  EXPECT_TRUE( pool.cancelled() );
-  EXPECT_TRUE( job_deadline.expired() );
 }
 
 // --- SAT solver: cooperative deadline ----------------------------------------

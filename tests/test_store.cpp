@@ -268,6 +268,37 @@ TEST( store_serialize, circuit_gate_on_its_own_target_is_corrupt )
   EXPECT_EQ( valid.gate( 0 ).num_controls(), 2u );
 }
 
+TEST( store_serialize, circuit_line_count_is_bounded_by_its_bytes_only )
+{
+  // Hierarchical synthesis of a 10^6-node chain yields over 2^20 lines;
+  // the store must read back what it writes.
+  const std::uint32_t wide = ( 1u << 20 ) + 1u;
+  reversible_circuit circuit( wide );
+  circuit.add_toffoli( 0, wide / 2u, wide - 1u );
+  circuit.add_cnot( wide - 1u, 1 );
+  const auto restored = store::deserialize_circuit( store::serialize_circuit( circuit ) );
+  ASSERT_EQ( restored.num_lines(), wide );
+  ASSERT_EQ( restored.num_gates(), 2u );
+  EXPECT_EQ( restored.gate( 0 ).target, wide - 1u );
+  EXPECT_EQ( restored.gate( 0 ).controls[1].line, wide / 2u );
+  EXPECT_EQ( restored.gate( 1 ).controls[0].line, wide - 1u );
+
+  // A header claiming more lines (or gates) than the bytes can hold is
+  // corrupt.
+  store::byte_writer lines;
+  lines.u32( 1000 ); // lines, each at least 9 bytes
+  lines.u32( 0 );    // gates
+  EXPECT_THROW( store::deserialize_circuit( lines.take() ), store::deserialize_error );
+  store::byte_writer gates;
+  gates.u32( 1 ); // lines
+  gates.str( "a" );
+  gates.u8( 1 );
+  gates.u32( static_cast<std::uint32_t>( -1 ) );
+  gates.u32( 1000 ); // gates, each at least 8 bytes
+  gates.u32( 0 );
+  EXPECT_THROW( store::deserialize_circuit( gates.take() ), store::deserialize_error );
+}
+
 // --- artifact store ----------------------------------------------------------
 
 TEST( artifact_store, save_load_round_trip_and_stats )
