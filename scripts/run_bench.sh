@@ -706,6 +706,9 @@ cmake --build "$ASAN_DIR" -j "$(nproc)" \
 # The SAT tier's dispatch (enumeration up to 16 inputs, the engine above),
 # the verify-tier degradation ladder and the parser's nesting limit.
 "$ASAN_DIR/tests/test_robustness"
+# The end-to-end verify path: the spec simulator reuses value slots as
+# soon as a node's last reader is done (a wrong free list reads a
+# neighbour's value), and output lines come from checked output indices.
 "$ASAN_DIR/tests/test_flows"
 # A circuit's gates are one flat array indexed through per-gate control
 # offsets, and the gate kernel reads those arrays and the packed controls

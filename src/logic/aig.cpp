@@ -2,6 +2,7 @@
 
 #include "../common/balanced_reduce.hpp"
 #include "../common/content_hash.hpp"
+#include "aig_slots.hpp"
 
 #include <algorithm>
 #include <cassert>
@@ -183,14 +184,16 @@ std::vector<truth_table> aig_network::simulate_outputs() const
                                  " inputs exceed the " + std::to_string( max_simulation_inputs ) +
                                  "-input limit of explicit simulation" );
   }
-  // The input space is swept in blocks of `width` consecutive table words:
-  // one reused buffer holds every node's words of the current block, so
-  // memory is num_nodes * width words however wide the tables are.  Every
-  // block is simulated at full width (a fixed trip count the compiler
-  // unrolls); only the words that exist are copied out.
+  // The input space is swept in blocks of `width` consecutive table words
+  // over the live-slot program: one reused buffer holds the current
+  // block's words of every *live* node, so memory is num_slots * width
+  // words however wide the tables are.  Every block is simulated at full
+  // width (a fixed trip count the compiler unrolls); only the words that
+  // exist are copied out.
   constexpr std::size_t width = 8;
+  const auto program = compile_slot_program( *this );
   const auto num_words = num_blocks_for( num_pis_ );
-  std::vector<std::uint64_t> values( nodes_.size() * width, 0u );
+  std::vector<std::uint64_t> values( std::size_t{ program.num_slots } * width, 0u );
   for ( unsigned i = 0; i < std::min( num_pis_, 6u ); ++i )
   {
     std::fill_n( &values[( i + 1u ) * width], width, projections[i] );
@@ -207,25 +210,27 @@ std::vector<truth_table> aig_network::simulate_outputs() const
         v[k] = ( ( base + k ) >> ( i - 6u ) ) & 1u ? ~std::uint64_t{ 0 } : 0u;
       }
     }
-    for ( std::uint32_t n = num_pis_ + 1u; n < nodes_.size(); ++n )
+    for ( std::size_t op = 0; op < program.ands.size(); op += 3u )
     {
-      const auto f0 = nodes_[n].fanin0;
-      const auto f1 = nodes_[n].fanin1;
-      const auto* a = &values[lit_node( f0 ) * width];
-      const auto* b = &values[lit_node( f1 ) * width];
-      const std::uint64_t m0 = lit_complemented( f0 ) ? ~std::uint64_t{ 0 } : 0u;
-      const std::uint64_t m1 = lit_complemented( f1 ) ? ~std::uint64_t{ 0 } : 0u;
-      auto* out = &values[n * width];
+      const auto a = program.ands[op + 1u];
+      const auto b = program.ands[op + 2u];
+      const auto* va = &values[std::size_t{ a >> 1 } * width];
+      const auto* vb = &values[std::size_t{ b >> 1 } * width];
+      const std::uint64_t m0 = std::uint64_t{ 0 } - ( a & 1u );
+      const std::uint64_t m1 = std::uint64_t{ 0 } - ( b & 1u );
+      // The out slot may be a fanin's: word k is read before it is written.
+      auto* out = &values[std::size_t{ program.ands[op] } * width];
       for ( std::size_t k = 0; k < width; ++k )
       {
-        out[k] = ( a[k] ^ m0 ) & ( b[k] ^ m1 );
+        out[k] = ( va[k] ^ m0 ) & ( vb[k] ^ m1 );
       }
     }
     const auto count = std::min( width, num_words - base );
     for ( std::size_t o = 0; o < pos_.size(); ++o )
     {
-      const auto* v = &values[lit_node( pos_[o] ) * width];
-      const std::uint64_t m = lit_complemented( pos_[o] ) ? ~std::uint64_t{ 0 } : 0u;
+      const auto p = program.pos[o];
+      const auto* v = &values[std::size_t{ p >> 1 } * width];
+      const std::uint64_t m = std::uint64_t{ 0 } - ( p & 1u );
       auto& blocks = result[o].blocks();
       for ( std::size_t k = 0; k < count; ++k )
       {

@@ -110,8 +110,9 @@ public:
   static constexpr unsigned max_simulation_inputs = 20;
 
   /// Truth-table simulation of every primary output over all num_pis()
-  /// input assignments, a block of table words at a time (memory is the
-  /// output tables plus a fixed number of words per node); throws
+  /// input assignments, a block of table words at a time over the
+  /// network's live-slot program (aig_slots.hpp): memory is the output
+  /// tables plus a fixed number of words per *live* node.  Throws
   /// std::invalid_argument above max_simulation_inputs.
   std::vector<truth_table> simulate_outputs() const;
 

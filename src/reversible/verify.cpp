@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <random>
 #include <stdexcept>
+#include <string>
 
 #include "../common/bits.hpp"
 #include "../sat/incremental.hpp"
@@ -74,19 +75,34 @@ std::vector<std::uint32_t> input_lines_of( const reversible_circuit& circuit )
 
 std::vector<std::uint32_t> output_lines_of( const reversible_circuit& circuit )
 {
-  int max_index = -1;
+  // k lines carry an output index, so the indices must be exactly 0..k-1:
+  // an index >= k means a gap, and the table is sized by k, never by a
+  // stray large index.
+  constexpr auto unset = ~std::uint32_t{ 0 };
+  std::size_t num_outputs = 0;
   for ( unsigned l = 0; l < circuit.num_lines(); ++l )
   {
-    max_index = std::max( max_index, circuit.line( l ).output_index );
+    num_outputs += circuit.line( l ).output_index >= 0 ? 1u : 0u;
   }
-  std::vector<std::uint32_t> lines( static_cast<std::size_t>( max_index + 1 ), 0u );
+  std::vector<std::uint32_t> lines( num_outputs, unset );
   for ( unsigned l = 0; l < circuit.num_lines(); ++l )
   {
     const auto idx = circuit.line( l ).output_index;
-    if ( idx >= 0 )
+    if ( idx < 0 )
     {
-      lines[static_cast<std::size_t>( idx )] = l;
+      continue;
     }
+    if ( static_cast<std::size_t>( idx ) >= num_outputs )
+    {
+      throw std::invalid_argument( "output_lines_of: output indices have a gap below " +
+                                   std::to_string( idx ) );
+    }
+    if ( lines[static_cast<std::size_t>( idx )] != unset )
+    {
+      throw std::invalid_argument( "output_lines_of: output index " + std::to_string( idx ) +
+                                   " is on two lines" );
+    }
+    lines[static_cast<std::size_t>( idx )] = l;
   }
   return lines;
 }

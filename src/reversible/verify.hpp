@@ -52,7 +52,9 @@ struct check_limits;
 
 /// Lines flagged as primary inputs, in order.
 std::vector<std::uint32_t> input_lines_of( const reversible_circuit& circuit );
-/// Line holding each output (indexed by output).
+/// Line holding each output (indexed by output).  Throws
+/// std::invalid_argument unless the output indices are exactly 0..k-1,
+/// each on one line.
 std::vector<std::uint32_t> output_lines_of( const reversible_circuit& circuit );
 
 /// Simulates the circuit on one input assignment (constants filled in) and

@@ -3,6 +3,7 @@
 
 #include "wide_sim.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -248,30 +249,12 @@ wide_simulator::evaluate( const std::vector<std::uint64_t>& input_words )
 // --- wide_aig_simulator ------------------------------------------------------
 
 wide_aig_simulator::wide_aig_simulator( const aig_network& aig, sim_width width )
-    : width_( width ), backend_( active_simd_backend( width ) ), num_pis_( aig.num_pis() )
+    : width_( width ), backend_( active_simd_backend( width ) ), num_pis_( aig.num_pis() ),
+      program_( compile_slot_program( aig ) )
 {
   const auto W = words_of( width_ );
-  const auto first_and = std::size_t{ num_pis_ } + 1u;
-  fanin_nodes_.reserve( 2u * aig.num_ands() );
-  fanin_inverts_.reserve( 2u * aig.num_ands() );
-  for ( std::size_t n = first_and; n < aig.num_nodes(); ++n )
-  {
-    for ( const auto lit : { aig.fanin0( static_cast<std::uint32_t>( n ) ),
-                             aig.fanin1( static_cast<std::uint32_t>( n ) ) } )
-    {
-      fanin_nodes_.push_back( lit_node( lit ) );
-      fanin_inverts_.push_back( lit_complemented( lit ) ? ~std::uint64_t{ 0 } : 0u );
-    }
-  }
-  po_nodes_.reserve( aig.num_pos() );
-  po_inverts_.reserve( aig.num_pos() );
-  for ( const auto lit : aig.pos() )
-  {
-    po_nodes_.push_back( lit_node( lit ) );
-    po_inverts_.push_back( lit_complemented( lit ) ? ~std::uint64_t{ 0 } : 0u );
-  }
-  values_.assign( aig.num_nodes() * W, 0u );
-  outputs_.resize( std::size_t{ aig.num_pos() } * W );
+  values_.assign( std::size_t{ program_.num_slots } * W, 0u );
+  outputs_.resize( program_.pos.size() * W );
 }
 
 const std::vector<std::uint64_t>&
@@ -282,18 +265,19 @@ wide_aig_simulator::evaluate( const std::vector<std::uint64_t>& pi_words )
   {
     throw std::invalid_argument( "wide_aig_simulator::evaluate: input arity mismatch" );
   }
-  // Node 0 (constant false) stays zero from construction; PIs are nodes
-  // 1..num_pis in input order.
-  std::memcpy( values_.data() + W, pi_words.data(), pi_words.size() * sizeof( std::uint64_t ) );
-  const auto first_and = std::size_t{ num_pis_ } + 1u;
-  const auto num_ands = fanin_nodes_.size() / 2u;
+  // Slot 0 (constant false) stays zero from construction; PIs are slots
+  // 1..num_pis in input order (std::copy: an AIG without PIs passes no
+  // data pointer at all).
+  std::copy( pi_words.begin(), pi_words.end(), values_.begin() + W );
   const auto table = wide_detail::table_for( backend_, W );
-  table.aig( fanin_nodes_.data(), fanin_inverts_.data(), num_ands, first_and, values_.data() );
-  for ( std::size_t o = 0; o < po_nodes_.size(); ++o )
+  table.aig( program_.ands.data(), program_.num_ands(), values_.data() );
+  for ( std::size_t o = 0; o < program_.pos.size(); ++o )
   {
+    const auto p = program_.pos[o];
+    const auto invert = std::uint64_t{ 0 } - ( p & 1u );
     for ( unsigned k = 0; k < W; ++k )
     {
-      outputs_[o * W + k] = values_[std::size_t{ po_nodes_[o] } * W + k] ^ po_inverts_[o];
+      outputs_[o * W + k] = values_[std::size_t{ p >> 1 } * W + k] ^ invert;
     }
   }
   return outputs_;

@@ -2,13 +2,13 @@
 /// \brief Width-generic simulation kernels, shared by every backend TU.
 ///
 /// The three hot loops of wide simulation — the reversible gate cascade,
-/// the AIG node walk, and the masked two-fanin AND — are written once as
-/// templates over an `Ops` policy that supplies the lane-group vector type
-/// and its word operations.  Each backend translation unit (wide_sim.cpp
-/// for portable, wide_sim_avx2.cpp / wide_sim_avx512.cpp compiled with
-/// their arch flags) instantiates the templates with its own policy and
-/// exports a `kernel_table`; the dispatcher in wide_sim.cpp picks a table
-/// at runtime.  Keeping the loop *structure* single-source is what makes
+/// the AIG slot-program walk, and the masked two-fanin AND — are written
+/// once as templates over an `Ops` policy that supplies the lane-group
+/// vector type and its word operations.  Each backend translation unit
+/// (wide_sim.cpp for portable, wide_sim_avx2.cpp / wide_sim_avx512.cpp
+/// compiled with their arch flags) instantiates the templates with its own
+/// policy and exports a `kernel_table`; the dispatcher in wide_sim.cpp
+/// picks a table at runtime.  Keeping the loop *structure* single-source is what makes
 /// the backends bit-identical by construction — a backend can only change
 /// how a group of words is ANDed/XORed, never which words are touched.
 ///
@@ -30,7 +30,7 @@ namespace qsyn::wide_detail
 {
 
 /// Backend entry points for one lane-group width.  `state` and `values`
-/// hold one group (`W` consecutive words) per line / node.
+/// hold one group (`W` consecutive words) per line / slot.
 struct kernel_table
 {
   /// Runs a circuit's whole gate cascade, read in place from its arrays
@@ -39,10 +39,10 @@ struct kernel_table
   /// AND over polarity-masked line groups, the target update a group XOR.
   void ( *gate )( const std::uint32_t* targets, const std::uint32_t* control_offsets,
                   std::size_t num_gates, const control* controls, std::uint64_t* state );
-  /// Walks all AND nodes in topological order: node `first_and + n` gets
-  /// `(v(f0) ^ i0) & (v(f1) ^ i1)` over its group.
-  void ( *aig )( const std::uint32_t* fanin_nodes, const std::uint64_t* fanin_inverts,
-                 std::size_t num_ands, std::size_t first_and, std::uint64_t* values );
+  /// Runs a live-slot program (`aig_slot_program::ands`, three words per
+  /// AND) over one lane group per slot: the out slot gets
+  /// `(v(a) ^ i_a) & (v(b) ^ i_b)`, both fanins loaded before the store.
+  void ( *aig )( const std::uint32_t* program, std::size_t num_ands, std::uint64_t* values );
   /// dst[j] = (a[j] ^ invert_a) & (b[j] ^ invert_b), arbitrary word count.
   void ( *and2 )( std::uint64_t* dst, const std::uint64_t* a, std::uint64_t invert_a,
                   const std::uint64_t* b, std::uint64_t invert_b, std::size_t num_words );
@@ -175,17 +175,19 @@ void gate_kernel( const std::uint32_t* targets, const std::uint32_t* control_off
 }
 
 template<typename Ops>
-void aig_kernel( const std::uint32_t* fanin_nodes, const std::uint64_t* fanin_inverts,
-                 std::size_t num_ands, std::size_t first_and, std::uint64_t* values )
+void aig_kernel( const std::uint32_t* program, std::size_t num_ands, std::uint64_t* values )
 {
   constexpr unsigned W = Ops::words;
   for ( std::size_t n = 0; n < num_ands; ++n )
   {
-    const auto v0 = Ops::bxor( Ops::load( values + std::size_t{ fanin_nodes[2 * n] } * W ),
-                               Ops::broadcast( fanin_inverts[2 * n] ) );
-    const auto v = Ops::and_xor( v0, Ops::load( values + std::size_t{ fanin_nodes[2 * n + 1] } * W ),
-                                 Ops::broadcast( fanin_inverts[2 * n + 1] ) );
-    Ops::store( values + ( first_and + n ) * W, v );
+    const auto* op = program + 3u * n;
+    const auto a = op[1];
+    const auto b = op[2];
+    const auto v0 = Ops::bxor( Ops::load( values + std::size_t{ a >> 1 } * W ),
+                               Ops::broadcast( std::uint64_t{ 0 } - ( a & 1u ) ) );
+    const auto v = Ops::and_xor( v0, Ops::load( values + std::size_t{ b >> 1 } * W ),
+                                 Ops::broadcast( std::uint64_t{ 0 } - ( b & 1u ) ) );
+    Ops::store( values + std::size_t{ op[0] } * W, v );
   }
 }
 

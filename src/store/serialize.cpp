@@ -286,6 +286,7 @@ reversible_circuit read_circuit( byte_reader& r )
     throw deserialize_error( "circuit: impossible line count" );
   }
   reversible_circuit circuit( num_lines );
+  std::vector<bool> output_taken( num_lines, false );
   for ( unsigned l = 0; l < num_lines; ++l )
   {
     auto& info = circuit.line( l );
@@ -295,11 +296,22 @@ reversible_circuit read_circuit( byte_reader& r )
     info.is_constant_input = ( flags & 2u ) != 0u;
     info.constant_value = ( flags & 4u ) != 0u;
     info.is_garbage = ( flags & 8u ) != 0u;
-    info.output_index = static_cast<int>( r.u32() );
-    if ( info.output_index < -1 )
+    // At most one output per line, each index once: an index is -1 or
+    // below num_lines, which also bounds what `output_lines_of` allocates.
+    const auto output_index = r.u32();
+    if ( output_index != 0xffffffffu )
     {
-      throw deserialize_error( "circuit: invalid output index" );
+      if ( output_index >= num_lines )
+      {
+        throw deserialize_error( "circuit: output index outside the line range" );
+      }
+      if ( output_taken[output_index] )
+      {
+        throw deserialize_error( "circuit: output index on two lines" );
+      }
+      output_taken[output_index] = true;
     }
+    info.output_index = static_cast<int>( output_index );
   }
   const auto num_gates = r.u32();
   if ( num_gates > r.remaining() / 8u )

@@ -8,6 +8,7 @@
 
 #include "common/strash_table.hpp"
 #include "logic/aig.hpp"
+#include "logic/aig_slots.hpp"
 #include "logic/xmg.hpp"
 #include "sat/incremental.hpp"
 
@@ -167,6 +168,39 @@ TEST( aig, simulate_outputs_matches_pattern_simulation_word_by_word )
         }
       }
     }
+  }
+}
+
+TEST( aig, slot_program_reuses_the_slots_of_dead_values )
+{
+  // A chain of ANDs with a dead AND hanging off every link: each link
+  // takes the slot of the link it reads last, each dead AND gives its slot
+  // back at once, so two AND slots serve the whole chain.
+  aig_network aig( 2 );
+  auto link = aig.pi( 0 );
+  for ( unsigned k = 0; k < 500; ++k )
+  {
+    aig.create_and( link, lit_not( aig.pi( 0 ) ) ); // dead
+    link = aig.create_and( link, lit_not_cond( aig.pi( 1 ), k & 1u ) );
+  }
+  aig.add_po( link );
+  aig.add_po( lit_not( link ) );
+  const auto program = compile_slot_program( aig );
+  EXPECT_EQ( program.num_ands(), aig.num_ands() );
+  EXPECT_EQ( program.num_slots, aig.num_pis() + 3u );
+  ASSERT_EQ( program.pos.size(), 2u );
+  EXPECT_EQ( program.pos[0] ^ 1u, program.pos[1] );
+  for ( std::size_t op = 0; op < program.ands.size(); op += 3u )
+  {
+    // AND values never land on the constant or a PI.
+    EXPECT_GT( program.ands[op], aig.num_pis() );
+    EXPECT_LT( program.ands[op], program.num_slots );
+  }
+  const auto tts = aig.simulate_outputs();
+  const auto words = aig.simulate_patterns( { projections[0], projections[1] } );
+  for ( unsigned o = 0; o < 2; ++o )
+  {
+    EXPECT_EQ( tts[o].blocks()[0], words[o] & block_mask( 2 ) );
   }
 }
 

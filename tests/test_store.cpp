@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/wait.h>
@@ -266,6 +267,38 @@ TEST( store_serialize, circuit_gate_on_its_own_target_is_corrupt )
   ASSERT_EQ( valid.num_gates(), 1u );
   EXPECT_EQ( valid.gate( 0 ).target, 1u );
   EXPECT_EQ( valid.gate( 0 ).num_controls(), 2u );
+}
+
+TEST( store_serialize, circuit_output_indices_are_checked )
+{
+  // Two input lines with the given output indices (-1 = none), no gates.
+  const auto bytes = []( std::uint32_t out0, std::uint32_t out1 ) {
+    store::byte_writer w;
+    w.u32( 2 ); // lines
+    for ( const auto [name, index] : { std::pair{ "a", out0 }, std::pair{ "b", out1 } } )
+    {
+      w.str( name );
+      w.u8( 1 ); // primary input
+      w.u32( index );
+    }
+    w.u32( 0 ); // gates
+    return w.take();
+  };
+  const auto none = static_cast<std::uint32_t>( -1 );
+  // An index past the lines: 0x7fffffff once made every later output
+  // lookup allocate 2^31 entries.
+  EXPECT_THROW( store::deserialize_circuit( bytes( 0x7fffffffu, none ) ), store::deserialize_error );
+  EXPECT_THROW( store::deserialize_circuit( bytes( none, 2 ) ), store::deserialize_error );
+  EXPECT_THROW( store::deserialize_circuit( bytes( none, none - 1u ) ), store::deserialize_error );
+  // One index on two lines.
+  EXPECT_THROW( store::deserialize_circuit( bytes( 0, 0 ) ), store::deserialize_error );
+  // Outputs in any line order, or none at all, are valid.
+  const auto swapped = store::deserialize_circuit( bytes( 1, 0 ) );
+  EXPECT_EQ( swapped.line( 0 ).output_index, 1 );
+  EXPECT_EQ( swapped.line( 1 ).output_index, 0 );
+  const auto no_outputs = store::deserialize_circuit( bytes( none, none ) );
+  EXPECT_EQ( no_outputs.line( 0 ).output_index, -1 );
+  EXPECT_EQ( no_outputs.line( 1 ).output_index, -1 );
 }
 
 TEST( store_serialize, circuit_line_count_is_bounded_by_its_bytes_only )

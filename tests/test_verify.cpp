@@ -8,12 +8,16 @@
 #include <optional>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "core/flows.hpp"
 #include "logic/aig.hpp"
 #include "reversible/circuit.hpp"
 #include "reversible/verify.hpp"
+#include "synth/aig_optimize.hpp"
+#include "verilog/elaborator.hpp"
 
 using namespace qsyn;
 
@@ -247,6 +251,37 @@ reversible_circuit corrupt_late( const reversible_circuit& circuit )
 }
 
 } // namespace
+
+// --- line roles ----------------------------------------------------------------
+
+TEST( verify_lines, output_lines_follow_the_output_indices )
+{
+  reversible_circuit circuit( 4 );
+  circuit.line( 3 ).output_index = 0;
+  circuit.line( 1 ).output_index = 1;
+  EXPECT_EQ( output_lines_of( circuit ), ( std::vector<std::uint32_t>{ 3, 1 } ) );
+  EXPECT_TRUE( output_lines_of( reversible_circuit( 2 ) ).empty() );
+}
+
+TEST( verify_lines, output_index_gaps_and_duplicates_throw )
+{
+  reversible_circuit gap( 3 );
+  gap.line( 0 ).output_index = 0;
+  gap.line( 2 ).output_index = 2; // no output 1
+  EXPECT_THROW( output_lines_of( gap ), std::invalid_argument );
+  // A stray huge index is a gap too; it must not size the table.
+  reversible_circuit huge( 1 );
+  huge.line( 0 ).output_index = 0x7fffffff;
+  EXPECT_THROW( output_lines_of( huge ), std::invalid_argument );
+  reversible_circuit twice( 3 );
+  twice.line( 0 ).output_index = 0;
+  twice.line( 1 ).output_index = 1;
+  twice.line( 2 ).output_index = 1;
+  EXPECT_THROW( output_lines_of( twice ), std::invalid_argument );
+  // Every consumer of the output lines refuses such a circuit.
+  EXPECT_THROW( wide_simulator( twice, sim_width::w64 ), std::invalid_argument );
+  EXPECT_THROW( evaluate_circuit( gap, {} ), std::invalid_argument );
+}
 
 // --- truth-table tier --------------------------------------------------------
 
@@ -667,4 +702,150 @@ TEST( verify_wide, active_backend_is_reported_and_consistent )
     EXPECT_TRUE( simd_backend_compiled( backend ) );
     EXPECT_NE( std::string( simd_backend_name( backend ) ), "" );
   }
+}
+
+// --- spec simulation on live slots -------------------------------------------
+
+namespace
+{
+
+/// AIGs at the corners of the slot compiler: dead ANDs, POs that are no
+/// AND, one node as several POs, raw ANDs that `create_and` would have
+/// folded or reordered, and networks without ANDs or without PIs.
+std::vector<std::pair<std::string, aig_network>> awkward_aigs()
+{
+  std::vector<std::pair<std::string, aig_network>> aigs;
+  {
+    // Never cleaned up: most ANDs are dead, and dead ANDs read live ones.
+    std::mt19937_64 rng( 401 );
+    aig_network aig( 7 );
+    std::vector<aig_lit> lits;
+    for ( unsigned i = 0; i < aig.num_pis(); ++i )
+    {
+      lits.push_back( aig.pi( i ) );
+    }
+    const auto pick = [&] { return lit_not_cond( lits[rng() % lits.size()], rng() & 1u ); };
+    for ( unsigned g = 0; g < 300; ++g )
+    {
+      lits.push_back( aig.create_and( pick(), pick() ) );
+    }
+    for ( unsigned o = 0; o < 3; ++o )
+    {
+      aig.add_po( pick() );
+    }
+    aigs.emplace_back( "dead ANDs", std::move( aig ) );
+  }
+  {
+    aig_network aig( 3 );
+    const auto g = aig.create_and( aig.pi( 0 ), lit_not( aig.pi( 2 ) ) );
+    aig.add_po( aig_network::const0 );
+    aig.add_po( aig_network::const1 );
+    aig.add_po( aig.pi( 1 ) );
+    aig.add_po( lit_not( aig.pi( 0 ) ) );
+    aig.add_po( g );
+    aigs.emplace_back( "POs on the constant and on PIs", std::move( aig ) );
+  }
+  {
+    // The node stays live past later readers because it is a PO.
+    aig_network aig( 4 );
+    const auto x = aig.create_xor( aig.pi( 0 ), aig.pi( 1 ) );
+    aig.add_po( x );
+    aig.add_po( lit_not( x ) );
+    const auto y = aig.create_and( x, aig.pi( 2 ) );
+    aig.add_po( aig.create_or( y, aig.pi( 3 ) ) );
+    aig.add_po( lit_not( x ) );
+    aigs.emplace_back( "one node as POs of both polarities", std::move( aig ) );
+  }
+  {
+    aig_network aig( 3 );
+    const auto ab = aig.append_raw_and( aig.pi( 1 ), lit_not( aig.pi( 0 ) ) ); // reversed
+    const auto same = aig.append_raw_and( ab, ab );
+    const auto never = aig.append_raw_and( lit_not( same ), same );
+    const auto chain = aig.append_raw_and( aig.pi( 2 ), lit_not( never ) );
+    aig.add_po( aig.append_raw_and( aig_network::const1, chain ) );
+    aig.add_po( never );
+    aig.add_po( aig.append_raw_and( lit_not( aig.pi( 2 ) ), same ) );
+    aigs.emplace_back( "raw ANDs on one node and reversed", std::move( aig ) );
+  }
+  {
+    aig_network aig( 2 );
+    aig.add_po( aig.pi( 1 ) );
+    aig.add_po( lit_not( aig.pi( 0 ) ) );
+    aig.add_po( aig_network::const1 );
+    aigs.emplace_back( "no ANDs", std::move( aig ) );
+  }
+  {
+    aig_network aig( 0 );
+    aig.add_po( aig_network::const1 );
+    aig.add_po( aig_network::const0 );
+    aigs.emplace_back( "no PIs", std::move( aig ) );
+  }
+  return aigs;
+}
+
+} // namespace
+
+TEST( verify_wide, spec_simulator_matches_evaluate_on_awkward_aigs )
+{
+  std::mt19937_64 rng( 409 );
+  for ( const auto& [name, aig] : awkward_aigs() )
+  {
+    for ( const auto width : all_widths )
+    {
+      const auto W = words_of( width );
+      const auto context = name + " width " + std::to_string( lanes_of( width ) );
+      wide_aig_simulator sim( aig, width );
+      ASSERT_EQ( sim.num_pos(), aig.num_pos() ) << context;
+      EXPECT_LE( sim.num_slots(), aig.num_nodes() ) << context;
+      // Two batches through one simulator: values a batch leaves in reused
+      // slots must not reach the next.
+      for ( int batch = 0; batch < 2; ++batch )
+      {
+        std::vector<std::uint64_t> words( std::size_t{ aig.num_pis() } * W );
+        for ( auto& w : words )
+        {
+          w = rng();
+        }
+        const auto& out = sim.evaluate( words );
+        ASSERT_EQ( out.size(), std::size_t{ aig.num_pos() } * W ) << context;
+        for ( unsigned j = 0; j < lanes_of( width ); ++j )
+        {
+          std::vector<bool> assignment( aig.num_pis() );
+          for ( unsigned i = 0; i < aig.num_pis(); ++i )
+          {
+            assignment[i] = ( words[i * W + j / 64u] >> ( j % 64u ) ) & 1u;
+          }
+          std::vector<bool> got( aig.num_pos() );
+          for ( unsigned o = 0; o < aig.num_pos(); ++o )
+          {
+            got[o] = ( out[o * W + j / 64u] >> ( j % 64u ) ) & 1u;
+          }
+          ASSERT_EQ( got, aig.evaluate( assignment ) ) << context << " lane " << j;
+        }
+      }
+    }
+    const auto tts = aig.simulate_outputs();
+    ASSERT_EQ( tts.size(), aig.num_pos() ) << name;
+    for ( std::uint64_t x = 0; x < ( std::uint64_t{ 1 } << aig.num_pis() ); ++x )
+    {
+      std::vector<bool> got( aig.num_pos() );
+      for ( unsigned o = 0; o < aig.num_pos(); ++o )
+      {
+        got[o] = tts[o].get_bit( x );
+      }
+      ASSERT_EQ( got, aig.evaluate( counter_assignment( x, aig.num_pis() ) ) )
+          << name << " assignment " << x;
+    }
+  }
+}
+
+TEST( verify_wide, spec_simulator_live_state_stays_small )
+{
+  // Optimized NEWTON(16) has tens of thousands of nodes, but only a few
+  // hundred values are live at once; the spec simulator holds only those.
+  const auto mod = verilog::elaborate_verilog( reciprocal_verilog( reciprocal_design::newton, 16 ) );
+  const auto opt = optimize( mod.aig, flow_params{}.optimization_rounds );
+  const wide_aig_simulator sim( opt, sim_width::w512 );
+  EXPECT_LE( std::uint64_t{ sim.num_slots() } * 100u, opt.num_nodes() )
+      << sim.num_slots() << " slots for " << opt.num_nodes() << " nodes";
 }
