@@ -20,14 +20,15 @@
 /// tier's; the reports of widths 64/256/512 on mixed
 /// pass/fail candidates must equal the scalar enumeration's
 /// (`widths_agree`), and the corrupted circuit's counterexample is
-/// recorded as a bit string (`cex`) so the AVX and portable builds can be
-/// diffed.  It writes BENCH_verify.json (schema 7, see
+/// recorded as a bit string (`cex`) so runs on the AVX and portable
+/// backends can be diffed.  It writes BENCH_verify.json (schema 7, see
 /// docs/ARCHITECTURE.md), which scripts/run_bench.sh gates on.
 ///
 /// Usage: bench_verify [--out FILE] [--quick] [--sim-only]
 ///   --sim-only skips the SAT tier entirely (timings and verdicts); it is
-///   what run_bench.sh uses for the portable-build verdict-identity pass,
-///   where only the simulation tiers are SIMD-relevant.
+///   what run_bench.sh uses for the cross-backend verdict-identity pass
+///   (one binary, run with QSYN_SIMD unset and at `portable`), where only
+///   the simulation tiers are SIMD-relevant.
 
 #include <algorithm>
 #include <limits>

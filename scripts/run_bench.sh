@@ -32,9 +32,10 @@
 #     group vs the w64 width (width_speedup, persistent engines, spec walk
 #     included on both sides) falls below 4x in aggregate or 3.5x on any
 #     exhaustive case,
-#   * the AVX build (QSYN_SIMD=native) and the portable build (QSYN_SIMD
-#     default off) disagree on any verdict, counterexample bit string, or
-#     cross-width identity in a fresh --sim-only run of bench_verify,
+#   * the cpuid-chosen backend (the QSYN_SIMD environment variable unset)
+#     and the portable kernels (QSYN_SIMD=portable) disagree on any
+#     verdict, counterexample bit string, or cross-width identity in two
+#     --sim-only runs of the one bench_verify binary,
 #   * the SAT tier regresses: aggregate SAT-tier wall clock
 #     (or the SAT-tier-vs-monolithic speedup, measured in the same run)
 #     more than 15% worse than the committed baseline, or the NEWTON(8)
@@ -60,8 +61,9 @@
 # the robustness + scheduler suites under UndefinedBehaviorSanitizer, and the robustness + scheduler + daemon +
 # flows suites under ThreadSanitizer (the daemon coalesces concurrent
 # requests on per-key slots over a shared pool, and the artifact cache's
-# per-key slots are locked from many threads).  Both sanitizer builds of
-# test_verify compile with QSYN_SIMD=native so the AVX2/AVX-512 kernels
+# per-key slots are locked from many threads).  Every build compiles the
+# AVX2 and AVX-512 kernels; the ASan block runs test_verify once per
+# kernel family (QSYN_SIMD unset, avx2, portable), so the vector kernels
 # themselves run instrumented, not just the portable fallback.
 #
 # Every benchmark invocation runs inside a hard `timeout` ceiling
@@ -100,9 +102,9 @@ run_bench() {
   fi
 }
 
-# The bench build enables every SIMD backend the host toolchain supports;
-# runtime cpuid dispatch keeps the binary correct on any machine.
-cmake -B "$BUILD_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SIMD=native
+# Every build compiles all SIMD backends; runtime cpuid dispatch picks one
+# and keeps the binary correct on any x86-64.
+cmake -B "$BUILD_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_esop bench_dse bench_verify table3_esop table4_hierarchical
 
 # --- ESOP term-count gate ----------------------------------------------------
@@ -579,22 +581,21 @@ print(
 )
 EOF
 
-# --- cross-build verdict identity: native SIMD vs portable -------------------
-# A fresh portable build (QSYN_SIMD defaults off: no AVX TUs compiled at
-# all) must produce bit-identical verdicts, counterexample bit strings and
-# cross-width identity to the native-SIMD bench build.  Both sides run
-# --sim-only (SAT timings carry no SIMD and would double the wall clock).
-
-PORTABLE_DIR="$REPO_ROOT/build-bench-portable"
-cmake -B "$PORTABLE_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release
-cmake --build "$PORTABLE_DIR" -j "$(nproc)" --target bench_verify
+# --- cross-backend verdict identity: cpuid choice vs portable ----------------
+# The bench_verify binary run with the backend cpuid picks (QSYN_SIMD unset)
+# and pinned to the portable kernels (QSYN_SIMD=portable) must produce
+# bit-identical verdicts, counterexample bit strings and cross-width
+# identity.  Both sides run --sim-only (SAT timings carry no SIMD and would
+# double the wall clock).
 
 NATIVE_SIM_JSON="$BUILD_DIR/BENCH_verify_simonly.json"
-PORTABLE_SIM_JSON="$PORTABLE_DIR/BENCH_verify_simonly.json"
+PORTABLE_SIM_JSON="$BUILD_DIR/BENCH_verify_simonly_portable.json"
 run_bench bench_verify_native_simonly \
-  "$BUILD_DIR/bench/bench_verify" --sim-only --out "$NATIVE_SIM_JSON" "${QUICK_ARGS[@]}"
+  env -u QSYN_SIMD "$BUILD_DIR/bench/bench_verify" --sim-only --out "$NATIVE_SIM_JSON" \
+  "${QUICK_ARGS[@]}"
 run_bench bench_verify_portable_simonly \
-  "$PORTABLE_DIR/bench/bench_verify" --sim-only --out "$PORTABLE_SIM_JSON" "${QUICK_ARGS[@]}"
+  env QSYN_SIMD=portable "$BUILD_DIR/bench/bench_verify" --sim-only --out "$PORTABLE_SIM_JSON" \
+  "${QUICK_ARGS[@]}"
 
 python3 - "$NATIVE_SIM_JSON" "$PORTABLE_SIM_JSON" <<'EOF'
 import json
@@ -608,11 +609,11 @@ with open(sys.argv[2]) as f:
 failures = []
 if portable_doc.get("simd_backend") != "portable":
     failures.append(
-        "the QSYN_SIMD-default build dispatched to "
-        f"'{portable_doc.get('simd_backend')}' — the portable build is not portable"
+        "the QSYN_SIMD=portable run dispatched to "
+        f"'{portable_doc.get('simd_backend')}' — the environment cap does not pin the backend"
     )
 
-# The per-case fields a build could corrupt: the verdict of every tier on
+# The per-case fields a backend could corrupt: the verdict of every tier on
 # the good and corrupted circuit, the corrupted circuit's counterexample
 # bit string, and the cross-width identity sweep.
 VERDICT_FIELDS = ("tiers_agree", "corrupt_rejected", "widths_agree", "cex")
@@ -628,17 +629,17 @@ for name in sorted(set(native) & set(portable)):
         nv, pv = native[name].get(field), portable[name].get(field)
         if nv != pv:
             failures.append(
-                f"{name}: {field} differs between builds (native {nv!r} "
+                f"{name}: {field} differs between backends (native {nv!r} "
                 f"[{native_doc.get('simd_backend')}] vs portable {pv!r})"
             )
 
 if failures:
-    print("CROSS-BUILD VERDICT MISMATCH:")
+    print("CROSS-BACKEND VERDICT MISMATCH:")
     for f in failures:
         print("  " + f)
     sys.exit(1)
 print(
-    "cross-build verdicts OK ({} cases bit-identical: native [{}] vs portable)".format(
+    "cross-backend verdicts OK ({} cases bit-identical: native [{}] vs portable)".format(
         len(native), native_doc.get("simd_backend", "?")
     )
 )
@@ -674,20 +675,24 @@ fi
 echo "docs check OK (docs/ARCHITECTURE.md and the src/* subdirectories match)"
 
 # --- verification tests under AddressSanitizer -------------------------------
-# The wide engine is raw uint64_t indexing over packed state words; run the suite instrumented on every bench invocation, with
-# QSYN_SIMD=native so the AVX2/AVX-512 kernels themselves are exercised
-# under instrumentation (lane-group loads/stores are the exact place an
-# off-by-one-word bug would live).
+# The wide engine is raw uint64_t indexing over packed state words; run the
+# suite instrumented on every bench invocation, once per kernel family: the
+# cpuid choice (AVX-512 at w512 and AVX2 at w256 on an AVX-512 machine),
+# AVX2's paired registers at w512, and the portable unrolled lanes.
+# Lane-group loads/stores are the exact place an off-by-one-word bug would
+# live.
 
 ASAN_DIR="$REPO_ROOT/build-asan-verify"
-cmake -B "$ASAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE=address \
-  -DQSYN_SIMD=native
+cmake -B "$ASAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE=address
 cmake --build "$ASAN_DIR" -j "$(nproc)" \
   --target test_verify test_store test_lut_xmg test_synth test_sat test_aig test_xmg test_daemon \
   test_robustness test_flows test_reversible test_rsynth
-"$ASAN_DIR/tests/test_verify"
+env -u QSYN_SIMD "$ASAN_DIR/tests/test_verify"
+QSYN_SIMD=avx2 "$ASAN_DIR/tests/test_verify"
+QSYN_SIMD=portable "$ASAN_DIR/tests/test_verify"
 # The artifact store is raw byte-level (de)serialization of attacker-ish
-# input (any on-disk file): run its suite instrumented too.
+# input (any on-disk file), and its suite fuzzes those decoders and the
+# request parser with seeded mutants: run it instrumented too.
 "$ASAN_DIR/tests/test_store"
 # The cut and ISOP kernels index fixed-capacity leaf arrays and word
 # tables: an off-by-one there is an out-of-bounds access.
@@ -716,7 +721,7 @@ cmake --build "$ASAN_DIR" -j "$(nproc)" \
 "$ASAN_DIR/tests/test_reversible"
 "$ASAN_DIR/tests/test_rsynth"
 echo
-echo "test_verify + test_store + test_lut_xmg + test_synth + test_sat + test_aig + test_xmg +" \
+echo "test_verify (3 backends) + test_store + test_lut_xmg + test_synth + test_sat + test_aig + test_xmg +" \
      "test_daemon + test_robustness + test_flows + test_reversible + test_rsynth OK under" \
      "AddressSanitizer"
 
@@ -727,8 +732,7 @@ echo "test_verify + test_store + test_lut_xmg + test_synth + test_sat + test_aig
 # for undefined behaviour and for data races on every bench invocation.
 
 UBSAN_DIR="$REPO_ROOT/build-ubsan-robustness"
-cmake -B "$UBSAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE=undefined \
-  -DQSYN_SIMD=native
+cmake -B "$UBSAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE=undefined
 cmake --build "$UBSAN_DIR" -j "$(nproc)" \
   --target test_robustness test_scheduler test_store test_verify test_lut_xmg test_synth \
   test_sat test_aig test_xmg test_daemon test_reversible test_rsynth
@@ -739,7 +743,7 @@ cmake --build "$UBSAN_DIR" -j "$(nproc)" \
 "$UBSAN_DIR/tests/test_store"
 # The wide kernels build polarity masks with shifts and ~0 arithmetic on
 # 64-bit words: run the verification suite (including every differential
-# wide-vs-scalar property) under UBSan with the native kernels too.
+# wide-vs-scalar property) under UBSan with the cpuid-chosen kernels too.
 "$UBSAN_DIR/tests/test_verify"
 # The cut and ISOP kernels build variable masks and moves with shifts on
 # 64-bit words, where a shift by 64 would hide.

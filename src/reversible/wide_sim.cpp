@@ -18,17 +18,11 @@ namespace qsyn
 namespace wide_detail
 {
 
-// Backend tables compiled behind CMake's QSYN_SIMD option; each lives in a
-// TU built with the matching arch flags (see wide_sim_avx2.cpp /
-// wide_sim_avx512.cpp).  Execution is additionally gated on cpuid below,
-// so enabling a backend at build time never produces illegal instructions
-// on an older machine.
-#if defined( QSYN_HAVE_AVX2 )
+// The vector backend tables; each lives in a TU built with its arch flag
+// (wide_sim_avx2.cpp, wide_sim_avx512.cpp) and runs only after cpuid
+// agrees below.
 kernel_table avx2_table( unsigned words );
-#endif
-#if defined( QSYN_HAVE_AVX512 )
 kernel_table avx512_table( unsigned words );
-#endif
 
 namespace
 {
@@ -50,18 +44,15 @@ kernel_table portable_table( unsigned words )
 
 bool cpu_supports( simd_backend backend )
 {
-#if defined( __GNUC__ ) || defined( __clang__ )
   switch ( backend )
   {
-  case simd_backend::portable:
-    return true;
   case simd_backend::avx2:
     return __builtin_cpu_supports( "avx2" ) != 0;
   case simd_backend::avx512:
     return __builtin_cpu_supports( "avx512f" ) != 0;
+  default:
+    return true;
   }
-#endif
-  return backend == simd_backend::portable;
 }
 
 /// Runtime cap from the QSYN_SIMD environment variable, parsed once:
@@ -93,22 +84,17 @@ simd_backend backend_cap()
 
 bool backend_usable( simd_backend backend )
 {
-  return simd_backend_compiled( backend ) && cpu_supports( backend ) &&
-         static_cast<int>( backend ) <= static_cast<int>( backend_cap() );
+  return cpu_supports( backend ) && static_cast<int>( backend ) <= static_cast<int>( backend_cap() );
 }
 
 kernel_table table_for( simd_backend backend, unsigned words )
 {
   switch ( backend )
   {
-#if defined( QSYN_HAVE_AVX2 )
   case simd_backend::avx2:
     return avx2_table( words );
-#endif
-#if defined( QSYN_HAVE_AVX512 )
   case simd_backend::avx512:
     return avx512_table( words );
-#endif
   default:
     return portable_table( words );
   }
@@ -141,27 +127,6 @@ const char* simd_backend_name( simd_backend backend )
     return "avx512";
   default:
     return "portable";
-  }
-}
-
-bool simd_backend_compiled( simd_backend backend )
-{
-  switch ( backend )
-  {
-  case simd_backend::avx2:
-#if defined( QSYN_HAVE_AVX2 )
-    return true;
-#else
-    return false;
-#endif
-  case simd_backend::avx512:
-#if defined( QSYN_HAVE_AVX512 )
-    return true;
-#else
-    return false;
-#endif
-  default:
-    return true;
   }
 }
 

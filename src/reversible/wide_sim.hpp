@@ -14,12 +14,12 @@
 ///     widths on any machine;
 ///   * **backend** (`simd_backend`) is how a width's group operations are
 ///     executed: portable unrolled `uint64` lanes (always available), AVX2
-///     256-bit words, or AVX-512 512-bit words.  Backends are compiled in
-///     only when CMake's `QSYN_SIMD` option asks for them, and selected at
-///     runtime via cpuid, so one binary runs correctly anywhere.  The
-///     `QSYN_SIMD` *environment variable* (`off`/`portable`, `avx2`,
-///     `avx512`/`native`) caps the runtime choice — the bit-identity gates
-///     in scripts/run_bench.sh use it to pin backends on one machine.
+///     256-bit words, or AVX-512 512-bit words.  Every build compiles all
+///     three; the dispatcher picks one at runtime via cpuid, so one binary
+///     runs correctly on any x86-64.  The `QSYN_SIMD` environment variable
+///     (`off`/`portable`, `avx2`, `avx512`/`native`) caps that choice — the
+///     cross-backend tests (ctest's `test_verify_simd_*` runs and the
+///     verdict gate in scripts/run_bench.sh) use it to pin a backend.
 ///
 /// Besides the per-circuit `wide_simulator` and the `wide_aig_simulator`
 /// (spec side), the header exposes `simd_and2_masked`, the dispatched
@@ -75,13 +75,9 @@ enum class simd_backend
 
 const char* simd_backend_name( simd_backend backend );
 
-/// True when the backend's kernels were compiled into this binary
-/// (CMake `QSYN_SIMD` option; portable is always present).
-bool simd_backend_compiled( simd_backend backend );
-
 /// The backend the dispatcher selects for `width` on this machine: the
-/// widest compiled backend the CPU supports whose word size divides the
-/// group, capped by the `QSYN_SIMD` environment variable.  w64 always runs
+/// widest backend the CPU supports whose word size divides the group,
+/// capped by the `QSYN_SIMD` environment variable.  w64 always runs
 /// portable — a single 64-bit word has nothing to vectorize.
 simd_backend active_simd_backend( sim_width width );
 

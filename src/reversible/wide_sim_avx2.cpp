@@ -2,16 +2,14 @@
 /// \brief AVX2 lane-group kernels: one 256-bit word per w256 group, a pair
 /// per w512 group.
 ///
-/// Compiled with `-mavx2` only when CMake's `QSYN_SIMD` option enables the
-/// backend (the define doubles as the gate so a portable build, whose
-/// compiler flags would reject the intrinsics, skips this TU's body
-/// entirely).  The dispatcher still checks cpuid before routing here.
-
-#if defined( QSYN_HAVE_AVX2 )
+/// Every build compiles this TU, and only this TU, with `-mavx2`; the
+/// dispatcher routes here only when cpuid reports `avx2`, so the binary
+/// still runs on an x86-64 without it.  On an AVX-512 machine these
+/// kernels serve the w256 groups, or every wide group when the `QSYN_SIMD`
+/// environment variable caps the choice at `avx2`.
 
 #include <immintrin.h>
 
-#include "wide_sim.hpp"
 #include "wide_sim_kernels.hpp"
 
 namespace qsyn::wide_detail
@@ -53,5 +51,3 @@ kernel_table avx2_table( unsigned words )
 }
 
 } // namespace qsyn::wide_detail
-
-#endif // QSYN_HAVE_AVX2

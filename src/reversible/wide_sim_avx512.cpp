@@ -1,19 +1,18 @@
 /// \file wide_sim_avx512.cpp
 /// \brief AVX-512 lane-group kernels: one 512-bit word per w512 group.
 ///
-/// Compiled with `-mavx512f` only when CMake's `QSYN_SIMD` option enables
-/// the backend; the dispatcher checks cpuid (`avx512f`) before routing
-/// here.  The fused control/fanin step `acc & (v ^ m)` is a single
-/// `vpternlogq` (truth table 0x60), so a gate pass costs about one
-/// instruction per control over 512 assignment lanes.  w256 groups on an
+/// Every build compiles this TU, and only this TU, with `-mavx512f`; the
+/// dispatcher checks cpuid (`avx512f`) before routing here.  Like the AVX2
+/// TU it includes only the kernel header, so no other inline function of
+/// the library gets an out-of-line copy built with the arch flag.  The
+/// fused control/fanin step `acc & (v ^ m)` is a single `vpternlogq`
+/// (truth table 0x60), so a gate pass costs about one instruction per
+/// control over 512 assignment lanes.  w256 groups on an
 /// AVX-512 machine are served by the AVX2 table — a 256-bit group gains
 /// nothing from 512-bit registers.
 
-#if defined( QSYN_HAVE_AVX512 )
-
 #include <immintrin.h>
 
-#include "wide_sim.hpp"
 #include "wide_sim_kernels.hpp"
 
 namespace qsyn::wide_detail
@@ -52,5 +51,3 @@ kernel_table avx512_table( unsigned words )
 }
 
 } // namespace qsyn::wide_detail
-
-#endif // QSYN_HAVE_AVX512

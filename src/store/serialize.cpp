@@ -73,6 +73,15 @@ void byte_reader::expect_end() const
 
 // --- AIG ---------------------------------------------------------------------
 
+namespace
+{
+
+/// Cap on a graph's PI and PO counts.  A PI costs no bytes, so the bytes
+/// left cannot bound it.
+constexpr std::uint32_t max_interface_size = 1u << 24;
+
+} // namespace
+
 void write_aig( byte_writer& w, const aig_network& aig )
 {
   w.u32( aig.num_pis() );
@@ -94,7 +103,10 @@ aig_network read_aig( byte_reader& r )
 {
   const auto num_pis = r.u32();
   const auto num_nodes = r.u32();
-  if ( num_nodes < 1u + num_pis || num_nodes > ( 1u << 30 ) )
+  // In 64 bits: 1 + 0xffffffff PIs must not wrap to an empty network.  A
+  // PI costs no bytes, so its count has a fixed cap; each AND costs 8.
+  if ( num_pis > max_interface_size || num_nodes < 1u + std::uint64_t{ num_pis } ||
+       num_nodes - 1u - num_pis > r.remaining() / 8u )
   {
     throw deserialize_error( "aig: impossible node count" );
   }
@@ -110,7 +122,7 @@ aig_network read_aig( byte_reader& r )
     aig.append_raw_and( f0, f1 );
   }
   const auto num_pos = r.u32();
-  if ( num_pos > ( 1u << 24 ) )
+  if ( num_pos > max_interface_size )
   {
     throw deserialize_error( "aig: impossible output count" );
   }
@@ -205,7 +217,9 @@ xmg_network read_xmg( byte_reader& r )
 {
   const auto num_pis = r.u32();
   const auto num_nodes = r.u32();
-  if ( num_nodes < 1u + num_pis || num_nodes > ( 1u << 30 ) )
+  // As in read_aig; a logic node costs 13 bytes (kind + three fanins).
+  if ( num_pis > max_interface_size || num_nodes < 1u + std::uint64_t{ num_pis } ||
+       num_nodes - 1u - num_pis > r.remaining() / 13u )
   {
     throw deserialize_error( "xmg: impossible node count" );
   }
@@ -225,12 +239,26 @@ xmg_network read_xmg( byte_reader& r )
         throw deserialize_error( "xmg: fanin references a future node" );
       }
     }
+    // Only the forms create_maj / create_xor store; consumers rely on
+    // them (hierarchical synthesis maps only a MAJ's first fanin to the
+    // constant).  A MAJ's literals strictly increase on three distinct
+    // nodes; an XOR has two plain non-constant fanins in node order and a
+    // zero third.
+    const auto node = [&]( unsigned i ) { return fanin[i] >> 1; };
+    const bool plain = ( ( fanin[0] | fanin[1] ) & 1u ) == 0u;
+    const bool canonical = kind_tag == 0u
+                               ? node( 0 ) < node( 1 ) && node( 1 ) < node( 2 )
+                               : plain && 0u < node( 0 ) && node( 0 ) < node( 1 ) && fanin[2] == 0u;
+    if ( !canonical )
+    {
+      throw deserialize_error( "xmg: node in a form the builder never stores" );
+    }
     graph.append_raw_node( kind_tag == 0u ? xmg_network::node_kind::maj
                                           : xmg_network::node_kind::xor2,
                            fanin );
   }
   const auto num_pos = r.u32();
-  if ( num_pos > ( 1u << 24 ) )
+  if ( num_pos > max_interface_size )
   {
     throw deserialize_error( "xmg: impossible output count" );
   }

@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -20,9 +24,18 @@
 #include "common/content_hash.hpp"
 #include "core/dse.hpp"
 #include "core/flows.hpp"
+#include "reversible/cost.hpp"
+#include "reversible/verify.hpp"
+#include "rsynth/esop_synth.hpp"
+#include "rsynth/hierarchical.hpp"
 #include "store/artifact_store.hpp"
+#include "store/daemon.hpp"
 #include "store/serialize.hpp"
+#include "synth/aig_optimize.hpp"
+#include "synth/esop_extract.hpp"
 #include "synth/exorcism.hpp"
+#include "synth/lut_map.hpp"
+#include "synth/xmg_resynth.hpp"
 #include "verilog/elaborator.hpp"
 
 using namespace qsyn;
@@ -237,6 +250,55 @@ TEST( store_serialize, readers_reject_malformed_payloads )
   we.u64( 0x1 );
   we.u64( 0x1 );
   EXPECT_THROW( store::deserialize_esop( we.take() ), store::deserialize_error );
+
+  // 12-byte graph headers.  0xffffffff PIs once wrapped `1 + num_pis` to
+  // 0, passed the node-count check and built a network without its
+  // constant node (the XMG constructor then wrote past it); 2^30 - 1 PIs
+  // with 2^30 nodes once allocated gigabytes and threw std::bad_alloc,
+  // which the artifact cache does not treat as a corrupt entry.
+  for ( const auto& [num_pis, num_nodes] : { std::pair{ 0xffffffffu, 0u },
+                                             std::pair{ ( 1u << 30 ) - 1u, 1u << 30 },
+                                             std::pair{ 1u << 24, 1u << 30 } } )
+  {
+    store::byte_writer header;
+    header.u32( num_pis );
+    header.u32( num_nodes );
+    header.u32( 0 ); // pos
+    const auto bytes = header.take();
+    EXPECT_THROW( store::deserialize_aig( bytes ), store::deserialize_error ) << num_pis;
+    EXPECT_THROW( store::deserialize_xmg( bytes ), store::deserialize_error ) << num_pis;
+  }
+
+  // A 2-PI XMG of one node with the given kind and fanins, as its output.
+  const auto one_node_xmg = []( std::uint8_t kind, std::array<std::uint32_t, 3> fanin ) {
+    store::byte_writer wx;
+    wx.u32( 2 ); // pis
+    wx.u32( 4 ); // nodes: const, two pis, one gate
+    wx.u8( kind );
+    for ( const auto f : fanin )
+    {
+      wx.u32( f );
+    }
+    wx.u32( 1 ); // pos
+    wx.u32( 6 );
+    return wx.take();
+  };
+  // Forms the builder never stores: hierarchical synthesis mapped a
+  // constant fanin that is not a MAJ's first to line 0xffffffff.
+  for ( const auto& [kind, fanin] : {
+            std::pair{ std::uint8_t{ 0 }, std::array<std::uint32_t, 3>{ 2, 4, 0 } }, // const last
+            std::pair{ std::uint8_t{ 0 }, std::array<std::uint32_t, 3>{ 0, 2, 3 } }, // node twice
+            std::pair{ std::uint8_t{ 1 }, std::array<std::uint32_t, 3>{ 0, 2, 0 } }, // const fanin
+            std::pair{ std::uint8_t{ 1 }, std::array<std::uint32_t, 3>{ 3, 4, 0 } }, // complement
+            std::pair{ std::uint8_t{ 1 }, std::array<std::uint32_t, 3>{ 4, 2, 0 } }, // order
+            std::pair{ std::uint8_t{ 1 }, std::array<std::uint32_t, 3>{ 2, 4, 2 } } } ) // third
+  {
+    EXPECT_THROW( store::deserialize_xmg( one_node_xmg( kind, fanin ) ), store::deserialize_error )
+        << int{ kind } << ": " << fanin[0] << " " << fanin[1] << " " << fanin[2];
+  }
+  // The forms create_maj / create_xor store still load.
+  EXPECT_EQ( store::deserialize_xmg( one_node_xmg( 0, { 1, 2, 4 } ) ).num_maj(), 1u );
+  EXPECT_EQ( store::deserialize_xmg( one_node_xmg( 1, { 2, 4, 0 } ) ).num_xor(), 1u );
 }
 
 TEST( store_serialize, circuit_gate_on_its_own_target_is_corrupt )
@@ -330,6 +392,190 @@ TEST( store_serialize, circuit_line_count_is_bounded_by_its_bytes_only )
   gates.u32( 1000 ); // gates, each at least 8 bytes
   gates.u32( 0 );
   EXPECT_THROW( store::deserialize_circuit( gates.take() ), store::deserialize_error );
+}
+
+// --- seeded mutation fuzzing of the decoders ---------------------------------
+//
+// Store entries and request lines are untrusted bytes.  Each input below
+// (NEWTON(5)'s artifacts, one request line) is mutated a few thousand times
+// from a fixed seed.  Every mutant must be rejected by its decoder, or
+// decode into a value that the next pipeline stage processes.
+// scripts/run_bench.sh runs this suite under ASan and UBSan too, where a
+// wild read or line index fails loudly.
+
+namespace
+{
+
+constexpr unsigned mutants_per_input = 2000;
+
+/// One seeded mutation of a non-empty input: bit flips, byte overwrites,
+/// a truncation, an insertion, a run of 0xff bytes, or a boundary value
+/// written as a little-endian 32-bit field (a count or a fanin literal).
+std::vector<std::uint8_t> mutate( std::vector<std::uint8_t> bytes, std::mt19937_64& rng )
+{
+  const auto position = [&]( std::size_t end ) { return static_cast<std::size_t>( rng() % end ); };
+  const auto count = 1u + static_cast<unsigned>( rng() % 4u );
+  switch ( rng() % 6u )
+  {
+  case 0:
+    for ( unsigned i = 0; i < count; ++i )
+    {
+      bytes[position( bytes.size() )] ^= static_cast<std::uint8_t>( 1u << ( rng() % 8u ) );
+    }
+    break;
+  case 1:
+    for ( unsigned i = 0; i < count; ++i )
+    {
+      bytes[position( bytes.size() )] = static_cast<std::uint8_t>( rng() );
+    }
+    break;
+  case 2:
+    bytes.resize( position( bytes.size() ) );
+    break;
+  case 3:
+  {
+    const auto at = bytes.begin() + static_cast<long>( position( bytes.size() + 1u ) );
+    bytes.insert( at, count, static_cast<std::uint8_t>( rng() ) );
+    break;
+  }
+  case 4:
+  {
+    const auto at = position( bytes.size() );
+    const auto end = std::min( bytes.size(), at + 2u * count );
+    std::fill( bytes.begin() + static_cast<long>( at ), bytes.begin() + static_cast<long>( end ),
+               std::uint8_t{ 0xff } );
+    break;
+  }
+  default:
+  {
+    constexpr std::uint32_t boundary[] = { 0u, 1u, 2u, 3u, 1u << 24, 1u << 30, 0x7fffffffu,
+                                           0xffffffffu };
+    const auto value = boundary[rng() % std::size( boundary )];
+    const auto at = position( bytes.size() );
+    for ( unsigned k = 0; k < 4u && at + k < bytes.size(); ++k )
+    {
+      bytes[at + k] = static_cast<std::uint8_t>( value >> ( 8u * k ) );
+    }
+    break;
+  }
+  }
+  return bytes;
+}
+
+/// Runs `decode` on each mutant of `input`.  A mutant may throw
+/// `Rejected`; a decoded value goes to `use`, which must not throw.
+/// Returns the number of mutants that decoded, so that a fuzzer which
+/// only ever reaches the reject path shows.
+template<typename Rejected, typename Decode, typename Use>
+unsigned fuzz_decoder( const std::vector<std::uint8_t>& input, std::uint64_t seed, Decode decode,
+                       Use use )
+{
+  std::mt19937_64 rng( seed );
+  unsigned decoded = 0;
+  for ( unsigned i = 0; i < mutants_per_input; ++i )
+  {
+    const auto bytes = mutate( input, rng );
+    const auto before = decoded;
+    try
+    {
+      auto value = decode( bytes );
+      ++decoded;
+      use( value );
+    }
+    catch ( const Rejected& e )
+    {
+      EXPECT_EQ( decoded, before ) << "mutant " << i << " (seed " << seed
+                                   << ") decoded, then a stage threw: " << e.what();
+    }
+    catch ( const std::exception& e )
+    {
+      ADD_FAILURE() << "mutant " << i << " (seed " << seed << "): " << e.what();
+    }
+  }
+  return decoded;
+}
+
+struct newton5_artifacts
+{
+  aig_network aig;
+  esop expression;
+  xmg_network xmg;
+  reversible_circuit circuit;
+};
+
+newton5_artifacts newton5()
+{
+  newton5_artifacts a;
+  a.aig = optimize(
+      verilog::elaborate_verilog( reciprocal_verilog( reciprocal_design::newton, 5 ) ).aig );
+  a.expression = esop_from_aig( a.aig );
+  exorcism( a.expression );
+  a.xmg = xmg_from_luts( lut_map( a.aig ) );
+  a.circuit = hierarchical_synthesize( a.xmg );
+  return a;
+}
+
+} // namespace
+
+TEST( store_fuzz, mutated_aigs_are_rejected_or_synthesize )
+{
+  const auto decoded = fuzz_decoder<store::deserialize_error>(
+      store::serialize_aig( newton5().aig ), 11, store::deserialize_aig,
+      []( const aig_network& aig ) {
+        report_costs( hierarchical_synthesize( xmg_from_luts( lut_map( optimize( aig ) ) ) ) );
+      } );
+  EXPECT_GT( decoded, 0u );
+}
+
+TEST( store_fuzz, mutated_esops_are_rejected_or_synthesize )
+{
+  const auto decoded = fuzz_decoder<store::deserialize_error>(
+      store::serialize_esop( newton5().expression ), 12, store::deserialize_esop,
+      []( const esop& expression ) { report_costs( esop_synthesize( expression ) ); } );
+  EXPECT_GT( decoded, 0u );
+}
+
+TEST( store_fuzz, mutated_xmgs_are_rejected_or_synthesize )
+{
+  const auto decoded = fuzz_decoder<store::deserialize_error>(
+      store::serialize_xmg( newton5().xmg ), 13, store::deserialize_xmg,
+      []( const xmg_network& xmg ) { report_costs( hierarchical_synthesize( xmg ) ); } );
+  EXPECT_GT( decoded, 0u );
+}
+
+TEST( store_fuzz, mutated_circuits_are_rejected_or_verify )
+{
+  const auto spec = newton5().aig;
+  unsigned verified = 0;
+  const auto decoded = fuzz_decoder<store::deserialize_error>(
+      store::serialize_circuit( newton5().circuit ), 14, store::deserialize_circuit,
+      [&]( const reversible_circuit& circuit ) {
+        report_costs( circuit );
+        try
+        {
+          verify_against_aig_exhaustive( circuit, spec );
+          ++verified;
+        }
+        catch ( const std::invalid_argument& )
+        {
+          // the mutant's inputs or outputs no longer match the spec's
+        }
+      } );
+  EXPECT_GT( decoded, 0u );
+  EXPECT_GT( verified, 0u );
+}
+
+TEST( store_fuzz, mutated_request_lines_are_rejected_or_parse )
+{
+  const std::string line =
+      R"({"cmd":"synthesize","design":"newton","bitwidth":5,"flow":"hierarchical","deadline":2.5,"fast":true})";
+  const auto decoded = fuzz_decoder<std::runtime_error>(
+      std::vector<std::uint8_t>( line.begin(), line.end() ), 15,
+      []( const std::vector<std::uint8_t>& bytes ) {
+        return store::parse_flat_json( std::string( bytes.begin(), bytes.end() ) );
+      },
+      []( const std::map<std::string, std::string>& ) {} );
+  EXPECT_GT( decoded, 0u );
 }
 
 // --- artifact store ----------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdlib>
 #include <optional>
 #include <random>
 #include <stdexcept>
@@ -479,9 +480,9 @@ TEST( verify_sat, interface_mismatch_throws )
 
 // --- the wide engine vs. the scalar oracle ----------------------------------
 //
-// The differential harness of the simulation engine: every lane width
-// (whichever SIMD backend the build dispatches to) is pinned against the
-// scalar `evaluate_circuit` lane by lane, and every verification report
+// The differential harness of the simulation engine: every lane width (on
+// whichever SIMD backend the CPU and QSYN_SIMD select) is pinned against
+// the scalar `evaluate_circuit` lane by lane, and every verification report
 // against a scalar replay of the tier's contract — bit-identical verdicts,
 // counterexamples, and coverage accounting, ragged tails and constant
 // ancillae included.
@@ -688,20 +689,38 @@ TEST( verify_wide, sampled_accounting_is_exact_for_non_lane_aligned_requests )
   }
 }
 
-TEST( verify_wide, active_backend_is_reported_and_consistent )
+TEST( verify_wide, dispatcher_picks_the_widest_backend_cpuid_and_the_cap_allow )
 {
-  // Smoke contract of the dispatcher: w64 always runs portably; wider
-  // groups report whichever backend the build + CPU support, and the name
-  // round-trips.  (The verdict identity across backends is enforced by the
-  // cross-build gate in run_bench.sh — within one binary the differential
-  // tests above already ran the dispatched kernels.)
-  EXPECT_EQ( active_simd_backend( sim_width::w64 ), simd_backend::portable );
-  for ( const auto width : all_widths )
+  // The expected choice, derived without the dispatcher: cpuid says what
+  // the CPU runs, and the QSYN_SIMD environment variable caps it.  ctest
+  // runs this suite unset, at "avx2" and at "portable", so each kernel
+  // family the CPU supports runs the differential tests above once.
+  const char* env = std::getenv( "QSYN_SIMD" );
+  const std::string cap = env == nullptr ? "" : env;
+  const bool avx2_allowed = cap != "off" && cap != "portable";
+  const bool avx512_allowed = avx2_allowed && cap != "avx2";
+  const bool avx2 = avx2_allowed && __builtin_cpu_supports( "avx2" ) != 0;
+  const bool avx512 = avx512_allowed && __builtin_cpu_supports( "avx512f" ) != 0;
+  // A 256-bit group never takes AVX-512; w512 pairs AVX2 registers when
+  // AVX-512 is out; w64 has nothing to vectorize.
+  const auto w256 = avx2 ? simd_backend::avx2 : simd_backend::portable;
+  const std::array<std::pair<sim_width, simd_backend>, 3> expected = { {
+      { sim_width::w64, simd_backend::portable },
+      { sim_width::w256, w256 },
+      { sim_width::w512, avx512 ? simd_backend::avx512 : w256 },
+  } };
+
+  std::mt19937_64 rng( 91 );
+  const auto circuit = random_circuit( rng, 6, 20, 4 );
+  for ( const auto& [width, backend] : expected )
   {
-    const auto backend = active_simd_backend( width );
-    EXPECT_TRUE( simd_backend_compiled( backend ) );
-    EXPECT_NE( std::string( simd_backend_name( backend ) ), "" );
+    const auto context = "QSYN_SIMD='" + cap + "' width=" + std::to_string( lanes_of( width ) );
+    EXPECT_EQ( active_simd_backend( width ), backend ) << context;
+    EXPECT_EQ( wide_simulator( circuit, width ).backend(), backend ) << context;
   }
+  EXPECT_STREQ( simd_backend_name( simd_backend::portable ), "portable" );
+  EXPECT_STREQ( simd_backend_name( simd_backend::avx2 ), "avx2" );
+  EXPECT_STREQ( simd_backend_name( simd_backend::avx512 ), "avx512" );
 }
 
 // --- spec simulation on live slots -------------------------------------------
