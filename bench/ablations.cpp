@@ -5,7 +5,7 @@
 /// Ablations:
 ///  * exorcism on/off       — ESOP minimization effect on cube count/T,
 ///  * REVS p sweep          — factoring depth vs. T-count,
-///  * cleanup strategies    — garbage vs. Bennett vs. eager,
+///  * cleanup strategies    — keep_garbage vs. bennett (qubits vs. T-count),
 ///  * TBS direction         — unidirectional vs. bidirectional gate counts,
 ///  * optimization rounds   — dc2 iterations vs. AIG size.
 
@@ -76,9 +76,8 @@ static void ablation_revs_p( benchmark::State& state )
 }
 BENCHMARK( ablation_revs_p )->DenseRange( 0, 3 )->Unit( benchmark::kMillisecond );
 
-static void ablation_cleanup_strategy( benchmark::State& state )
+static void ablation_cleanup_strategy( benchmark::State& state, cleanup_strategy cleanup )
 {
-  const auto cleanup = static_cast<cleanup_strategy>( state.range( 0 ) );
   const auto aig = optimize( intdiv_aig( 8 ), 2 );
   std::uint64_t t_count = 0;
   unsigned qubits = 0;
@@ -95,7 +94,10 @@ static void ablation_cleanup_strategy( benchmark::State& state )
   state.counters["t_count"] = static_cast<double>( t_count );
   state.counters["qubits"] = static_cast<double>( qubits );
 }
-BENCHMARK( ablation_cleanup_strategy )->DenseRange( 0, 2 )->Unit( benchmark::kMillisecond );
+BENCHMARK_CAPTURE( ablation_cleanup_strategy, keep_garbage, cleanup_strategy::keep_garbage )
+    ->Unit( benchmark::kMillisecond );
+BENCHMARK_CAPTURE( ablation_cleanup_strategy, bennett, cleanup_strategy::bennett )
+    ->Unit( benchmark::kMillisecond );
 
 static void ablation_tbs_direction( benchmark::State& state )
 {

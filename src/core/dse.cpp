@@ -29,8 +29,7 @@ std::vector<flow_params> default_dse_configurations( bool include_functional )
     esop.esop_p = p;
     configs.push_back( esop );
   }
-  for ( const auto cleanup :
-        { cleanup_strategy::keep_garbage, cleanup_strategy::bennett, cleanup_strategy::eager } )
+  for ( const auto cleanup : { cleanup_strategy::keep_garbage, cleanup_strategy::bennett } )
   {
     flow_params hier;
     hier.kind = flow_kind::hierarchical;
@@ -62,8 +61,6 @@ std::string dse_label( const flow_params& params )
       return "hierarchical(garbage" + k + ")";
     case cleanup_strategy::bennett:
       return "hierarchical(bennett" + k + ")";
-    case cleanup_strategy::eager:
-      return "hierarchical(eager" + k + ")";
     }
     return "hierarchical(unknown)";
   }

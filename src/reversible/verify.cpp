@@ -189,6 +189,19 @@ bool verify_against_truth_tables( const reversible_circuit& circuit,
 namespace
 {
 
+/// Throws std::invalid_argument unless the circuit has the AIG's input and
+/// output counts.  Reads only the line table, so every tier can run it
+/// before its (much larger) setup.
+void check_interface( const reversible_circuit& circuit, const aig_network& aig,
+                      const std::string& tier )
+{
+  if ( input_lines_of( circuit ).size() != aig.num_pis() ||
+       output_lines_of( circuit ).size() != aig.num_pos() )
+  {
+    throw std::invalid_argument( tier + ": interface mismatch" );
+  }
+}
+
 /// The exhaustive tier at one width: a counter-order enumeration with the
 /// spec simulated once per lane group.  Word-by-word comparison in block
 /// order keeps the first-counterexample contract and the per-assignment
@@ -203,13 +216,17 @@ partial_verify_report exhaustive_wide( const reversible_circuit& circuit, const 
   {
     throw std::invalid_argument( "verify_against_aig_exhaustive: too many inputs" );
   }
-  wide_simulator sim( circuit, width );
-  if ( sim.input_lines().size() != num_pis || sim.output_lines().size() != aig.num_pos() )
-  {
-    throw std::invalid_argument( "verify_against_aig_exhaustive: interface mismatch" );
-  }
+  check_interface( circuit, aig, "verify_against_aig_exhaustive" );
   partial_verify_report report;
   report.assignments_requested = std::uint64_t{ 1 } << num_pis;
+  if ( stop.expired() )
+  {
+    // The report of a first poll that fires, without building the
+    // simulators.
+    report.complete = false;
+    return report;
+  }
+  wide_simulator sim( circuit, width );
   wide_aig_simulator spec( aig, width );
   const auto poll_deadline = !stop.unlimited();
   const auto mask = block_mask( num_pis );
@@ -260,15 +277,17 @@ partial_verify_report sampled_wide( const reversible_circuit& circuit, const aig
     return exhaustive_wide( circuit, aig, stop, width );
   }
   const auto W = words_of( width );
-  wide_simulator sim( circuit, width );
-  if ( sim.input_lines().size() != num_pis || sim.output_lines().size() != aig.num_pos() )
-  {
-    throw std::invalid_argument( "verify_against_aig_sampled: interface mismatch" );
-  }
-  std::mt19937_64 rng( seed );
+  check_interface( circuit, aig, "verify_against_aig_sampled" );
   const std::uint64_t total = std::uint64_t{ num_samples } + 2u;
   partial_verify_report report;
   report.assignments_requested = total;
+  if ( stop.expired() )
+  {
+    report.complete = false;
+    return report;
+  }
+  std::mt19937_64 rng( seed );
+  wide_simulator sim( circuit, width );
   wide_aig_simulator spec( aig, width );
   const auto poll_deadline = !stop.unlimited();
   std::vector<std::uint64_t> words( std::size_t{ num_pis } * W );
@@ -420,11 +439,7 @@ sat_verify_outcome verify_against_aig_sat_budgeted( const reversible_circuit& ci
                                                     sat::incremental_cec& engine,
                                                     const sat::check_limits& limits )
 {
-  if ( input_lines_of( circuit ).size() != aig.num_pis() ||
-       output_lines_of( circuit ).size() != aig.num_pos() )
-  {
-    throw std::invalid_argument( "verify_against_aig_sat: interface mismatch" );
-  }
+  check_interface( circuit, aig, "verify_against_aig_sat" );
   sat_verify_outcome outcome;
   if ( aig.num_pis() <= sat_tier_max_enumerated_pis )
   {
@@ -432,6 +447,13 @@ sat_verify_outcome verify_against_aig_sat_budgeted( const reversible_circuit& ci
     outcome.resolved = report.complete || report.counterexample.has_value();
     outcome.equivalent = outcome.resolved && !report.counterexample.has_value();
     outcome.counterexample = std::move( report.counterexample );
+    return outcome;
+  }
+  if ( limits.stop.expired() )
+  {
+    // No verdict: skip extracting the circuit's AIG and encoding the miter,
+    // which take seconds on wide designs.
+    outcome.resolved = false;
     return outcome;
   }
   const auto checked = engine.check( aig, circuit_to_aig( circuit ), limits );

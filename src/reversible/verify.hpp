@@ -101,7 +101,7 @@ struct partial_verify_report
 };
 
 /// `verify_against_aig_exhaustive` with a cooperative deadline, polled once
-/// per lane-group pass.  With an unlimited deadline the result is identical
+/// before the simulators are built and once per lane-group pass.  With an unlimited deadline the result is identical
 /// to the unbudgeted tier.  The default overload picks the smallest
 /// `sim_width` covering 2^inputs; the explicit-width overload exists for
 /// the differential harness — verdict, counterexample, and
@@ -115,8 +115,8 @@ partial_verify_report verify_against_aig_exhaustive_budgeted( const reversible_c
                                                               sim_width width );
 
 /// `verify_against_aig_sampled` with a cooperative deadline, polled once
-/// per lane-group pass (the small-design exhaustive delegation applies
-/// unchanged).  With an unlimited deadline the result is identical to the
+/// before the simulators are built and once per lane-group pass (the
+/// small-design exhaustive delegation applies unchanged).  With an unlimited deadline the result is identical to the
 /// unbudgeted tier.  The rng stream is consumed in 64-lane block order
 /// regardless of width, so every width draws identical patterns and the
 /// report — verdict, counterexample, `assignments_completed`, with no
@@ -161,7 +161,8 @@ struct sat_verify_outcome
 /// when it completes or finds a counterexample, which is then the first
 /// failing assignment in counter order) and never touch `engine`.  Wider
 /// designs are extracted with `circuit_to_aig` and checked by `engine`
-/// under the deadline and the conflict / propagation budgets; its
+/// under the deadline and the conflict / propagation budgets (an already
+/// expired deadline returns unresolved before the extraction); its
 /// counterexample distinguishes circuit and spec at the lowest-indexed
 /// differing output, is solver-dependent, and always real.  Successive
 /// checks on one engine share the spec encoding, fraig merges and learned

@@ -2,7 +2,7 @@
 
 #include <cassert>
 #include <span>
-#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace qsyn
@@ -16,9 +16,8 @@ constexpr std::uint32_t no_line = 0xffffffffu;
 class hierarchical_engine
 {
 public:
-  hierarchical_engine( const xmg_network& xmg, const hierarchical_params& params,
-                       hierarchical_stats* stats )
-      : xmg_( xmg ), params_( params ), stats_( stats ), circuit_( xmg.num_pis() ),
+  hierarchical_engine( const xmg_network& xmg, const hierarchical_params& params )
+      : xmg_( xmg ), params_( params ), circuit_( xmg.num_pis() ),
         refs_( xmg.fanout_counts() ), node_line_( xmg.num_nodes(), no_line )
   {
     for ( unsigned i = 0; i < xmg_.num_pis(); ++i )
@@ -30,36 +29,15 @@ public:
     }
   }
 
+  /// Computes every live node once, claims or copies the outputs, and for
+  /// bennett uncomputes the whole compute window.
   reversible_circuit run()
   {
     // Presize to a lower bound: each MAJ costs at least one Toffoli and each
-    // XOR at least one CNOT, and the cleanups other than keep_garbage
-    // uncompute every node at least once.
-    const auto copies = params_.cleanup == cleanup_strategy::keep_garbage ? 1u : 2u;
+    // XOR at least one CNOT, and bennett uncomputes every node once.
+    const auto copies = params_.cleanup == cleanup_strategy::bennett ? 2u : 1u;
     circuit_.reserve( copies * ( xmg_.num_maj() + xmg_.num_xor() ),
                       copies * ( 2u * xmg_.num_maj() + xmg_.num_xor() ) );
-    if ( params_.cleanup == cleanup_strategy::eager )
-    {
-      run_eager();
-    }
-    else
-    {
-      run_monolithic();
-    }
-    if ( stats_ )
-    {
-      stats_->peak_lines = circuit_.num_lines();
-      stats_->ancilla_lines = circuit_.num_lines() - xmg_.num_pis();
-      stats_->maj_toffolis = circuit_.num_toffoli_gates();
-    }
-    return std::move( circuit_ );
-  }
-
-private:
-  /// keep_garbage / bennett: compute every live node once, claim or copy
-  /// outputs, optionally uncompute the whole window.
-  void run_monolithic()
-  {
     const std::size_t compute_begin = circuit_.num_gates();
     for ( std::uint32_t n = xmg_.num_pis() + 1u; n < xmg_.num_nodes(); ++n )
     {
@@ -93,108 +71,12 @@ private:
         }
       }
     }
+    return std::move( circuit_ );
   }
 
-  /// eager (REVS-style per-output cleanup): compute the cone of one output,
-  /// copy the result to a fresh output line, uncompute the cone, and
-  /// recycle its ancilla lines before starting the next output.  Shared
-  /// logic is recomputed per output — fewer peak lines for more T gates.
-  void run_eager()
-  {
-    for ( unsigned o = 0; o < xmg_.num_pos(); ++o )
-    {
-      const auto po = xmg_.po( o );
-      const auto node = po >> 1;
-      const bool compl_flag = po & 1u;
-
-      const std::size_t window_begin = circuit_.num_gates();
-      std::vector<std::uint32_t> cone; // computed internal nodes, topo order
-      if ( node > xmg_.num_pis() )
-      {
-        compute_cone( node, cone );
-      }
-      // Copy out.
-      const auto out = alloc_line( "y" + std::to_string( o ) );
-      const auto src = node == 0u ? no_line : node_line_[node];
-      if ( src != no_line )
-      {
-        circuit_.add_cnot( src, out );
-      }
-      if ( compl_flag )
-      {
-        circuit_.add_not( out );
-      }
-      auto& info = circuit_.line( out );
-      info.output_index = static_cast<int>( o );
-      info.is_garbage = false;
-      const std::size_t window_end = circuit_.num_gates();
-      // The copy itself must not be uncomputed; the window covers only the
-      // cone computation.
-      (void)window_end;
-      circuit_.append_reversed_window( window_begin,
-                                       window_begin + ( cone_gate_counts_ ) );
-      cone_gate_counts_ = 0;
-      // Recycle cone lines.
-      for ( const auto n : cone )
-      {
-        free_lines_.push_back( node_line_[n] );
-        node_line_[n] = no_line;
-      }
-    }
-    for ( unsigned l = xmg_.num_pis(); l < circuit_.num_lines(); ++l )
-    {
-      if ( circuit_.line( l ).output_index < 0 )
-      {
-        circuit_.line( l ).is_garbage = false; // everything uncomputed
-      }
-    }
-  }
-
-  /// Computes all not-yet-computed nodes in the cone of `root`, in post
-  /// order: a node's fanins in order, each skipped if it has a line when it
-  /// is reached, then the node.  An explicit stack of (node, next fanin)
-  /// frames keeps deep cones off the call stack.
-  void compute_cone( std::uint32_t root, std::vector<std::uint32_t>& cone )
-  {
-    const auto needs_line = [&]( std::uint32_t n ) {
-      return n > xmg_.num_pis() && node_line_[n] == no_line;
-    };
-    if ( !needs_line( root ) )
-    {
-      return;
-    }
-    cone_stack_.push_back( { root, 0u } );
-    while ( !cone_stack_.empty() )
-    {
-      auto& frame = cone_stack_.back();
-      const auto fanins = fanin_lits( frame.node );
-      if ( frame.next_fanin < fanins.size() )
-      {
-        const auto fanin = fanins[frame.next_fanin++] >> 1;
-        if ( needs_line( fanin ) )
-        {
-          cone_stack_.push_back( { fanin, 0u } );
-        }
-        continue;
-      }
-      const auto node = frame.node;
-      cone_stack_.pop_back();
-      const auto before = circuit_.num_gates();
-      compute_node( node );
-      cone_gate_counts_ += circuit_.num_gates() - before;
-      cone.push_back( node );
-    }
-  }
-
+private:
   std::uint32_t alloc_line( const std::string& name )
   {
-    if ( !free_lines_.empty() )
-    {
-      const auto l = free_lines_.back();
-      free_lines_.pop_back();
-      circuit_.line( l ).name = name;
-      return l;
-    }
     line_info info;
     info.name = name;
     info.is_constant_input = true;
@@ -249,27 +131,23 @@ private:
     const auto a = resolve( f[0] );
     const auto b = resolve( f[1] );
     const bool phase = a.complemented ^ b.complemented;
-    // In-place on a dying internal operand; only in the monolithic modes
-    // (the eager mode recycles whole cones and keeps nodes on own lines).
-    if ( params_.cleanup != cleanup_strategy::eager )
-    {
-      const auto try_in_place = [&]( const operand& dying, const operand& other ) {
-        if ( dying.is_constant || dying.node <= xmg_.num_pis() || refs_[dying.node] != 1u )
-        {
-          return false;
-        }
-        circuit_.add_cnot( other.line, dying.line );
-        if ( phase )
-        {
-          circuit_.add_not( dying.line );
-        }
-        node_line_[n] = dying.line;
-        return true;
-      };
-      if ( try_in_place( a, b ) || try_in_place( b, a ) )
+    // In-place on a dying internal operand.
+    const auto try_in_place = [&]( const operand& dying, const operand& other ) {
+      if ( dying.is_constant || dying.node <= xmg_.num_pis() || refs_[dying.node] != 1u )
       {
-        return;
+        return false;
       }
+      circuit_.add_cnot( other.line, dying.line );
+      if ( phase )
+      {
+        circuit_.add_not( dying.line );
+      }
+      node_line_[n] = dying.line;
+      return true;
+    };
+    if ( try_in_place( a, b ) || try_in_place( b, a ) )
+    {
+      return;
     }
     const auto t = alloc_line( "n" + std::to_string( n ) );
     circuit_.add_cnot( a.line, t );
@@ -375,28 +253,17 @@ private:
 
   const xmg_network& xmg_;
   const hierarchical_params& params_;
-  hierarchical_stats* stats_;
   reversible_circuit circuit_;
   std::vector<std::uint32_t> refs_;
   std::vector<std::uint32_t> node_line_;
-  std::vector<std::uint32_t> free_lines_;
-  std::size_t cone_gate_counts_ = 0;
-
-  struct cone_frame
-  {
-    std::uint32_t node;
-    unsigned next_fanin;
-  };
-  std::vector<cone_frame> cone_stack_;
 };
 
 } // namespace
 
 reversible_circuit hierarchical_synthesize( const xmg_network& xmg,
-                                            const hierarchical_params& params,
-                                            hierarchical_stats* stats )
+                                            const hierarchical_params& params )
 {
-  hierarchical_engine engine( xmg, params, stats );
+  hierarchical_engine engine( xmg, params );
   return engine.run();
 }
 

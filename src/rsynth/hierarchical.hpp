@@ -21,10 +21,13 @@
 ///    (this is the configuration reported in Table IV),
 ///  * bennett      — copy outputs out, then uncompute the whole compute
 ///    window: ancillae return to 0 (reusable by a surrounding computation),
-///    2x the T-count,
-///  * eager        — reference-counted immediate uncomputation: a node is
-///    uncomputed as soon as its last consumer has fired and its line is
-///    recycled; fewest *peak* lines, T between the other two.
+///    2x the T-count and one extra line per output that keep_garbage
+///    claims in place.
+///
+/// Both run the same loop: compute every live node once in topological
+/// order, then claim (keep_garbage) or copy (bennett) the outputs.  The
+/// enumerator values are part of the flow cache and store keys and must
+/// not change.
 
 #pragma once
 
@@ -37,8 +40,7 @@ namespace qsyn
 enum class cleanup_strategy
 {
   keep_garbage,
-  bennett,
-  eager
+  bennett
 };
 
 struct hierarchical_params
@@ -46,17 +48,9 @@ struct hierarchical_params
   cleanup_strategy cleanup = cleanup_strategy::keep_garbage;
 };
 
-struct hierarchical_stats
-{
-  unsigned peak_lines = 0;
-  unsigned ancilla_lines = 0;
-  std::size_t maj_toffolis = 0;
-};
-
 /// Synthesizes a reversible circuit computing all XMG outputs.  Inputs are
 /// preserved on lines 0..n-1; output lines are flagged via line_info.
 reversible_circuit hierarchical_synthesize( const xmg_network& xmg,
-                                            const hierarchical_params& params = {},
-                                            hierarchical_stats* stats = nullptr );
+                                            const hierarchical_params& params = {} );
 
 } // namespace qsyn

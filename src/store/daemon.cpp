@@ -382,10 +382,6 @@ flow_params params_from_fields( const std::map<std::string, std::string>& fields
   {
     params.cleanup = cleanup_strategy::bennett;
   }
-  else if ( cleanup == "eager" )
-  {
-    params.cleanup = cleanup_strategy::eager;
-  }
   else
   {
     throw std::runtime_error( "unknown cleanup '" + cleanup + "'" );

@@ -162,6 +162,22 @@ TEST( daemon, out_of_range_cut_size_is_rejected_before_elaboration )
   EXPECT_EQ( daemon.stats().synthesized, 0u );
 }
 
+TEST( daemon, cleanup_other_than_keep_garbage_or_bennett_is_malformed )
+{
+  synthesis_daemon daemon( {} );
+  // "eager" names a deleted strategy: a request for it is malformed too.
+  for ( const std::string cleanup : { "eager", "none", "" } )
+  {
+    const auto response = daemon.handle_request(
+        R"({"cmd":"synthesize","design":"intdiv","bitwidth":4,"flow":"hierarchical","cleanup":")" +
+        cleanup + R"("})" );
+    EXPECT_TRUE( contains( response, "\"ok\":false" ) ) << response;
+    EXPECT_TRUE( contains( response, "unknown cleanup '" + cleanup + "'" ) ) << response;
+  }
+  EXPECT_EQ( daemon.stats().errors, 3u );
+  EXPECT_EQ( daemon.stats().synthesized, 0u );
+}
+
 TEST( daemon, explicit_table_flow_over_the_input_limit_is_rejected_before_elaboration )
 {
   synthesis_daemon daemon( {} );

@@ -103,8 +103,6 @@ TEST( dse_label, covers_every_configuration )
   EXPECT_EQ( dse_label( p ), "hierarchical(garbage)" );
   p.cleanup = cleanup_strategy::bennett;
   EXPECT_EQ( dse_label( p ), "hierarchical(bennett)" );
-  p.cleanup = cleanup_strategy::eager;
-  EXPECT_EQ( dse_label( p ), "hierarchical(eager)" );
 }
 
 TEST( dse_label, default_sweep_labels_are_distinct )
@@ -232,9 +230,9 @@ TEST( dse_engine, explore_designs_batches_both_designs )
   EXPECT_EQ( explorations[1].name, "NEWTON(4)" );
   EXPECT_EQ( explorations[2].name, "INTDIV(5)" );
   EXPECT_EQ( explorations[3].name, "NEWTON(5)" );
-  // n = 4 includes the functional flow (7 configs), n = 5 does not (6).
-  EXPECT_EQ( explorations[0].points.size(), 7u );
-  EXPECT_EQ( explorations[2].points.size(), 6u );
+  // n = 4 includes the functional flow (6 configs), n = 5 does not (5).
+  EXPECT_EQ( explorations[0].points.size(), 6u );
+  EXPECT_EQ( explorations[2].points.size(), 5u );
   for ( const auto& e : explorations )
   {
     EXPECT_GT( e.cache.misses, 0u );

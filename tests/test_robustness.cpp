@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <limits>
 #include <random>
 #include <stdexcept>
@@ -389,6 +390,58 @@ TEST( robustness_verify, narrow_sat_tier_under_an_expired_deadline_is_unresolved
   EXPECT_EQ( engine.stats().checks, 0u );
 }
 
+TEST( robustness_verify, expired_deadline_skips_every_tier_setup_on_a_wide_design )
+{
+  // NEWTON(24): 24 inputs, so the SAT tier goes to the engine, and a
+  // hierarchical circuit of ~10^5 gates.  Extracting its AIG and encoding
+  // the miter take over a second, building the wide simulators
+  // milliseconds.  An expired deadline must skip all of that and return the
+  // report of a first poll that fires.
+  const auto spec =
+      verilog::elaborate_verilog( reciprocal_verilog( reciprocal_design::newton, 24 ) ).aig;
+  ASSERT_GT( spec.num_pis(), sat_tier_max_enumerated_pis );
+  flow_params params;
+  params.kind = flow_kind::hierarchical;
+  params.verify = false;
+  const auto circuit = run_flow_on_aig( spec, params ).circuit;
+  const auto seconds = []( const auto& call ) {
+    const auto start = std::chrono::steady_clock::now();
+    call();
+    return std::chrono::duration<double>( std::chrono::steady_clock::now() - start ).count();
+  };
+
+  sat::incremental_cec engine;
+  sat::check_limits limits;
+  limits.stop = expired_deadline();
+  sat_verify_outcome outcome;
+  EXPECT_LT( seconds( [&] {
+               outcome = verify_against_aig_sat_budgeted( circuit, spec, engine, limits );
+             } ),
+             0.05 );
+  EXPECT_FALSE( outcome.resolved );
+  EXPECT_FALSE( outcome.counterexample.has_value() );
+
+  partial_verify_report exhaustive;
+  EXPECT_LT( seconds( [&] {
+               exhaustive =
+                   verify_against_aig_exhaustive_budgeted( circuit, spec, expired_deadline() );
+             } ),
+             0.05 );
+  partial_verify_report sampled;
+  EXPECT_LT( seconds( [&] {
+               sampled = verify_against_aig_sampled_budgeted( circuit, spec, expired_deadline() );
+             } ),
+             0.05 );
+  EXPECT_EQ( exhaustive.assignments_requested, std::uint64_t{ 1 } << spec.num_pis() );
+  EXPECT_EQ( sampled.assignments_requested, 258u ); // 256 samples + all-0 + all-1
+  for ( const auto& report : { exhaustive, sampled } )
+  {
+    EXPECT_FALSE( report.complete );
+    EXPECT_EQ( report.assignments_completed, 0u );
+    EXPECT_FALSE( report.counterexample.has_value() );
+  }
+}
+
 // --- verify-tier degradation ladder in the flow ------------------------------
 
 TEST( robustness_flows, sat_budget_exhaustion_degrades_to_sampled )
@@ -576,8 +629,9 @@ TEST( robustness_dse, unlimited_budgets_are_bit_identical_to_the_default )
 
 TEST( robustness_rsynth, deep_xmg_chain_synthesizes_under_every_cleanup )
 {
-  // A 10^5-node MAJ/XOR chain: eager cleanup walks the output's cone as deep
-  // as the chain is long, which used to overflow the call stack.
+  // A 10^5-node MAJ/XOR chain, one output cone as deep as the chain is long:
+  // synthesis, bennett's reversed window and both evaluators must handle it
+  // without per-node recursion.
   xmg_network xmg( 4 );
   auto chain = xmg.pi( 0 );
   for ( unsigned i = 0; i < 100000u; ++i )
@@ -587,8 +641,7 @@ TEST( robustness_rsynth, deep_xmg_chain_synthesizes_under_every_cleanup )
   }
   xmg.add_po( chain );
   ASSERT_EQ( xmg.num_gates(), 100000u );
-  for ( const auto cleanup :
-        { cleanup_strategy::keep_garbage, cleanup_strategy::bennett, cleanup_strategy::eager } )
+  for ( const auto cleanup : { cleanup_strategy::keep_garbage, cleanup_strategy::bennett } )
   {
     hierarchical_params params;
     params.cleanup = cleanup;

@@ -291,8 +291,7 @@ INSTANTIATE_TEST_SUITE_P(
     sweep, hierarchical_random,
     ::testing::Combine( ::testing::Range( 1u, 9u ),
                         ::testing::Values( cleanup_strategy::keep_garbage,
-                                           cleanup_strategy::bennett,
-                                           cleanup_strategy::eager ) ) );
+                                           cleanup_strategy::bennett ) ) );
 
 TEST( hierarchical, bennett_restores_ancillae )
 {
@@ -331,39 +330,11 @@ TEST( hierarchical, bennett_doubles_t_count )
   EXPECT_LE( tb, 2u * tg + 14u );
 }
 
-TEST( hierarchical, eager_uses_fewer_peak_lines )
-{
-  // Several independent output cones: eager cleanup recycles one cone's
-  // ancillae before computing the next.
-  xmg_network xmg( 3 );
-  for ( int o = 0; o < 4; ++o )
-  {
-    auto f = xmg.create_and( xmg.pi( o % 3 ), xmg.pi( ( o + 1 ) % 3 ) ^ ( o & 1 ) );
-    for ( int i = 0; i < 8; ++i )
-    {
-      f = xmg.create_maj( f, xmg.pi( ( i + o ) % 3 ),
-                          xmg.pi( ( i + o + 1 ) % 3 ) ^ ( ( i + o ) & 1 ) );
-    }
-    xmg.add_po( f );
-  }
-  hierarchical_params garbage;
-  garbage.cleanup = cleanup_strategy::keep_garbage;
-  hierarchical_params eager;
-  eager.cleanup = cleanup_strategy::eager;
-  hierarchical_stats sg;
-  hierarchical_stats se;
-  const auto cg = hierarchical_synthesize( xmg, garbage, &sg );
-  const auto ce = hierarchical_synthesize( xmg, eager, &se );
-  EXPECT_TRUE( verify_against_truth_tables( ce, xmg.simulate_outputs() ) );
-  EXPECT_LT( se.peak_lines, sg.peak_lines );
-}
-
 TEST( hierarchical, intdiv_via_xmg_end_to_end )
 {
   const auto mod = verilog::elaborate_verilog( verilog::generate_intdiv( 4 ) );
   const auto xmg = xmg_from_aig( mod.aig );
-  for ( const auto cleanup : { cleanup_strategy::keep_garbage, cleanup_strategy::bennett,
-                               cleanup_strategy::eager } )
+  for ( const auto cleanup : { cleanup_strategy::keep_garbage, cleanup_strategy::bennett } )
   {
     hierarchical_params params;
     params.cleanup = cleanup;

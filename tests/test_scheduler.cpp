@@ -542,13 +542,13 @@ TEST( scheduler_dse, task_graph_matches_run_flow_loop_bit_for_bit )
         expect_same_point( got[i], configs[i], expect[i], context + " " + got[i].label );
         EXPECT_TRUE( got[i].result.verified ) << context << " " << got[i].label;
       }
-      // 7 configurations share 4 artifact tasks (optimize, collapse, esop,
-      // xmg): 11 tasks, all run, and the 10 duplicate artifact requests
-      // (6 optimize + 2 esop + 2 xmg) coalesce instead of recomputing.
+      // 6 configurations share 4 artifact tasks (optimize, collapse, esop,
+      // xmg): 10 tasks, all run, and the 8 duplicate artifact requests
+      // (5 optimize + 2 esop + 1 xmg) coalesce instead of recomputing.
       EXPECT_EQ( cache.stats().misses, 4u ) << context;
       EXPECT_EQ( stats.tasks_added, configs.size() + 4u ) << context;
       EXPECT_EQ( stats.tasks_run, stats.tasks_added ) << context;
-      EXPECT_EQ( stats.coalesced, 10u ) << context;
+      EXPECT_EQ( stats.coalesced, 8u ) << context;
       EXPECT_EQ( stats.tasks_failed + stats.tasks_poisoned + stats.tasks_cancelled, 0u )
           << context;
       // The critical path is the lower bound of any schedule of this graph.
@@ -636,10 +636,12 @@ TEST( scheduler_dse, batch_graph_matches_run_flow_loop_bit_for_bit )
         // One miss per distinct artifact: optimize, collapse, esop, xmg.
         EXPECT_EQ( got[d].cache.misses, 4u ) << context << " " << got[d].name;
       }
-      // Per design: 1 elaborate + 4 artifacts + 7 tails; two designs, one graph.
-      EXPECT_EQ( stats.tasks_added, 24u ) << context;
-      EXPECT_EQ( stats.tasks_run, 24u ) << context;
-      EXPECT_EQ( stats.coalesced, 20u ) << context;
+      // Per design: 1 elaborate + 4 artifacts + 6 tails, and 8 coalesced
+      // artifact requests (5 optimize + 2 esop + 1 xmg); two designs, one
+      // graph.
+      EXPECT_EQ( stats.tasks_added, 22u ) << context;
+      EXPECT_EQ( stats.tasks_run, 22u ) << context;
+      EXPECT_EQ( stats.coalesced, 16u ) << context;
     }
   }
 }

@@ -195,8 +195,6 @@ TEST( store_serialize, circuit_bytes_are_pinned )
         cleanup_strategy::keep_garbage, 0, 0xc0e54a132237de0bull },
       { "NEWTON(8) bennett", reciprocal_design::newton, 8, flow_kind::hierarchical,
         cleanup_strategy::bennett, 0, 0x4e6d13b0a6fb850full },
-      { "NEWTON(8) eager", reciprocal_design::newton, 8, flow_kind::hierarchical,
-        cleanup_strategy::eager, 0, 0x098cce66ea436468ull },
       { "INTDIV(8) esop p=2", reciprocal_design::intdiv, 8, flow_kind::esop_based,
         cleanup_strategy::keep_garbage, 2, 0xb617f1c3352c0987ull },
       { "INTDIV(6) functional", reciprocal_design::intdiv, 6, flow_kind::functional,
