@@ -38,6 +38,9 @@
 /// one-design-at-a-time driver (its wall clock, the ratio and `identical`):
 /// the batch sweep has one engine.
 ///
+/// Schema v7 reports each case's `seq_wall_s` and `cached_wall_s` as the
+/// median of 5 timed runs of that half instead of a single run.
+///
 /// Usage: bench_dse [--out FILE] [--quick] [--max N] [--threads N]
 ///                  [--sweep-threads N] [--no-verify]
 ///                  [--verify-mode sampled|exhaustive|sat]
@@ -87,8 +90,8 @@ struct case_result
   std::string name;
   unsigned bitwidth = 0;
   std::size_t num_configs = 0;
-  double seq_wall_s = 0.0;
-  double cached_wall_s = 0.0;
+  double seq_wall_s = 0.0;    ///< median of timing_repetitions runs
+  double cached_wall_s = 0.0; ///< median of timing_repetitions runs
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
   double verify_s = 0.0; ///< cached-path verification seconds, summed
@@ -114,6 +117,15 @@ bool points_identical( const std::vector<dse_point>& a, const std::vector<dse_po
     }
   }
   return true;
+}
+
+/// Timed runs of each half of a case; the JSON reports their median.
+constexpr unsigned timing_repetitions = 5;
+
+double median( std::vector<double> values )
+{
+  std::sort( values.begin(), values.end() );
+  return values[values.size() / 2u];
 }
 
 /// The sequential baseline: `run_flow_on_aig` per configuration, with
@@ -162,24 +174,50 @@ case_result run_case( reciprocal_design design, unsigned n, bool include_functio
   }
   r.num_configs = configs.size();
 
-  // Sequential seed path: no artifact sharing, one full pipeline per
-  // configuration (a fresh cache each), inline.
-  stopwatch watch;
-  const auto seq_points = run_sequential( mod.aig, configs );
-  r.seq_wall_s = watch.elapsed_seconds();
-
-  // Cached task-graph engine: coalesced stage-artifact tasks feeding the
-  // per-configuration tails on the work-stealing pool.
+  // Each half is timed `timing_repetitions` times and reports its median:
+  // a case's cached half takes milliseconds, close to run-to-run noise.
+  // The points, cache counters and scheduler stats are the first
+  // repetition's; every later repetition must reproduce its costs.
+  std::vector<dse_point> seq_points;
+  std::vector<dse_point> cached_points;
+  std::vector<double> seq_walls;
+  std::vector<double> cached_walls;
   explore_options par;
   par.num_threads = num_threads;
-  flow_artifact_cache cache;
-  watch.restart();
-  const auto cached_points = explore( mod.aig, configs, par, cache, deadline{}, r.sched );
-  r.cached_wall_s = watch.elapsed_seconds();
-  r.cache_hits = cache.stats().hits;
-  r.cache_misses = cache.stats().misses;
+  for ( unsigned rep = 0; rep < timing_repetitions; ++rep )
+  {
+    // Sequential seed path: no artifact sharing, one full pipeline per
+    // configuration (a fresh cache each), inline.
+    stopwatch watch;
+    auto seq = run_sequential( mod.aig, configs );
+    seq_walls.push_back( watch.elapsed_seconds() );
 
-  r.identical = points_identical( seq_points, cached_points );
+    // Cached task-graph engine: coalesced stage-artifact tasks feeding the
+    // per-configuration tails on the work-stealing pool, from a fresh cache.
+    flow_artifact_cache cache;
+    task_graph_stats sched;
+    watch.restart();
+    auto cached = explore( mod.aig, configs, par, cache, deadline{}, sched );
+    cached_walls.push_back( watch.elapsed_seconds() );
+
+    if ( rep == 0u )
+    {
+      seq_points = std::move( seq );
+      cached_points = std::move( cached );
+      r.sched = sched;
+      r.cache_hits = cache.stats().hits;
+      r.cache_misses = cache.stats().misses;
+      r.identical = points_identical( seq_points, cached_points );
+    }
+    else
+    {
+      r.identical = r.identical && points_identical( seq_points, seq ) &&
+                    points_identical( seq_points, cached );
+    }
+  }
+  r.seq_wall_s = median( seq_walls );
+  r.cached_wall_s = median( cached_walls );
+
   for ( const auto* pts : { &seq_points, &cached_points } )
   {
     for ( const auto& p : *pts )
@@ -506,7 +544,7 @@ void write_json( const char* path, const std::vector<case_result>& cases,
     std::fprintf( stderr, "cannot open %s for writing\n", path );
     std::exit( 1 );
   }
-  std::fprintf( f, "{\n  \"bench\": \"dse\",\n  \"schema_version\": 6,\n" );
+  std::fprintf( f, "{\n  \"bench\": \"dse\",\n  \"schema_version\": 7,\n" );
   std::fprintf( f, "  \"verify\": %s,\n", verify ? "true" : "false" );
   std::fprintf( f, "  \"verify_mode\": \"%s\",\n",
                 verify_mode_name( mode ).c_str() );
@@ -591,6 +629,12 @@ void write_json( const char* path, const std::vector<case_result>& cases,
 
 int main( int argc, char** argv )
 {
+  // An unknown flag (and --help) must stop before any case runs: a bare
+  // run writes BENCH_dse.json into the current directory.
+  constexpr const char* usage =
+      "usage: bench_dse [--out FILE] [--quick] [--max N] [--threads N] [--sweep-threads N]\n"
+      "                 [--no-verify] [--verify-mode none|sampled|exhaustive|sat]\n"
+      "                 [--deadline-ms N] [--sat-conflict-budget N]\n";
   const char* out_path = "BENCH_dse.json";
   bool quick = false;
   bool verify = true;
@@ -646,6 +690,11 @@ int main( int argc, char** argv )
     else if ( std::strcmp( argv[i], "--sat-conflict-budget" ) == 0 && i + 1 < argc )
     {
       limits.sat_conflict_budget = static_cast<std::uint64_t>( std::atoll( argv[++i] ) );
+    }
+    else
+    {
+      std::fputs( usage, stderr );
+      return 2;
     }
   }
 

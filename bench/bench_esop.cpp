@@ -453,6 +453,9 @@ void write_json( const char* path, const std::vector<case_result>& cases )
 
 int main( int argc, char** argv )
 {
+  // An unknown flag (and --help) must stop before any case runs: a bare
+  // run writes BENCH_esop.json into the current directory.
+  constexpr const char* usage = "usage: bench_esop [--out FILE] [--skip-reference] [--quick]\n";
   const char* out_path = "BENCH_esop.json";
   bool with_reference = true;
   bool quick = false;
@@ -469,6 +472,11 @@ int main( int argc, char** argv )
     else if ( std::strcmp( argv[i], "--quick" ) == 0 )
     {
       quick = true;
+    }
+    else
+    {
+      std::fputs( usage, stderr );
+      return 2;
     }
   }
 

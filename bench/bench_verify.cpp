@@ -406,6 +406,9 @@ void write_json( const char* path, const std::vector<case_result>& cases, bool s
 
 int main( int argc, char** argv )
 {
+  // An unknown flag (and --help) must stop before any case runs: a bare
+  // run writes BENCH_verify.json into the current directory.
+  constexpr const char* usage = "usage: bench_verify [--out FILE] [--quick] [--sim-only]\n";
   const char* out_path = "BENCH_verify.json";
   bool quick = false;
   bool sim_only = false;
@@ -422,6 +425,11 @@ int main( int argc, char** argv )
     else if ( std::strcmp( argv[i], "--sim-only" ) == 0 )
     {
       sim_only = true;
+    }
+    else
+    {
+      std::fputs( usage, stderr );
+      return 2;
     }
   }
 

@@ -24,6 +24,8 @@
 int main( int argc, char** argv )
 {
   using namespace qsyn;
+  constexpr const char* usage =
+      "usage: dse_pareto [--n N] [--threads N] [--verify none|sampled|exhaustive|sat]\n";
   unsigned n = 6;
   explore_options options;
   for ( int i = 1; i < argc; ++i )
@@ -46,6 +48,11 @@ int main( int argc, char** argv )
         return 1;
       }
       options.verification = *parsed;
+    }
+    else
+    {
+      std::fputs( usage, stderr );
+      return 2;
     }
   }
 

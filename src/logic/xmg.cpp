@@ -204,33 +204,6 @@ std::vector<std::uint32_t> xmg_network::fanout_counts() const
   return counts;
 }
 
-std::vector<std::uint32_t> xmg_network::levels() const
-{
-  std::vector<std::uint32_t> level( nodes_.size(), 0u );
-  for ( std::uint32_t n = num_pis_ + 1u; n < nodes_.size(); ++n )
-  {
-    const unsigned arity = nodes_[n].kind == node_kind::maj ? 3u : 2u;
-    std::uint32_t max_in = 0;
-    for ( unsigned i = 0; i < arity; ++i )
-    {
-      max_in = std::max( max_in, level[nodes_[n].fanin[i] >> 1] );
-    }
-    level[n] = max_in + 1u;
-  }
-  return level;
-}
-
-std::uint32_t xmg_network::depth() const
-{
-  const auto level = levels();
-  std::uint32_t d = 0;
-  for ( const auto po : pos_ )
-  {
-    d = std::max( d, level[po >> 1] );
-  }
-  return d;
-}
-
 std::vector<truth_table> xmg_network::simulate_outputs() const
 {
   if ( num_pis_ > 20u )

@@ -83,8 +83,6 @@ public:
   /// --- analysis -----------------------------------------------------------
 
   std::vector<std::uint32_t> fanout_counts() const;
-  std::vector<std::uint32_t> levels() const;
-  std::uint32_t depth() const;
 
   /// Truth tables of all POs; requires num_pis() <= 20.
   std::vector<truth_table> simulate_outputs() const;

@@ -71,8 +71,11 @@ class artifact_store
 {
 public:
   /// On-disk entry format version; bump when the header or any payload
-  /// layout changes.  Entries with a different version load as a miss.
-  static constexpr std::uint32_t format_version = 2;
+  /// layout changes, or the algorithm that produced a stored artifact
+  /// changes (a stored optimized AIG, LUT network, XMG or circuit must be
+  /// what a cold run would compute).  Entries with a different version
+  /// load as a miss.
+  static constexpr std::uint32_t format_version = 3;
 
   /// Opens (and creates, if needed) a store rooted at `root_dir`.  Throws
   /// std::runtime_error when the root cannot be created — a store that

@@ -5,168 +5,17 @@
 #include <optional>
 #include <span>
 
-#include "../common/balanced_reduce.hpp"
 #include "isop.hpp"
 
 namespace qsyn
 {
 
-/// --- balance ---------------------------------------------------------------
+/// --- refactor ----------------------------------------------------------------
 
 namespace
 {
 
 constexpr aig_lit unmapped = 0xffffffffu;
-
-class balancer
-{
-public:
-  explicit balancer( const aig_network& aig )
-      : aig_( aig ), fanouts_( aig.fanout_counts() ), dest_( aig.num_pis() ),
-        map_( aig.num_nodes(), unmapped )
-  {
-    // Balancing never adds AND nodes: a tree of m leaves becomes m - 1.
-    dest_.reserve( aig.num_ands() );
-    map_[0] = aig_network::const0;
-    for ( unsigned i = 0; i < aig_.num_pis(); ++i )
-    {
-      map_[i + 1u] = dest_.pi( i );
-    }
-  }
-
-  aig_network run()
-  {
-    for ( const auto po : aig_.pos() )
-    {
-      dest_.add_po( map_lit( po ) );
-    }
-    return std::move( dest_ );
-  }
-
-private:
-  /// One AND tree under construction: its root and its conjunct leaves,
-  /// `leaves_[begin, end)`, of which those before `next` are mapped.
-  struct frame
-  {
-    std::uint32_t node;
-    std::size_t begin;
-    std::size_t next;
-    std::size_t end;
-  };
-
-  /// Maps `old` into the destination.  An explicit-stack walk (deep AIGs
-  /// would overflow a recursive one) in the order of the recursion: a
-  /// tree's leaves are mapped left to right, each completely, before the
-  /// tree itself is rebuilt, so the destination's node ids follow the same
-  /// post-order.
-  aig_lit map_lit( aig_lit old )
-  {
-    const auto root = lit_node( old );
-    if ( map_[root] == unmapped )
-    {
-      push_tree( root );
-    }
-    while ( !frames_.empty() )
-    {
-      auto& top = frames_.back();
-      if ( top.next < top.end )
-      {
-        const auto leaf = lit_node( leaves_[top.next++] );
-        if ( map_[leaf] == unmapped )
-        {
-          push_tree( leaf );
-        }
-        continue;
-      }
-      map_[top.node] = build_tree( top.begin, top.end );
-      leaves_.resize( top.begin );
-      frames_.pop_back();
-    }
-    return lit_not_cond( map_[root], lit_complemented( old ) );
-  }
-
-  void push_tree( std::uint32_t node )
-  {
-    const auto begin = leaves_.size();
-    collect_conjuncts( node );
-    frames_.push_back( { node, begin, begin, leaves_.size() } );
-  }
-
-  /// Rebuilds the tree with leaves `leaves_[begin, end)`, all mapped, as a
-  /// balanced tree, the shallowest destination operands combined first.
-  aig_lit build_tree( std::size_t begin, std::size_t end )
-  {
-    mapped_.clear();
-    for ( auto i = begin; i < end; ++i )
-    {
-      const auto leaf = leaves_[i];
-      mapped_.push_back( lit_not_cond( map_[lit_node( leaf )], lit_complemented( leaf ) ) );
-    }
-    update_dest_levels();
-    std::sort( mapped_.begin(), mapped_.end(), [&]( aig_lit a, aig_lit b ) {
-      return dest_levels_[lit_node( a )] < dest_levels_[lit_node( b )];
-    } );
-    // create_nary_and's reduction, on the reused buffer.
-    return reduce_balanced( mapped_, [this]( aig_lit a, aig_lit b ) { return dest_.create_and( a, b ); } );
-  }
-
-  /// Extends the destination's levels to its newest nodes.
-  void update_dest_levels()
-  {
-    for ( auto n = static_cast<std::uint32_t>( dest_levels_.size() ); n < dest_.num_nodes(); ++n )
-    {
-      dest_levels_.push_back( dest_.is_and( n )
-                                  ? 1u + std::max( dest_levels_[lit_node( dest_.fanin0( n ) )],
-                                                   dest_levels_[lit_node( dest_.fanin1( n ) )] )
-                                  : 0u );
-    }
-  }
-
-  /// Appends the conjunct leaves of the AND tree rooted at `root` to
-  /// `leaves_`, left to right.  Only descends through non-complemented AND
-  /// fanins with a single fanout (classic balancing scope: shared nodes
-  /// stay shared).
-  void collect_conjuncts( std::uint32_t root )
-  {
-    stack_.assign( { aig_.fanin1( root ), aig_.fanin0( root ) } );
-    while ( !stack_.empty() )
-    {
-      const auto lit = stack_.back();
-      stack_.pop_back();
-      const auto node = lit_node( lit );
-      if ( lit_complemented( lit ) || !aig_.is_and( node ) || fanouts_[node] != 1u )
-      {
-        leaves_.push_back( lit );
-        continue;
-      }
-      stack_.push_back( aig_.fanin1( node ) );
-      stack_.push_back( aig_.fanin0( node ) );
-    }
-  }
-
-  const aig_network& aig_;
-  std::vector<std::uint32_t> fanouts_;
-  aig_network dest_;
-  std::vector<aig_lit> map_;
-  std::vector<std::uint32_t> dest_levels_;
-  std::vector<frame> frames_;
-  std::vector<aig_lit> leaves_; ///< leaves of every tree on `frames_`
-  std::vector<aig_lit> stack_;
-  std::vector<aig_lit> mapped_;
-};
-
-} // namespace
-
-aig_network aig_balance( const aig_network& aig )
-{
-  balancer b( aig );
-  return b.run();
-}
-
-/// --- refactor ----------------------------------------------------------------
-
-namespace
-{
 
 /// Cone inputs of one refactoring candidate: the width of the fixed cone
 /// tables.
@@ -531,7 +380,6 @@ aig_network optimize( const aig_network& aig, unsigned rounds )
   for ( unsigned r = 0; r < rounds; ++r )
   {
     const auto before = current.num_ands();
-    current = aig_balance( current );
     current = aig_refactor( current );
     current = current.cleanup();
     if ( current.num_ands() >= before )

@@ -1,17 +1,18 @@
 /// \file aig_optimize.hpp
-/// \brief dc2-style AIG optimization passes.
+/// \brief dc2-style AIG optimization: ISOP refactoring to a fixpoint.
 ///
 /// The paper's flows run ABC's `dc2` / `resyn2` on the elaborated design
-/// before handing it to reversible synthesis.  We provide the two
-/// mechanisms those scripts combine:
+/// before handing it to reversible synthesis.  Of the two mechanisms those
+/// scripts combine we keep `refactor`: it collapses small single-output
+/// cones to truth tables and resynthesizes them from an irredundant SOP
+/// when that reduces the node count.
 ///
-/// * `balance`    — rebuilds multi-input AND trees in balanced form (depth
-///                  reduction, exposes sharing through structural hashing),
-/// * `refactor`   — collapses small single-output cones to truth tables and
-///                  resynthesizes them from an irredundant SOP when that
-///                  reduces the node count.
-///
-/// `optimize` (our `dc2`) iterates these to a fixpoint with a round limit.
+/// There is no balancing pass.  Balancing rebuilds AND trees to cut depth,
+/// and the flows score a circuit only by qubits and T-count, neither of
+/// which depends on depth.  Under the area-flow LUT cover, dropping it
+/// moved the hierarchical flow's qubit and T-count geometric means on the
+/// qbench workloads by -2.3 % to +1.0 %, and it was ~17 % of `optimize`'s
+/// time on NEWTON(16) and NEWTON(24).
 
 #pragma once
 
@@ -20,15 +21,12 @@
 namespace qsyn
 {
 
-/// Balances AND trees; function-preserving, typically reduces depth.
-aig_network aig_balance( const aig_network& aig );
-
 /// ISOP-based refactoring of cones up to 8 inputs (the width of the
 /// fixed-size cone tables, small_truth_table::max_vars).
 aig_network aig_refactor( const aig_network& aig );
 
-/// The dc2-style driver: alternates cleanup, balance and refactor for
-/// `rounds` rounds (stopping early on fixpoint).
+/// The dc2-style driver: cleanup, then up to `rounds` rounds of refactor +
+/// cleanup, stopping early once a round no longer removes an AND node.
 aig_network optimize( const aig_network& aig, unsigned rounds = 3 );
 
 } // namespace qsyn

@@ -55,7 +55,6 @@ struct cut
 {
   std::array<std::uint32_t, max_k> leaves{};
   std::uint32_t size = 0;
-  std::uint32_t depth = 0;
   std::uint64_t function = 0;
   std::uint64_t signature = 0;
   double area_flow = 0.0;
@@ -211,10 +210,9 @@ lut_network lut_map( const aig_network& aig, const lut_map_params& params )
   cut_pool cuts( aig.num_nodes() );
   std::vector<chosen_cut> best_cuts( aig.num_nodes() );
   std::vector<std::uint32_t> pending_fanouts( fanouts );
-  // Mapped depth and area-flow share (area flow / fanouts) per node (PIs:
-  // 0), used to cost candidate cuts from their *leaves* rather than from
-  // the structural merge path.
-  std::vector<std::uint32_t> node_depth( aig.num_nodes(), 0u );
+  // Area-flow share (area flow / fanouts) per node (PIs: 0), used to cost
+  // candidate cuts from their *leaves* rather than from the structural
+  // merge path.
   std::vector<double> node_flow_share( aig.num_nodes(), 0.0 );
 
   for ( std::uint32_t n = 1; n <= aig.num_pis(); ++n )
@@ -259,13 +257,10 @@ lut_network lut_map( const aig_network& aig, const lut_map_params& params )
         c.signature = c0.signature | c1.signature;
         c.function = ( expand_tt( c0.function, pos0, c0.size ) ^ compl0 ) &
                      ( expand_tt( c1.function, pos1, c1.size ) ^ compl1 );
-        c.depth = 0;
         c.area_flow = 1.0;
         for ( std::uint32_t i = 0; i < c.size; ++i )
         {
-          const auto leaf = c.leaves[i];
-          c.depth = std::max( c.depth, node_depth[leaf] + 1u );
-          c.area_flow += node_flow_share[leaf];
+          c.area_flow += node_flow_share[c.leaves[i]];
         }
         order[count] = static_cast<std::uint8_t>( count );
         ++count;
@@ -275,10 +270,6 @@ lut_network lut_map( const aig_network& aig, const lut_map_params& params )
     std::sort( order.begin(), order.begin() + count, [&]( std::uint8_t i, std::uint8_t j ) {
       const auto& a = candidates[i];
       const auto& b = candidates[j];
-      if ( a.depth != b.depth )
-      {
-        return a.depth < b.depth;
-      }
       if ( a.area_flow != b.area_flow )
       {
         return a.area_flow < b.area_flow;
@@ -288,18 +279,15 @@ lut_network lut_map( const aig_network& aig, const lut_map_params& params )
     const auto kept = std::min( count, lut_map_params::cuts_per_node );
     const auto& best = candidates[order[0]];
     best_cuts[n] = { best.leaves, best.size, best.function };
-    node_depth[n] = best.depth;
     node_flow_share[n] = best.area_flow / std::max( 1u, fanouts[n] );
-    // The trivial cut (the node itself, at the node's mapped depth and area
-    // flow) follows the real candidates; it participates in fanout merging
-    // only.
+    // The trivial cut (the node itself, at the node's area flow) follows
+    // the real candidates; it participates in fanout merging only.
     auto list = cuts.assign( n, kept + 1u );
     for ( std::uint32_t i = 0; i < kept; ++i )
     {
       list[i] = candidates[order[i]];
     }
     list[kept] = trivial_cut( n );
-    list[kept].depth = best.depth;
     list[kept].area_flow = best.area_flow;
     // Release fanin cut lists that are no longer needed.
     for ( const auto m : { n0, n1 } )

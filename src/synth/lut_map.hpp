@@ -5,8 +5,12 @@
 /// CirKit's `xmglut -k 4` (paper Sec. IV-C): the AIG is covered with
 /// k-feasible cuts, and each cut function is resynthesized into XOR/MAJ
 /// logic.  This module provides the covering half: priority-cut
-/// enumeration with depth-oriented selection and an area-flow tiebreak,
-/// producing a LUT network with explicit truth tables per LUT.
+/// enumeration with area-flow selection (Mishchenko et al., "Combinational
+/// and sequential mapping with priority cuts", ICCAD 2007), fewer leaves
+/// breaking ties, producing a LUT network with explicit truth tables per
+/// LUT.  The cost model has no depth: a reversible circuit is scored by
+/// qubits and T-count, which depend on how many LUTs there are and what
+/// they compute, not on their level, so the mapper covers for area only.
 
 #pragma once
 

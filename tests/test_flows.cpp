@@ -163,6 +163,19 @@ TEST( flows, qubit_t_count_ordering_matches_paper )
   EXPECT_GT( rf.costs.t_count, rh.costs.t_count );
 }
 
+TEST( flows, hierarchical_intdiv16_meets_the_paper )
+{
+  // Table IV of the paper: hierarchical INTDIV(16) with 892 qubits and
+  // 5 607 T gates.  The area-flow LUT cover is what brings it there.
+  flow_params params;
+  params.kind = flow_kind::hierarchical;
+  params.cleanup = cleanup_strategy::keep_garbage;
+  const auto result = run_reciprocal_flow( reciprocal_design::intdiv, 16, params );
+  EXPECT_TRUE( result.verified );
+  EXPECT_LE( result.costs.qubits, 892u );
+  EXPECT_LE( result.costs.t_count, 5607u );
+}
+
 TEST( flows, optimization_reduces_aig )
 {
   flow_params params;

@@ -181,12 +181,12 @@ INSTANTIATE_TEST_SUITE_P( seeds, lut_map_random, ::testing::Range( 1u, 9u ) );
 
 TEST( lut_map, newton8_mapping_is_pinned )
 {
-  // Fingerprints recorded before the cut kernels moved to fixed-width words:
-  // the enumeration order, the sort comparator and the cover extraction
-  // must keep producing this exact LUT network.
+  // Fingerprints of the area-flow cover, recorded when depth left the
+  // comparator: the enumeration order, the sort comparator and the cover
+  // extraction must keep producing this exact LUT network.
   const auto aig = optimize( verilog::elaborate_verilog( verilog::generate_newton( 8 ) ).aig, 2 );
   const std::pair<unsigned, std::uint64_t> pins[] = {
-      { 3u, 0x67577bcb60a6a5c7ull }, { 4u, 0xe36ea6d0e49d8069ull }, { 6u, 0x89a98e9a74bcbc68ull } };
+      { 3u, 0xd10b5bc7fd1dc4c8ull }, { 4u, 0x8f79063f2f926aafull }, { 6u, 0x1641217081056defull } };
   for ( const auto& [k, pin] : pins )
   {
     lut_map_params params;
@@ -199,9 +199,9 @@ TEST( lut_map, newton8_mapping_is_pinned )
 TEST( lut_map, compile_cold_shapes_are_pinned )
 {
   // The optimized AIG and its 4-LUT cover of the two Table IV shapes that
-  // dominate a cold compile, recorded before the front end skipped work
-  // that cannot change its result: cut pruning, cone evaluation and the
-  // presized builders must keep producing these exact networks.
+  // dominate a cold compile, recorded on the refactor-only optimizer and
+  // the area-flow cover: cut pruning, cone evaluation and the presized
+  // builders must keep producing these exact networks.
   struct pin
   {
     const char* design;
@@ -210,8 +210,8 @@ TEST( lut_map, compile_cold_shapes_are_pinned )
     std::uint64_t luts;
   };
   const pin pins[] = {
-      { "NEWTON(16)", verilog::generate_newton( 16 ), 0xb5f6f38cec9d5227ull, 0x53200f31625ae8dbull },
-      { "INTDIV(16)", verilog::generate_intdiv( 16 ), 0x5c99d0af07c39d11ull, 0x100f94c9121c8a8eull },
+      { "NEWTON(16)", verilog::generate_newton( 16 ), 0xc0b3aa464b79f7b3ull, 0xc3f1b03d37c0251full },
+      { "INTDIV(16)", verilog::generate_intdiv( 16 ), 0x08c1572f2eecac1dull, 0x68b221e745ad43a9ull },
   };
   for ( const auto& p : pins )
   {
@@ -226,7 +226,7 @@ TEST( lut_map, compile_cold_shapes_are_pinned )
 TEST( lut_map, million_and_chain_maps_without_recursion )
 {
   // Chains this deep overflowed the stack of a recursive cover walk and of
-  // the recursive balance and refactor walks: an AND/OR chain (a million
+  // a recursive refactor walk: an AND/OR chain (a million
   // small AND trees, each the input of the next) and a pure AND chain (one
   // AND tree of a million conjuncts).
   constexpr unsigned num_pis = 8;
@@ -274,9 +274,9 @@ TEST( lut_map, million_and_chain_maps_without_recursion )
 TEST( xmg_resynth, newton8_xmg_is_pinned )
 {
   // The XMG and the form counters of the resynthesis of optimized
-  // NEWTON(8), recorded before the per-function form decision was
-  // memoized: the memo must pick the same form, with the same cubes, in
-  // the same first-wins order as deciding every LUT afresh.
+  // NEWTON(8) on the area-flow cover: the per-function form memo must pick
+  // the same form, with the same cubes, in the same first-wins order as
+  // deciding every LUT afresh.
   const auto aig = optimize( verilog::elaborate_verilog( verilog::generate_newton( 8 ) ).aig, 2 );
   struct pin
   {
@@ -285,9 +285,9 @@ TEST( xmg_resynth, newton8_xmg_is_pinned )
     xmg_resynth_stats stats;
   };
   const pin pins[] = {
-      { 3u, 0x770771e6f496eb6eull, { 4580u, 3183u, 1236u, 161u } },
-      { 4u, 0x8cb745e4a6b9b4e6ull, { 3610u, 1025u, 2447u, 138u } },
-      { 6u, 0x062d343cb91eea22ull, { 3306u, 473u, 2234u, 599u } },
+      { 3u, 0x0b003b34d278768eull, { 4485u, 2402u, 1958u, 125u } },
+      { 4u, 0xb18494f26c05e73bull, { 3465u, 1448u, 1900u, 117u } },
+      { 6u, 0x8768656a07467776ull, { 3281u, 1374u, 1766u, 141u } },
   };
   for ( const auto& p : pins )
   {

@@ -177,9 +177,9 @@ TEST( store_serialize, circuit_round_trip_preserves_gates_and_costs )
 
 TEST( store_serialize, circuit_bytes_are_pinned )
 {
-  // Digests of the stored bytes of flow circuits, recorded before the
-  // circuit's gates moved into one flat array: the layout may change, the
-  // gates and their byte encoding may not.
+  // Digests of the stored bytes of flow circuits, the hierarchical ones on
+  // the area-flow LUT cover: the in-memory layout may change, the gates
+  // and their byte encoding may not.
   struct pin
   {
     const char* what;
@@ -192,9 +192,9 @@ TEST( store_serialize, circuit_bytes_are_pinned )
   };
   const pin pins[] = {
       { "NEWTON(8) keep_garbage", reciprocal_design::newton, 8, flow_kind::hierarchical,
-        cleanup_strategy::keep_garbage, 0, 0xc0e54a132237de0bull },
+        cleanup_strategy::keep_garbage, 0, 0xab0fadba761eca98ull },
       { "NEWTON(8) bennett", reciprocal_design::newton, 8, flow_kind::hierarchical,
-        cleanup_strategy::bennett, 0, 0x4e6d13b0a6fb850full },
+        cleanup_strategy::bennett, 0, 0xb8f3c52d63973090ull },
       { "INTDIV(8) esop p=2", reciprocal_design::intdiv, 8, flow_kind::esop_based,
         cleanup_strategy::keep_garbage, 2, 0xb617f1c3352c0987ull },
       { "INTDIV(6) functional", reciprocal_design::intdiv, 6, flow_kind::functional,

@@ -134,13 +134,3 @@ TEST( xmg, pattern_simulation_matches )
     EXPECT_EQ( ( words[0] >> i ) & 1u, tts[0].get_bit( i ) );
   }
 }
-
-TEST( xmg, depth_computation )
-{
-  xmg_network xmg( 4 );
-  auto f = xmg.create_and( xmg.pi( 0 ), xmg.pi( 1 ) );
-  f = xmg.create_xor( f, xmg.pi( 2 ) );
-  f = xmg.create_maj( f, xmg.pi( 3 ), xmg_network::const1 );
-  xmg.add_po( f );
-  EXPECT_EQ( xmg.depth(), 3u );
-}
