@@ -12,11 +12,11 @@
 /// extend the perf trajectory.
 ///
 /// Schema v3 additionally reports the task-graph scheduler: per case the
-/// tasks run, steals, coalesced artifact requests, and the critical path
-/// of the dependency DAG (the wall clock an ideal scheduler would need),
-/// and a multi-design sweep section running the whole batch as one task
-/// graph on a work-stealing pool (`--sweep-threads` workers, default
-/// max(4, hardware)) — wall clock and scheduler counters reported.
+/// tasks run, coalesced artifact requests, and the critical path of the
+/// dependency DAG (the wall clock an ideal scheduler would need), and a
+/// multi-design sweep section running the whole batch as one task graph
+/// on the thread pool (`--sweep-threads` workers, default max(4,
+/// hardware)) — wall clock and scheduler counters reported.
 ///
 /// Schema v4 adds the persistent-store sections.  `store_sweep` runs the
 /// batch sweep twice against one on-disk artifact store root — cold
@@ -40,6 +40,9 @@
 ///
 /// Schema v7 reports each case's `seq_wall_s` and `cached_wall_s` as the
 /// median of 5 timed runs of that half instead of a single run.
+///
+/// Schema v8 drops the steal counts (`sweep.steals`, per-case
+/// `sched_steals`): the pool is one FIFO queue and nothing steals.
 ///
 /// Usage: bench_dse [--out FILE] [--quick] [--max N] [--threads N]
 ///                  [--sweep-threads N] [--no-verify]
@@ -193,7 +196,7 @@ case_result run_case( reciprocal_design design, unsigned n, bool include_functio
     seq_walls.push_back( watch.elapsed_seconds() );
 
     // Cached task-graph engine: coalesced stage-artifact tasks feeding the
-    // per-configuration tails on the work-stealing pool, from a fresh cache.
+    // per-configuration tails on the thread pool, from a fresh cache.
     flow_artifact_cache cache;
     task_graph_stats sched;
     watch.restart();
@@ -249,10 +252,8 @@ case_result run_case( reciprocal_design design, unsigned n, bool include_functio
                r.seq_wall_s / ( r.cached_wall_s > 0 ? r.cached_wall_s : 1e-9 ), r.verify_s,
                r.cache_hits, r.cache_misses, r.identical ? "identical" : "COSTS DIVERGED",
                verify ? ( r.all_verified ? ", verified" : ", VERIFY FAILED" ) : "" );
-  std::printf( "             scheduler: %zu tasks, %zu coalesced, %llu steals, critical path %6.3f s vs wall %6.3f s\n",
-               r.sched.tasks_run, r.sched.coalesced,
-               static_cast<unsigned long long>( r.sched.steals ),
-               r.sched.critical_path_seconds, r.sched.wall_seconds );
+  std::printf( "             scheduler: %zu tasks, %zu coalesced, critical path %6.3f s vs wall %6.3f s\n",
+               r.sched.tasks_run, r.sched.coalesced, r.sched.critical_path_seconds, r.sched.wall_seconds );
   return r;
 }
 
@@ -309,10 +310,8 @@ sweep_result run_sweep( unsigned min_n, unsigned max_n, unsigned threads, bool v
 
   std::printf( "\nsweep n=%u..%u on %u threads | task-graph %8.3f s\n", min_n, max_n, threads,
                r.task_graph_wall_s );
-  std::printf( "  scheduler: %zu tasks, %zu coalesced, %llu steals, peak concurrency %zu, critical path %6.3f s vs wall %6.3f s\n",
-               r.sched.tasks_run, r.sched.coalesced,
-               static_cast<unsigned long long>( r.sched.steals ),
-               r.sched.max_concurrency,
+  std::printf( "  scheduler: %zu tasks, %zu coalesced, peak concurrency %zu, critical path %6.3f s vs wall %6.3f s\n",
+               r.sched.tasks_run, r.sched.coalesced, r.sched.max_concurrency,
                r.sched.critical_path_seconds, r.sched.wall_seconds );
   return r;
 }
@@ -544,7 +543,7 @@ void write_json( const char* path, const std::vector<case_result>& cases,
     std::fprintf( stderr, "cannot open %s for writing\n", path );
     std::exit( 1 );
   }
-  std::fprintf( f, "{\n  \"bench\": \"dse\",\n  \"schema_version\": 7,\n" );
+  std::fprintf( f, "{\n  \"bench\": \"dse\",\n  \"schema_version\": 8,\n" );
   std::fprintf( f, "  \"verify\": %s,\n", verify ? "true" : "false" );
   std::fprintf( f, "  \"verify_mode\": \"%s\",\n",
                 verify_mode_name( mode ).c_str() );
@@ -564,8 +563,6 @@ void write_json( const char* path, const std::vector<case_result>& cases,
   std::fprintf( f, "    \"all_ok\": %s,\n", sweep.all_ok ? "true" : "false" );
   std::fprintf( f, "    \"tasks_run\": %zu,\n", sweep.sched.tasks_run );
   std::fprintf( f, "    \"coalesced\": %zu,\n", sweep.sched.coalesced );
-  std::fprintf( f, "    \"steals\": %llu,\n",
-                static_cast<unsigned long long>( sweep.sched.steals ) );
   std::fprintf( f, "    \"max_concurrent\": %zu,\n", sweep.sched.max_concurrency );
   std::fprintf( f, "    \"critical_path_s\": %.4f,\n", sweep.sched.critical_path_seconds );
   std::fprintf( f, "    \"sched_wall_s\": %.4f\n", sweep.sched.wall_seconds );
@@ -614,8 +611,6 @@ void write_json( const char* path, const std::vector<case_result>& cases,
     std::fprintf( f, "      \"cache_misses\": %zu,\n", c.cache_misses );
     std::fprintf( f, "      \"sched_tasks_run\": %zu,\n", c.sched.tasks_run );
     std::fprintf( f, "      \"sched_coalesced\": %zu,\n", c.sched.coalesced );
-    std::fprintf( f, "      \"sched_steals\": %llu,\n",
-                  static_cast<unsigned long long>( c.sched.steals ) );
     std::fprintf( f, "      \"sched_critical_path_s\": %.4f,\n",
                   c.sched.critical_path_seconds );
     std::fprintf( f, "      \"identical\": %s\n", c.identical ? "true" : "false" );

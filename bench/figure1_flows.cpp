@@ -21,9 +21,14 @@
 #include "verilog/elaborator.hpp"
 #include "verilog/generators.hpp"
 
-int main()
+int main( int argc, char** )
 {
   using namespace qsyn;
+  if ( argc > 1 )
+  {
+    std::fputs( "usage: figure1_flows\n", stderr );
+    return 2;
+  }
 
   std::printf( "FIGURE 1: DESIGN FLOWS (Graphviz)\n\n" );
   std::printf( "%s\n", R"DOT(digraph design_flows {

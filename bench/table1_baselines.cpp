@@ -17,25 +17,18 @@
 /// reproduction target; see EXPERIMENTS.md.
 
 #include <cstdio>
-#include <cstring>
-#include <cstdlib>
 
 #include "baseline/qnewton.hpp"
 #include "baseline/resdiv.hpp"
 #include "common/timer.hpp"
 #include "reversible/cost.hpp"
 
+#include "max_n_arg.hpp"
+
 int main( int argc, char** argv )
 {
   using namespace qsyn;
-  unsigned max_n = 64;
-  for ( int i = 1; i < argc; ++i )
-  {
-    if ( std::strcmp( argv[i], "--max-n" ) == 0 && i + 1 < argc )
-    {
-      max_n = static_cast<unsigned>( std::atoi( argv[++i] ) );
-    }
-  }
+  const unsigned max_n = parse_max_n_arg( argc, argv, "table1_baselines", 64 );
 
   std::printf( "TABLE I: BASELINE RESULTS WITH MANUAL DESIGN\n" );
   std::printf( "%4s | %28s | %28s\n", "", "RESDIV(n)", "QNEWTON(n)" );

@@ -17,22 +17,15 @@
 /// Default sweep n = 4..8 (seconds); --max-n up to ~10 stays practical.
 
 #include <cstdio>
-#include <cstring>
-#include <cstdlib>
 
 #include "core/flows.hpp"
+
+#include "max_n_arg.hpp"
 
 int main( int argc, char** argv )
 {
   using namespace qsyn;
-  unsigned max_n = 8;
-  for ( int i = 1; i < argc; ++i )
-  {
-    if ( std::strcmp( argv[i], "--max-n" ) == 0 && i + 1 < argc )
-    {
-      max_n = static_cast<unsigned>( std::atoi( argv[++i] ) );
-    }
-  }
+  const unsigned max_n = parse_max_n_arg( argc, argv, "table2_functional", 8 );
 
   std::printf( "TABLE II: RESULTS WITH SYMBOLIC FUNCTIONAL REVERSIBLE SYNTHESIS\n" );
   std::printf( "%4s | %28s | %28s\n", "", "INTDIV(n)", "NEWTON(n)" );

@@ -16,22 +16,15 @@
 /// ~3 s and --max-n 20 ~11 s in total on a 4-vCPU Xeon, Release).
 
 #include <cstdio>
-#include <cstring>
-#include <cstdlib>
 
 #include "core/flows.hpp"
+
+#include "max_n_arg.hpp"
 
 int main( int argc, char** argv )
 {
   using namespace qsyn;
-  unsigned max_n = 10;
-  for ( int i = 1; i < argc; ++i )
-  {
-    if ( std::strcmp( argv[i], "--max-n" ) == 0 && i + 1 < argc )
-    {
-      max_n = static_cast<unsigned>( std::atoi( argv[++i] ) );
-    }
-  }
+  const unsigned max_n = parse_max_n_arg( argc, argv, "table3_esop", 10 );
 
   std::printf( "TABLE III: RESULTS WITH ESOP-BASED SYNTHESIS (REVS)\n" );
   std::printf( "%3s |%30s|%30s|%30s|%30s\n", "", " INTDIV p=0", " NEWTON p=0", " INTDIV p=1",

@@ -11,28 +11,19 @@
 /// Newton structure without collapsing it) — reproducing that gap is the
 /// key qualitative target.
 ///
-/// Default sweep: INTDIV n in {8,16,32,64}, NEWTON n in {8,16,32};
-/// --max-n 128 extends both (NEWTON(64/128) needs minutes and gigabytes).
+/// Default sweep: n in {8,16,32,64} for both designs; --max-n N stops at
+/// N, and --max-n 128 extends both.
 
 #include <cstdio>
-#include <cstring>
-#include <cstdlib>
 
 #include "core/flows.hpp"
+
+#include "max_n_arg.hpp"
 
 int main( int argc, char** argv )
 {
   using namespace qsyn;
-  unsigned max_n = 64;
-  unsigned max_newton = 64;
-  for ( int i = 1; i < argc; ++i )
-  {
-    if ( std::strcmp( argv[i], "--max-n" ) == 0 && i + 1 < argc )
-    {
-      max_n = static_cast<unsigned>( std::atoi( argv[++i] ) );
-      max_newton = max_n;
-    }
-  }
+  const unsigned max_n = parse_max_n_arg( argc, argv, "table4_hierarchical", 64 );
 
   std::printf( "TABLE IV: RESULTS WITH HIERARCHICAL SYNTHESIS\n" );
   std::printf( "%4s | %31s | %31s\n", "", "INTDIV(n)", "NEWTON(n)" );
@@ -52,16 +43,9 @@ int main( int argc, char** argv )
     const auto rd = run_reciprocal_flow( reciprocal_design::intdiv, n, params );
     std::printf( "%4u | %9u %13llu %6.1fs |", n, rd.costs.qubits,
                  static_cast<unsigned long long>( rd.costs.t_count ), rd.runtime_seconds );
-    if ( n <= max_newton )
-    {
-      const auto rn = run_reciprocal_flow( reciprocal_design::newton, n, params );
-      std::printf( " %9u %13llu %6.1fs\n", rn.costs.qubits,
-                   static_cast<unsigned long long>( rn.costs.t_count ), rn.runtime_seconds );
-    }
-    else
-    {
-      std::printf( " %9s %13s %7s\n", "-", "-", "-" );
-    }
+    const auto rn = run_reciprocal_flow( reciprocal_design::newton, n, params );
+    std::printf( " %9u %13llu %6.1fs\n", rn.costs.qubits,
+                 static_cast<unsigned long long>( rn.costs.t_count ), rn.runtime_seconds );
   }
   std::printf( "\npaper (INTDIV): n=16: 892 qb/5607 T, n=32: 3501/21455, n=64: 13465/80339\n" );
   std::printf( "paper (NEWTON): n=16: 10713 qb/73080 T, n=32: 56207/392917\n" );

@@ -11,9 +11,7 @@
 #   * the task-graph batch sweep regresses: no two tasks of a multi-worker
 #     sweep ever overlapped in time (max_concurrent <= 1, the
 #     dead-parallelism canary: a scheduler that silently serialized would
-#     still produce identical results; zero steals alone only warns — idle
-#     workers can drain whole designs from the injection queue without
-#     stealing),
+#     still produce identical results),
 #   * the persistent artifact store regresses: the warm pass of the batch
 #     sweep against a freshly re-opened store recomputes any stage artifact
 #     (it must be all store hits, zero misses) or its costs diverge from the
@@ -221,11 +219,9 @@ python3 - "$DSE_BASELINE" "$DSE_FRESH" <<'EOF'
 import json
 import sys
 
-WALL_REGRESSION_LIMIT = 0.10
-# Absolute wall clocks swing up to ~12% run-to-run on shared containers
-# (same allowance as the verify gate's wall-clock bands); the 10% band
-# stays on the machine-independent speedup ratios, which divide the
-# noise out.
+# Both the cached-vs-sequential speedup ratio and the absolute cached wall
+# clock get a 25% band: the cached half is a sub-second wall clock whose
+# run-to-run jitter on shared containers moves even the ratio by ~12%.
 WALL_ABS_REGRESSION_LIMIT = 0.25
 
 with open(sys.argv[1]) as f:
@@ -248,9 +244,7 @@ else:
     # graph's tasks MUST overlap in time (max_concurrent is the peak
     # overlap of measured task start/end intervals); a scheduler that
     # silently serialized would still produce identical results but never
-    # exceed 1.  Steals are NOT a reliable canary — batch seeds are
-    # submitted onto the shared injection queue, so idle workers can pick
-    # up whole designs without ever stealing — so zero steals only warns.
+    # exceed 1.
     if sweep.get("threads", 0) > 1 and sweep.get("max_concurrent", 2) <= 1:
         failures.append(
             "no task overlap on a {}-worker batch sweep (max_concurrent "
@@ -258,22 +252,14 @@ else:
                 sweep.get("threads"), sweep.get("max_concurrent")
             )
         )
-    if sweep.get("threads", 0) > 1 and sweep.get("steals", 0) == 0:
-        print(
-            "WARNING: zero steals on a {}-worker batch sweep (legal when "
-            "workers feed off the injection queue, but unusual)".format(
-                sweep.get("threads")
-            )
-        )
     print(
         "sweep: task-graph {:.3f} s on {} threads, "
-        "{} tasks / {} coalesced / {} steals / {} peak concurrent, "
+        "{} tasks / {} coalesced / {} peak concurrent, "
         "critical path {:.3f} s".format(
             sweep.get("task_graph_wall_s", 0.0),
             sweep.get("threads", 0),
             sweep.get("tasks_run", 0),
             sweep.get("coalesced", 0),
-            sweep.get("steals", 0),
             sweep.get("max_concurrent", 0),
             sweep.get("critical_path_s", 0.0),
         )
@@ -729,7 +715,7 @@ echo "test_verify (3 backends) + test_store + test_lut_xmg + test_synth + test_s
 # --- robustness + scheduler tests under UBSan and TSan -----------------------
 # The budget/cancellation/fault-injection paths are counter arithmetic,
 # atomics and cross-thread exception plumbing, and the task-graph scheduler
-# adds per-worker deques with stealing on top: run both suites instrumented
+# adds a shared job queue on top: run both suites instrumented
 # for undefined behaviour and for data races on every bench invocation.
 
 UBSAN_DIR="$REPO_ROOT/build-ubsan-robustness"
@@ -772,7 +758,7 @@ cmake --build "$TSAN_DIR" -j "$(nproc)" --target test_robustness test_scheduler 
   test_flows test_store
 "$TSAN_DIR/tests/test_robustness"
 # The scheduler suite under TSan runs at the pool widths the ctest fixtures
-# pin: stealing races only exist with >= 2 workers.
+# pin: queue races only exist with >= 2 workers.
 QSYN_THREADS=2 "$TSAN_DIR/tests/test_scheduler"
 "$TSAN_DIR/tests/test_scheduler"
 # The daemon coalesces concurrent identical requests into one synthesis on

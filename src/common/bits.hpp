@@ -53,12 +53,6 @@ inline int popcount64( std::uint64_t w )
   return std::popcount( w );
 }
 
-/// Index of the most significant set bit; undefined for w == 0.
-inline int msb_index( std::uint64_t w )
-{
-  return 63 - std::countl_zero( w );
-}
-
 /// Index of the least significant set bit; undefined for w == 0.
 inline int lsb_index( std::uint64_t w )
 {

@@ -1,11 +1,11 @@
 /// \file budget.hpp
-/// \brief Wall-clock deadlines, cancellation tokens, and resource budgets.
+/// \brief Wall-clock deadlines and resource budgets.
 ///
 /// Long-running kernels (CDCL search, the incremental CEC portfolio, the
 /// EXORCISM improvement loop, the TBS tail) poll a `deadline` cooperatively
-/// at cheap checkpoints.  A `deadline` combines an absolute time limit with
-/// an optional shared `cancellation_token`, so a DSE sweep can stop all
-/// in-flight work promptly when the global budget is gone.
+/// at cheap checkpoints.  A `deadline` is an absolute time limit and
+/// trivially copyable; run-level cancellation is the task graph's deadline,
+/// which stops every not-yet-started task of a sweep once it expires.
 ///
 /// Kernels that can stop *gracefully* (EXORCISM, sampling) simply return a
 /// partial result; kernels that cannot produce a meaningful partial answer
@@ -14,11 +14,9 @@
 
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -36,33 +34,9 @@ public:
   }
 };
 
-/// Shared cancellation flag.  Copies refer to the same flag; default
-/// construction yields an armed, not-yet-cancelled token.
-class cancellation_token
-{
-public:
-  cancellation_token()
-      : flag_( std::make_shared<std::atomic<bool>>( false ) )
-  {
-  }
-
-  void request_cancel() noexcept
-  {
-    flag_->store( true, std::memory_order_relaxed );
-  }
-
-  [[nodiscard]] bool cancelled() const noexcept
-  {
-    return flag_->load( std::memory_order_relaxed );
-  }
-
-private:
-  std::shared_ptr<std::atomic<bool>> flag_;
-};
-
-/// Cooperative wall-clock deadline with an optional cancellation token.
-/// Default-constructed deadlines never expire; they cost one atomic load
-/// per poll, so kernels can check unconditionally.
+/// Cooperative wall-clock deadline.  Default-constructed deadlines never
+/// expire and cost one branch per poll, so kernels can check
+/// unconditionally.
 class deadline
 {
 public:
@@ -83,44 +57,20 @@ public:
     return d;
   }
 
-  static deadline in( double seconds, cancellation_token token )
-  {
-    deadline d = in( seconds );
-    d.token_ = std::move( token );
-    d.has_token_ = true;
-    return d;
-  }
-
-  static deadline with_token( cancellation_token token )
-  {
-    deadline d;
-    d.token_ = std::move( token );
-    d.has_token_ = true;
-    return d;
-  }
-
   [[nodiscard]] bool unlimited() const noexcept
   {
-    return !has_time_limit_ && !has_token_;
+    return !has_time_limit_;
   }
 
   [[nodiscard]] bool expired() const
   {
-    if ( has_token_ && token_.cancelled() )
-    {
-      return true;
-    }
     return has_time_limit_ && clock::now() >= expires_at_;
   }
 
   /// Seconds until expiry; a very large value when unlimited, 0 when
-  /// already expired or cancelled.
+  /// already expired.
   [[nodiscard]] double remaining_seconds() const
   {
-    if ( has_token_ && token_.cancelled() )
-    {
-      return 0.0;
-    }
     if ( !has_time_limit_ )
     {
       return 1e18;
@@ -163,9 +113,7 @@ private:
   }
 
   bool has_time_limit_ = false;
-  bool has_token_ = false;
   clock::time_point expires_at_{};
-  cancellation_token token_;
 };
 
 /// Resource budget carried by `flow_params` / `explore_options`.  A value

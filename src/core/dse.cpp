@@ -166,7 +166,7 @@ std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_p
 
 /// One dependency DAG per exploration — coalesced stage-artifact tasks
 /// feeding unique per-configuration tails (synthesis + verification) —
-/// dispatched onto the work-stealing pool, so distinct artifacts compute
+/// dispatched onto the FIFO thread pool, so distinct artifacts compute
 /// concurrently with each other and with every tail that is already
 /// unblocked.  Results are written into caller-indexed slots and every task
 /// is deterministic, so the point list is bit-identical to running

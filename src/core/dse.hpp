@@ -8,7 +8,7 @@
 /// the (qubits, T-count) plane, the two cost metrics the paper trades off.
 ///
 /// The exploration engine is cached and concurrent: the whole pipeline is
-/// one dependency DAG (`core/task_graph.hpp`) on the work-stealing pool.
+/// one dependency DAG (`core/task_graph.hpp`) on the FIFO thread pool.
 /// Shared stage artifacts (optimized AIG, minimized ESOP cube list,
 /// resynthesized XMG) are computed once per design through a
 /// `flow_artifact_cache` — duplicate requests coalesce onto one in-flight
@@ -86,7 +86,7 @@ std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_p
 std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_params>& configs,
                                 const explore_options& options, flow_artifact_cache& cache );
 /// As above under an externally armed deadline, additionally reporting the
-/// scheduler statistics of the run (tasks run/coalesced, steals, wall vs
+/// scheduler statistics of the run (tasks run/coalesced, wall vs
 /// critical path).  Each configuration's own `limits.deadline_seconds`
 /// tightens `stop` further.  A configuration hitting its budget or throwing
 /// is isolated into its point's `result.status` — the exploration always

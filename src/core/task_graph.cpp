@@ -12,26 +12,6 @@
 namespace qsyn
 {
 
-std::string task_state_name( task_state state )
-{
-  switch ( state )
-  {
-  case task_state::pending:
-    return "pending";
-  case task_state::running:
-    return "running";
-  case task_state::done:
-    return "done";
-  case task_state::failed:
-    return "failed";
-  case task_state::poisoned:
-    return "poisoned";
-  case task_state::cancelled:
-    return "cancelled";
-  }
-  return "unknown";
-}
-
 namespace
 {
 
@@ -198,8 +178,8 @@ struct task_graph::impl
     }
     // Submitted outside the lock: an inline pool runs the whole dependent
     // cascade right here (recursively, in insertion order — the
-    // single-thread determinism contract), a worker pool pushes them onto
-    // this worker's own queue for LIFO pickup or stealing.
+    // single-thread determinism contract), a worker pool appends them to
+    // its queue.
     for ( const auto ready_id : ready )
     {
       submit( ready_id );
@@ -337,7 +317,6 @@ void task_graph::run( thread_pool& pool, const deadline& stop )
   g.stop = stop;
   g.pool = &pool;
   g.run_start = graph_clock::now();
-  const auto steals_before = pool.steals();
 
   std::vector<task_id> seeds;
   {
@@ -356,18 +335,16 @@ void task_graph::run( thread_pool& pool, const deadline& stop )
   }
 
   // Wait for this graph alone: every node terminal AND every submitted
-  // wrapper past its last impl access.  Deliberately NOT pool.wait_all() —
-  // that waits for the whole pool to go idle, which (a) couples this run
-  // to every other graph sharing the pool (the daemon runs one graph per
-  // in-flight request on one long-lived pool) and (b) was the only thing
-  // preventing a late-scheduled wrapper of an already-poisoned task from
-  // touching a destroyed graph.  The live_wrappers counter makes that
-  // guarantee local.
+  // wrapper past its last impl access.  Waiting for the whole pool to go
+  // idle instead would couple this run to every other graph sharing the
+  // pool (the daemon runs one graph per in-flight request on one
+  // long-lived pool); the live_wrappers counter also keeps a
+  // late-scheduled wrapper of an already-poisoned task from touching a
+  // destroyed graph.
   std::unique_lock<std::mutex> lock( g.mutex );
   g.all_terminal.wait( lock, [&g] {
     return g.terminal == g.nodes.size() && g.live_wrappers == 0;
   } );
-  g.stats.steals = pool.steals() - steals_before;
   g.stats.wall_seconds = g.since_start();
   // Critical path: edges always point from lower to higher id, so one
   // forward pass over the measured durations is a topological DP.

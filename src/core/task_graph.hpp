@@ -1,15 +1,15 @@
 /// \file task_graph.hpp
-/// \brief Dependency-DAG task scheduler on the work-stealing thread pool.
+/// \brief Dependency-DAG task scheduler on the FIFO thread pool.
 ///
 /// A `task_graph` holds typed task nodes (a string key — the same artifact
 /// keys `flow_artifact_cache` uses for stage intermediates — plus a
 /// callable) connected by dependency edges, and executes them in
 /// topological order on a `thread_pool`: every task whose dependencies are
-/// all done is submitted; a finishing worker pushes the tasks it just
-/// readied onto its own queue (LIFO locality), and idle workers steal the
-/// oldest queued tasks, so independent chains — distinct artifacts,
-/// per-configuration synthesis tails, whole designs of a batch sweep —
-/// run concurrently without any stage barrier.
+/// all done is submitted; a finishing worker appends the tasks it just
+/// readied to the pool's queue, and idle workers take the oldest queued
+/// task, so independent chains — distinct artifacts, per-configuration
+/// synthesis tails, whole designs of a batch sweep — run concurrently
+/// without any stage barrier.
 ///
 /// Keyed tasks **coalesce**: `add_shared` with an existing key returns the
 /// existing task instead of adding a duplicate, so concurrent requests for
@@ -22,7 +22,7 @@
 /// they become `poisoned` without running, each carrying the failing
 /// ancestor's key (`blame()`) and exception, which the DSE layer maps back
 /// onto the `flow_status` taxonomy.  Unrelated tasks are unaffected.  A
-/// run-level deadline/cancellation marks not-yet-started tasks `cancelled`
+/// run-level deadline marks not-yet-started tasks `cancelled`
 /// (with `budget_exhausted` as their error) and poisons their dependents
 /// the same way; tasks already running finish cooperatively through their
 /// own budget polls.
@@ -37,7 +37,7 @@
 ///
 /// Per-task timing (start/end relative to `run()` entry) feeds the
 /// scheduler statistics: tasks run/poisoned/cancelled, coalesced key hits,
-/// steals (from the pool), wall clock, and the critical path (longest
+/// peak task concurrency, wall clock, and the critical path (longest
 /// dependency chain weighted by measured task durations) — the lower
 /// bound any scheduler could reach, reported by `bench_dse`.
 ///
@@ -46,9 +46,7 @@
 /// — but **many graphs may run concurrently on one shared pool**: `run()`
 /// tracks its own submitted wrappers and waits only for this graph's
 /// tasks (never for the pool to go idle), which is how the synthesis
-/// daemon serves every in-flight request from one long-lived pool.  On a
-/// shared pool the `steals` statistic is a pool-wide delta over the run
-/// and can include other graphs' steals.
+/// daemon serves every in-flight request from one long-lived pool.
 
 #pragma once
 
@@ -56,6 +54,7 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -80,11 +79,8 @@ enum class task_state
   failed,    ///< callable threw; `error()` holds the exception
   poisoned,  ///< a dependency failed/was cancelled; never ran.  `blame()`
              ///< names the failing ancestor, `error()` holds its exception
-  cancelled  ///< the run-level deadline/cancellation expired before start
+  cancelled  ///< the run-level deadline expired before start
 };
-
-/// Short name of a state ("pending", ..., "cancelled").
-std::string task_state_name( task_state state );
 
 /// Scheduler statistics of one graph run.
 struct task_graph_stats
@@ -96,14 +92,14 @@ struct task_graph_stats
   std::size_t tasks_cancelled = 0; ///< skipped: run deadline/cancel expired
   std::size_t coalesced = 0;       ///< duplicate keyed requests folded onto
                                    ///< an existing task (`add_shared`)
-  std::uint64_t steals = 0;        ///< pool steals during this run (pool-wide
-                                   ///< delta: includes other graphs' steals
-                                   ///< when the pool is shared)
+  /// Always 0: the pool is one FIFO queue and nothing steals.  Kept only
+  /// because the benchmark's `dse_sat` workload reads it into
+  /// `core.steals`; it goes at the next benchmark change.
+  std::uint64_t steals = 0;
   /// Peak number of tasks whose measured [start, end) intervals overlap —
   /// the parallelism that actually materialized.  1 on an inline pool (or
   /// a run whose tasks never overlapped); the dead-parallelism canary
-  /// `scripts/run_bench.sh` gates on (steals can legitimately be 0 when
-  /// idle workers drain whole designs from the injection queue instead).
+  /// `scripts/run_bench.sh` gates on.
   std::size_t max_concurrency = 0;
   double wall_seconds = 0.0;       ///< run() entry to last task terminal
   /// Longest dependency chain, weighted by measured task durations — the

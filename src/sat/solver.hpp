@@ -103,7 +103,6 @@ public:
   std::uint64_t num_propagations() const { return propagations_; }
   std::uint64_t num_restarts() const { return restarts_; }
   std::uint64_t num_learnts_deleted() const { return learnts_deleted_; }
-  std::size_t num_learnts() const { return num_learnts_; }
   std::size_t num_clauses() const { return clauses_.size(); }
 
 private:

@@ -13,7 +13,7 @@
 /// Execution model: connection threads are pure I/O.  Every admitted
 /// synthesize request builds its staged flow as a `task_graph`
 /// (optimize → backend artifact → synthesis tail) and runs it on ONE
-/// long-lived work-stealing pool shared by all in-flight requests, so a
+/// long-lived FIFO thread pool shared by all in-flight requests, so a
 /// big design's stages parallelize across workers and concurrent requests
 /// interleave at task granularity instead of fighting over cores
 /// thread-per-request.  Identical concurrent queries coalesce: every

@@ -4,10 +4,12 @@
 #include <array>
 #include <atomic>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/thread_pool.hpp"
 #include "core/dse.hpp"
+#include "core/task_graph.hpp"
 #include "reversible/verify.hpp"
 #include "verilog/elaborator.hpp"
 
@@ -290,18 +292,21 @@ TEST( dse_verify, exhaustive_certifies_correct_circuit )
   EXPECT_FALSE( verify_against_aig_sampled( circuit, aig, 256, 1 ).has_value() );
 }
 
-// --- thread pool -------------------------------------------------------------
+// --- thread pool, driven through its one client, the task graph ----------
 
 TEST( dse_threads, pool_runs_every_job_exactly_once )
 {
-  thread_pool pool( 4 );
   constexpr std::size_t num_jobs = 64;
   std::vector<std::atomic<int>> ran( num_jobs );
+  task_graph graph;
   for ( std::size_t i = 0; i < num_jobs; ++i )
   {
-    pool.submit( [&ran, i] { ran[i].fetch_add( 1 ); } );
+    graph.add( "job" + std::to_string( i ), [&ran, i] { ran[i].fetch_add( 1 ); } );
   }
-  pool.wait();
+  thread_pool pool( 4 );
+  ASSERT_EQ( pool.num_workers(), 4u );
+  graph.run( pool );
+  EXPECT_EQ( graph.stats().tasks_run, num_jobs );
   for ( std::size_t i = 0; i < num_jobs; ++i )
   {
     EXPECT_EQ( ran[i].load(), 1 ) << i;
@@ -310,29 +315,15 @@ TEST( dse_threads, pool_runs_every_job_exactly_once )
 
 TEST( dse_threads, inline_pool_runs_jobs_in_submission_order )
 {
-  thread_pool pool( 1 ); // no workers: inline, deterministic
-  EXPECT_EQ( pool.num_workers(), 0u );
   std::vector<int> order;
+  task_graph graph;
   for ( int i = 0; i < 8; ++i )
   {
-    pool.submit( [&order, i] { order.push_back( i ); } );
+    graph.add( "job" + std::to_string( i ), [&order, i] { order.push_back( i ); } );
   }
-  pool.wait();
+  thread_pool pool( 1 ); // no workers: inline, deterministic
+  EXPECT_EQ( pool.num_workers(), 0u );
+  graph.run( pool );
   ASSERT_EQ( order.size(), 8u );
   EXPECT_TRUE( std::is_sorted( order.begin(), order.end() ) );
-}
-
-TEST( dse_threads, first_job_exception_is_rethrown_from_wait )
-{
-  thread_pool pool( 2 );
-  for ( int i = 0; i < 4; ++i )
-  {
-    pool.submit( [] { throw std::runtime_error( "boom" ); } );
-  }
-  EXPECT_THROW( pool.wait(), std::runtime_error );
-  // The pool stays usable after an exception.
-  std::atomic<int> ran{ 0 };
-  pool.submit( [&ran] { ran.fetch_add( 1 ); } );
-  pool.wait();
-  EXPECT_EQ( ran.load(), 1 );
 }

@@ -1,4 +1,4 @@
-/// Scheduler suite: the work-stealing thread pool, the task-graph engine,
+/// Scheduler suite: the FIFO thread pool, the task-graph engine,
 /// and the graph-built DSE explorations.  The central invariants:
 ///
 ///   * QSYN_THREADS pins the default worker count (the ctest `scheduler`
@@ -151,71 +151,6 @@ TEST( scheduler_env, qsyn_threads_clamps_oversized_values )
   // The largest accepted value passes through unchanged.
   setenv( "QSYN_THREADS", std::to_string( thread_pool::max_env_threads ).c_str(), 1 );
   EXPECT_EQ( thread_pool::default_num_threads(), thread_pool::max_env_threads );
-}
-
-// --- work stealing -----------------------------------------------------------
-
-TEST( scheduler_pool, jobs_spawned_by_a_worker_can_be_stolen )
-{
-  thread_pool pool( 2 );
-  ASSERT_EQ( pool.num_workers(), 2u );
-  std::atomic<int> ran{ 0 };
-  // The parent job runs on one worker and pushes all children onto that
-  // worker's own deque; the other worker has nothing and must steal.  The
-  // children sleep long enough that the idle worker always gets a turn.
-  pool.submit( [&pool, &ran] {
-    for ( int i = 0; i < 16; ++i )
-    {
-      pool.submit( [&ran] {
-        std::this_thread::sleep_for( std::chrono::milliseconds( 2 ) );
-        ran.fetch_add( 1 );
-      } );
-    }
-  } );
-  pool.wait();
-  EXPECT_EQ( ran.load(), 16 );
-  EXPECT_GE( pool.steals(), 1u );
-}
-
-TEST( scheduler_pool, worker_submitted_bursts_are_fully_waited )
-{
-  // Regression: submit() must count a job BEFORE publishing it.  Jobs
-  // spawned from workers race wait()'s outstanding-count with the
-  // claim-side decrements; the old publish-then-count order let a fast
-  // claimant finish before the counts existed, waking wait() while work
-  // was still queued (or hanging it via counter underflow).
-  thread_pool pool( 4 );
-  std::atomic<int> ran{ 0 };
-  int expected = 0;
-  for ( int round = 0; round < 50; ++round )
-  {
-    for ( int parent = 0; parent < 8; ++parent )
-    {
-      pool.submit( [&pool, &ran] {
-        for ( int child = 0; child < 4; ++child )
-        {
-          pool.submit( [&ran] { ran.fetch_add( 1 ); } );
-        }
-        ran.fetch_add( 1 );
-      } );
-    }
-    expected += 8 * 5;
-    pool.wait();
-    // Every job of the round — parents AND worker-spawned children — must
-    // be done when wait() returns, every round.
-    ASSERT_EQ( ran.load(), expected ) << "round " << round;
-  }
-}
-
-TEST( scheduler_pool, inline_pool_never_steals )
-{
-  thread_pool pool( 1 );
-  for ( int i = 0; i < 8; ++i )
-  {
-    pool.submit( [] {} );
-  }
-  pool.wait();
-  EXPECT_EQ( pool.steals(), 0u );
 }
 
 // --- task graph: shapes ------------------------------------------------------
@@ -393,7 +328,7 @@ TEST( scheduler_graph, overlapping_tasks_report_their_peak_concurrency )
   };
   // Each seed waits for the other to start, so on two workers the two
   // intervals provably overlap — the signal the dead-parallelism canary
-  // in run_bench.sh gates on (steals may legitimately stay 0 here).
+  // in run_bench.sh gates on.
   graph.add( "a", [&] {
     a_started = true;
     spin_until( b_started );
@@ -437,16 +372,20 @@ TEST( scheduler_graph, failure_poisons_only_transitive_dependents )
 
 TEST( scheduler_graph, expired_deadline_cancels_unstarted_tasks_and_poisons_dependents )
 {
-  cancellation_token token;
-  const auto stop = deadline::with_token( token );
+  deadline stop;
   task_graph graph;
-  const auto a = graph.add( "a", [&token] { token.request_cancel(); } );
+  const auto a = graph.add( "a", [&stop] {
+    while ( !stop.expired() )
+    {
+    }
+  } );
   const auto b = graph.add( "b", [] {}, { a } );
   const auto c = graph.add( "c", [] {} );
   const auto d = graph.add( "d", [] {}, { c } );
-  // Inline order: a runs (and cancels), then b is cancelled pre-start,
-  // then seed c is cancelled pre-start and poisons d.
+  // Inline order: a runs until the deadline expires, then b is cancelled
+  // pre-start, then seed c is cancelled pre-start and poisons d.
   thread_pool pool( 1 );
+  stop = deadline::in( 0.010 );
   graph.run( pool, stop );
 
   EXPECT_EQ( graph.state( a ), task_state::done );
@@ -480,9 +419,9 @@ TEST( scheduler_graph, flow_tasks_read_their_deadline_when_they_run )
   // task runs, not copied at graph-build time — the batch driver arms it
   // from the design's elaborate task, so designs scheduled late in a long
   // sweep must not start with their per-flow clock already consumed.
-  // Here an upstream task cancels the deadline slot after the graph was
-  // built; a build-time copy (armed, unlimited) would let the tail run to
-  // completion instead of timing out.
+  // Here an upstream task arms the deadline slot with an expired limit
+  // after the graph was built; a build-time copy (unlimited) would let the
+  // tail run to completion instead of timing out.
   const auto mod =
       verilog::elaborate_verilog( reciprocal_verilog( reciprocal_design::intdiv, 5 ) );
   flow_params params;
@@ -493,10 +432,11 @@ TEST( scheduler_graph, flow_tasks_read_their_deadline_when_they_run )
   flow_artifact_cache cache;
   flow_result out;
   deadline armed; // unlimited while the graph is built
-  cancellation_token token;
-  const auto arm = graph.add( "arm", [&armed, &token] {
-    token.request_cancel();
-    armed = deadline::with_token( token );
+  const auto arm = graph.add( "arm", [&armed] {
+    armed = deadline::in( 1e-9 );
+    while ( !armed.expired() )
+    {
+    }
   } );
   const auto ids =
       add_flow_tasks( graph, mod.aig, params, cache, armed, out, {}, { arm } );

@@ -887,10 +887,11 @@ TEST( cache_store_tier, budget_exhausted_esop_upgrades_on_later_budget )
   const auto swept_disk = std::make_shared<store::artifact_store>( dir.path + "/swept" );
   flow_artifact_cache swept;
   swept.attach_store( swept_disk );
-  cancellation_token cancelled;
-  cancelled.request_cancel();
-  const auto& cut =
-      swept.esop_intermediate( aig, 2, true, budget{}, deadline::with_token( cancelled ) );
+  const auto expired = deadline::in( 1e-9 );
+  while ( !expired.expired() )
+  {
+  }
+  const auto& cut = swept.esop_intermediate( aig, 2, true, budget{}, expired );
   ASSERT_TRUE( cut.budget_exhausted );
   EXPECT_FALSE(
       swept_disk->load( { aig.content_hash(), store::payload_kind::esop, "esop[r=2,exo=1]" } ) );

@@ -9,7 +9,7 @@
 /// for the protocol) until it receives {"cmd":"shutdown"} or a SIGINT /
 /// SIGTERM.  With --store, stage artifacts and full results persist
 /// across daemon restarts (and are shared with bench/CLI runs pointing at
-/// the same store root).  Synthesis runs on one shared work-stealing pool
+/// the same store root).  Synthesis runs on one shared FIFO thread pool
 /// (--threads; 0 = hardware default, honoring QSYN_THREADS); identical
 /// concurrent queries coalesce into one synthesis; requests beyond
 /// --max-inflight and connections beyond --max-connections are rejected
