@@ -60,7 +60,7 @@
 # flows suites under ThreadSanitizer (the daemon coalesces concurrent
 # requests on per-key slots over a shared pool, and the artifact cache's
 # per-key slots are locked from many threads).  Every build compiles the
-# AVX2 and AVX-512 kernels; the ASan block runs test_verify once per
+# AVX2 and AVX-512 kernels; the ASan block runs test_verify and test_aig once per
 # kernel family (QSYN_SIMD unset, avx2, portable), so the vector kernels
 # themselves run instrumented, not just the portable fallback.
 #
@@ -690,7 +690,11 @@ QSYN_SIMD=portable "$ASAN_DIR/tests/test_verify"
 # the AIG, the XMG and the SAT engine, which also indexes solver literals
 # and signature words by node id: out-of-bounds accesses waiting to happen.
 "$ASAN_DIR/tests/test_sat"
-"$ASAN_DIR/tests/test_aig"
+# simulate_outputs runs the dispatched slot kernel over 8-word lane
+# groups: run the AIG suite once per kernel family, like test_verify.
+env -u QSYN_SIMD "$ASAN_DIR/tests/test_aig"
+QSYN_SIMD=avx2 "$ASAN_DIR/tests/test_aig"
+QSYN_SIMD=portable "$ASAN_DIR/tests/test_aig"
 "$ASAN_DIR/tests/test_xmg"
 # The daemon hands cache slots across request threads and decodes cached
 # outcomes from on-disk bytes.
@@ -708,7 +712,7 @@ QSYN_SIMD=portable "$ASAN_DIR/tests/test_verify"
 "$ASAN_DIR/tests/test_reversible"
 "$ASAN_DIR/tests/test_rsynth"
 echo
-echo "test_verify (3 backends) + test_store + test_lut_xmg + test_synth + test_sat + test_aig + test_xmg +" \
+echo "test_verify (3 backends) + test_store + test_lut_xmg + test_synth + test_sat + test_aig (3 backends) + test_xmg +" \
      "test_daemon + test_robustness + test_flows + test_reversible + test_rsynth OK under" \
      "AddressSanitizer"
 

@@ -605,15 +605,27 @@ std::string flow_stage_name( flow_kind kind )
   return "unknown";
 }
 
-std::string flow_input_limit_error( unsigned num_inputs, const flow_params& params )
+std::string flow_input_limit_error( unsigned num_inputs, unsigned num_outputs,
+                                    const flow_params& params )
 {
-  const auto limit = aig_network::max_simulation_inputs;
-  if ( params.kind == flow_kind::hierarchical || num_inputs <= limit )
+  if ( params.kind == flow_kind::hierarchical )
   {
     return {};
   }
-  return "stage '" + flow_stage_name( params.kind ) + "' builds explicit output tables: " +
-         std::to_string( num_inputs ) + " inputs exceed the " + std::to_string( limit ) + "-input limit";
+  const auto limit = aig_network::max_simulation_inputs;
+  if ( num_inputs > limit )
+  {
+    return "stage '" + flow_stage_name( params.kind ) + "' builds explicit output tables: " +
+           std::to_string( num_inputs ) + " inputs exceed the " + std::to_string( limit ) +
+           "-input limit";
+  }
+  if ( params.kind == flow_kind::esop_based && num_outputs > esop::max_outputs )
+  {
+    return "stage '" + flow_stage_name( params.kind ) + "' keeps one output-mask bit per output: " +
+           std::to_string( num_outputs ) + " outputs exceed the " +
+           std::to_string( esop::max_outputs ) + "-output limit";
+  }
+  return {};
 }
 
 std::string optimize_artifact_key( unsigned rounds )
@@ -845,7 +857,7 @@ flow_result run_flow_staged( const aig_network& aig, const flow_params& params,
                              flow_artifact_cache& cache, const deadline& stop )
 {
   flow_result result;
-  if ( auto limit = flow_input_limit_error( aig.num_pis(), params ); !limit.empty() )
+  if ( auto limit = flow_input_limit_error( aig.num_pis(), aig.num_pos(), params ); !limit.empty() )
   {
     result.status = flow_status::failed;
     result.status_detail = std::move( limit );

@@ -378,15 +378,18 @@ private:
 /// flow's task chain.
 std::string flow_stage_name( flow_kind kind );
 
-/// Why a flow with `params` cannot run on a design of `num_inputs` inputs,
-/// or empty when it can.  The functional and ESOP-based flows build
-/// explicit output tables, so they accept at most
-/// `aig_network::max_simulation_inputs` inputs.  `run_flow_staged`
-/// reports a wider design as `failed` with this text before optimizing it,
-/// and the daemon rejects such a request before elaborating it.  (In a
-/// task graph the stage task throws from `simulate_outputs`, naming the
-/// same limit, and the tail is `failed` with that detail.)
-std::string flow_input_limit_error( unsigned num_inputs, const flow_params& params );
+/// Why a flow with `params` cannot run on a design of `num_inputs` inputs
+/// and `num_outputs` outputs, or empty when it can.  The functional and
+/// ESOP-based flows build explicit output tables, so they accept at most
+/// `aig_network::max_simulation_inputs` inputs; the ESOP-based flow keeps
+/// one output-mask bit per output, so it accepts at most
+/// `esop::max_outputs` outputs.  `run_flow_staged` reports a larger design
+/// as `failed` with this text before optimizing it, and the daemon rejects
+/// such a request before elaborating it.  (In a task graph the stage task
+/// throws from `simulate_outputs` or `esop_from_aig`, naming the same
+/// limit, and the tail is `failed` with that detail.)
+std::string flow_input_limit_error( unsigned num_inputs, unsigned num_outputs,
+                                    const flow_params& params );
 
 /// Task/cache key of the optimized-AIG artifact, e.g. "optimize[r=2]".
 std::string optimize_artifact_key( unsigned rounds );

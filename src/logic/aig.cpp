@@ -184,14 +184,15 @@ std::vector<truth_table> aig_network::simulate_outputs() const
                                  " inputs exceed the " + std::to_string( max_simulation_inputs ) +
                                  "-input limit of explicit simulation" );
   }
-  // The input space is swept in blocks of `width` consecutive table words
-  // over the live-slot program: one reused buffer holds the current
-  // block's words of every *live* node, so memory is num_slots * width
-  // words however wide the tables are.  Every block is simulated at full
-  // width (a fixed trip count the compiler unrolls); only the words that
-  // exist are copied out.
-  constexpr std::size_t width = 8;
+  // The input space is swept in lane groups of `width` consecutive table
+  // words over the live-slot program, on the dispatched slot kernel
+  // (aig_slots.hpp): one reused buffer holds the current group's words of
+  // every *live* node, so memory is num_slots * width words however wide
+  // the tables are.  Every group is simulated at full width; only the
+  // words that exist are copied out.
+  constexpr unsigned width = 8;
   const auto program = compile_slot_program( *this );
+  const auto backend = active_simd_backend( width );
   const auto num_words = num_blocks_for( num_pis_ );
   std::vector<std::uint64_t> values( std::size_t{ program.num_slots } * width, 0u );
   for ( unsigned i = 0; i < std::min( num_pis_, 6u ); ++i )
@@ -210,22 +211,8 @@ std::vector<truth_table> aig_network::simulate_outputs() const
         v[k] = ( ( base + k ) >> ( i - 6u ) ) & 1u ? ~std::uint64_t{ 0 } : 0u;
       }
     }
-    for ( std::size_t op = 0; op < program.ands.size(); op += 3u )
-    {
-      const auto a = program.ands[op + 1u];
-      const auto b = program.ands[op + 2u];
-      const auto* va = &values[std::size_t{ a >> 1 } * width];
-      const auto* vb = &values[std::size_t{ b >> 1 } * width];
-      const std::uint64_t m0 = std::uint64_t{ 0 } - ( a & 1u );
-      const std::uint64_t m1 = std::uint64_t{ 0 } - ( b & 1u );
-      // The out slot may be a fanin's: word k is read before it is written.
-      auto* out = &values[std::size_t{ program.ands[op] } * width];
-      for ( std::size_t k = 0; k < width; ++k )
-      {
-        out[k] = ( va[k] ^ m0 ) & ( vb[k] ^ m1 );
-      }
-    }
-    const auto count = std::min( width, num_words - base );
+    run_slot_program( program, width, backend, values.data() );
+    const auto count = std::min<std::size_t>( width, num_words - base );
     for ( std::size_t o = 0; o < pos_.size(); ++o )
     {
       const auto p = program.pos[o];

@@ -110,10 +110,11 @@ public:
   static constexpr unsigned max_simulation_inputs = 20;
 
   /// Truth-table simulation of every primary output over all num_pis()
-  /// input assignments, a block of table words at a time over the
-  /// network's live-slot program (aig_slots.hpp): memory is the output
-  /// tables plus a fixed number of words per *live* node.  Throws
-  /// std::invalid_argument above max_simulation_inputs.
+  /// input assignments, a lane group of eight table words at a time over
+  /// the network's live-slot program on the dispatched SIMD slot kernel
+  /// (aig_slots.hpp): memory is the output tables plus eight words per
+  /// *live* node.  Throws std::invalid_argument above
+  /// max_simulation_inputs.
   std::vector<truth_table> simulate_outputs() const;
 
   /// 64-way parallel pattern simulation; `pi_patterns` holds one 64-bit

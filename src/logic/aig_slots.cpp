@@ -1,5 +1,7 @@
 #include "aig_slots.hpp"
 
+#include "simd_kernels.hpp"
+
 namespace qsyn
 {
 
@@ -77,6 +79,12 @@ aig_slot_program compile_slot_program( const aig_network& aig )
   }
   program.num_slots = num_slots;
   return program;
+}
+
+void run_slot_program( const aig_slot_program& program, unsigned words, simd_backend backend,
+                       std::uint64_t* values )
+{
+  simd_detail::slot_kernels_for( backend, words ).aig( program.ands.data(), program.num_ands(), values );
 }
 
 } // namespace qsyn

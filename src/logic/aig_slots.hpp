@@ -11,7 +11,10 @@
 /// tiny fraction of the network (424 slots for NEWTON(16)'s 72 709 nodes),
 /// so both AIG simulators — `wide_aig_simulator` (verification) and
 /// `aig_network::simulate_outputs` (ESOP extraction, collapse) — size their
-/// value buffers by `num_slots` instead of `num_nodes`.
+/// value buffers by `num_slots` instead of `num_nodes`.  Both run the
+/// program through one kernel, `run_slot_program`, dispatched to the
+/// portable, AVX2 or AVX-512 backend by cpuid and the `QSYN_SIMD` cap
+/// (simd.hpp): there is no other AIG simulation loop over a slot program.
 ///
 /// Slot layout: slot 0 is the constant false, slots 1..num_pis the primary
 /// inputs in order (both fixed), the rest are shared by AND nodes.  A
@@ -28,6 +31,7 @@
 #include <vector>
 
 #include "aig.hpp"
+#include "simd.hpp"
 
 namespace qsyn
 {
@@ -50,5 +54,12 @@ struct aig_slot_program
 /// Compiles `aig` into a live-slot program (two linear passes; transient
 /// memory of three 32-bit words per node).
 aig_slot_program compile_slot_program( const aig_network& aig );
+
+/// Runs `program`'s ANDs on `backend`'s kernel over one lane group of
+/// `words` consecutive words per slot (1, 4 or 8; `backend` as
+/// `active_simd_backend( words )` returns it).  The caller fills slot 0
+/// (zero) and the PI slots and reads the POs' slots afterwards.
+void run_slot_program( const aig_slot_program& program, unsigned words, simd_backend backend,
+                       std::uint64_t* values );
 
 } // namespace qsyn

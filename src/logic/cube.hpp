@@ -114,6 +114,9 @@ struct esop_term
 /// `num_outputs` functions (both at most 64).
 struct esop
 {
+  /// Most outputs an ESOP holds: one bit of a term's `output_mask` each.
+  static constexpr unsigned max_outputs = 64;
+
   unsigned num_inputs = 0;
   unsigned num_outputs = 0;
   std::vector<esop_term> terms;

@@ -12,19 +12,17 @@
 /// Width and backend are independent axes:
 ///   * **width** (`sim_width`) is a runtime parameter — tests exercise all
 ///     widths on any machine;
-///   * **backend** (`simd_backend`) is how a width's group operations are
-///     executed: portable unrolled `uint64` lanes (always available), AVX2
+///   * **backend** (`simd_backend`, logic/simd.hpp) is how a width's group
+///     operations are executed: portable unrolled `uint64` lanes, AVX2
 ///     256-bit words, or AVX-512 512-bit words.  Every build compiles all
-///     three; the dispatcher picks one at runtime via cpuid, so one binary
-///     runs correctly on any x86-64.  The `QSYN_SIMD` environment variable
-///     (`off`/`portable`, `avx2`, `avx512`/`native`) caps that choice — the
-///     cross-backend tests (ctest's `test_verify_simd_*` runs and the
-///     verdict gate in scripts/run_bench.sh) use it to pin a backend.
+///     three; the dispatcher picks one at runtime via cpuid, capped by the
+///     `QSYN_SIMD` environment variable.
 ///
-/// Besides the per-circuit `wide_simulator` and the `wide_aig_simulator`
-/// (spec side), the header exposes `simd_and2_masked`, the dispatched
-/// two-fanin AND kernel the incremental CEC engine's exhaustive simulation
-/// pass runs on (sat/incremental.cpp).
+/// The per-circuit `wide_simulator` runs the gate-cascade kernel
+/// (wide_sim_kernels.hpp).  The spec-side `wide_aig_simulator` runs the
+/// library's one AIG slot-program kernel (`run_slot_program`,
+/// logic/aig_slots.hpp), the same dispatched kernel that computes the
+/// front end's output truth tables (`aig_network::simulate_outputs`).
 
 #pragma once
 
@@ -34,6 +32,7 @@
 
 #include "../logic/aig.hpp"
 #include "../logic/aig_slots.hpp"
+#include "../logic/simd.hpp"
 #include "circuit.hpp"
 
 namespace qsyn
@@ -65,28 +64,13 @@ constexpr unsigned lanes_of( sim_width w )
 /// pass shape for a known batch size.
 sim_width auto_sim_width( std::uint64_t assignments );
 
-/// How a lane group's word operations execute.
-enum class simd_backend
+/// The backend the dispatcher selects for `width` on this machine
+/// (`active_simd_backend( words_of( width ) )`, logic/simd.hpp).  w64
+/// always runs portable.
+inline simd_backend active_simd_backend( sim_width width )
 {
-  portable, ///< unrolled `uint64` lanes, no ISA requirements
-  avx2,     ///< 256-bit `__m256i` words (one per w256 group, two per w512)
-  avx512,   ///< 512-bit `__m512i` words (one per w512 group)
-};
-
-const char* simd_backend_name( simd_backend backend );
-
-/// The backend the dispatcher selects for `width` on this machine: the
-/// widest backend the CPU supports whose word size divides the group,
-/// capped by the `QSYN_SIMD` environment variable.  w64 always runs
-/// portable — a single 64-bit word has nothing to vectorize.
-simd_backend active_simd_backend( sim_width width );
-
-/// dst[j] = (a[j] ^ invert_a) & (b[j] ^ invert_b) for j < num_words,
-/// dispatched to the widest available backend.  The inner operation of the
-/// AIG slot-program walk; exported for the incremental CEC engine's 64-way
-/// window proofs, whose per-node pattern arrays use the same layout.
-void simd_and2_masked( std::uint64_t* dst, const std::uint64_t* a, std::uint64_t invert_a,
-                       const std::uint64_t* b, std::uint64_t invert_b, std::size_t num_words );
+  return active_simd_backend( words_of( width ) );
+}
 
 /// Reusable width-generic circuit simulator.  The dispatched kernel reads
 /// the circuit's gate arrays in place, so every `evaluate` call runs

@@ -5,7 +5,7 @@
 #include <stdexcept>
 
 #include "../common/bits.hpp"
-#include "../reversible/wide_sim.hpp"
+#include "../logic/simd.hpp"
 
 namespace qsyn::sat
 {

@@ -543,8 +543,8 @@ std::string synthesis_daemon::handle_synthesize( const std::map<std::string, std
     throw std::runtime_error( "synthesize needs a nonzero 'bitwidth' field" );
   }
   const auto params = params_from_fields( fields );
-  // INTDIV(n) and NEWTON(n) have n inputs.
-  if ( const auto limit = flow_input_limit_error( bitwidth, params ); !limit.empty() )
+  // INTDIV(n) and NEWTON(n) have n inputs and n outputs.
+  if ( const auto limit = flow_input_limit_error( bitwidth, bitwidth, params ); !limit.empty() )
   {
     throw std::runtime_error( "field 'bitwidth' is out of range: " + limit );
   }

@@ -71,6 +71,7 @@ private:
     leaves_[0] = std::min( a, b );
     leaves_[1] = std::max( a, b );
     num_leaves_ = a == b ? 1u : 2u;
+    bool grown = false;
     bool grew = true;
     while ( grew )
     {
@@ -88,10 +89,18 @@ private:
         {
           leaves_ = expanded_;
           num_leaves_ = size;
-          grew = true;
+          grew = grown = true;
           break;
         }
       }
+    }
+    // A cut that never grew is the root's two distinct non-constant
+    // fanins: the cone is the root alone (MFFC 1) over a support of 2, so
+    // the exact bound below rejects it.  Most candidates end here, before
+    // any cone evaluation.
+    if ( !grown && num_leaves_ == 2u && leaves_[0] != 0u )
+    {
+      return;
     }
     // Never keep the constant node as a leaf (it sorts first).
     const unsigned first = num_leaves_ > 0u && leaves_[0] == 0u ? 1u : 0u;
@@ -374,6 +383,22 @@ aig_network aig_refactor( const aig_network& aig )
 
 /// --- driver ---------------------------------------------------------------------
 
+namespace
+{
+
+/// True when some AND node of `aig` has no fanout (POs included).  In a
+/// network built through `create_and` alone, as refactor output is, an AND
+/// is unreachable from the POs only if such a node exists: the unreachable
+/// AND of highest id has no reader.  Without one, `cleanup` would return
+/// the network unchanged.
+bool has_dangling_and( const aig_network& aig )
+{
+  const auto fanouts = aig.fanout_counts();
+  return std::find( fanouts.begin() + aig.num_pis() + 1, fanouts.end(), 0u ) != fanouts.end();
+}
+
+} // namespace
+
 aig_network optimize( const aig_network& aig, unsigned rounds )
 {
   auto current = aig.cleanup();
@@ -381,7 +406,10 @@ aig_network optimize( const aig_network& aig, unsigned rounds )
   {
     const auto before = current.num_ands();
     current = aig_refactor( current );
-    current = current.cleanup();
+    if ( has_dangling_and( current ) )
+    {
+      current = current.cleanup();
+    }
     if ( current.num_ands() >= before )
     {
       break;

@@ -26,7 +26,9 @@ namespace qsyn
 aig_network aig_refactor( const aig_network& aig );
 
 /// The dc2-style driver: cleanup, then up to `rounds` rounds of refactor +
-/// cleanup, stopping early once a round no longer removes an AND node.
+/// cleanup, stopping early once a round no longer removes an AND node.  A
+/// round's cleanup is skipped when no AND node is dangling, where it would
+/// copy the network unchanged; the result is node-identical either way.
 aig_network optimize( const aig_network& aig, unsigned rounds = 3 );
 
 } // namespace qsyn

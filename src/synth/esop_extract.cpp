@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 namespace qsyn
@@ -203,6 +205,12 @@ std::vector<cube> esop_from_truth_table( const truth_table& tt )
 
 esop esop_from_aig( const aig_network& aig )
 {
+  if ( aig.num_pos() > esop::max_outputs )
+  {
+    throw std::invalid_argument( "esop_from_aig: " + std::to_string( aig.num_pos() ) +
+                                 " outputs exceed the " + std::to_string( esop::max_outputs ) +
+                                 "-output limit of an ESOP's output masks" );
+  }
   const auto tts = aig.simulate_outputs();
   esop result;
   result.num_inputs = aig.num_pis();

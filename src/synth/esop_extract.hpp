@@ -24,7 +24,9 @@ namespace qsyn
 std::vector<cube> esop_from_truth_table( const truth_table& tt );
 
 /// Multi-output ESOP for all outputs of an AIG.  Requires num_pis() <=
-/// aig_network::max_simulation_inputs (20); time and memory are those of
+/// aig_network::max_simulation_inputs (20) and num_pos() <=
+/// esop::max_outputs (64), and throws std::invalid_argument on a wider
+/// design; time and memory are those of
 /// the output tables (2^n bits per output) and the PSDKRO memo — NEWTON(20)
 /// takes ~2 s and INTDIV(20) ~0.4 s on a 4-vCPU Xeon.  Identical cubes
 /// across outputs are merged into shared terms.

@@ -72,9 +72,11 @@ struct chosen_cut
 using leaf_positions = std::array<std::uint8_t, max_k>;
 
 /// Sorted union of the leaves of `a` and `b` into `out`; false when it has
-/// more than `k` leaves.
-bool merge_leaves( const cut& a, const cut& b, unsigned k, cut& out, leaf_positions& pos_a,
-                   leaf_positions& pos_b )
+/// more than `k` leaves.  Forced inline: with the two copies of
+/// `enumerate_cuts` it has two call sites, and GCC then stops inlining it
+/// as it did into the single one.
+[[gnu::always_inline]] inline bool merge_leaves( const cut& a, const cut& b, unsigned k, cut& out,
+                                                 leaf_positions& pos_a, leaf_positions& pos_b )
 {
   unsigned i = 0;
   unsigned j = 0;
@@ -188,19 +190,12 @@ private:
   std::vector<std::uint32_t> free_;
 };
 
-} // namespace
-
-lut_network lut_map( const aig_network& aig, const lut_map_params& params )
+/// The enumeration phase of `lut_map`: every AND node's best cut, ranked
+/// by area flow, then by leaf count.  Inlined into both copies that
+/// `lut_map` chooses between.
+[[gnu::always_inline]] inline std::vector<chosen_cut> enumerate_cuts( const aig_network& aig,
+                                                                     unsigned k )
 {
-  const auto k = params.cut_size;
-  if ( k < 2u || k > lut_map_params::max_cut_size )
-  {
-    // Every merged cut of an AND node has >= 2 leaves; k < 2 would leave
-    // nodes without any candidate cut (and crash the cover extraction).
-    // A cut function is one 64-bit word, so k <= 6.
-    throw std::invalid_argument( "lut_map: cut_size must be in [2, " +
-                                 std::to_string( lut_map_params::max_cut_size ) + "]" );
-  }
   const auto fanouts = aig.fanout_counts();
 
   // Per node: its list of candidate cuts (best first, trivial cut last),
@@ -244,7 +239,8 @@ lut_network lut_map( const aig_network& aig, const lut_map_params& params )
     {
       for ( const auto& c1 : cuts1 )
       {
-        // More than k signature bits means more than k leaves.
+        // More than k signature bits means more than k leaves (one POPCNT
+        // instruction in `enumerate_cuts_popcnt`).
         if ( static_cast<unsigned>( std::popcount( c0.signature | c1.signature ) ) > k )
         {
           continue;
@@ -298,6 +294,38 @@ lut_network lut_map( const aig_network& aig, const lut_map_params& params )
       }
     }
   }
+  return best_cuts;
+}
+
+/// `enumerate_cuts` with the signature filter's popcount as one POPCNT
+/// instruction.  The filter runs millions of times per map (5.3 M on
+/// NEWTON(16)), and for the library's baseline x86-64 target
+/// `std::popcount` is a libgcc call.  The two copies differ only in how
+/// they count bits, so the chosen cuts are the same.  `lut_map` picks one
+/// with a plain cpuid branch rather than GCC's `target_clones`: its ifunc
+/// resolver runs while the program is loaded, before ThreadSanitizer is
+/// initialized, and a TSan build then crashes at start-up.
+[[gnu::target( "popcnt" )]] std::vector<chosen_cut> enumerate_cuts_popcnt( const aig_network& aig,
+                                                                           unsigned k )
+{
+  return enumerate_cuts( aig, k );
+}
+
+} // namespace
+
+lut_network lut_map( const aig_network& aig, const lut_map_params& params )
+{
+  const auto k = params.cut_size;
+  if ( k < 2u || k > lut_map_params::max_cut_size )
+  {
+    // Every merged cut of an AND node has >= 2 leaves; k < 2 would leave
+    // nodes without any candidate cut (and crash the cover extraction).
+    // A cut function is one 64-bit word, so k <= 6.
+    throw std::invalid_argument( "lut_map: cut_size must be in [2, " +
+                                 std::to_string( lut_map_params::max_cut_size ) + "]" );
+  }
+  static const bool popcnt = __builtin_cpu_supports( "popcnt" ) != 0;
+  const auto best_cuts = popcnt ? enumerate_cuts_popcnt( aig, k ) : enumerate_cuts( aig, k );
 
   // Cover extraction from the POs using each required node's best cut: an
   // iterative post-order walk (deep AIGs would overflow a recursive one)

@@ -141,9 +141,12 @@ static aig_network random_aig( unsigned num_pis, unsigned ands, std::uint64_t se
 
 TEST( aig, simulate_outputs_matches_pattern_simulation_word_by_word )
 {
-  // n = 0 and n < 6 mask the single word; n = 7 is a block shorter than
-  // the simulator's block of words; 9 and 13 sweep several blocks.
-  for ( const unsigned n : { 0u, 1u, 5u, 6u, 7u, 9u, 13u } )
+  // simulate_outputs runs the dispatched slot kernel over lane groups of
+  // eight table words; ctest repeats this suite with the backend capped at
+  // AVX2 and at the portable kernels.  n = 0 and n < 6 mask the single
+  // (replicated) word; n = 6 and 7 fill one or two words of a group; n = 8
+  // is exactly one group; 9 and 13 sweep several groups.
+  for ( const unsigned n : { 0u, 1u, 5u, 6u, 7u, 8u, 9u, 13u } )
   {
     for ( std::uint64_t seed = 1; seed <= 3; ++seed )
     {

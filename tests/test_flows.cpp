@@ -557,6 +557,36 @@ TEST( flows, explicit_table_flows_fail_at_entry_over_the_input_limit )
   EXPECT_TRUE( result.verified );
 }
 
+TEST( flows, esop_flow_fails_at_entry_over_the_output_limit )
+{
+  // 70 outputs over 2 inputs: an ESOP term's output mask has 64 bits.
+  const std::string verilog = "module wide_out(a, y);\n"
+                              "  input [1:0] a;\n"
+                              "  output [69:0] y;\n"
+                              "  assign y = {35{a}};\n"
+                              "endmodule\n";
+  const auto mod = verilog::elaborate_verilog( verilog );
+  ASSERT_EQ( mod.aig.num_pos(), 70u );
+  flow_params params;
+  params.kind = flow_kind::esop_based;
+  const auto direct = run_flow_on_verilog( verilog, params );
+  EXPECT_EQ( direct.status, flow_status::failed );
+  EXPECT_NE( direct.status_detail.find( "70 outputs exceed the 64-output limit" ), std::string::npos )
+      << direct.status_detail;
+  // A sweep's stage task hits the same limit.
+  const auto swept = explore( mod.aig, { params } );
+  ASSERT_EQ( swept.size(), 1u );
+  EXPECT_EQ( swept[0].result.status, flow_status::failed );
+  EXPECT_NE( swept[0].result.status_detail.find( "70 outputs exceed the 64-output limit" ),
+             std::string::npos )
+      << swept[0].result.status_detail;
+  // The hierarchical flow keeps no output masks.
+  params.kind = flow_kind::hierarchical;
+  const auto result = run_flow_on_verilog( verilog, params );
+  EXPECT_EQ( result.status, flow_status::ok ) << result.status_detail;
+  EXPECT_TRUE( result.verified );
+}
+
 TEST( flows, hierarchical_flow_takes_designs_wider_than_table_iv )
 {
   // The hierarchical flow builds no explicit table, so user designs wider

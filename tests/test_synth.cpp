@@ -184,6 +184,37 @@ TEST( esop_extract, from_aig_multi_output )
   }
 }
 
+TEST( esop_extract, from_aig_rejects_more_outputs_than_mask_bits )
+{
+  // A term's output mask has one bit per output: 64 outputs fit, 65 do not.
+  for ( const unsigned num_pos : { 64u, 65u, 70u } )
+  {
+    aig_network aig( 2 );
+    for ( unsigned o = 0; o < num_pos; ++o )
+    {
+      aig.add_po( aig.pi( o % 2u ) );
+    }
+    if ( num_pos <= esop::max_outputs )
+    {
+      const auto e = esop_from_aig( aig );
+      ASSERT_EQ( e.num_outputs, num_pos );
+      EXPECT_EQ( e.output_truth_table( num_pos - 1u ), aig.simulate_outputs().back() );
+      continue;
+    }
+    try
+    {
+      esop_from_aig( aig );
+      ADD_FAILURE() << num_pos << " outputs were accepted";
+    }
+    catch ( const std::invalid_argument& e )
+    {
+      EXPECT_NE( std::string( e.what() ).find( std::to_string( num_pos ) + " outputs exceed the 64-output limit" ),
+                 std::string::npos )
+          << e.what();
+    }
+  }
+}
+
 TEST( esop_extract, front_half_is_pinned )
 {
   // INTDIV/NEWTON(3..16): the optimized AIG's output tables, its ESOP cube
@@ -386,6 +417,75 @@ TEST( aig_optimize, newton10_result_is_pinned )
   const auto mod = verilog::elaborate_verilog( verilog::generate_newton( 10 ) );
   const auto hash = optimize( mod.aig, 2 ).content_hash();
   EXPECT_EQ( hash, 0x1fc555bf82b6d7d7ull ) << "0x" << std::hex << hash;
+}
+
+TEST( aig_optimize, optimize_matches_the_explicit_refactor_and_cleanup_loop )
+{
+  // `optimize` skips a round's cleanup when no AND is dangling; the result
+  // must be node-identical to cleaning up after every round.  NEWTON(16)'s
+  // first round leaves one dangling AND (72 911 -> 72 910), so that
+  // cleanup must still run.
+  unsigned dangling_rounds = 0;
+  for ( const auto design : { reciprocal_design::intdiv, reciprocal_design::newton } )
+  {
+    for ( unsigned n = 5; n <= 16u; ++n )
+    {
+      const auto mod = verilog::elaborate_verilog( reciprocal_verilog( design, n ) );
+      constexpr unsigned rounds = 3;
+      auto expected = mod.aig.cleanup();
+      for ( unsigned r = 0; r < rounds; ++r )
+      {
+        const auto before = expected.num_ands();
+        const auto refactored = aig_refactor( expected );
+        expected = refactored.cleanup();
+        dangling_rounds += expected.num_ands() < refactored.num_ands() ? 1u : 0u;
+        if ( expected.num_ands() >= before )
+        {
+          break;
+        }
+      }
+      const auto optimized = optimize( mod.aig, rounds );
+      const auto context = std::string( design == reciprocal_design::intdiv ? "INTDIV(" : "NEWTON(" ) +
+                           std::to_string( n ) + ")";
+      EXPECT_EQ( optimized.num_ands(), expected.num_ands() ) << context;
+      EXPECT_EQ( optimized.content_hash(), expected.content_hash() ) << context;
+    }
+  }
+  EXPECT_GE( dangling_rounds, 1u );
+}
+
+TEST( aig_optimize, refactor_output_is_pinned_where_cuts_cannot_grow )
+{
+  // r, s and t have cuts that never grow past their two fanins (a and b
+  // fan out twice; t reads two PIs), so refactoring leaves them alone
+  // without evaluating their cones.  w = x0 & x4 | x0 & !x4 grows to the
+  // cut {x0, x4} and collapses to x0.  Recorded before the un-grown cuts
+  // returned early.
+  aig_network aig( 6 );
+  const auto x = [&]( unsigned i ) { return aig.pi( i ); };
+  const auto a = aig.create_and( x( 0 ), x( 1 ) );
+  const auto b = aig.create_and( x( 2 ), x( 3 ) );
+  const auto r = aig.create_and( a, b );
+  const auto s = aig.create_and( a, lit_not( b ) );
+  const auto t = aig.create_and( x( 4 ), lit_not( x( 5 ) ) );
+  const auto w = aig.create_or( aig.create_and( x( 0 ), x( 4 ) ),
+                                aig.create_and( x( 0 ), lit_not( x( 4 ) ) ) );
+  for ( const auto po : { r, s, t, w, a, lit_not( b ) } )
+  {
+    aig.add_po( po );
+  }
+  const auto out = aig_refactor( aig );
+  const std::vector<std::pair<aig_lit, aig_lit>> expected_ands = {
+      { 6, 8 }, { 2, 4 }, { 14, 16 }, { 15, 16 }, { 10, 13 } };
+  ASSERT_EQ( out.num_pis(), 6u );
+  ASSERT_EQ( out.num_ands(), expected_ands.size() );
+  for ( std::size_t i = 0; i < expected_ands.size(); ++i )
+  {
+    const auto node = static_cast<std::uint32_t>( out.num_pis() + 1u + i );
+    EXPECT_EQ( out.fanin0( node ), expected_ands[i].first ) << "AND " << i;
+    EXPECT_EQ( out.fanin1( node ), expected_ands[i].second ) << "AND " << i;
+  }
+  EXPECT_EQ( out.pos(), ( std::vector<aig_lit>{ 18, 20, 22, 2, 16, 15 } ) );
 }
 
 TEST( aig_optimize, newton_design_roundtrip )
