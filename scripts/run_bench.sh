@@ -57,9 +57,10 @@
 # and flows suites
 # drive the SAT tier's dispatch and degradation ladder — the same plus
 # the robustness + scheduler suites under UndefinedBehaviorSanitizer, and the robustness + scheduler + daemon +
-# flows suites under ThreadSanitizer (the daemon coalesces concurrent
-# requests on per-key slots over a shared pool, and the artifact cache's
-# per-key slots are locked from many threads).  Every build compiles the
+# flows + store + synth + AIG suites under ThreadSanitizer (the daemon
+# coalesces concurrent requests on per-key slots over a shared pool, the
+# artifact cache's per-key slots are locked from many threads, and refactor
+# planning and output simulation run on parallel_chunks threads).  Every build compiles the
 # AVX2 and AVX-512 kernels; the ASan block runs test_verify and test_aig once per
 # kernel family (QSYN_SIMD unset, avx2, portable), so the vector kernels
 # themselves run instrumented, not just the portable fallback.
@@ -759,7 +760,7 @@ echo "test_robustness + test_scheduler + test_store + test_verify + test_lut_xmg
 TSAN_DIR="$REPO_ROOT/build-tsan-robustness"
 cmake -B "$TSAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$(nproc)" --target test_robustness test_scheduler test_daemon \
-  test_flows test_store
+  test_flows test_store test_synth test_aig
 "$TSAN_DIR/tests/test_robustness"
 # The scheduler suite under TSan runs at the pool widths the ctest fixtures
 # pin: queue races only exist with >= 2 workers.
@@ -776,6 +777,11 @@ QSYN_THREADS=2 "$TSAN_DIR/tests/test_scheduler"
 # The store tier of the same slots: loads, saves and budget upgrades,
 # including store-backed sweeps on several threads.
 "$TSAN_DIR/tests/test_store"
+# Refactor planning and the lane groups of simulate_outputs run on
+# parallel_chunks threads that share the source network and write disjoint
+# chunk results and table words.
+"$TSAN_DIR/tests/test_synth"
+"$TSAN_DIR/tests/test_aig"
 echo
-echo "test_robustness + test_scheduler + test_daemon + test_flows + test_store OK under" \
-     "ThreadSanitizer"
+echo "test_robustness + test_scheduler + test_daemon + test_flows + test_store + test_synth +" \
+     "test_aig OK under ThreadSanitizer"

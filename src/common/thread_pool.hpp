@@ -18,6 +18,11 @@
 /// A job that throws is a bug: on a worker it terminates the process,
 /// inline it propagates to the `submit` caller.  The destructor lets the
 /// workers drain the queue, then joins them.
+///
+/// A thread running a job (a worker, or the submitting thread of an inline
+/// pool while the job runs) is marked, `in_job()`: `parallel_chunks`
+/// (parallel_chunks.hpp) runs inline there, so a stage inside a pool job
+/// never starts threads of its own on top of the pool's.
 
 #pragma once
 
@@ -71,6 +76,7 @@ public:
   {
     if ( workers_.empty() )
     {
+      job_scope scope;
       job();
       return;
     }
@@ -117,9 +123,27 @@ public:
     return hw == 0u ? 1u : hw;
   }
 
+  /// True while the calling thread runs a pool job or a `job_scope`.
+  static bool in_job() { return in_job_; }
+
+  /// Marks the calling thread as running a job for the scope's lifetime
+  /// (nests: the destructor restores the previous mark).
+  class job_scope
+  {
+  public:
+    job_scope() : outer_( in_job_ ) { in_job_ = true; }
+    ~job_scope() { in_job_ = outer_; }
+    job_scope( const job_scope& ) = delete;
+    job_scope& operator=( const job_scope& ) = delete;
+
+  private:
+    bool outer_;
+  };
+
 private:
   void worker_loop()
   {
+    job_scope scope;
     for ( ;; )
     {
       std::function<void()> job;
@@ -136,6 +160,8 @@ private:
       job();
     }
   }
+
+  static inline thread_local bool in_job_ = false;
 
   std::mutex mutex_;
   std::deque<std::function<void()>> jobs_; ///< guarded by mutex_

@@ -619,6 +619,12 @@ std::string flow_input_limit_error( unsigned num_inputs, unsigned num_outputs,
            std::to_string( num_inputs ) + " inputs exceed the " + std::to_string( limit ) +
            "-input limit";
   }
+  if ( params.kind == flow_kind::functional && num_outputs > max_embedding_lines )
+  {
+    return "stage '" + flow_stage_name( params.kind ) + "' embeds one line per output: " +
+           std::to_string( num_outputs ) + " outputs exceed the " +
+           std::to_string( max_embedding_lines ) + "-line limit";
+  }
   if ( params.kind == flow_kind::esop_based && num_outputs > esop::max_outputs )
   {
     return "stage '" + flow_stage_name( params.kind ) + "' keeps one output-mask bit per output: " +
@@ -871,9 +877,21 @@ flow_result run_flow_staged( const aig_network& aig, const flow_params& params,
   {
   case flow_kind::functional:
   {
-    const auto& art = cache.functional_intermediate( aig, params.optimization_rounds );
-    result = functional_tail( art, params, stop );
-    verify_outputs = &art.outputs;
+    const flow_artifact_cache::functional_artifact* art = nullptr;
+    try
+    {
+      art = &cache.functional_intermediate( aig, params.optimization_rounds );
+    }
+    catch ( const embedding_line_limit_error& e )
+    {
+      // Data-dependent: the garbage lines grow with the largest collision
+      // set, which only the collapsed tables tell.
+      result.status = flow_status::failed;
+      result.status_detail = e.what();
+      return result;
+    }
+    result = functional_tail( *art, params, stop );
+    verify_outputs = &art->outputs;
     break;
   }
   case flow_kind::esop_based:

@@ -383,11 +383,16 @@ std::string flow_stage_name( flow_kind kind );
 /// ESOP-based flows build explicit output tables, so they accept at most
 /// `aig_network::max_simulation_inputs` inputs; the ESOP-based flow keeps
 /// one output-mask bit per output, so it accepts at most
-/// `esop::max_outputs` outputs.  `run_flow_staged` reports a larger design
-/// as `failed` with this text before optimizing it, and the daemon rejects
-/// such a request before elaborating it.  (In a task graph the stage task
-/// throws from `simulate_outputs` or `esop_from_aig`, naming the same
-/// limit, and the tail is `failed` with that detail.)
+/// `esop::max_outputs` outputs; the functional flow embeds into at least
+/// one line per output, so it accepts at most `max_embedding_lines`
+/// outputs.  `run_flow_staged` reports a larger design as `failed` with
+/// this text before optimizing it, and the daemon rejects such a request
+/// before elaborating it.  (In a task graph the stage task throws from
+/// `simulate_outputs`, `esop_from_aig` or `embed_optimum`, naming the same
+/// limit, and the tail is `failed` with that detail.)  The functional
+/// flow's garbage lines, ceil(log2 mu), are known only once the tables are
+/// collapsed: an embedding over the line limit is `failed` there, with
+/// `embed_optimum`'s text naming the limit.
 std::string flow_input_limit_error( unsigned num_inputs, unsigned num_outputs,
                                     const flow_params& params );
 

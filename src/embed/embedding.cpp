@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "../common/bits.hpp"
@@ -54,9 +55,13 @@ embedding embed_optimum( const std::vector<truth_table>& outputs )
   const auto mu = max_collisions_explicit( outputs );
   const auto g = ceil_log2( mu );
   const auto r = std::max( n, m + g );
-  if ( r > 28u )
+  if ( r > max_embedding_lines )
   {
-    throw std::invalid_argument( "embed_optimum: too many lines for explicit permutation" );
+    throw embedding_line_limit_error(
+        "embed_optimum: " + std::to_string( m ) + " outputs and " + std::to_string( g ) +
+        " garbage lines (max collisions " + std::to_string( mu ) + ") over " + std::to_string( n ) +
+        " inputs need " + std::to_string( r ) + " lines, more than the " +
+        std::to_string( max_embedding_lines ) + "-line limit of an explicit permutation" );
   }
 
   embedding result;

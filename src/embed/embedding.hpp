@@ -18,12 +18,24 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "../logic/truth_table.hpp"
 
 namespace qsyn
 {
+
+/// Most lines `embed_optimum` builds: its explicit permutation holds 2^r
+/// eight-byte states, 2 GiB at r = 28.
+constexpr unsigned max_embedding_lines = 28;
+
+/// Thrown by `embed_optimum` when the embedding needs more than
+/// `max_embedding_lines` lines.
+struct embedding_line_limit_error : std::invalid_argument
+{
+  using std::invalid_argument::invalid_argument;
+};
 
 /// Result of embedding an irreversible specification.
 struct embedding
@@ -42,7 +54,9 @@ struct embedding
 /// Largest collision-set size via explicit enumeration (n <= ~24).
 std::uint64_t max_collisions_explicit( const std::vector<truth_table>& outputs );
 
-/// Builds a line-optimum embedding of the given multi-output function.
+/// Builds a line-optimum embedding of the given multi-output function:
+/// r = max(n, m + ceil(log2 mu)) lines.  Throws
+/// embedding_line_limit_error when r exceeds max_embedding_lines.
 embedding embed_optimum( const std::vector<truth_table>& outputs );
 
 } // namespace qsyn

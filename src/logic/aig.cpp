@@ -2,6 +2,7 @@
 
 #include "../common/balanced_reduce.hpp"
 #include "../common/content_hash.hpp"
+#include "../common/parallel_chunks.hpp"
 #include "aig_slots.hpp"
 
 #include <algorithm>
@@ -186,45 +187,61 @@ std::vector<truth_table> aig_network::simulate_outputs() const
   }
   // The input space is swept in lane groups of `width` consecutive table
   // words over the live-slot program, on the dispatched slot kernel
-  // (aig_slots.hpp): one reused buffer holds the current group's words of
-  // every *live* node, so memory is num_slots * width words however wide
-  // the tables are.  Every group is simulated at full width; only the
-  // words that exist are copied out.
+  // (aig_slots.hpp): a thread's one reused buffer holds the current group's
+  // words of every *live* node, so memory is num_slots * width words per
+  // thread however wide the tables are.  Every group is simulated at full
+  // width; only the words that exist are copied out.  Groups are
+  // independent, so chunks of them run in parallel (parallel_chunks.hpp)
+  // and each writes its own words of the result tables.
   constexpr unsigned width = 8;
   const auto program = compile_slot_program( *this );
   const auto backend = active_simd_backend( width );
   const auto num_words = num_blocks_for( num_pis_ );
-  std::vector<std::uint64_t> values( std::size_t{ program.num_slots } * width, 0u );
-  for ( unsigned i = 0; i < std::min( num_pis_, 6u ); ++i )
-  {
-    std::fill_n( &values[( i + 1u ) * width], width, projections[i] );
-  }
+  const auto num_groups = ( num_words + width - 1u ) / width;
+  // Lane groups per chunk: about 2^20 word-ANDs, so a chunk outweighs the
+  // start of a thread.
+  const auto groups_per_chunk =
+      std::max<std::size_t>( 1u, ( std::size_t{ 1 } << 20 ) / ( program.num_ands() * width + 1u ) );
+  const parallel_chunks chunks( ( num_groups + groups_per_chunk - 1u ) / groups_per_chunk );
+  std::vector<std::vector<std::uint64_t>> buffers( chunks.width() );
   std::vector<truth_table> result( pos_.size(), truth_table( num_pis_ ) );
-  for ( std::size_t base = 0; base < num_words; base += width )
-  {
-    // Word w of the table has x_i = bit (i - 6) of w for every i >= 6.
-    for ( unsigned i = 6; i < num_pis_; ++i )
+  chunks.run( [&]( std::size_t chunk, unsigned slot ) {
+    auto& values = buffers[slot];
+    if ( values.empty() )
     {
-      auto* v = &values[( i + 1u ) * width];
-      for ( std::size_t k = 0; k < width; ++k )
+      values.assign( std::size_t{ program.num_slots } * width, 0u );
+      for ( unsigned i = 0; i < std::min( num_pis_, 6u ); ++i )
       {
-        v[k] = ( ( base + k ) >> ( i - 6u ) ) & 1u ? ~std::uint64_t{ 0 } : 0u;
+        std::fill_n( &values[( i + 1u ) * width], width, projections[i] );
       }
     }
-    run_slot_program( program, width, backend, values.data() );
-    const auto count = std::min<std::size_t>( width, num_words - base );
-    for ( std::size_t o = 0; o < pos_.size(); ++o )
+    const auto end = std::min( num_groups, ( chunk + 1u ) * groups_per_chunk ) * width;
+    for ( std::size_t base = chunk * groups_per_chunk * width; base < end; base += width )
     {
-      const auto p = program.pos[o];
-      const auto* v = &values[std::size_t{ p >> 1 } * width];
-      const std::uint64_t m = std::uint64_t{ 0 } - ( p & 1u );
-      auto& blocks = result[o].blocks();
-      for ( std::size_t k = 0; k < count; ++k )
+      // Word w of the table has x_i = bit (i - 6) of w for every i >= 6.
+      for ( unsigned i = 6; i < num_pis_; ++i )
       {
-        blocks[base + k] = ( v[k] ^ m ) & block_mask( num_pis_ );
+        auto* v = &values[( i + 1u ) * width];
+        for ( std::size_t k = 0; k < width; ++k )
+        {
+          v[k] = ( ( base + k ) >> ( i - 6u ) ) & 1u ? ~std::uint64_t{ 0 } : 0u;
+        }
+      }
+      run_slot_program( program, width, backend, values.data() );
+      const auto count = std::min<std::size_t>( width, num_words - base );
+      for ( std::size_t o = 0; o < pos_.size(); ++o )
+      {
+        const auto p = program.pos[o];
+        const auto* v = &values[std::size_t{ p >> 1 } * width];
+        const std::uint64_t m = std::uint64_t{ 0 } - ( p & 1u );
+        auto& blocks = result[o].blocks();
+        for ( std::size_t k = 0; k < count; ++k )
+        {
+          blocks[base + k] = ( v[k] ^ m ) & block_mask( num_pis_ );
+        }
       }
     }
-  }
+  } );
   return result;
 }
 

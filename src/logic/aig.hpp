@@ -113,7 +113,10 @@ public:
   /// input assignments, a lane group of eight table words at a time over
   /// the network's live-slot program on the dispatched SIMD slot kernel
   /// (aig_slots.hpp): memory is the output tables plus eight words per
-  /// *live* node.  Throws std::invalid_argument above
+  /// *live* node and thread.  Chunks of lane groups run on parallel_chunks
+  /// threads (inline inside a pool job; `QSYN_THREADS` bounds the width),
+  /// each writing its own table words, so the tables are the same at any
+  /// thread count.  Throws std::invalid_argument above
   /// max_simulation_inputs.
   std::vector<truth_table> simulate_outputs() const;
 

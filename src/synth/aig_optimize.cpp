@@ -5,6 +5,7 @@
 #include <optional>
 #include <span>
 
+#include "../common/parallel_chunks.hpp"
 #include "isop.hpp"
 
 namespace qsyn
@@ -16,53 +17,215 @@ namespace
 {
 
 constexpr aig_lit unmapped = 0xffffffffu;
+constexpr std::uint32_t none = 0xffffffffu;
 
 /// Cone inputs of one refactoring candidate: the width of the fixed cone
 /// tables.
 constexpr unsigned max_leaves = small_truth_table::max_vars;
 
-class refactorer
+/// Nodes of the source AIG planned per chunk of the parallel planning loop.
+constexpr std::uint32_t plan_chunk_nodes = 4096;
+
+/// A planned resynthesis of the cone rooted at `root`.
+struct plan
+{
+  std::uint32_t root = 0;
+  std::vector<std::uint32_t> leaves; ///< leaf nodes (inputs of the cone)
+  std::vector<cube> sop;             ///< resynthesized cover
+  bool complemented = false;         ///< SOP covers the complement
+};
+
+/// Node -> slot map of one cone: open addressing over a power-of-two table
+/// that doubles as the cone grows, with per-entry epoch stamps so `clear`
+/// is O(1).  Its size follows the largest cone, not the network.
+class cone_map
 {
 public:
-  explicit refactorer( const aig_network& aig )
-      : aig_( aig ), fanouts_( aig.fanout_counts() ), dest_( aig.num_pis() ),
-        map_( aig.num_nodes(), unmapped ), plan_of_( aig.num_nodes(), none ),
-        stamp_( aig.num_nodes(), 0u ), slot_( aig.num_nodes(), 0u )
+  cone_map() : entries_( 32u ) {}
+
+  void clear()
   {
-    dest_.reserve( aig.num_ands() );
-    map_[0] = aig_network::const0;
-    for ( unsigned i = 0; i < aig_.num_pis(); ++i )
+    size_ = 0;
+    if ( ++epoch_ == 0u )
     {
-      map_[i + 1u] = dest_.pi( i );
-    }
-    for ( std::uint32_t n = aig_.num_pis() + 1u; n < aig_.num_nodes(); ++n )
-    {
-      try_plan( n );
+      // Stamps wrapped: forget every entry explicitly once.
+      for ( auto& e : entries_ )
+      {
+        e.stamp = 0u;
+      }
+      epoch_ = 1u;
     }
   }
 
-  aig_network run()
+  /// The slot of `node`, or nullptr when it is not in the map.
+  std::uint32_t* find( std::uint32_t node )
   {
-    for ( const auto po : aig_.pos() )
+    for ( auto i = home( node );; i = ( i + 1u ) & mask() )
     {
-      dest_.add_po( map_lit( po ) );
+      auto& e = entries_[i];
+      if ( e.stamp != epoch_ )
+      {
+        return nullptr;
+      }
+      if ( e.node == node )
+      {
+        return &e.slot;
+      }
     }
-    return std::move( dest_ );
+  }
+
+  /// Adds `node` with `slot`; false (and no change) when it is present.
+  bool insert( std::uint32_t node, std::uint32_t slot )
+  {
+    if ( 2u * ( size_ + 1u ) > entries_.size() )
+    {
+      grow();
+    }
+    for ( auto i = home( node );; i = ( i + 1u ) & mask() )
+    {
+      auto& e = entries_[i];
+      if ( e.stamp != epoch_ )
+      {
+        e = { node, slot, epoch_ };
+        ++size_;
+        return true;
+      }
+      if ( e.node == node )
+      {
+        return false;
+      }
+    }
   }
 
 private:
-  static constexpr std::uint32_t none = 0xffffffffu;
-
-  struct plan
+  struct entry
   {
-    std::vector<std::uint32_t> leaves; ///< leaf nodes (inputs of the cone)
-    std::vector<cube> sop;             ///< resynthesized cover
-    bool complemented = false;         ///< SOP covers the complement
+    std::uint32_t node = 0;
+    std::uint32_t slot = 0;
+    std::uint32_t stamp = 0; ///< == epoch_ while the entry is live
   };
 
+  std::size_t mask() const { return entries_.size() - 1u; }
+  std::size_t home( std::uint32_t node ) const
+  {
+    return ( std::size_t{ node } * 0x9e3779b97f4a7c15ull >> 32 ) & mask();
+  }
+
+  void grow()
+  {
+    auto old = std::move( entries_ );
+    entries_.assign( 2u * old.size(), entry{} );
+    const auto epoch = epoch_;
+    epoch_ = 1u;
+    size_ = 0;
+    for ( const auto& e : old )
+    {
+      if ( e.stamp == epoch )
+      {
+        insert( e.node, e.slot );
+      }
+    }
+  }
+
+  std::vector<entry> entries_;
+  std::size_t size_ = 0;
+  std::uint32_t epoch_ = 1;
+};
+
+/// The chosen ISOP cover of a cone function: the cover of the function or
+/// of its complement, whichever `estimate_cost` rates cheaper.
+struct cover_choice
+{
+  small_truth_table function;
+  unsigned num_leaves = 0; ///< 0 = empty slot
+  bool complemented = false;
+  std::size_t cost = 0;
+  std::vector<cube> cover;
+};
+
+/// Recently chosen covers, direct-mapped on (cone table, leaf count): a
+/// few distinct functions make up most cones of an arithmetic design, and
+/// ISOP is a pure function of the table, so a hit returns exactly what a
+/// recomputation would.  The table has a fixed number of slots, so the
+/// memo does not grow with the network.
+class isop_memo
+{
+public:
+  isop_memo() : slots_( num_slots ) {}
+
+  const cover_choice& choose( const small_truth_table& tt, unsigned num_leaves )
+  {
+    auto& slot = slots_[index( tt, num_leaves )];
+    if ( slot.num_leaves == num_leaves && slot.function == tt )
+    {
+      return slot;
+    }
+    isop( tt, sop_ );
+    isop( ~tt, sop_compl_ );
+    const auto cost = estimate_cost( sop_ );
+    const auto cost_compl = estimate_cost( sop_compl_ );
+    slot.function = tt;
+    slot.num_leaves = num_leaves;
+    slot.complemented = cost_compl < cost;
+    slot.cost = slot.complemented ? cost_compl : cost;
+    slot.cover = slot.complemented ? sop_compl_ : sop_;
+    return slot;
+  }
+
+private:
+  static constexpr unsigned slot_bits = 10;
+  static constexpr std::size_t num_slots = std::size_t{ 1 } << slot_bits;
+
+  static std::size_t index( const small_truth_table& tt, unsigned num_leaves )
+  {
+    std::uint64_t h = num_leaves;
+    for ( const auto w : tt.words )
+    {
+      h = ( h ^ w ) * 0x9e3779b97f4a7c15ull;
+    }
+    return static_cast<std::size_t>( h >> ( 64u - slot_bits ) );
+  }
+
+  static std::size_t estimate_cost( const std::vector<cube>& sop )
+  {
+    std::size_t cost = sop.empty() ? 0u : sop.size() - 1u; // OR tree
+    for ( const auto& c : sop )
+    {
+      const auto lits = static_cast<std::size_t>( c.num_literals() );
+      cost += lits > 0u ? lits - 1u : 0u;
+    }
+    return cost;
+  }
+
+  std::vector<cover_choice> slots_;
+  std::vector<cube> sop_;
+  std::vector<cube> sop_compl_;
+};
+
+/// Plans the refactoring of a range of roots.  It reads only the immutable
+/// source network and its fanout counts, so one planner per thread can
+/// plan disjoint node ranges at once; its scratch is O(cone).
+class refactor_planner
+{
+public:
+  refactor_planner( const aig_network& aig, const std::vector<std::uint32_t>& fanouts )
+      : aig_( aig ), fanouts_( fanouts )
+  {
+  }
+
+  /// Appends the plans of roots [begin, end), in ascending root order.
+  void plan_range( std::uint32_t begin, std::uint32_t end, std::vector<plan>& out )
+  {
+    for ( auto n = begin; n < end; ++n )
+    {
+      try_plan( n, out );
+    }
+  }
+
+private:
   /// Grows a reconvergence-driven cut around `root` and records a plan when
   /// an ISOP resynthesis is smaller than the cone's exclusive logic (MFFC).
-  void try_plan( std::uint32_t root )
+  void try_plan( std::uint32_t root, std::vector<plan>& out )
   {
     // Grow the cut: start from the fanins, expand internal nodes that do
     // not increase the leaf count beyond the bound.
@@ -130,16 +293,12 @@ private:
     {
       return;
     }
-    isop( *tt, sop_ );
-    isop( ~*tt, sop_compl_ );
-    const bool use_compl = estimate_cost( sop_compl_ ) < estimate_cost( sop_ );
-    const auto& chosen = use_compl ? sop_compl_ : sop_;
-    if ( estimate_cost( chosen ) >= old_cost )
+    const auto& choice = memo_.choose( *tt, static_cast<unsigned>( leaves.size() ) );
+    if ( choice.cost >= old_cost )
     {
       return;
     }
-    plan_of_[root] = static_cast<std::uint32_t>( plans_.size() );
-    plans_.push_back( plan{ { leaves.begin(), leaves.end() }, chosen, use_compl } );
+    out.push_back( plan{ root, { leaves.begin(), leaves.end() }, choice.cover, choice.complemented } );
   }
 
   /// Writes the sorted cut `leaves_` with leaf `i` replaced by its fanins
@@ -185,26 +344,16 @@ private:
     return n;
   }
 
-  static std::size_t estimate_cost( const std::vector<cube>& sop )
-  {
-    std::size_t cost = sop.empty() ? 0u : sop.size() - 1u; // OR tree
-    for ( const auto& c : sop )
-    {
-      const auto lits = static_cast<std::size_t>( c.num_literals() );
-      cost += lits > 0u ? lits - 1u : 0u;
-    }
-    return cost;
-  }
-
   /// True when `n` is a leaf of the cone last evaluated by `cone_tt`.
-  bool is_leaf( std::uint32_t n, std::size_t num_leaves ) const
+  bool is_leaf( std::uint32_t n, std::size_t num_leaves )
   {
-    return stamp_[n] == epoch_ && slot_[n] >= 1u && slot_[n] <= num_leaves;
+    const auto* slot = cone_.find( n );
+    return slot && *slot >= 1u && *slot <= num_leaves;
   }
 
   /// Number of cone nodes used exclusively inside the cone (counting the
   /// root): a lower bound on the nodes freed by replacing the cone.  Runs
-  /// after `cone_tt`, whose stamps mark the leaves.  The walk needs no
+  /// after `cone_tt`, whose map holds the leaves.  The walk needs no
   /// visited set: it only enters nodes with a single fanout, which it can
   /// reach once.
   std::size_t mffc_size( std::uint32_t root, std::span<const std::uint32_t> leaves )
@@ -229,32 +378,30 @@ private:
   }
 
   /// Truth table of `root` over the projections of the sorted `leaves`;
-  /// fails (nullopt) if the cone reaches a PI outside the leaf set.  Cone
-  /// membership is a per-node epoch stamp; `slot_` indexes a node's value
-  /// in `values_` (constant, then the leaves, then the cone's AND nodes).
+  /// fails (nullopt) if the cone reaches a PI outside the leaf set.
+  /// `cone_` maps each cone node to its value's index in `values_`
+  /// (constant, then the leaves, then the cone's AND nodes).
   std::optional<small_truth_table> cone_tt( std::uint32_t root,
                                             std::span<const std::uint32_t> leaves )
   {
-    ++epoch_;
+    cone_.clear();
     values_.clear();
     values_.emplace_back(); // constant 0
-    stamp_[0] = epoch_;
-    slot_[0] = 0u;
+    cone_.insert( 0u, 0u );
     for ( unsigned i = 0; i < leaves.size(); ++i )
     {
-      stamp_[leaves[i]] = epoch_;
-      slot_[leaves[i]] = i + 1u;
+      cone_.insert( leaves[i], i + 1u );
       values_.push_back( small_truth_table::projection( i ) );
     }
     // Collect the cone's AND nodes; node ids are topological, so evaluating
     // them in ascending order visits every fanin first, and the root last.
-    cone_.clear();
+    ands_.clear();
     stack_.assign( 1u, root );
     while ( !stack_.empty() )
     {
       const auto n = stack_.back();
       stack_.pop_back();
-      if ( stamp_[n] == epoch_ )
+      if ( !cone_.insert( n, none ) )
       {
         continue;
       }
@@ -262,24 +409,88 @@ private:
       {
         return std::nullopt;
       }
-      stamp_[n] = epoch_;
-      cone_.push_back( n );
+      ands_.push_back( n );
       stack_.push_back( lit_node( aig_.fanin0( n ) ) );
       stack_.push_back( lit_node( aig_.fanin1( n ) ) );
     }
-    std::sort( cone_.begin(), cone_.end() );
+    std::sort( ands_.begin(), ands_.end() );
     const auto value = [&]( aig_lit f ) {
-      const auto& v = values_[slot_[lit_node( f )]];
+      const auto& v = values_[*cone_.find( lit_node( f ) )];
       return lit_complemented( f ) ? ~v : v;
     };
-    for ( const auto n : cone_ )
+    for ( const auto n : ands_ )
     {
-      slot_[n] = static_cast<std::uint32_t>( values_.size() );
+      *cone_.find( n ) = static_cast<std::uint32_t>( values_.size() );
       values_.push_back( value( aig_.fanin0( n ) ) & value( aig_.fanin1( n ) ) );
     }
     return values_.back();
   }
 
+  const aig_network& aig_;
+  const std::vector<std::uint32_t>& fanouts_;
+  isop_memo memo_;
+  // Scratch reused by every try_plan call.
+  cone_map cone_;
+  std::array<std::uint32_t, max_leaves> leaves_{};
+  std::array<std::uint32_t, max_leaves> expanded_{};
+  unsigned num_leaves_ = 0;
+  std::vector<std::uint32_t> stack_;
+  std::vector<std::uint32_t> ands_;
+  std::vector<small_truth_table> values_;
+};
+
+/// Refactors a network: plans every root in parallel chunks
+/// (`parallel_chunks`), then rebuilds the network serially from the POs.
+class refactorer
+{
+public:
+  refactorer( const aig_network& aig, const std::vector<std::uint32_t>& fanouts )
+      : aig_( aig ), dest_( aig.num_pis() ), map_( aig.num_nodes(), unmapped ),
+        plan_of_( aig.num_nodes(), none )
+  {
+    dest_.reserve( aig.num_ands() );
+    map_[0] = aig_network::const0;
+    for ( unsigned i = 0; i < aig_.num_pis(); ++i )
+    {
+      map_[i + 1u] = dest_.pi( i );
+    }
+    // Each chunk's plans are appended in chunk order, so `plans_` and
+    // `plan_of_` are those of one ascending loop at any thread count.
+    const auto first = aig_.num_pis() + 1u;
+    const auto last = static_cast<std::uint32_t>( aig_.num_nodes() );
+    const auto num_chunks = ( last - first + plan_chunk_nodes - 1u ) / plan_chunk_nodes;
+    const parallel_chunks chunks( num_chunks );
+    std::vector<refactor_planner> planners;
+    planners.reserve( chunks.width() );
+    for ( unsigned slot = 0; slot < chunks.width(); ++slot )
+    {
+      planners.emplace_back( aig_, fanouts );
+    }
+    std::vector<std::vector<plan>> chunk_plans( num_chunks );
+    chunks.run( [&]( std::size_t chunk, unsigned slot ) {
+      const auto begin = first + static_cast<std::uint32_t>( chunk ) * plan_chunk_nodes;
+      planners[slot].plan_range( begin, std::min( last, begin + plan_chunk_nodes ), chunk_plans[chunk] );
+    } );
+    for ( auto& plans : chunk_plans )
+    {
+      for ( auto& p : plans )
+      {
+        plan_of_[p.root] = static_cast<std::uint32_t>( plans_.size() );
+        plans_.push_back( std::move( p ) );
+      }
+    }
+  }
+
+  aig_network run()
+  {
+    for ( const auto po : aig_.pos() )
+    {
+      dest_.add_po( map_lit( po ) );
+    }
+    return std::move( dest_ );
+  }
+
+private:
   /// Maps `old` into the destination: an explicit-stack walk (deep AIGs
   /// would overflow a recursive one) in which a node's inputs are mapped in
   /// turn, each completely, before the node itself is built.  The inputs
@@ -352,63 +563,45 @@ private:
   }
 
   const aig_network& aig_;
-  std::vector<std::uint32_t> fanouts_;
   aig_network dest_;
   std::vector<aig_lit> map_;
   std::vector<std::uint32_t> plan_of_; ///< node -> index into plans_, or none
   std::vector<plan> plans_;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> frames_; ///< node, next input
-  // Per-node cone marks: stamp_[n] == epoch_ while n is in the current cone.
-  std::vector<std::uint32_t> stamp_;
-  std::vector<std::uint32_t> slot_;
-  std::uint32_t epoch_ = 0;
-  // Scratch reused by every try_plan call.
-  std::array<std::uint32_t, max_leaves> leaves_{};
-  std::array<std::uint32_t, max_leaves> expanded_{};
-  unsigned num_leaves_ = 0;
-  std::vector<std::uint32_t> stack_;
-  std::vector<std::uint32_t> cone_;
-  std::vector<small_truth_table> values_;
-  std::vector<cube> sop_;
-  std::vector<cube> sop_compl_;
 };
 
 } // namespace
 
 aig_network aig_refactor( const aig_network& aig )
 {
-  refactorer r( aig );
-  return r.run();
+  return refactorer( aig, aig.fanout_counts() ).run();
 }
 
 /// --- driver ---------------------------------------------------------------------
 
-namespace
-{
-
-/// True when some AND node of `aig` has no fanout (POs included).  In a
-/// network built through `create_and` alone, as refactor output is, an AND
-/// is unreachable from the POs only if such a node exists: the unreachable
-/// AND of highest id has no reader.  Without one, `cleanup` would return
-/// the network unchanged.
-bool has_dangling_and( const aig_network& aig )
-{
-  const auto fanouts = aig.fanout_counts();
-  return std::find( fanouts.begin() + aig.num_pis() + 1, fanouts.end(), 0u ) != fanouts.end();
-}
-
-} // namespace
-
 aig_network optimize( const aig_network& aig, unsigned rounds )
 {
   auto current = aig.cleanup();
+  // Fanout counts of `current`, or empty when not counted yet.
+  std::vector<std::uint32_t> fanouts;
   for ( unsigned r = 0; r < rounds; ++r )
   {
     const auto before = current.num_ands();
-    current = aig_refactor( current );
-    if ( has_dangling_and( current ) )
+    if ( fanouts.empty() )
+    {
+      fanouts = current.fanout_counts();
+    }
+    current = refactorer( current, fanouts ).run();
+    // In a network built through `create_and` alone, as refactor output
+    // is, an AND is unreachable from the POs only if some AND has no
+    // fanout (the unreachable AND of highest id has no reader).  Without
+    // one, `cleanup` would return the network unchanged, and the counts
+    // serve the next round.
+    fanouts = current.fanout_counts();
+    if ( std::find( fanouts.begin() + current.num_pis() + 1, fanouts.end(), 0u ) != fanouts.end() )
     {
       current = current.cleanup();
+      fanouts.clear();
     }
     if ( current.num_ands() >= before )
     {

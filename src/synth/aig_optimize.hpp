@@ -13,6 +13,16 @@
 /// moved the hierarchical flow's qubit and T-count geometric means on the
 /// qbench workloads by -2.3 % to +1.0 %, and it was ~17 % of `optimize`'s
 /// time on NEWTON(16) and NEWTON(24).
+///
+/// Refactor plans its roots on every core: planners read only the source
+/// network and its fanout counts, claim 4 096-node chunks
+/// (parallel_chunks.hpp; inline inside a pool job, `QSYN_THREADS` bounds
+/// the width) and hand back each chunk's plans, which are applied in
+/// chunk order, so the result is the same network at any thread count.
+/// Each planner keeps a fixed-size, direct-mapped memo of the chosen ISOP
+/// cover per (cone table, leaf count): a few hundred distinct functions
+/// make up the tens of thousands of candidate cones of an arithmetic
+/// design.  The rebuild from the POs, which fixes the node ids, is serial.
 
 #pragma once
 
@@ -28,7 +38,8 @@ aig_network aig_refactor( const aig_network& aig );
 /// The dc2-style driver: cleanup, then up to `rounds` rounds of refactor +
 /// cleanup, stopping early once a round no longer removes an AND node.  A
 /// round's cleanup is skipped when no AND node is dangling, where it would
-/// copy the network unchanged; the result is node-identical either way.
+/// copy the network unchanged; the result is node-identical either way,
+/// and the next round reuses the fanout counts of that check.
 aig_network optimize( const aig_network& aig, unsigned rounds = 3 );
 
 } // namespace qsyn

@@ -559,7 +559,8 @@ TEST( flows, explicit_table_flows_fail_at_entry_over_the_input_limit )
 
 TEST( flows, esop_flow_fails_at_entry_over_the_output_limit )
 {
-  // 70 outputs over 2 inputs: an ESOP term's output mask has 64 bits.
+  // 70 outputs over 2 inputs: an ESOP term's output mask has 64 bits, and
+  // a functional embedding has at most 28 lines.
   const std::string verilog = "module wide_out(a, y);\n"
                               "  input [1:0] a;\n"
                               "  output [69:0] y;\n"
@@ -580,11 +581,46 @@ TEST( flows, esop_flow_fails_at_entry_over_the_output_limit )
   EXPECT_NE( swept[0].result.status_detail.find( "70 outputs exceed the 64-output limit" ),
              std::string::npos )
       << swept[0].result.status_detail;
+  // The functional flow embeds into at least one line per output.
+  params.kind = flow_kind::functional;
+  const auto functional = run_flow_on_verilog( verilog, params );
+  EXPECT_EQ( functional.status, flow_status::failed );
+  EXPECT_NE( functional.status_detail.find( "70 outputs exceed the 28-line limit" ), std::string::npos )
+      << functional.status_detail;
+  const auto functional_swept = explore( mod.aig, { params } );
+  ASSERT_EQ( functional_swept.size(), 1u );
+  EXPECT_EQ( functional_swept[0].result.status, flow_status::failed );
+  EXPECT_NE( functional_swept[0].result.status_detail.find( "28-line limit" ), std::string::npos )
+      << functional_swept[0].result.status_detail;
   // The hierarchical flow keeps no output masks.
   params.kind = flow_kind::hierarchical;
   const auto result = run_flow_on_verilog( verilog, params );
   EXPECT_EQ( result.status, flow_status::ok ) << result.status_detail;
   EXPECT_TRUE( result.verified );
+}
+
+TEST( flows, functional_flow_fails_when_the_embedding_exceeds_the_line_limit )
+{
+  // 9 constant outputs over 20 inputs: every input collides, so the
+  // embedding needs 9 + ceil(log2 2^20) = 29 lines, one over the limit,
+  // although the output count alone passes the entry check.
+  aig_network aig( 20 );
+  for ( unsigned o = 0; o < 9u; ++o )
+  {
+    aig.add_po( aig_network::const0 );
+  }
+  flow_params params;
+  params.kind = flow_kind::functional;
+  ASSERT_TRUE( flow_input_limit_error( aig.num_pis(), aig.num_pos(), params ).empty() );
+  const auto direct = run_flow_on_aig( aig, params );
+  EXPECT_EQ( direct.status, flow_status::failed );
+  EXPECT_NE( direct.status_detail.find( "need 29 lines, more than the 28-line limit" ), std::string::npos )
+      << direct.status_detail;
+  const auto swept = explore( aig, { params } );
+  ASSERT_EQ( swept.size(), 1u );
+  EXPECT_EQ( swept[0].result.status, flow_status::failed );
+  EXPECT_NE( swept[0].result.status_detail.find( "28-line limit" ), std::string::npos )
+      << swept[0].result.status_detail;
 }
 
 TEST( flows, hierarchical_flow_takes_designs_wider_than_table_iv )

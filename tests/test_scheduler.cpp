@@ -1,8 +1,11 @@
-/// Scheduler suite: the FIFO thread pool, the task-graph engine,
-/// and the graph-built DSE explorations.  The central invariants:
+/// Scheduler suite: the FIFO thread pool, `parallel_chunks`, the
+/// task-graph engine, and the graph-built DSE explorations.  The central
+/// invariants:
 ///
 ///   * QSYN_THREADS pins the default worker count (the ctest `scheduler`
 ///     fixtures run this whole binary at 1, 2, and hardware threads),
+///   * `parallel_chunks` runs every chunk once, inline inside a pool job,
+///     and hands a chunk's exception to its caller after joining,
 ///   * a task graph respects every dependency edge, coalesces shared keys
 ///     onto one in-flight task, and isolates failure to the failing task's
 ///     transitive dependents — with the original task's key as blame,
@@ -15,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -25,6 +29,7 @@
 
 #include "common/budget.hpp"
 #include "common/fault_injection.hpp"
+#include "common/parallel_chunks.hpp"
 #include "common/thread_pool.hpp"
 #include "core/dse.hpp"
 #include "core/flows.hpp"
@@ -151,6 +156,105 @@ TEST( scheduler_env, qsyn_threads_clamps_oversized_values )
   // The largest accepted value passes through unchanged.
   setenv( "QSYN_THREADS", std::to_string( thread_pool::max_env_threads ).c_str(), 1 );
   EXPECT_EQ( thread_pool::default_num_threads(), thread_pool::max_env_threads );
+}
+
+// --- parallel_chunks -------------------------------------------------------------
+
+TEST( parallel_chunks, runs_every_chunk_once_on_at_most_width_slots )
+{
+  const parallel_chunks chunks( 37 );
+  EXPECT_EQ( chunks.width(), std::min( thread_pool::default_num_threads(), 37u ) );
+  std::vector<std::atomic<int>> runs( 37 );
+  std::atomic<int> bad_slots{ 0 };
+  chunks.run( [&]( std::size_t chunk, unsigned slot ) {
+    runs[chunk].fetch_add( 1 );
+    if ( slot >= chunks.width() )
+    {
+      bad_slots.fetch_add( 1 );
+    }
+  } );
+  for ( std::size_t c = 0; c < runs.size(); ++c )
+  {
+    EXPECT_EQ( runs[c].load(), 1 ) << "chunk " << c;
+  }
+  EXPECT_EQ( bad_slots.load(), 0 );
+  EXPECT_EQ( parallel_chunks( 0 ).width(), 1u );
+  parallel_chunks( 0 ).run( []( std::size_t, unsigned ) { FAIL() << "no chunk to run"; } );
+}
+
+TEST( parallel_chunks, width_is_one_inside_a_pool_job_and_a_run )
+{
+  env_guard guard;
+  setenv( "QSYN_THREADS", "4", 1 );
+  EXPECT_FALSE( thread_pool::in_job() );
+  EXPECT_EQ( parallel_chunks( 100 ).width(), 4u );
+  for ( const unsigned workers : { 4u, 1u } )
+  {
+    std::atomic<unsigned> width{ 0 };
+    std::atomic<bool> in_job{ false };
+    {
+      thread_pool pool( workers );
+      pool.submit( [&] {
+        in_job = thread_pool::in_job();
+        width = parallel_chunks( 100 ).width();
+      } );
+    } // the destructor drains the queue
+    EXPECT_TRUE( in_job.load() ) << workers << " workers";
+    EXPECT_EQ( width.load(), 1u ) << workers << " workers";
+    // The inline pool's mark ends with the job.
+    EXPECT_FALSE( thread_pool::in_job() );
+  }
+  // A chunk body is in a job too: a nested run is inline.
+  std::atomic<unsigned> nested_width{ 0 };
+  parallel_chunks( 8 ).run( [&]( std::size_t, unsigned ) {
+    nested_width = std::max( nested_width.load(), parallel_chunks( 100 ).width() );
+  } );
+  EXPECT_EQ( nested_width.load(), 1u );
+  EXPECT_FALSE( thread_pool::in_job() );
+}
+
+TEST( parallel_chunks, exception_on_a_spawned_thread_reaches_the_caller_after_the_join )
+{
+  env_guard guard;
+  setenv( "QSYN_THREADS", "4", 1 );
+  const parallel_chunks chunks( 64 );
+  ASSERT_EQ( chunks.width(), 4u );
+  std::atomic<bool> thrown{ false };
+  std::atomic<int> in_flight{ 0 };
+  std::atomic<int> finished{ 0 };
+  const auto body = [&]( std::size_t, unsigned slot ) {
+    in_flight.fetch_add( 1 );
+    if ( slot == 1u && !thrown.exchange( true ) )
+    {
+      in_flight.fetch_sub( 1 );
+      throw std::runtime_error( "chunk failed on slot 1" );
+    }
+    // Every other slot, the calling thread's included, holds its chunk
+    // until slot 1 has thrown: slot 1 is sure to claim a chunk, and the
+    // others are still running when it throws.
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds( 10 );
+    while ( !thrown && std::chrono::steady_clock::now() < give_up )
+    {
+      std::this_thread::sleep_for( std::chrono::milliseconds( 1 ) );
+    }
+    std::this_thread::sleep_for( std::chrono::milliseconds( 2 ) );
+    finished.fetch_add( 1 );
+    in_flight.fetch_sub( 1 );
+  };
+  try
+  {
+    chunks.run( body );
+    FAIL() << "the chunk's exception was swallowed";
+  }
+  catch ( const std::runtime_error& e )
+  {
+    EXPECT_STREQ( e.what(), "chunk failed on slot 1" );
+  }
+  // Every body that started has returned: the threads were joined first.
+  EXPECT_TRUE( thrown.load() );
+  EXPECT_EQ( in_flight.load(), 0 );
+  // No chunk is claimed after the failure is seen, so not all of them ran.
+  EXPECT_LT( finished.load(), 63 );
 }
 
 // --- task graph: shapes ------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <random>
 
 #include "common/content_hash.hpp"
+#include "common/parallel_chunks.hpp"
 #include "core/flows.hpp"
 #include "sat/cnf.hpp"
 #include "synth/aig_optimize.hpp"
@@ -417,6 +418,34 @@ TEST( aig_optimize, newton10_result_is_pinned )
   const auto mod = verilog::elaborate_verilog( verilog::generate_newton( 10 ) );
   const auto hash = optimize( mod.aig, 2 ).content_hash();
   EXPECT_EQ( hash, 0x1fc555bf82b6d7d7ull ) << "0x" << std::hex << hash;
+}
+
+TEST( aig_optimize, optimize_and_simulate_outputs_in_a_pool_job_match_a_top_level_call )
+{
+  // A top-level call plans and simulates on parallel_chunks threads; inside
+  // a pool job (a worker, or the inline pool's submitting thread) the same
+  // calls run inline.  Both give the same network and the same tables.
+  const auto mod = verilog::elaborate_verilog( verilog::generate_newton( 16 ) );
+  const auto top = optimize( mod.aig, 2 );
+  const auto top_tables = top.simulate_outputs();
+  EXPECT_EQ( top.content_hash(), 0xc0b3aa464b79f7b3ull ) << "0x" << std::hex << top.content_hash();
+  for ( const unsigned workers : { 4u, 1u } )
+  {
+    unsigned width = 0;
+    aig_network in_job;
+    std::vector<truth_table> in_job_tables;
+    {
+      thread_pool pool( workers );
+      pool.submit( [&] {
+        width = parallel_chunks( 1000 ).width();
+        in_job = optimize( mod.aig, 2 );
+        in_job_tables = in_job.simulate_outputs();
+      } );
+    } // the destructor drains the queue and joins the workers
+    EXPECT_EQ( width, 1u ) << workers << " workers";
+    EXPECT_EQ( in_job.content_hash(), top.content_hash() ) << workers << " workers";
+    EXPECT_EQ( in_job_tables, top_tables ) << workers << " workers";
+  }
 }
 
 TEST( aig_optimize, optimize_matches_the_explicit_refactor_and_cleanup_loop )
