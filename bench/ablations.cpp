@@ -1,6 +1,7 @@
 /// \file ablations.cpp
 /// \brief google-benchmark suite: ablations of the design choices the paper
-/// (and DESIGN.md) call out, plus micro-benchmarks of the synthesis kernels.
+/// (and docs/ARCHITECTURE.md) call out, plus micro-benchmarks of the
+/// synthesis kernels.
 ///
 /// Ablations:
 ///  * exorcism on/off       — ESOP minimization effect on cube count/T,

@@ -4,8 +4,7 @@
 ///
 /// Per (design, bitwidth, flow) case it times the scalar seed path (one
 /// `std::vector<bool>` assignment at a time) against the wide engine
-/// (`speedup`), the w512 lane group's sustained per-word throughput against
-/// the w64 width (`width_speedup`), and the SAT tier three ways, each
+/// (`speedup`), and the SAT tier three ways, each
 /// including the circuit's extraction where it needs one: the monolithic
 /// reference miter (`sat::check_equivalence` on `circuit_to_aig`), and
 /// `verify_against_aig_sat_budgeted` as the flows call it — on a fresh
@@ -17,12 +16,12 @@
 /// `sat::incremental_cec` itself.  Every tier must accept the correct
 /// circuit and reject a corrupted copy with a *real* counterexample, and
 /// below the enumeration bound the SAT tier's must be the exhaustive
-/// tier's; the reports of widths 64/256/512 on mixed
-/// pass/fail candidates must equal the scalar enumeration's
-/// (`widths_agree`), and the corrupted circuit's counterexample is
-/// recorded as a bit string (`cex`) so runs on the AVX and portable
-/// backends can be diffed.  It writes BENCH_verify.json (schema 7, see
-/// docs/ARCHITECTURE.md), which scripts/run_bench.sh gates on.
+/// tier's; the exhaustive tier's reports on mixed pass/fail candidates
+/// must equal the scalar enumeration's (`reports_agree`), and the
+/// corrupted circuit's counterexample is recorded as a bit string (`cex`)
+/// so runs on the AVX and portable backends can be diffed.  It writes
+/// BENCH_verify.json (schema 8, see docs/ARCHITECTURE.md), which
+/// scripts/run_bench.sh gates on.
 ///
 /// Usage: bench_verify [--out FILE] [--quick] [--sim-only]
 ///   --sim-only skips the SAT tier entirely (timings and verdicts); it is
@@ -31,7 +30,6 @@
 ///   the simulation tiers are SIMD-relevant.
 
 #include <algorithm>
-#include <limits>
 #include <cstdio>
 #include <cstring>
 #include <initializer_list>
@@ -107,12 +105,9 @@ struct case_result
   unsigned lines = 0;
   std::size_t gates = 0;
   double scalar_ms = 0.0;
-  double wide_ms = 0.0;       ///< wide single-candidate pass at the DSE default width
-  double speedup = 0.0;       ///< wide vs scalar
-  double w64_word_us = 0.0;   ///< sustained w64 engine cost per 64-assignment word
-  double wide_word_us = 0.0;  ///< sustained w512 engine cost per word
-  double width_speedup = 0.0; ///< per-word throughput, w512 vs w64 (the >=4x gate)
-  std::string simd_backend;  ///< kernel backend active at the case's width
+  double wide_ms = 0.0;      ///< wide single-candidate exhaustive pass
+  double speedup = 0.0;      ///< wide vs scalar
+  std::string simd_backend;  ///< dispatched kernel backend
   std::string cex;           ///< corrupted-circuit counterexample, bit i = input i
   double sat_mono_ms = 0.0;  ///< monolithic reference (sat::check_equivalence)
   double sat_ms = 0.0;       ///< SAT tier on a fresh engine (cold)
@@ -121,8 +116,8 @@ struct case_result
   bool tiers_agree = true;      ///< all tiers accept the correct circuit,
                                 ///< scalar == wide bit-for-bit
   bool corrupt_rejected = true; ///< all tiers reject the corrupted circuit
-  bool widths_agree = true;     ///< reports at w64/w256/w512 bit-identical to
-                                ///< the scalar enumeration's, per candidate
+  bool reports_agree = true;    ///< exhaustive reports bit-identical to the
+                                ///< scalar enumeration's, per candidate
 };
 
 std::string cex_string( const std::optional<std::vector<bool>>& cex )
@@ -207,55 +202,9 @@ case_result run_case( const std::string& name, const std::string& verilog, flow_
   r.scalar_ms = time_ms( [&] { (void)scalar_exhaustive( circuit, spec ); } );
 
   // --- the SIMD-wide engine ---------------------------------------------------
-  // Width as the DSE exhaustive tier picks it for this input space; w64
-  // always runs the portable scalar kernels, so n <= 6 cases would measure
-  // engine layout, not SIMD width.
-  const auto width = auto_sim_width( std::uint64_t{ 1 } << r.pis );
-  r.simd_backend = simd_backend_name( active_simd_backend( width ) );
-  r.wide_ms = time_ms(
-      [&] { (void)verify_against_aig_exhaustive_budgeted( circuit, spec, deadline{}, width ); } );
+  r.simd_backend = simd_backend_name( active_simd_backend() );
+  r.wide_ms = time_ms( [&] { (void)verify_against_aig_exhaustive( circuit, spec ); } );
   r.speedup = r.wide_ms > 0.0 ? r.scalar_ms / r.wide_ms : 0.0;
-
-  // Sustained per-word verification throughput, the gated w512-vs-w64
-  // metric: persistent engines (construction amortized away, as in a long
-  // sweep), spec walk included on both sides, cost divided by the words a
-  // pass settles.  Per-word is the width-scaling measure: at n=7 a
-  // 512-lane group wraps the 128-assignment space, so whole-case wall
-  // clocks (wide_ms) can gain at most 2x there — the full-width gain
-  // materializes whenever a group is filled (n >= 9 spaces, sampled tiers,
-  // fraig signatures).
-  {
-    wide_simulator narrow( circuit, sim_width::w64 );
-    wide_aig_simulator narrow_spec( spec, sim_width::w64 );
-    const std::vector<std::uint64_t> narrow_words( r.pis, 0u );
-    const auto wide_width = sim_width::w512;
-    wide_simulator wide( circuit, wide_width );
-    wide_aig_simulator wide_spec( spec, wide_width );
-    const std::vector<std::uint64_t> group_words( std::size_t{ r.pis } * words_of( wide_width ),
-                                                  0u );
-    volatile std::uint64_t sink = 0;
-    const auto pass_ms = [&sink]( wide_simulator& sim, wide_aig_simulator& sim_spec,
-                                  const std::vector<std::uint64_t>& words ) {
-      return time_ms( [&] {
-        const auto& spec_out = sim_spec.evaluate( words );
-        const auto& out = sim.evaluate( words );
-        sink = sink + out.front() + spec_out.front();
-      } );
-    };
-    // Interleaved best-of-5: a transient load spike during one side's
-    // window would otherwise skew the ratio; the min of alternating
-    // rounds is each engine's unperturbed cost.
-    auto narrow_ms = std::numeric_limits<double>::infinity();
-    auto group_ms = std::numeric_limits<double>::infinity();
-    for ( int round = 0; round < 5; ++round )
-    {
-      narrow_ms = std::min( narrow_ms, pass_ms( narrow, narrow_spec, narrow_words ) );
-      group_ms = std::min( group_ms, pass_ms( wide, wide_spec, group_words ) );
-    }
-    r.w64_word_us = narrow_ms * 1000.0;
-    r.wide_word_us = group_ms * 1000.0 / static_cast<double>( words_of( wide_width ) );
-    r.width_speedup = r.wide_word_us > 0.0 ? r.w64_word_us / r.wide_word_us : 0.0;
-  }
 
   // --- corrupted circuit: every tier must reject, scalar == wide -------------
   const auto corrupted = corrupt_circuit( circuit, spec );
@@ -290,11 +239,11 @@ case_result run_case( const std::string& name, const std::string& verilog, flow_
     }
   }
 
-  // --- per-width bit-identity on mixed pass/fail candidates -------------------
+  // --- report bit-identity on mixed pass/fail candidates ----------------------
   // Candidates failing at different columns (the NOT flips every column,
   // the 3-control MCT only fires from column 7 on) pin the
   // first-counterexample contract and the per-assignment accounting
-  // against the scalar enumeration at every width.
+  // against the scalar enumeration.
   auto flip_first = circuit;
   flip_first.add_not( output_lines_of( circuit ).front() );
   auto flip_late = circuit;
@@ -316,44 +265,35 @@ case_result run_case( const std::string& name, const std::string& verilog, flow_
         std::initializer_list<const reversible_circuit*>{ &circuit, &flip_first, &flip_late,
                                                           &corrupted } )
   {
-    const auto oracle = scalar_exhaustive( *candidate, spec );
-    for ( const auto w : { sim_width::w64, sim_width::w256, sim_width::w512 } )
-    {
-      r.widths_agree = r.widths_agree &&
-                       reports_equal( verify_against_aig_exhaustive_budgeted( *candidate, spec,
-                                                                              deadline{}, w ),
-                                      oracle );
-    }
+    r.reports_agree = r.reports_agree &&
+                      reports_equal( verify_against_aig_exhaustive_budgeted( *candidate, spec,
+                                                                             deadline{} ),
+                                     scalar_exhaustive( *candidate, spec ) );
   }
 
   std::printf( "%-16s pis %2u  gates %6zu | scalar %9.3f ms | wide %8.4f ms (%6.1fx, %s) | "
-               "word %8.3f -> %7.3f us (%4.1fx) | "
                "sat mono %8.2f ms  tier %7.3f ms (%5.1fx)  warm %7.3f ms | %s%s%s\n",
                r.name.c_str(), r.pis, r.gates, r.scalar_ms, r.wide_ms, r.speedup,
-               r.simd_backend.c_str(), r.w64_word_us, r.wide_word_us, r.width_speedup,
-               r.sat_mono_ms, r.sat_ms, r.sat_speedup, r.sat_warm_ms,
+               r.simd_backend.c_str(), r.sat_mono_ms, r.sat_ms, r.sat_speedup, r.sat_warm_ms,
                r.tiers_agree ? "agree" : "TIERS DIVERGED",
                r.corrupt_rejected ? "" : ", CORRUPTION MISSED",
-               r.widths_agree ? "" : ", WIDTHS DIVERGED" );
+               r.reports_agree ? "" : ", REPORTS DIVERGED" );
   return r;
 }
 
 void write_json( const char* path, const std::vector<case_result>& cases, bool sim_only )
 {
   bool all_agree = true;
-  bool widths_agree = true;
+  bool reports_agree = true;
   double min_speedup = 0.0;
   double min_sat_speedup = 0.0;
-  double min_width_speedup = 0.0;
   for ( const auto& c : cases )
   {
-    all_agree = all_agree && c.tiers_agree && c.corrupt_rejected && c.widths_agree;
-    widths_agree = widths_agree && c.widths_agree;
+    all_agree = all_agree && c.tiers_agree && c.corrupt_rejected && c.reports_agree;
+    reports_agree = reports_agree && c.reports_agree;
     min_speedup = min_speedup == 0.0 ? c.speedup : std::min( min_speedup, c.speedup );
     min_sat_speedup =
         min_sat_speedup == 0.0 ? c.sat_speedup : std::min( min_sat_speedup, c.sat_speedup );
-    min_width_speedup =
-        min_width_speedup == 0.0 ? c.width_speedup : std::min( min_width_speedup, c.width_speedup );
   }
   FILE* f = std::fopen( path, "w" );
   if ( !f )
@@ -361,17 +301,13 @@ void write_json( const char* path, const std::vector<case_result>& cases, bool s
     std::fprintf( stderr, "cannot open %s for writing\n", path );
     std::exit( 1 );
   }
-  std::fprintf( f, "{\n  \"bench\": \"verify\",\n  \"schema_version\": 7,\n" );
+  std::fprintf( f, "{\n  \"bench\": \"verify\",\n  \"schema_version\": 8,\n" );
   std::fprintf( f, "  \"sim_only\": %s,\n", sim_only ? "true" : "false" );
-  std::fprintf( f, "  \"simd_backend\": \"%s\",\n",
-                simd_backend_name( active_simd_backend( sim_width::w512 ) ) );
+  std::fprintf( f, "  \"simd_backend\": \"%s\",\n", simd_backend_name( active_simd_backend() ) );
   std::fprintf( f, "  \"all_agree\": %s,\n", all_agree ? "true" : "false" );
-  std::fprintf( f, "  \"widths_agree\": %s,\n", widths_agree ? "true" : "false" );
+  std::fprintf( f, "  \"reports_agree\": %s,\n", reports_agree ? "true" : "false" );
   std::fprintf( f, "  \"min_speedup\": %.1f,\n", min_speedup );
   std::fprintf( f, "  \"min_sat_speedup\": %.1f,\n", min_sat_speedup );
-  // Two decimals: the run_bench.sh floors compare these values, and one
-  // decimal would round a failing 3.46 into a passing 3.5.
-  std::fprintf( f, "  \"min_width_speedup\": %.2f,\n", min_width_speedup );
   std::fprintf( f, "  \"cases\": [\n" );
   for ( std::size_t i = 0; i < cases.size(); ++i )
   {
@@ -384,9 +320,6 @@ void write_json( const char* path, const std::vector<case_result>& cases, bool s
     std::fprintf( f, "      \"scalar_ms\": %.4f,\n", c.scalar_ms );
     std::fprintf( f, "      \"wide_ms\": %.4f,\n", c.wide_ms );
     std::fprintf( f, "      \"speedup\": %.1f,\n", c.speedup );
-    std::fprintf( f, "      \"w64_word_us\": %.4f,\n", c.w64_word_us );
-    std::fprintf( f, "      \"wide_word_us\": %.4f,\n", c.wide_word_us );
-    std::fprintf( f, "      \"width_speedup\": %.2f,\n", c.width_speedup );
     std::fprintf( f, "      \"simd_backend\": \"%s\",\n", c.simd_backend.c_str() );
     std::fprintf( f, "      \"cex\": \"%s\",\n", c.cex.c_str() );
     std::fprintf( f, "      \"sat_mono_ms\": %.2f,\n", c.sat_mono_ms );
@@ -395,7 +328,7 @@ void write_json( const char* path, const std::vector<case_result>& cases, bool s
     std::fprintf( f, "      \"sat_speedup\": %.1f,\n", c.sat_speedup );
     std::fprintf( f, "      \"tiers_agree\": %s,\n", c.tiers_agree ? "true" : "false" );
     std::fprintf( f, "      \"corrupt_rejected\": %s,\n", c.corrupt_rejected ? "true" : "false" );
-    std::fprintf( f, "      \"widths_agree\": %s\n", c.widths_agree ? "true" : "false" );
+    std::fprintf( f, "      \"reports_agree\": %s\n", c.reports_agree ? "true" : "false" );
     std::fprintf( f, "    }%s\n", i + 1 < cases.size() ? "," : "" );
   }
   std::fprintf( f, "  ]\n}\n" );
@@ -455,7 +388,7 @@ int main( int argc, char** argv )
   bool ok = true;
   for ( const auto& c : cases )
   {
-    ok = ok && c.tiers_agree && c.corrupt_rejected && c.widths_agree;
+    ok = ok && c.tiers_agree && c.corrupt_rejected && c.reports_agree;
   }
   return ok ? 0 : 1;
 }

@@ -10,9 +10,10 @@
 ///
 /// Paper reference (n: qubits / INTDIV T-count): 4: 7/597, 8: 15/51 386,
 /// 10: 19/380 009, 16: 31/71 155 258.  Our explicit transformation-based
-/// engine reproduces the qubit column exactly; T-counts and runtimes track
-/// the paper's growth rate with implementation-dependent constants (the
-/// authors ran a BDD-symbolic TBS; see DESIGN.md substitution notes).
+/// engine reproduces only the qubit column.  Our T-counts are far higher
+/// and grow much faster: INTDIV goes from 13 421 at n = 4 to 22 169 259 at
+/// n = 8, against the paper's 597 and 51 386 (the authors ran a
+/// BDD-symbolic TBS; see docs/ARCHITECTURE.md and ROADMAP item 6).
 ///
 /// Default sweep n = 4..8 (seconds); --max-n up to ~10 stays practical.
 

@@ -23,16 +23,12 @@
 #   * the verification tiers diverge (scalar vs wide vs SAT accept/reject),
 #     a corrupted circuit slips through, or the wide-vs-scalar speedup
 #     drops more than 25% against the committed baseline,
-#   * the SIMD-wide engine regresses (schema v5): any sim width (w64 /
-#     w256 / w512) produces a different verdict or counterexample than the
-#     scalar enumeration on the mixed pass/fail candidates (widths_agree),
-#     or the sustained per-word verification throughput of the w512 lane
-#     group vs the w64 width (width_speedup, persistent engines, spec walk
-#     included on both sides) falls below 4x in aggregate or 3.5x on any
-#     exhaustive case,
+#   * the SIMD-wide engine's exhaustive reports on the mixed pass/fail
+#     candidates differ from the scalar enumeration's in verdict,
+#     counterexample or coverage accounting (reports_agree),
 #   * the cpuid-chosen backend (the QSYN_SIMD environment variable unset)
 #     and the portable kernels (QSYN_SIMD=portable) disagree on any
-#     verdict, counterexample bit string, or cross-width identity in two
+#     verdict, counterexample bit string, or report identity in two
 #     --sim-only runs of the one bench_verify binary,
 #   * the SAT tier regresses: aggregate SAT-tier wall clock
 #     (or the SAT-tier-vs-monolithic speedup, measured in the same run)
@@ -49,14 +45,15 @@
 #   * docs/ARCHITECTURE.md is missing, no longer mentions every src/*
 #     subdirectory, or names a src/<name>/ that does not exist.
 # Finally reruns the verification + store + LUT-map + synth + SAT + AIG +
-# XMG + daemon + robustness + flows test suites under AddressSanitizer
-# (QSYN_SANITIZE=address) — the wide engine is all raw word indexing, the
-# store and the daemon decode untrusted on-disk bytes, the cut and ISOP
-# kernels index fixed-capacity arrays, the strash tables of the AIG, the
-# XMG and the SAT engine read node fanins by probed id, and the robustness
-# and flows suites
-# drive the SAT tier's dispatch and degradation ladder — the same plus
-# the robustness + scheduler suites under UndefinedBehaviorSanitizer, and the robustness + scheduler + daemon +
+# XMG + daemon + robustness + flows + Verilog test suites under
+# AddressSanitizer (QSYN_SANITIZE=address) — the wide engine is all raw
+# word indexing, the store and the daemon decode untrusted on-disk bytes,
+# the cut and ISOP kernels index fixed-capacity arrays, the strash tables
+# of the AIG, the XMG and the SAT engine read node fanins by probed id,
+# the robustness and flows suites drive the SAT tier's dispatch and
+# degradation ladder, and the Verilog parser and elaborator read source
+# text from outside the program — the same plus the robustness +
+# scheduler suites under UndefinedBehaviorSanitizer, and the robustness + scheduler + daemon +
 # flows + store + synth + AIG suites under ThreadSanitizer (the daemon
 # coalesces concurrent requests on per-key slots over a shared pool, the
 # artifact cache's per-key slots are locked from many threads, and refactor
@@ -428,19 +425,6 @@ SAT_WALL_REGRESSION_LIMIT = 0.25  # absolute SAT wall clock: same run-to-run
                                   # noise allowance as the wide gate
 SAT_NEWTON8_FLOOR = 10.0          # SAT-tier-vs-monolithic on the flagship case
 
-# SIMD-wide engine (schema v5): sustained per-word verification throughput
-# of the w512 lane group vs the w64 width, persistent engines, spec walk
-# included on both sides (best-of-5 interleaved in the bench).
-# Whole-case wall clocks (wide_ms) are informational: at n=7/8 a
-# 512-lane group wraps the whole input space.  Measured regimes on this
-# container: 4.3-7.7x with the AVX-512 kernels dispatched, 0.6-1.6x if the
-# dispatch silently pins the portable fallback — the per-case floor sits
-# between them below the thermal noise of the native range, and the
-# aggregate (summed word costs, dominated by the larger, stabler cases)
-# keeps the 4x claim gated.
-WIDTH_SPEEDUP_FLOOR = 3.5
-WIDTH_SPEEDUP_AGG_FLOOR = 4.0
-
 with open(sys.argv[1]) as f:
     baseline = {c["name"]: c for c in json.load(f)["cases"]}
 with open(sys.argv[2]) as f:
@@ -455,15 +439,14 @@ if fresh_doc.get("schema_version", 0) < 5:
         "fresh BENCH_verify.json has schema_version "
         f"{fresh_doc.get('schema_version', 0)} (< 5): no wide-vs-scalar metrics"
     )
-if not fresh_doc.get("widths_agree", False):
+if not fresh_doc.get("reports_agree", False):
     failures.append(
-        "a sim width (w64/w256/w512) diverged from the scalar enumeration's "
-        "verdicts or counterexamples on the mixed pass/fail candidates"
+        "the wide engine's exhaustive reports diverged from the scalar "
+        "enumeration's verdicts or counterexamples on the mixed pass/fail candidates"
     )
 
 base_scalar = base_wide = fresh_scalar = fresh_wide = 0.0
 base_sat = base_mono = fresh_sat = fresh_mono = 0.0
-fresh_w64_word = fresh_wide_word = 0.0
 for name, base in sorted(baseline.items()):
     new = fresh.get(name)
     if new is None:
@@ -482,17 +465,8 @@ for name, base in sorted(baseline.items()):
             f"{name}: SAT-tier-vs-monolithic speedup "
             f"{new.get('sat_speedup', 0.0):.1f}x below the {SAT_NEWTON8_FLOOR:.0f}x floor"
         )
-    if not new.get("widths_agree", False):
-        failures.append(f"{name}: wide-engine verdicts diverged across sim widths")
-    if new.get("width_speedup", 0.0) < WIDTH_SPEEDUP_FLOOR:
-        failures.append(
-            f"{name}: w512 per-word throughput only {new.get('width_speedup', 0.0):.1f}x "
-            f"the w64 width (< {WIDTH_SPEEDUP_FLOOR:.1f}x floor; "
-            f"{new.get('w64_word_us', 0.0):.2f} -> {new.get('wide_word_us', 0.0):.2f} "
-            f"us/word, backend {fresh_doc.get('simd_backend', '?')})"
-        )
-    fresh_w64_word += new.get("w64_word_us", 0.0)
-    fresh_wide_word += new.get("wide_word_us", 0.0)
+    if not new.get("reports_agree", False):
+        failures.append(f"{name}: wide-engine reports diverged from the scalar enumeration's")
     base_scalar += base["scalar_ms"]
     base_wide += base["wide_ms"]
     fresh_scalar += new["scalar_ms"]
@@ -504,20 +478,8 @@ for name, base in sorted(baseline.items()):
     print(
         f"{name}: wide {base['wide_ms']:.4f} -> {new['wide_ms']:.4f} ms"
         f"  (speedup {new['speedup']:.1f}x vs baseline {base['speedup']:.1f}x)"
-        f"  word {new.get('w64_word_us', 0.0):.2f} -> "
-        f"{new.get('wide_word_us', 0.0):.2f} us ({new.get('width_speedup', 0.0):.1f}x)"
         f"  sat {base.get('sat_ms', 0.0):.2f} -> {new.get('sat_ms', 0.0):.2f} ms"
         f" ({new.get('sat_speedup', 0.0):.1f}x vs mono)"
-    )
-
-# The >= 4x w512-vs-w64 claim, gated on the aggregate per-word costs
-# (same-run, machine-independent; dominated by the larger, stabler cases).
-agg_width_speedup = (fresh_w64_word / fresh_wide_word) if fresh_wide_word > 0 else 0.0
-if agg_width_speedup < WIDTH_SPEEDUP_AGG_FLOOR:
-    failures.append(
-        f"aggregate w512 per-word throughput {agg_width_speedup:.2f}x the w64 "
-        f"width (< {WIDTH_SPEEDUP_AGG_FLOOR:.0f}x floor; backend "
-        f"{fresh_doc.get('simd_backend', '?')})"
     )
 
 # Machine-independent gate on the AGGREGATE speedup (both halves measured
@@ -557,13 +519,10 @@ if failures:
     sys.exit(1)
 print(
     "\nverify benchmark OK (aggregate speedup {:.1f}x vs baseline {:.1f}x, "
-    "SAT tier {:.1f}x vs mono, w512 per-word {:.2f}x aggregate / "
-    ">= {:.2f}x per case on {} backend; tiers and widths agree)".format(
+    "SAT tier {:.1f}x vs mono on {} backend; tiers and reports agree)".format(
         fresh_speedup,
         base_speedup,
         fresh_sat_speedup,
-        agg_width_speedup,
-        fresh_doc.get("min_width_speedup", 0.0),
         fresh_doc.get("simd_backend", "?"),
     )
 )
@@ -572,7 +531,7 @@ EOF
 # --- cross-backend verdict identity: cpuid choice vs portable ----------------
 # The bench_verify binary run with the backend cpuid picks (QSYN_SIMD unset)
 # and pinned to the portable kernels (QSYN_SIMD=portable) must produce
-# bit-identical verdicts, counterexample bit strings and cross-width
+# bit-identical verdicts, counterexample bit strings and report
 # identity.  Both sides run --sim-only (SAT timings carry no SIMD and would
 # double the wall clock).
 
@@ -603,8 +562,8 @@ if portable_doc.get("simd_backend") != "portable":
 
 # The per-case fields a backend could corrupt: the verdict of every tier on
 # the good and corrupted circuit, the corrupted circuit's counterexample
-# bit string, and the cross-width identity sweep.
-VERDICT_FIELDS = ("tiers_agree", "corrupt_rejected", "widths_agree", "cex")
+# bit string, and the report-vs-scalar identity sweep.
+VERDICT_FIELDS = ("tiers_agree", "corrupt_rejected", "reports_agree", "cex")
 
 native = {c["name"]: c for c in native_doc["cases"]}
 portable = {c["name"]: c for c in portable_doc["cases"]}
@@ -665,8 +624,8 @@ echo "docs check OK (docs/ARCHITECTURE.md and the src/* subdirectories match)"
 # --- verification tests under AddressSanitizer -------------------------------
 # The wide engine is raw uint64_t indexing over packed state words; run the
 # suite instrumented on every bench invocation, once per kernel family: the
-# cpuid choice (AVX-512 at w512 and AVX2 at w256 on an AVX-512 machine),
-# AVX2's paired registers at w512, and the portable unrolled lanes.
+# cpuid choice (AVX-512 on an AVX-512 machine), AVX2's paired registers,
+# and the portable unrolled lanes.
 # Lane-group loads/stores are the exact place an off-by-one-word bug would
 # live.
 
@@ -674,7 +633,7 @@ ASAN_DIR="$REPO_ROOT/build-asan-verify"
 cmake -B "$ASAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE=address
 cmake --build "$ASAN_DIR" -j "$(nproc)" \
   --target test_verify test_store test_lut_xmg test_synth test_sat test_aig test_xmg test_daemon \
-  test_robustness test_flows test_reversible test_rsynth
+  test_robustness test_flows test_reversible test_rsynth test_verilog
 env -u QSYN_SIMD "$ASAN_DIR/tests/test_verify"
 QSYN_SIMD=avx2 "$ASAN_DIR/tests/test_verify"
 QSYN_SIMD=portable "$ASAN_DIR/tests/test_verify"
@@ -712,9 +671,12 @@ QSYN_SIMD=portable "$ASAN_DIR/tests/test_aig"
 # in place: an off-by-one offset reads a neighbour gate's controls.
 "$ASAN_DIR/tests/test_reversible"
 "$ASAN_DIR/tests/test_rsynth"
+# The Verilog lexer, parser and elaborator read source text from outside
+# the program: widths, ranges and repeat counts come straight from it.
+"$ASAN_DIR/tests/test_verilog"
 echo
 echo "test_verify (3 backends) + test_store + test_lut_xmg + test_synth + test_sat + test_aig (3 backends) + test_xmg +" \
-     "test_daemon + test_robustness + test_flows + test_reversible + test_rsynth OK under" \
+     "test_daemon + test_robustness + test_flows + test_reversible + test_rsynth + test_verilog OK under" \
      "AddressSanitizer"
 
 # --- robustness + scheduler tests under UBSan and TSan -----------------------
@@ -727,7 +689,7 @@ UBSAN_DIR="$REPO_ROOT/build-ubsan-robustness"
 cmake -B "$UBSAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE=undefined
 cmake --build "$UBSAN_DIR" -j "$(nproc)" \
   --target test_robustness test_scheduler test_store test_verify test_lut_xmg test_synth \
-  test_sat test_aig test_xmg test_daemon test_reversible test_rsynth
+  test_sat test_aig test_xmg test_daemon test_reversible test_rsynth test_verilog
 "$UBSAN_DIR/tests/test_robustness"
 "$UBSAN_DIR/tests/test_scheduler"
 # The store headers round-trip enums and fixed-width counters from
@@ -752,10 +714,13 @@ cmake --build "$UBSAN_DIR" -j "$(nproc)" \
 # packs its line and polarity into bit-fields of one word.
 "$UBSAN_DIR/tests/test_reversible"
 "$UBSAN_DIR/tests/test_rsynth"
+# Widths, ranges, repeat counts and constant expressions are unsigned and
+# 64-bit arithmetic on numbers read from the source text.
+"$UBSAN_DIR/tests/test_verilog"
 echo
 echo "test_robustness + test_scheduler + test_store + test_verify + test_lut_xmg +" \
-     "test_synth + test_sat + test_aig + test_xmg + test_daemon + test_reversible + test_rsynth" \
-     "OK under UndefinedBehaviorSanitizer"
+     "test_synth + test_sat + test_aig + test_xmg + test_daemon + test_reversible + test_rsynth +" \
+     "test_verilog OK under UndefinedBehaviorSanitizer"
 
 TSAN_DIR="$REPO_ROOT/build-tsan-robustness"
 cmake -B "$TSAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE=thread

@@ -193,9 +193,9 @@ std::vector<truth_table> aig_network::simulate_outputs() const
   // width; only the words that exist are copied out.  Groups are
   // independent, so chunks of them run in parallel (parallel_chunks.hpp)
   // and each writes its own words of the result tables.
-  constexpr unsigned width = 8;
+  constexpr unsigned width = lane_group_words;
   const auto program = compile_slot_program( *this );
-  const auto backend = active_simd_backend( width );
+  const auto backend = active_simd_backend();
   const auto num_words = num_blocks_for( num_pis_ );
   const auto num_groups = ( num_words + width - 1u ) / width;
   // Lane groups per chunk: about 2^20 word-ANDs, so a chunk outweighs the
@@ -227,7 +227,7 @@ std::vector<truth_table> aig_network::simulate_outputs() const
           v[k] = ( ( base + k ) >> ( i - 6u ) ) & 1u ? ~std::uint64_t{ 0 } : 0u;
         }
       }
-      run_slot_program( program, width, backend, values.data() );
+      run_slot_program( program, backend, values.data() );
       const auto count = std::min<std::size_t>( width, num_words - base );
       for ( std::size_t o = 0; o < pos_.size(); ++o )
       {

@@ -81,10 +81,10 @@ aig_slot_program compile_slot_program( const aig_network& aig )
   return program;
 }
 
-void run_slot_program( const aig_slot_program& program, unsigned words, simd_backend backend,
+void run_slot_program( const aig_slot_program& program, simd_backend backend,
                        std::uint64_t* values )
 {
-  simd_detail::slot_kernels_for( backend, words ).aig( program.ands.data(), program.num_ands(), values );
+  simd_detail::slot_kernels_for( backend ).aig( program.ands.data(), program.num_ands(), values );
 }
 
 } // namespace qsyn

@@ -55,11 +55,11 @@ struct aig_slot_program
 /// memory of three 32-bit words per node).
 aig_slot_program compile_slot_program( const aig_network& aig );
 
-/// Runs `program`'s ANDs on `backend`'s kernel over one lane group of
-/// `words` consecutive words per slot (1, 4 or 8; `backend` as
-/// `active_simd_backend( words )` returns it).  The caller fills slot 0
-/// (zero) and the PI slots and reads the POs' slots afterwards.
-void run_slot_program( const aig_slot_program& program, unsigned words, simd_backend backend,
+/// Runs `program`'s ANDs on `backend`'s kernel (as `active_simd_backend`
+/// returns it) over one lane group of `lane_group_words` consecutive words
+/// per slot.  The caller fills slot 0 (zero) and the PI slots and reads
+/// the POs' slots afterwards.
+void run_slot_program( const aig_slot_program& program, simd_backend backend,
                        std::uint64_t* values );
 
 } // namespace qsyn

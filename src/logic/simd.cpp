@@ -4,7 +4,6 @@
 #include "simd.hpp"
 
 #include <cstdlib>
-#include <stdexcept>
 #include <string>
 
 #include "simd_kernels.hpp"
@@ -17,8 +16,8 @@ namespace simd_detail
 
 // The vector backend tables; each lives in a TU built with its arch flag
 // (simd_avx2.cpp, simd_avx512.cpp) and runs only after cpuid agrees below.
-slot_kernels avx2_slot_kernels( unsigned words );
-slot_kernels avx512_slot_kernels( unsigned words );
+slot_kernels avx2_slot_kernels();
+slot_kernels avx512_slot_kernels();
 
 namespace
 {
@@ -70,27 +69,16 @@ bool backend_usable( simd_backend backend )
 
 } // namespace
 
-slot_kernels slot_kernels_for( simd_backend backend, unsigned words )
+slot_kernels slot_kernels_for( simd_backend backend )
 {
   switch ( backend )
   {
   case simd_backend::avx2:
-    return avx2_slot_kernels( words );
+    return avx2_slot_kernels();
   case simd_backend::avx512:
-    return avx512_slot_kernels( words );
+    return avx512_slot_kernels();
   default:
-    break;
-  }
-  switch ( words )
-  {
-  case 1u:
-    return slot_kernels_of<portable_ops<1>>();
-  case 4u:
-    return slot_kernels_of<portable_ops<4>>();
-  case 8u:
-    return slot_kernels_of<portable_ops<8>>();
-  default:
-    throw std::logic_error( "simd: unsupported lane-group width" );
+    return slot_kernels_of<portable_ops>();
   }
 }
 
@@ -109,19 +97,14 @@ const char* simd_backend_name( simd_backend backend )
   }
 }
 
-simd_backend active_simd_backend( unsigned words )
+simd_backend active_simd_backend()
 {
-  if ( words == 1u )
+  for ( const auto backend : { simd_backend::avx512, simd_backend::avx2 } )
   {
-    return simd_backend::portable;
-  }
-  if ( words == 8u && simd_detail::backend_usable( simd_backend::avx512 ) )
-  {
-    return simd_backend::avx512;
-  }
-  if ( simd_detail::backend_usable( simd_backend::avx2 ) )
-  {
-    return simd_backend::avx2;
+    if ( simd_detail::backend_usable( backend ) )
+    {
+      return backend;
+    }
   }
   return simd_backend::portable;
 }
@@ -129,7 +112,7 @@ simd_backend active_simd_backend( unsigned words )
 void simd_and2_masked( std::uint64_t* dst, const std::uint64_t* a, std::uint64_t invert_a,
                        const std::uint64_t* b, std::uint64_t invert_b, std::size_t num_words )
 {
-  static const auto kernel = simd_detail::slot_kernels_for( active_simd_backend( 8u ), 8u ).and2;
+  static const auto kernel = simd_detail::slot_kernels_for( active_simd_backend() ).and2;
   kernel( dst, a, invert_a, b, invert_b, num_words );
 }
 

@@ -9,14 +9,15 @@
 /// operations.  Each backend translation unit instantiates the templates
 /// with its own policy: the portable TUs (simd.cpp, wide_sim.cpp) with
 /// `portable_ops`, the `*_avx2.cpp` / `*_avx512.cpp` TUs, compiled with
-/// their arch flags, with `avx2_ops4` / `avx512_ops8`.  The dispatcher
+/// their arch flags, with `avx2_ops8` / `avx512_ops8`.  The dispatcher
 /// (simd.cpp) picks a table at runtime.  Keeping the loop *structure*
 /// single-source is what makes the backends bit-identical by construction
 /// — a backend can only change how a group of words is ANDed/XORed, never
 /// which words are touched.
 ///
-/// An `Ops` policy provides:
-///   * `words` — group size in 64-bit words (compile-time constant),
+/// An `Ops` policy covers one lane group (`lane_group_words` words) and
+/// provides:
+///   * `words` — the group size in 64-bit words,
 ///   * `vec` — the group register type,
 ///   * `load` / `store` (unaligned), `broadcast`, `ones`, `band`, `bxor`,
 ///   * `and_xor(acc, v, m)` — `acc & (v ^ m)`, the fused control/fanin
@@ -41,8 +42,8 @@
 namespace qsyn::simd_detail
 {
 
-/// Backend entry points of the slot-program walk and the masked AND for
-/// one lane-group width.  `values` holds one group (`W` consecutive words)
+/// Backend entry points of the slot-program walk and the masked AND.
+/// `values` holds one lane group (`lane_group_words` consecutive words)
 /// per slot.
 struct slot_kernels
 {
@@ -55,27 +56,24 @@ struct slot_kernels
                   const std::uint64_t* b, std::uint64_t invert_b, std::size_t num_words );
 };
 
-/// The slot kernels of `backend` at `words` words per group (1, 4 or 8;
-/// an AVX backend only at the widths it serves, see `active_simd_backend`).
-slot_kernels slot_kernels_for( simd_backend backend, unsigned words );
+/// The slot kernels of `backend` (as `active_simd_backend` returns it).
+slot_kernels slot_kernels_for( simd_backend backend );
 
-/// Portable lane-group policy: `W` unrolled `uint64` lanes.  `W = 1` is
-/// exactly the 64-bit scalar engine's word operations; `W = 4` / `W = 8`
-/// give the compiler a fixed-trip-count inner loop to unroll.
-template<unsigned W>
+/// Portable lane-group policy: unrolled `uint64` lanes, a fixed-trip-count
+/// inner loop for the compiler to unroll.
 struct portable_ops
 {
-  static constexpr unsigned words = W;
+  static constexpr unsigned words = lane_group_words;
 
   struct vec
   {
-    std::uint64_t w[W];
+    std::uint64_t w[words];
   };
 
   static vec load( const std::uint64_t* p )
   {
     vec v;
-    for ( unsigned k = 0; k < W; ++k )
+    for ( unsigned k = 0; k < words; ++k )
     {
       v.w[k] = p[k];
     }
@@ -83,7 +81,7 @@ struct portable_ops
   }
   static void store( std::uint64_t* p, vec v )
   {
-    for ( unsigned k = 0; k < W; ++k )
+    for ( unsigned k = 0; k < words; ++k )
     {
       p[k] = v.w[k];
     }
@@ -91,7 +89,7 @@ struct portable_ops
   static vec broadcast( std::uint64_t x )
   {
     vec v;
-    for ( unsigned k = 0; k < W; ++k )
+    for ( unsigned k = 0; k < words; ++k )
     {
       v.w[k] = x;
     }
@@ -101,7 +99,7 @@ struct portable_ops
   static vec band( vec a, vec b )
   {
     vec v;
-    for ( unsigned k = 0; k < W; ++k )
+    for ( unsigned k = 0; k < words; ++k )
     {
       v.w[k] = a.w[k] & b.w[k];
     }
@@ -110,7 +108,7 @@ struct portable_ops
   static vec bxor( vec a, vec b )
   {
     vec v;
-    for ( unsigned k = 0; k < W; ++k )
+    for ( unsigned k = 0; k < words; ++k )
     {
       v.w[k] = a.w[k] ^ b.w[k];
     }
@@ -119,8 +117,8 @@ struct portable_ops
   static vec and_xor( vec acc, vec v, vec m ) { return band( acc, bxor( v, m ) ); }
 };
 
-/// Doubles a policy's group width by pairing two inner registers — how an
-/// AVX2-only machine runs w512 groups (two 256-bit halves per step).
+/// Doubles a policy's group width by pairing two inner registers — how
+/// AVX2 runs a lane group (two 256-bit halves per step).
 template<typename Inner>
 struct paired_ops
 {
@@ -168,7 +166,7 @@ namespace
 {
 
 #if defined( __AVX2__ )
-/// One 256-bit word per w256 group (paired for w512 on AVX2-only machines).
+/// One 256-bit word: half a lane group, paired into `avx2_ops8`.
 struct avx2_ops4
 {
   static constexpr unsigned words = 4;
@@ -196,7 +194,7 @@ using avx2_ops8 = paired_ops<avx2_ops4>;
 #endif
 
 #if defined( __AVX512F__ )
-/// One 512-bit word per w512 group.
+/// One 512-bit word per lane group.
 struct avx512_ops8
 {
   static constexpr unsigned words = 8;
@@ -259,6 +257,7 @@ void and2_kernel( std::uint64_t* dst, const std::uint64_t* a, std::uint64_t inve
 template<typename Ops>
 constexpr slot_kernels slot_kernels_of()
 {
+  static_assert( Ops::words == lane_group_words, "a policy covers one whole lane group" );
   return { &aig_kernel<Ops>, &and2_kernel<Ops> };
 }
 

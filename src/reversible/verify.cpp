@@ -16,13 +16,15 @@ namespace
 
 constexpr std::uint64_t all_ones = ~std::uint64_t{ 0 };
 
+/// Words per lane group: every tier simulates one group per pass.
+constexpr unsigned W = lane_group_words;
+
 /// Fills one lane group per input for the `W` consecutive counter blocks
 /// starting at `blk0` (word k of input i covers assignments
 /// `(blk0 + k) * 64 .. + 63`): the low six variables cycle through the
 /// projection patterns in every word, the higher ones broadcast the
 /// corresponding bit of the word's block index.
-void fill_counter_wide( unsigned num_inputs, std::uint64_t blk0, unsigned W,
-                        std::vector<std::uint64_t>& words )
+void fill_counter_wide( unsigned num_inputs, std::uint64_t blk0, std::vector<std::uint64_t>& words )
 {
   for ( unsigned i = 0; i < num_inputs; ++i )
   {
@@ -35,8 +37,8 @@ void fill_counter_wide( unsigned num_inputs, std::uint64_t blk0, unsigned W,
 }
 
 /// Unpacks assignment lane `j` of word `k` of a grouped input batch.
-std::vector<bool> unpack_wide_lane( const std::vector<std::uint64_t>& words, unsigned W,
-                                    unsigned k, unsigned j )
+std::vector<bool> unpack_wide_lane( const std::vector<std::uint64_t>& words, unsigned k,
+                                    unsigned j )
 {
   std::vector<bool> assignment( words.size() / W );
   for ( std::size_t i = 0; i < assignment.size(); ++i )
@@ -48,7 +50,7 @@ std::vector<bool> unpack_wide_lane( const std::vector<std::uint64_t>& words, uns
 
 /// OR of the per-output differences in word `k` of two grouped results.
 std::uint64_t diff_word_wide( const std::vector<std::uint64_t>& a,
-                              const std::vector<std::uint64_t>& b, unsigned W, unsigned k )
+                              const std::vector<std::uint64_t>& b, unsigned k )
 {
   std::uint64_t diff = 0;
   for ( std::size_t o = 0; o < a.size() / W; ++o )
@@ -147,9 +149,7 @@ bool verify_against_truth_tables( const reversible_circuit& circuit,
   {
     throw std::invalid_argument( "verify_against_truth_tables: too many inputs" );
   }
-  const auto width = auto_sim_width( std::uint64_t{ 1 } << num_inputs );
-  const auto W = words_of( width );
-  wide_simulator sim( circuit, width );
+  wide_simulator sim( circuit );
   if ( sim.output_lines().size() != outputs.size() )
   {
     return false;
@@ -166,7 +166,7 @@ bool verify_against_truth_tables( const reversible_circuit& circuit,
   std::vector<std::uint64_t> words( std::size_t{ num_inputs } * W );
   for ( std::uint64_t blk = 0; blk < num_blocks; blk += W )
   {
-    fill_counter_wide( num_inputs, blk, W, words );
+    fill_counter_wide( num_inputs, blk, words );
     const auto& result = sim.evaluate( words );
     for ( std::size_t o = 0; o < outputs.size(); ++o )
     {
@@ -202,15 +202,16 @@ void check_interface( const reversible_circuit& circuit, const aig_network& aig,
   }
 }
 
-/// The exhaustive tier at one width: a counter-order enumeration with the
-/// spec simulated once per lane group.  Word-by-word comparison in block
-/// order keeps the first-counterexample contract and the per-assignment
-/// coverage accounting identical to a scalar counter-order scan at every
-/// width.
-partial_verify_report exhaustive_wide( const reversible_circuit& circuit, const aig_network& aig,
-                                       const deadline& stop, sim_width width )
+} // namespace
+
+// The exhaustive tier: a counter-order enumeration with the spec simulated
+// once per lane group.  Word-by-word comparison in block order keeps the
+// first-counterexample contract and the per-assignment coverage accounting
+// identical to a scalar counter-order scan.
+partial_verify_report verify_against_aig_exhaustive_budgeted( const reversible_circuit& circuit,
+                                                              const aig_network& aig,
+                                                              const deadline& stop )
 {
-  const auto W = words_of( width );
   const auto num_pis = aig.num_pis();
   if ( num_pis > 24u )
   {
@@ -226,8 +227,8 @@ partial_verify_report exhaustive_wide( const reversible_circuit& circuit, const 
     report.complete = false;
     return report;
   }
-  wide_simulator sim( circuit, width );
-  wide_aig_simulator spec( aig, width );
+  wide_simulator sim( circuit );
+  wide_aig_simulator spec( aig );
   const auto poll_deadline = !stop.unlimited();
   const auto mask = block_mask( num_pis );
   const auto num_blocks = num_blocks_for( num_pis );
@@ -239,15 +240,15 @@ partial_verify_report exhaustive_wide( const reversible_circuit& circuit, const 
       report.complete = false;
       return report;
     }
-    fill_counter_wide( num_pis, blk, W, words );
+    fill_counter_wide( num_pis, blk, words );
     const auto& expected = spec.evaluate( words );
     const auto& actual = sim.evaluate( words );
     for ( unsigned k = 0; k < W && blk + k < num_blocks; ++k )
     {
-      if ( const auto diff = diff_word_wide( expected, actual, W, k ) & mask )
+      if ( const auto diff = diff_word_wide( expected, actual, k ) & mask )
       {
         report.counterexample =
-            unpack_wide_lane( words, W, k, static_cast<unsigned>( lsb_index( diff ) ) );
+            unpack_wide_lane( words, k, static_cast<unsigned>( lsb_index( diff ) ) );
         report.assignments_completed += lsb_index( diff ) + 1u;
         return report;
       }
@@ -258,15 +259,21 @@ partial_verify_report exhaustive_wide( const reversible_circuit& circuit, const 
   return report;
 }
 
-/// The sampled tier at one width.  The rng stream is consumed one word per
-/// input per 64-lane block, in block order — the w64 draw order — so every
-/// width sees identical patterns.  Lane masking plus
-/// per-64-block accounting keeps `assignments_completed` exact (never
-/// rounded up to lane-group granularity) when the request size is not
-/// lane-aligned.
-partial_verify_report sampled_wide( const reversible_circuit& circuit, const aig_network& aig,
-                                    const deadline& stop, unsigned num_samples,
-                                    std::uint64_t seed, sim_width width )
+std::optional<std::vector<bool>> verify_against_aig_exhaustive( const reversible_circuit& circuit,
+                                                                const aig_network& aig )
+{
+  return verify_against_aig_exhaustive_budgeted( circuit, aig, deadline{} ).counterexample;
+}
+
+// The sampled tier.  The rng stream is consumed one word per input per
+// 64-lane block, in block order.  Lane masking plus per-64-block
+// accounting keeps `assignments_completed` exact (never rounded up to
+// lane-group granularity) when the request size is not lane-aligned.
+partial_verify_report verify_against_aig_sampled_budgeted( const reversible_circuit& circuit,
+                                                           const aig_network& aig,
+                                                           const deadline& stop,
+                                                           unsigned num_samples,
+                                                           std::uint64_t seed )
 {
   const auto num_pis = aig.num_pis();
   // When the whole input space is no larger than the sample budget,
@@ -274,9 +281,8 @@ partial_verify_report sampled_wide( const reversible_circuit& circuit, const aig
   // vectors and could certify a tiny design without ever covering it.
   if ( num_pis <= 24u && ( std::uint64_t{ 1 } << num_pis ) <= num_samples )
   {
-    return exhaustive_wide( circuit, aig, stop, width );
+    return verify_against_aig_exhaustive_budgeted( circuit, aig, stop );
   }
-  const auto W = words_of( width );
   check_interface( circuit, aig, "verify_against_aig_sampled" );
   const std::uint64_t total = std::uint64_t{ num_samples } + 2u;
   partial_verify_report report;
@@ -287,8 +293,8 @@ partial_verify_report sampled_wide( const reversible_circuit& circuit, const aig
     return report;
   }
   std::mt19937_64 rng( seed );
-  wide_simulator sim( circuit, width );
-  wide_aig_simulator spec( aig, width );
+  wide_simulator sim( circuit );
+  wide_aig_simulator spec( aig );
   const auto poll_deadline = !stop.unlimited();
   std::vector<std::uint64_t> words( std::size_t{ num_pis } * W );
   for ( std::uint64_t base = 0; base < total; base += std::uint64_t{ 64 } * W )
@@ -321,10 +327,10 @@ partial_verify_report sampled_wide( const reversible_circuit& circuit, const aig
     {
       const auto lanes = std::min<std::uint64_t>( 64u, total - ( base + std::uint64_t{ 64 } * k ) );
       const auto lane_mask = lanes == 64u ? all_ones : ( std::uint64_t{ 1 } << lanes ) - 1u;
-      if ( const auto diff = diff_word_wide( expected, actual, W, k ) & lane_mask )
+      if ( const auto diff = diff_word_wide( expected, actual, k ) & lane_mask )
       {
         report.counterexample =
-            unpack_wide_lane( words, W, k, static_cast<unsigned>( lsb_index( diff ) ) );
+            unpack_wide_lane( words, k, static_cast<unsigned>( lsb_index( diff ) ) );
         report.assignments_completed += lsb_index( diff ) + 1u;
         return report;
       }
@@ -332,51 +338,6 @@ partial_verify_report sampled_wide( const reversible_circuit& circuit, const aig
     }
   }
   return report;
-}
-
-} // namespace
-
-partial_verify_report verify_against_aig_exhaustive_budgeted( const reversible_circuit& circuit,
-                                                              const aig_network& aig,
-                                                              const deadline& stop,
-                                                              sim_width width )
-{
-  return exhaustive_wide( circuit, aig, stop, width );
-}
-
-partial_verify_report verify_against_aig_exhaustive_budgeted( const reversible_circuit& circuit,
-                                                              const aig_network& aig,
-                                                              const deadline& stop )
-{
-  const auto num_pis = aig.num_pis();
-  const auto width =
-      num_pis > 24u ? sim_width::w512 : auto_sim_width( std::uint64_t{ 1 } << num_pis );
-  return verify_against_aig_exhaustive_budgeted( circuit, aig, stop, width );
-}
-
-std::optional<std::vector<bool>> verify_against_aig_exhaustive( const reversible_circuit& circuit,
-                                                                const aig_network& aig )
-{
-  return verify_against_aig_exhaustive_budgeted( circuit, aig, deadline{} ).counterexample;
-}
-
-partial_verify_report verify_against_aig_sampled_budgeted( const reversible_circuit& circuit,
-                                                           const aig_network& aig,
-                                                           const deadline& stop,
-                                                           unsigned num_samples,
-                                                           std::uint64_t seed, sim_width width )
-{
-  return sampled_wide( circuit, aig, stop, num_samples, seed, width );
-}
-
-partial_verify_report verify_against_aig_sampled_budgeted( const reversible_circuit& circuit,
-                                                           const aig_network& aig,
-                                                           const deadline& stop,
-                                                           unsigned num_samples,
-                                                           std::uint64_t seed )
-{
-  return verify_against_aig_sampled_budgeted( circuit, aig, stop, num_samples, seed,
-                                              auto_sim_width( std::uint64_t{ num_samples } + 2u ) );
 }
 
 std::optional<std::vector<bool>> verify_against_aig_sampled( const reversible_circuit& circuit,

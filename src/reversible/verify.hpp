@@ -15,13 +15,13 @@
 ///     hashing, per-output miters under assumptions, simulation-guided
 ///     fraiging), reusable across a sweep's configurations.
 /// The simulation tiers share one engine (wide_sim.hpp): a lane group of
-/// 1, 4, or 8 `std::uint64_t` words per circuit line packs 64–512 input
-/// assignments, and every gate sweeps whole groups — the Toffoli control
-/// conjunction is a group AND, the target update a group XOR — so one pass
-/// over the gate list settles up to 512 assignments at once (portable
-/// unrolled lanes by default, AVX2/AVX-512 words when compiled in and the
-/// CPU agrees).  The w64 width is the 64-bit path; every width is
-/// bit-identical to the scalar `evaluate_circuit` by contract.
+/// 8 `std::uint64_t` words per circuit line packs 512 input assignments,
+/// and every gate sweeps whole groups — the Toffoli control conjunction is
+/// a group AND, the target update a group XOR — so one pass over the gate
+/// list settles 512 assignments at once (AVX-512 or AVX2 words when the
+/// CPU has them, portable unrolled lanes otherwise).  Smaller input spaces
+/// fill part of one group and mask the rest; every report is bit-identical
+/// to the scalar `evaluate_circuit` by contract.
 ///
 /// Conventions: input variable i lives on the i-th line flagged
 /// `is_primary_input` (in line order); constant ancillae carry
@@ -64,21 +64,21 @@ std::vector<std::uint32_t> output_lines_of( const reversible_circuit& circuit );
 std::vector<bool> evaluate_circuit( const reversible_circuit& circuit,
                                     const std::vector<bool>& inputs );
 
-/// Exhaustively checks the circuit against output truth tables, 64
-/// assignments per simulated word (2^inputs/64 sweeps; inputs <= 24).
+/// Exhaustively checks the circuit against output truth tables, one lane
+/// group of 512 assignments per pass (inputs <= 24).
 bool verify_against_truth_tables( const reversible_circuit& circuit,
                                   const std::vector<truth_table>& outputs );
 
 /// Exhaustively checks the circuit against an AIG over all 2^inputs
-/// assignments (inputs <= 24), 64 per simulated word, in counter order.
+/// assignments (inputs <= 24), one lane group per pass, in counter order.
 /// Returns the first failing input assignment if any — a proof of
 /// equivalence when it returns nullopt.
 std::optional<std::vector<bool>> verify_against_aig_exhaustive( const reversible_circuit& circuit,
                                                                 const aig_network& aig );
 
 /// Checks the circuit against an AIG on `num_samples` random input
-/// assignments (plus the all-zero and all-one patterns), 64 per simulated
-/// word.  When 2^num_pis <= num_samples the check delegates to
+/// assignments (plus the all-zero and all-one patterns), one lane group per
+/// pass.  When 2^num_pis <= num_samples the check delegates to
 /// `verify_against_aig_exhaustive` — same budget, full coverage, and a
 /// real proof for small designs.  Returns the first failing input if any.
 std::optional<std::vector<bool>> verify_against_aig_sampled( const reversible_circuit& circuit,
@@ -101,37 +101,27 @@ struct partial_verify_report
 };
 
 /// `verify_against_aig_exhaustive` with a cooperative deadline, polled once
-/// before the simulators are built and once per lane-group pass.  With an unlimited deadline the result is identical
-/// to the unbudgeted tier.  The default overload picks the smallest
-/// `sim_width` covering 2^inputs; the explicit-width overload exists for
-/// the differential harness — verdict, counterexample, and
-/// `assignments_completed` are bit-identical at every width.
+/// before the simulators are built and once per lane-group pass.  With an
+/// unlimited deadline the result is identical to the unbudgeted tier, and
+/// `assignments_completed` counts single assignments in counter order up
+/// to and including the first counterexample.
 partial_verify_report verify_against_aig_exhaustive_budgeted( const reversible_circuit& circuit,
                                                               const aig_network& aig,
                                                               const deadline& stop );
-partial_verify_report verify_against_aig_exhaustive_budgeted( const reversible_circuit& circuit,
-                                                              const aig_network& aig,
-                                                              const deadline& stop,
-                                                              sim_width width );
 
 /// `verify_against_aig_sampled` with a cooperative deadline, polled once
 /// before the simulators are built and once per lane-group pass (the
-/// small-design exhaustive delegation applies unchanged).  With an unlimited deadline the result is identical to the
-/// unbudgeted tier.  The rng stream is consumed in 64-lane block order
-/// regardless of width, so every width draws identical patterns and the
-/// report — verdict, counterexample, `assignments_completed`, with no
-/// double-counting when `num_samples + 2` is not lane-aligned — is
-/// bit-identical across widths.
+/// small-design exhaustive delegation applies unchanged).  With an
+/// unlimited deadline the result is identical to the unbudgeted tier.  The
+/// rng stream is consumed as one word per input per 64-lane block, in
+/// block order, and `assignments_completed` counts single assignments, so
+/// a request of `num_samples + 2` that is not lane-aligned is never
+/// rounded up.
 partial_verify_report verify_against_aig_sampled_budgeted( const reversible_circuit& circuit,
                                                            const aig_network& aig,
                                                            const deadline& stop,
                                                            unsigned num_samples = 256,
                                                            std::uint64_t seed = 1 );
-partial_verify_report verify_against_aig_sampled_budgeted( const reversible_circuit& circuit,
-                                                           const aig_network& aig,
-                                                           const deadline& stop,
-                                                           unsigned num_samples,
-                                                           std::uint64_t seed, sim_width width );
 
 /// Extracts the function computed by the circuit as an AIG: one PI per
 /// primary-input line (in input order), one PO per output index.  Constant

@@ -15,10 +15,12 @@
 /// C) — the same locality that the symbolic variant of [7] exploits; this
 /// keeps explicit synthesis practical through r ~ 20 lines.
 ///
-/// Substitution note (DESIGN.md): the paper runs the decision-diagram-based
-/// symbolic variant `tbs -s` to push the bitwidth further; the circuits
-/// produced are the same as the explicit algorithm's, so the quality columns
-/// of Table II are reproduced faithfully for the sizes we can afford.
+/// Substitution note: the paper runs the decision-diagram-based symbolic
+/// variant `tbs -s` to push the bitwidth further; we run the explicit
+/// algorithm.  Of Table II only the qubit column matches the paper: our
+/// T-counts are far above its and grow much faster with n (INTDIV 13 421
+/// at n = 4 and 22 169 259 at n = 8, against the paper's 597 and 51 386).
+/// See docs/ARCHITECTURE.md ("The synthesis front end") and ROADMAP item 6.
 
 #pragma once
 

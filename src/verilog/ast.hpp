@@ -23,12 +23,28 @@
 
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 namespace qsyn::verilog
 {
+
+/// Widest signal or expression, in bits, that the front end accepts (the
+/// widest declaration the INTDIV/NEWTON generators emit at n = 192 has
+/// 774 bits).  Every width computed from source text — declaration and
+/// lvalue ranges, sized literals, constant indices and repeat counts, part
+/// selects, concatenations and replications — is checked against it, so a
+/// huge width fails with a diagnostic instead of wrapping around in
+/// `unsigned` arithmetic or allocating gigabytes.
+inline constexpr std::uint64_t max_width = std::uint64_t{ 1 } << 20;
+
+/// The diagnostic for a width or index above `max_width`.
+inline std::string over_width_limit( const std::string& what )
+{
+  return what + " exceeds the " + std::to_string( max_width ) + "-bit width limit";
+}
 
 enum class binary_op
 {

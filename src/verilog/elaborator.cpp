@@ -396,19 +396,41 @@ private:
     }
   }
 
-  /// Constant expression evaluation (for indices, repeat counts, shift
-  /// amounts where constant).
+  /// Constant expression evaluation for indices and repeat counts, which
+  /// are at most `max_width`.
   unsigned constant_value( const expression& e ) const
   {
     std::uint64_t value = 0;
-    if ( !try_constant( e, value ) )
+    bool wrapped = false;
+    if ( !try_constant( e, value, wrapped ) )
     {
       fail( "expression must be constant" );
+    }
+    if ( wrapped )
+    {
+      fail( "constant expression is negative or overflows 64 bits" );
+    }
+    if ( value > max_width )
+    {
+      fail( over_width_limit( "constant " + std::to_string( value ) ) );
     }
     return static_cast<unsigned>( value );
   }
 
-  bool try_constant( const expression& e, std::uint64_t& value ) const
+  /// `width` as an `unsigned`, or a diagnostic naming `what` when it is
+  /// above `max_width`.
+  unsigned checked_width( std::uint64_t width, const char* what ) const
+  {
+    if ( width > max_width )
+    {
+      fail( over_width_limit( std::string( what ) + " of " + std::to_string( width ) + " bits" ) );
+    }
+    return static_cast<unsigned>( width );
+  }
+
+  /// Evaluates a constant expression modulo 2^64; `wrapped` is set when
+  /// an intermediate result went negative or past 64 bits.
+  bool try_constant( const expression& e, std::uint64_t& value, bool& wrapped ) const
   {
     std::vector<const expression*> spine;
     const auto& leaf = left_spine( e, spine );
@@ -417,25 +439,26 @@ private:
       return false;
     }
     value = 0;
-    for ( std::size_t b = 0; b < leaf.bits.size() && b < 64u; ++b )
+    for ( std::size_t b = 0; b < leaf.bits.size(); ++b )
     {
       if ( leaf.bits[b] )
       {
-        value |= std::uint64_t{ 1 } << b;
+        wrapped |= b >= 64u;
+        value |= b < 64u ? std::uint64_t{ 1 } << b : 0u;
       }
     }
     for ( auto it = spine.rbegin(); it != spine.rend(); ++it )
     {
       std::uint64_t b = 0;
-      if ( !try_constant( *( *it )->operands[1], b ) )
+      if ( !try_constant( *( *it )->operands[1], b, wrapped ) )
       {
         return false;
       }
       switch ( ( *it )->bin_op )
       {
-      case binary_op::add: value += b; break;
-      case binary_op::sub: value -= b; break;
-      case binary_op::mul: value *= b; break;
+      case binary_op::add: wrapped |= __builtin_add_overflow( value, b, &value ); break;
+      case binary_op::sub: wrapped |= __builtin_sub_overflow( value, b, &value ); break;
+      case binary_op::mul: wrapped |= __builtin_mul_overflow( value, b, &value ); break;
       default: return false;
       }
     }
@@ -483,7 +506,15 @@ private:
     case expression::node_kind::bit_select:
       return 1u;
     case expression::node_kind::part_select:
-      return constant_value( *e.index_msb ) - constant_value( *e.index_lsb ) + 1u;
+    {
+      const auto msb = constant_value( *e.index_msb );
+      const auto lsb = constant_value( *e.index_lsb );
+      if ( msb < lsb )
+      {
+        fail( "part select out of range on '" + e.name + "'" );
+      }
+      return msb - lsb + 1u;
+    }
     case expression::node_kind::unary:
       switch ( e.un_op )
       {
@@ -499,15 +530,19 @@ private:
       return std::max( width_of( *e.operands[1] ), width_of( *e.operands[2] ) );
     case expression::node_kind::concat:
     {
-      unsigned total = 0;
+      // Every operand is at most max_width wide, so the sum cannot wrap
+      // before the check.
+      std::uint64_t total = 0;
       for ( const auto& op : e.operands )
       {
-        total += width_of( *op );
+        total = checked_width( total + width_of( *op ), "concatenation" );
       }
-      return total;
+      return static_cast<unsigned>( total );
     }
     case expression::node_kind::replicate:
-      return constant_value( *e.repeat_count ) * width_of( *e.operands[0] );
+      return checked_width( std::uint64_t{ constant_value( *e.repeat_count ) } *
+                                width_of( *e.operands[0] ),
+                            "replication" );
     }
     fail( "unreachable expression kind" );
   }
@@ -660,6 +695,7 @@ private:
       const auto w = width_of( *e.operands[0] );
       const auto part = elab( *e.operands[0], w );
       std::vector<aig_lit> bits;
+      bits.reserve( checked_width( std::uint64_t{ count } * w, "replication" ) );
       for ( unsigned r = 0; r < count; ++r )
       {
         bits.insert( bits.end(), part.begin(), part.end() );
@@ -758,8 +794,11 @@ private:
     case binary_op::shl:
     case binary_op::shr:
     {
+      // A constant amount is taken modulo 2^64: a wrapped amount is huge
+      // and shifts every bit out.
       std::uint64_t amount = 0;
-      if ( try_constant( rhs, amount ) )
+      bool wrapped = false;
+      if ( try_constant( rhs, amount, wrapped ) )
       {
         std::vector<aig_lit> bits( width, aig_network::const0 );
         const bool left = e.bin_op == binary_op::shl;

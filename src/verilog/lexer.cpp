@@ -1,7 +1,10 @@
 #include "lexer.hpp"
 
 #include <cctype>
+#include <limits>
 #include <stdexcept>
+
+#include "ast.hpp"
 
 namespace qsyn::verilog
 {
@@ -63,12 +66,12 @@ std::vector<bool> digits_to_bits( unsigned line, char base, const std::string& d
       {
         fail( line, "invalid decimal digit" );
       }
-      const auto next = value * 10u + static_cast<std::uint64_t>( c - '0' );
-      if ( next < value )
+      const auto digit = static_cast<std::uint64_t>( c - '0' );
+      if ( value > ( std::numeric_limits<std::uint64_t>::max() - digit ) / 10u )
       {
         fail( line, "decimal literal exceeds 64 bits; use binary or hex" );
       }
-      value = next;
+      value = value * 10u + digit;
     }
     for ( unsigned b = 0; b < 64; ++b )
     {
@@ -86,6 +89,10 @@ std::vector<bool> digits_to_bits( unsigned line, char base, const std::string& d
     while ( bits.size() > 1u && !bits.back() )
     {
       bits.pop_back();
+    }
+    if ( bits.size() > max_width )
+    {
+      fail( line, over_width_limit( "literal of " + std::to_string( bits.size() ) + " bits" ) );
     }
   }
   return bits;
@@ -222,11 +229,22 @@ std::vector<token> tokenize( const std::string& source )
         unsigned width = 0;
         if ( !size_digits.empty() )
         {
-          width = static_cast<unsigned>( std::stoul( size_digits ) );
-          if ( width == 0 )
+          // Digit by digit, so a size of any length fails cleanly instead of
+          // overflowing.
+          std::uint64_t size = 0;
+          for ( const char d : size_digits )
+          {
+            size = size * 10u + static_cast<std::uint64_t>( d - '0' );
+            if ( size > max_width )
+            {
+              fail( line, over_width_limit( "literal size " + size_digits ) );
+            }
+          }
+          if ( size == 0 )
           {
             fail( line, "zero-width literal" );
           }
+          width = static_cast<unsigned>( size );
           t.sized = true;
         }
         t.bits = digits_to_bits( line, base_char, digits, width );

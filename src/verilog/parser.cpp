@@ -231,18 +231,32 @@ private:
   unsigned parse_range()
   {
     expect( token_kind::lbracket );
-    const auto msb = parse_constant();
+    const auto msb = parse_index();
     expect( token_kind::colon );
-    const auto lsb = parse_constant();
+    const auto lsb = parse_index();
     expect( token_kind::rbracket );
     if ( lsb != 0 )
     {
       fail( "only [msb:0] ranges are supported in declarations" );
     }
-    return static_cast<unsigned>( msb ) + 1u;
+    return msb + 1u;
   }
 
-  /// A constant integer expression made of numbers, +, -, * and parentheses.
+  /// A constant bit index: below `max_width`, so a width computed from it
+  /// cannot wrap.
+  unsigned parse_index()
+  {
+    const auto value = parse_constant();
+    if ( value >= max_width )
+    {
+      fail( over_width_limit( "bit index " + std::to_string( value ) ) );
+    }
+    return static_cast<unsigned>( value );
+  }
+
+  /// A constant integer expression made of numbers, +, -, * and parentheses,
+  /// evaluated without wrapping: a negative or 64-bit-overflowing
+  /// intermediate fails.
   std::uint64_t parse_constant()
   {
     const nesting level( *this );
@@ -256,11 +270,17 @@ private:
     {
       if ( accept( token_kind::plus ) )
       {
-        value += parse_constant_mul();
+        if ( __builtin_add_overflow( value, parse_constant_mul(), &value ) )
+        {
+          fail( "constant expression overflows 64 bits" );
+        }
       }
       else if ( accept( token_kind::minus ) )
       {
-        value -= parse_constant_mul();
+        if ( __builtin_sub_overflow( value, parse_constant_mul(), &value ) )
+        {
+          fail( "constant expression is negative" );
+        }
       }
       else
       {
@@ -274,7 +294,10 @@ private:
     auto value = parse_constant_primary();
     while ( accept( token_kind::star ) )
     {
-      value *= parse_constant_primary();
+      if ( __builtin_mul_overflow( value, parse_constant_primary(), &value ) )
+      {
+        fail( "constant expression overflows 64 bits" );
+      }
     }
     return value;
   }
@@ -289,10 +312,14 @@ private:
     }
     const auto t = expect( token_kind::number );
     std::uint64_t value = 0;
-    for ( std::size_t b = 0; b < t.bits.size() && b < 64u; ++b )
+    for ( std::size_t b = 0; b < t.bits.size(); ++b )
     {
       if ( t.bits[b] )
       {
+        if ( b >= 64u )
+        {
+          fail( "constant expression overflows 64 bits" );
+        }
         value |= std::uint64_t{ 1 } << b;
       }
     }
@@ -362,15 +389,15 @@ private:
     lv.name = expect( token_kind::identifier ).text;
     if ( accept( token_kind::lbracket ) )
     {
-      const auto first = parse_constant();
+      const auto first = parse_index();
       if ( accept( token_kind::colon ) )
       {
-        lv.msb = static_cast<unsigned>( first );
-        lv.lsb = static_cast<unsigned>( parse_constant() );
+        lv.msb = first;
+        lv.lsb = parse_index();
       }
       else
       {
-        lv.msb = lv.lsb = static_cast<unsigned>( first );
+        lv.msb = lv.lsb = first;
       }
       lv.has_range = true;
       expect( token_kind::rbracket );

@@ -1,4 +1,5 @@
-/// The bit-parallel simulation engine (every lane width) vs. the scalar
+/// The bit-parallel simulation engine (512-assignment lane groups, on
+/// whichever SIMD backend cpuid and QSYN_SIMD select) vs. the scalar
 /// `evaluate_circuit` oracle, plus the exhaustive / sampled / SAT tiers
 /// built on top of it.
 
@@ -174,18 +175,18 @@ partial_verify_report scalar_sampled_report( const reversible_circuit& circuit,
   } );
 }
 
-constexpr sim_width all_widths[] = { sim_width::w64, sim_width::w256, sim_width::w512 };
+/// Words and assignment lanes of one lane group.
+constexpr unsigned W = lane_group_words;
+constexpr unsigned lanes = lane_group_words * 64u;
 
 /// Packs `batch` (at most one lane group) into lane j = word j / 64, bit
-/// j % 64 of each input's group, simulates it at `width`, and checks every
-/// lane's outputs against `evaluate_circuit`.
-void expect_lanes_match_scalar( const reversible_circuit& circuit, sim_width width,
+/// j % 64 of each input's group, simulates it, and checks every lane's
+/// outputs against `evaluate_circuit`.
+void expect_lanes_match_scalar( const reversible_circuit& circuit,
                                 const std::vector<std::vector<bool>>& batch,
                                 const std::string& context )
 {
-  const auto W = words_of( width );
-  wide_simulator sim( circuit, width );
-  ASSERT_EQ( sim.width(), width );
+  wide_simulator sim( circuit );
   std::vector<std::uint64_t> inputs( sim.input_lines().size() * W, 0u );
   for ( std::size_t j = 0; j < batch.size(); ++j )
   {
@@ -203,7 +204,7 @@ void expect_lanes_match_scalar( const reversible_circuit& circuit, sim_width wid
     {
       EXPECT_EQ( ( words[o * W + j / 64u] >> ( j % 64u ) ) & 1u,
                  static_cast<std::uint64_t>( expected[o] ) )
-          << context << " width " << lanes_of( width ) << " lane " << j << " output " << o;
+          << context << " lane " << j << " output " << o;
     }
   }
   // One group too many: the input arity is checked.
@@ -234,7 +235,7 @@ reversible_circuit corrupt_first_output( const reversible_circuit& circuit )
 /// Corrupts a circuit late in counter order: a Toffoli onto the lowest
 /// output line, controlled by input lines 0..2 (or the input lines other
 /// than the target), fires only when all its controls are one, so the
-/// candidate survives several wide passes before it can fail.
+/// candidate may survive several words before it fails.
 reversible_circuit corrupt_late( const reversible_circuit& circuit )
 {
   auto corrupted = circuit;
@@ -248,6 +249,22 @@ reversible_circuit corrupt_late( const reversible_circuit& circuit )
     }
   }
   corrupted.add_mct( controls, target );
+  return corrupted;
+}
+
+/// Corrupts a specification at a known column: PO 0 XOR the AND of PIs
+/// 0..k-1 differs from `spec` exactly on the assignments where those k
+/// inputs are one, so the first counterexample in counter order is column
+/// 2^k - 1.
+aig_network corrupt_spec_from_column( const aig_network& spec, unsigned k )
+{
+  auto corrupted = spec;
+  std::vector<aig_lit> pis;
+  for ( unsigned i = 0; i < k; ++i )
+  {
+    pis.push_back( corrupted.pi( i ) );
+  }
+  corrupted.set_po( 0, corrupted.create_xor( corrupted.po( 0 ), corrupted.create_nary_and( pis ) ) );
   return corrupted;
 }
 
@@ -280,7 +297,7 @@ TEST( verify_lines, output_index_gaps_and_duplicates_throw )
   twice.line( 2 ).output_index = 1;
   EXPECT_THROW( output_lines_of( twice ), std::invalid_argument );
   // Every consumer of the output lines refuses such a circuit.
-  EXPECT_THROW( wide_simulator( twice, sim_width::w64 ), std::invalid_argument );
+  EXPECT_THROW( wide_simulator{ twice }, std::invalid_argument );
   EXPECT_THROW( evaluate_circuit( gap, {} ), std::invalid_argument );
 }
 
@@ -480,11 +497,12 @@ TEST( verify_sat, interface_mismatch_throws )
 
 // --- the wide engine vs. the scalar oracle ----------------------------------
 //
-// The differential harness of the simulation engine: every lane width (on
+// The differential harness of the simulation engine: the lane group (on
 // whichever SIMD backend the CPU and QSYN_SIMD select) is pinned against
 // the scalar `evaluate_circuit` lane by lane, and every verification report
 // against a scalar replay of the tier's contract — bit-identical verdicts,
-// counterexamples, and coverage accounting, ragged tails and constant
+// counterexamples, and coverage accounting, for spaces smaller than one
+// pass, exactly one pass and several passes, ragged tails and constant
 // ancillae included.
 
 TEST( verify_wide, wide_simulator_matches_scalar_on_random_circuits )
@@ -495,42 +513,37 @@ TEST( verify_wide, wide_simulator_matches_scalar_on_random_circuits )
     const unsigned num_lines = 2u + rng() % 9u;
     const unsigned num_inputs = 1u + rng() % num_lines;
     const auto circuit = random_circuit( rng, num_lines, 1u + rng() % 40u, num_inputs );
-    for ( const auto width : all_widths )
+    std::vector<std::vector<bool>> batch;
+    for ( unsigned j = 0; j < lanes; ++j )
     {
-      std::vector<std::vector<bool>> batch;
-      for ( unsigned j = 0; j < lanes_of( width ); ++j )
-      {
-        batch.push_back( random_assignment( rng, num_inputs ) );
-      }
-      expect_lanes_match_scalar( circuit, width, batch, "instance " + std::to_string( instance ) );
+      batch.push_back( random_assignment( rng, num_inputs ) );
     }
+    expect_lanes_match_scalar( circuit, batch, "instance " + std::to_string( instance ) );
   }
 }
 
 TEST( verify_wide, wide_simulator_matches_scalar_exhaustively_up_to_ten_inputs )
 {
   // Ragged tails on purpose: below 6 inputs the whole space is part of one
-  // word, and 2^7 fills two of a w512 group's eight words.
+  // word, 2^7 fills two of a group's eight words, and 2^10 takes two
+  // groups.
   std::mt19937_64 rng( 23 );
   for ( const unsigned num_inputs : { 1u, 2u, 5u, 6u, 7u, 10u } )
   {
     const unsigned num_lines = num_inputs + 1u + rng() % 3u;
     const auto circuit = random_circuit( rng, num_lines, 25u, num_inputs );
     const std::uint64_t space = std::uint64_t{ 1 } << num_inputs;
-    for ( const auto width : all_widths )
+    for ( std::uint64_t base = 0; base < space; base += lanes )
     {
-      for ( std::uint64_t base = 0; base < space; base += lanes_of( width ) )
+      std::vector<std::vector<bool>> batch;
+      const auto end = std::min<std::uint64_t>( space, base + lanes );
+      for ( std::uint64_t x = base; x < end; ++x )
       {
-        std::vector<std::vector<bool>> batch;
-        const auto end = std::min<std::uint64_t>( space, base + lanes_of( width ) );
-        for ( std::uint64_t x = base; x < end; ++x )
-        {
-          batch.push_back( counter_assignment( x, num_inputs ) );
-        }
-        expect_lanes_match_scalar( circuit, width, batch,
-                                   "n=" + std::to_string( num_inputs ) + " base " +
-                                       std::to_string( base ) );
+        batch.push_back( counter_assignment( x, num_inputs ) );
       }
+      expect_lanes_match_scalar( circuit, batch,
+                                 "n=" + std::to_string( num_inputs ) + " base " +
+                                     std::to_string( base ) );
     }
   }
 }
@@ -547,84 +560,85 @@ TEST( verify_wide, wide_simulator_matches_scalar_on_constant_ancillae )
   circuit.line( 1 ).output_index = 0;
   circuit.line( 1 ).is_garbage = false;
   circuit.add_toffoli( 0, 2, 1 ); // fires iff x0 (ancilla is constant 1)
-  for ( const auto width : all_widths )
+  std::vector<std::vector<bool>> batch;
+  for ( std::uint64_t x = 0; x < lanes; ++x )
   {
-    std::vector<std::vector<bool>> batch;
-    for ( std::uint64_t x = 0; x < lanes_of( width ); ++x )
-    {
-      batch.push_back( counter_assignment( x % 4u, 2u ) );
-    }
-    expect_lanes_match_scalar( circuit, width, batch, "ancilla" );
+    batch.push_back( counter_assignment( x % 4u, 2u ) );
   }
+  expect_lanes_match_scalar( circuit, batch, "ancilla" );
 }
 
-TEST( verify_wide, exhaustive_reports_match_oracle_at_every_width )
+TEST( verify_wide, exhaustive_reports_match_oracle )
 {
   std::mt19937_64 rng( 223 );
-  // Ragged tails on purpose: 2^3 is a fraction of one word, 2^7 fills two
-  // of a w512 group's eight words, 2^9 is exactly one w512 group.  The
-  // random circuits carry constant ancillae and garbage lines.
-  for ( const unsigned num_inputs : { 3u, 5u, 7u, 9u } )
+  // Every pass shape of the enumeration: spaces smaller than one lane
+  // group (2^3 and 2^5 are a fraction of one word, 2^7 fills two of the
+  // group's eight words, 2^8 four), exactly one group (2^9), and several
+  // groups (2^10, 2^11).  The random circuits carry constant ancillae and
+  // garbage lines.  Per space, one passing candidate and failing ones: a
+  // circuit wrong from column 0, a circuit whose extra Toffoli may fire
+  // late or never, and specs that differ first at column 7 and at the last
+  // column (in the last group of a several-group enumeration).
+  for ( const unsigned num_inputs : { 3u, 5u, 7u, 8u, 9u, 10u, 11u } )
   {
     const auto circuit = random_circuit( rng, num_inputs + 3u, 30u, num_inputs );
     const auto spec = circuit_to_aig( circuit );
-    const auto corrupted = corrupt_first_output( circuit );
-    const auto late = corrupt_late( circuit );
-
     const auto pass_oracle = scalar_exhaustive_report( circuit, spec );
     EXPECT_FALSE( pass_oracle.counterexample.has_value() ) << num_inputs;
     EXPECT_EQ( pass_oracle.assignments_completed, std::uint64_t{ 1 } << num_inputs );
-    const auto fail_oracle = scalar_exhaustive_report( corrupted, spec );
-    ASSERT_TRUE( fail_oracle.counterexample.has_value() ) << num_inputs;
-    const auto late_oracle = scalar_exhaustive_report( late, spec );
+    const auto context = "n=" + std::to_string( num_inputs );
+    expect_report_equal( verify_against_aig_exhaustive_budgeted( circuit, spec, deadline{} ),
+                         pass_oracle, "pass " + context );
+    const auto late = corrupt_late( circuit );
+    expect_report_equal( verify_against_aig_exhaustive_budgeted( late, spec, deadline{} ),
+                         scalar_exhaustive_report( late, spec ), "late " + context );
 
-    for ( const auto width : all_widths )
+    const auto first = corrupt_first_output( circuit );
+    const auto first_oracle = scalar_exhaustive_report( first, spec );
+    ASSERT_TRUE( first_oracle.counterexample.has_value() ) << context;
+    EXPECT_EQ( first_oracle.assignments_completed, 1u ) << context;
+    expect_report_equal( verify_against_aig_exhaustive_budgeted( first, spec, deadline{} ),
+                         first_oracle, "first " + context );
+    for ( const unsigned k : { 3u, num_inputs } )
     {
-      const auto context =
-          "n=" + std::to_string( num_inputs ) + " width=" + std::to_string( lanes_of( width ) );
-      expect_report_equal( verify_against_aig_exhaustive_budgeted( circuit, spec, deadline{}, width ),
-                           pass_oracle, "pass " + context );
-      expect_report_equal(
-          verify_against_aig_exhaustive_budgeted( corrupted, spec, deadline{}, width ),
-          fail_oracle, "fail " + context );
-      expect_report_equal( verify_against_aig_exhaustive_budgeted( late, spec, deadline{}, width ),
-                           late_oracle, "late " + context );
+      const auto wrong = corrupt_spec_from_column( spec, k );
+      const auto oracle = scalar_exhaustive_report( circuit, wrong );
+      ASSERT_TRUE( oracle.counterexample.has_value() ) << context << " k=" << k;
+      EXPECT_EQ( oracle.assignments_completed, std::uint64_t{ 1 } << k ) << context << " k=" << k;
+      expect_report_equal( verify_against_aig_exhaustive_budgeted( circuit, wrong, deadline{} ),
+                           oracle, "spec from column 2^" + std::to_string( k ) + "-1 " + context );
     }
   }
 }
 
-TEST( verify_wide, first_counterexample_is_lowest_column_at_every_width )
+TEST( verify_wide, first_counterexample_is_lowest_column )
 {
-  // Spec = AND of all 7 inputs, circuit = constant 0: the only difference
-  // is the all-one assignment — the LAST column of the space.  Every width
-  // must report exactly it (not an earlier lane of the same wide group)
-  // and count all 128 assignments as covered.
-  const unsigned n = 7;
-  const auto [aig, circuit] = and_vs_constant_zero( n );
-  for ( const auto width : all_widths )
+  // Spec = AND of all n inputs, circuit = constant 0: the only difference
+  // is the all-one assignment — the LAST column of the space.  The tier
+  // must report exactly it (not an earlier lane of the same group) and
+  // count the whole space as covered, whether the space is a fraction of
+  // one group, one group or several.
+  for ( const unsigned n : { 7u, 9u, 11u } )
   {
-    const auto report = verify_against_aig_exhaustive_budgeted( circuit, aig, deadline{}, width );
-    ASSERT_TRUE( report.counterexample.has_value() ) << lanes_of( width );
-    EXPECT_EQ( *report.counterexample, std::vector<bool>( n, true ) ) << lanes_of( width );
-    EXPECT_EQ( report.assignments_completed, 128u ) << lanes_of( width );
-    EXPECT_TRUE( report.complete ) << lanes_of( width );
-  }
+    const auto [aig, circuit] = and_vs_constant_zero( n );
+    const auto report = verify_against_aig_exhaustive_budgeted( circuit, aig, deadline{} );
+    ASSERT_TRUE( report.counterexample.has_value() ) << n;
+    EXPECT_EQ( *report.counterexample, std::vector<bool>( n, true ) ) << n;
+    EXPECT_EQ( report.assignments_completed, std::uint64_t{ 1 } << n ) << n;
+    EXPECT_TRUE( report.complete ) << n;
 
-  // And the dual: a circuit wrong everywhere fails on column 0 with exactly
-  // one assignment counted, at every width.
-  auto everywhere = circuit;
-  everywhere.add_not( n ); // constant 1 vs AND: differs on all but all-one
-  for ( const auto width : all_widths )
-  {
-    const auto report =
-        verify_against_aig_exhaustive_budgeted( everywhere, aig, deadline{}, width );
-    ASSERT_TRUE( report.counterexample.has_value() ) << lanes_of( width );
-    EXPECT_EQ( *report.counterexample, std::vector<bool>( n, false ) ) << lanes_of( width );
-    EXPECT_EQ( report.assignments_completed, 1u ) << lanes_of( width );
+    // And the dual: a circuit wrong everywhere fails on column 0 with
+    // exactly one assignment counted.
+    auto everywhere = circuit;
+    everywhere.add_not( n ); // constant 1 vs AND: differs on all but all-one
+    const auto first = verify_against_aig_exhaustive_budgeted( everywhere, aig, deadline{} );
+    ASSERT_TRUE( first.counterexample.has_value() ) << n;
+    EXPECT_EQ( *first.counterexample, std::vector<bool>( n, false ) ) << n;
+    EXPECT_EQ( first.assignments_completed, 1u ) << n;
   }
 }
 
-TEST( verify_wide, sampled_reports_match_oracle_at_every_width )
+TEST( verify_wide, sampled_reports_match_oracle )
 {
   std::mt19937_64 rng( 239 );
   const unsigned num_inputs = 13; // 2^13 > every budget below: genuine sampling
@@ -632,8 +646,24 @@ TEST( verify_wide, sampled_reports_match_oracle_at_every_width )
   const auto spec = circuit_to_aig( circuit );
   const auto corrupted = corrupt_first_output( circuit );
   const auto late = corrupt_late( circuit );
+  // Wrong on one random assignment in 2^9 and on neither pinned extreme:
+  // PO 0 XOR (x0 & .. & x7 & !x8).  At seed 1 the 514-pattern request
+  // passes across two groups and the 1102-pattern one first fails in the
+  // second group.
+  auto rare = spec;
+  {
+    std::vector<aig_lit> lits;
+    for ( unsigned i = 0; i < 8u; ++i )
+    {
+      lits.push_back( rare.pi( i ) );
+    }
+    lits.push_back( lit_not( rare.pi( 8 ) ) );
+    rare.set_po( 0, rare.create_xor( rare.po( 0 ), rare.create_nary_and( lits ) ) );
+  }
 
-  for ( const unsigned num_samples : { 5u, 70u, 250u, 512u } )
+  // Requests of 7, 72 and 252 patterns fit in one group, 514 spills into a
+  // second, 1102 takes three; none is lane-aligned.
+  for ( const unsigned num_samples : { 5u, 70u, 250u, 512u, 1100u } )
   {
     for ( const std::uint64_t seed : { 1u, 42u } )
     {
@@ -641,21 +671,21 @@ TEST( verify_wide, sampled_reports_match_oracle_at_every_width )
       const auto fail_oracle = scalar_sampled_report( corrupted, spec, num_samples, seed );
       ASSERT_TRUE( fail_oracle.counterexample.has_value() ) << num_samples;
       const auto late_oracle = scalar_sampled_report( late, spec, num_samples, seed );
-      for ( const auto width : all_widths )
-      {
-        const auto context = "samples=" + std::to_string( num_samples ) +
-                             " seed=" + std::to_string( seed ) +
-                             " width=" + std::to_string( lanes_of( width ) );
-        expect_report_equal( verify_against_aig_sampled_budgeted( circuit, spec, deadline{},
-                                                                  num_samples, seed, width ),
-                             pass_oracle, "pass " + context );
-        expect_report_equal( verify_against_aig_sampled_budgeted( corrupted, spec, deadline{},
-                                                                  num_samples, seed, width ),
-                             fail_oracle, "fail " + context );
-        expect_report_equal( verify_against_aig_sampled_budgeted( late, spec, deadline{},
-                                                                  num_samples, seed, width ),
-                             late_oracle, "late " + context );
-      }
+      const auto context =
+          "samples=" + std::to_string( num_samples ) + " seed=" + std::to_string( seed );
+      expect_report_equal(
+          verify_against_aig_sampled_budgeted( circuit, spec, deadline{}, num_samples, seed ),
+          pass_oracle, "pass " + context );
+      expect_report_equal(
+          verify_against_aig_sampled_budgeted( corrupted, spec, deadline{}, num_samples, seed ),
+          fail_oracle, "fail " + context );
+      expect_report_equal(
+          verify_against_aig_sampled_budgeted( late, spec, deadline{}, num_samples, seed ),
+          late_oracle, "late " + context );
+      const auto rare_oracle = scalar_sampled_report( circuit, rare, num_samples, seed );
+      expect_report_equal(
+          verify_against_aig_sampled_budgeted( circuit, rare, deadline{}, num_samples, seed ),
+          rare_oracle, "rare " + context );
     }
   }
 }
@@ -664,60 +694,64 @@ TEST( verify_wide, sampled_accounting_is_exact_for_non_lane_aligned_requests )
 {
   // Regression: a batched sampler must count per assignment, never round up
   // to lane-group granularity.  num_samples + 2 (the two pinned extremes)
-  // lands off every lane boundary here — 7, 72, and 252 patterns — and the
-  // completed count must equal the request exactly at every width,
-  // including the widths whose group (256 or 512 lanes) exceeds the whole
-  // request.
+  // lands off every lane boundary here — 7, 72, 252 and 602 patterns — and
+  // the completed count must equal the request exactly, including the
+  // requests smaller than one 512-lane group.
   std::mt19937_64 rng( 241 );
   const unsigned num_inputs = 12;
   const auto circuit = random_circuit( rng, num_inputs + 2u, 25u, num_inputs );
   const auto spec = circuit_to_aig( circuit );
-  for ( const unsigned num_samples : { 5u, 70u, 250u } )
+  for ( const unsigned num_samples : { 5u, 70u, 250u, 600u } )
   {
     const std::uint64_t total = std::uint64_t{ num_samples } + 2u;
-    for ( const auto width : all_widths )
-    {
-      const auto report = verify_against_aig_sampled_budgeted( circuit, spec, deadline{},
-                                                               num_samples, 17u, width );
-      const auto context = "samples=" + std::to_string( num_samples ) +
-                           " width=" + std::to_string( lanes_of( width ) );
-      EXPECT_FALSE( report.counterexample.has_value() ) << context;
-      EXPECT_TRUE( report.complete ) << context;
-      EXPECT_EQ( report.assignments_requested, total ) << context;
-      EXPECT_EQ( report.assignments_completed, total ) << context;
-    }
+    const auto report =
+        verify_against_aig_sampled_budgeted( circuit, spec, deadline{}, num_samples, 17u );
+    const auto context = "samples=" + std::to_string( num_samples );
+    EXPECT_FALSE( report.counterexample.has_value() ) << context;
+    EXPECT_TRUE( report.complete ) << context;
+    EXPECT_EQ( report.assignments_requested, total ) << context;
+    EXPECT_EQ( report.assignments_completed, total ) << context;
   }
 }
 
 TEST( verify_wide, dispatcher_picks_the_widest_backend_cpuid_and_the_cap_allow )
 {
   // The expected choice, derived without the dispatcher: cpuid says what
-  // the CPU runs, and the QSYN_SIMD environment variable caps it.  ctest
-  // runs this suite unset, at "avx2" and at "portable", so each kernel
-  // family the CPU supports runs the differential tests above once.
+  // the CPU runs, and the QSYN_SIMD environment variable caps it (unknown
+  // values are ignored).  ctest runs this suite unset, at "avx2" and at
+  // "portable", so each kernel family the CPU supports runs the
+  // differential tests above once.  A dispatch silently pinned to the
+  // portable kernels fails the unset and "avx2" rows.
+  const bool cpu_avx2 = __builtin_cpu_supports( "avx2" ) != 0;
+  const bool cpu_avx512 = __builtin_cpu_supports( "avx512f" ) != 0;
+  const auto up_to_avx2 = cpu_avx2 ? simd_backend::avx2 : simd_backend::portable;
+  const auto widest = cpu_avx512 ? simd_backend::avx512 : up_to_avx2;
+  const std::array<std::pair<std::string, simd_backend>, 6> rows = { {
+      { "", widest },
+      { "native", widest },
+      { "avx512", widest },
+      { "avx2", up_to_avx2 },
+      { "portable", simd_backend::portable },
+      { "off", simd_backend::portable },
+  } };
   const char* env = std::getenv( "QSYN_SIMD" );
   const std::string cap = env == nullptr ? "" : env;
-  const bool avx2_allowed = cap != "off" && cap != "portable";
-  const bool avx512_allowed = avx2_allowed && cap != "avx2";
-  const bool avx2 = avx2_allowed && __builtin_cpu_supports( "avx2" ) != 0;
-  const bool avx512 = avx512_allowed && __builtin_cpu_supports( "avx512f" ) != 0;
-  // A 256-bit group never takes AVX-512; w512 pairs AVX2 registers when
-  // AVX-512 is out; w64 has nothing to vectorize.
-  const auto w256 = avx2 ? simd_backend::avx2 : simd_backend::portable;
-  const std::array<std::pair<sim_width, simd_backend>, 3> expected = { {
-      { sim_width::w64, simd_backend::portable },
-      { sim_width::w256, w256 },
-      { sim_width::w512, avx512 ? simd_backend::avx512 : w256 },
-  } };
+  auto expected = widest;
+  for ( const auto& [row_cap, backend] : rows )
+  {
+    if ( row_cap == cap )
+    {
+      expected = backend;
+    }
+  }
 
   std::mt19937_64 rng( 91 );
   const auto circuit = random_circuit( rng, 6, 20, 4 );
-  for ( const auto& [width, backend] : expected )
-  {
-    const auto context = "QSYN_SIMD='" + cap + "' width=" + std::to_string( lanes_of( width ) );
-    EXPECT_EQ( active_simd_backend( width ), backend ) << context;
-    EXPECT_EQ( wide_simulator( circuit, width ).backend(), backend ) << context;
-  }
+  const auto context = "QSYN_SIMD='" + cap + "'";
+  EXPECT_EQ( active_simd_backend(), expected ) << context;
+  EXPECT_EQ( active_simd_backend( sim_width::w512 ), expected ) << context;
+  EXPECT_EQ( wide_simulator( circuit ).backend(), expected ) << context;
+  EXPECT_EQ( wide_aig_simulator( circuit_to_aig( circuit ) ).backend(), expected ) << context;
   EXPECT_STREQ( simd_backend_name( simd_backend::portable ), "portable" );
   EXPECT_STREQ( simd_backend_name( simd_backend::avx2 ), "avx2" );
   EXPECT_STREQ( simd_backend_name( simd_backend::avx512 ), "avx512" );
@@ -809,38 +843,33 @@ TEST( verify_wide, spec_simulator_matches_evaluate_on_awkward_aigs )
   std::mt19937_64 rng( 409 );
   for ( const auto& [name, aig] : awkward_aigs() )
   {
-    for ( const auto width : all_widths )
+    wide_aig_simulator sim( aig );
+    ASSERT_EQ( sim.num_pos(), aig.num_pos() ) << name;
+    EXPECT_LE( sim.num_slots(), aig.num_nodes() ) << name;
+    // Two batches through one simulator: values a batch leaves in reused
+    // slots must not reach the next.
+    for ( int batch = 0; batch < 2; ++batch )
     {
-      const auto W = words_of( width );
-      const auto context = name + " width " + std::to_string( lanes_of( width ) );
-      wide_aig_simulator sim( aig, width );
-      ASSERT_EQ( sim.num_pos(), aig.num_pos() ) << context;
-      EXPECT_LE( sim.num_slots(), aig.num_nodes() ) << context;
-      // Two batches through one simulator: values a batch leaves in reused
-      // slots must not reach the next.
-      for ( int batch = 0; batch < 2; ++batch )
+      std::vector<std::uint64_t> words( std::size_t{ aig.num_pis() } * W );
+      for ( auto& w : words )
       {
-        std::vector<std::uint64_t> words( std::size_t{ aig.num_pis() } * W );
-        for ( auto& w : words )
+        w = rng();
+      }
+      const auto& out = sim.evaluate( words );
+      ASSERT_EQ( out.size(), std::size_t{ aig.num_pos() } * W ) << name;
+      for ( unsigned j = 0; j < lanes; ++j )
+      {
+        std::vector<bool> assignment( aig.num_pis() );
+        for ( unsigned i = 0; i < aig.num_pis(); ++i )
         {
-          w = rng();
+          assignment[i] = ( words[i * W + j / 64u] >> ( j % 64u ) ) & 1u;
         }
-        const auto& out = sim.evaluate( words );
-        ASSERT_EQ( out.size(), std::size_t{ aig.num_pos() } * W ) << context;
-        for ( unsigned j = 0; j < lanes_of( width ); ++j )
+        std::vector<bool> got( aig.num_pos() );
+        for ( unsigned o = 0; o < aig.num_pos(); ++o )
         {
-          std::vector<bool> assignment( aig.num_pis() );
-          for ( unsigned i = 0; i < aig.num_pis(); ++i )
-          {
-            assignment[i] = ( words[i * W + j / 64u] >> ( j % 64u ) ) & 1u;
-          }
-          std::vector<bool> got( aig.num_pos() );
-          for ( unsigned o = 0; o < aig.num_pos(); ++o )
-          {
-            got[o] = ( out[o * W + j / 64u] >> ( j % 64u ) ) & 1u;
-          }
-          ASSERT_EQ( got, aig.evaluate( assignment ) ) << context << " lane " << j;
+          got[o] = ( out[o * W + j / 64u] >> ( j % 64u ) ) & 1u;
         }
+        ASSERT_EQ( got, aig.evaluate( assignment ) ) << name << " lane " << j;
       }
     }
     const auto tts = aig.simulate_outputs();
@@ -864,7 +893,7 @@ TEST( verify_wide, spec_simulator_live_state_stays_small )
   // hundred values are live at once; the spec simulator holds only those.
   const auto mod = verilog::elaborate_verilog( reciprocal_verilog( reciprocal_design::newton, 16 ) );
   const auto opt = optimize( mod.aig, flow_params{}.optimization_rounds );
-  const wide_aig_simulator sim( opt, sim_width::w512 );
+  const wide_aig_simulator sim( opt );
   EXPECT_LE( std::uint64_t{ sim.num_slots() } * 100u, opt.num_nodes() )
       << sim.num_slots() << " slots for " << opt.num_nodes() << " nodes";
 }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <random>
+#include <string>
 
 #include "verilog/elaborator.hpp"
 #include "verilog/generators.hpp"
@@ -316,6 +318,75 @@ TEST( verilog_elaborator, context_width_extends_before_multiply )
     endmodule
   )" );
   EXPECT_EQ( eval_module( mod, { 15u, 15u } ), 225u );
+}
+
+TEST( verilog_elaborator, widths_above_the_limit_fail_with_a_diagnostic )
+{
+  // Declaration and lvalue ranges, literal sizes, repeat counts and the
+  // widths of concatenations and replications are all bounded by
+  // max_width: none of these may wrap an unsigned width (the first two once
+  // elaborated as 0- and 1-bit wires, the third as a single copy) or
+  // allocate gigabytes (the nested replication is 2^32 bits).
+  const std::string body_of[] = {
+      "wire [4294967295:0] w; assign y = x[0];",
+      "wire [4294967296:0] w; assign y = x[0];",
+      "wire [4000000000:0] w; assign y = x[0];",
+      "assign y = {4294967297{x[0]}};",
+      "assign y = { 65536{ {65536{x[0]}} } };",
+      "assign y = { {1048576{x[0]}}, x[1] };",
+      "assign y[4294967296:0] = x;",
+      "assign y = 4294967296'b0;",
+      "assign y = 1000000000000000000000000'b0;",
+  };
+  const auto limit = std::to_string( max_width ) + "-bit width limit";
+  for ( const auto& body : body_of )
+  {
+    const auto source = "module m(x, y); input [1:0] x; output [1:0] y; " + body + " endmodule";
+    const auto start = std::chrono::steady_clock::now();
+    try
+    {
+      (void)elaborate_verilog( source );
+      ADD_FAILURE() << "accepted: " << body;
+    }
+    catch ( const std::runtime_error& e )
+    {
+      EXPECT_NE( std::string( e.what() ).find( limit ), std::string::npos ) << e.what();
+    }
+    EXPECT_LT( std::chrono::duration<double>( std::chrono::steady_clock::now() - start ).count(),
+               1.0 )
+        << body;
+  }
+  // Constants past 64 bits, and range, index and repeat-count arithmetic
+  // that goes negative or past 64 bits, fail instead of wrapping to a small
+  // value: the first two once declared a 5-bit wire, the third selected
+  // bit 0, the fourth declared a 1-bit wire, the fifth replicated twice,
+  // and the sixth failed as an undriven signal.
+  const std::string wrapping[] = {
+      "wire [18446744073709551615 + 5:0] w; assign y = x;",
+      "wire [4294967296 * 4294967296 + 4:0] w; assign y = x;",
+      "assign y = x[68'h10000000000000000];",
+      "wire [68'h10000000000000000:0] w; assign y = x;",
+      "assign y = {(4294967296 * 4294967296 + 2){x[0]}};",
+      "assign y = x[0 - 1];",
+      "assign y = x << 18446744073709551616;",
+  };
+  for ( const auto& body : wrapping )
+  {
+    EXPECT_THROW( elaborate_verilog( "module m(x, y); input [1:0] x; output [1:0] y; " + body +
+                                     " endmodule" ),
+                  std::runtime_error )
+        << body;
+  }
+}
+
+TEST( verilog_elaborator, widths_at_the_limit_elaborate )
+{
+  const auto mod = elaborate_verilog(
+      "module m(x, y); input [1:0] x; output y; "
+      "wire [1048575:0] w = {1048576{x[1]}}; assign y = w[1048575]; endmodule" );
+  static_assert( max_width == 1048576u, "the module above sits exactly at the limit" );
+  EXPECT_EQ( eval_module( mod, { 0b10u } ), 1u );
+  EXPECT_EQ( eval_module( mod, { 0b01u } ), 0u );
 }
 
 /// --- the paper's generators ---------------------------------------------
