@@ -47,14 +47,13 @@
 /// Usage: bench_dse [--out FILE] [--quick] [--max N] [--threads N]
 ///                  [--sweep-threads N] [--no-verify]
 ///                  [--verify-mode sampled|exhaustive|sat]
-///                  [--deadline-ms N] [--sat-conflict-budget N]
+///                  [--deadline-ms N]
 ///
-/// `--deadline-ms` arms a per-configuration wall-clock deadline and
-/// `--sat-conflict-budget` caps the SAT verifier's conflicts; both default
-/// to 0 (unlimited), which keeps the committed baseline bit-identical.
-/// They exist for robustness experiments — a budgeted run reports
-/// non-`ok` point statuses instead of hanging, and its cost numbers are
-/// not comparable against the baseline gates.
+/// `--deadline-ms` arms a per-configuration wall-clock deadline; it
+/// defaults to 0 (unlimited), which keeps the committed baseline
+/// bit-identical.  It exists for robustness experiments — a budgeted run
+/// reports non-`ok` point statuses instead of hanging, and its cost
+/// numbers are not comparable against the baseline gates.
 ///
 /// Verification runs through the tiered engine (`verify_mode`): 64-way
 /// bit-parallel sampled simulation by default, exhaustive enumeration or a
@@ -200,7 +199,7 @@ case_result run_case( reciprocal_design design, unsigned n, bool include_functio
     flow_artifact_cache cache;
     task_graph_stats sched;
     watch.restart();
-    auto cached = explore( mod.aig, configs, par, cache, deadline{}, sched );
+    auto cached = explore( mod.aig, configs, par, cache, sched );
     cached_walls.push_back( watch.elapsed_seconds() );
 
     if ( rep == 0u )
@@ -629,7 +628,7 @@ int main( int argc, char** argv )
   constexpr const char* usage =
       "usage: bench_dse [--out FILE] [--quick] [--max N] [--threads N] [--sweep-threads N]\n"
       "                 [--no-verify] [--verify-mode none|sampled|exhaustive|sat]\n"
-      "                 [--deadline-ms N] [--sat-conflict-budget N]\n";
+      "                 [--deadline-ms N]\n";
   const char* out_path = "BENCH_dse.json";
   bool quick = false;
   bool verify = true;
@@ -681,10 +680,6 @@ int main( int argc, char** argv )
     else if ( std::strcmp( argv[i], "--deadline-ms" ) == 0 && i + 1 < argc )
     {
       limits.deadline_seconds = std::atof( argv[++i] ) / 1000.0;
-    }
-    else if ( std::strcmp( argv[i], "--sat-conflict-budget" ) == 0 && i + 1 < argc )
-    {
-      limits.sat_conflict_budget = static_cast<std::uint64_t>( std::atoll( argv[++i] ) );
     }
     else
     {

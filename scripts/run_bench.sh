@@ -633,7 +633,7 @@ ASAN_DIR="$REPO_ROOT/build-asan-verify"
 cmake -B "$ASAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE=address
 cmake --build "$ASAN_DIR" -j "$(nproc)" \
   --target test_verify test_store test_lut_xmg test_synth test_sat test_aig test_xmg test_daemon \
-  test_robustness test_flows test_reversible test_rsynth test_verilog
+  test_robustness test_flows test_reversible test_rsynth test_verilog test_exorcism
 env -u QSYN_SIMD "$ASAN_DIR/tests/test_verify"
 QSYN_SIMD=avx2 "$ASAN_DIR/tests/test_verify"
 QSYN_SIMD=portable "$ASAN_DIR/tests/test_verify"
@@ -674,10 +674,13 @@ QSYN_SIMD=portable "$ASAN_DIR/tests/test_aig"
 # The Verilog lexer, parser and elaborator read source text from outside
 # the program: widths, ranges and repeat counts come straight from it.
 "$ASAN_DIR/tests/test_verilog"
+# EXORCISM rewrites cubes in a tombstoned slot array through hashed pair
+# indexes, and stops mid-pass at its deadline poll.
+"$ASAN_DIR/tests/test_exorcism"
 echo
 echo "test_verify (3 backends) + test_store + test_lut_xmg + test_synth + test_sat + test_aig (3 backends) + test_xmg +" \
-     "test_daemon + test_robustness + test_flows + test_reversible + test_rsynth + test_verilog OK under" \
-     "AddressSanitizer"
+     "test_daemon + test_robustness + test_flows + test_reversible + test_rsynth + test_verilog +" \
+     "test_exorcism OK under AddressSanitizer"
 
 # --- robustness + scheduler tests under UBSan and TSan -----------------------
 # The budget/cancellation/fault-injection paths are counter arithmetic,
@@ -689,7 +692,7 @@ UBSAN_DIR="$REPO_ROOT/build-ubsan-robustness"
 cmake -B "$UBSAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE=undefined
 cmake --build "$UBSAN_DIR" -j "$(nproc)" \
   --target test_robustness test_scheduler test_store test_verify test_lut_xmg test_synth \
-  test_sat test_aig test_xmg test_daemon test_reversible test_rsynth test_verilog
+  test_sat test_aig test_xmg test_daemon test_reversible test_rsynth test_verilog test_exorcism
 "$UBSAN_DIR/tests/test_robustness"
 "$UBSAN_DIR/tests/test_scheduler"
 # The store headers round-trip enums and fixed-width counters from
@@ -717,15 +720,18 @@ cmake --build "$UBSAN_DIR" -j "$(nproc)" \
 # Widths, ranges, repeat counts and constant expressions are unsigned and
 # 64-bit arithmetic on numbers read from the source text.
 "$UBSAN_DIR/tests/test_verilog"
+# Cube masks, polarities and output masks are shifted and XOR-ed 64-bit
+# words in the EXORLINK rewrites and the pair-index signatures.
+"$UBSAN_DIR/tests/test_exorcism"
 echo
 echo "test_robustness + test_scheduler + test_store + test_verify + test_lut_xmg +" \
      "test_synth + test_sat + test_aig + test_xmg + test_daemon + test_reversible + test_rsynth +" \
-     "test_verilog OK under UndefinedBehaviorSanitizer"
+     "test_verilog + test_exorcism OK under UndefinedBehaviorSanitizer"
 
 TSAN_DIR="$REPO_ROOT/build-tsan-robustness"
 cmake -B "$TSAN_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release -DQSYN_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$(nproc)" --target test_robustness test_scheduler test_daemon \
-  test_flows test_store test_synth test_aig
+  test_flows test_store test_synth test_aig test_dse
 "$TSAN_DIR/tests/test_robustness"
 # The scheduler suite under TSan runs at the pool widths the ctest fixtures
 # pin: queue races only exist with >= 2 workers.
@@ -747,6 +753,9 @@ QSYN_THREADS=2 "$TSAN_DIR/tests/test_scheduler"
 # chunk results and table words.
 "$TSAN_DIR/tests/test_synth"
 "$TSAN_DIR/tests/test_aig"
+# The sweep graph: per-design elaboration tasks arm each design's deadline
+# for the stage and tail tasks that run after them on other workers.
+"$TSAN_DIR/tests/test_dse"
 echo
 echo "test_robustness + test_scheduler + test_daemon + test_flows + test_store + test_synth +" \
-     "test_aig OK under ThreadSanitizer"
+     "test_aig + test_dse OK under ThreadSanitizer"

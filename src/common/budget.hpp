@@ -1,11 +1,12 @@
 /// \file budget.hpp
-/// \brief Wall-clock deadlines and resource budgets.
+/// \brief Wall-clock deadlines and the flow budget.
 ///
 /// Long-running kernels (CDCL search, the incremental CEC portfolio, the
 /// EXORCISM improvement loop, the TBS tail) poll a `deadline` cooperatively
 /// at cheap checkpoints.  A `deadline` is an absolute time limit and
 /// trivially copyable; run-level cancellation is the task graph's deadline,
-/// which stops every not-yet-started task of a sweep once it expires.
+/// which stops every not-yet-started task of a daemon request once it
+/// expires.
 ///
 /// Kernels that can stop *gracefully* (EXORCISM, sampling) simply return a
 /// partial result; kernels that cannot produce a meaningful partial answer
@@ -15,8 +16,6 @@
 #pragma once
 
 #include <chrono>
-#include <cstdint>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -24,7 +23,7 @@ namespace qsyn
 {
 
 /// Thrown by kernels that cannot return a partial result when their
-/// deadline expires or their budget runs out.
+/// deadline expires.
 class budget_exhausted : public std::runtime_error
 {
 public:
@@ -79,25 +78,6 @@ public:
     return left > 0.0 ? left : 0.0;
   }
 
-  /// The tighter of this deadline and one `seconds` from now
-  /// (`seconds <= 0` or NaN keeps this deadline unchanged).  Used to
-  /// compose a sweep-level deadline with a per-design budget.
-  [[nodiscard]] deadline tightened( double seconds ) const
-  {
-    if ( !( seconds > 0.0 ) )
-    {
-      return *this;
-    }
-    deadline d = *this;
-    const auto candidate = expiry_after( seconds );
-    if ( !d.has_time_limit_ || candidate < d.expires_at_ )
-    {
-      d.has_time_limit_ = true;
-      d.expires_at_ = candidate;
-    }
-    return d;
-  }
-
 private:
   /// `now + seconds` for positive `seconds`, clamped to the clock's last
   /// time point: the double-to-tick cast would overflow past it.
@@ -116,51 +96,33 @@ private:
   clock::time_point expires_at_{};
 };
 
-/// Resource budget carried by `flow_params` / `explore_options`.  A value
-/// of 0 for any field means "unlimited"; a default-constructed budget
-/// leaves behavior bit-identical to the unbudgeted engine.
+/// The one resource budget carried by `flow_params` / `explore_options`:
+/// the flow's wall-clock deadline.  A default-constructed budget leaves
+/// behavior bit-identical to the unbudgeted engine.
 struct budget
 {
-  /// Wall-clock limit per flow/design, in seconds (0 = unlimited).
+  /// Wall-clock limit per flow/design, in seconds (0, negative or NaN =
+  /// unlimited).
   double deadline_seconds = 0.0;
-  /// Total CDCL conflicts the SAT verify tier may spend per flow
-  /// (0 = unlimited).
-  std::uint64_t sat_conflict_budget = 0;
-  /// Total unit propagations the SAT verify tier may spend per flow
-  /// (0 = unlimited).
-  std::uint64_t sat_propagation_budget = 0;
-  /// Cube-pair merge attempts EXORCISM may spend (0 = unlimited).
-  std::uint64_t exorcism_pair_budget = 0;
 
   [[nodiscard]] bool unlimited() const noexcept
   {
-    return deadline_seconds <= 0.0 && sat_conflict_budget == 0 && sat_propagation_budget == 0 &&
-           exorcism_pair_budget == 0;
+    return !( deadline_seconds > 0.0 );
   }
 
-  /// True when this budget is at least as generous as `other` in every
-  /// dimension and strictly more generous in at least one (0 = unlimited
-  /// ranks above any finite value).  `flow_artifact_cache`'s upgrade
-  /// rule uses this to decide whether a requester's budget justifies
-  /// recomputing an imperfect cached value (an out-of-budget ESOP, a
-  /// `degraded` outcome): only a strictly better-funded request can hope
-  /// for a better one.
+  /// True when this budget's deadline is strictly longer than `other`'s
+  /// (unlimited ranks above any finite deadline; two unlimited budgets are
+  /// equal).  `flow_artifact_cache`'s upgrade rule uses this to decide
+  /// whether a requester's budget justifies recomputing an imperfect
+  /// cached value (an out-of-budget ESOP, a `degraded` outcome): only a
+  /// strictly better-funded request can hope for a better one.
   [[nodiscard]] bool more_generous_than( const budget& other ) const noexcept
   {
-    // Map 0/negative ("unlimited") onto +inf so one comparison rule works.
-    const auto time = []( double s ) { return s <= 0.0 ? 1e18 : s; };
-    const auto count = []( std::uint64_t c ) {
-      return c == 0 ? std::numeric_limits<std::uint64_t>::max() : c;
-    };
-    const bool no_worse = time( deadline_seconds ) >= time( other.deadline_seconds ) &&
-                          count( sat_conflict_budget ) >= count( other.sat_conflict_budget ) &&
-                          count( sat_propagation_budget ) >= count( other.sat_propagation_budget ) &&
-                          count( exorcism_pair_budget ) >= count( other.exorcism_pair_budget );
-    const bool better = time( deadline_seconds ) > time( other.deadline_seconds ) ||
-                        count( sat_conflict_budget ) > count( other.sat_conflict_budget ) ||
-                        count( sat_propagation_budget ) > count( other.sat_propagation_budget ) ||
-                        count( exorcism_pair_budget ) > count( other.exorcism_pair_budget );
-    return no_worse && better;
+    if ( unlimited() )
+    {
+      return !other.unlimited();
+    }
+    return !other.unlimited() && deadline_seconds > other.deadline_seconds;
   }
 };
 

@@ -9,17 +9,18 @@
 /// * `timeout` — poll() throws `qsyn::budget_exhausted` (a hang that the
 ///               budget layer caught),
 /// * `trip`    — poll() returns true; the caller implements the
-///               degradation itself (e.g. "pretend the SAT budget is
-///               gone", "treat this cache hit as a miss").
+///               degradation itself (e.g. "pretend the deadline has
+///               expired", "treat this cache hit as a miss").
 ///
 /// Site registry (keep in sync with docs/ARCHITECTURE.md):
 ///
 ///   flow.optimize   — AIG optimization stage
 ///   flow.collapse   — truth-table collapse stage (functional flow)
 ///   flow.esop       — ESOP extraction/minimization stage
+///   exorcism.stop   — EXORCISM's deadline poll (trip = deadline expired)
 ///   flow.xmg        — XMG mapping stage (hierarchical flow)
 ///   cache.hit       — optimized-AIG cache hit (trip = treat as miss)
-///   verify.sat      — SAT verify tier (trip = budget exhausted)
+///   verify.sat      — SAT verify tier (trip = deadline expired)
 ///   dse.elaborate   — per-design elaboration in explore_designs
 ///
 /// Arming supports `after_hits` (skip the first N polls) and `times`

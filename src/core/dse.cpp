@@ -160,8 +160,7 @@ std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_p
                                 const explore_options& options, flow_artifact_cache& cache )
 {
   task_graph_stats unused;
-  return explore( aig, configs, options, cache, deadline::in( options.sweep_deadline_seconds ),
-                  unused );
+  return explore( aig, configs, options, cache, unused );
 }
 
 /// One dependency DAG per exploration — coalesced stage-artifact tasks
@@ -173,14 +172,14 @@ std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_p
 /// `run_flow_on_aig` over the configurations one by one.
 std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_params>& configs,
                                 const explore_options& options, flow_artifact_cache& cache,
-                                const deadline& stop, task_graph_stats& sched_stats )
+                                task_graph_stats& sched_stats )
 {
   std::vector<dse_point> points( configs.size() );
   std::vector<deadline> stops;
   stops.reserve( configs.size() );
   for ( const auto& params : configs )
   {
-    stops.push_back( stop.tightened( params.limits.deadline_seconds ) );
+    stops.push_back( deadline::in( params.limits.deadline_seconds ) );
   }
 
   task_graph graph;
@@ -195,7 +194,7 @@ std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_p
   // Never start more workers than there are tasks to run.
   thread_pool pool( static_cast<unsigned>( std::min<std::size_t>(
       resolve_num_threads( options ), std::max<std::size_t>( graph.size(), 1 ) ) ) );
-  graph.run( pool, stop );
+  graph.run( pool );
   for ( std::size_t i = 0; i < configs.size(); ++i )
   {
     fill_flow_status_from_graph( graph, tails[i], points[i].result );
@@ -222,7 +221,6 @@ std::vector<design_exploration> explore_designs( const std::vector<reciprocal_de
                                                  const explore_options& options,
                                                  task_graph_stats& sched_stats )
 {
-  const auto sweep_stop = deadline::in( options.sweep_deadline_seconds );
   task_graph graph;
   std::vector<std::unique_ptr<design_build>> builds;
   for ( unsigned n = min_bitwidth; n <= max_bitwidth; ++n )
@@ -246,11 +244,7 @@ std::vector<design_exploration> explore_designs( const std::vector<reciprocal_de
       const auto prefix = slot->entry.name + "/";
       slot->elaborate = graph.add(
           prefix + "elaborate",
-          [slot, design, n, sweep_stop, per_flow = options.limits.deadline_seconds] {
-            if ( sweep_stop.expired() )
-            {
-              throw budget_exhausted( "sweep deadline expired before the design started" );
-            }
+          [slot, design, n, per_flow = options.limits.deadline_seconds] {
             fault_injection::poll( "dse.elaborate" );
             slot->aig =
                 verilog::elaborate_verilog( reciprocal_verilog( design, n ), slot->entry.name )
@@ -258,7 +252,7 @@ std::vector<design_exploration> explore_designs( const std::vector<reciprocal_de
             // Arm the per-configuration deadline NOW — the design's start.
             // Every flow task depends on this task, so the write is ordered
             // before any read.
-            slot->stop = sweep_stop.tightened( per_flow );
+            slot->stop = deadline::in( per_flow );
           } );
       for ( auto& point : slot->points )
       {
@@ -274,7 +268,7 @@ std::vector<design_exploration> explore_designs( const std::vector<reciprocal_de
 
   thread_pool pool( static_cast<unsigned>( std::min<std::size_t>(
       resolve_num_threads( options ), std::max<std::size_t>( graph.size(), 1 ) ) ) );
-  graph.run( pool, sweep_stop );
+  graph.run( pool );
 
   std::vector<design_exploration> explorations;
   explorations.reserve( builds.size() );
@@ -293,9 +287,9 @@ std::vector<design_exploration> explore_designs( const std::vector<reciprocal_de
     }
     else
     {
-      // Elaboration failed, timed out, or was cancelled by the sweep
-      // deadline: empty point list, design-level status record (mapped
-      // like a flow tail's: `timed_out` for budget expiry, else `failed`).
+      // Elaboration failed or timed out: empty point list, design-level
+      // status record (mapped like a flow tail's: `timed_out` for budget
+      // expiry, else `failed`).
       flow_result elaboration;
       fill_flow_status_from_graph( graph, build->elaborate, elaboration );
       entry.status = elaboration.status;

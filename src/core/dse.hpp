@@ -51,14 +51,10 @@ struct explore_options
   /// (`explore_designs` only; `explore` takes fully-specified configs).
   /// `verify_mode::none` disables verification for the whole sweep.
   verify_mode verification = verify_mode::sampled;
-  /// Per-flow resource limits stamped onto every swept configuration
+  /// Per-flow budget stamped onto every swept configuration
   /// (`explore_designs` only; `explore` takes fully-specified configs).
+  /// Each design's deadline is armed when its elaboration finishes.
   budget limits;
-  /// Global wall-clock budget of the whole sweep (0 = unlimited).  Every
-  /// per-design/per-flow deadline is tightened against it, so an exhausted
-  /// sweep budget stops the remaining designs promptly — each with a
-  /// `timed_out` record, never a hang or an abort.
-  double sweep_deadline_seconds = 0.0;
   /// Optional persistent artifact store (disk tier).  When set, every
   /// per-design cache the exploration creates is attached to it, so a
   /// repeated sweep — including one in a fresh process — warm-starts from
@@ -85,15 +81,15 @@ std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_p
 /// into) a caller-owned cache, which must be used for one design only.
 std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_params>& configs,
                                 const explore_options& options, flow_artifact_cache& cache );
-/// As above under an externally armed deadline, additionally reporting the
-/// scheduler statistics of the run (tasks run/coalesced, wall vs
-/// critical path).  Each configuration's own `limits.deadline_seconds`
-/// tightens `stop` further.  A configuration hitting its budget or throwing
-/// is isolated into its point's `result.status` — the exploration always
-/// returns a full, ordered point list.
+/// As above, additionally reporting the scheduler statistics of the run
+/// (tasks run/coalesced, wall vs critical path).  Each configuration's
+/// `limits.deadline_seconds` is armed when the exploration starts.  A
+/// configuration hitting its deadline or throwing is isolated into its
+/// point's `result.status` — the exploration always returns a full,
+/// ordered point list.
 std::vector<dse_point> explore( const aig_network& aig, const std::vector<flow_params>& configs,
                                 const explore_options& options, flow_artifact_cache& cache,
-                                const deadline& stop, task_graph_stats& sched_stats );
+                                task_graph_stats& sched_stats );
 
 /// One design of a batch exploration.
 struct design_exploration
@@ -104,9 +100,8 @@ struct design_exploration
   std::vector<dse_point> points;
   cache_stats cache;          ///< stage-artifact hit/miss counters
   double wall_seconds = 0.0;  ///< elaboration + full sweep wall clock
-  /// Design-level outcome: `failed`/`timed_out` when elaboration threw or
-  /// the sweep budget was gone before the design started (points is then
-  /// empty), otherwise the worst point status.  The sweep always completes
+  /// Design-level outcome: `failed`/`timed_out` when elaboration threw
+  /// (points is then empty), otherwise the worst point status.  The sweep always completes
   /// — one pathological design never takes the batch down.
   flow_status status = flow_status::ok;
   std::string status_detail;

@@ -161,19 +161,11 @@ struct artifact_spec
 void write_budget( store::byte_writer& w, const budget& b )
 {
   w.f64( b.deadline_seconds );
-  w.u64( b.sat_conflict_budget );
-  w.u64( b.sat_propagation_budget );
-  w.u64( b.exorcism_pair_budget );
 }
 
 budget read_budget( store::byte_reader& r )
 {
-  budget b;
-  b.deadline_seconds = r.f64();
-  b.sat_conflict_budget = r.u64();
-  b.sat_propagation_budget = r.u64();
-  b.exorcism_pair_budget = r.u64();
-  return b;
+  return { r.f64() };
 }
 
 void encode_outcome( store::byte_writer& w, const flow_result& result )
@@ -455,10 +447,6 @@ flow_artifact_cache::esop_intermediate( const aig_network& aig, unsigned rounds,
                                         bool run_exorcism, const budget& limits,
                                         const deadline& stop )
 {
-  // An ESOP records only the budget EXORCISM spends.
-  budget recorded;
-  recorded.deadline_seconds = limits.deadline_seconds;
-  recorded.exorcism_pair_budget = limits.exorcism_pair_budget;
   lookup how;
   return *fetch(
       esops_, aig, std::make_pair( rounds, run_exorcism ),
@@ -472,7 +460,6 @@ flow_artifact_cache::esop_intermediate( const aig_network& aig, unsigned rounds,
                 if ( run_exorcism )
                 {
                   exorcism_params mlimits;
-                  mlimits.pair_budget = limits.exorcism_pair_budget;
                   mlimits.stop = stop;
                   art.budget_exhausted = exorcism( art.expression, mlimits ).budget_exhausted;
                 }
@@ -495,11 +482,11 @@ flow_artifact_cache::esop_intermediate( const aig_network& aig, unsigned rounds,
                 art.terms = art.expression.num_terms();
                 return art;
               },
-          .requested = recorded,
+          .requested = limits,
           .imperfect = []( const esop_artifact& art ) { return art.budget_exhausted; },
-          // Out of budget under an unlimited recorded budget: cut short by
-          // `stop` alone (a sweep deadline), so served but not kept.
-          .keep = [unlimited = recorded.unlimited()]( const esop_artifact& art ) {
+          // Out of time under an unlimited recorded budget: cut short by
+          // an externally armed `stop` alone, so served but not kept.
+          .keep = [unlimited = limits.unlimited()]( const esop_artifact& art ) {
             return !( art.budget_exhausted && unlimited );
           } },
       how );
@@ -847,7 +834,7 @@ void finalize_verify_status( flow_result& result )
             result.status == flow_status::ok )
   {
     result.status = flow_status::degraded;
-    result.status_detail = "sat verify budget exhausted; downgraded to sampled";
+    result.status_detail = "sat verify deadline expired; downgraded to sampled";
   }
 }
 
@@ -902,7 +889,7 @@ flow_result run_flow_staged( const aig_network& aig, const flow_params& params,
     if ( art.budget_exhausted )
     {
       result.status = flow_status::degraded;
-      result.status_detail = "exorcism stopped at its pair budget/deadline";
+      result.status_detail = "exorcism stopped at its deadline";
     }
     esop_synth_params sparams;
     sparams.p = params.esop_p;
@@ -960,11 +947,7 @@ flow_result run_flow_staged( const aig_network& aig, const flow_params& params,
     {
       // The cache-owned persistent engine: every configuration of a sweep
       // re-uses the spec encoding and the lemmas of earlier checks.  An
-      // injected "verify.sat" trip simulates immediate budget exhaustion.
-      sat::check_limits climits;
-      climits.stop = stop;
-      climits.conflict_budget = params.limits.sat_conflict_budget;
-      climits.propagation_budget = params.limits.sat_propagation_budget;
+      // injected "verify.sat" trip simulates an expired deadline.
       sat_verify_outcome outcome;
       if ( fault_injection::poll( "verify.sat" ) )
       {
@@ -972,8 +955,8 @@ flow_result run_flow_staged( const aig_network& aig, const flow_params& params,
       }
       else
       {
-        outcome =
-            verify_against_aig_sat_budgeted( result.circuit, optimized, cache.sat_engine(), climits );
+        outcome = verify_against_aig_sat_budgeted( result.circuit, optimized, cache.sat_engine(),
+                                                   sat::check_limits{ stop } );
       }
       if ( outcome.resolved )
       {
@@ -983,7 +966,7 @@ flow_result run_flow_staged( const aig_network& aig, const flow_params& params,
       }
       else
       {
-        // Verify-tier degradation ladder: the SAT tier ran out of budget,
+        // Verify-tier degradation ladder: the SAT tier ran out of time,
         // so fall back to budgeted sampling and record the downgrade
         // instead of hanging or reporting failure.
         result.verify_downgraded = true;

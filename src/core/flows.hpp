@@ -133,9 +133,8 @@ struct flow_params
   bool bidirectional_tbs = true;    ///< functional flow
   bool verify = true;               ///< master toggle (false == verify_mode::none)
   verify_mode verification = verify_mode::sampled; ///< tier used when verify is on
-  /// Resource limits (deadline, SAT conflict/propagation caps, EXORCISM
-  /// pair cap, degradation threshold).  The default is unlimited and
-  /// bit-identical to the unbudgeted engine.
+  /// The flow's one budget, its wall-clock deadline.  The default is
+  /// unlimited and bit-identical to the unbudgeted engine.
   budget limits;
 };
 
@@ -224,12 +223,13 @@ struct cache_stats
 ///  * only values that pass the kind's `keep` test are cached and saved.
 ///
 /// One upgrade rule: an imperfect value (an ESOP whose EXORCISM ran out of
-/// budget; a `degraded` or verify-downgraded outcome) remembers the
-/// `budget` it was produced under, in memory and on disk.  It is
-/// recomputed from scratch only for a requester whose budget is
-/// `more_generous_than` that one, and the result replaces the entry in
-/// both tiers.  Replaced stage artifacts are retired, not destroyed, so
-/// references returned earlier remain valid for the cache's lifetime.
+/// time; a `degraded` or verify-downgraded outcome) remembers the
+/// `budget` (deadline) it was produced under, in memory and on disk.  It
+/// is recomputed from scratch only for a requester whose deadline is
+/// strictly longer (`more_generous_than`), and the result replaces the
+/// entry in both tiers.  Replaced stage artifacts are retired, not
+/// destroyed, so references returned earlier remain valid for the
+/// cache's lifetime.
 /// All accessors are thread-safe.
 class flow_artifact_cache
 {
@@ -253,8 +253,8 @@ public:
   {
     esop expression;
     std::size_t terms = 0;
-    /// True when EXORCISM stopped at its pair budget / deadline rather
-    /// than at a fixpoint (the expression is valid, just less minimized).
+    /// True when EXORCISM stopped at its deadline rather than at a
+    /// fixpoint (the expression is valid, just less minimized).
     bool budget_exhausted = false;
   };
 
@@ -287,10 +287,9 @@ public:
   /// Collapse + optimum embedding, keyed on rounds.
   const functional_artifact& functional_intermediate( const aig_network& aig, unsigned rounds );
   /// Extraction + optional exorcism, keyed on (rounds, run_exorcism).
-  /// EXORCISM runs under `limits.exorcism_pair_budget` and `stop`; the
-  /// artifact records only `limits`' deadline and pair budget.  One that
-  /// ran out of budget under an unlimited recorded budget was cut short by
-  /// `stop` alone (a sweep deadline), so it is served but not kept.
+  /// EXORCISM runs under `stop`; the artifact records `limits`.  One that
+  /// ran out of time under an unlimited recorded budget was cut short by
+  /// an externally armed `stop` alone, so it is served but not kept.
   const esop_artifact& esop_intermediate( const aig_network& aig, unsigned rounds,
                                           bool run_exorcism, const budget& limits = {},
                                           const deadline& stop = {} );
@@ -464,9 +463,9 @@ void fill_flow_status_from_graph( const task_graph& graph, task_id tail, flow_re
 flow_result run_flow_staged( const aig_network& aig, const flow_params& params,
                              flow_artifact_cache& cache );
 
-/// As above with an externally armed deadline (e.g. a DSE sweep deadline
-/// already tightened by the per-design budget); `params.limits`'s
-/// non-deadline caps still apply.
+/// As above with an externally armed deadline (e.g. a DSE design's
+/// deadline, armed when its elaboration finished) in place of
+/// `params.limits`.
 flow_result run_flow_staged( const aig_network& aig, const flow_params& params,
                              flow_artifact_cache& cache, const deadline& stop );
 

@@ -151,8 +151,8 @@ struct sat_verify_outcome
 /// when it completes or finds a counterexample, which is then the first
 /// failing assignment in counter order) and never touch `engine`.  Wider
 /// designs are extracted with `circuit_to_aig` and checked by `engine`
-/// under the deadline and the conflict / propagation budgets (an already
-/// expired deadline returns unresolved before the extraction); its
+/// under the deadline (an already expired deadline returns unresolved
+/// before the extraction); its
 /// counterexample distinguishes circuit and spec at the lowest-indexed
 /// differing output, is solver-dependent, and always real.  Successive
 /// checks on one engine share the spec encoding, fraig merges and learned

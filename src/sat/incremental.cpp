@@ -42,6 +42,8 @@ constexpr unsigned window_depth = 8;
 constexpr std::size_t window_nodes = 96;
 /// Fraig candidates examined per check; surplus candidates stay queued.
 constexpr std::size_t max_fraig_candidates = 2048;
+/// `encode` polls the check's deadline once per this many AIG nodes.
+constexpr std::uint32_t encode_poll_interval = 1024;
 /// A check whose encoding added at least this many fresh AND nodes tries
 /// budgeted per-output miters before the batched fallback (large unions
 /// tend to be propagation-easy per output, and the batch would search one
@@ -226,7 +228,8 @@ incremental_cec::ilit incremental_cec::create_and( ilit a, ilit b )
   return node << 1;
 }
 
-std::vector<incremental_cec::ilit> incremental_cec::encode( const aig_network& aig )
+std::optional<std::vector<incremental_cec::ilit>>
+incremental_cec::encode( const aig_network& aig, const deadline& stop )
 {
   ensure_pis( aig.num_pis() );
   std::vector<ilit> map( aig.num_nodes() );
@@ -238,8 +241,13 @@ std::vector<incremental_cec::ilit> incremental_cec::encode( const aig_network& a
   const auto conv = [&]( aig_lit l ) {
     return map[lit_node( l )] ^ ( lit_complemented( l ) ? 1u : 0u );
   };
-  for ( std::uint32_t n = aig.num_pis() + 1u; n < aig.num_nodes(); ++n )
+  const auto first = aig.num_pis() + 1u;
+  for ( std::uint32_t n = first; n < aig.num_nodes(); ++n )
   {
+    if ( ( n - first ) % encode_poll_interval == 0u && stop.expired() )
+    {
+      return std::nullopt; // nodes created so far stay in the union store
+    }
     map[n] = create_and( conv( aig.fanin0( n ) ), conv( aig.fanin1( n ) ) );
   }
   std::vector<ilit> outputs;
@@ -426,10 +434,11 @@ bool incremental_cec::window_proves_equal( ilit a, ilit b )
   return true;
 }
 
-void incremental_cec::run_fraig()
+void incremental_cec::run_fraig( const deadline& stop )
 {
   std::size_t attempts = 0;
-  while ( fraig_cursor_ < fraig_pending_.size() && attempts < max_fraig_candidates )
+  while ( fraig_cursor_ < fraig_pending_.size() && attempts < max_fraig_candidates &&
+          !stop.expired() )
   {
     ++attempts;
     const auto [node, candidate] = fraig_pending_[fraig_cursor_++];
@@ -482,39 +491,26 @@ cec_outcome incremental_cec::check( const aig_network& a, const aig_network& b,
   ++stats_.checks;
   // Install the wall-clock deadline on the persistent solver for the
   // duration of this check (every check sets it, so limits never leak
-  // across calls).  Conflict/propagation budgets are deltas against the
-  // solver's cumulative counters at entry.
-  solver_.set_deadline( limits.stop );
-  const auto entry_conflicts = solver_.num_conflicts();
-  const auto entry_propagations = solver_.num_propagations();
-  const auto budget_exhausted = [&]() {
-    if ( limits.conflict_budget != 0 &&
-         solver_.num_conflicts() - entry_conflicts >= limits.conflict_budget )
-    {
-      return true;
-    }
-    if ( limits.propagation_budget != 0 &&
-         solver_.num_propagations() - entry_propagations >= limits.propagation_budget )
-    {
-      return true;
-    }
-    return !limits.stop.unlimited() && limits.stop.expired();
-  };
-  // Conflict budget left for one more solve (0 = unlimited, only when the
-  // check itself is unlimited; callers must test budget_exhausted() first).
-  const auto remaining_conflicts = [&]() -> std::uint64_t {
-    if ( limits.conflict_budget == 0 )
-    {
-      return 0;
-    }
-    const auto used = solver_.num_conflicts() - entry_conflicts;
-    return used >= limits.conflict_budget ? 1u : limits.conflict_budget - used;
+  // across calls).  Encoding, fraiging and the output portfolio poll it
+  // too, so an expired check returns before the miter is complete.
+  const auto& stop = limits.stop;
+  solver_.set_deadline( stop );
+  const auto unresolved_outcome = [this] {
+    stats_.solver_conflicts = solver_.num_conflicts();
+    cec_outcome out;
+    out.equivalent = false;
+    out.resolved = false;
+    return out;
   };
   const auto nodes_before = nodes_.size();
-  const auto outputs_a = encode( a );
-  const auto outputs_b = encode( b );
+  auto outputs_a = encode( a, stop );
+  auto outputs_b = outputs_a ? encode( b, stop ) : std::nullopt;
+  if ( !outputs_b )
+  {
+    return unresolved_outcome();
+  }
   const auto fresh_nodes = nodes_.size() - nodes_before;
-  run_fraig();
+  run_fraig( stop );
 
   cec_outcome out;
   out.equivalent = true;
@@ -560,12 +556,16 @@ cec_outcome incremental_cec::check( const aig_network& a, const aig_network& b,
   std::optional<pending_output> known_differing;
   for ( unsigned o = 0; o < a.num_pos() && !known_differing; ++o )
   {
-    const auto ea = find( outputs_a[o] );
-    const auto eb = find( outputs_b[o] );
+    const auto ea = find( ( *outputs_a )[o] );
+    const auto eb = find( ( *outputs_b )[o] );
     if ( ea == eb )
     {
       ++stats_.structural_outputs;
       continue;
+    }
+    if ( stop.expired() )
+    {
+      return unresolved_outcome();
     }
     if ( window_proves_equal( ea, eb ) )
     {
@@ -575,7 +575,7 @@ cec_outcome incremental_cec::check( const aig_network& a, const aig_network& b,
       ++stats_.fraig_window_proofs;
       continue;
     }
-    if ( try_per_output && !budget_exhausted() )
+    if ( try_per_output && !stop.expired() )
     {
       const auto res = prove_equal( ea, eb, output_conflict_budget, output_decision_budget );
       if ( res == result::unsatisfiable )
@@ -594,7 +594,7 @@ cec_outcome incremental_cec::check( const aig_network& a, const aig_network& b,
     unresolved.push_back( { o, ea, eb } );
   }
 
-  if ( !known_differing && !unresolved.empty() && !budget_exhausted() )
+  if ( !known_differing && !unresolved.empty() && !stop.expired() )
   {
     // Batched miter: trigger -> OR of one activated difference literal per
     // undecided output.  UNSAT under the trigger assumption proves every
@@ -614,7 +614,7 @@ cec_outcome incremental_cec::check( const aig_network& a, const aig_network& b,
       activation.push_back( diff );
     }
     solver_.add_clause( activation );
-    const auto res = solver_.solve( { pos_lit( trigger ) }, remaining_conflicts() );
+    const auto res = solver_.solve( { pos_lit( trigger ) } );
     // Retire the trigger and every diff variable with level-0 units: all
     // batch clauses become satisfied at level 0, so the next database
     // reduction sweeps them and a long-lived engine does not accumulate
@@ -646,23 +646,16 @@ cec_outcome incremental_cec::check( const aig_network& a, const aig_network& b,
     // work across calls.
     for ( const auto& u : unresolved )
     {
-      if ( budget_exhausted() )
+      if ( stop.expired() )
       {
-        out.equivalent = false;
-        out.resolved = false;
-        stats_.solver_conflicts = solver_.num_conflicts();
-        return out;
+        return unresolved_outcome();
       }
-      const auto res = prove_equal( u.ea, u.eb, remaining_conflicts(), 0 );
+      const auto res = prove_equal( u.ea, u.eb, 0, 0 );
       if ( res == result::unknown )
       {
-        // Budget/deadline ran out mid-proof; on an unlimited check this
-        // cannot happen (remaining_conflicts() is 0 and no deadline is
-        // installed).
-        out.equivalent = false;
-        out.resolved = false;
-        stats_.solver_conflicts = solver_.num_conflicts();
-        return out;
+        // The deadline ran out mid-proof; on an unlimited check this
+        // cannot happen (no deadline is installed).
+        return unresolved_outcome();
       }
       if ( res == result::unsatisfiable )
       {

@@ -69,35 +69,27 @@
 namespace qsyn::sat
 {
 
-/// Per-check resource limits (all default to unlimited).  The wall-clock
-/// deadline is installed on the persistent solver for the duration of the
-/// check; the conflict/propagation budgets bound the *additional* work this
-/// check may spend on the shared solver.
+/// Per-check limits (default: unlimited).  The wall-clock deadline is
+/// polled while the check encodes and fraigs, and is installed on the
+/// persistent solver for the duration of the check.
 struct check_limits
 {
   deadline stop;
-  std::uint64_t conflict_budget = 0;    ///< extra conflicts allowed (0 = unlimited)
-  std::uint64_t propagation_budget = 0; ///< extra propagations allowed (0 = unlimited)
-
-  [[nodiscard]] bool unlimited() const
-  {
-    return stop.unlimited() && conflict_budget == 0 && propagation_budget == 0;
-  }
 };
 
 /// Outcome of one equivalence check.
 struct cec_outcome
 {
   bool equivalent = false;
-  /// False when the check ran out of budget/deadline before reaching a
+  /// False when the check's deadline expired before it reached a
   /// verdict; `equivalent`/`failing_output` are then meaningless.  Checks
   /// with unlimited limits always resolve.
   bool resolved = true;
   /// Lowest-indexed output on which the networks differ.
   std::optional<unsigned> failing_output;
   /// Input assignment distinguishing the networks at `failing_output`.
-  /// May be absent on a budgeted check that proved a difference but could
-  /// not reconstruct a model before the budget ran out.
+  /// May be absent on a deadline-limited check that proved a difference
+  /// but could not reconstruct a model before the deadline expired.
   std::optional<std::vector<bool>> counterexample;
 };
 
@@ -129,10 +121,11 @@ public:
   /// interface sizes — and reuse everything already encoded.  Thread-safe.
   cec_outcome check( const aig_network& a, const aig_network& b );
 
-  /// Budgeted variant: stops cooperatively at the limits and reports
-  /// `resolved = false` instead of hanging.  Structure learned before the
-  /// budget ran out (lemmas, merges, signatures) is kept, so a later retry
-  /// resumes instead of restarting.
+  /// Deadline-limited variant: stops cooperatively when `limits.stop`
+  /// expires — while encoding, fraiging or solving — and reports
+  /// `resolved = false` instead of hanging.  Structure built before the
+  /// deadline expired (encoded nodes, lemmas, merges, queued fraig
+  /// candidates) is kept, so a later retry resumes instead of restarting.
   cec_outcome check( const aig_network& a, const aig_network& b, const check_limits& limits );
 
   cec_stats stats() const;
@@ -161,9 +154,14 @@ private:
   /// Encodes the newest store node into the solver: variable, Tseitin
   /// clauses or constant unit, signature and class registration.
   void encode_node( std::uint32_t node );
-  std::vector<ilit> encode( const aig_network& aig );
+  /// Encodes `aig` into the union store and returns its output literals;
+  /// nullopt when `stop` expires first (polled every
+  /// `encode_poll_interval` nodes, starting with the first).
+  std::optional<std::vector<ilit>> encode( const aig_network& aig, const deadline& stop );
   void register_signature( std::uint32_t node );
-  void run_fraig();
+  /// Works off queued fraig candidates, polling `stop` per candidate;
+  /// unprocessed candidates stay queued.
+  void run_fraig( const deadline& stop );
   void merge( ilit keep, ilit drop );
   /// Asserts a == b in the solver with two equality clauses.
   void assert_equal( ilit a, ilit b );

@@ -75,7 +75,7 @@ public:
   /// changes (a stored optimized AIG, LUT network, XMG or circuit must be
   /// what a cold run would compute).  Entries with a different version
   /// load as a miss.
-  static constexpr std::uint32_t format_version = 3;
+  static constexpr std::uint32_t format_version = 4;
 
   /// Opens (and creates, if needed) a store rooted at `root_dir`.  Throws
   /// std::runtime_error when the root cannot be created — a store that

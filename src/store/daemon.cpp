@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <set>
 #include <stdexcept>
 
 #include <sys/socket.h>
@@ -288,8 +289,8 @@ std::string field_or( const std::map<std::string, std::string>& fields, const st
   return it == fields.end() ? fallback : it->second;
 }
 
-std::uint64_t u64_field( const std::map<std::string, std::string>& fields, const std::string& key,
-                         std::uint64_t fallback )
+unsigned uint_field( const std::map<std::string, std::string>& fields, const std::string& key,
+                     unsigned fallback )
 {
   const auto it = fields.find( key );
   if ( it == fields.end() )
@@ -302,18 +303,7 @@ std::uint64_t u64_field( const std::map<std::string, std::string>& fields, const
   const bool digit_first = !text.empty() && text[0] >= '0' && text[0] <= '9';
   std::size_t pos = 0;
   const auto value = digit_first ? std::stoull( text, &pos ) : 0u;
-  if ( !digit_first || pos != text.size() )
-  {
-    throw std::runtime_error( "field '" + key + "' is not an unsigned integer" );
-  }
-  return value;
-}
-
-unsigned uint_field( const std::map<std::string, std::string>& fields, const std::string& key,
-                     unsigned fallback )
-{
-  const auto value = u64_field( fields, key, fallback );
-  if ( value > 0xffffffffull )
+  if ( !digit_first || pos != text.size() || value > 0xffffffffull )
   {
     throw std::runtime_error( "field '" + key + "' is not an unsigned integer" );
   }
@@ -342,6 +332,22 @@ std::string number_json( double v )
   char buf[32];
   std::snprintf( buf, sizeof buf, "%.6f", v );
   return buf;
+}
+
+/// Throws on a field outside the documented synthesize request set, so a
+/// misspelled or retired field is an error instead of being dropped.
+void check_synthesize_fields( const std::map<std::string, std::string>& fields )
+{
+  static const std::set<std::string> known = { "cmd",      "design", "bitwidth", "flow",
+                                                "rounds",   "esop_p", "exorcism", "cleanup",
+                                                "cut_size", "verify", "deadline" };
+  for ( const auto& [key, value] : fields )
+  {
+    if ( !known.count( key ) )
+    {
+      throw std::runtime_error( "unknown synthesize field '" + key + "'" );
+    }
+  }
 }
 
 flow_params params_from_fields( const std::map<std::string, std::string>& fields )
@@ -395,9 +401,6 @@ flow_params params_from_fields( const std::map<std::string, std::string>& fields
   params.verification = *mode;
   params.verify = *mode != verify_mode::none;
   params.limits.deadline_seconds = double_field( fields, "deadline", 0.0 );
-  params.limits.sat_conflict_budget = u64_field( fields, "sat_conflicts", 0u );
-  params.limits.sat_propagation_budget = u64_field( fields, "sat_propagations", 0u );
-  params.limits.exorcism_pair_budget = u64_field( fields, "exorcism_pairs", 0u );
   return params;
 }
 
@@ -532,6 +535,7 @@ synthesis_daemon::design_slot& synthesis_daemon::context_for( const std::string&
 std::string synthesis_daemon::handle_synthesize( const std::map<std::string, std::string>& fields )
 {
   stopwatch watch;
+  check_synthesize_fields( fields );
   const auto design = field_or( fields, "design", "" );
   if ( design.empty() )
   {

@@ -47,12 +47,12 @@
 ///   {"cmd":"shutdown"}
 ///   {"cmd":"synthesize","design":"intdiv","bitwidth":6,"flow":"esop",
 ///    "rounds":2,"esop_p":1,"exorcism":1,"cleanup":"keep_garbage",
-///    "cut_size":4,"verify":"sampled","deadline":0,
-///    "sat_conflicts":0,"sat_propagations":0,"exorcism_pairs":0}
+///    "cut_size":4,"verify":"sampled","deadline":0}
 ///
-/// (`deadline` in seconds, the three budget fields as counts; 0 =
-/// unlimited, matching `qsyn::budget`.  `cut_size` outside [2, 6] is
-/// answered with an error before the design is elaborated.)
+/// (`deadline` in seconds, 0 = unlimited, matching `qsyn::budget`.  A
+/// synthesize request naming any other field, and one with `cut_size`
+/// outside [2, 6], is answered with an error before the design is
+/// elaborated.)
 ///
 /// Every response carries `"ok":true|false`; a synthesize response adds
 /// the cost report, the flow/verification status, `"from_cache"` (served

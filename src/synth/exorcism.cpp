@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "../common/bits.hpp"
+#include "../common/fault_injection.hpp"
 
 namespace qsyn
 {
@@ -315,9 +316,7 @@ public:
 
   void run( const exorcism_params& params, exorcism_stats& stats )
   {
-    pair_budget_ = params.pair_budget;
     stop_ = params.stop;
-    poll_deadline_ = !stop_.unlimited();
     for ( unsigned pass = 0; pass < params.max_passes && !exhausted_; ++pass )
     {
       ++stats.passes;
@@ -606,9 +605,10 @@ private:
     return j != i && slots_[j].output_mask == g.output_mask;
   }
 
-  /// One pair-improvement attempt against the run's budget/deadline.
-  /// Polling the clock every 256 attempts (starting with the first, so a
-  /// pre-expired deadline stops the run promptly) keeps the overhead
+  /// One pair-improvement attempt against the run's deadline.  Polling
+  /// the clock (and the `exorcism.stop` fault site, whose trip reads as an
+  /// expired deadline) every 256 attempts, starting with the first so a
+  /// pre-expired deadline stops the run promptly, keeps the overhead
   /// negligible against the index probes an attempt performs.
   bool budget_hit()
   {
@@ -617,12 +617,8 @@ private:
       return true;
     }
     ++attempts_;
-    if ( pair_budget_ != 0 && attempts_ > pair_budget_ )
-    {
-      exhausted_ = true;
-      return true;
-    }
-    if ( poll_deadline_ && ( attempts_ & 255u ) == 1u && stop_.expired() )
+    if ( ( attempts_ & 255u ) == 1u &&
+         ( fault_injection::poll( "exorcism.stop" ) || stop_.expired() ) )
     {
       exhausted_ = true;
       return true;
@@ -765,9 +761,7 @@ private:
   std::unordered_map<std::uint64_t, group> groups_;
   bool improved_ = false;
   bool needs_rebuild_ = true;
-  std::uint64_t pair_budget_ = 0;
   deadline stop_;
-  bool poll_deadline_ = false;
   std::uint64_t attempts_ = 0;
   bool exhausted_ = false;
 };

@@ -35,10 +35,9 @@ struct exorcism_stats
   std::size_t initial_literals = 0;
   std::size_t final_literals = 0;
   unsigned passes = 0;
-  /// Pair-improvement attempts spent (the unit of `pair_budget`).
+  /// Pair-improvement attempts spent.
   std::uint64_t pairs_attempted = 0;
-  /// True when the run stopped at its pair budget or deadline rather than
-  /// at a fixpoint.  The expression is still a valid (partially minimized)
+  /// True when the run stopped at its deadline rather than at a fixpoint.  The expression is still a valid (partially minimized)
   /// ESOP of the same function — every rewrite preserves it, so stopping
   /// anywhere is sound.
   bool budget_exhausted = false;
@@ -49,8 +48,6 @@ struct exorcism_stats
 struct exorcism_params
 {
   unsigned max_passes = 16;
-  /// Pair-improvement attempts allowed (0 = unlimited).
-  std::uint64_t pair_budget = 0;
   /// Cooperative wall-clock deadline, polled every 256 attempts.
   deadline stop;
 };

@@ -39,6 +39,13 @@ struct temp_dir
   }
 };
 
+/// RAII disarm so an assertion failure cannot leak an armed site into
+/// later tests.
+struct fault_guard
+{
+  ~fault_guard() { fault_injection::disarm_all(); }
+};
+
 bool contains( const std::string& haystack, const std::string& needle )
 {
   return haystack.find( needle ) != std::string::npos;
@@ -217,10 +224,9 @@ TEST( daemon, hierarchical_bitwidth_above_table_iv_scale_is_rejected_before_elab
 TEST( daemon, negative_integer_fields_are_rejected )
 {
   synthesis_daemon daemon( {} );
-  // std::stoull("-1") wraps to 2^64-1 instead of failing: a negative budget
+  // std::stoull("-1") wraps to 2^64-1 instead of failing: a negative count
   // must be an error, not an effectively unlimited one.
-  for ( const auto* field : { "sat_conflicts", "sat_propagations", "exorcism_pairs", "rounds",
-                              "bitwidth" } )
+  for ( const auto* field : { "rounds", "esop_p", "exorcism", "cut_size", "bitwidth" } )
   {
     const auto response = daemon.handle_request(
         std::string( R"({"cmd":"synthesize","design":"intdiv","bitwidth":4,"flow":"esop",")" ) +
@@ -232,6 +238,28 @@ TEST( daemon, negative_integer_fields_are_rejected )
   }
   EXPECT_EQ( daemon.stats().errors, 5u );
   EXPECT_EQ( daemon.stats().synthesized, 0u );
+}
+
+TEST( daemon, unknown_and_retired_fields_are_rejected )
+{
+  synthesis_daemon daemon( {} );
+  // A misspelled deadline used to run unlimited, and the retired count
+  // budgets used to cap work: each is an error naming the field now.
+  for ( const auto* field : { "dedline", "sat_conflicts", "sat_propagations", "exorcism_pairs" } )
+  {
+    const auto response = daemon.handle_request(
+        std::string( R"({"cmd":"synthesize","design":"intdiv","bitwidth":4,"flow":"esop",")" ) +
+        field + R"(":2})" );
+    EXPECT_TRUE( contains( response, "\"ok\":false" ) ) << response;
+    EXPECT_TRUE( contains( response, std::string( "unknown synthesize field '" ) + field + "'" ) )
+        << response;
+  }
+  EXPECT_EQ( daemon.stats().errors, 4u );
+  EXPECT_EQ( daemon.stats().synthesized, 0u );
+  // Every documented field is accepted.
+  const auto full = daemon.handle_request(
+      R"({"cmd":"synthesize","design":"intdiv","bitwidth":4,"flow":"esop","rounds":2,"esop_p":1,"exorcism":1,"cleanup":"keep_garbage","cut_size":4,"verify":"sampled","deadline":0})" );
+  EXPECT_TRUE( contains( full, "\"ok\":true" ) ) << full;
 }
 
 TEST( daemon, huge_deadline_means_no_limit_and_non_finite_is_rejected )
@@ -393,10 +421,13 @@ TEST( daemon, concurrent_identical_queries_coalesce_into_one_synthesis )
 TEST( daemon, degraded_outcome_upgrades_on_better_budgeted_repeat )
 {
   synthesis_daemon daemon( {} );
-  // A one-pair EXORCISM budget deterministically stops minimization
-  // early: the outcome is cached `degraded`.
+  // The `verify.sat` trip (an expired deadline in the SAT tier) downgrades
+  // the first request's proof to sampling: its outcome is cached
+  // `degraded` under the finite deadline.
+  fault_guard guard;
+  fault_injection::arm( "verify.sat", fault_injection::kind::trip, 0, 1 );
   const auto starved =
-      R"({"cmd":"synthesize","design":"intdiv","bitwidth":4,"flow":"esop","esop_p":1,"exorcism":1,"verify":"sampled","exorcism_pairs":1})";
+      R"({"cmd":"synthesize","design":"intdiv","bitwidth":4,"flow":"esop","esop_p":1,"exorcism":1,"verify":"sat","deadline":3600})";
   const auto first = daemon.handle_request( starved );
   ASSERT_TRUE( contains( first, "\"ok\":true" ) ) << first;
   EXPECT_TRUE( contains( first, "\"status\":\"degraded\"" ) ) << first;
@@ -409,7 +440,7 @@ TEST( daemon, degraded_outcome_upgrades_on_better_budgeted_repeat )
   // An unlimited-budget requester of the same flow must NOT be served the
   // pinned degraded verdict: the daemon recomputes and upgrades the slot.
   const auto unlimited =
-      R"({"cmd":"synthesize","design":"intdiv","bitwidth":4,"flow":"esop","esop_p":1,"exorcism":1,"verify":"sampled"})";
+      R"({"cmd":"synthesize","design":"intdiv","bitwidth":4,"flow":"esop","esop_p":1,"exorcism":1,"verify":"sat"})";
   const auto upgraded = daemon.handle_request( unlimited );
   ASSERT_TRUE( contains( upgraded, "\"ok\":true" ) ) << upgraded;
   EXPECT_TRUE( contains( upgraded, "\"from_cache\":false" ) ) << upgraded;
@@ -432,11 +463,15 @@ TEST( daemon, degraded_store_entry_upgrades_across_instances )
   temp_dir dir;
   const auto root = dir.path + "/store";
   const auto starved =
-      R"({"cmd":"synthesize","design":"intdiv","bitwidth":4,"flow":"esop","esop_p":1,"exorcism":1,"verify":"sampled","exorcism_pairs":1})";
+      R"({"cmd":"synthesize","design":"intdiv","bitwidth":4,"flow":"esop","esop_p":1,"exorcism":1,"verify":"sat","deadline":3600})";
   const auto unlimited =
-      R"({"cmd":"synthesize","design":"intdiv","bitwidth":4,"flow":"esop","esop_p":1,"exorcism":1,"verify":"sampled"})";
+      R"({"cmd":"synthesize","design":"intdiv","bitwidth":4,"flow":"esop","esop_p":1,"exorcism":1,"verify":"sat"})";
+  fault_guard guard;
 
   {
+    // The `verify.sat` trip leaves a degraded outcome under the finite
+    // deadline.
+    fault_injection::arm( "verify.sat", fault_injection::kind::trip, 0, 1 );
     synthesis_daemon daemon( { "", root } );
     const auto first = daemon.handle_request( starved );
     ASSERT_TRUE( contains( first, "\"status\":\"degraded\"" ) ) << first;

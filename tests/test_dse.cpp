@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fault_injection.hpp"
 #include "common/thread_pool.hpp"
 #include "core/dse.hpp"
 #include "core/task_graph.hpp"
@@ -124,16 +125,18 @@ TEST( dse_label, default_sweep_labels_are_distinct )
 
 TEST( dse_engine, parallel_cached_matches_sequential_bit_for_bit )
 {
-  // A pair-budgeted ESOP sweep: every tail must see the one cube list the
-  // shared stage minimized under the sweep's budget, as a one-by-one run
-  // does, instead of re-minimizing it per tail.
+  // A budgeted ESOP sweep whose one EXORCISM run is cut short (the
+  // `exorcism.stop` trip fires once, as an expired deadline would): every
+  // tail must see the one cube list the shared stage left under the
+  // sweep's finite budget, as a one-by-one run does, instead of
+  // re-minimizing it per tail.
   std::vector<flow_params> budgeted;
   for ( unsigned p = 0; p <= 2; ++p )
   {
     flow_params esop;
     esop.kind = flow_kind::esop_based;
     esop.esop_p = p;
-    esop.limits.exorcism_pair_budget = 10;
+    esop.limits.deadline_seconds = 3600.0;
     budgeted.push_back( esop );
   }
   struct sweep_case
@@ -142,12 +145,24 @@ TEST( dse_engine, parallel_cached_matches_sequential_bit_for_bit )
     unsigned n;
     std::vector<flow_params> configs;
     std::size_t misses; ///< one per distinct artifact
+    bool stop_exorcism; ///< trip `exorcism.stop` once per run
   };
   const std::vector<sweep_case> cases{
       // optimized AIG, functional, ESOP, XMG
-      { reciprocal_design::intdiv, 5, default_dse_configurations( true ), 4u },
+      { reciprocal_design::intdiv, 5, default_dse_configurations( true ), 4u, false },
       // optimized AIG, ESOP
-      { reciprocal_design::newton, 6, budgeted, 2u } };
+      { reciprocal_design::newton, 6, budgeted, 2u, true } };
+  struct fault_guard
+  {
+    ~fault_guard() { fault_injection::disarm_all(); }
+  } guard;
+  const auto arm = [&]( const sweep_case& c ) {
+    fault_injection::disarm_all();
+    if ( c.stop_exorcism )
+    {
+      fault_injection::arm( "exorcism.stop", fault_injection::kind::trip, 0, 1 );
+    }
+  };
 
   for ( const auto& c : cases )
   {
@@ -158,12 +173,14 @@ TEST( dse_engine, parallel_cached_matches_sequential_bit_for_bit )
       explore_options parallel;
       parallel.num_threads = threads;
       flow_artifact_cache cache;
+      arm( c );
       const auto par = explore( mod.aig, configs, parallel, cache );
 
       ASSERT_EQ( configs.size(), par.size() );
       for ( std::size_t i = 0; i < configs.size(); ++i )
       {
         // The sequential oracle: a fresh private cache per configuration.
+        arm( c );
         const auto seq = run_flow_on_aig( mod.aig, configs[i] );
         EXPECT_EQ( dse_label( configs[i] ), par[i].label ) << i;
         EXPECT_EQ( seq.costs.qubits, par[i].result.costs.qubits ) << par[i].label;
@@ -171,6 +188,9 @@ TEST( dse_engine, parallel_cached_matches_sequential_bit_for_bit )
         EXPECT_EQ( seq.costs.gates, par[i].result.costs.gates ) << par[i].label;
         EXPECT_EQ( seq.esop_terms, par[i].result.esop_terms ) << par[i].label;
         EXPECT_TRUE( par[i].result.verified ) << par[i].label;
+        EXPECT_EQ( par[i].result.status,
+                   c.stop_exorcism ? flow_status::degraded : flow_status::ok )
+            << par[i].label;
       }
       // One miss per distinct artifact, everything else hits.
       EXPECT_EQ( cache.stats().misses, c.misses ) << c.n << " on " << threads << " threads";

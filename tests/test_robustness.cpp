@@ -28,6 +28,7 @@
 #include "rsynth/tbs.hpp"
 #include "sat/incremental.hpp"
 #include "sat/solver.hpp"
+#include "synth/aig_optimize.hpp"
 #include "synth/exorcism.hpp"
 #include "verilog/elaborator.hpp"
 #include "verilog/parser.hpp"
@@ -129,25 +130,29 @@ TEST( robustness_deadline, is_a_trivially_copyable_time_limit )
   EXPECT_EQ( copy.remaining_seconds(), 0.0 );
 }
 
-TEST( robustness_deadline, tightened_takes_the_tighter_limit )
+TEST( robustness_deadline, budget_upgrade_order_is_a_strictly_longer_deadline )
 {
-  const auto loose = deadline::in( 3600.0 );
-  const auto tight = loose.tightened( 0.5 );
-  EXPECT_LT( tight.remaining_seconds(), 1.0 );
-  // Tightening with a looser limit keeps the original.
-  const auto kept = tight.tightened( 3600.0 );
-  EXPECT_LT( kept.remaining_seconds(), 1.0 );
-  // Nonpositive seconds leave the deadline unchanged (still unlimited here).
-  EXPECT_TRUE( deadline{}.tightened( 0.0 ).unlimited() );
-  EXPECT_TRUE( deadline{}.tightened( std::numeric_limits<double>::quiet_NaN() ).unlimited() );
-  EXPECT_FALSE( deadline{}.tightened( 1.0 ).unlimited() );
-  // Limits past the clock's range neither expire nor loosen a tighter one.
-  for ( const double huge : { 1e10, 1e300, std::numeric_limits<double>::infinity() } )
+  const auto nan = std::numeric_limits<double>::quiet_NaN();
+  const budget unlimited[] = { budget{}, budget{ -1.0 }, budget{ nan } };
+  for ( const auto& u : unlimited )
   {
-    EXPECT_FALSE( deadline{}.tightened( huge ).expired() ) << huge;
-    EXPECT_GT( deadline{}.tightened( huge ).remaining_seconds(), 1e9 ) << huge;
-    EXPECT_LT( tight.tightened( huge ).remaining_seconds(), 1.0 ) << huge;
+    EXPECT_TRUE( u.unlimited() ) << u.deadline_seconds;
+    // Unlimited ranks above any finite deadline, however long.
+    for ( const double finite : { 1e-9, 2.0, 1e300 } )
+    {
+      EXPECT_TRUE( u.more_generous_than( budget{ finite } ) ) << u.deadline_seconds << " " << finite;
+      EXPECT_FALSE( budget{ finite }.more_generous_than( u ) ) << u.deadline_seconds << " " << finite;
+    }
+    // All spellings of "unlimited" are equal: none beats another.
+    for ( const auto& other : unlimited )
+    {
+      EXPECT_FALSE( u.more_generous_than( other ) ) << u.deadline_seconds;
+    }
   }
+  // An equal deadline is not more generous; a longer one beats a shorter.
+  EXPECT_FALSE( budget{ 2.0 }.more_generous_than( budget{ 2.0 } ) );
+  EXPECT_TRUE( budget{ 3.0 }.more_generous_than( budget{ 2.0 } ) );
+  EXPECT_FALSE( budget{ 2.0 }.more_generous_than( budget{ 3.0 } ) );
 }
 
 // --- SAT solver: cooperative deadline ----------------------------------------
@@ -212,6 +217,30 @@ TEST( robustness_incremental, budget_exhaustion_reports_unresolved )
   EXPECT_EQ( engine.stats().sat_proven_outputs, 1u );
 }
 
+TEST( robustness_incremental, expired_check_stops_before_building_the_miter )
+{
+  // NEWTON(6) against its optimized form: 4 121 and ~3 500 ANDs, several
+  // encode poll intervals each.
+  const auto spec =
+      verilog::elaborate_verilog( reciprocal_verilog( reciprocal_design::newton, 6 ) ).aig;
+  const auto impl = optimize( spec, 1 );
+  constexpr std::size_t poll_interval = 1024; // `encode_poll_interval`
+  ASSERT_GT( spec.num_ands(), 3u * poll_interval );
+
+  sat::incremental_cec engine;
+  sat::check_limits limits;
+  limits.stop = expired_deadline();
+  const auto outcome = engine.check( spec, impl, limits );
+  EXPECT_FALSE( outcome.resolved );
+  EXPECT_LE( engine.stats().nodes, poll_interval + spec.num_pis() );
+  EXPECT_EQ( engine.stats().fraig_candidates, 0u );
+
+  // The same engine resolves the pair once the limits are lifted.
+  const auto settled = engine.check( spec, impl );
+  EXPECT_TRUE( settled.resolved );
+  EXPECT_TRUE( settled.equivalent );
+}
+
 // --- TBS: no partial result, so expiry throws --------------------------------
 
 TEST( robustness_tbs, expired_deadline_throws_budget_exhausted )
@@ -232,23 +261,33 @@ TEST( robustness_tbs, expired_deadline_throws_budget_exhausted )
 
 TEST( robustness_exorcism, pair_budget_stops_gracefully_and_preserves_function )
 {
+  // 300 random terms over 8 inputs take ~500 pair attempts to a fixpoint.
   std::mt19937_64 rng( 7 );
   esop expression;
-  expression.num_inputs = 6;
+  expression.num_inputs = 8;
   expression.num_outputs = 2;
-  for ( int t = 0; t < 24; ++t )
+  for ( int t = 0; t < 300; ++t )
   {
-    const std::uint64_t mask = rng() & 0x3Fu;
+    const std::uint64_t mask = rng() & 0xFFu;
     expression.terms.push_back( { cube{ mask, rng() & mask }, 1u + ( rng() & 1u ) } );
   }
   const auto reference = expression;
+  auto full = expression;
+  const auto unlimited = exorcism( full, exorcism_params{} );
+  ASSERT_FALSE( unlimited.budget_exhausted );
+  ASSERT_GT( unlimited.pairs_attempted, 257u );
 
-  exorcism_params params;
-  params.pair_budget = 1;
+  // The deadline is polled on attempts 1, 257, ...: tripping the second
+  // poll stops the run mid-way, after exactly 257 attempts.
+  fault_guard guard;
+  fault_injection::arm( "exorcism.stop", fault_injection::kind::trip, 1 );
   auto limited = expression;
-  const auto stats = exorcism( limited, params );
+  const auto stats = exorcism( limited, exorcism_params{} );
+  fault_injection::disarm_all();
   EXPECT_TRUE( stats.budget_exhausted );
-  EXPECT_LE( stats.pairs_attempted, params.pair_budget + 1 );
+  EXPECT_EQ( stats.pairs_attempted, 257u );
+  EXPECT_LT( stats.final_terms, stats.initial_terms );
+  EXPECT_GT( stats.final_terms, unlimited.final_terms );
   for ( unsigned output = 0; output < reference.num_outputs; ++output )
   {
     for ( std::uint64_t input = 0; input < ( 1u << reference.num_inputs ); ++input )
@@ -568,16 +607,12 @@ TEST( robustness_dse, unlimited_budgets_are_bit_identical_to_the_default )
   plain.num_threads = 1;
   const auto baseline = explore( mod.aig, configs, plain );
 
-  // Generous-but-finite budgets must not perturb a sweep that fits them.
-  explore_options budgeted = plain;
-  budgeted.sweep_deadline_seconds = 3600.0;
+  // A generous-but-finite deadline must not perturb a sweep that fits it.
   for ( auto& config : configs )
   {
     config.limits.deadline_seconds = 3600.0;
-    config.limits.sat_conflict_budget = 1u << 30;
-    config.limits.exorcism_pair_budget = std::uint64_t{ 1 } << 40;
   }
-  const auto limited = explore( mod.aig, configs, budgeted );
+  const auto limited = explore( mod.aig, configs, plain );
 
   ASSERT_EQ( baseline.size(), limited.size() );
   for ( std::size_t i = 0; i < baseline.size(); ++i )

@@ -577,7 +577,7 @@ TEST( scheduler_dse, task_graph_matches_run_flow_loop_bit_for_bit )
       graphed.num_threads = workers;
       flow_artifact_cache cache;
       task_graph_stats stats;
-      const auto got = explore( mod.aig, configs, graphed, cache, deadline{}, stats );
+      const auto got = explore( mod.aig, configs, graphed, cache, stats );
 
       const auto context = verify_mode_name( tier ) + " workers=" + std::to_string( workers );
       ASSERT_EQ( got.size(), expect.size() ) << context;

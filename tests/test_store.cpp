@@ -59,6 +59,16 @@ struct temp_dir
   }
 };
 
+/// A deadline that has already expired: one nanosecond, spun out.
+deadline expired_deadline()
+{
+  const auto d = deadline::in( 1e-9 );
+  while ( !d.expired() )
+  {
+  }
+  return d;
+}
+
 aig_network elaborated_intdiv( unsigned n )
 {
   return verilog::elaborate_verilog( reciprocal_verilog( reciprocal_design::intdiv, n ) ).aig;
@@ -633,9 +643,14 @@ TEST( artifact_store, corrupted_entries_degrade_to_miss )
   write_file( flipped );
   EXPECT_FALSE( s.load( key ).has_value() );
 
-  // Mis-versioned entry (format_version is bytes 4..7).
+  // Mis-versioned entries (format_version is bytes 4..7, little-endian):
+  // the next version, and version 3, whose budget record held four fields.
+  static_assert( store::artifact_store::format_version == 4 );
   auto reversioned = original;
   reversioned[4] = static_cast<char>( reversioned[4] + 1 );
+  write_file( reversioned );
+  EXPECT_FALSE( s.load( key ).has_value() );
+  reversioned[4] = 3;
   write_file( reversioned );
   EXPECT_FALSE( s.load( key ).has_value() );
 
@@ -648,7 +663,7 @@ TEST( artifact_store, corrupted_entries_degrade_to_miss )
   EXPECT_FALSE( s.load( key ).has_value() );
 
   const auto stats = s.stats();
-  EXPECT_EQ( stats.corrupt_entries, 5u );
+  EXPECT_EQ( stats.corrupt_entries, 6u );
 
   // The intact entry still loads after restoring it.
   write_file( original );
@@ -848,12 +863,12 @@ TEST( cache_store_tier, budget_exhausted_esop_upgrades_on_later_budget )
 {
   const auto aig = elaborated_intdiv( 5 );
 
-  // In-memory upgrade: a tight first budget leaves a half-minimized cube
-  // list; a later unlimited requester re-minimizes instead of reusing it.
+  // In-memory upgrade: a finite deadline that expired before EXORCISM
+  // started leaves an unminimized cube list; a later unlimited requester
+  // re-minimizes instead of reusing it.
   flow_artifact_cache cache;
-  budget tight;
-  tight.exorcism_pair_budget = 1;
-  const auto& first = cache.esop_intermediate( aig, 2, true, tight );
+  const budget tight{ 60.0 };
+  const auto& first = cache.esop_intermediate( aig, 2, true, tight, expired_deadline() );
   ASSERT_TRUE( first.budget_exhausted );
   const auto first_terms = first.terms;
 
@@ -874,7 +889,7 @@ TEST( cache_store_tier, budget_exhausted_esop_upgrades_on_later_budget )
   const auto disk = std::make_shared<store::artifact_store>( dir.path + "/store" );
   flow_artifact_cache equal;
   equal.attach_store( disk );
-  const auto& starved = equal.esop_intermediate( aig, 2, true, tight );
+  const auto& starved = equal.esop_intermediate( aig, 2, true, tight, expired_deadline() );
   ASSERT_TRUE( starved.budget_exhausted );
   const auto writes = disk->stats().writes;
   const auto& repeat = equal.esop_intermediate( aig, 2, true, tight );
@@ -882,16 +897,12 @@ TEST( cache_store_tier, budget_exhausted_esop_upgrades_on_later_budget )
   EXPECT_EQ( disk->stats().writes, writes );
   EXPECT_EQ( equal.stats().upgrades, 0u );
 
-  // Out of budget under an unlimited budget means cut short by the
-  // deadline alone (a sweep deadline): served, but neither cached nor saved.
+  // Out of time under an unlimited budget means cut short by an
+  // externally armed deadline alone: served, but neither cached nor saved.
   const auto swept_disk = std::make_shared<store::artifact_store>( dir.path + "/swept" );
   flow_artifact_cache swept;
   swept.attach_store( swept_disk );
-  const auto expired = deadline::in( 1e-9 );
-  while ( !expired.expired() )
-  {
-  }
-  const auto& cut = swept.esop_intermediate( aig, 2, true, budget{}, expired );
+  const auto& cut = swept.esop_intermediate( aig, 2, true, budget{}, expired_deadline() );
   ASSERT_TRUE( cut.budget_exhausted );
   EXPECT_FALSE(
       swept_disk->load( { aig.content_hash(), store::payload_kind::esop, "esop[r=2,exo=1]" } ) );
@@ -908,13 +919,12 @@ TEST( cache_store_tier, budget_exhausted_store_entry_upgrades_across_processes )
   const auto root = dir.path + "/store";
   const auto aig = elaborated_intdiv( 5 );
 
-  // "Process 1" stops at its pair budget and persists the exhausted entry.
+  // "Process 1" runs out of time under a finite deadline and persists the
+  // exhausted entry.
   {
     flow_artifact_cache cache;
     cache.attach_store( std::make_shared<store::artifact_store>( root ) );
-    budget tight;
-    tight.exorcism_pair_budget = 1;
-    const auto& art = cache.esop_intermediate( aig, 2, true, tight );
+    const auto& art = cache.esop_intermediate( aig, 2, true, budget{ 60.0 }, expired_deadline() );
     ASSERT_TRUE( art.budget_exhausted );
   }
 

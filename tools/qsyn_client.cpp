@@ -9,9 +9,9 @@
 /// Sends exactly one request line and prints the daemon's response line.
 /// With key=value arguments, values that parse as numbers are sent as
 /// JSON numbers, everything else as strings.  Synthesize requests accept
-/// budget fields (deadline=SECONDS, sat_conflicts=N, sat_propagations=N,
-/// exorcism_pairs=N; 0 = unlimited) — a better-budgeted repeat of a
-/// degraded result makes the daemon recompute and upgrade its cache.
+/// one budget, deadline=SECONDS (0 = unlimited) — a repeat of a degraded
+/// result with a longer deadline makes the daemon recompute and upgrade
+/// its cache.  The daemon rejects any field it does not know.
 /// Exit status 0 when the daemon answered with "ok":true; 3 when it
 /// answered "code":"busy" (backpressure — retry later); 1 otherwise.
 
